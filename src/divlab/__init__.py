@@ -15,7 +15,7 @@ interface behavior, and `cli` wires everything into scenarios.
 
 from .calculus import (GridSpec, MollifierKernel, RectRegion, DiskRegion,
                        AnnulusRegion, ScalarTest, bump_test, constant_test,
-                       gauss_green_residual, gaussian_test, jensen_check,
+                       gauss_green_residual, jensen_check,
                        make_mollifier, mollify, numeric_divergence)
 from .fields import (AUTO, CylindricalPotential, OutOfDomainError,
                      PhiFunction, VectorField, constant_field,
@@ -29,7 +29,7 @@ from .blowup import (BlowupSequence, blowup_sequence,
                      hash_unit_ball_field, nalpha_density,
                      quadratic_inequality_check, rescale, weak_star_average)
 from .report import (CheckResult, FAIL, INFO, PASS, SKIPPED,
-                     VerificationReport, worker_count)
+                     VerificationReport)
 from .rigidity import (CERTIFIED, VIOLATED, FlowTube, MonotonicityViolation,
                        RigidityCertificate, build_flow_tube,
                        certify_potential, default_certification_grid,

@@ -41,16 +41,10 @@ def _stages(f: Callable, t: float, y: np.ndarray, h: float,
     return ks
 
 
-def _advance(y: np.ndarray, h: float, ks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    y5 = y + h * sum(b * k for b, k in zip(_B5, ks) if b != 0.0)
-    return y5, ks
-
-
 def dp_step(f: Callable, t: float, y: np.ndarray, h: float) -> np.ndarray:
     """One fixed fifth-order step; used by the event bisection."""
     ks = _stages(f, t, y, h)
-    y5, _ = _advance(y, h, ks)
-    return y5
+    return y + h * sum(b * k for b, k in zip(_B5, ks) if b != 0.0)
 
 
 @dataclass

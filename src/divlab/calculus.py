@@ -58,22 +58,6 @@ def bump_test(center, radius: float, height: float = 1.0) -> ScalarTest:
     return ScalarTest(val, grad, f"bump:c={c.tolist()}:r={radius}", c1)
 
 
-def gaussian_test(center, sigma: float) -> ScalarTest:
-    c = np.asarray(center, dtype=float)
-
-    def val(pts):
-        d2 = np.einsum("ij,ij->i", pts - c, pts - c)
-        return np.exp(-0.5 * d2 / sigma**2)
-
-    def grad(pts):
-        d = pts - c
-        d2 = np.einsum("ij,ij->i", d, d)
-        return (-np.exp(-0.5 * d2 / sigma**2) / sigma**2)[:, None] * d
-
-    c1 = 1.0 + math.exp(-0.5) / sigma
-    return ScalarTest(val, grad, f"gaussian:c={c.tolist()}:sigma={sigma}", c1)
-
-
 # ---------------------------------------------------------------------------
 # grids
 

@@ -10,6 +10,11 @@ Exit status: 0 when every check passes, 1 when a verification check
 fails, 2 on usage errors.  Parameter precedence: command-line flags,
 then a `--config` JSON file, then built-in defaults.  Monte Carlo
 operations run with a fixed default seed, recorded in the report.
+
+Each operation's parameter table (`_OPERATIONS`) is the single place a
+parameter is declared: its flag, converter, default, help text and
+whether it is a tolerance.  The subcommands, `--help` defaults, config
+key checks and the params/tolerances split are all generated from it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,8 +37,9 @@ from .calculus import (GridSpec, RectRegion, bump_test, jensen_check,
                        make_mollifier, mollify, numeric_divergence)
 from .fields import (AUTO, REGISTRY_EXAMPLES, counterexample_potential,
                      constant_field, field_to_potential, gamma_bounds,
-                     get_field, make_counterexample_field, phi_quadratic,
-                     potential_to_field, stream_bump_field)
+                     get_field, make_counterexample_field, parse_field_id,
+                     parse_gamma, phi_quadratic, potential_to_field,
+                     stream_bump_field)
 from .report import FAIL, INFO, PASS, CheckResult, VerificationReport
 from .rigidity import (CERTIFIED, VIOLATED, build_flow_tube, certify_potential,
                        default_certification_grid, flow_tube_trajectories,
@@ -82,6 +88,12 @@ class Scenario:
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
+    @property
+    def seed(self) -> int:
+        """Monte Carlo seed: the `seed` parameter, else DEFAULT_SEED."""
+        seed = self.params.get("seed")
+        return DEFAULT_SEED if seed is None else seed
+
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -100,7 +112,7 @@ def run(scenario: Scenario) -> VerificationReport:
     traceback, so a crashed computation still yields a report (exit 1);
     usage errors propagate (exit 2).
     """
-    handler = _OPERATIONS[scenario.operation]
+    handler = _OPERATIONS[scenario.operation].handler
     try:
         rep, tables, extras = handler(scenario)
     except UsageError:
@@ -112,9 +124,7 @@ def run(scenario: Scenario) -> VerificationReport:
                             detail=f"{type(exc).__name__}: {exc}"))
         tables, extras = [], []
     rep.scenario = scenario.echo()
-    seed = scenario.params.get("seed")
-    rep.environment.setdefault("seed",
-                               int(seed) if seed is not None else DEFAULT_SEED)
+    rep.environment.setdefault("seed", scenario.seed)
     if scenario.out_dir:
         os.makedirs(scenario.out_dir, exist_ok=True)
         rep.write(os.path.join(scenario.out_dir, f"{scenario.name}.json"))
@@ -143,22 +153,19 @@ def _write_csv(path: str, header, rows) -> None:
 # ---------------------------------------------------------------------------
 # parameter parsing helpers
 
-def _floats(text, what: str, count: Optional[int] = None):
-    if isinstance(text, (list, tuple)):
-        vals = [float(v) for v in text]
-    else:
-        try:
-            vals = [float(tok) for tok in str(text).split(",") if tok.strip()]
-        except ValueError as exc:
-            raise UsageError(f"malformed {what}: {text!r}") from exc
+def _floats(text: str, what: str, count: Optional[int] = None):
+    try:
+        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise UsageError(f"malformed {what}: {text!r}") from exc
     if count is not None and len(vals) != count:
         raise UsageError(f"{what} needs {count} comma-separated values, "
                          f"got {text!r}")
     return vals
 
 
-def _parse_radii(spec) -> tuple:
-    if spec is None or spec == "auto":
+def _parse_radii(spec: str) -> tuple:
+    if spec == "auto":
         return DEFAULT_RADII
     vals = _floats(spec, "radii")
     if len(vals) < 2:
@@ -166,12 +173,10 @@ def _parse_radii(spec) -> tuple:
     return tuple(vals)
 
 
-def _parse_box(spec) -> list:
+def _parse_box(spec: str) -> list:
     # "lo,hi;lo,hi" -> [(lo, hi), (lo, hi)]
-    if isinstance(spec, (list, tuple)):
-        return [tuple(map(float, ab)) for ab in spec]
     out = []
-    for part in str(spec).split(";"):
+    for part in spec.split(";"):
         lo, hi = _floats(part, "box side", 2)
         if hi <= lo:
             raise UsageError(f"empty box side {part!r}")
@@ -191,7 +196,7 @@ def _resolve_field(field_id: str):
 def _resolve_interface(spec, f, default_radius=None):
     """Interface grammar: 'auto', 'line[:origin=a,b][:dir=a,b]',
     'circle[:center=a,b][:R=r][:inward]'."""
-    if spec in (None, "", "auto"):
+    if spec in ("", "auto"):
         R = getattr(f, "disk_radius", default_radius)
         if R is not None:
             return circle_interface((0.0, 0.0), float(R), outward=True)
@@ -239,24 +244,14 @@ def _certify_target(field_id: str):
     a VIOLATED certificate is produced) while the field constructor
     rejects them, so the field half is optional.
     """
-    parts = field_id.split(":")
-    if parts[0] == "counterexample":
-        kv = {}
-        for item in parts[1:]:
-            if "=" not in item:
-                raise UsageError(f"malformed field parameter {item!r}")
-            k, v = item.split("=", 1)
-            kv[k] = v
-        n = int(kv.get("n", "4"))
-        gamma = kv.get("gamma", AUTO)
-        if gamma != AUTO:
-            gamma = float(gamma)
+    try:
+        kind, kw = parse_field_id(field_id)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if kind == "counterexample":
+        pot = counterexample_potential(kw["n"], kw["gamma"])
         try:
-            pot = counterexample_potential(n, gamma)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        try:
-            fld = make_counterexample_field(n, gamma)
+            fld = make_counterexample_field(kw["n"], kw["gamma"])
         except ValueError:
             fld = None
         return pot, fld
@@ -287,8 +282,8 @@ def _divergence_sample_points(f, count: int, seed: int, clearance: float):
 def _h_certify(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     pot, fld = _certify_target(sc.field)
-    grid = default_certification_grid(int(p["resolution"]))
-    cert = certify_potential(pot, grid, c=float(p["c"]),
+    grid = default_certification_grid(p["resolution"])
+    cert = certify_potential(pot, grid, c=p["c"],
                              margin_tol=tol["margin_tol"])
     expect = p["expect"]
     rep = VerificationReport(scenario="")
@@ -337,14 +332,13 @@ def _h_certify(sc: Scenario):
             "axis speed at unit height matches closed form",
             speed - g * math.pi / 4.0, tol["speed_tol"],
             detail=f"|field|={speed!r}, expected {g * math.pi / 4.0!r}"))
-        seed = int(p["seed"]) if p["seed"] is not None else DEFAULT_SEED
-        pts = _divergence_sample_points(fld, int(p["fd_points"]), seed,
-                                        clearance=10.0 * float(p["fd_step"]))
-        div = numeric_divergence(fld, pts, h=float(p["fd_step"]))
+        pts = _divergence_sample_points(fld, p["fd_points"], sc.seed,
+                                        clearance=10.0 * p["fd_step"])
+        div = numeric_divergence(fld, pts, h=p["fd_step"])
         worst = float(np.max(np.abs(div)))
         rep.add(CheckResult.from_residual(
             "centered-difference divergence", worst, tol["fd_tol"],
-            detail=f"{pts.shape[0]} points, h={float(p['fd_step']):g}"))
+            detail=f"{pts.shape[0]} points, h={p['fd_step']:g}"))
 
     tables = [("conditions",
                ["condition", "min_margin", "argmin_rho", "argmin_z"],
@@ -364,13 +358,11 @@ def _h_flow_tube(sc: Scenario):
         sup = f.sup_bound if f.sup_bound and math.isfinite(f.sup_bound) else 0.0
         eps = 2.0 * sup if sup > 0.0 else 1.0
     else:
-        eps = float(p["epsilon"])
-    h0 = float(p["h0"])
-    seeds = int(p["seeds"])
+        eps = p["epsilon"]
+    h0, seeds = p["h0"], p["seeds"]
 
     tube = build_flow_tube(f, eps, A, h0, seeds_per_axis=seeds,
-                           rtol=float(p["rtol"]),
-                           gauge_constant=p["gauge_constant"])
+                           rtol=p["rtol"], gauge_constant=p["gauge_constant"])
     rep = tube.to_report(tol=tol["residual_tol"])
     rep.add(CheckResult.info("epsilon", eps))
     rep.add(CheckResult.info("seeds per axis", seeds))
@@ -378,10 +370,10 @@ def _h_flow_tube(sc: Scenario):
     residual_rows = [[seeds, tube.residual]]
     if p["refine"]:
         fine = build_flow_tube(f, eps, A, h0, seeds_per_axis=2 * seeds,
-                               rtol=float(p["rtol"]),
+                               rtol=p["rtol"],
                                gauge_constant=p["gauge_constant"])
         residual_rows.append([2 * seeds, fine.residual])
-        factor = float(p["refine_factor"])
+        factor = p["refine_factor"]
         rep.add(CheckResult.from_residual(
             "refined transport identity residual", fine.residual,
             tol["residual_tol"]))
@@ -392,7 +384,7 @@ def _h_flow_tube(sc: Scenario):
 
     trows = []
     for row in flow_tube_trajectories(f, eps, A, h0,
-                                      seeds_per_axis=int(p["plot_seeds"])):
+                                      seeds_per_axis=p["plot_seeds"]):
         trows.append([*row["seed"], row["h"], *row["position"], row["delta"]])
     ndim = len(A)
     header = ([f"seed_q{i + 1}" for i in range(ndim)] + ["h"]
@@ -408,13 +400,11 @@ def _h_flow_tube(sc: Scenario):
 def _h_strip(sc: Scenario):
     p = sc.params
     f = _resolve_field(sc.field)
-    pairs = p["at"] or [(5.0, 3.0), (2.0, 1.0)]
-    pairs = [tuple(_floats(item, "strip location", 2))
-             if not isinstance(item, tuple) else item for item in pairs]
     rep = VerificationReport(scenario="")
     rows = []
-    for r, t in pairs:
-        sub = strip_identity_2d(f, r, t, rtol=float(p["rtol"]))
+    for item in p["at"]:
+        r, t = _floats(item, "strip location", 2)
+        sub = strip_identity_2d(f, r, t, rtol=p["rtol"])
         for c in sub.checks:
             rep.add(CheckResult(f"[r={r:g},t={t:g}] {c.name}", c.value,
                                 c.tolerance, c.margin, c.verdict, c.detail))
@@ -437,7 +427,7 @@ def _probe_checks(rep, probe, label: str, p, tol):
         detail=f"oscillating={probe.oscillating}"))
     expect = p["expect"]
     if expect == "value":
-        target = float(p["value"])
+        target = p["value"]
         rep.add(CheckResult.from_residual(
             f"{label} trace matches expected value",
             probe.extrapolated - target, tol["value_tol"],
@@ -461,21 +451,19 @@ def _h_trace(sc: Scenario):
 
     if method == "pairing":
         region = p["omega"]
-        if region in (None, "unit-square"):
+        if region == "unit-square":
             reg = RectRegion(((0.0, 1.0), (0.0, 1.0)))
         else:
             reg = RectRegion(_parse_box(region))
-        seed = int(p["seed"]) if p["seed"] is not None else DEFAULT_SEED
-        rng = np.random.default_rng(seed)
-        nb = int(p["bumps"])
-        radius = float(p["bump_radius"])
+        rng = np.random.default_rng(sc.seed)
+        radius = p["bump_radius"]
         lo = np.array([reg.ax + radius, reg.ay + radius])
         hi = np.array([reg.bx - radius, reg.by - radius])
         if np.any(hi <= lo):
             raise UsageError("bump radius too large for the region")
         family = [bump_test(lo + (hi - lo) * rng.uniform(size=2), radius)
-                  for _ in range(nb)]
-        vals = weak_trace_pairing(f, reg, family, rtol=float(p["rtol"]))
+                  for _ in range(p["bumps"])]
+        vals = weak_trace_pairing(f, reg, family, rtol=p["rtol"])
         rows = []
         for psi, v in zip(family, vals):
             bound = tol["pairing_tol"] * psi.c1_norm
@@ -483,7 +471,6 @@ def _h_trace(sc: Scenario):
                 f"pairing against {psi.label}", v, bound,
                 detail=f"|value| vs {tol['pairing_tol']:g}*C1-norm"))
             rows.append([psi.label, v, psi.c1_norm, bound])
-        rep.environment["seed"] = seed
         tables.append(("pairings", ["psi", "value", "c1_norm", "bound"], rows))
         return rep, tables, []
 
@@ -498,12 +485,10 @@ def _h_trace(sc: Scenario):
     est_rows = []
     for m in methods:
         if m == "ball":
-            probe = weak_trace_ball_average(f, S, x0, radii,
-                                            rtol=float(p["rtol"]))
+            probe = weak_trace_ball_average(f, S, x0, radii, rtol=p["rtol"])
         elif m == "curvilinear":
-            probe = weak_trace_curvilinear(f, S, x0, rho=float(p["rho"]),
-                                           r_seq=radii,
-                                           rtol=float(p["rtol"]))
+            probe = weak_trace_curvilinear(f, S, x0, rho=p["rho"],
+                                           r_seq=radii, rtol=p["rtol"])
         elif m == "flux":
             probe = weak_trace_sphere_flux(f, S, x0, radii)
         else:
@@ -529,12 +514,10 @@ def _h_density(sc: Scenario):
             f"{f.name!r} is defined everywhere")
     x0 = _floats(p["x0"], "x0", f.dim)
     radii = _parse_radii(p["radii"])
-    seed = int(p["seed"]) if p["seed"] is not None else DEFAULT_SEED
     probe = density(lambda pts: f.domain(pts), x0, radii,
-                    samples=int(p["samples"]), seed=seed)
+                    samples=p["samples"], seed=sc.seed)
     rep = VerificationReport(scenario="",
-                             environment={"seed": seed,
-                                          "samples": int(p["samples"])})
+                             environment={"samples": p["samples"]})
     for row in probe.rows():
         rep.add(CheckResult.info(f"volume ratio at r={row['radius']:g}",
                                  row["estimate"],
@@ -543,7 +526,7 @@ def _h_density(sc: Scenario):
     if p["expect"] == "value":
         rep.add(CheckResult.from_residual(
             "density matches expected value",
-            probe.theta - float(p["value"]), tol["value_tol"]))
+            probe.theta - p["value"], tol["value_tol"]))
     rows = [[row["radius"], row["estimate"], row["stderr"]]
             for row in probe.rows()]
     return rep, [("ratios", ["radius", "ratio", "stderr"], rows)], []
@@ -560,10 +543,9 @@ def _h_aplim(sc: Scenario):
         w = _floats(p["w"], "w", 2)
     alphas = _floats(p["alphas"], "alphas")
     radii = _parse_radii(p["radii"])
-    seed = int(p["seed"]) if p["seed"] is not None else DEFAULT_SEED
     rep = one_sided_ap_lim(f, S, x0, w, alphas, radii,
                            eps_density=tol["eps_density"],
-                           samples=int(p["samples"]), seed=seed)
+                           samples=p["samples"], seed=sc.seed)
     expect = p["expect"]
     if expect != "none":
         want = {"confirmed": AP_LIM_CONFIRMED,
@@ -595,14 +577,12 @@ def _h_nalpha(sc: Scenario):
     f = _resolve_field(sc.field)
     x0 = _floats(p["x0"], "x0", 2)
     S = _resolve_interface(p["interface"], f)
-    alpha = float(p["alpha"])
+    alpha = p["alpha"]
     radii = _parse_radii(p["radii"])
-    seed = int(p["seed"]) if p["seed"] is not None else DEFAULT_SEED
     probe = nalpha_density(f, S, x0, alpha, radii,
-                           samples=int(p["samples"]), seed=seed)
+                           samples=p["samples"], seed=sc.seed)
     rep = VerificationReport(scenario="",
-                             environment={"seed": seed,
-                                          "samples": int(p["samples"])})
+                             environment={"samples": p["samples"]})
     for row in probe.rows():
         rep.add(CheckResult.info(
             f"deviation ratio at r={row['radius']:g}", row["estimate"],
@@ -625,15 +605,11 @@ def _h_blowup(sc: Scenario):
     f = _resolve_field(sc.field)
     x0 = _floats(p["x0"], "x0", 2)
     S = _resolve_interface(p["interface"], f)
-    radii = p["radii"]
-    radii = (tuple(2.0 ** -k for k in range(2, 7)) if radii in (None, "auto")
-             else _parse_radii(radii))
+    radii = (tuple(2.0 ** -k for k in range(2, 7)) if p["radii"] == "auto"
+             else _parse_radii(p["radii"]))
     seq = blowup_sequence(f, x0, radii)
-    trace_value = p["trace_value"]
-    rep = blowup_trace_consistency(
-        seq, S,
-        trace_value=None if trace_value is None else float(trace_value),
-        rtol=float(p["rtol"]), final_tol=tol["final_tol"])
+    rep = blowup_trace_consistency(seq, S, trace_value=p["trace_value"],
+                                   rtol=p["rtol"], final_tol=tol["final_tol"])
     rows = [[r["k"], r["radius"], r["off_interface_div_mass"],
              r["half_space_defect"], r["punctured_ball_residual"]]
             for r in rep.csv_rows]
@@ -649,66 +625,56 @@ def _h_blowup(sc: Scenario):
 
 def _h_demo_separable(sc: Scenario):
     p = sc.params
-    rep = separable_demo(float(p["gamma"]), float(p["rho0"]),
-                         float(p["psi0"]))
+    rep = separable_demo(p["gamma"], p["rho0"], p["psi0"])
     return rep, [], []
 
 
 def _h_demo_jensen(sc: Scenario):
     p, tol = sc.params, sc.tolerances
-    dim = int(p["dim"])
-    eps = float(p["epsilon"])
+    dim, eps = p["dim"], p["epsilon"]
     kernel = make_mollifier(eps, dim)
     vec = np.zeros(dim)
     vec[-1] = 1.0
     vertical = constant_field(vec, name="constant-vertical")
     grid = GridSpec(box=((-1.0, 1.0),) * dim,
-                    resolution=(int(p["grid_n"]),) * dim)
+                    resolution=(p["grid_n"],) * dim)
     rep = jensen_check(vertical, phi_quadratic(), kernel, grid,
                        tol=tol["jensen_tol"])
 
     sb = stream_bump_field()
     smooth = mollify(sb, make_mollifier(eps, 2))
-    seed = int(p["seed"]) if p["seed"] is not None else DEFAULT_SEED
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sc.seed)
     pts = np.stack([rng.uniform(-2.5, 2.5, 64), rng.uniform(0.4, 2.4, 64)],
                    axis=1)
-    div = numeric_divergence(smooth, pts, h=float(p["fd_step"]))
+    div = numeric_divergence(smooth, pts, h=p["fd_step"])
     rep.add(CheckResult.from_residual(
         "mollified stream field stays divergence-free",
         float(np.max(np.abs(div))), tol["div_tol"],
-        detail=f"{pts.shape[0]} points, h={float(p['fd_step']):g}"))
-    rep.environment["seed"] = seed
+        detail=f"{pts.shape[0]} points, h={p['fd_step']:g}"))
     return rep, [], []
 
 
 def _h_demo_quadratic(sc: Scenario):
     p, tol = sc.params, sc.tolerances
-    dim = int(p["dim"])
+    dim, m = p["dim"], p["samples"]
     xi = hash_unit_ball_field(dim)
-    seed = int(p["seed"]) if p["seed"] is not None else DEFAULT_SEED
-    rng = np.random.default_rng(seed)
-    m = int(p["samples"])
+    rng = np.random.default_rng(sc.seed)
     dirs = rng.normal(size=(m, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = dirs * (rng.uniform(size=m) ** (1.0 / dim))[:, None]
     rep = quadratic_inequality_check(xi, pts, tol=tol["margin_tol"])
-    rep.environment["seed"] = seed
     rep.environment["samples"] = m
     return rep, [], []
 
 
 def _h_demo_roundtrip(sc: Scenario):
     p, tol = sc.params, sc.tolerances
-    n = int(p["n"])
-    gamma = p["gamma"]
-    if gamma != AUTO:
-        gamma = float(gamma)
+    n, gamma = p["n"], p["gamma"]
     pot = counterexample_potential(n, gamma)
     closed = make_counterexample_field(n, gamma)
     rebuilt = potential_to_field(pot)
 
-    grid = default_certification_grid(int(p["resolution"]))
+    grid = default_certification_grid(p["resolution"])
     rho_ax, z_ax = grid.axes()
     RHO, Z = np.meshgrid(rho_ax, z_ax, indexing="ij")
     pts = np.zeros((RHO.size, n))
@@ -736,19 +702,197 @@ def _h_demo_roundtrip(sc: Scenario):
     return rep, [], []
 
 
+# ---------------------------------------------------------------------------
+# parameter tables: the one declaration of every operation parameter
+
+@dataclass(frozen=True)
+class Param:
+    """One operation parameter.
+
+    `name` is both the `--config` key and the flag stem (`fd_step` is
+    `--fd-step`).  `conv` turns flag text or a config value into the
+    parameter value, which must be one of `choices` when those are given;
+    `default` is used when neither gives one.  `action` is "store",
+    "store_true", "negated" (flag `--no-<name>` stores False) or "append"
+    (repeatable flag, a list in config).  Tolerances land in
+    Scenario.tolerances, everything else in Scenario.params; `flag=False`
+    leaves a parameter config-only.
+    """
+    name: str
+    default: object = None
+    conv: Callable = str
+    help: str = ""
+    action: str = "store"
+    choices: tuple = ()
+    tol: bool = False
+    flag: bool = True
+
+    def add_to(self, parser) -> None:
+        stem = self.name.replace("_", "-")
+        kw = {"dest": self.name, "default": None, "help": self.help}
+        if self.action == "store_true":
+            kw["action"] = "store_true"
+        elif self.action == "negated":
+            kw["action"] = "store_false"
+            stem = "no-" + stem
+        else:
+            kw.update(type=self.conv, choices=self.choices or None)
+            if self.action == "append":
+                kw["action"] = "append"
+            if self.default is not None:
+                kw["help"] += f" (default: {self.default})"
+        parser.add_argument("--" + stem, **kw)
+
+    def from_config(self, value):
+        """Convert a config value exactly as the flag's text would be."""
+        if value is None and self.default is None:
+            return None
+        try:
+            if self.action in ("store_true", "negated"):
+                if not isinstance(value, bool):
+                    raise ValueError("expected true or false")
+                return value
+            if self.action == "append":
+                if not isinstance(value, list):
+                    raise ValueError("expected a list")
+                return [self.conv(str(v)) for v in value]
+            out = self.conv(str(value))
+            if self.choices and out not in self.choices:
+                raise ValueError(f"expected one of {list(self.choices)}")
+            return out
+        except ValueError as exc:
+            raise UsageError(
+                f"config value {self.name}={value!r}: {exc}") from exc
+
+
+def _tol(name, default, help=""):
+    return Param(name, default, float, help or "tolerance", tol=True)
+
+
+def _field(default):
+    return Param("field", default, help="field registry id")
+
+
+def _expect(*choices):
+    return Param("expect", choices[0], help="expected outcome",
+                 choices=choices)
+
+
+_SEED = Param("seed", None, int, f"Monte Carlo seed (default {DEFAULT_SEED})")
+_RADII = Param("radii", "auto",
+               help="'auto' or comma-separated decreasing radii")
+_INTERFACE = Param("interface", "auto",
+                   help="'auto', 'line[:origin=a,b][:dir=a,b]' or "
+                        "'circle[:center=a,b][:R=r][:inward]'")
+_SAMPLES = Param("samples", 100_000, int, "Monte Carlo samples per radius")
+_VALUE = Param("value", 0.0, float, "expected value")
+_VALUE_TOL = _tol("value_tol", 1e-2)
+
+
+def _x0(default):
+    return Param("x0", default, help="interface point 'a,b'")
+
+
+@dataclass(frozen=True)
+class Operation:
+    handler: Callable
+    help: str
+    params: tuple
+
+
 _OPERATIONS = {
-    "certify": _h_certify,
-    "flow-tube": _h_flow_tube,
-    "strip-identity": _h_strip,
-    "trace": _h_trace,
-    "density": _h_density,
-    "aplim": _h_aplim,
-    "nalpha": _h_nalpha,
-    "blowup": _h_blowup,
-    "demo-separable": _h_demo_separable,
-    "demo-jensen": _h_demo_jensen,
-    "demo-quadratic": _h_demo_quadratic,
-    "demo-roundtrip": _h_demo_roundtrip,
+    "certify": Operation(_h_certify, "certify a cylindrical potential", (
+        _field("counterexample:n=4:gamma=auto"), _SEED,
+        Param("c", 1.0, float, "balance constant in the third condition"),
+        Param("resolution", 200, int, "certification grid nodes per axis"),
+        _expect("certified", "violated", "none"),
+        _tol("margin_tol", 1e-12),
+        Param("speed_tol", 1e-12, float, tol=True, flag=False),
+        Param("fd_tol", 1e-6, float, tol=True, flag=False),
+        Param("fd_points", 1000, int, "divergence sample points"),
+        Param("fd_step", 1e-4, float, "centered-difference step"),
+        Param("field_checks", True, help="skip the field-side spot checks",
+              action="negated"))),
+    "flow-tube": Operation(
+        _h_flow_tube, "transport identity along the lifted flow", (
+            _field("stream:bump"),
+            Param("epsilon", None, float,
+                  "vertical lift (default: 2x the field sup bound)"),
+            Param("h0", 1.95, float, "seed height"),
+            Param("seeds", 64, int, "seeds per axis"),
+            Param("box", "-2.7,3.3;0,1", help="seed box 'lo,hi;lo,hi'"),
+            Param("refine", False, action="store_true",
+                  help="rerun with doubled seeds and compare residuals"),
+            Param("refine_factor", 4.0, float, "required residual shrink"),
+            Param("gauge_constant", None, float,
+                  "check the displacement bound for this gauge constant"),
+            Param("plot_seeds", 6, int, "seeds per axis of the plotted paths"),
+            Param("rtol", 1e-10, float, "ODE relative tolerance"),
+            _tol("residual_tol", 1e-6))),
+    "strip-identity": Operation(
+        _h_strip, "horizontal strip balance for a planar field", (
+            _field("stream:bump"),
+            Param("at", ("5,3", "2,1"), action="append",
+                  help="strip half-width and height 'R,T' (repeatable)"),
+            Param("rtol", 1e-10, float, "quadrature relative tolerance"))),
+    "trace": Operation(_h_trace, "weak normal trace probes", (
+        _field("twisting:levels=8"), _SEED,
+        Param("method", "ball", help="trace probe",
+              choices=("ball", "curvilinear", "flux", "pairing", "all")),
+        _x0("0,0"), _RADII, _INTERFACE,
+        Param("rho", 0.2, float, "curvilinear rectangle half-width"),
+        Param("omega", "unit-square",
+              help="pairing region: 'unit-square' or 'a,b;c,d'"),
+        Param("bumps", 10, int, "random test bumps for the pairing"),
+        Param("bump_radius", 0.125, float, "test bump radius"),
+        Param("rtol", 1e-9, float, "quadrature relative tolerance"),
+        _expect("none", "value", "oscillating"), _VALUE, _VALUE_TOL,
+        _tol("gap", 0.01, "required oscillation subsequence gap"),
+        _tol("pairing_tol", 1e-6))),
+    "density": Operation(_h_density, "volume density of a field's domain", (
+        _field("capillary:R=1"), _SEED, _x0("0,0"), _RADII, _SAMPLES,
+        _expect("none", "value"), _VALUE, _VALUE_TOL)),
+    "aplim": Operation(
+        _h_aplim, "one-sided approximate limit classification", (
+            _field("twisting:levels=8"), _SEED, _x0("0,0"),
+            Param("w", "0,0",
+                  help="candidate limit 'a,b', or 'nu' for the normal"),
+            Param("alphas", "0.5", help="comma-separated deviation levels"),
+            _RADII, _INTERFACE, _SAMPLES, _tol("eps_density", 1e-2),
+            _expect("none", "confirmed", "rejected", "inconclusive"))),
+    "nalpha": Operation(
+        _h_nalpha, "deviation-set density at an interface point", (
+            _field("capillary:R=1"), _SEED, _x0("1,0"),
+            Param("alpha", 0.2, float, "deviation level"),
+            _RADII, _INTERFACE, _SAMPLES, _tol("ratio_tol", 1e-2))),
+    "blowup": Operation(_h_blowup, "per-scale trace consistency", (
+        _field("twisting:levels=8"), _x0("0.5,0"), _RADII, _INTERFACE,
+        Param("trace_value", None, float,
+              "known trace (default: probe for it)"),
+        Param("rtol", 1e-8, float, "quadrature relative tolerance"),
+        _tol("final_tol", 1e-2))),
+    "demo-separable": Operation(
+        _h_demo_separable, "separable profile blow-up", (
+            Param("gamma", 1.0, float, "amplitude"),
+            Param("rho0", 1.0, float, "initial radius"),
+            Param("psi0", 1.0, float, "initial profile value"))),
+    "demo-jensen": Operation(
+        _h_demo_jensen, "smoothing preserves gauge domination", (
+            _SEED, Param("epsilon", 0.05, float, "mollifier radius"),
+            Param("dim", 2, int, "dimension"),
+            Param("grid_n", 21, int, "grid nodes per axis"),
+            Param("fd_step", 1e-4, float, "centered-difference step"),
+            _tol("jensen_tol", 1e-6), _tol("div_tol", 1e-6))),
+    "demo-quadratic": Operation(
+        _h_demo_quadratic, "pointwise quadratic margin identity", (
+            _SEED, Param("samples", 10_000, int, "unit-ball sample points"),
+            Param("dim", 2, int, "dimension"), _tol("margin_tol", 1e-12))),
+    "demo-roundtrip": Operation(
+        _h_demo_roundtrip, "potential/field reconstruction round trip", (
+            Param("n", 4, int, "dimension"),
+            Param("gamma", AUTO, parse_gamma, "amplitude or 'auto'"),
+            Param("resolution", 50, int, "grid nodes per axis"),
+            _tol("field_tol", 1e-12), _tol("potential_tol", 1e-8))),
 }
 
 
@@ -851,290 +995,73 @@ RECIPES = {
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing, generated from the parameter tables
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
 
-def _add_common(sp, field_default=None, seeded=False):
-    sp.add_argument("--config", default=None,
-                    help="JSON file supplying parameter defaults")
-    sp.add_argument("--out", default=None,
-                    help="directory for the JSON report and CSV plot data")
-    sp.add_argument("--name", default=None,
-                    help="scenario name; prefixes all output file names")
-    if field_default is not None:
-        sp.add_argument("--field", default=None,
-                        help=f"field registry id (default {field_default})")
-    if seeded:
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"Monte Carlo seed (default {DEFAULT_SEED})")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog=PROG, description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("certify", help="certify a cylindrical potential")
-    _add_common(sp, field_default="counterexample:n=4:gamma=auto",
-                seeded=True)
-    sp.add_argument("--c", type=float, default=None,
-                    help="balance constant in the third condition")
-    sp.add_argument("--resolution", type=int, default=None)
-    sp.add_argument("--expect", choices=["certified", "violated", "none"],
-                    default=None)
-    sp.add_argument("--margin-tol", type=float, default=None)
-    sp.add_argument("--fd-points", type=int, default=None)
-    sp.add_argument("--fd-step", type=float, default=None)
-    sp.add_argument("--no-field-checks", action="store_true", default=None,
-                    help="skip the field-side spot checks")
-
-    sp = sub.add_parser("flow-tube",
-                        help="transport identity along the lifted flow")
-    _add_common(sp, field_default="stream:bump")
-    sp.add_argument("--epsilon", type=float, default=None,
-                    help="vertical lift (default: 2x the field sup bound)")
-    sp.add_argument("--h0", type=float, default=None)
-    sp.add_argument("--seeds", type=int, default=None)
-    sp.add_argument("--box", default=None,
-                    help="seed box, e.g. '-2.7,3.3;0,1'")
-    sp.add_argument("--refine", action="store_true", default=None,
-                    help="rerun with doubled seeds and compare residuals")
-    sp.add_argument("--refine-factor", type=float, default=None)
-    sp.add_argument("--gauge-constant", type=float, default=None)
-    sp.add_argument("--plot-seeds", type=int, default=None)
-    sp.add_argument("--rtol", type=float, default=None)
-    sp.add_argument("--residual-tol", type=float, default=None)
-
-    sp = sub.add_parser("strip-identity",
-                        help="horizontal strip balance for a planar field")
-    _add_common(sp, field_default="stream:bump")
-    sp.add_argument("--at", action="append", default=None, metavar="R,T",
-                    help="strip half-width and height (repeatable)")
-    sp.add_argument("--rtol", type=float, default=None)
-
-    sp = sub.add_parser("trace", help="weak normal trace probes")
-    _add_common(sp, field_default=None, seeded=True)
-    sp.add_argument("--field", default=None, required=False)
-    sp.add_argument("--method", default=None,
-                    choices=["ball", "curvilinear", "flux", "pairing", "all"])
-    sp.add_argument("--x0", default=None, help="interface point 'a,b'")
-    sp.add_argument("--radii", default=None,
-                    help="'auto' or comma-separated decreasing radii")
-    sp.add_argument("--interface", default=None,
-                    help="'auto', 'line[:...]', or 'circle[:...]'")
-    sp.add_argument("--rho", type=float, default=None,
-                    help="curvilinear rectangle half-width")
-    sp.add_argument("--omega", default=None,
-                    help="pairing region: 'unit-square' or 'a,b;c,d'")
-    sp.add_argument("--bumps", type=int, default=None)
-    sp.add_argument("--bump-radius", type=float, default=None)
-    sp.add_argument("--rtol", type=float, default=None)
-    sp.add_argument("--expect", choices=["none", "value", "oscillating"],
-                    default=None)
-    sp.add_argument("--value", type=float, default=None)
-    sp.add_argument("--value-tol", type=float, default=None)
-    sp.add_argument("--gap", type=float, default=None,
-                    help="required oscillation subsequence gap")
-    sp.add_argument("--pairing-tol", type=float, default=None)
-
-    sp = sub.add_parser("density",
-                        help="volume density of a field's domain")
-    _add_common(sp, field_default="capillary:R=1", seeded=True)
-    sp.add_argument("--x0", default=None)
-    sp.add_argument("--radii", default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--expect", choices=["none", "value"], default=None)
-    sp.add_argument("--value", type=float, default=None)
-    sp.add_argument("--value-tol", type=float, default=None)
-
-    sp = sub.add_parser("aplim",
-                        help="one-sided approximate limit classification")
-    _add_common(sp, field_default=None, seeded=True)
-    sp.add_argument("--field", default=None)
-    sp.add_argument("--x0", default=None)
-    sp.add_argument("--w", default=None,
-                    help="candidate limit 'a,b', or 'nu' for the normal")
-    sp.add_argument("--alphas", default=None)
-    sp.add_argument("--radii", default=None)
-    sp.add_argument("--interface", default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--eps-density", type=float, default=None)
-    sp.add_argument("--expect",
-                    choices=["none", "confirmed", "rejected", "inconclusive"],
-                    default=None)
-
-    sp = sub.add_parser("nalpha",
-                        help="deviation-set density at an interface point")
-    _add_common(sp, field_default="capillary:R=1", seeded=True)
-    sp.add_argument("--x0", default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--radii", default=None)
-    sp.add_argument("--interface", default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--ratio-tol", type=float, default=None)
-
-    sp = sub.add_parser("blowup", help="per-scale trace consistency")
-    _add_common(sp, field_default=None)
-    sp.add_argument("--field", default=None)
-    sp.add_argument("--x0", default=None)
-    sp.add_argument("--radii", default=None)
-    sp.add_argument("--interface", default=None)
-    sp.add_argument("--trace-value", type=float, default=None,
-                    help="known trace (default: probe for it)")
-    sp.add_argument("--rtol", type=float, default=None)
-    sp.add_argument("--final-tol", type=float, default=None)
-
-    sp = sub.add_parser("demo", help="closed-form demonstrations")
-    demo_sub = sp.add_subparsers(dest="topic", required=True)
-
-    dp = demo_sub.add_parser("separable", help="separable profile blow-up")
-    _add_common(dp)
-    dp.add_argument("--gamma", type=float, default=None)
-    dp.add_argument("--rho0", type=float, default=None)
-    dp.add_argument("--psi0", type=float, default=None)
-
-    dp = demo_sub.add_parser("jensen",
-                             help="smoothing preserves gauge domination")
-    _add_common(dp, seeded=True)
-    dp.add_argument("--epsilon", type=float, default=None)
-    dp.add_argument("--dim", type=int, default=None)
-    dp.add_argument("--grid-n", type=int, default=None)
-    dp.add_argument("--fd-step", type=float, default=None)
-    dp.add_argument("--jensen-tol", type=float, default=None)
-    dp.add_argument("--div-tol", type=float, default=None)
-
-    dp = demo_sub.add_parser("quadratic",
-                             help="pointwise quadratic margin identity")
-    _add_common(dp, seeded=True)
-    dp.add_argument("--samples", type=int, default=None)
-    dp.add_argument("--dim", type=int, default=None)
-    dp.add_argument("--margin-tol", type=float, default=None)
-
-    dp = demo_sub.add_parser("roundtrip",
-                             help="potential/field reconstruction round trip")
-    _add_common(dp)
-    dp.add_argument("--n", type=int, default=None)
-    dp.add_argument("--gamma", default=None)
-    dp.add_argument("--resolution", type=int, default=None)
-    dp.add_argument("--field-tol", type=float, default=None)
-    dp.add_argument("--potential-tol", type=float, default=None)
-
+    demo = None
+    for op, spec in _OPERATIONS.items():
+        if op.startswith("demo-"):
+            if demo is None:
+                demo = sub.add_parser(
+                    "demo", help="closed-form demonstrations"
+                ).add_subparsers(dest="topic", required=True)
+            sp = demo.add_parser(op[len("demo-"):], help=spec.help)
+        else:
+            sp = sub.add_parser(op, help=spec.help)
+        sp.add_argument("--config",
+                        help="JSON file supplying parameter values")
+        sp.add_argument("--out",
+                        help="directory for the JSON report and CSV plot data")
+        sp.add_argument("--name",
+                        help="scenario name; prefixes all output file names")
+        for p in spec.params:
+            if p.flag:
+                p.add_to(sp)
     sp = sub.add_parser("list", help="print the built-in recipe catalog")
-    sp.add_argument("--json", action="store_true", default=False)
-
+    sp.add_argument("--json", action="store_true")
     return parser
 
 
-# defaults per operation; keys ending in `_tol` (plus eps_density) are
-# tolerance overrides and land in Scenario.tolerances
-_DEFAULTS = {
-    "certify": {
-        "field": "counterexample:n=4:gamma=auto", "c": 1.0,
-        "resolution": 200, "expect": "certified", "margin_tol": 1e-12,
-        "speed_tol": 1e-12, "fd_tol": 1e-6, "fd_points": 1000,
-        "fd_step": 1e-4, "field_checks": True, "seed": None,
-    },
-    "flow-tube": {
-        "field": "stream:bump", "epsilon": None, "h0": 1.95, "seeds": 64,
-        "box": "-2.7,3.3;0,1", "refine": False, "refine_factor": 4.0,
-        "gauge_constant": None, "plot_seeds": 6, "rtol": 1e-10,
-        "residual_tol": 1e-6,
-    },
-    "strip-identity": {
-        "field": "stream:bump", "at": None, "rtol": 1e-10,
-    },
-    "trace": {
-        "field": "twisting:levels=8", "method": "ball", "x0": "0,0",
-        "radii": "auto", "interface": "auto", "rho": 0.2,
-        "omega": "unit-square", "bumps": 10, "bump_radius": 0.125,
-        "rtol": 1e-9, "expect": "none", "value": 0.0, "value_tol": 1e-2,
-        "gap": 0.01, "pairing_tol": 1e-6, "seed": None,
-    },
-    "density": {
-        "field": "capillary:R=1", "x0": "0,0", "radii": "auto",
-        "samples": 100_000, "expect": "none", "value": 0.0,
-        "value_tol": 1e-2, "seed": None,
-    },
-    "aplim": {
-        "field": "twisting:levels=8", "x0": "0,0", "w": "0,0",
-        "alphas": "0.5", "radii": "auto", "interface": "auto",
-        "samples": 100_000, "eps_density": 1e-2, "expect": "none",
-        "seed": None,
-    },
-    "nalpha": {
-        "field": "capillary:R=1", "x0": "1,0", "alpha": 0.2,
-        "radii": "auto", "interface": "auto", "samples": 100_000,
-        "ratio_tol": 1e-2, "seed": None,
-    },
-    "blowup": {
-        "field": "twisting:levels=8", "x0": "0.5,0", "radii": "auto",
-        "interface": "auto", "trace_value": None, "rtol": 1e-8,
-        "final_tol": 1e-2,
-    },
-    "demo-separable": {
-        "gamma": 1.0, "rho0": 1.0, "psi0": 1.0,
-    },
-    "demo-jensen": {
-        "epsilon": 0.05, "dim": 2, "grid_n": 21, "fd_step": 1e-4,
-        "jensen_tol": 1e-6, "div_tol": 1e-6, "seed": None,
-    },
-    "demo-quadratic": {
-        "samples": 10_000, "dim": 2, "margin_tol": 1e-12, "seed": None,
-    },
-    "demo-roundtrip": {
-        "n": 4, "gamma": AUTO, "resolution": 50, "field_tol": 1e-12,
-        "potential_tol": 1e-8,
-    },
-}
-
-_TOL_KEYS = ("eps_density", "gap")
+def _read_config(path) -> dict:
+    if not path:
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config {path!r}: {exc}")
+    if not isinstance(config, dict):
+        raise UsageError("config file must hold a JSON object")
+    return config
 
 
 def _scenario_from_args(args) -> Scenario:
-    op = args.command
-    if op == "demo":
-        op = f"demo-{args.topic}"
-    defaults = _DEFAULTS[op]
-
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config!r}: {exc}")
-        if not isinstance(config, dict):
-            raise UsageError("config file must hold a JSON object")
-
-    merged = {}
-    for key, dflt in defaults.items():
-        cli_val = getattr(args, key, None)
-        if key == "field_checks":
-            flag = getattr(args, "no_field_checks", None)
-            cli_val = None if flag is None else not flag
-        if cli_val is None:
-            merged[key] = config.get(key, dflt)
-        else:
-            merged[key] = cli_val
-    unknown = set(config) - set(defaults)
+    """Each parameter from its flag, else the --config file, else its
+    table default; tolerances are split off into their own dict."""
+    op = f"demo-{args.topic}" if args.command == "demo" else args.command
+    table = _OPERATIONS[op].params
+    config = _read_config(args.config)
+    unknown = set(config) - {p.name for p in table}
     if unknown:
         raise UsageError(
             f"config keys {sorted(unknown)} not understood by {op!r}")
-
     params, tols = {}, {}
-    for key, val in merged.items():
-        if key.endswith("_tol") or key in _TOL_KEYS:
-            tols[key] = float(val)
-        else:
-            params[key] = val
-
-    name = getattr(args, "name", None) or op
-    return Scenario(name=name, field=str(params.pop("field", "") or ""),
+    for p in table:
+        value = getattr(args, p.name, None)
+        if value is None:
+            value = (p.from_config(config[p.name]) if p.name in config
+                     else p.default)
+        (tols if p.tol else params)[p.name] = value
+    return Scenario(name=args.name or op, field=params.pop("field", "") or "",
                     operation=op, params=params, tolerances=tols,
-                    out_dir=getattr(args, "out", None))
+                    out_dir=args.out)
 
 
 def _print_report(rep: VerificationReport, stream) -> None:

@@ -101,7 +101,6 @@ class PhiFunction:
     """Convex gauge: phi(0) = 0, phi > 0 off 0, midpoint-convex."""
     evaluator: Callable[[np.ndarray], np.ndarray]
     label: str
-    convexity_samples: int = 64
 
     def __call__(self, t) -> np.ndarray:
         return self.evaluator(np.asarray(t, dtype=float))
@@ -185,8 +184,7 @@ def zero_field(dim: int) -> VectorField:
 # ---------------------------------------------------------------------------
 # stream-function fields (2D, exactly divergence-free)
 
-def make_stream_field(psi: Callable[[np.ndarray], np.ndarray],
-                      analytic_grad: Callable[[np.ndarray], np.ndarray],
+def make_stream_field(analytic_grad: Callable[[np.ndarray], np.ndarray],
                       analytic_hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                       sup_bound: float = np.inf,
                       name: str = "stream") -> VectorField:
@@ -207,11 +205,9 @@ def make_stream_field(psi: Callable[[np.ndarray], np.ndarray],
             J[:, 1, 1] = H[:, 0, 1]
             return J
 
-    f = VectorField(dim=2, eval=ev, sup_bound=sup_bound, name=name,
-                    analytic_div=lambda pts: np.zeros(pts.shape[0]),
-                    analytic_jacobian=jac)
-    object.__setattr__(f, "psi", psi)
-    return f
+    return VectorField(dim=2, eval=ev, sup_bound=sup_bound, name=name,
+                       analytic_div=lambda pts: np.zeros(pts.shape[0]),
+                       analytic_jacobian=jac)
 
 
 def elliptic_bump_stream(center: tuple[float, float], rx: float, rz: float,
@@ -229,10 +225,6 @@ def elliptic_bump_stream(center: tuple[float, float], rx: float, rz: float,
         y1 = pts[:, 0] - cx
         y2 = pts[:, 1] - cz
         return y1, y2, np.sqrt(d1 * y1 * y1 + d2 * y2 * y2)
-
-    def psi(pts):
-        _, _, s = _s(pts)
-        return a * bump(s)
 
     def grad(pts):
         y1, y2, s = _s(pts)
@@ -260,12 +252,7 @@ def elliptic_bump_stream(center: tuple[float, float], rx: float, rz: float,
         out[m, 1, 1] = c2 * u2 * u2 + c1 * d2
         return out
 
-    return make_stream_field(psi, grad, hess, sup_bound=amplitude, name=name)
-
-
-def radial_bump_stream(center: tuple[float, float], radius: float,
-                       amplitude: float, name: str = "stream:radial") -> VectorField:
-    return elliptic_bump_stream(center, radius, radius, amplitude, name)
+    return make_stream_field(grad, hess, sup_bound=amplitude, name=name)
 
 
 # canonical stream bump: support strictly inside {1 < z < 2}, sup |eta| = 0.05
@@ -352,6 +339,10 @@ class Ball:
     index: int
 
 
+# each level doubles the eddy count; building level 13 takes about 3 s
+MAX_TWISTING_LEVELS = 13
+
+
 def _twisting_balls(max_level: int) -> list[Ball]:
     balls = []
     for i in range(1, max_level + 1):
@@ -402,8 +393,9 @@ def make_twisting_field(max_level: int = 8,
     speed is exactly 1.  Eddies never overlap, so the field is smooth and
     divergence-free on the whole plane.
     """
-    if max_level < 1:
-        raise ValueError("max_level must be >= 1")
+    if not 1 <= max_level <= MAX_TWISTING_LEVELS:
+        raise ValueError(
+            f"max_level must be between 1 and {MAX_TWISTING_LEVELS}")
     _assert_disjoint(max_level)
     balls = _twisting_balls(max_level)
 
@@ -551,8 +543,8 @@ def _resolve_gamma(n: int, gamma, strict: bool = True) -> float:
             raise ValueError(f"gamma must be a number or '{AUTO}'")
         return min(b_radial, b_vertical)
     g = float(gamma)
-    if g <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < g < math.inf:
+        raise ValueError("gamma must be positive and finite")
     if strict and g > b_radial:
         raise ValueError(
             f"gamma={g} exceeds the radial-slope bound 1/C={b_radial:.12g}")
@@ -734,49 +726,87 @@ def _fmt_num(x: float) -> str:
     return f"{x:g}"
 
 
-def _parse_params(parts: Sequence[str]) -> dict:
-    params = {}
-    for p in parts:
-        if "=" not in p:
-            raise ValueError(f"malformed field parameter {p!r}")
-        k, v = p.split("=", 1)
-        params[k] = v
-    return params
+def _checked(kind, ok, what: str):
+    """Converter: kind(text), rejected unless ok(value) holds."""
+    def conv(text):
+        value = kind(text)
+        if not ok(value):
+            raise ValueError(f"must be {what}")
+        return value
+    return conv
+
+
+_positive = _checked(float, lambda x: 0 < x < math.inf, "positive and finite")
+
+
+def parse_gamma(text):
+    """Amplitude text: 'auto' or a positive finite number."""
+    return AUTO if text == AUTO else _positive(text)
+
+
+_vector = _checked(lambda text: tuple(map(float, text.split(","))),
+                   lambda vec: all(map(math.isfinite, vec)), "finite")
+
+
+# kind -> (builder, {key: (default, converter)}, bare words allowed in order)
+_REGISTRY = {
+    "counterexample": (
+        lambda p: make_counterexample_field(p["n"], p["gamma"]),
+        {"n": (4, _checked(int, lambda n: n >= 4, ">= 4")),
+         "gamma": (AUTO, parse_gamma)}, ()),
+    "twisting": (
+        lambda p: make_twisting_field(p["levels"]),
+        {"levels": (8, _checked(int, lambda k: 1 <= k <= MAX_TWISTING_LEVELS,
+                                f"between 1 and {MAX_TWISTING_LEVELS}"))}, ()),
+    "capillary": (lambda p: make_capillary_field(p["R"]),
+                  {"R": (1.0, _positive)}, ()),
+    "stream": (
+        lambda p: (extrude_field_3d(stream_bump_field()) if p["3d"]
+                   else stream_bump_field()),
+        {}, ("bump", "3d")),
+    "zero": (lambda p: zero_field(p["dim"]),
+             {"dim": (2, _checked(int, lambda d: d >= 1, ">= 1"))}, ()),
+    "constant": (lambda p: constant_field(p["c"]),
+                 {"c": ((0.0, -1.0), _vector)}, ()),
+}
+
+
+def parse_field_id(name: str) -> tuple[str, dict]:
+    """Split a registry id like 'twisting:levels=8' into its kind and its
+    converted parameters, defaults filled in.
+
+    Unknown kinds, unknown or repeated keys, stray parts, and values that
+    the kind's converter rejects raise ValueError.
+    """
+    kind, *parts = name.split(":")
+    if kind not in _REGISTRY:
+        raise ValueError(f"unknown field {name!r}")
+    _, keys, words = _REGISTRY[kind]
+    params = {key: default for key, (default, _) in keys.items()}
+    params.update((word, False) for word in words)
+    given = set()
+    for i, part in enumerate(parts):
+        key, eq, text = part.partition("=")
+        if not eq and i < len(words) and part == words[i]:
+            params[part] = True
+        elif not eq or key not in keys or key in given:
+            grammar = ":".join([kind, *words, *(f"{k}=..." for k in keys)])
+            raise ValueError(f"bad part {part!r} in field {name!r}; expected "
+                             f"{grammar}, each part at most once")
+        else:
+            given.add(key)
+            try:
+                params[key] = keys[key][1](text)
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad value in {part!r} of field {name!r}: {exc}") from exc
+    return kind, params
 
 
 def get_field(name: str) -> VectorField:
     """Resolve a registry name like 'twisting:levels=8' to a field."""
-    parts = name.split(":")
-    kind, rest = parts[0], parts[1:]
-    if kind == "counterexample":
-        params = _parse_params(rest)
-        n = int(params.get("n", "4"))
-        gamma = params.get("gamma", AUTO)
-        if gamma != AUTO:
-            gamma = float(gamma)
-        return make_counterexample_field(n, gamma)
-    if kind == "twisting":
-        params = _parse_params(rest)
-        return make_twisting_field(int(params.get("levels", "8")))
-    if kind == "capillary":
-        params = _parse_params(rest)
-        return make_capillary_field(float(params.get("R", "1")))
-    if kind == "stream":
-        variant = rest[0] if rest else "bump"
-        if variant == "bump":
-            f = stream_bump_field()
-            if len(rest) > 1 and rest[1] == "3d":
-                return extrude_field_3d(f)
-            return f
-        raise ValueError(f"unknown stream variant {variant!r}")
-    if kind == "zero":
-        params = _parse_params(rest)
-        return zero_field(int(params.get("dim", "2")))
-    if kind == "constant":
-        params = _parse_params(rest)
-        vec = [float(v) for v in params.get("c", "0,-1").split(",")]
-        return constant_field(vec)
-    raise ValueError(f"unknown field {name!r}")
+    kind, params = parse_field_id(name)
+    return _REGISTRY[kind][0](params)
 
 
 REGISTRY_EXAMPLES = (

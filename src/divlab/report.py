@@ -11,24 +11,12 @@ from __future__ import annotations
 
 import datetime
 import json
-import os
 from dataclasses import dataclass, field
 
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 INFO = "INFO"
-
-
-def worker_count() -> int:
-    """Worker pool size: DIVLAB_WORKERS env var, else available parallelism."""
-    raw = os.environ.get("DIVLAB_WORKERS", "")
-    if raw.strip():
-        n = int(raw)
-        if n < 1:
-            raise ValueError(f"DIVLAB_WORKERS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -79,7 +67,6 @@ class VerificationReport:
             self.timestamp = datetime.datetime.now(
                 datetime.timezone.utc).isoformat()
         self.environment.setdefault("precision", "float64")
-        self.environment.setdefault("workers", worker_count())
 
     def add(self, check: CheckResult) -> CheckResult:
         self.checks.append(check)

@@ -28,6 +28,7 @@ __all__ = [
     "lifted_field", "integrate_flow", "build_flow_tube", "strip_identity_2d",
     "certify_potential", "default_certification_grid", "gamma_bounds",
     "separable_demo", "flow_tube_trajectories", "CERTIFIED", "VIOLATED",
+    "INCONCLUSIVE",
 ]
 
 
@@ -199,7 +200,6 @@ def _audit_tube_preconditions(eta: VectorField, epsilon: float,
 
 def build_flow_tube(eta: VectorField, epsilon: float, A, h0: float,
                     seeds_per_axis: int = 64,
-                    gauge: Optional[PhiFunction] = None,
                     gauge_constant: Optional[float] = None,
                     rtol: float = 1e-10) -> FlowTube:
     """Seed a midpoint grid on A x {h0}, flow down to height zero, and
@@ -409,6 +409,7 @@ class RigidityCertificate:
 
 CERTIFIED = "CERTIFIED_SAMPLED"
 VIOLATED = "VIOLATED"
+INCONCLUSIVE = "INCONCLUSIVE"
 
 
 def default_certification_grid(resolution: int = 200) -> GridSpec:
@@ -427,6 +428,8 @@ def certify_potential(P: CylindricalPotential, grid: GridSpec,
     (zero)     V = 0 below the interface,
     (slope)    |grad V| <= rho^(n-2),
     (balance)  rho dV/drho >= c rho^(3-n) (dV/dz)^2.
+
+    The verdict is INCONCLUSIVE, never CERTIFIED, when a margin is NaN.
     """
     if P.dV is None:
         raise ValueError("certification needs the potential gradient")
@@ -463,8 +466,14 @@ def certify_potential(P: CylindricalPotential, grid: GridSpec,
         {"name": "radial-vertical balance", "min_margin": balance_margin,
          "argmin_point": (float(rho[i2]), float(z[i2]))},
     ]
-    worst = min(zero_margin, slope_margin, balance_margin)
-    verdict = CERTIFIED if worst >= -margin_tol else VIOLATED
+    margins = (zero_margin, slope_margin, balance_margin)
+    if any(math.isnan(m) for m in margins):
+        # a NaN margin shows neither that a condition holds nor a witness
+        verdict = INCONCLUSIVE
+    elif min(margins) >= -margin_tol:
+        verdict = CERTIFIED
+    else:
+        verdict = VIOLATED
     witness = None
     if verdict == VIOLATED:
         # first violated condition in listing order, so a broken slope

@@ -10,6 +10,87 @@ from divlab.cli import (
 )
 
 
+# every recipe's resolved scenario: defaults, types and the tolerance split
+GOLDEN_ECHOES = {
+    'certify-counterexample':
+        '{"field":"counterexample:n=4:gamma=auto","name":"certify",'
+        '"operation":"certify","params":{"c":1.0,"expect":"certified",'
+        '"fd_points":1000,"fd_step":0.0001,"field_checks":true,'
+        '"resolution":200,"seed":null},"tolerances":{"fd_tol":1e-06,'
+        '"margin_tol":1e-12,"speed_tol":1e-12}}',
+    'gamma-violation':
+        '{"field":"counterexample:n=4:gamma=1","name":"certify",'
+        '"operation":"certify","params":{"c":1.0,"expect":"violated",'
+        '"fd_points":1000,"fd_step":0.0001,"field_checks":true,'
+        '"resolution":200,"seed":null},"tolerances":{"fd_tol":1e-06,'
+        '"margin_tol":1e-12,"speed_tol":1e-12}}',
+    'flow-tube-stream-bump':
+        '{"field":"stream:bump","name":"flow-tube","operation":"flow-tube",'
+        '"params":{"box":"-2.7,3.3;0,1","epsilon":null,"gauge_constant":null,'
+        '"h0":1.95,"plot_seeds":6,"refine":true,"refine_factor":4.0,'
+        '"rtol":1e-10,"seeds":64},"tolerances":{"residual_tol":1e-06}}',
+    'strip-identity-stream-bump':
+        '{"field":"stream:bump","name":"strip-identity",'
+        '"operation":"strip-identity","params":{"at":["5,3","2,1"],'
+        '"rtol":1e-10},"tolerances":{}}',
+    'twisting-pairing':
+        '{"field":"twisting:levels=8","name":"trace","operation":"trace",'
+        '"params":{"bump_radius":0.125,"bumps":10,"expect":"none",'
+        '"interface":"auto","method":"pairing","omega":"unit-square",'
+        '"radii":"auto","rho":0.2,"rtol":1e-09,"seed":null,"value":0.0,'
+        '"x0":"0,0"},"tolerances":{"gap":0.01,"pairing_tol":1e-06,'
+        '"value_tol":0.01}}',
+    'twisting-oscillation':
+        '{"field":"twisting:levels=12","name":"trace","operation":"trace",'
+        '"params":{"bump_radius":0.125,"bumps":10,"expect":"oscillating",'
+        '"interface":"auto","method":"ball","omega":"unit-square",'
+        '"radii":"auto","rho":0.2,"rtol":1e-09,"seed":null,"value":0.0,'
+        '"x0":"0.3333333333333333,0"},"tolerances":{"gap":0.01,'
+        '"pairing_tol":1e-06,"value_tol":0.01}}',
+    'twisting-aplim':
+        '{"field":"twisting:levels=8","name":"aplim","operation":"aplim",'
+        '"params":{"alphas":"0.5","expect":"rejected","interface":"auto",'
+        '"radii":"auto","samples":100000,"seed":null,"w":"0,0",'
+        '"x0":"0.3333333333333333,0"},"tolerances":{"eps_density":0.01}}',
+    'capillary-verticality':
+        '{"field":"capillary:R=1","name":"trace","operation":"trace",'
+        '"params":{"bump_radius":0.125,"bumps":10,"expect":"value",'
+        '"interface":"auto","method":"all","omega":"unit-square",'
+        '"radii":"auto","rho":0.1,"rtol":1e-09,"seed":null,"value":1.0,'
+        '"x0":"1,0"},"tolerances":{"gap":0.01,"pairing_tol":1e-06,'
+        '"value_tol":0.01}}',
+    'capillary-aplim':
+        '{"field":"capillary:R=1","name":"aplim","operation":"aplim",'
+        '"params":{"alphas":"0.2,0.1,0.05","expect":"confirmed",'
+        '"interface":"auto","radii":"auto","samples":100000,"seed":null,'
+        '"w":"nu","x0":"1,0"},"tolerances":{"eps_density":0.01}}',
+    'capillary-nalpha':
+        '{"field":"capillary:R=1","name":"nalpha","operation":"nalpha",'
+        '"params":{"alpha":0.2,"interface":"auto","radii":"auto",'
+        '"samples":100000,"seed":null,"x0":"1,0"},'
+        '"tolerances":{"ratio_tol":0.01}}',
+    'twisting-blowup':
+        '{"field":"twisting:levels=8","name":"blowup","operation":"blowup",'
+        '"params":{"interface":"auto","radii":"auto","rtol":1e-08,'
+        '"trace_value":null,"x0":"0.5,0"},"tolerances":{"final_tol":0.01}}',
+    'jensen-mollification':
+        '{"field":"","name":"demo-jensen","operation":"demo-jensen",'
+        '"params":{"dim":2,"epsilon":0.05,"fd_step":0.0001,"grid_n":21,'
+        '"seed":null},"tolerances":{"div_tol":1e-06,"jensen_tol":1e-06}}',
+    'separable-blowup':
+        '{"field":"","name":"demo-separable","operation":"demo-separable",'
+        '"params":{"gamma":1.0,"psi0":1.0,"rho0":1.0},"tolerances":{}}',
+    'quadratic-inequality':
+        '{"field":"","name":"demo-quadratic","operation":"demo-quadratic",'
+        '"params":{"dim":2,"samples":10000,"seed":null},'
+        '"tolerances":{"margin_tol":1e-12}}',
+    'potential-roundtrip':
+        '{"field":"","name":"demo-roundtrip","operation":"demo-roundtrip",'
+        '"params":{"gamma":"auto","n":4,"resolution":50},'
+        '"tolerances":{"field_tol":1e-12,"potential_tol":1e-08}}',
+}
+
+
 def run_main(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -24,10 +105,26 @@ class TestExitCodes:
         code, _, _ = run_main([], capsys)
         assert code == 2
 
-    def test_unknown_field_is_usage_error(self, capsys):
-        code, _, err = run_main(["trace", "--field", "bogus:thing"], capsys)
+    @pytest.mark.parametrize("field,message", [
+        ("bogus:thing", "unknown field"),
+        ("twisting:levels=8:level=3", "bad part 'level=3'"),
+        ("stream:bump:xyz", "bad part 'xyz'"),
+        ("constant:c=1,2:foo=3", "bad part 'foo=3'"),
+        ("capillary:R=nan", "positive and finite"),
+        ("zero:dim=0", ">= 1"),
+        ("twisting:levels=14", "between 1 and 13"),
+    ], ids=["unknown-kind", "unknown-key", "stray-word", "stray-key",
+            "nan-value", "out-of-range", "too-many-levels"])
+    def test_unknown_field_is_usage_error(self, capsys, field, message):
+        code, _, err = run_main(["trace", "--field", field], capsys)
         assert code == 2
-        assert "divlab: error:" in err and "unknown field" in err
+        assert "divlab: error:" in err and message in err
+
+    def test_non_finite_gamma_is_usage_error(self, capsys):
+        code, out, err = run_main(
+            ["certify", "--field", "counterexample:n=4:gamma=nan"], capsys)
+        assert code == 2
+        assert "positive and finite" in err and "PASS" not in out
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run_main(["certify", "--bogus"], capsys)
@@ -75,10 +172,11 @@ class TestCatalog:
 
     def test_every_recipe_argv_parses_into_a_scenario(self):
         parser = build_parser()
+        assert set(RECIPES) == set(GOLDEN_ECHOES)
         for name, recipe in RECIPES.items():
             args = parser.parse_args(recipe["argv"])
             sc = _scenario_from_args(args)
-            assert sc.operation, name
+            assert sc.echo() == GOLDEN_ECHOES[name], name
 
     def test_unknown_operation_rejected(self):
         with pytest.raises(UsageError, match="unknown operation"):
@@ -100,7 +198,6 @@ class TestOutputs:
         assert rep["verdict"] == "PASS"
         assert rep["environment"]["seed"] == 20260819
         assert rep["environment"]["precision"] == "float64"
-        assert rep["environment"]["workers"] >= 1
 
         csv_path = out / "s1-checks.csv"
         lines = csv_path.read_text().splitlines()
@@ -168,6 +265,18 @@ class TestConfig:
                                 capsys)
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize("argv,config", [
+        (["demo", "separable"], {"gamma": "abc"}),
+        (["flow-tube"], {"seeds": 2.5}),
+    ])
+    def test_config_value_converted_like_a_flag(self, tmp_path, capsys,
+                                                argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_main(argv + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert f"config value {next(iter(config))}=" in err
 
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_main(

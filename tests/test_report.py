@@ -2,11 +2,10 @@
 
 import json
 
-import pytest
 from hypothesis import given, strategies as st
 
 from divlab.report import (CheckResult, VerificationReport, FAIL, INFO, PASS,
-                           SKIPPED, worker_count)
+                           SKIPPED)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
@@ -71,16 +70,3 @@ def test_write_appends_newline(tmp_path):
 def test_timestamp_is_utc_iso():
     rep = VerificationReport(scenario="t")
     assert rep.timestamp.endswith("+00:00") or rep.timestamp.endswith("Z")
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("DIVLAB_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.delenv("DIVLAB_WORKERS")
-    assert worker_count() >= 1
-
-
-def test_worker_count_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("DIVLAB_WORKERS", "many")
-    with pytest.raises(ValueError):
-        worker_count()

@@ -5,6 +5,7 @@ Flow and quadrature here are deterministic, so measured values are frozen
 at tight tolerances; run-to-run drift would indicate a real change.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from divlab.fields import (
     stream_bump_field, zero_field,
 )
 from divlab.rigidity import (
-    CERTIFIED, VIOLATED, MonotonicityViolation,
+    CERTIFIED, INCONCLUSIVE, VIOLATED, MonotonicityViolation,
     build_flow_tube, certify_potential, default_certification_grid,
     flow_tube_trajectories, integrate_flow, lifted_field, separable_demo,
     strip_identity_2d,
@@ -71,6 +72,14 @@ class TestCertification:
         assert d["verdict"] == VIOLATED
         assert set(d) == {"label", "grid", "conditions", "constants",
                           "verdict", "witness"}
+
+    def test_nan_margin_is_never_certified(self):
+        P = counterexample_potential(4, AUTO)
+        nan_gradient = dataclasses.replace(
+            P, dV=lambda rho, z: tuple(d * math.nan for d in P.dV(rho, z)))
+        cert = certify_potential(nan_gradient, default_certification_grid(20))
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.witness is None
 
     def test_needs_gradient(self):
         P = CylindricalPotential(dim=4, gamma=0.1,
