@@ -14,7 +14,11 @@ import numpy as np
 
 
 class StiffFailure(RuntimeError):
-    """Step size underflowed before reaching the target."""
+    """Step size underflowed, or the step budget ran out, at time t."""
+
+    def __init__(self, message: str, t: float):
+        super().__init__(message)
+        self.t = t
 
 
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
@@ -105,9 +109,9 @@ def rk45(f: Callable, t0: float, y0, t1: float, rtol: float = 1e-9,
             res.nrejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
         if abs(h) < 1e-14 * max(1.0, abs(span)):
-            raise StiffFailure(f"step underflow at t={t}")
+            raise StiffFailure(f"step underflow at t={t}", t)
     else:
-        raise StiffFailure(f"exceeded {max_steps} steps at t={t}")
+        raise StiffFailure(f"exceeded {max_steps} steps at t={t}", t)
     res.t = t
     res.y = y
     return res
@@ -171,8 +175,8 @@ def rk45_event(f: Callable, t0: float, y0, event: Callable,
             nrej += 1
             h *= max(0.2, 0.9 * err ** -0.2)
         if abs(h) < 1e-14 * max(1.0, abs(span)):
-            raise StiffFailure(f"step underflow at t={t}")
-    raise StiffFailure(f"exceeded {max_steps} steps at t={t}")
+            raise StiffFailure(f"step underflow at t={t}", t)
+    raise StiffFailure(f"exceeded {max_steps} steps at t={t}", t)
 
 
 def _bisect_event(f, t0, y0, h, event, g0, event_tol):

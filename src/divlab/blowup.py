@@ -10,23 +10,24 @@ leave the limit statement to the reader.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _quad
-from .calculus import GridSpec, AnnulusRegion, gauss_green_residual, constant_test
-from .fields import Exclusion, VectorField, bump, bump_d1
+from .calculus import (GridSpec, AnnulusRegion, bump_test,
+                       gauss_green_residual, constant_test)
+from .fields import Exclusion, VectorField, bump
 from .report import CheckResult, VerificationReport
 from .trace import OrientedInterface, DensityProbe, _tail_fit, density, \
-    weak_trace_ball_average
+    deviation_indicator, weak_trace_ball_average
 
 __all__ = [
     "rescale", "BlowupSequence", "blowup_sequence",
     "TestDensity", "bump_density", "WeakStarProbe", "weak_star_average",
     "nalpha_density", "quadratic_inequality_check",
-    "blowup_trace_consistency", "hash_unit_ball_field",
+    "blowup_trace_consistency", "ConsistencyReport", "hash_unit_ball_field",
 ]
 
 
@@ -81,14 +82,11 @@ def rescale(z: VectorField, x0, r: float) -> VectorField:
                   lambda pts, e=e: e.distance(x0 + r * pts) / r)
         for e in z.smooth_exclusion)
     dom = None if z.domain is None else (lambda pts: z.domain(x0 + r * pts))
-    out = VectorField(dim=z.dim, eval=ev, sup_bound=z.sup_bound,
-                      name=f"{z.name}:zoom(r={r:g})",
-                      analytic_div=adiv, analytic_jacobian=ajac,
-                      smooth_exclusion=excl, domain=dom,
-                      domain_label=z.domain_label)
-    object.__setattr__(out, "zoom_center", x0.copy())
-    object.__setattr__(out, "zoom_scale", float(r))
-    return out
+    return VectorField(dim=z.dim, eval=ev, sup_bound=z.sup_bound,
+                       name=f"{z.name}:zoom(r={r:g})",
+                       analytic_div=adiv, analytic_jacobian=ajac,
+                       smooth_exclusion=excl, domain=dom,
+                       domain_label=z.domain_label)
 
 
 @dataclass(frozen=True)
@@ -219,22 +217,15 @@ def weak_star_average(seq: BlowupSequence, f_family,
 # ---------------------------------------------------------------------------
 # deviation-set densities
 
-def _rotation_to_minus_e2(nu: np.ndarray) -> np.ndarray:
-    # planar rotation taking the interface normal to (0, -1)
-    ang = -0.5 * math.pi - math.atan2(nu[1], nu[0])
-    ca, sa = math.cos(ang), math.sin(ang)
-    return np.array([[ca, -sa], [sa, ca]])
-
-
 def nalpha_density(xi: VectorField, S: OrientedInterface, x0, alpha: float,
                    radii, samples: int = 100_000, seed: int = 0,
                    normalization_tol: float = 1e-6) -> DensityProbe:
     """Density ratios of the deviation set: one-sided points where the
-    field differs from the normal trace direction by at least alpha.
+    field differs from the interface normal at x0 by at least alpha.
 
-    Works in the rotated frame where the normal points down; the rotation
-    is recorded on the probe.  Points where the field is undefined count
-    as deviating.
+    The set is the one `one_sided_ap_lim` samples with the candidate
+    limit set to the normal, in the original coordinates.  Points where
+    the field is undefined count as deviating.
     """
     if xi.dim != 2:
         raise ValueError("deviation densities are planar")
@@ -253,29 +244,8 @@ def nalpha_density(xi: VectorField, S: OrientedInterface, x0, alpha: float,
             raise ValueError(f"field is not normalized: sampled sup "
                              f"{sup:.6f} exceeds 1")
 
-    Q = _rotation_to_minus_e2(nu)
-
-    def indicator(pts):
-        oneside = (pts - x0) @ (-nu) > 0.0
-        out = np.zeros(pts.shape[0], dtype=bool)
-        if not np.any(oneside):
-            return out
-        sel = pts[oneside]
-        if xi.domain is None:
-            dev = np.linalg.norm(xi.eval(sel) - nu, axis=1) >= alpha
-        else:
-            dom = xi.domain(sel)
-            dev = np.ones(sel.shape[0], dtype=bool)
-            if np.any(dom):
-                dev[dom] = np.linalg.norm(xi.eval(sel[dom]) - nu,
-                                          axis=1) >= alpha
-        out[oneside] = dev
-        return out
-
-    probe = density(indicator, x0, radii, samples=samples, seed=seed)
-    object.__setattr__(probe, "rotation", Q.tolist())
-    object.__setattr__(probe, "alpha", float(alpha))
-    return probe
+    return density(deviation_indicator(xi, x0, nu, nu, alpha), x0, radii,
+                   samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +294,7 @@ def _ball_rule_pairing(field2: VectorField, zk: VectorField, r_k: float,
     # rotational-eddy fields: the gradient pairing decomposes over eddies
     total = 0.0
     pc = np.asarray(psi.center)
-    for b in field2.balls:
+    for b in field2.eddies.balls:
         yb = (b.center - x0) / r_k
         rb = b.radius / r_k
         if np.linalg.norm(yb - pc) > psi.radius + rb:
@@ -348,9 +318,19 @@ def _halfspace_lhs(seq: BlowupSequence, k: int, psi,
     t_c = float(pc @ tdir)
     s_c = float(pc @ (-nu))
 
-    if hasattr(base, "balls"):
+    if base.eddies is not None:
         # divergence-free eddies: the div term vanishes identically
         return _ball_rule_pairing(base, zk, r_k, x0, psi)
+
+    # the rescaled domain begins at inward depth s_star(t) from the flat
+    # line: 0 for a global field, the disk's sagitta for a rim point
+    R = base.disk_radius
+    if base.domain is not None:
+        if R is None:
+            raise ValueError("domain-restricted field without a usable "
+                             "boundary description")
+        if abs(np.linalg.norm(x0) - R) > 1e-9:
+            raise ValueError("blow-up center must sit on the disk boundary")
 
     def g(y):
         div = zk.analytic_div(y) if zk.analytic_div is not None \
@@ -358,49 +338,27 @@ def _halfspace_lhs(seq: BlowupSequence, k: int, psi,
         return psi.value(y) * div + np.einsum(
             "ij,ij->i", zk.eval(y), psi.gradient(y))
 
-    if base.domain is None:
-        def inner(t_arr):
-            out = np.empty(t_arr.size)
-            for i, t in enumerate(t_arr):
-                lo = max(0.0, s_c - psi.radius)
-                hi = s_c + psi.radius
-                out[i] = _quad.adaptive_gauss_1d(
-                    lambda s: g(np.outer(t * np.ones_like(s), tdir)
-                                + np.outer(s, -nu)),
-                    lo, hi, rtol=rtol, atol=1e-14)
-            return out
-
-        return _quad.adaptive_gauss_1d(inner, t_c - psi.radius,
-                                       t_c + psi.radius,
-                                       rtol=rtol, atol=1e-14)
-
-    if hasattr(base, "disk_radius"):
-        R = base.disk_radius
-        if abs(np.linalg.norm(x0) - R) > 1e-9:
-            raise ValueError("blow-up center must sit on the disk boundary")
-
-        def inner(t_arr):
-            out = np.empty(t_arr.size)
-            for i, t in enumerate(t_arr):
+    def inner(t_arr):
+        out = np.empty(t_arr.size)
+        for i, t in enumerate(t_arr):
+            s_star = 0.0
+            if base.domain is not None:
                 disc = 1.0 - (r_k * t / R) ** 2
                 s_star = (R / r_k) * (1.0 - math.sqrt(max(disc, 0.0)))
-                lo = max(s_star, s_c - psi.radius)
-                hi = s_c + psi.radius
-                if hi <= lo:
-                    out[i] = 0.0
-                    continue
-                out[i] = _quad.adaptive_gauss_1d(
-                    lambda s: g(np.outer(t * np.ones_like(s), tdir)
-                                + np.outer(s, -nu)),
-                    lo, hi, rtol=rtol, atol=1e-14)
-            return out
+            lo = max(s_star, s_c - psi.radius)
+            hi = s_c + psi.radius
+            if hi <= lo:
+                out[i] = 0.0
+                continue
+            out[i] = _quad.adaptive_gauss_1d(
+                lambda s: g(np.outer(t * np.ones_like(s), tdir)
+                            + np.outer(s, -nu)),
+                lo, hi, rtol=rtol, atol=1e-14)
+        return out
 
-        return _quad.adaptive_gauss_1d(inner, t_c - psi.radius,
-                                       t_c + psi.radius,
-                                       rtol=rtol, atol=1e-14)
-
-    raise ValueError("domain-restricted field without a usable boundary "
-                     "description")
+    return _quad.adaptive_gauss_1d(inner, t_c - psi.radius,
+                                   t_c + psi.radius,
+                                   rtol=rtol, atol=1e-14)
 
 
 def _off_interface_div_mass(seq: BlowupSequence, k: int, psi,
@@ -439,33 +397,17 @@ def _decay_exponent(radii, defects) -> float:
     return float(coef[0])
 
 
-@dataclass(frozen=True)
-class _OffsetBump:
-    """Planar bump test function with closed-form gradient."""
-    center: np.ndarray
-    radius: float
-    height: float = 1.0
-
-    def value(self, pts):
-        s = np.linalg.norm(pts - self.center, axis=1) / self.radius
-        return self.height * bump(s)
-
-    def gradient(self, pts):
-        rel = pts - self.center
-        s = np.linalg.norm(rel, axis=1)
-        out = np.zeros_like(rel)
-        pos = s > 0
-        fac = np.zeros_like(s)
-        fac[pos] = self.height * bump_d1(s[pos] / self.radius) \
-            / (self.radius * s[pos])
-        return rel * fac[:, None]
+@dataclass
+class ConsistencyReport(VerificationReport):
+    """Blow-up consistency report with one row of defects per scale."""
+    rows: list = dc_field(default_factory=list)
 
 
 def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
                              psi_family: Optional[Sequence] = None,
                              trace_value: Optional[float] = None,
                              rtol: float = 1e-8,
-                             final_tol: float = 1e-2) -> VerificationReport:
+                             final_tol: float = 1e-2) -> ConsistencyReport:
     """Per-scale evidence for the blow-up trace identities.
 
     (a) off-interface divergence mass against each test bump,
@@ -480,13 +422,12 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
     S.require_on(x0)
     nu = S.normal_at(x0)
     tdir = np.array([-nu[1], nu[0]])
-    rep = VerificationReport(
+    rep = ConsistencyReport(
         scenario=f"blowup-consistency:{seq.base.name}:x0={list(seq.x0)}")
 
     if psi_family is None:
         offsets = np.linspace(-0.6, 0.6, 5)
-        psi_family = [_OffsetBump(center=o * tdir, radius=0.5)
-                      for o in offsets]
+        psi_family = [bump_test(o * tdir, 0.5) for o in offsets]
 
     if trace_value is None:
         probe = weak_trace_ball_average(
@@ -494,16 +435,13 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
         trace_value = probe.extrapolated
     rep.add(CheckResult.info("trace value used", trace_value))
 
-    rows = []
-
     # (a) off-interface divergence mass: bump translated inward
     defects_a = []
     for k in range(len(seq)):
         worst = 0.0
         for psi in psi_family:
-            shifted = _OffsetBump(
-                center=np.asarray(psi.center) + 2.0 * psi.radius * (-nu),
-                radius=psi.radius, height=psi.height)
+            shifted = bump_test(psi.center + 2.0 * psi.radius * (-nu),
+                                psi.radius, psi.height)
             worst = max(worst, abs(_off_interface_div_mass(
                 seq, k, shifted, nu, rtol)))
         defects_a.append(worst)
@@ -548,12 +486,11 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
             "domain-restricted field: annuli leave the domain"))
 
     for k, r in enumerate(seq.radii):
-        rows.append({
+        rep.rows.append({
             "k": k, "radius": r,
             "off_interface_div_mass": defects_a[k],
             "half_space_defect": defects_b[k],
             "punctured_ball_residual":
                 defects_c[k] if defects_c else math.nan,
         })
-    rep.csv_rows = rows
     return rep

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _quad
-from .fields import (Exclusion, PhiFunction, VectorField, as_points, bump,
-                     bump_d1, translate_field)
+from .fields import (BUMP_PEAK, BUMP_SLOPE_PEAK, PhiFunction, VectorField,
+                     as_points, bump, bump_d1, translate_field)
 from .report import CheckResult, VerificationReport
 
 DEFAULT_FD_STEP = 1e-4
@@ -37,25 +37,39 @@ def constant_test(c: float, dim: int) -> ScalarTest:
         label=f"constant:{c}", c1_norm=abs(float(c)))
 
 
-def bump_test(center, radius: float, height: float = 1.0) -> ScalarTest:
-    """Radial smooth bump: height * w(|p - c| / radius)."""
-    c = np.asarray(center, dtype=float)
-    from .fields import BUMP_PEAK, BUMP_SLOPE_PEAK
+@dataclass(frozen=True)
+class BumpTest:
+    """Radial smooth bump height * w(|p - center| / radius) with an exact
+    gradient; the test function of the pairings and blow-up identities."""
+    center: np.ndarray
+    radius: float
+    height: float = 1.0
 
-    def val(pts):
-        s = np.linalg.norm(pts - c, axis=1) / radius
-        return height * bump(s)
+    def value(self, pts) -> np.ndarray:
+        s = np.linalg.norm(pts - self.center, axis=1) / self.radius
+        return self.height * bump(s)
 
-    def grad(pts):
-        d = pts - c
-        s = np.linalg.norm(d, axis=1) / radius
-        out = np.zeros_like(pts)
-        m = (s > 0.0) & (s < 1.0)
-        out[m] = (height * bump_d1(s[m]) / (radius * s[m] * radius))[:, None] * d[m]
-        return out
+    def gradient(self, pts) -> np.ndarray:
+        d = pts - self.center
+        s = np.linalg.norm(d, axis=1) / self.radius
+        fac = np.zeros_like(s)
+        m = s > 0.0
+        sm = s[m]
+        fac[m] = self.height * bump_d1(sm) / (self.radius * sm * self.radius)
+        return fac[:, None] * d
 
-    c1 = abs(height) * (BUMP_PEAK + BUMP_SLOPE_PEAK / radius)
-    return ScalarTest(val, grad, f"bump:c={c.tolist()}:r={radius}", c1)
+    @property
+    def label(self) -> str:
+        return f"bump:c={self.center.tolist()}:r={self.radius}"
+
+    @property
+    def c1_norm(self) -> float:
+        """sup |psi| + sup |grad psi|."""
+        return abs(self.height) * (BUMP_PEAK + BUMP_SLOPE_PEAK / self.radius)
+
+
+def bump_test(center, radius: float, height: float = 1.0) -> BumpTest:
+    return BumpTest(np.asarray(center, dtype=float), radius, height)
 
 
 # ---------------------------------------------------------------------------

@@ -153,9 +153,17 @@ def _write_csv(path: str, header, rows) -> None:
 # ---------------------------------------------------------------------------
 # parameter parsing helpers
 
+def finite_float(text) -> float:
+    """Converter of every float parameter: nan and inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _floats(text: str, what: str, count: Optional[int] = None):
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+        vals = [finite_float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"malformed {what}: {text!r}") from exc
     if count is not None and len(vals) != count:
@@ -193,13 +201,12 @@ def _resolve_field(field_id: str):
         raise UsageError(str(exc)) from exc
 
 
-def _resolve_interface(spec, f, default_radius=None):
+def _resolve_interface(spec, f):
     """Interface grammar: 'auto', 'line[:origin=a,b][:dir=a,b]',
     'circle[:center=a,b][:R=r][:inward]'."""
     if spec in ("", "auto"):
-        R = getattr(f, "disk_radius", default_radius)
-        if R is not None:
-            return circle_interface((0.0, 0.0), float(R), outward=True)
+        if f.disk_radius is not None:
+            return circle_interface((0.0, 0.0), f.disk_radius, outward=True)
         # planar fields here carry their structure in the upper half plane;
         # point the normal down so the sampled side (-nu) is the upper one
         return line_interface((0.0, 0.0), (1.0, 0.0), normal=(0.0, -1.0))
@@ -220,7 +227,7 @@ def _resolve_interface(spec, f, default_radius=None):
             return line_interface(origin, direction)
         if kind == "circle":
             center = _floats(kv.get("center", "0,0"), "center", 2)
-            radius = float(kv.get("R", default_radius or 1.0))
+            radius, = _floats(kv.get("R", "1"), "R", 1)
             return circle_interface(center, radius,
                                     outward="inward" not in flags)
     except ValueError as exc:
@@ -256,11 +263,10 @@ def _certify_target(field_id: str):
             fld = None
         return pot, fld
     fld = _resolve_field(field_id)
-    pot = getattr(fld, "potential", None)
-    if pot is None:
+    if fld.potential is None:
         raise UsageError(
             f"field {field_id!r} carries no cylindrical potential to certify")
-    return pot, fld
+    return fld.potential, fld
 
 
 def _divergence_sample_points(f, count: int, seed: int, clearance: float):
@@ -324,7 +330,7 @@ def _h_certify(sc: Scenario):
             "field-side checks",
             "field constructor rejects this amplitude; certificate only"))
     elif p["field_checks"]:
-        g = fld.gamma
+        g = fld.potential.gamma
         axis_point = np.zeros(fld.dim)
         axis_point[-1] = 1.0
         speed = float(np.linalg.norm(fld(axis_point)))
@@ -612,7 +618,7 @@ def _h_blowup(sc: Scenario):
                                    rtol=p["rtol"], final_tol=tol["final_tol"])
     rows = [[r["k"], r["radius"], r["off_interface_div_mass"],
              r["half_space_defect"], r["punctured_ball_residual"]]
-            for r in rep.csv_rows]
+            for r in rep.rows]
     tables = [("defects",
                ["k", "radius", "off_interface_div_mass", "half_space_defect",
                 "punctured_ball_residual"],
@@ -766,7 +772,7 @@ class Param:
 
 
 def _tol(name, default, help=""):
-    return Param(name, default, float, help or "tolerance", tol=True)
+    return Param(name, default, finite_float, help or "tolerance", tol=True)
 
 
 def _field(default):
@@ -785,7 +791,7 @@ _INTERFACE = Param("interface", "auto",
                    help="'auto', 'line[:origin=a,b][:dir=a,b]' or "
                         "'circle[:center=a,b][:R=r][:inward]'")
 _SAMPLES = Param("samples", 100_000, int, "Monte Carlo samples per radius")
-_VALUE = Param("value", 0.0, float, "expected value")
+_VALUE = Param("value", 0.0, finite_float, "expected value")
 _VALUE_TOL = _tol("value_tol", 1e-2)
 
 
@@ -803,49 +809,52 @@ class Operation:
 _OPERATIONS = {
     "certify": Operation(_h_certify, "certify a cylindrical potential", (
         _field("counterexample:n=4:gamma=auto"), _SEED,
-        Param("c", 1.0, float, "balance constant in the third condition"),
+        Param("c", 1.0, finite_float,
+              "balance constant in the third condition"),
         Param("resolution", 200, int, "certification grid nodes per axis"),
         _expect("certified", "violated", "none"),
         _tol("margin_tol", 1e-12),
-        Param("speed_tol", 1e-12, float, tol=True, flag=False),
-        Param("fd_tol", 1e-6, float, tol=True, flag=False),
+        Param("speed_tol", 1e-12, finite_float, tol=True, flag=False),
+        Param("fd_tol", 1e-6, finite_float, tol=True, flag=False),
         Param("fd_points", 1000, int, "divergence sample points"),
-        Param("fd_step", 1e-4, float, "centered-difference step"),
+        Param("fd_step", 1e-4, finite_float, "centered-difference step"),
         Param("field_checks", True, help="skip the field-side spot checks",
               action="negated"))),
     "flow-tube": Operation(
         _h_flow_tube, "transport identity along the lifted flow", (
             _field("stream:bump"),
-            Param("epsilon", None, float,
+            Param("epsilon", None, finite_float,
                   "vertical lift (default: 2x the field sup bound)"),
-            Param("h0", 1.95, float, "seed height"),
+            Param("h0", 1.95, finite_float, "seed height"),
             Param("seeds", 64, int, "seeds per axis"),
             Param("box", "-2.7,3.3;0,1", help="seed box 'lo,hi;lo,hi'"),
             Param("refine", False, action="store_true",
                   help="rerun with doubled seeds and compare residuals"),
-            Param("refine_factor", 4.0, float, "required residual shrink"),
-            Param("gauge_constant", None, float,
+            Param("refine_factor", 4.0, finite_float,
+                  "required residual shrink"),
+            Param("gauge_constant", None, finite_float,
                   "check the displacement bound for this gauge constant"),
             Param("plot_seeds", 6, int, "seeds per axis of the plotted paths"),
-            Param("rtol", 1e-10, float, "ODE relative tolerance"),
+            Param("rtol", 1e-10, finite_float, "ODE relative tolerance"),
             _tol("residual_tol", 1e-6))),
     "strip-identity": Operation(
         _h_strip, "horizontal strip balance for a planar field", (
             _field("stream:bump"),
             Param("at", ("5,3", "2,1"), action="append",
                   help="strip half-width and height 'R,T' (repeatable)"),
-            Param("rtol", 1e-10, float, "quadrature relative tolerance"))),
+            Param("rtol", 1e-10, finite_float,
+                  "quadrature relative tolerance"))),
     "trace": Operation(_h_trace, "weak normal trace probes", (
         _field("twisting:levels=8"), _SEED,
         Param("method", "ball", help="trace probe",
               choices=("ball", "curvilinear", "flux", "pairing", "all")),
         _x0("0,0"), _RADII, _INTERFACE,
-        Param("rho", 0.2, float, "curvilinear rectangle half-width"),
+        Param("rho", 0.2, finite_float, "curvilinear rectangle half-width"),
         Param("omega", "unit-square",
               help="pairing region: 'unit-square' or 'a,b;c,d'"),
         Param("bumps", 10, int, "random test bumps for the pairing"),
-        Param("bump_radius", 0.125, float, "test bump radius"),
-        Param("rtol", 1e-9, float, "quadrature relative tolerance"),
+        Param("bump_radius", 0.125, finite_float, "test bump radius"),
+        Param("rtol", 1e-9, finite_float, "quadrature relative tolerance"),
         _expect("none", "value", "oscillating"), _VALUE, _VALUE_TOL,
         _tol("gap", 0.01, "required oscillation subsequence gap"),
         _tol("pairing_tol", 1e-6))),
@@ -863,25 +872,25 @@ _OPERATIONS = {
     "nalpha": Operation(
         _h_nalpha, "deviation-set density at an interface point", (
             _field("capillary:R=1"), _SEED, _x0("1,0"),
-            Param("alpha", 0.2, float, "deviation level"),
+            Param("alpha", 0.2, finite_float, "deviation level"),
             _RADII, _INTERFACE, _SAMPLES, _tol("ratio_tol", 1e-2))),
     "blowup": Operation(_h_blowup, "per-scale trace consistency", (
         _field("twisting:levels=8"), _x0("0.5,0"), _RADII, _INTERFACE,
-        Param("trace_value", None, float,
+        Param("trace_value", None, finite_float,
               "known trace (default: probe for it)"),
-        Param("rtol", 1e-8, float, "quadrature relative tolerance"),
+        Param("rtol", 1e-8, finite_float, "quadrature relative tolerance"),
         _tol("final_tol", 1e-2))),
     "demo-separable": Operation(
         _h_demo_separable, "separable profile blow-up", (
-            Param("gamma", 1.0, float, "amplitude"),
-            Param("rho0", 1.0, float, "initial radius"),
-            Param("psi0", 1.0, float, "initial profile value"))),
+            Param("gamma", 1.0, finite_float, "amplitude"),
+            Param("rho0", 1.0, finite_float, "initial radius"),
+            Param("psi0", 1.0, finite_float, "initial profile value"))),
     "demo-jensen": Operation(
         _h_demo_jensen, "smoothing preserves gauge domination", (
-            _SEED, Param("epsilon", 0.05, float, "mollifier radius"),
+            _SEED, Param("epsilon", 0.05, finite_float, "mollifier radius"),
             Param("dim", 2, int, "dimension"),
             Param("grid_n", 21, int, "grid nodes per axis"),
-            Param("fd_step", 1e-4, float, "centered-difference step"),
+            Param("fd_step", 1e-4, finite_float, "centered-difference step"),
             _tol("jensen_tol", 1e-6), _tol("div_tol", 1e-6))),
     "demo-quadratic": Operation(
         _h_demo_quadratic, "pointwise quadratic margin identity", (

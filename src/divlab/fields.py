@@ -8,7 +8,7 @@ construction and safe to evaluate concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,11 +33,16 @@ def as_points(x, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # smooth bump profile on (0, 1)
 
+# for u <= 2**-55, 2u - 1 rounds to -1 and 1 - (2u-1)^2 = 0 would turn the
+# derivatives into 0 * inf; the profile vanishes to all orders there anyway
+_U_MIN = 2.0 ** -55
+
+
 def bump(u) -> np.ndarray:
     """w(u) = exp(-1/(1-(2u-1)^2)) on (0,1), zero outside."""
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
-    m = (u > 0.0) & (u < 1.0)
+    m = (u > _U_MIN) & (u < 1.0)
     v = 2.0 * u[m] - 1.0
     out[m] = np.exp(-1.0 / (1.0 - v * v))
     return out
@@ -46,7 +51,7 @@ def bump(u) -> np.ndarray:
 def bump_d1(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
-    m = (u > 0.0) & (u < 1.0)
+    m = (u > _U_MIN) & (u < 1.0)
     v = 2.0 * u[m] - 1.0
     g = 1.0 - v * v
     out[m] = np.exp(-1.0 / g) * (-4.0 * v / g**2)
@@ -56,7 +61,7 @@ def bump_d1(u) -> np.ndarray:
 def bump_d2(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
-    m = (u > 0.0) & (u < 1.0)
+    m = (u > _U_MIN) & (u < 1.0)
     v = 2.0 * u[m] - 1.0
     g = 1.0 - v * v
     out[m] = np.exp(-1.0 / g) * (16.0 * v * v / g**4 - 8.0 / g**2 - 32.0 * v * v / g**3)
@@ -128,6 +133,21 @@ class Exclusion:
 
 @dataclass(frozen=True)
 class VectorField:
+    """Bounded vector field on R^dim, evaluated in batches.
+
+    Three optional fields declare closed-form structure that probes use
+    in place of generic quadrature.  Derived fields (translated, rescaled,
+    extruded, lifted, mollified) leave them at None:
+
+    - `eddies`: the twisting field's rotational eddy stack, read by the
+      ball averages and pairings in `trace` and the half-space pairing in
+      `blowup`;
+    - `disk_radius`: the capillary field's open disk, read by the lens
+      averages and sphere flux in `trace`, the rim blow-up in `blowup` and
+      the default interface in `cli`;
+    - `potential`: the counterexample's cylindrical potential, read by
+      `cli certify`.
+    """
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     sup_bound: float
@@ -138,6 +158,9 @@ class VectorField:
     # open-domain membership test; None means the field is global
     domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain_label: str = ""
+    eddies: Optional[EddyStack] = None
+    disk_radius: Optional[float] = None
+    potential: Optional[CylindricalPotential] = None
 
     def __call__(self, x) -> np.ndarray:
         pts = as_points(x, self.dim)
@@ -339,6 +362,16 @@ class Ball:
     index: int
 
 
+@dataclass(frozen=True)
+class EddyStack:
+    """Disjoint eddy balls, ordered by level; the field inside ball b is
+    calibration * profile(s / b.radius) / s times (p - b.center)-perp,
+    with s = |p - b.center|."""
+    balls: tuple[Ball, ...]
+    calibration: float
+    profile: Callable[[np.ndarray], np.ndarray]
+
+
 # each level doubles the eddy count; building level 13 takes about 3 s
 MAX_TWISTING_LEVELS = 13
 
@@ -429,14 +462,10 @@ def make_twisting_field(max_level: int = 8,
             out[m, 1] += speed * dx[m]
         return out
 
-    f = VectorField(dim=2, eval=ev, sup_bound=1.0,
-                    name=f"twisting:levels={max_level}",
-                    analytic_div=lambda pts: np.zeros(pts.shape[0]))
-    object.__setattr__(f, "balls", balls)
-    object.__setattr__(f, "max_level", max_level)
-    object.__setattr__(f, "calibration", cal)
-    object.__setattr__(f, "profile", profile)
-    return f
+    return VectorField(dim=2, eval=ev, sup_bound=1.0,
+                       name=f"twisting:levels={max_level}",
+                       analytic_div=lambda pts: np.zeros(pts.shape[0]),
+                       eddies=EddyStack(tuple(balls), cal, profile))
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +493,8 @@ def make_capillary_field(R: float) -> VectorField:
                     name=f"capillary:R={_fmt_num(R)}",
                     analytic_div=lambda pts: np.full(pts.shape[0], 2.0 / R),
                     analytic_jacobian=jac,
-                    domain=inside, domain_label=f"open disk of radius {R}")
-    object.__setattr__(f, "disk_radius", R)
+                    domain=inside, domain_label=f"open disk of radius {R}",
+                    disk_radius=R)
     return f
 
 
@@ -595,13 +624,10 @@ def make_counterexample_field(n: int, gamma=AUTO) -> VectorField:
         Exclusion("hyperplane z=0", lambda pts: np.abs(pts[:, -1])),
         Exclusion("axis r=0", lambda pts: np.linalg.norm(pts[:, :-1], axis=1)),
     )
-    f = VectorField(dim=n, eval=ev, sup_bound=1.0,
-                    name=f"counterexample:n={n}:gamma={_fmt_num(g)}",
-                    analytic_div=lambda pts: np.zeros(pts.shape[0]),
-                    smooth_exclusion=exclusions)
-    object.__setattr__(f, "potential", P)
-    object.__setattr__(f, "gamma", g)
-    return f
+    return VectorField(dim=n, eval=ev, sup_bound=1.0,
+                       name=f"counterexample:n={n}:gamma={_fmt_num(g)}",
+                       analytic_div=lambda pts: np.zeros(pts.shape[0]),
+                       smooth_exclusion=exclusions, potential=P)
 
 
 def potential_to_field(P: CylindricalPotential) -> VectorField:

@@ -12,14 +12,14 @@ side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _ode, _quad
 from .calculus import GridSpec
-from .fields import (AUTO, CylindricalPotential, PhiFunction, VectorField,
+from .fields import (CylindricalPotential, PhiFunction, VectorField,
                      extrude_field_3d, gamma_bounds)
 from .report import CheckResult, VerificationReport
 
@@ -198,24 +198,20 @@ def _audit_tube_preconditions(eta: VectorField, epsilon: float,
             f"{float(np.max(neg_part)):.3e}")
 
 
-def build_flow_tube(eta: VectorField, epsilon: float, A, h0: float,
-                    seeds_per_axis: int = 64,
-                    gauge_constant: Optional[float] = None,
-                    rtol: float = 1e-10) -> FlowTube:
-    """Seed a midpoint grid on A x {h0}, flow down to height zero, and
-    compare epsilon times the transported bottom measure with an
-    independent adaptive quadrature of the top flux.
-    """
-    A = [tuple(map(float, ab)) for ab in A]
-    field3 = _tube_field(eta, A)
-    _audit_tube_preconditions(field3, epsilon, A, h0)
-    X = lifted_field(field3, epsilon)
-    n = X.dim
-    m_axes = [seeds_per_axis] * (n - 1)
-    seeds, cell = _quad.midpoint_grid(A, m_axes)
-    nseeds = seeds.shape[0]
+def _seed_transport(X: VectorField, A, h0: float, seeds_per_axis: int,
+                    rtol: float, record: bool = False):
+    """Flow a midpoint seed grid on A x {h0} along X down to height zero.
 
-    watch = {"min_xn": math.inf, "min_delta": math.inf, "max_span": 0.0}
+    The flow is parametrized by height, so every seed advances in
+    lockstep; the last state column is the transported seed-plane
+    Jacobian delta.  Returns the seeds, the seed cell measure, the ODE
+    result and the smallest delta and widest horizontal excursion seen by
+    the right-hand side.
+    """
+    n = X.dim
+    seeds, cell = _quad.midpoint_grid(A, [seeds_per_axis] * (n - 1))
+    nseeds = seeds.shape[0]
+    watch = {"min_delta": math.inf, "max_span": 0.0}
 
     def rhs(h, Y):
         pos = np.empty((nseeds, n))
@@ -224,7 +220,6 @@ def build_flow_tube(eta: VectorField, epsilon: float, A, h0: float,
         vals = X.eval(pos)
         xn = vals[:, -1]
         mn = float(np.min(xn))
-        watch["min_xn"] = min(watch["min_xn"], mn)
         if mn <= 0.0:
             bad = pos[np.argmin(xn)]
             raise MonotonicityViolation(
@@ -239,7 +234,24 @@ def build_flow_tube(eta: VectorField, epsilon: float, A, h0: float,
         return dY
 
     Y0 = np.concatenate([seeds, np.ones((nseeds, 1))], axis=1)
-    res = _ode.rk45(rhs, h0, Y0, 0.0, rtol=rtol, atol=1e-13)
+    res = _ode.rk45(rhs, h0, Y0, 0.0, rtol=rtol, atol=1e-13, record=record)
+    return seeds, cell, res, watch
+
+
+def build_flow_tube(eta: VectorField, epsilon: float, A, h0: float,
+                    seeds_per_axis: int = 64,
+                    gauge_constant: Optional[float] = None,
+                    rtol: float = 1e-10) -> FlowTube:
+    """Seed a midpoint grid on A x {h0}, flow down to height zero, and
+    compare epsilon times the transported bottom measure with an
+    independent adaptive quadrature of the top flux.
+    """
+    A = [tuple(map(float, ab)) for ab in A]
+    field3 = _tube_field(eta, A)
+    _audit_tube_preconditions(field3, epsilon, A, h0)
+    X = lifted_field(field3, epsilon)
+    n = X.dim
+    seeds, cell, res, watch = _seed_transport(X, A, h0, seeds_per_axis, rtol)
     deltas = res.y[:, -1]
     bottom = float(cell * np.sum(deltas))
 
@@ -295,31 +307,12 @@ def flow_tube_trajectories(eta: VectorField, epsilon: float, A, h0: float,
     """Recorded trajectory samples (seed, height, position, delta) for
     plotting; a coarse seed grid keeps the output small."""
     A = [tuple(map(float, ab)) for ab in A]
-    field3 = _tube_field(eta, A)
-    X = lifted_field(field3, epsilon)
-    n = X.dim
-    seeds, _ = _quad.midpoint_grid(A, [seeds_per_axis] * (n - 1))
-    nseeds = seeds.shape[0]
-
-    def rhs(h, Y):
-        pos = np.empty((nseeds, n))
-        pos[:, :-1] = Y[:, :-1]
-        pos[:, -1] = h
-        vals = X.eval(pos)
-        xn = vals[:, -1]
-        if np.min(xn) <= 0.0:
-            raise MonotonicityViolation("vertical speed not positive")
-        tr = _trace_shear(X, pos, vals)
-        dY = np.empty_like(Y)
-        dY[:, :-1] = vals[:, :-1] / xn[:, None]
-        dY[:, -1] = tr * Y[:, -1]
-        return dY
-
-    Y0 = np.concatenate([seeds, np.ones((nseeds, 1))], axis=1)
-    res = _ode.rk45(rhs, h0, Y0, 0.0, rtol=rtol, atol=1e-13, record=True)
+    X = lifted_field(_tube_field(eta, A), epsilon)
+    seeds, _, res, _ = _seed_transport(X, A, h0, seeds_per_axis, rtol,
+                                       record=True)
     rows = []
     for h, Y in zip(res.path_t, res.path_y):
-        for i in range(nseeds):
+        for i in range(seeds.shape[0]):
             rows.append({
                 "seed": seeds[i].tolist(),
                 "h": h,
@@ -527,7 +520,7 @@ def separable_demo(gamma: float, rho0: float, psi0: float,
         blow_rho = res.t if res.status == "event" else math.nan
     except _ode.StiffFailure as exc:
         # step underflow is itself a blow-up indicator
-        blow_rho = float(str(exc).rsplit("t=", 1)[-1])
+        blow_rho = exc.t
 
     rel = abs(blow_rho - rho_star) / rho_star
     rep.add(CheckResult.from_residual(

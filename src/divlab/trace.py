@@ -12,14 +12,14 @@ violates a candidate limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.stats import qmc
 
 from . import _quad
-from .calculus import ScalarTest
+from .calculus import RectRegion, ScalarTest
 from .fields import VectorField
 from .report import CheckResult, VerificationReport
 
@@ -28,7 +28,7 @@ __all__ = [
     "line_interface", "circle_interface",
     "weak_trace_ball_average", "weak_trace_curvilinear",
     "weak_trace_pairing", "weak_trace_sphere_flux",
-    "density", "one_sided_ap_lim",
+    "density", "deviation_indicator", "one_sided_ap_lim", "ApLimReport",
     "AP_LIM_CONFIRMED", "AP_LIM_REJECTED", "AP_LIM_INCONCLUSIVE",
     "EPS_DENSITY",
 ]
@@ -239,10 +239,10 @@ def _twisting_ball_average(field: VectorField, x0: np.ndarray, r: float,
     2 sin(beta) (nu x d-hat), leaving a 1D radial integral.
     """
     total = 0.0
-    cal = field.calibration
-    profile = field.profile
+    cal = field.eddies.calibration
+    profile = field.eddies.profile
     gx, gw = _quad.leggauss(64)
-    for b in field.balls:
+    for b in field.eddies.balls:
         d = b.center - x0
         dist = math.hypot(d[0], d[1])
         if dist >= r + b.radius or dist + b.radius <= r:
@@ -338,11 +338,11 @@ def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
     S.require_on(x0)
     nu0 = S.normal_at(x0)
     notes = ""
-    if hasattr(field, "balls"):
+    if field.eddies is not None:
         estimates = [_twisting_ball_average(field, x0, float(r), nu0)
                      for r in radii]
         quad_tol = 1e-10
-    elif field.domain is not None and hasattr(field, "disk_radius"):
+    elif field.domain is not None and field.disk_radius is not None:
         estimates = [_disk_lens_average(field, x0, float(r), nu0, rtol)
                      for r in radii]
         quad_tol = rtol
@@ -422,7 +422,7 @@ def _pairing_by_patches(field: VectorField, psi: ScalarTest) -> float:
     # to zero, so the equal-angle rule is the accuracy driver; give wider
     # patches more angular nodes
     total = 0.0
-    for b in field.balls:
+    for b in field.eddies.balls:
         ao = int(min(512, max(32, 2.0 ** math.ceil(math.log2(4096.0 * b.radius)))))
         pts, w = _quad.ball_rule(2, b.center, b.radius,
                                  radial_order=16, angular_order=ao)
@@ -432,11 +432,9 @@ def _pairing_by_patches(field: VectorField, psi: ScalarTest) -> float:
 
 
 def _balls_inside(field: VectorField, region) -> bool:
-    if not hasattr(field, "balls"):
+    if field.eddies is None or not isinstance(region, RectRegion):
         return False
-    if not hasattr(region, "ax"):
-        return False
-    for b in field.balls:
+    for b in field.eddies.balls:
         if (b.center[0] - b.radius < region.ax
                 or b.center[0] + b.radius > region.bx
                 or b.center[1] - b.radius < region.ay
@@ -492,7 +490,7 @@ def weak_trace_sphere_flux(field: VectorField, S: OrientedInterface,
     # for a field living on a centered disk with x0 on its rim, the arc
     # inside the domain is known in closed form; integrating only there
     # keeps the integrand smooth (the masked jump defeats panel doubling)
-    disk_R = getattr(field, "disk_radius", None)
+    disk_R = field.disk_radius
     half_width = 0.5 * math.pi
     if disk_R is not None:
         if abs(np.linalg.norm(x0) - disk_R) > 1e-9:
@@ -564,9 +562,41 @@ def density(indicator, x, radii, samples: int = 100_000,
                         theta=theta, samples_per_radius=samples)
 
 
+def deviation_indicator(field: VectorField, x0: np.ndarray, nu: np.ndarray,
+                        w, alpha: float):
+    """Indicator of the one-sided deviation set at x0: points on the inward
+    side (where (p - x0) . nu < 0) at which the field differs from w by at
+    least alpha.  Points where the field is undefined count as deviating."""
+    def indicator(pts):
+        oneside = (pts - x0) @ (-nu) > 0.0
+        out = np.zeros(pts.shape[0], dtype=bool)
+        if not np.any(oneside):
+            return out
+        sel = pts[oneside]
+        if field.domain is None:
+            dev = np.linalg.norm(field.eval(sel) - w, axis=1) >= alpha
+        else:
+            dom = field.domain(sel)
+            dev = np.ones(sel.shape[0], dtype=bool)
+            if np.any(dom):
+                dev[dom] = np.linalg.norm(
+                    field.eval(sel[dom]) - w, axis=1) >= alpha
+        out[oneside] = dev
+        return out
+    return indicator
+
+
+@dataclass
+class ApLimReport(VerificationReport):
+    """Approximate-limit report: the overall classification and the
+    (alpha, DensityProbe) pair behind each per-alpha check."""
+    classification: str = AP_LIM_INCONCLUSIVE
+    probes: list = dc_field(default_factory=list)
+
+
 def one_sided_ap_lim(field: VectorField, S: OrientedInterface, x0, w,
                      alphas, radii, eps_density: float = EPS_DENSITY,
-                     samples: int = 100_000, seed: int = 0) -> VerificationReport:
+                     samples: int = 100_000, seed: int = 0) -> ApLimReport:
     """Approximate one-sided limit test: for each alpha, the set where the
     field strays from the candidate by at least alpha must thin out.
 
@@ -577,33 +607,15 @@ def one_sided_ap_lim(field: VectorField, S: OrientedInterface, x0, w,
     S.require_on(x0)
     nu0 = S.normal_at(x0)
     w = np.asarray(w, dtype=float)
-    rep = VerificationReport(
+    rep = ApLimReport(
         scenario=f"aplim:{field.name}:x0={x0.tolist()}",
         environment={"seed": seed, "samples": samples})
 
     statuses = []
-    probes = []
     for i, alpha in enumerate(alphas):
-        def indicator(pts, a=float(alpha)):
-            oneside = (pts - x0) @ (-nu0) > 0.0
-            out = np.zeros(pts.shape[0], dtype=bool)
-            if not np.any(oneside):
-                return out
-            sel = pts[oneside]
-            if field.domain is None:
-                dev = np.linalg.norm(field.eval(sel) - w, axis=1) >= a
-            else:
-                dom = field.domain(sel)
-                dev = np.ones(sel.shape[0], dtype=bool)
-                if np.any(dom):
-                    dev[dom] = np.linalg.norm(
-                        field.eval(sel[dom]) - w, axis=1) >= a
-            out[oneside] = dev
-            return out
-
-        probe = density(indicator, x0, radii, samples=samples,
-                        seed=seed + 1000 * i)
-        probes.append((float(alpha), probe))
+        probe = density(deviation_indicator(field, x0, nu0, w, float(alpha)),
+                        x0, radii, samples=samples, seed=seed + 1000 * i)
+        rep.probes.append((float(alpha), probe))
         if probe.theta <= eps_density:
             status = "confirmed"
         elif min(probe.ratios) >= eps_density:
@@ -619,14 +631,9 @@ def one_sided_ap_lim(field: VectorField, S: OrientedInterface, x0, w,
             detail=f"ratios={['%.4f' % p for p in probe.ratios]} ({status})"))
 
     if all(s == "confirmed" for s in statuses):
-        classification = AP_LIM_CONFIRMED
+        rep.classification = AP_LIM_CONFIRMED
     elif any(s == "rejected" for s in statuses):
-        classification = AP_LIM_REJECTED
-    else:
-        classification = AP_LIM_INCONCLUSIVE
+        rep.classification = AP_LIM_REJECTED
     rep.add(CheckResult.info("ap-lim classification", 0.0,
-                             detail=classification))
-    rep.classification = classification
-    rep.probes = probes
-    rep.statuses = list(zip([float(a) for a in alphas], statuses))
+                             detail=rep.classification))
     return rep

@@ -126,6 +126,20 @@ class TestExitCodes:
         assert code == 2
         assert "positive and finite" in err and "PASS" not in out
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--margin-tol", "nan", "--no-field-checks"],
+        ["demo", "separable", "--gamma", "inf"],
+        ["flow-tube", "--h0", "nan", "--seeds", "4"],
+    ], ids=["nan-tolerance", "inf-parameter", "nan-height"])
+    def test_non_finite_number_is_usage_error(self, argv):
+        with pytest.raises(UsageError, match="invalid finite_float value"):
+            build_parser().parse_args(argv)
+
+    def test_non_finite_point_is_usage_error(self, capsys):
+        code, _, err = run_main(["nalpha", "--x0", "inf,0"], capsys)
+        assert code == 2
+        assert "malformed x0" in err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run_main(["certify", "--bogus"], capsys)
         assert code == 2

@@ -143,7 +143,7 @@ def test_twisting_vanishes_off_eddies(twisting8):
 
 def test_twisting_speed_calibration(twisting8):
     # per-ball speed profile is calibrated to peak exactly at 1
-    b = twisting8.balls[0]
+    b = twisting8.eddies.balls[0]
     s = np.linspace(1e-6, b.radius * (1 - 1e-9), 4001)
     pts = np.stack([b.center[0] + s, np.full_like(s, b.center[1])], axis=1)
     speeds = np.linalg.norm(twisting8.eval(pts), axis=1)
@@ -203,6 +203,14 @@ def test_stream_bump_support_and_bound(stream_bump, rng):
     assert np.all(vals[outside] == 0.0)
 
 
+def test_stream_bump_is_finite_next_to_its_center(stream_bump):
+    # this close to the center 2u - 1 rounds to -1, where the profile
+    # derivative formula evaluates 0 * inf
+    pts = np.array([[3.8094611052537206e-97, 1.5], [-1e-20, 1.5]])
+    assert np.array_equal(stream_bump.eval(pts), np.zeros((2, 2)))
+    assert np.all(np.isfinite(stream_bump.analytic_jacobian(pts)))
+
+
 def test_extrusion_matches_planar_slice(stream_bump, rng):
     f3 = extrude_field_3d(stream_bump)
     assert f3.dim == 3
@@ -240,7 +248,7 @@ def test_get_field_grammar():
     c = get_field("constant:c=0.5,-2")
     assert np.array_equal(c.eval(np.zeros((1, 2))), [[0.5, -2.0]])
     assert get_field("stream:bump:3d").dim == 3
-    assert get_field("twisting:levels=3").max_level == 3
+    assert get_field("twisting:levels=3").eddies.balls[-1].level == 3
 
 
 def test_get_field_rejects_unknown():

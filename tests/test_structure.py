@@ -1,0 +1,69 @@
+"""Structure guard over the package source: fields, probes and reports
+declare their structure, so no module bolts attributes onto frozen
+instances, dispatches with hasattr, or keeps an import it never uses."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "divlab"
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _unused_imports(tree, path) -> list:
+    if path.name == "__init__.py":
+        return []  # the package imports names to re-export them
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = \
+                    node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: unused import {name}"
+            for name, line in sorted(imported.items())
+            if name not in used | _exported(tree)]
+
+
+def _calls(node, where=""):
+    """(call, enclosing 'Class.function' path) for every call below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}" if where else child.name
+        if isinstance(child, ast.Call):
+            yield child, where
+        yield from _calls(child, inner)
+
+
+def _bolted_structure(tree, path) -> list:
+    out = []
+    for call, where in _calls(tree):
+        func = call.func
+        if isinstance(func, ast.Name) and func.id == "hasattr":
+            out.append(f"{path.name}:{call.lineno}: hasattr dispatch")
+        # GridSpec fills in its default spacing while it is constructed
+        if (isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "object"
+                and where != "GridSpec.__post_init__"):
+            out.append(f"{path.name}:{call.lineno}: object.__setattr__ "
+                       f"in {where or 'module scope'}")
+    return out
+
+
+def test_structure_is_declared_and_imports_are_used():
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        problems += _unused_imports(tree, path) + _bolted_structure(tree, path)
+    assert not problems, "\n".join(problems)

@@ -264,7 +264,10 @@ class TestApLim:
                                samples=20000, seed=20260819)
         assert rep.classification == AP_LIM_CONFIRMED
         assert rep.verdict == "PASS"
-        assert all(s == "confirmed" for _, s in rep.statuses)
+        per_alpha = [c for c in rep.checks
+                     if c.name.startswith("deviation density")]
+        assert len(per_alpha) == 3
+        assert all(c.verdict == "PASS" for c in per_alpha)
 
     def test_twisting_zero_candidate_rejected(self, twisting12):
         S = line_interface((0.0, 0.0), (1.0, 0.0), normal=(0.0, -1.0))
