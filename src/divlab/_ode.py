@@ -7,6 +7,7 @@ with bisection-refined event detection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,6 +33,14 @@ _A = [
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
+
+
+def _check_finite(t0: float, t1: float, y: np.ndarray) -> None:
+    # a NaN endpoint makes every step NaN, which no step-size test catches
+    if not (math.isfinite(t0) and math.isfinite(t1)
+            and np.all(np.isfinite(y))):
+        raise ValueError(f"integration from t={t0} to {t1} needs finite "
+                         "endpoints and a finite initial state")
 
 
 def _stages(f: Callable, t: float, y: np.ndarray, h: float,
@@ -71,6 +80,7 @@ def rk45(f: Callable, t0: float, y0, t1: float, rtol: float = 1e-9,
     demanding member.
     """
     y = np.array(y0, dtype=float)
+    _check_finite(t0, t1, y)
     t = float(t0)
     span = t1 - t0
     if span == 0.0:
@@ -137,6 +147,7 @@ def rk45_event(f: Callable, t0: float, y0, event: Callable,
     integrator's accuracy.
     """
     y = np.array(y0, dtype=float)
+    _check_finite(t0, t_max, y)
     t = float(t0)
     g_prev = float(event(t, y))
     if abs(g_prev) <= event_tol:

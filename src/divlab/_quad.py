@@ -2,6 +2,15 @@
 
 All routines take vectorized integrands (arrays in, arrays out) and stop
 when two successive refinement levels agree to the requested tolerance.
+
+The one 1D rule, `adaptive_gauss_rows`, integrates a batch of intervals
+[a_i, b_i] at once.  Each row doubles its panels and stops on its own
+test, exactly as if it were integrated alone; at every level the rows
+that have not yet converged go to the integrand in a single call
+f(rows, s), with s of shape (len(rows), nodes), and converged rows leave
+the batch.  A nested integral thus costs one integrand call per doubling
+level instead of one adaptive quadrature per outer node.
+`adaptive_gauss_1d` and `gauss_panels_1d` are its one-row case.
 """
 
 from __future__ import annotations
@@ -23,37 +32,72 @@ def leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _gauss_rows(f: Callable, rows: np.ndarray, a: np.ndarray,
+                b: np.ndarray, panels: int, order: int) -> np.ndarray:
+    """Composite Gauss rule with `panels` equal segments on each row's
+    [a, b]; f(rows, s) gets the nodes s of shape (len(rows), nodes)."""
+    x, w = leggauss(order)
+    edges = np.linspace(a, b, panels + 1, axis=1)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    half = 0.5 * (edges[:, 1] - edges[:, 0])
+    s = (mid[:, :, None] + half[:, None, None] * x).reshape(rows.size, -1)
+    vals = np.asarray(f(rows, s), dtype=float)
+    return half * (vals.reshape(rows.size, panels, order) @ w).sum(axis=1)
+
+
+def _one_row(f: Callable) -> Callable:
+    return lambda rows, s: f(s[0])
+
+
 def gauss_panels_1d(f: Callable, a: float, b: float,
                     panels: int, order: int = 8) -> float:
     """Composite Gauss rule with `panels` equal segments."""
-    x, w = leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    pts = (mid[:, None] + half * x[None, :]).ravel()
-    vals = np.asarray(f(pts), dtype=float)
-    return float(half * np.dot(vals.reshape(panels, order), w).sum())
+    return float(_gauss_rows(_one_row(f), np.zeros(1, dtype=int),
+                             np.array([a], dtype=float),
+                             np.array([b], dtype=float), panels, order)[0])
+
+
+def adaptive_gauss_rows(f: Callable, a, b, rtol: float = 1e-8,
+                        atol: float = 1e-12,
+                        max_doublings: int = 12) -> np.ndarray:
+    """Integrate row i of f over [a[i], b[i]] for every i at once.
+
+    f(rows, s) returns the integrand of rows `rows` (indices into a and b)
+    at the nodes s, shape (len(rows), nodes).  Each row doubles its panel
+    count until two levels agree, |cur - prev| <= rtol*|cur| + atol, and
+    then leaves the batch; a row with a == b integrates to 0.0.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.zeros(a.shape)
+    rows = np.flatnonzero(a != b)
+    if rows.size == 0:
+        return out
+    panels = 2
+    prev = _gauss_rows(f, rows, a[rows], b[rows], panels, 8)
+    delta = np.full(rows.size, math.inf)
+    for _ in range(max_doublings):
+        panels *= 2
+        cur = _gauss_rows(f, rows, a[rows], b[rows], panels, 8)
+        delta = np.abs(cur - prev)
+        done = delta <= rtol * np.abs(cur) + atol
+        out[rows[done]] = cur[done]
+        rows, prev, delta = rows[~done], cur[~done], delta[~done]
+        if rows.size == 0:
+            return out
+    i = rows[0]
+    raise QuadratureError(
+        f"1d quadrature failed to converge on [{float(a[i])}, {float(b[i])}] "
+        f"(last delta {float(delta[0]):.3e})")
 
 
 def adaptive_gauss_1d(f: Callable, a: float, b: float,
                       rtol: float = 1e-8, atol: float = 1e-12,
                       max_doublings: int = 12) -> float:
     """Integrate f over [a, b], doubling panel count until stable."""
-    if a == b:
-        return 0.0
-    panels = 2
-    prev = gauss_panels_1d(f, a, b, panels)
-    delta = math.inf
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = gauss_panels_1d(f, a, b, panels)
-        delta = abs(cur - prev)
-        if delta <= rtol * abs(cur) + atol:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"1d quadrature failed to converge on [{a}, {b}] "
-        f"(last delta {delta:.3e})")
+    return float(adaptive_gauss_rows(_one_row(f), [a], [b], rtol=rtol,
+                                     atol=atol,
+                                     max_doublings=max_doublings)[0])
 
 
 def gauss_panels_2d(f: Callable, box, panels: int, order: int = 8) -> float:

@@ -339,22 +339,26 @@ def _halfspace_lhs(seq: BlowupSequence, k: int, psi,
             "ij,ij->i", zk.eval(y), psi.gradient(y))
 
     def inner(t_arr):
-        out = np.empty(t_arr.size)
-        for i, t in enumerate(t_arr):
-            s_star = 0.0
-            if base.domain is not None:
-                disc = 1.0 - (r_k * t / R) ** 2
-                s_star = (R / r_k) * (1.0 - math.sqrt(max(disc, 0.0)))
-            lo = max(s_star, s_c - psi.radius)
-            hi = s_c + psi.radius
-            if hi <= lo:
-                out[i] = 0.0
-                continue
-            out[i] = _quad.adaptive_gauss_1d(
-                lambda s: g(np.outer(t * np.ones_like(s), tdir)
-                            + np.outer(s, -nu)),
-                lo, hi, rtol=rtol, atol=1e-14)
-        return out
+        # one batched s-quadrature, a row per outer node t.  The depths stay
+        # scalar arithmetic: numpy's array `** 2` rounds differently from
+        # the scalar power for about 1 input in 1,000, which would move the
+        # s-nodes and the reported digits
+        s_star = np.zeros(t_arr.size)
+        if base.domain is not None:
+            s_star = np.array([
+                (R / r_k) * (1.0 - math.sqrt(max(1.0 - (r_k * t / R) ** 2,
+                                                 0.0)))
+                for t in t_arr])
+        hi = s_c + psi.radius
+        # an empty row (hi <= lo) has a == b and integrates to 0
+        lo = np.minimum(np.maximum(s_star, s_c - psi.radius), hi)
+
+        def rows_g(rows, s):
+            y = t_arr[rows, None, None] * tdir + s[:, :, None] * -nu
+            return g(y.reshape(-1, 2)).reshape(s.shape)
+
+        return _quad.adaptive_gauss_rows(rows_g, lo, np.full(t_arr.size, hi),
+                                         rtol=rtol, atol=1e-14)
 
     return _quad.adaptive_gauss_1d(inner, t_c - psi.radius,
                                    t_c + psi.radius,

@@ -235,16 +235,17 @@ class AnnulusRegion:
         self.r_outer = float(r_outer)
 
     def volume_integral(self, f, rtol=1e-9, atol=1e-12) -> float:
+        n = 128
+        th = 2.0 * math.pi * np.arange(n) / n
+        ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+
         def radial(r):
-            # mean of f over each circle of radius r, times the circumference
-            out = np.empty_like(r)
-            n = 128
-            th = 2.0 * math.pi * np.arange(n) / n
-            ring = np.stack([np.cos(th), np.sin(th)], axis=1)
-            for i, rr in enumerate(np.asarray(r, dtype=float)):
-                pts = self.center[None, :] + rr * ring
-                out[i] = np.mean(f(pts)) * 2.0 * math.pi * rr
-            return out
+            # mean of f over each circle of radius r, times the
+            # circumference; one field call covers every circle
+            r = np.asarray(r, dtype=float)
+            pts = self.center + r[:, None, None] * ring
+            vals = np.asarray(f(pts.reshape(-1, 2))).reshape(r.size, n)
+            return vals.mean(axis=1) * 2.0 * math.pi * r
 
         return _quad.adaptive_gauss_1d(radial, self.r_inner, self.r_outer,
                                        rtol=rtol, atol=atol)

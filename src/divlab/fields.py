@@ -374,6 +374,9 @@ class EddyStack:
 
 # each level doubles the eddy count; building level 13 takes about 3 s
 MAX_TWISTING_LEVELS = 13
+# registry fields' dimension: `certify` allocates 4 * fd_points * n floats
+# for its divergence sample before it checks anything
+MAX_DIMENSION = 64
 
 
 def _twisting_balls(max_level: int) -> list[Ball]:
@@ -660,8 +663,7 @@ def potential_to_field(P: CylindricalPotential) -> VectorField:
                        ))
 
 
-def field_to_potential(eta: VectorField, quad=None,
-                       symmetry_samples: int = 32,
+def field_to_potential(eta: VectorField, symmetry_samples: int = 32,
                        symmetry_tol: float = 1e-8) -> CylindricalPotential:
     """Recover the potential by integrating the radial coefficient in z.
 
@@ -671,11 +673,6 @@ def field_to_potential(eta: VectorField, quad=None,
     is exact up to quadrature in V itself.
     """
     from . import _quad
-    if quad is None:
-        # the z-integral is of size |V| / rho^(n-1) and gets scaled back up
-        # by rho^(n-1), up to 1e9 on wide grids; keep its error relative
-        def quad(f, a, b):
-            return _quad.adaptive_gauss_1d(f, a, b, rtol=1e-12, atol=1e-20)
     n = eta.dim
     _audit_cylindrical(eta, symmetry_samples, symmetry_tol)
 
@@ -696,16 +693,20 @@ def field_to_potential(eta: VectorField, quad=None,
         rho = np.asarray(rho, dtype=float)
         z = np.asarray(z, dtype=float)
         rho, z = np.broadcast_arrays(rho, z)
-        out = np.zeros(rho.shape)
-        it = np.nditer(rho, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            rr, zz = float(rho[idx]), float(z[idx])
-            if zz <= 0.0:
-                continue
-            val = quad(lambda s: components(np.full_like(s, rr), s)[0], 0.0, zz)
-            out[idx] = -(max(rr, AXIS_CUTOFF) ** (n - 1.0)) * val
-        return out
+        rr, zz = rho.ravel(), z.ravel()
+        # one batched z-quadrature, a row per node; V = 0 for z <= 0.  The
+        # z-integral is of size |V| / rho^(n-1) and gets scaled back up by
+        # rho^(n-1), up to 1e9 on wide grids; keep its error relative
+        live = np.flatnonzero(~(zz <= 0.0))  # a NaN z fails in _quad
+        val = _quad.adaptive_gauss_rows(
+            lambda rows, s: components(rr[live[rows], None], s)[0],
+            np.zeros(live.size), zz[live], rtol=1e-12, atol=1e-20)
+        out = np.zeros(rr.size)
+        # the scale stays a scalar power: numpy's array power rounds some
+        # inputs differently in the last bit, which would change the digits
+        out[live] = [-(max(r, AXIS_CUTOFF) ** (n - 1.0)) * v
+                     for r, v in zip(rr[live].tolist(), val.tolist())]
+        return out.reshape(rho.shape)
 
     def dV(rho, z):
         rho = np.asarray(rho, dtype=float)
@@ -778,7 +779,8 @@ _vector = _checked(lambda text: tuple(map(float, text.split(","))),
 _REGISTRY = {
     "counterexample": (
         lambda p: make_counterexample_field(p["n"], p["gamma"]),
-        {"n": (4, _checked(int, lambda n: n >= 4, ">= 4")),
+        {"n": (4, _checked(int, lambda n: 4 <= n <= MAX_DIMENSION,
+                           f">= 4 and <= {MAX_DIMENSION}")),
          "gamma": (AUTO, parse_gamma)}, ()),
     "twisting": (
         lambda p: make_twisting_field(p["levels"]),
@@ -791,7 +793,8 @@ _REGISTRY = {
                    else stream_bump_field()),
         {}, ("bump", "3d")),
     "zero": (lambda p: zero_field(p["dim"]),
-             {"dim": (2, _checked(int, lambda d: d >= 1, ">= 1"))}, ()),
+             {"dim": (2, _checked(int, lambda d: 1 <= d <= MAX_DIMENSION,
+                                  f">= 1 and <= {MAX_DIMENSION}"))}, ()),
     "constant": (lambda p: constant_field(p["c"]),
                  {"c": ((0.0, -1.0), _vector)}, ()),
 }

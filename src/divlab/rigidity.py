@@ -426,6 +426,8 @@ def certify_potential(P: CylindricalPotential, grid: GridSpec,
     """
     if P.dV is None:
         raise ValueError("certification needs the potential gradient")
+    if not math.isfinite(margin_tol):
+        raise ValueError(f"margin_tol must be finite, got {margin_tol}")
     n = P.dim
     rho_ax, z_ax = grid.axes()
     RHO, Z = np.meshgrid(rho_ax, z_ax, indexing="ij")

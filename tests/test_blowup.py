@@ -1,6 +1,8 @@
 """Rescaling, weak-star averages, deviation densities, the pointwise
 quadratic inequality, and per-scale trace consistency."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,9 +237,19 @@ class TestTraceConsistency:
             "punctured_ball_residual"}
 
     def test_domain_restricted_field_skips_annuli(self, capillary):
+        # the half-space pairing's inner quadratures share one field call
+        # per doubling level; one quadrature per outer node made ~57k calls
+        calls = []
+
+        def counting_eval(pts):
+            calls.append(len(pts))
+            return capillary.eval(pts)
+
+        counted = dataclasses.replace(capillary, eval=counting_eval)
         S = circle_interface((0.0, 0.0), 1.0, outward=True)
-        seq = blowup_sequence(capillary, (1.0, 0.0), (0.25, 0.125))
+        seq = blowup_sequence(counted, (1.0, 0.0), (0.25, 0.125))
         rep = blowup_trace_consistency(seq, S, trace_value=1.0)
         by = {c.name: c for c in rep.checks}
         assert by["punctured-ball flux residual"].verdict == "SKIPPED"
         assert by["half-space pairing defect, final"].verdict == "PASS"
+        assert 0 < len(calls) < 1000

@@ -113,8 +113,11 @@ class TestExitCodes:
         ("capillary:R=nan", "positive and finite"),
         ("zero:dim=0", ">= 1"),
         ("twisting:levels=14", "between 1 and 13"),
+        ("counterexample:n=65", "<= 64"),
+        ("zero:dim=65", "<= 64"),
     ], ids=["unknown-kind", "unknown-key", "stray-word", "stray-key",
-            "nan-value", "out-of-range", "too-many-levels"])
+            "nan-value", "out-of-range", "too-many-levels",
+            "too-many-dimensions", "too-many-zero-dimensions"])
     def test_unknown_field_is_usage_error(self, capsys, field, message):
         code, _, err = run_main(["trace", "--field", field], capsys)
         assert code == 2

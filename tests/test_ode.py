@@ -1,0 +1,37 @@
+"""Dormand-Prince integration: endpoints and initial state are checked
+before the right-hand side is ever called."""
+
+import math
+
+import numpy as np
+import pytest
+
+from divlab import _ode
+
+
+def _counting_rhs():
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return -y
+    return f, calls
+
+
+@pytest.mark.parametrize("t0,t1,y0", [
+    (math.nan, 0.0, np.ones(3)),
+    (0.0, math.nan, np.ones(3)),
+    (0.0, math.inf, np.ones(3)),
+    (0.0, 1.0, np.array([1.0, math.nan, 1.0])),
+], ids=["nan-t0", "nan-t1", "inf-t1", "nan-y0"])
+@pytest.mark.parametrize("integrator", ["rk45", "rk45_event"])
+def test_non_finite_input_is_rejected_before_any_rhs_call(integrator,
+                                                          t0, t1, y0):
+    f, calls = _counting_rhs()
+    with pytest.raises(ValueError, match="finite"):
+        if integrator == "rk45":
+            _ode.rk45(f, t0, y0, t1, max_steps=200)
+        else:
+            _ode.rk45_event(f, t0, y0, lambda t, y: y[0] - 2.0, t_max=t1,
+                            max_steps=200)
+    assert calls == []

@@ -33,6 +33,72 @@ def test_adaptive_gauss_1d_reports_last_delta():
     assert "0.000e+00" not in str(exc.value)
 
 
+def _reference_adaptive_1d(f, a, b, rtol, atol, max_doublings=12):
+    # one interval at a time, as the rule was written before rows were
+    # batched; the batch must reproduce it bit for bit
+    x, w = _quad.leggauss(8)
+
+    def panels_sum(panels):
+        edges = np.linspace(a, b, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1] - edges[0])
+        vals = f((mid[:, None] + half * x[None, :]).ravel())
+        return float(half * np.dot(vals.reshape(panels, 8), w).sum())
+
+    if a == b:
+        return 0.0
+    panels = 2
+    prev = panels_sum(panels)
+    for _ in range(max_doublings):
+        panels *= 2
+        cur = panels_sum(panels)
+        if abs(cur - prev) <= rtol * abs(cur) + atol:
+            return cur
+        prev = cur
+    raise _quad.QuadratureError("reference failed to converge")
+
+
+def test_row_batch_matches_one_row_loop_bitwise():
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-3.0, 3.0, 40)
+    b = rng.uniform(-3.0, 3.0, 40)
+    b[:5] = a[:5]                       # empty rows
+    a[5:10], b[5:10] = 2.0, -1.0        # reversed rows
+    k = rng.uniform(0.1, 40.0, 40)
+    c = rng.uniform(-2.0, 2.0, 40)
+
+    def f(rows, s):
+        return np.sin(k[rows, None] * s) + c[rows, None] * s ** 3
+
+    batch = _quad.adaptive_gauss_rows(f, a, b, rtol=1e-10, atol=1e-13)
+    rows = [lambda s, i=i: np.sin(k[i] * s) + c[i] * s ** 3
+            for i in range(40)]
+    loop = [_quad.adaptive_gauss_1d(rows[i], a[i], b[i], rtol=1e-10,
+                                    atol=1e-13) for i in range(40)]
+    reference = [_reference_adaptive_1d(rows[i], a[i], b[i], 1e-10, 1e-13)
+                 for i in range(40)]
+    assert np.array_equal(batch, loop)
+    assert np.array_equal(batch, reference)
+    assert np.all(batch[:5] == 0.0)
+
+
+def test_row_batch_failure_names_the_failing_row():
+    # row 1 oscillates beyond the finest panel count and never settles
+    k = np.array([1.0, 1e7, 2.0])
+    a, b = np.zeros(3), np.array([1.0, 0.5, 1.0])
+
+    def f(rows, s):
+        return np.sin(k[rows, None] * s * s)
+
+    with pytest.raises(_quad.QuadratureError) as batch:
+        _quad.adaptive_gauss_rows(f, a, b, rtol=1e-14, atol=1e-16)
+    with pytest.raises(_quad.QuadratureError) as alone:
+        _quad.adaptive_gauss_1d(lambda s: np.sin(1e7 * s * s), 0.0, 0.5,
+                                rtol=1e-14, atol=1e-16)
+    assert "[0.0, 0.5]" in str(batch.value)
+    assert str(batch.value) == str(alone.value)
+
+
 def test_adaptive_gauss_2d_separable():
     val = _quad.adaptive_gauss_2d(
         lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1]),

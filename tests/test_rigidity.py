@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from divlab.calculus import GridSpec
 from divlab.fields import (
     AUTO, CylindricalPotential, constant_field, counterexample_potential,
     stream_bump_field, zero_field,
@@ -80,6 +81,13 @@ class TestCertification:
         cert = certify_potential(nan_gradient, default_certification_grid(20))
         assert cert.verdict == INCONCLUSIVE
         assert cert.witness is None
+
+    @pytest.mark.parametrize("margin_tol", [math.nan, math.inf])
+    def test_non_finite_margin_tol_is_rejected(self, margin_tol):
+        grid = GridSpec([(0.05, 2.0), (0.05, 2.0)], [20, 20])
+        with pytest.raises(ValueError, match="margin_tol"):
+            certify_potential(counterexample_potential(4, 1.0), grid,
+                              margin_tol=margin_tol)
 
     def test_needs_gradient(self):
         P = CylindricalPotential(dim=4, gamma=0.1,
