@@ -161,6 +161,19 @@ def finite_float(text) -> float:
     return value
 
 
+def int_range(lo: int, hi: int) -> Callable:
+    """Converter of a count parameter: integers outside [lo, hi] are usage
+    errors, so no count can ask for unbounded work or memory."""
+    def conv(text) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise ValueError(f"{value} is outside [{lo}, {hi}]")
+        return value
+
+    conv.__name__ = f"integer in [{lo}, {hi}]"   # argparse's error names it
+    return conv
+
+
 def _floats(text: str, what: str, count: Optional[int] = None):
     try:
         vals = [finite_float(tok) for tok in text.split(",") if tok.strip()]
@@ -631,7 +644,10 @@ def _h_blowup(sc: Scenario):
 
 def _h_demo_separable(sc: Scenario):
     p = sc.params
-    rep = separable_demo(p["gamma"], p["rho0"], p["psi0"])
+    try:
+        rep = separable_demo(p["gamma"], p["rho0"], p["psi0"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return rep, [], []
 
 
@@ -816,7 +832,8 @@ _OPERATIONS = {
         _tol("margin_tol", 1e-12),
         Param("speed_tol", 1e-12, finite_float, tol=True, flag=False),
         Param("fd_tol", 1e-6, finite_float, tol=True, flag=False),
-        Param("fd_points", 1000, int, "divergence sample points"),
+        Param("fd_points", 1000, int_range(1, 100_000),
+              "divergence sample points"),
         Param("fd_step", 1e-4, finite_float, "centered-difference step"),
         Param("field_checks", True, help="skip the field-side spot checks",
               action="negated"))),
@@ -826,7 +843,7 @@ _OPERATIONS = {
             Param("epsilon", None, finite_float,
                   "vertical lift (default: 2x the field sup bound)"),
             Param("h0", 1.95, finite_float, "seed height"),
-            Param("seeds", 64, int, "seeds per axis"),
+            Param("seeds", 64, int_range(1, 256), "seeds per axis"),
             Param("box", "-2.7,3.3;0,1", help="seed box 'lo,hi;lo,hi'"),
             Param("refine", False, action="store_true",
                   help="rerun with doubled seeds and compare residuals"),
@@ -834,7 +851,8 @@ _OPERATIONS = {
                   "required residual shrink"),
             Param("gauge_constant", None, finite_float,
                   "check the displacement bound for this gauge constant"),
-            Param("plot_seeds", 6, int, "seeds per axis of the plotted paths"),
+            Param("plot_seeds", 6, int_range(1, 64),
+                  "seeds per axis of the plotted paths"),
             Param("rtol", 1e-10, finite_float, "ODE relative tolerance"),
             _tol("residual_tol", 1e-6))),
     "strip-identity": Operation(

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import _ode, _quad
 from .calculus import GridSpec
-from .fields import (CylindricalPotential, PhiFunction, VectorField,
-                     extrude_field_3d, gamma_bounds)
+from .fields import CylindricalPotential, PhiFunction, VectorField, gamma_bounds
 from .report import CheckResult, VerificationReport
 
 __all__ = [
@@ -166,13 +165,11 @@ class FlowTube:
         return rep
 
 
-def _tube_field(eta: VectorField, A) -> VectorField:
-    if eta.dim == len(A) + 1:
-        return eta
-    if eta.dim == 2 and len(A) == 2:
-        return extrude_field_3d(eta)
-    raise ValueError(f"seed box of dimension {len(A)} does not match "
-                     f"a field of dimension {eta.dim}")
+def _check_tube_box(eta: VectorField, A) -> None:
+    # a planar field over a 2D box stands for its extrusion along x2
+    if eta.dim != len(A) + 1 and not (eta.dim == 2 and len(A) == 2):
+        raise ValueError(f"seed box of dimension {len(A)} does not match "
+                         f"a field of dimension {eta.dim}")
 
 
 def _audit_tube_preconditions(eta: VectorField, epsilon: float,
@@ -180,10 +177,11 @@ def _audit_tube_preconditions(eta: VectorField, epsilon: float,
     if eta.analytic_div is None:
         raise ValueError("flow tube needs a certified divergence-free field")
     rng = np.random.default_rng(20260819)
-    n = eta.dim
     los = np.array([lo for lo, _ in A] + [0.0])
     his = np.array([hi for _, hi in A] + [h0])
-    pts = los + (his - los) * rng.uniform(0.0, 1.0, size=(128, n))
+    pts = los + (his - los) * rng.uniform(0.0, 1.0, size=(128, len(A) + 1))
+    if eta.dim < pts.shape[1]:
+        pts = pts[:, [0, -1]]   # the planar section of the extruded box
     div = eta.analytic_div(pts)
     if np.max(np.abs(div)) > 1e-10:
         raise ValueError("field's declared divergence is not zero")
@@ -207,10 +205,19 @@ def _seed_transport(X: VectorField, A, h0: float, seeds_per_axis: int,
     Jacobian delta.  Returns the seeds, the seed cell measure, the ODE
     result and the smallest delta and widest horizontal excursion seen by
     the right-hand side.
+
+    A planar X over a 2D box stands for its extrusion, which neither
+    moves nor depends on x2: only the seeds of one q1 column are flowed,
+    and the result (every recorded state too) is copied along q2 into the
+    grid's order.  The copies would have taken the same adaptive steps,
+    since the x2 column's error estimate is exactly zero.
     """
+    s = seeds_per_axis
+    seeds, cell = _quad.midpoint_grid(A, [s] * len(A))
+    section = X.dim < len(A) + 1
+    flown = seeds[::s, :1] if section else seeds
     n = X.dim
-    seeds, cell = _quad.midpoint_grid(A, [seeds_per_axis] * (n - 1))
-    nseeds = seeds.shape[0]
+    nseeds = flown.shape[0]
     watch = {"min_delta": math.inf, "max_span": 0.0}
 
     def rhs(h, Y):
@@ -233,8 +240,21 @@ def _seed_transport(X: VectorField, A, h0: float, seeds_per_axis: int,
         watch["min_delta"] = min(watch["min_delta"], float(np.min(Y[:, -1])))
         return dY
 
-    Y0 = np.concatenate([seeds, np.ones((nseeds, 1))], axis=1)
+    Y0 = np.concatenate([flown, np.ones((nseeds, 1))], axis=1)
     res = _ode.rk45(rhs, h0, Y0, 0.0, rtol=rtol, atol=1e-13, record=record)
+    if section:
+        q2 = seeds[:s, 1]
+
+        def extrude(Y):
+            out = np.empty((s * s, 3))
+            out[:, 0] = np.repeat(Y[:, 0], s)
+            out[:, 1] = np.tile(q2, s)
+            out[:, 2] = np.repeat(Y[:, 1], s)
+            return out
+
+        res.y = extrude(res.y)
+        res.path_y = [extrude(Y) for Y in res.path_y]
+        watch["max_span"] = max(watch["max_span"], float(np.max(np.abs(q2))))
     return seeds, cell, res, watch
 
 
@@ -245,11 +265,17 @@ def build_flow_tube(eta: VectorField, epsilon: float, A, h0: float,
     """Seed a midpoint grid on A x {h0}, flow down to height zero, and
     compare epsilon times the transported bottom measure with an
     independent adaptive quadrature of the top flux.
+
+    A planar field with a 2D box A = A1 x A2 is the tube of its extrusion
+    (f1(x1, x3), 0, f2(x1, x3)).  That tube is a product: each trajectory
+    is the planar one from (q1, h0) with x2 = q2 held fixed, and the top
+    flux is |A2| times the planar top flux over A1.  Both are computed in
+    the plane, with the same numbers as the extruded 3D field gives.
     """
     A = [tuple(map(float, ab)) for ab in A]
-    field3 = _tube_field(eta, A)
-    _audit_tube_preconditions(field3, epsilon, A, h0)
-    X = lifted_field(field3, epsilon)
+    _check_tube_box(eta, A)
+    _audit_tube_preconditions(eta, epsilon, A, h0)
+    X = lifted_field(eta, epsilon)
     n = X.dim
     seeds, cell, res, watch = _seed_transport(X, A, h0, seeds_per_axis, rtol)
     deltas = res.y[:, -1]
@@ -261,17 +287,18 @@ def build_flow_tube(eta: VectorField, epsilon: float, A, h0: float,
         pts = np.empty((q.size, n))
         pts[:, 0] = q
         pts[:, -1] = h0
-        return field3.eval(pts)[:, -1]
+        return eta.eval(pts)[:, -1]
 
     if n == 2:
-        top_field = _quad.adaptive_gauss_1d(top_flux_1d, A[0][0], A[0][1],
-                                            rtol=1e-11, atol=1e-13)
+        depth = math.prod(hi - lo for lo, hi in A[1:])   # |A2|, or 1
+        top_field = depth * _quad.adaptive_gauss_1d(
+            top_flux_1d, A[0][0], A[0][1], rtol=1e-11, atol=1e-13)
     else:
         def top_flux_2d(pts2):
             pts = np.empty((pts2.shape[0], 3))
             pts[:, :2] = pts2
             pts[:, 2] = h0
-            return field3.eval(pts)[:, -1]
+            return eta.eval(pts)[:, -1]
 
         top_field = _quad.adaptive_gauss_2d(
             top_flux_2d, (A[0][0], A[0][1], A[1][0], A[1][1]),
@@ -307,7 +334,8 @@ def flow_tube_trajectories(eta: VectorField, epsilon: float, A, h0: float,
     """Recorded trajectory samples (seed, height, position, delta) for
     plotting; a coarse seed grid keeps the output small."""
     A = [tuple(map(float, ab)) for ab in A]
-    X = lifted_field(_tube_field(eta, A), epsilon)
+    _check_tube_box(eta, A)
+    X = lifted_field(eta, epsilon)
     seeds, _, res, _ = _seed_transport(X, A, h0, seeds_per_axis, rtol,
                                        record=True)
     rows = []
@@ -503,13 +531,22 @@ def separable_demo(gamma: float, rho0: float, psi0: float,
 
     The profile explodes at finite radius rho* = rho0 exp(1/(gamma psi0));
     before that it must violate the slope cap |psi'| <= rho, which is the
-    numerical content of the obstruction in three dimensions.
+    numerical content of the obstruction in three dimensions.  Parameters
+    whose blow-up radius is not a finite float raise ValueError up front.
     """
     if min(gamma, rho0, psi0) <= 0:
         raise ValueError("gamma, rho0, psi0 must be positive")
+    try:
+        rho_star = rho0 * math.exp(1.0 / (gamma * psi0))
+    except (OverflowError, ZeroDivisionError):
+        rho_star = math.inf
+    # the integration runs out to twice the closed-form radius
+    if not math.isfinite(2.0 * rho_star):
+        raise ValueError(
+            f"blow-up radius rho0*exp(1/(gamma*psi0)) is not a finite float "
+            f"for gamma={gamma:g}, rho0={rho0:g}, psi0={psi0:g}")
     rep = VerificationReport(
         scenario=f"separable:gamma={gamma:g}:rho0={rho0:g}:psi0={psi0:g}")
-    rho_star = rho0 * math.exp(1.0 / (gamma * psi0))
 
     def rhs(rho, y):
         return gamma * y * y / rho

@@ -129,14 +129,31 @@ class TestExitCodes:
         assert code == 2
         assert "positive and finite" in err and "PASS" not in out
 
-    @pytest.mark.parametrize("argv", [
-        ["certify", "--margin-tol", "nan", "--no-field-checks"],
-        ["demo", "separable", "--gamma", "inf"],
-        ["flow-tube", "--h0", "nan", "--seeds", "4"],
-    ], ids=["nan-tolerance", "inf-parameter", "nan-height"])
-    def test_non_finite_number_is_usage_error(self, argv):
-        with pytest.raises(UsageError, match="invalid finite_float value"):
+    # out-of-range counts are turned away by the same converter step,
+    # before anything is allocated
+    @pytest.mark.parametrize("argv,message", [
+        (["certify", "--margin-tol", "nan", "--no-field-checks"],
+         "invalid finite_float value"),
+        (["demo", "separable", "--gamma", "inf"], "invalid finite_float value"),
+        (["flow-tube", "--h0", "nan", "--seeds", "4"],
+         "invalid finite_float value"),
+        (["certify", "--fd-points", "2000000000"],
+         r"--fd-points: invalid integer in \[1, 100000\]"),
+        (["flow-tube", "--seeds", "0"],
+         r"--seeds: invalid integer in \[1, 256\]"),
+        (["flow-tube", "--plot-seeds", "-1"],
+         r"--plot-seeds: invalid integer in \[1, 64\]"),
+    ], ids=["nan-tolerance", "inf-parameter", "nan-height", "huge-fd-points",
+            "zero-seeds", "negative-plot-seeds"])
+    def test_non_finite_number_is_usage_error(self, argv, message):
+        with pytest.raises(UsageError, match=message):
             build_parser().parse_args(argv)
+
+    def test_blowup_radius_beyond_floats_is_usage_error(self, capsys):
+        code, out, err = run_main(["demo", "separable", "--gamma", "1e-3",
+                                   "--rho0", "1", "--psi0", "1e-3"], capsys)
+        assert code == 2
+        assert "not a finite float" in err and "FAIL" not in out
 
     def test_non_finite_point_is_usage_error(self, capsys):
         code, _, err = run_main(["nalpha", "--x0", "inf,0"], capsys)
@@ -286,6 +303,7 @@ class TestConfig:
     @pytest.mark.parametrize("argv,config", [
         (["demo", "separable"], {"gamma": "abc"}),
         (["flow-tube"], {"seeds": 2.5}),
+        (["flow-tube"], {"seeds": 0}),
     ])
     def test_config_value_converted_like_a_flag(self, tmp_path, capsys,
                                                 argv, config):

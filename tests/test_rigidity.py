@@ -14,7 +14,7 @@ import pytest
 from divlab.calculus import GridSpec
 from divlab.fields import (
     AUTO, CylindricalPotential, constant_field, counterexample_potential,
-    stream_bump_field, zero_field,
+    get_field, stream_bump_field, zero_field,
 )
 from divlab.rigidity import (
     CERTIFIED, INCONCLUSIVE, VIOLATED, MonotonicityViolation,
@@ -166,6 +166,39 @@ class TestFlowTube:
         assert heights[0] == 0.0 and heights[-1] == 1.95
         assert all(row["delta"] > 0.0 for row in rows)
 
+    def test_planar_tube_flows_one_seed_column_of_its_extrusion(
+            self, stream_bump):
+        # the planar field stands for its extrusion along x2: the same
+        # numbers, from one flowed seed column instead of all 8^2 seeds
+        eps = 2.0 * stream_bump.sup_bound
+        extruded = get_field("stream:bump:3d")
+        sizes = {"eval": [], "jac": []}
+
+        def counting(kind, fn):
+            def wrapped(pts):
+                sizes[kind].append(pts.shape[0])
+                return fn(pts)
+            return wrapped
+
+        planar = dataclasses.replace(
+            stream_bump, eval=counting("eval", stream_bump.eval),
+            analytic_jacobian=counting("jac", stream_bump.analytic_jacobian))
+        tubes = [build_flow_tube(f, eps, TUBE_BOX, 1.95, seeds_per_axis=8,
+                                 gauge_constant=0.5)
+                 for f in (planar, extruded)]
+        for name in ("residual", "bottom_measure", "top_integral",
+                     "delta_min", "R_bound", "displacement_margin"):
+            assert getattr(tubes[0], name) == getattr(tubes[1], name), name
+        assert sizes["jac"] and max(sizes["jac"]) <= 8
+
+        sizes["eval"].clear()
+        rows = flow_tube_trajectories(planar, eps, TUBE_BOX, 1.95,
+                                      seeds_per_axis=8)
+        assert rows == flow_tube_trajectories(extruded, eps, TUBE_BOX, 1.95,
+                                              seeds_per_axis=8)
+        assert len(rows) % 64 == 0
+        assert sizes["eval"] and max(sizes["eval"]) <= 8
+
     def test_audit_rejects_missing_divergence(self):
         f = constant_field((0.0, 0.0))
         bare = type(f)(dim=2, eval=f.eval, sup_bound=0.0, name="bare")
@@ -258,3 +291,10 @@ class TestSeparableDemo:
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError, match="positive"):
             separable_demo(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("gamma,rho0,psi0", [
+        (1e-3, 1.0, 1e-3), (1e-200, 1.0, 1e-200), (1.0, 1e308, 1e6),
+    ], ids=["exp-overflow", "rate-underflow", "horizon-overflow"])
+    def test_rejects_a_blowup_radius_beyond_floats(self, gamma, rho0, psi0):
+        with pytest.raises(ValueError, match="not a finite float"):
+            separable_demo(gamma, rho0, psi0)
