@@ -25,15 +25,14 @@ from .fields import (AUTO, CylindricalPotential, OutOfDomainError,
                      phi_linear, phi_quadratic, potential_to_field,
                      stream_bump_field, zero_field)
 from .blowup import (BlowupSequence, blowup_sequence,
-                     blowup_trace_consistency, bump_density,
-                     hash_unit_ball_field, nalpha_density,
-                     quadratic_inequality_check, rescale, weak_star_average)
+                     blowup_trace_consistency, hash_unit_ball_field,
+                     nalpha_density, quadratic_inequality_check, rescale)
 from .report import (CheckResult, FAIL, INFO, PASS, SKIPPED,
                      VerificationReport)
 from .rigidity import (CERTIFIED, VIOLATED, FlowTube, MonotonicityViolation,
                        RigidityCertificate, build_flow_tube,
                        certify_potential, default_certification_grid,
-                       gamma_bounds, integrate_flow, lifted_field,
+                       gamma_bounds, lifted_field,
                        separable_demo, strip_identity_2d)
 from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
                     DensityProbe, OrientedInterface, TraceProbe,

@@ -1,6 +1,6 @@
-"""Rescaling analysis around interface points: blow-up sequences, weak-star
-averages against test densities, deviation-set densities, the quadratic
-pointwise inequality, and per-scale trace consistency.
+"""Rescaling analysis around interface points: blow-up sequences,
+deviation-set densities, the quadratic pointwise inequality, and per-scale
+trace consistency.
 
 Everything here is per-scale evidence: finite sequences cannot certify a
 limit, so probes report defects together with fitted decay exponents and
@@ -11,21 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _quad
 from .calculus import (GridSpec, AnnulusRegion, bump_test,
                        gauss_green_residual, constant_test)
-from .fields import Exclusion, VectorField, bump
+from .fields import Exclusion, VectorField
 from .report import CheckResult, VerificationReport
-from .trace import OrientedInterface, DensityProbe, _tail_fit, density, \
-    deviation_indicator, weak_trace_ball_average
+from .trace import OrientedInterface, DensityProbe, _eddy_pairings, \
+    density, deviation_indicator, weak_trace_ball_average
 
 __all__ = [
     "rescale", "BlowupSequence", "blowup_sequence",
-    "TestDensity", "bump_density", "WeakStarProbe", "weak_star_average",
     "nalpha_density", "quadratic_inequality_check",
     "blowup_trace_consistency", "ConsistencyReport", "hash_unit_ball_field",
 ]
@@ -111,110 +110,6 @@ def blowup_sequence(z: VectorField, x0, radii) -> BlowupSequence:
 
 
 # ---------------------------------------------------------------------------
-# test densities and weak-star averages
-
-@dataclass(frozen=True)
-class TestDensity:
-    value: Callable[[np.ndarray], np.ndarray]
-    center: tuple
-    radius: float
-    label: str
-
-    def mass_defect(self, rtol: float = 1e-10) -> float:
-        m = _quad.adaptive_ball_quad(self.value, np.asarray(self.center),
-                                     self.radius, len(self.center),
-                                     rtol=rtol, atol=1e-14)
-        return abs(m - 1.0)
-
-
-def bump_density(center, radius: float, dim: int = 2,
-                 label: str = "") -> TestDensity:
-    """Smooth nonnegative weight of unit mass, compactly supported in the
-    ball of the given radius; normalization is by 1D radial quadrature and
-    re-audited independently by the mass_defect method."""
-    c = np.asarray(center, dtype=float)
-    radial = _quad.adaptive_gauss_1d(
-        lambda s: bump(s / radius) * s ** (dim - 1), 0.0, radius,
-        rtol=1e-12, atol=1e-16)
-    mass = _quad.sphere_area(dim) * radial
-
-    def val(pts):
-        s = np.linalg.norm(pts - c, axis=1)
-        return bump(s / radius) / mass
-
-    return TestDensity(value=val, center=tuple(c.tolist()), radius=radius,
-                       label=label or f"bump at {c.tolist()} r={radius:g}")
-
-
-@dataclass(frozen=True)
-class WeakStarProbe:
-    density_labels: tuple
-    radii: tuple
-    averages: tuple         # [density][k] -> vector tuple
-    squares: tuple          # [density][k] -> scalar
-    jensen_margins: tuple   # [density][k] -> scalar
-    mass_defects: tuple
-    limit_candidates: tuple  # [density] -> vector tuple
-
-    def rows(self) -> list[dict]:
-        out = []
-        for d, label in enumerate(self.density_labels):
-            for k, r in enumerate(self.radii):
-                out.append({
-                    "density": label, "k": k, "radius": r,
-                    "average": list(self.averages[d][k]),
-                    "jensen_margin": self.jensen_margins[d][k],
-                })
-        return out
-
-
-def weak_star_average(seq: BlowupSequence, f_family,
-                      rtol: float = 1e-9,
-                      mass_tol: float = 1e-8) -> WeakStarProbe:
-    """Averages of each rescaled field against fixed test densities, with
-    the second-moment comparison that convexity forces."""
-    labels, averages, squares, margins, defects, limits = \
-        [], [], [], [], [], []
-    for f in f_family:
-        defect = f.mass_defect()
-        if defect > mass_tol:
-            raise ValueError(f"test density {f.label} has mass defect "
-                             f"{defect:.3e}")
-        c = np.asarray(f.center)
-        dim = c.size
-        per_avg, per_sq, per_margin = [], [], []
-        for zk in seq.fields:
-            comps = []
-            for i in range(dim):
-                comps.append(_quad.adaptive_ball_quad(
-                    lambda pts, i=i: f.value(pts) * zk.eval(pts)[:, i],
-                    c, f.radius, dim, rtol=rtol, atol=1e-13))
-            sq = _quad.adaptive_ball_quad(
-                lambda pts: f.value(pts) * np.sum(zk.eval(pts) ** 2, axis=1),
-                c, f.radius, dim, rtol=rtol, atol=1e-13)
-            avg = np.array(comps)
-            per_avg.append(tuple(avg.tolist()))
-            per_sq.append(sq)
-            per_margin.append(sq - float(avg @ avg))
-        labels.append(f.label)
-        averages.append(tuple(per_avg))
-        squares.append(tuple(per_sq))
-        margins.append(tuple(per_margin))
-        defects.append(defect)
-        lim = []
-        for i in range(dim):
-            comp_series = [a[i] for a in per_avg]
-            intercept, _, _ = _tail_fit(seq.radii, comp_series)
-            lim.append(intercept)
-        limits.append(tuple(lim))
-    return WeakStarProbe(
-        density_labels=tuple(labels), radii=seq.radii,
-        averages=tuple(averages), squares=tuple(squares),
-        jensen_margins=tuple(margins), mass_defects=tuple(defects),
-        limit_candidates=tuple(limits))
-
-
-# ---------------------------------------------------------------------------
 # deviation-set densities
 
 def nalpha_density(xi: VectorField, S: OrientedInterface, x0, alpha: float,
@@ -289,38 +184,19 @@ def quadratic_inequality_check(xi: VectorField, points,
 # ---------------------------------------------------------------------------
 # per-scale trace consistency
 
-def _ball_rule_pairing(field2: VectorField, zk: VectorField, r_k: float,
-                       x0: np.ndarray, psi) -> float:
-    # rotational-eddy fields: the gradient pairing decomposes over eddies
-    total = 0.0
-    pc = np.asarray(psi.center)
-    for b in field2.eddies.balls:
-        yb = (b.center - x0) / r_k
-        rb = b.radius / r_k
-        if np.linalg.norm(yb - pc) > psi.radius + rb:
-            continue
-        pts, w = _quad.ball_rule(2, yb, rb, radial_order=16, angular_order=32)
-        grads = psi.gradient(pts)
-        total += float(np.sum(w * np.einsum("ij,ij->i", zk.eval(pts), grads)))
-    return total
-
-
-def _halfspace_lhs(seq: BlowupSequence, k: int, psi,
-                   nu: np.ndarray, rtol: float) -> float:
+def _halfspace_lhs(seq: BlowupSequence, k: int, psi_family,
+                   nu: np.ndarray, rtol: float) -> list[float]:
     """integral over (rescaled domain) ∩ (inward half plane) ∩ supp psi of
-    psi * div z_k + grad psi . z_k, in blow-up coordinates."""
+    psi * div z_k + grad psi . z_k, in blow-up coordinates, for each psi."""
     zk = seq.fields[k]
     r_k = seq.radii[k]
     x0 = np.asarray(seq.x0)
     base = seq.base
-    tdir = np.array([-nu[1], nu[0]])
-    pc = np.asarray(psi.center)
-    t_c = float(pc @ tdir)
-    s_c = float(pc @ (-nu))
 
     if base.eddies is not None:
         # divergence-free eddies: the div term vanishes identically
-        return _ball_rule_pairing(base, zk, r_k, x0, psi)
+        return _eddy_pairings(base.eddies, zk, psi_family, lambda r: 32,
+                              x0=x0, scale=r_k)
 
     # the rescaled domain begins at inward depth s_star(t) from the flat
     # line: 0 for a global field, the disk's sagitta for a rim point
@@ -331,38 +207,47 @@ def _halfspace_lhs(seq: BlowupSequence, k: int, psi,
                              "boundary description")
         if abs(np.linalg.norm(x0) - R) > 1e-9:
             raise ValueError("blow-up center must sit on the disk boundary")
+    tdir = np.array([-nu[1], nu[0]])
 
-    def g(y):
-        div = zk.analytic_div(y) if zk.analytic_div is not None \
-            else np.zeros(y.shape[0])
-        return psi.value(y) * div + np.einsum(
-            "ij,ij->i", zk.eval(y), psi.gradient(y))
+    def lhs(psi) -> float:
+        pc = np.asarray(psi.center)
+        t_c = float(pc @ tdir)
+        s_c = float(pc @ (-nu))
 
-    def inner(t_arr):
-        # one batched s-quadrature, a row per outer node t.  The depths stay
-        # scalar arithmetic: numpy's array `** 2` rounds differently from
-        # the scalar power for about 1 input in 1,000, which would move the
-        # s-nodes and the reported digits
-        s_star = np.zeros(t_arr.size)
-        if base.domain is not None:
-            s_star = np.array([
-                (R / r_k) * (1.0 - math.sqrt(max(1.0 - (r_k * t / R) ** 2,
-                                                 0.0)))
-                for t in t_arr])
-        hi = s_c + psi.radius
-        # an empty row (hi <= lo) has a == b and integrates to 0
-        lo = np.minimum(np.maximum(s_star, s_c - psi.radius), hi)
+        def g(y):
+            div = zk.analytic_div(y) if zk.analytic_div is not None \
+                else np.zeros(y.shape[0])
+            return psi.value(y) * div + np.einsum(
+                "ij,ij->i", zk.eval(y), psi.gradient(y))
 
-        def rows_g(rows, s):
-            y = t_arr[rows, None, None] * tdir + s[:, :, None] * -nu
-            return g(y.reshape(-1, 2)).reshape(s.shape)
+        def inner(t_arr):
+            # one batched s-quadrature, a row per outer node t.  The depths
+            # stay scalar arithmetic: numpy's array `** 2` rounds differently
+            # from the scalar power for about 1 input in 1,000, which would
+            # move the s-nodes and the reported digits
+            s_star = np.zeros(t_arr.size)
+            if base.domain is not None:
+                s_star = np.array([
+                    (R / r_k) * (1.0 - math.sqrt(max(1.0 - (r_k * t / R) ** 2,
+                                                     0.0)))
+                    for t in t_arr])
+            hi = s_c + psi.radius
+            # an empty row (hi <= lo) has a == b and integrates to 0
+            lo = np.minimum(np.maximum(s_star, s_c - psi.radius), hi)
 
-        return _quad.adaptive_gauss_rows(rows_g, lo, np.full(t_arr.size, hi),
-                                         rtol=rtol, atol=1e-14)
+            def rows_g(rows, s):
+                y = t_arr[rows, None, None] * tdir + s[:, :, None] * -nu
+                return g(y.reshape(-1, 2)).reshape(s.shape)
 
-    return _quad.adaptive_gauss_1d(inner, t_c - psi.radius,
-                                   t_c + psi.radius,
-                                   rtol=rtol, atol=1e-14)
+            return _quad.adaptive_gauss_rows(rows_g, lo,
+                                             np.full(t_arr.size, hi),
+                                             rtol=rtol, atol=1e-14)
+
+        return _quad.adaptive_gauss_1d(inner, t_c - psi.radius,
+                                       t_c + psi.radius,
+                                       rtol=rtol, atol=1e-14)
+
+    return [lhs(psi) for psi in psi_family]
 
 
 def _off_interface_div_mass(seq: BlowupSequence, k: int, psi,
@@ -458,8 +343,8 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
     defects_b = []
     for k in range(len(seq)):
         worst = 0.0
-        for psi in psi_family:
-            lhs = _halfspace_lhs(seq, k, psi, nu, rtol)
+        lhs_family = _halfspace_lhs(seq, k, psi_family, nu, rtol)
+        for psi, lhs in zip(psi_family, lhs_family):
             t_c = float(np.asarray(psi.center) @ tdir)
             bdry = _quad.adaptive_gauss_1d(
                 lambda t: psi.value(np.outer(t, tdir)),

@@ -35,8 +35,9 @@ from .blowup import (blowup_sequence, blowup_trace_consistency,
                      quadratic_inequality_check)
 from .calculus import (GridSpec, RectRegion, bump_test, jensen_check,
                        make_mollifier, mollify, numeric_divergence)
-from .fields import (AUTO, REGISTRY_EXAMPLES, counterexample_potential,
-                     constant_field, field_to_potential, gamma_bounds,
+from .fields import (AUTO, MAX_DIMENSION, REGISTRY_EXAMPLES,
+                     counterexample_potential, constant_field,
+                     field_to_potential, gamma_bounds,
                      get_field, make_counterexample_field, parse_field_id,
                      parse_gamma, phi_quadratic, potential_to_field,
                      stream_bump_field)
@@ -806,7 +807,8 @@ _RADII = Param("radii", "auto",
 _INTERFACE = Param("interface", "auto",
                    help="'auto', 'line[:origin=a,b][:dir=a,b]' or "
                         "'circle[:center=a,b][:R=r][:inward]'")
-_SAMPLES = Param("samples", 100_000, int, "Monte Carlo samples per radius")
+_SAMPLES = Param("samples", 100_000, int_range(1, 1_000_000),
+                 "Monte Carlo samples per radius")
 _VALUE = Param("value", 0.0, finite_float, "expected value")
 _VALUE_TOL = _tol("value_tol", 1e-2)
 
@@ -827,7 +829,8 @@ _OPERATIONS = {
         _field("counterexample:n=4:gamma=auto"), _SEED,
         Param("c", 1.0, finite_float,
               "balance constant in the third condition"),
-        Param("resolution", 200, int, "certification grid nodes per axis"),
+        Param("resolution", 200, int_range(1, 2000),
+              "certification grid nodes per axis"),
         _expect("certified", "violated", "none"),
         _tol("margin_tol", 1e-12),
         Param("speed_tol", 1e-12, finite_float, tol=True, flag=False),
@@ -870,7 +873,8 @@ _OPERATIONS = {
         Param("rho", 0.2, finite_float, "curvilinear rectangle half-width"),
         Param("omega", "unit-square",
               help="pairing region: 'unit-square' or 'a,b;c,d'"),
-        Param("bumps", 10, int, "random test bumps for the pairing"),
+        Param("bumps", 10, int_range(1, 1000),
+              "random test bumps for the pairing"),
         Param("bump_radius", 0.125, finite_float, "test bump radius"),
         Param("rtol", 1e-9, finite_float, "quadrature relative tolerance"),
         _expect("none", "value", "oscillating"), _VALUE, _VALUE_TOL,
@@ -906,19 +910,21 @@ _OPERATIONS = {
     "demo-jensen": Operation(
         _h_demo_jensen, "smoothing preserves gauge domination", (
             _SEED, Param("epsilon", 0.05, finite_float, "mollifier radius"),
-            Param("dim", 2, int, "dimension"),
-            Param("grid_n", 21, int, "grid nodes per axis"),
+            Param("dim", 2, int_range(2, 4), "dimension"),
+            Param("grid_n", 21, int_range(1, 41), "grid nodes per axis"),
             Param("fd_step", 1e-4, finite_float, "centered-difference step"),
             _tol("jensen_tol", 1e-6), _tol("div_tol", 1e-6))),
     "demo-quadratic": Operation(
         _h_demo_quadratic, "pointwise quadratic margin identity", (
-            _SEED, Param("samples", 10_000, int, "unit-ball sample points"),
-            Param("dim", 2, int, "dimension"), _tol("margin_tol", 1e-12))),
+            _SEED, Param("samples", 10_000, int_range(1, 1_000_000),
+                         "unit-ball sample points"),
+            Param("dim", 2, int_range(1, 16), "dimension"),
+            _tol("margin_tol", 1e-12))),
     "demo-roundtrip": Operation(
         _h_demo_roundtrip, "potential/field reconstruction round trip", (
-            Param("n", 4, int, "dimension"),
+            Param("n", 4, int_range(4, MAX_DIMENSION), "dimension"),
             Param("gamma", AUTO, parse_gamma, "amplitude or 'auto'"),
-            Param("resolution", 50, int, "grid nodes per axis"),
+            Param("resolution", 50, int_range(1, 500), "grid nodes per axis"),
             _tol("field_tol", 1e-12), _tol("potential_tol", 1e-8))),
 }
 

@@ -366,57 +366,60 @@ class Ball:
 class EddyStack:
     """Disjoint eddy balls, ordered by level; the field inside ball b is
     calibration * profile(s / b.radius) / s times (p - b.center)-perp,
-    with s = |p - b.center|."""
+    with s = |p - b.center|.
+
+    A level-i ball lies in the band 0.75 * 2^-i < y < 1.25 * 2^-i.  The
+    bands are disjoint and the centers of one level are 2^-i apart, more
+    than two radii, so a point can only sit in the ball of level
+    rint(-log2 y) whose center is nearest to it."""
     balls: tuple[Ball, ...]
     calibration: float
     profile: Callable[[np.ndarray], np.ndarray]
 
 
-# each level doubles the eddy count; building level 13 takes about 3 s
+# each level doubles the eddy count: 13 levels hold 16,369 balls, and the
+# per-ball loops of the trace and blow-up probes grow with that count
 MAX_TWISTING_LEVELS = 13
 # registry fields' dimension: `certify` allocates 4 * fd_points * n floats
 # for its divergence sample before it checks anything
 MAX_DIMENSION = 64
 
 
+def _level_geometry(max_level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Height 2^-i and radius 2^-(i+2) of the level-i eddies, i = 1..max_level."""
+    heights = np.array([2.0**-i for i in range(1, max_level + 1)])
+    radii = np.array([2.0**-(i + 2) for i in range(1, max_level + 1)])
+    return heights, radii
+
+
 def _twisting_balls(max_level: int) -> list[Ball]:
+    heights, radii = _level_geometry(max_level)
     balls = []
     for i in range(1, max_level + 1):
-        y = 2.0**-i
-        r = 2.0**-(i + 2)
+        y, r = float(heights[i - 1]), float(radii[i - 1])
         for j in range(1, 2**i):
             balls.append(Ball(np.array([j * 2.0**-i, y]), r, i, j))
     return balls
 
 
-def _assert_disjoint(max_level: int) -> None:
-    # exact arithmetic: scale every length by 2^(max_level + 2); the scaled
-    # integers and their squared sums stay far below 2**53, so float64
-    # comparisons are exact
-    L = max_level
-    cx, cy, rad = [], [], []
-    for i in range(1, L + 1):
-        s = float(2 ** (L + 2 - i))
-        j = np.arange(1, 2**i, dtype=np.float64)
-        cx.append(j * s)
-        cy.append(np.full(j.size, s))
-        rad.append(np.full(j.size, float(2 ** (L - i))))
-    cx = np.concatenate(cx)
-    cy = np.concatenate(cy)
-    rad = np.concatenate(rad)
-    n = cx.size
-    step = max(64, (1 << 22) // n)
-    for a in range(0, n, step):
-        b = min(n, a + step)
-        dx = cx[a:b, None] - cx[None, :]
-        dy = cy[a:b, None] - cy[None, :]
-        rr = rad[a:b, None] + rad[None, :]
-        bad = dx * dx + dy * dy < rr * rr
-        bad[np.arange(b - a), np.arange(a, b)] = False  # self pairs
-        if np.any(bad):
-            p, q = np.argwhere(bad)[0]
+def _assert_disjoint(heights: np.ndarray, radii: np.ndarray) -> None:
+    """Check the band and spacing argument of `EddyStack`, level by level.
+
+    Two balls of level i are disjoint when 2 r_i < 2^-i, their center
+    spacing; balls of different levels are disjoint when the band of level
+    i + 1 ends below the band of level i.  Sums of powers of two are exact
+    in float64, so the comparisons are exact.  The lookup rint(-log2 y)
+    must also name level i at both band edges.
+    """
+    for i in range(1, heights.size + 1):
+        h, r = heights[i - 1], radii[i - 1]
+        if not 2.0 * r < 2.0**-i:
+            raise AssertionError(f"eddy supports overlap within level {i}")
+        if i < heights.size and not heights[i] + radii[i] < h - r:
             raise AssertionError(
-                f"eddy supports overlap: indices {a + int(p)} and {int(q)}")
+                f"eddy supports overlap between levels {i} and {i + 1}")
+        if not np.rint(-np.log2(h - r)) == i == np.rint(-np.log2(h + r)):
+            raise AssertionError(f"level {i} band straddles a lookup cell")
 
 
 def make_twisting_field(max_level: int = 8,
@@ -428,45 +431,53 @@ def make_twisting_field(max_level: int = 8,
     f(s) = cal * profile(s / r) / s, calibrated so the per-ball sup of the
     speed is exactly 1.  Eddies never overlap, so the field is smooth and
     divergence-free on the whole plane.
+
+    Level i's balls fill the band 0.75 * 2^-i < y < 1.25 * 2^-i and sit
+    2^-i apart, twice their diameter; the bands of different levels are
+    disjoint.  So each point is tested against one ball only: the one of
+    level rint(-log2 y) with the nearest dyadic center.
     """
     if not 1 <= max_level <= MAX_TWISTING_LEVELS:
         raise ValueError(
             f"max_level must be between 1 and {MAX_TWISTING_LEVELS}")
-    _assert_disjoint(max_level)
+    heights, radii = _level_geometry(max_level)
+    _assert_disjoint(heights, radii)
     balls = _twisting_balls(max_level)
 
     # speed is cal * profile(s/r): sup over s equals cal * peak(profile)
     _, peak = golden_max(lambda u: float(profile(u)), 1e-12, 1.0 - 1e-12, 1e-12)
     cal = 1.0 / peak
 
-    heights = np.array([2.0**-i for i in range(1, max_level + 1)])
-    radii = np.array([2.0**-(i + 2) for i in range(1, max_level + 1)])
+    scales = np.array([2.0**i for i in range(1, max_level + 1)])
+    name = f"twisting:levels={max_level}"
 
     def ev(pts):
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"{name}: non-finite point {pts[~finite][0].tolist()}")
         out = np.zeros((pts.shape[0], 2))
-        x, y = pts[:, 0], pts[:, 1]
-        for lev in range(1, max_level + 1):
-            r = radii[lev - 1]
-            cy = heights[lev - 1]
-            # only the nearest dyadic center at this level can contain a point
-            j = np.rint(x * 2.0**lev)
-            inside_j = (j >= 1) & (j <= 2**lev - 1)
-            if not np.any(inside_j):
-                continue
-            cx = j * 2.0**-lev
-            dx = x - cx
-            dy = y - cy
-            s = np.hypot(dx, dy)
-            m = inside_j & (s > 0.0) & (s < r)
-            if not np.any(m):
-                continue
-            speed = cal * profile(s[m] / r) / s[m]
-            out[m, 0] += speed * (-dy[m])
-            out[m, 1] += speed * dx[m]
+        # only the level rint(-log2 y) can hold a point (see EddyStack)
+        k = np.flatnonzero(pts[:, 1] > 0.0)
+        lev = np.rint(-np.log2(pts[k, 1]))
+        ok = (lev >= 1) & (lev <= max_level)
+        k = k[ok]
+        i = lev[ok].astype(np.intp) - 1
+        x, y, r, scale = pts[k, 0], pts[k, 1], radii[i], scales[i]
+        # only the nearest dyadic center at this level can contain a point
+        j = np.rint(x * scale)
+        inside_j = (j >= 1) & (j <= scale - 1)
+        dx = x - j / scale
+        dy = y - heights[i]
+        s = np.hypot(dx, dy)
+        m = inside_j & (s > 0.0) & (s < r)
+        speed = cal * profile(s[m] / r[m]) / s[m]
+        # += into zeros turns a -0.0 component into 0.0
+        out[k[m], 0] += speed * (-dy[m])
+        out[k[m], 1] += speed * dx[m]
         return out
 
-    return VectorField(dim=2, eval=ev, sup_bound=1.0,
-                       name=f"twisting:levels={max_level}",
+    return VectorField(dim=2, eval=ev, sup_bound=1.0, name=name,
                        analytic_div=lambda pts: np.zeros(pts.shape[0]),
                        eddies=EddyStack(tuple(balls), cal, profile))
 

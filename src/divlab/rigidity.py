@@ -23,8 +23,8 @@ from .fields import CylindricalPotential, PhiFunction, VectorField, gamma_bounds
 from .report import CheckResult, VerificationReport
 
 __all__ = [
-    "MonotonicityViolation", "FlowState", "FlowTube", "RigidityCertificate",
-    "lifted_field", "integrate_flow", "build_flow_tube", "strip_identity_2d",
+    "MonotonicityViolation", "FlowTube", "RigidityCertificate",
+    "lifted_field", "build_flow_tube", "strip_identity_2d",
     "certify_potential", "default_certification_grid", "gamma_bounds",
     "separable_demo", "flow_tube_trajectories", "CERTIFIED", "VIOLATED",
     "INCONCLUSIVE",
@@ -68,66 +68,6 @@ def _trace_shear(X: VectorField, pts: np.ndarray, vals: np.ndarray) -> np.ndarra
     div_h = np.einsum("mii->m", J[:, :-1, :-1])
     shear = np.einsum("mi,mi->m", horiz, J[:, -1, :-1])
     return div_h / xn - shear / xn**2
-
-
-@dataclass
-class FlowState:
-    p: np.ndarray
-    t: float
-    position: np.ndarray
-    delta: float
-    steps: int
-    min_vertical_speed: float
-
-
-def integrate_flow(X: VectorField, p, target_height: float,
-                   rtol: float = 1e-9, atol: float = 1e-12,
-                   t_max: Optional[float] = None) -> FlowState:
-    """Flow a single point along X until it reaches the target height.
-
-    Integrates in flow time with event detection on the height coordinate;
-    the transported Jacobian rides along.  The vertical component is
-    audited at every evaluation and must stay positive.
-    """
-    p = np.asarray(p, dtype=float)
-    n = X.dim
-    watch = {"min_xn": math.inf}
-
-    def rhs(t, y):
-        pos = y[:n][None, :]
-        vals = X.eval(pos)
-        xn = float(vals[0, -1])
-        watch["min_xn"] = min(watch["min_xn"], xn)
-        if xn <= 0.0:
-            raise MonotonicityViolation(
-                f"vertical speed {xn:.3e} <= 0 at {pos[0].tolist()}")
-        tr = _trace_shear(X, pos, vals)[0]
-        dy = np.empty_like(y)
-        dy[:n] = vals[0]
-        dy[n] = tr * xn * y[n]   # delta evolves per unit height
-        return dy
-
-    y0 = np.concatenate([p, [1.0]])
-    start_xn = float(X.eval(p[None, :])[0, -1])
-    if start_xn <= 0.0:
-        raise MonotonicityViolation(f"vertical speed {start_xn:.3e} <= 0 at seed")
-    if t_max is None:
-        t_max = 1e4 * (abs(target_height - p[-1]) + 1.0) / start_xn
-    if target_height < p[-1]:
-        t_max = -t_max
-
-    res = _ode.rk45_event(
-        rhs, 0.0, y0, lambda t, y: y[n - 1] - target_height,
-        t_max=t_max, rtol=rtol, atol=atol, event_tol=1e-13)
-    if res.status != "event":
-        raise MonotonicityViolation(
-            f"trajectory failed to reach height {target_height} "
-            f"within flow time {t_max}")
-    delta = float(res.y[n])
-    if delta <= 0.0:
-        raise MonotonicityViolation(f"transported Jacobian {delta:.3e} <= 0")
-    return FlowState(p=p, t=res.t, position=res.y[:n], delta=delta,
-                     steps=res.naccepted, min_vertical_speed=watch["min_xn"])
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Rescaling, weak-star averages, deviation densities, the pointwise
-quadratic inequality, and per-scale trace consistency."""
+"""Rescaling, deviation densities, the pointwise quadratic inequality, and
+per-scale trace consistency."""
 
 import dataclasses
 
@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divlab.blowup import TestDensity as DensityWeight
 from divlab.blowup import (
-    blowup_sequence, blowup_trace_consistency, bump_density,
-    hash_unit_ball_field, nalpha_density, quadratic_inequality_check,
-    rescale, weak_star_average,
+    blowup_sequence, blowup_trace_consistency, hash_unit_ball_field,
+    nalpha_density, quadratic_inequality_check, rescale, _halfspace_lhs,
 )
+from divlab.calculus import bump_test
 from divlab.fields import constant_field, make_capillary_field
 from divlab.trace import circle_interface, line_interface, one_sided_ap_lim
 
@@ -81,47 +80,6 @@ class TestBlowupSequence:
             blowup_sequence(stream_bump, (0.0, 0.0), (0.25, 0.5))
         with pytest.raises(ValueError, match="decreasing"):
             blowup_sequence(stream_bump, (0.0, 0.0), (0.25, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# weak-star averages
-
-class TestWeakStarAverage:
-    def test_constant_field_averages_exactly(self):
-        c = (0.25, -0.4)
-        seq = blowup_sequence(constant_field(c), (0.0, 0.0), (0.5, 0.25))
-        fam = [bump_density((0.0, 0.0), 1.0), bump_density((0.3, -0.2), 0.5)]
-        ws = weak_star_average(seq, fam)
-        for per_density in ws.averages:
-            for avg in per_density:
-                assert avg == pytest.approx(c, abs=1e-12)
-        # unit-mass weights make the average a convex combination, so the
-        # second-moment margin of a constant is zero
-        for per_density in ws.jensen_margins:
-            for m in per_density:
-                assert abs(m) <= 1e-12
-        for lim in ws.limit_candidates:
-            assert lim == pytest.approx(c, abs=1e-12)
-        assert max(ws.mass_defects) <= 1e-12
-
-    def test_rows_expose_per_scale_records(self):
-        seq = blowup_sequence(constant_field((1.0, 0.0)), (0.0, 0.0), (0.5,))
-        ws = weak_star_average(seq, [bump_density((0.0, 0.0), 1.0)])
-        rows = ws.rows()
-        assert len(rows) == 1
-        assert set(rows[0]) == {"density", "k", "radius", "average",
-                                "jensen_margin"}
-
-    def test_rejects_unnormalized_density(self):
-        seq = blowup_sequence(constant_field((1.0, 0.0)), (0.0, 0.0), (0.5,))
-        lopsided = DensityWeight(
-            value=lambda pts: np.full(pts.shape[0], 1.0),
-            center=(0.0, 0.0), radius=1.0, label="flat")
-        with pytest.raises(ValueError, match="mass defect"):
-            weak_star_average(seq, [lopsided])
-
-    def test_bump_density_mass_defect_small(self):
-        assert bump_density((0.2, 0.1), 0.7).mass_defect() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +193,27 @@ class TestTraceConsistency:
         assert set(rep.rows[0]) == {
             "k", "radius", "off_interface_div_mass", "half_space_defect",
             "punctured_ball_residual"}
+
+    def test_eddy_pairing_evaluates_the_field_once_per_scale(self, twisting8):
+        # one field call per scale serves the whole bump family; a call per
+        # ball and bump made 567 here
+        calls = []
+
+        def counting_eval(pts):
+            calls.append(len(pts))
+            return twisting8.eval(pts)
+
+        counted = dataclasses.replace(twisting8, eval=counting_eval)
+        seq = blowup_sequence(counted, (0.5, 0.0),
+                              tuple(2.0 ** -k for k in range(3, 9)))
+        nu = np.array([0.0, -1.0])
+        fam = [bump_test((o, 0.0), 0.5) for o in np.linspace(-0.6, 0.6, 5)]
+        for k in range(len(seq)):
+            before = len(calls)
+            lhs = _halfspace_lhs(seq, k, fam, nu, 1e-8)
+            assert len(lhs) == len(fam)
+            assert len(calls) - before <= 1
+        assert sum(calls) > 0
 
     def test_domain_restricted_field_skips_annuli(self, capillary):
         # the half-space pairing's inner quadratures share one field call

@@ -149,6 +149,26 @@ class TestExitCodes:
         with pytest.raises(UsageError, match=message):
             build_parser().parse_args(argv)
 
+    # a count outside its range is turned away before the run starts; at
+    # these values a run ended as an execution FAIL, or (no bumps) as a
+    # PASS that checked nothing
+    @pytest.mark.parametrize("argv,flag", [
+        (["trace", "--method", "pairing", "--bumps", "0"], "--bumps"),
+        (["certify", "--resolution", "0", "--no-field-checks"],
+         "--resolution"),
+        (["demo", "jensen", "--grid-n", "0"], "--grid-n"),
+        (["demo", "jensen", "--dim", "1"], "--dim"),
+        (["demo", "quadratic", "--samples", "0"], "--samples"),
+        (["demo", "quadratic", "--dim", "0"], "--dim"),
+        (["demo", "roundtrip", "--n", "3"], "--n"),
+    ], ids=["zero-bumps", "zero-resolution", "zero-grid-n", "jensen-dim-1",
+            "zero-samples", "quadratic-dim-0", "roundtrip-n-3"])
+    def test_out_of_range_count_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert f"argument {flag}: invalid integer in" in err
+        assert "verdict" not in out
+
     def test_blowup_radius_beyond_floats_is_usage_error(self, capsys):
         code, out, err = run_main(["demo", "separable", "--gamma", "1e-3",
                                    "--rho0", "1", "--psi0", "1e-3"], capsys)
@@ -304,6 +324,10 @@ class TestConfig:
         (["demo", "separable"], {"gamma": "abc"}),
         (["flow-tube"], {"seeds": 2.5}),
         (["flow-tube"], {"seeds": 0}),
+        (["trace", "--method", "pairing"], {"bumps": 0}),
+        (["certify", "--no-field-checks"], {"resolution": 0}),
+        (["demo", "jensen"], {"grid_n": 0}),
+        (["demo", "quadratic"], {"samples": 0}),
     ])
     def test_config_value_converted_like_a_flag(self, tmp_path, capsys,
                                                 argv, config):

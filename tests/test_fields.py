@@ -25,6 +25,8 @@ from divlab.fields import (
     stream_bump_field,
     translate_field,
     zero_field,
+    _assert_disjoint,
+    _level_geometry,
     _twisting_balls,
 )
 
@@ -167,6 +169,100 @@ def test_twisting_analytic_div_is_zero(twisting8, rng):
 def test_twisting_rejects_degenerate_level():
     with pytest.raises(ValueError):
         make_twisting_field(0)
+
+
+def _per_level_eval(field, max_level, pts):
+    # the evaluation the level lookup replaced: one masked pass over every
+    # point per level
+    eddies = field.eddies
+    out = np.zeros((pts.shape[0], 2))
+    x, y = pts[:, 0], pts[:, 1]
+    for lev in range(1, max_level + 1):
+        r = 2.0**-(lev + 2)
+        j = np.rint(x * 2.0**lev)
+        dx = x - j * 2.0**-lev
+        dy = y - 2.0**-lev
+        s = np.hypot(dx, dy)
+        m = (j >= 1) & (j <= 2**lev - 1) & (s > 0.0) & (s < r)
+        speed = eddies.calibration * eddies.profile(s[m] / r) / s[m]
+        out[m, 0] += speed * (-dy[m])
+        out[m, 1] += speed * dx[m]
+    return out
+
+
+@pytest.mark.parametrize("max_level", [1, 8, 13])
+def test_twisting_level_lookup_matches_the_per_level_loop(max_level):
+    f = make_twisting_field(max_level)
+    rng = np.random.default_rng(max_level)
+    balls = f.eddies.balls
+    centers = np.array([b.center for b in balls])
+    radii = np.array([b.radius for b in balls])
+    pick = rng.integers(0, len(balls), 20_000)
+    ang = rng.uniform(0.0, 2.0 * np.pi, pick.size)
+    unit = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    # band edges 0.75 * 2^-i and 1.25 * 2^-i, one level past the stack too
+    edges = np.concatenate([[0.75 * 2.0**-i, 1.25 * 2.0**-i]
+                            for i in range(1, max_level + 2)])
+    sets = {
+        "random": rng.uniform(-0.2, 1.2, size=(50_000, 2)),
+        "inside": centers[pick] + (rng.uniform(size=pick.size)
+                                   * radii[pick])[:, None] * unit,
+        "rims": centers[pick] + radii[pick][:, None] * unit,
+        "centers": centers,
+        "band-edges": np.stack([rng.uniform(0.0, 1.0, 4_000),
+                                rng.choice(edges, 4_000)], axis=1),
+        "y<=0": np.stack([rng.uniform(-0.5, 1.5, 3_000),
+                          rng.choice([0.0, -0.0, -1e-300, -0.25], 3_000)],
+                         axis=1),
+    }
+    for name, pts in sets.items():
+        got = f.eval(pts)
+        want = _per_level_eval(f, max_level, pts)
+        # bitwise, signed zeros included
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    assert np.any(f.eval(sets["inside"]) != 0.0)
+
+
+def _overlapping_pairs(balls):
+    # brute force over all pairs, in integers: every length times
+    # 2^(deepest level + 2) is an integer far below 2**26
+    scale = 2.0 ** (max(b.level for b in balls) + 2)
+    c = np.array([b.center for b in balls]) * scale
+    r = np.array([b.radius for b in balls]) * scale
+    dx = c[:, None, 0] - c[None, :, 0]
+    dy = c[:, None, 1] - c[None, :, 1]
+    bad = dx * dx + dy * dy < (r[:, None] + r[None, :]) ** 2
+    np.fill_diagonal(bad, False)
+    return int(np.count_nonzero(bad))
+
+
+@pytest.mark.parametrize("max_level", range(1, 11))
+def test_twisting_eddies_are_pairwise_disjoint(max_level):
+    assert _overlapping_pairs(_twisting_balls(max_level)) == 0
+    _assert_disjoint(*_level_geometry(max_level))
+
+
+def test_disjointness_check_catches_overlaps():
+    heights, radii = _level_geometry(4)
+    with pytest.raises(AssertionError, match="within level 1"):
+        _assert_disjoint(heights, 2.0 * radii)
+    lifted = heights.copy()
+    lifted[2] = heights[1] - radii[1]   # level 3 rises into level 2's band
+    with pytest.raises(AssertionError, match="between levels 2 and 3"):
+        _assert_disjoint(lifted, radii)
+    balls = [Ball(np.array([j * 2.0**-i, lifted[i - 1]]), radii[i - 1], i, j)
+             for i in range(1, 5) for j in range(1, 2**i)]
+    assert _overlapping_pairs(balls) > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_twisting_rejects_non_finite_points(bad):
+    f = make_twisting_field(3)
+    pts = np.array([[0.5, 0.5], [bad, 0.5], [0.25, 0.25]])
+    with pytest.raises(ValueError, match="non-finite"):
+        f.eval(pts)
+    with pytest.raises(ValueError, match="non-finite"):
+        f.eval(pts[:, ::-1].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,9 @@ from divlab.fields import (
     get_field, stream_bump_field, zero_field,
 )
 from divlab.rigidity import (
-    CERTIFIED, INCONCLUSIVE, VIOLATED, MonotonicityViolation,
-    build_flow_tube, certify_potential, default_certification_grid,
-    flow_tube_trajectories, integrate_flow, lifted_field, separable_demo,
-    strip_identity_2d,
+    CERTIFIED, INCONCLUSIVE, VIOLATED, build_flow_tube, certify_potential,
+    default_certification_grid, flow_tube_trajectories, lifted_field,
+    separable_demo, strip_identity_2d,
 )
 
 TUBE_BOX = ((-2.7, 3.3), (0.0, 1.0))
@@ -98,32 +97,13 @@ class TestCertification:
 
 
 # ---------------------------------------------------------------------------
-# single-trajectory flow
+# flow tubes
 
-class TestIntegrateFlow:
-    def test_vertical_constant_flow_is_exact(self):
-        X = lifted_field(zero_field(2), 0.5)
-        st = integrate_flow(X, (0.3, 1.0), 0.0)
-        assert st.delta == 1.0
-        assert st.position[0] == pytest.approx(0.3, abs=1e-12)
-        assert abs(st.position[1]) <= 1e-10
-        assert st.t == pytest.approx(-2.0, abs=1e-10)
-        assert st.min_vertical_speed == 0.5
-
-    def test_downward_vertical_speed_raises(self):
-        X = constant_field((0.0, -0.5))
-        with pytest.raises(MonotonicityViolation, match="<= 0"):
-            integrate_flow(X, (0.0, 1.0), 0.0)
-
+class TestFlowTube:
     def test_lift_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError, match="positive"):
             lifted_field(zero_field(2), 0.0)
 
-
-# ---------------------------------------------------------------------------
-# flow tubes
-
-class TestFlowTube:
     def test_zero_field_residual_is_exactly_zero(self):
         tube = build_flow_tube(zero_field(2), 1.0, ((-1.0, 1.0), (-1.0, 1.0)),
                                1.95, seeds_per_axis=8)

@@ -5,19 +5,23 @@ they are reproducible bit-for-bit up to libm differences; tolerances of
 1e-12 leave room for that.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from divlab.calculus import RectRegion, bump_test
+from divlab._quad import ball_rule
+from divlab.blowup import rescale
+from divlab import trace
+from divlab.calculus import RectRegion, bump_test, constant_test
 from divlab.fields import constant_field, make_capillary_field, \
     make_twisting_field, zero_field
 from divlab.trace import (
     AP_LIM_CONFIRMED, AP_LIM_REJECTED,
     circle_interface, density, line_interface, one_sided_ap_lim,
     weak_trace_ball_average, weak_trace_curvilinear, weak_trace_pairing,
-    weak_trace_sphere_flux, _tail_fit,
+    weak_trace_sphere_flux, _eddy_pairings, _patch_angular_order, _tail_fit,
 )
 
 RADII = [2.0 ** -k for k in range(3, 9)]
@@ -181,6 +185,15 @@ class TestTwistingOscillation:
 
 class TestPairing:
     def test_twisting_pairings_vanish(self, twisting8):
+        # one field call serves all ten bumps; a call per ball and bump
+        # made 5,020
+        calls = []
+
+        def counting_eval(pts):
+            calls.append(len(pts))
+            return twisting8.eval(pts)
+
+        counted = dataclasses.replace(twisting8, eval=counting_eval)
         reg = RectRegion(((0.0, 1.0), (0.0, 1.0)))
         rng = np.random.default_rng(20260819)
         radius = 0.15
@@ -188,9 +201,49 @@ class TestPairing:
         hi = np.array([1.0 - radius, 1.0 - radius])
         fam = [bump_test(lo + (hi - lo) * rng.uniform(size=2), radius)
                for _ in range(10)]
-        vals = weak_trace_pairing(twisting8, reg, fam)
+        vals = weak_trace_pairing(counted, reg, fam)
         assert len(vals) == 10
         assert max(abs(v) for v in vals) <= 1e-9
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("x0,scale", [((0.0, 0.0), 1.0),
+                                          ((0.5, 0.0), 0.125)])
+    def test_eddy_pairing_matches_a_loop_over_balls(self, x0, scale):
+        # the pairing the shared field call replaced: one rule and one
+        # field call per ball and test function, every ball included
+        f = make_twisting_field(5)
+        zoomed = rescale(f, x0, scale)
+        x0 = np.asarray(x0)
+        fam = [bump_test((0.5, 0.5), 0.3), bump_test((0.1, 0.2), 0.15),
+               bump_test((-2.0, 1.0), 1.5), bump_test((5.0, 5.0), 0.5),
+               constant_test(2.0, 2)]
+        got = _eddy_pairings(f.eddies, zoomed, fam, _patch_angular_order,
+                             x0=x0, scale=scale)
+        for psi, value in zip(fam, got):
+            total = 0.0
+            for b in f.eddies.balls:
+                rb = b.radius / scale
+                pts, w = ball_rule(2, (b.center - x0) / scale, rb, 16,
+                                   _patch_angular_order(rb))
+                total += float(np.sum(w * np.einsum(
+                    "ij,ij->i", zoomed.eval(pts), psi.gradient(pts))))
+            assert value == total
+        assert got[3] == 0.0 and got[4] == 0.0
+
+    def test_eddy_pairing_batches_leave_the_values_unchanged(self,
+                                                              monkeypatch):
+        calls = []
+        f = make_twisting_field(6)
+        counted = dataclasses.replace(
+            f, eval=lambda pts: calls.append(len(pts)) or f.eval(pts))
+        fam = [bump_test((0.5, 0.1), 0.6), bump_test((0.2, 0.3), 0.2)]
+        whole = _eddy_pairings(f.eddies, counted, fam, _patch_angular_order)
+        assert len(calls) == 1
+        monkeypatch.setattr(trace, "_EDDY_EVAL_BATCH", 10_000)
+        calls.clear()
+        assert _eddy_pairings(f.eddies, counted, fam,
+                              _patch_angular_order) == whole
+        assert len(calls) > 10 and max(calls) <= 10_000
 
     def test_zero_field_pairs_to_zero(self):
         reg = RectRegion(((-1.0, 1.0), (-1.0, 1.0)))
