@@ -22,7 +22,7 @@ from .fields import (AUTO, CylindricalPotential, OutOfDomainError,
                      counterexample_potential, field_to_potential,
                      get_field, make_capillary_field,
                      make_counterexample_field, make_twisting_field,
-                     phi_linear, phi_quadratic, potential_to_field,
+                     phi_quadratic, potential_to_field,
                      stream_bump_field, zero_field)
 from .blowup import (BlowupSequence, blowup_sequence,
                      blowup_trace_consistency, hash_unit_ball_field,

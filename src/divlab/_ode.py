@@ -2,7 +2,9 @@
 
 Supports batched states with a common adaptive step (error controlled by
 the worst component across the batch) and single-trajectory integration
-with bisection-refined event detection.
+with bisection-refined event detection.  Both consume the accepted steps
+of `_dp_steps`, the one step controller and the one place that raises
+`StiffFailure`.
 """
 
 from __future__ import annotations
@@ -60,6 +62,46 @@ def dp_step(f: Callable, t: float, y: np.ndarray, h: float) -> np.ndarray:
     return y + h * sum(b * k for b, k in zip(_B5, ks) if b != 0.0)
 
 
+def _dp_steps(f: Callable, t0: float, y: np.ndarray, t1: float,
+              rtol: float, atol: float, max_steps: int):
+    """The one Dormand-Prince step controller: yields (t, y, h, y_new,
+    nrejected) for each accepted step from (t, y) to (t + h, y_new) on the
+    way from t0 to t1.  A step is accepted when its embedded error, the
+    worst |y5 - y4| / (atol + rtol * max(|y|, |y5|)), is at most 1."""
+    t = float(t0)
+    span = t1 - t0
+    direction = 1.0 if span > 0 else -1.0
+    h = span / 100.0
+    nrejected = 0
+    k1 = np.asarray(f(t, y))
+    for _ in range(max_steps):
+        remaining = t1 - t
+        if direction * remaining <= 0.0:
+            return
+        if direction * h > direction * remaining:
+            h = remaining
+        ks = _stages(f, t, y, h, k1=k1)
+        y5 = y + h * sum(b * k for b, k in zip(_B5, ks) if b != 0.0)
+        k7 = np.asarray(f(t + h, y5))
+        ks.append(k7)
+        y4 = y + h * sum(b * k for b, k in zip(_B4, ks) if b != 0.0)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        err = float(np.max(np.abs(y5 - y4) / scale)) if y5.size else 0.0
+        if err <= 1.0:
+            yield t, y, h, y5, nrejected
+            t += h
+            y = y5
+            k1 = k7  # first-same-as-last
+            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
+            h *= grow
+        else:
+            nrejected += 1
+            h *= max(0.2, 0.9 * err ** -0.2)
+        if abs(h) < 1e-14 * max(1.0, abs(span)):
+            raise StiffFailure(f"step underflow at t={t}", t)
+    raise StiffFailure(f"exceeded {max_steps} steps at t={t}", t)
+
+
 @dataclass
 class OdeResult:
     t: float
@@ -68,6 +110,7 @@ class OdeResult:
     nrejected: int
     path_t: list = field(default_factory=list)
     path_y: list = field(default_factory=list)
+    status: str = "final"    # rk45_event: "event" when the event fired
 
 
 def rk45(f: Callable, t0: float, y0, t1: float, rtol: float = 1e-9,
@@ -81,64 +124,25 @@ def rk45(f: Callable, t0: float, y0, t1: float, rtol: float = 1e-9,
     """
     y = np.array(y0, dtype=float)
     _check_finite(t0, t1, y)
-    t = float(t0)
-    span = t1 - t0
-    if span == 0.0:
-        return OdeResult(t, y, 0, 0)
-    direction = 1.0 if span > 0 else -1.0
-    h = span / 100.0
-    res = OdeResult(t, y, 0, 0)
+    res = OdeResult(float(t0), y, 0, 0)
+    if t1 - t0 == 0.0:
+        return res
     if record:
-        res.path_t.append(t)
+        res.path_t.append(res.t)
         res.path_y.append(y.copy())
-    k1 = np.asarray(f(t, y))
-    for _ in range(max_steps):
-        remaining = t1 - t
-        if direction * remaining <= 0.0:
-            break
-        if direction * h > direction * remaining:
-            h = remaining
-        ks = _stages(f, t, y, h, k1=k1)
-        y5 = y + h * sum(b * k for b, k in zip(_B5, ks) if b != 0.0)
-        k7 = np.asarray(f(t + h, y5))
-        ks.append(k7)
-        y4 = y + h * sum(b * k for b, k in zip(_B4, ks) if b != 0.0)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(y5 - y4) / scale)) if y5.size else 0.0
-        if err <= 1.0:
-            t += h
-            y = y5
-            k1 = k7  # first-same-as-last
-            res.naccepted += 1
-            if record:
-                res.path_t.append(t)
-                res.path_y.append(y.copy())
-            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
-            h *= grow
-        else:
-            res.nrejected += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
-        if abs(h) < 1e-14 * max(1.0, abs(span)):
-            raise StiffFailure(f"step underflow at t={t}", t)
-    else:
-        raise StiffFailure(f"exceeded {max_steps} steps at t={t}", t)
-    res.t = t
-    res.y = y
+    for t, _, h, y5, res.nrejected in _dp_steps(f, t0, y, t1, rtol, atol,
+                                                max_steps):
+        res.t, res.y = t + h, y5
+        res.naccepted += 1
+        if record:
+            res.path_t.append(res.t)
+            res.path_y.append(y5.copy())
     return res
-
-
-@dataclass
-class EventResult:
-    status: str            # "event" or "final"
-    t: float
-    y: np.ndarray
-    naccepted: int
-    nrejected: int
 
 
 def rk45_event(f: Callable, t0: float, y0, event: Callable,
                t_max: float, rtol: float = 1e-9, atol: float = 1e-12,
-               event_tol: float = 1e-12, max_steps: int = 200_000) -> EventResult:
+               event_tol: float = 1e-12, max_steps: int = 200_000) -> OdeResult:
     """Integrate until event(t, y) crosses zero, refining by bisection.
 
     Stops at the first sign change of the event function along accepted
@@ -148,46 +152,21 @@ def rk45_event(f: Callable, t0: float, y0, event: Callable,
     """
     y = np.array(y0, dtype=float)
     _check_finite(t0, t_max, y)
-    t = float(t0)
-    g_prev = float(event(t, y))
+    g_prev = float(event(float(t0), y))
     if abs(g_prev) <= event_tol:
-        return EventResult("event", t, y, 0, 0)
-    span = t_max - t0
-    direction = 1.0 if span > 0 else -1.0
-    h = span / 100.0
-    nacc = nrej = 0
-    k1 = np.asarray(f(t, y))
-    for _ in range(max_steps):
-        remaining = t_max - t
-        if direction * remaining <= 0.0:
-            return EventResult("final", t, y, nacc, nrej)
-        if direction * h > direction * remaining:
-            h = remaining
-        ks = _stages(f, t, y, h, k1=k1)
-        y5 = y + h * sum(b * k for b, k in zip(_B5, ks) if b != 0.0)
-        k7 = np.asarray(f(t + h, y5))
-        ks.append(k7)
-        y4 = y + h * sum(b * k for b, k in zip(_B4, ks) if b != 0.0)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(y5 - y4) / scale))
-        if err <= 1.0:
-            g_new = float(event(t + h, y5))
-            if g_prev * g_new <= 0.0:
-                tc, yc = _bisect_event(f, t, y, h, event, g_prev, event_tol)
-                return EventResult("event", tc, yc, nacc + 1, nrej)
-            t += h
-            y = y5
-            g_prev = g_new
-            k1 = k7
-            nacc += 1
-            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
-            h *= grow
-        else:
-            nrej += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
-        if abs(h) < 1e-14 * max(1.0, abs(span)):
-            raise StiffFailure(f"step underflow at t={t}", t)
-    raise StiffFailure(f"exceeded {max_steps} steps at t={t}", t)
+        return OdeResult(float(t0), y, 0, 0, status="event")
+    res = OdeResult(float(t0), y, 0, 0)
+    for t, y, h, y5, res.nrejected in _dp_steps(f, t0, y, t_max, rtol,
+                                                atol, max_steps):
+        g_new = float(event(t + h, y5))
+        if g_prev * g_new <= 0.0:
+            tc, yc = _bisect_event(f, t, y, h, event, g_prev, event_tol)
+            return OdeResult(tc, yc, res.naccepted + 1, res.nrejected,
+                             status="event")
+        g_prev = g_new
+        res.t, res.y = t + h, y5
+        res.naccepted += 1
+    return res
 
 
 def _bisect_event(f, t0, y0, h, event, g0, event_tol):

@@ -1,16 +1,10 @@
 """Quadrature kernels: composite Gauss panels with Richardson doubling.
 
-All routines take vectorized integrands (arrays in, arrays out) and stop
-when two successive refinement levels agree to the requested tolerance.
-
-The one 1D rule, `adaptive_gauss_rows`, integrates a batch of intervals
-[a_i, b_i] at once.  Each row doubles its panels and stops on its own
-test, exactly as if it were integrated alone; at every level the rows
-that have not yet converged go to the integrand in a single call
-f(rows, s), with s of shape (len(rows), nodes), and converged rows leave
-the batch.  A nested integral thus costs one integrand call per doubling
-level instead of one adaptive quadrature per outer node.
-`adaptive_gauss_1d` and `gauss_panels_1d` are its one-row case.
+All routines take vectorized integrands (arrays in, arrays out).  The
+adaptive rules -- the 1D row batch `adaptive_gauss_rows` (with its
+one-row case `adaptive_gauss_1d`), the 2D tensor rule, the ball rule and
+the circle trapezoid -- are level functions run by `_refine`, the one
+refinement loop and the one place that raises `QuadratureError`.
 """
 
 from __future__ import annotations
@@ -21,6 +15,10 @@ from typing import Callable
 
 import numpy as np
 
+# nodes per row of the finest level `_refine` builds: the finest 2D level
+# (256^2 panels of 8^2 nodes) and the 3D ball rule at order 128 sit at it
+MAX_LEVEL_NODES = 2 ** 22
+
 
 class QuadratureError(RuntimeError):
     pass
@@ -30,6 +28,34 @@ class QuadratureError(RuntimeError):
 def leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
+
+
+def _refine(level: Callable, n0: int, size: Callable, rtol: float,
+            atol: float, max_doublings: int, rule: str, domain: Callable,
+            nrows: int = 1) -> np.ndarray:
+    """The one refinement loop: level(rows, n) integrates rows `rows` of
+    range(nrows) on size(n) nodes each (a float for one row).  From n0,
+    each row doubles n until |cur - prev| <= rtol*|cur| + atol and leaves
+    the batch.  A row still open after max_doublings, or before a level
+    above MAX_LEVEL_NODES, raises QuadratureError naming the rule,
+    domain(row) and the last delta."""
+    out, rows, n = np.zeros(nrows), np.arange(nrows), n0
+    prev = np.atleast_1d(level(rows, n))
+    delta = np.full(nrows, math.inf)
+    for _ in range(max_doublings):
+        if size(2 * n) > MAX_LEVEL_NODES:
+            break
+        n *= 2
+        cur = np.atleast_1d(level(rows, n))
+        delta = np.abs(cur - prev)
+        done = delta <= rtol * np.abs(cur) + atol
+        out[rows[done]] = cur[done]
+        rows, prev, delta = rows[~done], cur[~done], delta[~done]
+        if rows.size == 0:
+            return out
+    raise QuadratureError(
+        f"{rule} quadrature failed to converge on {domain(int(rows[0]))} "
+        f"(last delta {float(delta[0]):.3e} at {size(n)} nodes)")
 
 
 def _gauss_rows(f: Callable, rows: np.ndarray, a: np.ndarray,
@@ -64,74 +90,55 @@ def adaptive_gauss_rows(f: Callable, a, b, rtol: float = 1e-8,
 
     f(rows, s) returns the integrand of rows `rows` (indices into a and b)
     at the nodes s, shape (len(rows), nodes).  Each row doubles its panel
-    count until two levels agree, |cur - prev| <= rtol*|cur| + atol, and
-    then leaves the batch; a row with a == b integrates to 0.0.
+    count from 2 and stops on its own test, exactly as if integrated
+    alone; the rows still open at a level go to f in one call, so a nested
+    integral costs one call per level.  A row with a == b gives 0.0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.zeros(a.shape)
     rows = np.flatnonzero(a != b)
-    if rows.size == 0:
-        return out
-    panels = 2
-    prev = _gauss_rows(f, rows, a[rows], b[rows], panels, 8)
-    delta = np.full(rows.size, math.inf)
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = _gauss_rows(f, rows, a[rows], b[rows], panels, 8)
-        delta = np.abs(cur - prev)
-        done = delta <= rtol * np.abs(cur) + atol
-        out[rows[done]] = cur[done]
-        rows, prev, delta = rows[~done], cur[~done], delta[~done]
-        if rows.size == 0:
-            return out
-    i = rows[0]
-    raise QuadratureError(
-        f"1d quadrature failed to converge on [{float(a[i])}, {float(b[i])}] "
-        f"(last delta {float(delta[0]):.3e})")
+    if rows.size:
+        out[rows] = _refine(
+            lambda i, n: _gauss_rows(f, rows[i], a[rows[i]], b[rows[i]],
+                                     n, 8),
+            2, lambda n: 8 * n, rtol, atol, max_doublings, "1d",
+            lambda i: f"[{float(a[rows[i]])}, {float(b[rows[i]])}]",
+            rows.size)
+    return out
 
 
 def adaptive_gauss_1d(f: Callable, a: float, b: float,
                       rtol: float = 1e-8, atol: float = 1e-12,
                       max_doublings: int = 12) -> float:
     """Integrate f over [a, b], doubling panel count until stable."""
-    return float(adaptive_gauss_rows(_one_row(f), [a], [b], rtol=rtol,
-                                     atol=atol,
-                                     max_doublings=max_doublings)[0])
-
-
-def gauss_panels_2d(f: Callable, box, panels: int, order: int = 8) -> float:
-    """Tensor-product composite Gauss on box = (ax, bx, ay, by)."""
-    ax, bx, ay, by = box
-    x, w = leggauss(order)
-    ex = np.linspace(ax, bx, panels + 1)
-    ey = np.linspace(ay, by, panels + 1)
-    hx = 0.5 * (ex[1] - ex[0])
-    hy = 0.5 * (ey[1] - ey[0])
-    nx = (0.5 * (ex[:-1] + ex[1:])[:, None] + hx * x[None, :]).ravel()
-    ny = (0.5 * (ey[:-1] + ey[1:])[:, None] + hy * x[None, :]).ravel()
-    wx = np.tile(w, panels) * hx
-    wy = np.tile(w, panels) * hy
-    X, Y = np.meshgrid(nx, ny, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    vals = np.asarray(f(pts), dtype=float).reshape(nx.size, ny.size)
-    return float(wx @ vals @ wy)
+    return float(adaptive_gauss_rows(_one_row(f), [a], [b], rtol, atol,
+                                     max_doublings)[0])
 
 
 def adaptive_gauss_2d(f: Callable, box, rtol: float = 1e-8,
                       atol: float = 1e-12, max_doublings: int = 8) -> float:
-    panels = 1
-    prev = gauss_panels_2d(f, box, panels)
-    delta = math.inf
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = gauss_panels_2d(f, box, panels)
-        delta = abs(cur - prev)
-        if delta <= rtol * abs(cur) + atol:
-            return cur
-        prev = cur
-    raise QuadratureError(f"2d quadrature failed to converge on {box} "
-                          f"(last delta {delta:.3e})")
+    """Integrate f over box = (ax, bx, ay, by) by tensor-product composite
+    Gauss, doubling the panels per axis from 1 until two levels agree."""
+    ax, bx, ay, by = box
+    x, w = leggauss(8)
+
+    def level(rows, panels):
+        ex = np.linspace(ax, bx, panels + 1)
+        ey = np.linspace(ay, by, panels + 1)
+        hx = 0.5 * (ex[1] - ex[0])
+        hy = 0.5 * (ey[1] - ey[0])
+        nx = (0.5 * (ex[:-1] + ex[1:])[:, None] + hx * x[None, :]).ravel()
+        ny = (0.5 * (ey[:-1] + ey[1:])[:, None] + hy * x[None, :]).ravel()
+        wx = np.tile(w, panels) * hx
+        wy = np.tile(w, panels) * hy
+        X, Y = np.meshgrid(nx, ny, indexing="ij")
+        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+        vals = np.asarray(f(pts), dtype=float).reshape(nx.size, ny.size)
+        return float(wx @ vals @ wy)
+
+    return float(_refine(level, 1, lambda n: (8 * n) ** 2, rtol, atol,
+                         max_doublings, "2d", lambda i: f"{box}")[0])
 
 
 def midpoint_grid(bounds, ns) -> tuple[np.ndarray, float]:
@@ -227,14 +234,35 @@ def ball_rule(dim: int, center, radius: float, radial_order: int,
 def adaptive_ball_quad(f: Callable, center, radius: float, dim: int,
                        rtol: float = 1e-8, atol: float = 1e-12,
                        max_doublings: int = 6) -> float:
-    order = 4
-    pts, wts = ball_rule(dim, center, radius, order, max(order, 6))
-    prev = float(np.dot(wts, np.asarray(f(pts), dtype=float)))
-    for _ in range(max_doublings):
-        order *= 2
+    """Integrate f over a ball, doubling the radial order from 4 (with
+    max(order, 6) angles) until two levels agree."""
+    def level(rows, order):
         pts, wts = ball_rule(dim, center, radius, order, max(order, 6))
-        cur = float(np.dot(wts, np.asarray(f(pts), dtype=float)))
-        if abs(cur - prev) <= rtol * abs(cur) + atol:
-            return cur
-        prev = cur
-    raise QuadratureError(f"ball quadrature failed to converge (dim {dim})")
+        return float(np.dot(wts, np.asarray(f(pts), dtype=float)))
+
+    def size(order):    # radial x sphere nodes: a, 2a^2 or 2a^3 angles
+        return order * max(order, 6) ** (dim - 1) * (1 if dim == 2 else 2)
+
+    return float(_refine(
+        level, 4, size, rtol, atol, max_doublings, "ball",
+        lambda i: (f"the ball of radius {radius} about "
+                   f"{np.asarray(center, dtype=float).tolist()}"))[0])
+
+
+def adaptive_circle(g: Callable, center, radius: float, sign: float = 1.0,
+                    rtol: float = 1e-8, atol: float = 1e-12,
+                    max_doublings: int = 10) -> float:
+    """Integrate g(points, normals) over a circle, normals pointing out
+    (sign +1) or in (sign -1), by the trapezoid rule from 32 nodes; it is
+    spectrally accurate on a smooth periodic integrand."""
+    c = np.asarray(center, dtype=float)
+
+    def level(rows, n):
+        th = 2.0 * math.pi * np.arange(n) / n
+        ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+        vals = g(c[None, :] + radius * ring, sign * ring)
+        return float(np.sum(vals) * 2.0 * math.pi * radius / n)
+
+    return float(_refine(
+        level, 32, lambda n: n, rtol, atol, max_doublings, "circle",
+        lambda i: f"the circle of radius {radius} about {c.tolist()}")[0])

@@ -357,29 +357,33 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
         "half-space pairing defect, final", defects_b[-1], final_tol,
         detail=f"decay exponent {exp_b:.3f} over last 3 scales"))
 
-    # (c) punctured-ball flux balance in original coordinates
-    defects_c = []
+    # (c) punctured-ball flux balance in original coordinates; it gates
+    # nothing, so a scale whose quadrature fails leaves NaN in its row
+    defects_c = [math.nan] * len(seq)
+    failed = ""
     if seq.base.domain is None:
         one = constant_test(1.0, 2)
         for k, r in enumerate(seq.radii):
-            region = AnnulusRegion(x0, 0.5 * r, r)
-            defects_c.append(abs(gauss_green_residual(
-                seq.base, region, one, rtol=1e-9)))
+            try:
+                defects_c[k] = abs(gauss_green_residual(
+                    seq.base, AnnulusRegion(x0, 0.5 * r, r), one, rtol=1e-9))
+            except _quad.QuadratureError as exc:
+                failed = failed or f"scale {k}: {exc}"
+    else:
+        failed = "domain-restricted field: annuli leave the domain"
+    if failed:
+        rep.add(CheckResult.skipped("punctured-ball flux residual", failed))
+    else:
         exp_c = _decay_exponent(seq.radii, defects_c)
         rep.add(CheckResult.info(
             "punctured-ball flux residual, final", defects_c[-1],
             detail=f"decay exponent {exp_c:.3f}; diagnostic only"))
-    else:
-        rep.add(CheckResult.skipped(
-            "punctured-ball flux residual",
-            "domain-restricted field: annuli leave the domain"))
 
     for k, r in enumerate(seq.radii):
         rep.rows.append({
             "k": k, "radius": r,
             "off_interface_div_mass": defects_a[k],
             "half_space_defect": defects_b[k],
-            "punctured_ball_residual":
-                defects_c[k] if defects_c else math.nan,
+            "punctured_ball_residual": defects_c[k],
         })
     return rep

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _quad
 from .fields import (BUMP_PEAK, BUMP_SLOPE_PEAK, PhiFunction, VectorField,
-                     as_points, bump, bump_d1, translate_field)
+                     as_points, bump, bump_d1)
 from .report import CheckResult, VerificationReport
 
 DEFAULT_FD_STEP = 1e-4
@@ -196,26 +196,8 @@ class DiskRegion:
                                         rtol=rtol, atol=atol)
 
     def boundary_integral(self, g, rtol=1e-9, atol=1e-12) -> float:
-        return self._circle_adaptive(g, rtol, atol, +1.0)
-
-    def _circle_adaptive(self, g, rtol, atol, sign) -> float:
-        # trapezoid on the circle is spectrally accurate (periodic smooth)
-        def summed(n):
-            th = 2.0 * math.pi * np.arange(n) / n
-            ring = np.stack([np.cos(th), np.sin(th)], axis=1)
-            pts = self.center[None, :] + self.radius * ring
-            vals = g(pts, sign * ring)
-            return float(np.sum(vals) * 2.0 * math.pi * self.radius / n)
-
-        n = 32
-        prev = summed(n)
-        for _ in range(10):
-            n *= 2
-            cur = summed(n)
-            if abs(cur - prev) <= rtol * abs(cur) + atol:
-                return cur
-            prev = cur
-        raise _quad.QuadratureError("circle quadrature failed to converge")
+        return _quad.adaptive_circle(g, self.center, self.radius, +1.0,
+                                     rtol, atol)
 
     def sample_points(self, n: int = 256) -> np.ndarray:
         rng = np.random.default_rng(5151)
@@ -251,11 +233,10 @@ class AnnulusRegion:
                                        rtol=rtol, atol=atol)
 
     def boundary_integral(self, g, rtol=1e-9, atol=1e-12) -> float:
-        outer = DiskRegion(self.center, self.r_outer)._circle_adaptive(
-            g, rtol, atol, +1.0)
-        inner = DiskRegion(self.center, self.r_inner)._circle_adaptive(
-            g, rtol, atol, -1.0)
-        return outer + inner
+        return (_quad.adaptive_circle(g, self.center, self.r_outer, +1.0,
+                                      rtol, atol)
+                + _quad.adaptive_circle(g, self.center, self.r_inner, -1.0,
+                                        rtol, atol))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +316,7 @@ def make_mollifier(epsilon: float, dim: int,
     return MollifierKernel(epsilon, dim, profile, norm, nodes, weights)
 
 
-def mollify(field: VectorField, kernel: MollifierKernel,
-            shift: bool = False, chunk: int = 2048) -> VectorField:
+def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
     """Convolve a field with a smoothing kernel.
 
     The convolution rule's nodes are fixed once, so finite differences of
@@ -350,6 +330,9 @@ def mollify(field: VectorField, kernel: MollifierKernel,
                          "is not supported")
     nodes = kernel.nodes
     weights = kernel.weights
+    # blocks of at most 2^23 shifted nodes: 2048 points for the 2D and 3D
+    # kernels, 173 for the 4D kernel's 48,384 nodes
+    chunk = max(1, min(2048, 2 ** 23 // nodes.shape[0]))
 
     def ev(pts):
         out = np.empty((pts.shape[0], field.dim))
@@ -361,14 +344,9 @@ def mollify(field: VectorField, kernel: MollifierKernel,
             out[start:start + chunk] = np.einsum("k,mkd->md", weights, vals)
         return out
 
-    smoothed = VectorField(
+    return VectorField(
         dim=field.dim, eval=ev, sup_bound=field.sup_bound,
         name=f"mollified:eps={kernel.epsilon:g}:{field.name}")
-    if shift:
-        delta = np.zeros(field.dim)
-        delta[-1] = kernel.epsilon
-        return translate_field(smoothed, delta)
-    return smoothed
 
 
 # ---------------------------------------------------------------------------
@@ -407,5 +385,8 @@ def jensen_check(field: VectorField, phi: PhiFunction, kernel: MollifierKernel,
     rep.add(CheckResult.from_margin(
         "mollified gauge domination", worst, tol, worst,
         detail=f"worst at {pts[idx].tolist()}"))
-    rep.add(CheckResult.info("kernel mass defect", kernel.mass_defect()))
+    try:
+        rep.add(CheckResult.info("kernel mass defect", kernel.mass_defect()))
+    except _quad.QuadratureError as exc:   # the audit gates nothing
+        rep.add(CheckResult.skipped("kernel mass defect", str(exc)))
     return rep

@@ -6,9 +6,10 @@ points, density and one-sided limit tests, blow-up consistency, and
 closed-form demos.  Every run prints its checks and a final verdict;
 `--out DIR` additionally writes a JSON report plus CSV plot data.
 
-Exit status: 0 when every check passes, 1 when a verification check
-fails, 2 on usage errors.  Parameter precedence: command-line flags,
-then a `--config` JSON file, then built-in defaults.  Monte Carlo
+Exit status: 0 when no check fails and at least one passes (PASS), 1
+when a check fails (FAIL) or none passes (INCONCLUSIVE: only INFO and
+SKIPPED records), 2 on usage errors.  Parameter precedence: command-line
+flags, then a `--config` JSON file, then built-in defaults.  Monte Carlo
 operations run with a fixed default seed, recorded in the report.
 
 Each operation's parameter table (`_OPERATIONS`) is the single place a
@@ -38,8 +39,8 @@ from .calculus import (GridSpec, RectRegion, bump_test, jensen_check,
 from .fields import (AUTO, MAX_DIMENSION, REGISTRY_EXAMPLES,
                      counterexample_potential, constant_field,
                      field_to_potential, gamma_bounds,
-                     get_field, make_counterexample_field, parse_field_id,
-                     parse_gamma, phi_quadratic, potential_to_field,
+                     get_field, make_counterexample_field, parse_gamma,
+                     parse_spec, phi_quadratic, potential_to_field,
                      stream_bump_field)
 from .report import FAIL, INFO, PASS, CheckResult, VerificationReport
 from .rigidity import (CERTIFIED, VIOLATED, build_flow_tube, certify_potential,
@@ -55,6 +56,8 @@ __all__ = ["Scenario", "UsageError", "run", "main", "RECIPES"]
 
 DEFAULT_SEED = 20260819
 DEFAULT_RADII = tuple(2.0 ** -k for k in range(3, 9))
+# `demo jensen` grid points x kernel nodes; admits the 3D default, 3.7e7
+MAX_JENSEN_EVALUATIONS = 40_000_000
 PROG = "divlab"
 
 
@@ -215,38 +218,41 @@ def _resolve_field(field_id: str):
         raise UsageError(str(exc)) from exc
 
 
+def _point(text: str) -> list:
+    return _floats(text, "point", 2)
+
+
+# interface kind -> (builder, {key: (default, converter)}, bare words), in
+# the grammar of the field registry (`fields.parse_spec`)
+_INTERFACES = {
+    "line": (lambda p: line_interface(p["origin"], p["dir"]),
+             {"origin": ((0.0, 0.0), _point), "dir": ((1.0, 0.0), _point)},
+             ()),
+    "circle": (lambda p: circle_interface(p["center"], p["R"],
+                                          outward=not p["inward"]),
+               {"center": ((0.0, 0.0), _point), "R": (1.0, finite_float)},
+               ("inward",)),
+}
+
+
 def _resolve_interface(spec, f):
-    """Interface grammar: 'auto', 'line[:origin=a,b][:dir=a,b]',
-    'circle[:center=a,b][:R=r][:inward]'."""
+    """Interface spec: 'auto', 'line[:origin=a,b][:dir=a,b]' or
+    'circle[:center=a,b][:R=r][:inward]'; anything else is a usage
+    error."""
     if spec in ("", "auto"):
         if f.disk_radius is not None:
             return circle_interface((0.0, 0.0), f.disk_radius, outward=True)
         # planar fields here carry their structure in the upper half plane;
         # point the normal down so the sampled side (-nu) is the upper one
         return line_interface((0.0, 0.0), (1.0, 0.0), normal=(0.0, -1.0))
-    parts = str(spec).split(":")
-    kind, opts = parts[0], parts[1:]
-    kv = {}
-    flags = set()
-    for item in opts:
-        if "=" in item:
-            k, v = item.split("=", 1)
-            kv[k] = v
-        else:
-            flags.add(item)
     try:
-        if kind == "line":
-            origin = _floats(kv.get("origin", "0,0"), "origin", 2)
-            direction = _floats(kv.get("dir", "1,0"), "dir", 2)
-            return line_interface(origin, direction)
-        if kind == "circle":
-            center = _floats(kv.get("center", "0,0"), "center", 2)
-            radius, = _floats(kv.get("R", "1"), "R", 1)
-            return circle_interface(center, radius,
-                                    outward="inward" not in flags)
+        kind, params = parse_spec(str(spec), _INTERFACES, "interface")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    try:
+        return _INTERFACES[kind][0](params)
     except ValueError as exc:
         raise UsageError(f"bad interface {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown interface kind {kind!r}")
 
 
 def _pass_fail(name: str, ok: bool, detail: str = "") -> CheckResult:
@@ -266,7 +272,7 @@ def _certify_target(field_id: str):
     rejects them, so the field half is optional.
     """
     try:
-        kind, kw = parse_field_id(field_id)
+        kind, kw = parse_spec(field_id)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if kind == "counterexample":
@@ -656,6 +662,11 @@ def _h_demo_jensen(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     dim, eps = p["dim"], p["epsilon"]
     kernel = make_mollifier(eps, dim)
+    evaluations = p["grid_n"] ** dim * kernel.nodes.shape[0]
+    if evaluations > MAX_JENSEN_EVALUATIONS:
+        raise UsageError(f"--grid-n {p['grid_n']} in dimension {dim} needs "
+                         f"{evaluations} field evaluations, above "
+                         f"{MAX_JENSEN_EVALUATIONS}")
     vec = np.zeros(dim)
     vec[-1] = 1.0
     vertical = constant_field(vec, name="constant-vertical")

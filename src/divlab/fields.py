@@ -111,12 +111,6 @@ class PhiFunction:
         return self.evaluator(np.asarray(t, dtype=float))
 
 
-def phi_linear(c: float) -> PhiFunction:
-    if c <= 0:
-        raise ValueError("linear gauge needs c > 0")
-    return PhiFunction(lambda t: c * t, f"linear:c={c}")
-
-
 def phi_quadratic() -> PhiFunction:
     return PhiFunction(lambda t: 0.5 * t * t, "quadratic:t^2/2")
 
@@ -811,41 +805,46 @@ _REGISTRY = {
 }
 
 
-def parse_field_id(name: str) -> tuple[str, dict]:
-    """Split a registry id like 'twisting:levels=8' into its kind and its
-    converted parameters, defaults filled in.
+def parse_spec(name: str, table: dict = _REGISTRY,
+               what: str = "field") -> tuple[str, dict]:
+    """Split a spec like the registry id 'twisting:levels=8' into its kind
+    and its converted parameters, defaults filled in.
 
+    table maps each kind to (builder, {key: (default, converter)}, bare
+    words): keys come in any order, words (switches) in their listed one.
     Unknown kinds, unknown or repeated keys, stray parts, and values that
     the kind's converter rejects raise ValueError.
     """
     kind, *parts = name.split(":")
-    if kind not in _REGISTRY:
-        raise ValueError(f"unknown field {name!r}")
-    _, keys, words = _REGISTRY[kind]
+    if kind not in table:
+        raise ValueError(f"unknown {what} {name!r}")
+    _, keys, words = table[kind]
     params = {key: default for key, (default, _) in keys.items()}
     params.update((word, False) for word in words)
     given = set()
-    for i, part in enumerate(parts):
+    nwords = 0      # words seen so far; only words[nwords] may come next
+    for part in parts:
         key, eq, text = part.partition("=")
-        if not eq and i < len(words) and part == words[i]:
+        if not eq and words[nwords:nwords + 1] == (part,):
             params[part] = True
+            nwords += 1
         elif not eq or key not in keys or key in given:
             grammar = ":".join([kind, *words, *(f"{k}=..." for k in keys)])
-            raise ValueError(f"bad part {part!r} in field {name!r}; expected "
-                             f"{grammar}, each part at most once")
+            raise ValueError(f"bad part {part!r} in {what} {name!r}; "
+                             f"expected {grammar}, each part at most once")
         else:
             given.add(key)
             try:
                 params[key] = keys[key][1](text)
             except ValueError as exc:
-                raise ValueError(
-                    f"bad value in {part!r} of field {name!r}: {exc}") from exc
+                raise ValueError(f"bad value in {part!r} of {what} "
+                                 f"{name!r}: {exc}") from exc
     return kind, params
 
 
 def get_field(name: str) -> VectorField:
     """Resolve a registry name like 'twisting:levels=8' to a field."""
-    kind, params = parse_field_id(name)
+    kind, params = parse_spec(name)
     return _REGISTRY[kind][0](params)
 
 

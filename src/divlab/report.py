@@ -17,6 +17,7 @@ PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 INFO = "INFO"
+INCONCLUSIVE = "INCONCLUSIVE"
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,12 @@ class VerificationReport:
 
     @property
     def verdict(self) -> str:
-        if any(c.verdict == FAIL for c in self.checks):
+        """FAIL if a check failed, else PASS if one passed: INFO and
+        SKIPPED records alone check nothing and give INCONCLUSIVE."""
+        verdicts = {c.verdict for c in self.checks}
+        if FAIL in verdicts:
             return FAIL
-        return PASS
+        return PASS if PASS in verdicts else INCONCLUSIVE
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if c.verdict == FAIL]

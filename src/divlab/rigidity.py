@@ -20,7 +20,7 @@ import numpy as np
 from . import _ode, _quad
 from .calculus import GridSpec
 from .fields import CylindricalPotential, PhiFunction, VectorField, gamma_bounds
-from .report import CheckResult, VerificationReport
+from .report import INCONCLUSIVE, CheckResult, VerificationReport
 
 __all__ = [
     "MonotonicityViolation", "FlowTube", "RigidityCertificate",
@@ -370,7 +370,6 @@ class RigidityCertificate:
 
 CERTIFIED = "CERTIFIED_SAMPLED"
 VIOLATED = "VIOLATED"
-INCONCLUSIVE = "INCONCLUSIVE"
 
 
 def default_certification_grid(resolution: int = 200) -> GridSpec:

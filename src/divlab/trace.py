@@ -78,6 +78,8 @@ def line_interface(origin=(0.0, 0.0), direction=(1.0, 0.0),
                    normal: Optional[Sequence[float]] = None) -> OrientedInterface:
     o = np.asarray(origin, dtype=float)
     d = np.asarray(direction, dtype=float)
+    if not np.linalg.norm(d) > 0.0:
+        raise ValueError("direction must be nonzero")
     d = d / np.linalg.norm(d)
     if normal is None:
         nu = np.array([-d[1], d[0]])
@@ -150,7 +152,6 @@ class TraceProbe:
     oscillation: float
     oscillating: bool
     quad_tol: float
-    stderrs: Optional[tuple] = None
     notes: str = ""
 
     def __post_init__(self):
@@ -159,9 +160,9 @@ class TraceProbe:
             raise ValueError("radii must be positive and strictly decreasing")
 
     def rows(self) -> list[dict]:
-        err = self.stderrs or (float("nan"),) * len(self.radii)
-        return [{"radius": r, "estimate": e, "stderr": s}
-                for r, e, s in zip(self.radii, self.estimates, err)]
+        # deterministic quadratures carry no sampling error
+        return [{"radius": r, "estimate": e, "stderr": float("nan")}
+                for r, e in zip(self.radii, self.estimates)]
 
 
 def _tail_fit(radii, estimates) -> tuple[float, float, float]:
@@ -186,7 +187,7 @@ def _tail_fit(radii, estimates) -> tuple[float, float, float]:
 
 
 def _make_probe(x0, radii, estimates, method, quad_tol,
-                stderrs=None, notes="") -> TraceProbe:
+                notes="") -> TraceProbe:
     extrapolated, osc, raw = _tail_fit(radii, estimates)
     # both gates: above quadrature noise, and not explained by a smooth
     # trend in the radius
@@ -200,7 +201,6 @@ def _make_probe(x0, radii, estimates, method, quad_tol,
         oscillation=osc,
         oscillating=oscillating,
         quad_tol=quad_tol,
-        stderrs=None if stderrs is None else tuple(stderrs),
         notes=notes,
     )
 
@@ -221,13 +221,6 @@ class DensityProbe:
 
 # ---------------------------------------------------------------------------
 # ball averages
-
-def _bump_moment(profile, upper: float, order: int = 48) -> float:
-    # integral of profile(u) * u over (0, upper), upper <= 1
-    x, w = _quad.leggauss(order)
-    u = 0.5 * upper * (x + 1.0)
-    return float(0.5 * upper * np.sum(w * profile(u) * u))
-
 
 def _twisting_ball_average(field: VectorField, x0: np.ndarray, r: float,
                            nu0: np.ndarray) -> float:

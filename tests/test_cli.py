@@ -175,6 +175,27 @@ class TestExitCodes:
         assert code == 2
         assert "not a finite float" in err and "FAIL" not in out
 
+    # interfaces share the field registry's grammar: an unknown word or
+    # key, or a repeated key, is turned away instead of ignored
+    @pytest.mark.parametrize("spec,message", [
+        ("circle:R=1:inwards", "bad part 'inwards'"),
+        ("line:orign=5,5:bogus", "bad part 'orign=5,5'"),
+        ("circle:R=1:R=7", "bad part 'R=7'"),
+    ], ids=["unknown-word", "unknown-key", "repeated-key"])
+    def test_malformed_interface_is_usage_error(self, capsys, spec, message):
+        code, out, err = run_main(["trace", "--field", "capillary:R=1",
+                                   "--x0", "1,0", "--interface", spec],
+                                  capsys)
+        assert code == 2
+        assert "divlab: error:" in err and message in err
+        assert "verdict" not in out
+
+    # the 4D default grid would need 9.4e9 field evaluations
+    def test_unbounded_jensen_grid_is_usage_error(self, capsys):
+        code, out, err = run_main(["demo", "jensen", "--dim", "4"], capsys)
+        assert code == 2
+        assert "field evaluations" in err and "verdict" not in out
+
     def test_non_finite_point_is_usage_error(self, capsys):
         code, _, err = run_main(["nalpha", "--x0", "inf,0"], capsys)
         assert code == 2
@@ -201,6 +222,29 @@ class TestExitCodes:
         code, out, _ = run_main(["demo", "separable"], capsys)
         assert code == 0
         assert out.strip().endswith("verdict: PASS")
+
+    def test_run_with_only_info_checks_is_inconclusive(self, capsys):
+        code, out, _ = run_main(["trace", "--field", "capillary:R=1",
+                                 "--x0", "1,0", "--radii", "0.25,0.125"],
+                                capsys)
+        assert code == 1
+        assert "PASS" not in out
+        assert out.strip().endswith("verdict: INCONCLUSIVE")
+
+    # an INFO-only diagnostic whose quadrature fails is SKIPPED; it does
+    # not turn the whole run into an execution FAIL
+    @pytest.mark.parametrize("argv,gated", [
+        (["blowup", "--field", "twisting:levels=8", "--x0", "0.25,0"],
+         "PASS     half-space pairing defect, final"),
+        (["demo", "jensen", "--dim", "4", "--grid-n", "4"],
+         "PASS     mollified gauge domination"),
+    ], ids=["blowup-flux-diagnostic", "jensen-4d-mass-audit"])
+    def test_failed_diagnostic_is_skipped(self, capsys, argv, gated):
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        assert gated in out
+        assert "execution" not in out
+        assert "SKIPPED" in out and "failed to converge" in out
 
 
 # ---------------------------------------------------------------------------

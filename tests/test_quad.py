@@ -1,6 +1,7 @@
 """Quadrature building blocks: composite Gauss, product rules, measures."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,3 +133,58 @@ def test_adaptive_ball_quad_constant():
     val = _quad.adaptive_ball_quad(lambda p: np.ones(p.shape[0]),
                                    np.zeros(2), 1.5, 2, rtol=1e-12)
     assert val == pytest.approx(math.pi * 2.25, rel=1e-12)
+
+
+# every adaptive rule fails through the one refinement loop, whose error
+# names the rule, its domain and the last delta between two levels
+@pytest.mark.parametrize("integrate,names", [
+    (lambda: _quad.adaptive_gauss_2d(
+        lambda p: np.sin(1e7 * p[:, 0] * p[:, 1]), (0.0, 1.0, 0.0, 0.5),
+        rtol=1e-14, atol=1e-16, max_doublings=3),
+     "2d quadrature failed to converge on (0.0, 1.0, 0.0, 0.5)"),
+    (lambda: _quad.adaptive_ball_quad(
+        lambda p: np.sin(1e7 * p[:, 0]), (0.25, -1.0), 0.5, 2,
+        rtol=1e-14, atol=1e-16),
+     "ball quadrature failed to converge on the ball of radius 0.5 "
+     "about [0.25, -1.0]"),
+    (lambda: _quad.adaptive_circle(
+        lambda p, nu: np.sin(1e7 * p[:, 0]), (0.0, 2.0), 0.75,
+        rtol=1e-14, atol=1e-16),
+     "circle quadrature failed to converge on the circle of radius 0.75 "
+     "about [0.0, 2.0]"),
+], ids=["2d", "ball", "circle"])
+def test_failure_names_rule_domain_and_last_delta(integrate, names):
+    with pytest.raises(_quad.QuadratureError) as exc:
+        integrate()
+    message = str(exc.value)
+    assert message.startswith(names)
+    delta = re.search(r"\(last delta (\S+) at \d+ nodes\)$", message)
+    assert math.isfinite(float(delta[1])) and float(delta[1]) > 0.0
+
+
+def test_level_above_the_node_cap_is_never_built(monkeypatch):
+    # 2D ball levels hold 24, 64, 256, 1024, ... nodes; with a cap of
+    # 1000 the fourth level is refused before the integrand sees it
+    monkeypatch.setattr(_quad, "MAX_LEVEL_NODES", 1000)
+    sizes = []
+
+    def wild(p):
+        sizes.append(p.shape[0])
+        return np.sin(1e7 * p[:, 0])
+
+    with pytest.raises(_quad.QuadratureError, match=r"at 256 nodes\)$"):
+        _quad.adaptive_ball_quad(wild, (0.0, 0.0), 1.0, 2, rtol=1e-14,
+                                 atol=1e-16)
+    assert sizes == [24, 64, 256]
+
+
+def test_circle_rule_matches_the_disk_boundary_flux():
+    # outward flux of x through the unit circle about (1, 2) is 2*pi
+    def flux(p, nu):
+        return np.einsum("ij,ij->i", p - np.array([1.0, 2.0]), nu)
+
+    out = _quad.adaptive_circle(flux, (1.0, 2.0), 1.0, rtol=1e-12)
+    inward = _quad.adaptive_circle(flux, (1.0, 2.0), 1.0, sign=-1.0,
+                                   rtol=1e-12)
+    assert out == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert inward == -out

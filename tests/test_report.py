@@ -4,8 +4,8 @@ import json
 
 from hypothesis import given, strategies as st
 
-from divlab.report import (CheckResult, VerificationReport, FAIL, INFO, PASS,
-                           SKIPPED)
+from divlab.report import (CheckResult, VerificationReport, FAIL, INCONCLUSIVE,
+                           INFO, PASS, SKIPPED)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
@@ -46,7 +46,8 @@ def test_info_and_skipped_do_not_decide():
     rep = VerificationReport(scenario="quiet")
     rep.add(CheckResult.info("just a number", 1.0))
     rep.add(CheckResult.skipped("not run", ""))
-    assert rep.verdict == PASS
+    assert rep.verdict == INCONCLUSIVE
+    assert VerificationReport(scenario="empty").verdict == INCONCLUSIVE
 
 
 def test_to_json_is_sorted_and_stable():

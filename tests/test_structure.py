@@ -1,6 +1,8 @@
 """Structure guard over the package source: fields, probes and reports
 declare their structure, so no module bolts attributes onto frozen
-instances, dispatches with hasattr, or keeps an import it never uses."""
+instances, dispatches with hasattr, or keeps an import it never uses; and
+every adaptive quadrature and ODE integration stops by one policy, written
+once."""
 
 import ast
 import pathlib
@@ -34,20 +36,21 @@ def _unused_imports(tree, path) -> list:
             if name not in used | _exported(tree)]
 
 
-def _calls(node, where=""):
-    """(call, enclosing 'Class.function' path) for every call below node."""
+def _nodes(node, kind, where=""):
+    """(node, enclosing 'Class.function' path) for every node of type kind
+    below node."""
     for child in ast.iter_child_nodes(node):
         inner = where
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             inner = f"{where}.{child.name}" if where else child.name
-        if isinstance(child, ast.Call):
+        if isinstance(child, kind):
             yield child, where
-        yield from _calls(child, inner)
+        yield from _nodes(child, kind, inner)
 
 
 def _bolted_structure(tree, path) -> list:
     out = []
-    for call, where in _calls(tree):
+    for call, where in _nodes(tree, ast.Call):
         func = call.func
         if isinstance(func, ast.Name) and func.id == "hasattr":
             out.append(f"{path.name}:{call.lineno}: hasattr dispatch")
@@ -67,3 +70,33 @@ def test_structure_is_declared_and_imports_are_used():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         problems += _unused_imports(tree, path) + _bolted_structure(tree, path)
     assert not problems, "\n".join(problems)
+
+
+# each stopping policy gives up in one place: the one refinement loop of
+# `_quad` and the one Dormand-Prince step controller of `_ode`, which alone
+# forms the embedded error estimate from the fourth-order weights _B4
+_ONE_PLACE = {("QuadratureError", "_quad.py:_refine"),
+              ("StiffFailure", "_ode.py:_dp_steps"),
+              ("_B4", "_ode.py:_dp_steps")}
+
+
+def _name(node) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_one_refinement_loop_and_one_step_controller():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node, where in _nodes(tree, ast.Raise):
+            name = _name(node.exc)
+            if name in ("QuadratureError", "StiffFailure"):
+                found.add((name, f"{path.name}:{where}"))
+        for node, where in _nodes(tree, ast.Name):
+            if node.id == "_B4" and isinstance(node.ctx, ast.Load):
+                found.add(("_B4", f"{path.name}:{where}"))
+    assert found == _ONE_PLACE
