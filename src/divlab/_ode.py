@@ -67,7 +67,13 @@ def _dp_steps(f: Callable, t0: float, y: np.ndarray, t1: float,
     """The one Dormand-Prince step controller: yields (t, y, h, y_new,
     nrejected) for each accepted step from (t, y) to (t + h, y_new) on the
     way from t0 to t1.  A step is accepted when its embedded error, the
-    worst |y5 - y4| / (atol + rtol * max(|y|, |y5|)), is at most 1."""
+    worst |y5 - y4| / (atol + rtol * max(|y|, |y5|)), is at most 1.
+    Negative, non-finite or all-zero tolerances raise ValueError before
+    the first call of f."""
+    if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf) \
+            or rtol == atol == 0.0:
+        raise ValueError(f"tolerances must be finite and non-negative, not "
+                         f"both zero; got rtol={rtol}, atol={atol}")
     t = float(t0)
     span = t1 - t0
     direction = 1.0 if span > 0 else -1.0

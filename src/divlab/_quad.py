@@ -38,7 +38,11 @@ def _refine(level: Callable, n0: int, size: Callable, rtol: float,
     each row doubles n until |cur - prev| <= rtol*|cur| + atol and leaves
     the batch.  A row still open after max_doublings, or before a level
     above MAX_LEVEL_NODES, raises QuadratureError naming the rule,
-    domain(row) and the last delta."""
+    domain(row) and the last delta.  Negative or non-finite tolerances
+    raise ValueError before the first level."""
+    if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):
+        raise ValueError(f"tolerances must be finite and non-negative; got "
+                         f"rtol={rtol}, atol={atol}")
     out, rows, n = np.zeros(nrows), np.arange(nrows), n0
     prev = np.atleast_1d(level(rows, n))
     delta = np.full(nrows, math.inf)

@@ -73,9 +73,11 @@ def rescale(z: VectorField, x0, r: float) -> VectorField:
     adiv = None
     if z.analytic_div is not None:
         adiv = lambda pts: r * z.analytic_div(x0 + r * pts)
-    ajac = None
-    if z.analytic_jacobian is not None:
-        ajac = lambda pts: r * z.analytic_jacobian(x0 + r * pts)
+    evj = None
+    if z.eval_jacobian is not None:
+        def evj(pts):
+            vals, J = z.eval_jacobian(x0 + r * pts)
+            return vals, r * J
     excl = tuple(
         Exclusion(e.label + " rescaled",
                   lambda pts, e=e: e.distance(x0 + r * pts) / r)
@@ -83,7 +85,7 @@ def rescale(z: VectorField, x0, r: float) -> VectorField:
     dom = None if z.domain is None else (lambda pts: z.domain(x0 + r * pts))
     return VectorField(dim=z.dim, eval=ev, sup_bound=z.sup_bound,
                        name=f"{z.name}:zoom(r={r:g})",
-                       analytic_div=adiv, analytic_jacobian=ajac,
+                       analytic_div=adiv, eval_jacobian=evj,
                        smooth_exclusion=excl, domain=dom,
                        domain_label=z.domain_label)
 

@@ -165,6 +165,15 @@ def finite_float(text) -> float:
     return value
 
 
+def positive_float(text) -> float:
+    """Converter of a parameter that must be finite and > 0 (a length, a
+    step, a lift, a relative tolerance): zero or less is a usage error."""
+    value = finite_float(text)
+    if not value > 0.0:
+        raise ValueError(f"{text!r} is not positive")
+    return value
+
+
 def int_range(lo: int, hi: int) -> Callable:
     """Converter of a count parameter: integers outside [lo, hi] are usage
     errors, so no count can ask for unbounded work or memory."""
@@ -848,46 +857,46 @@ _OPERATIONS = {
         Param("fd_tol", 1e-6, finite_float, tol=True, flag=False),
         Param("fd_points", 1000, int_range(1, 100_000),
               "divergence sample points"),
-        Param("fd_step", 1e-4, finite_float, "centered-difference step"),
+        Param("fd_step", 1e-4, positive_float, "centered-difference step"),
         Param("field_checks", True, help="skip the field-side spot checks",
               action="negated"))),
     "flow-tube": Operation(
         _h_flow_tube, "transport identity along the lifted flow", (
             _field("stream:bump"),
-            Param("epsilon", None, finite_float,
+            Param("epsilon", None, positive_float,
                   "vertical lift (default: 2x the field sup bound)"),
-            Param("h0", 1.95, finite_float, "seed height"),
+            Param("h0", 1.95, positive_float, "seed height"),
             Param("seeds", 64, int_range(1, 256), "seeds per axis"),
             Param("box", "-2.7,3.3;0,1", help="seed box 'lo,hi;lo,hi'"),
             Param("refine", False, action="store_true",
                   help="rerun with doubled seeds and compare residuals"),
-            Param("refine_factor", 4.0, finite_float,
+            Param("refine_factor", 4.0, positive_float,
                   "required residual shrink"),
-            Param("gauge_constant", None, finite_float,
+            Param("gauge_constant", None, positive_float,
                   "check the displacement bound for this gauge constant"),
             Param("plot_seeds", 6, int_range(1, 64),
                   "seeds per axis of the plotted paths"),
-            Param("rtol", 1e-10, finite_float, "ODE relative tolerance"),
+            Param("rtol", 1e-10, positive_float, "ODE relative tolerance"),
             _tol("residual_tol", 1e-6))),
     "strip-identity": Operation(
         _h_strip, "horizontal strip balance for a planar field", (
             _field("stream:bump"),
             Param("at", ("5,3", "2,1"), action="append",
                   help="strip half-width and height 'R,T' (repeatable)"),
-            Param("rtol", 1e-10, finite_float,
+            Param("rtol", 1e-10, positive_float,
                   "quadrature relative tolerance"))),
     "trace": Operation(_h_trace, "weak normal trace probes", (
         _field("twisting:levels=8"), _SEED,
         Param("method", "ball", help="trace probe",
               choices=("ball", "curvilinear", "flux", "pairing", "all")),
         _x0("0,0"), _RADII, _INTERFACE,
-        Param("rho", 0.2, finite_float, "curvilinear rectangle half-width"),
+        Param("rho", 0.2, positive_float, "curvilinear rectangle half-width"),
         Param("omega", "unit-square",
               help="pairing region: 'unit-square' or 'a,b;c,d'"),
         Param("bumps", 10, int_range(1, 1000),
               "random test bumps for the pairing"),
-        Param("bump_radius", 0.125, finite_float, "test bump radius"),
-        Param("rtol", 1e-9, finite_float, "quadrature relative tolerance"),
+        Param("bump_radius", 0.125, positive_float, "test bump radius"),
+        Param("rtol", 1e-9, positive_float, "quadrature relative tolerance"),
         _expect("none", "value", "oscillating"), _VALUE, _VALUE_TOL,
         _tol("gap", 0.01, "required oscillation subsequence gap"),
         _tol("pairing_tol", 1e-6))),
@@ -911,7 +920,7 @@ _OPERATIONS = {
         _field("twisting:levels=8"), _x0("0.5,0"), _RADII, _INTERFACE,
         Param("trace_value", None, finite_float,
               "known trace (default: probe for it)"),
-        Param("rtol", 1e-8, finite_float, "quadrature relative tolerance"),
+        Param("rtol", 1e-8, positive_float, "quadrature relative tolerance"),
         _tol("final_tol", 1e-2))),
     "demo-separable": Operation(
         _h_demo_separable, "separable profile blow-up", (
@@ -920,10 +929,10 @@ _OPERATIONS = {
             Param("psi0", 1.0, finite_float, "initial profile value"))),
     "demo-jensen": Operation(
         _h_demo_jensen, "smoothing preserves gauge domination", (
-            _SEED, Param("epsilon", 0.05, finite_float, "mollifier radius"),
+            _SEED, Param("epsilon", 0.05, positive_float, "mollifier radius"),
             Param("dim", 2, int_range(2, 4), "dimension"),
             Param("grid_n", 21, int_range(1, 41), "grid nodes per axis"),
-            Param("fd_step", 1e-4, finite_float, "centered-difference step"),
+            Param("fd_step", 1e-4, positive_float, "centered-difference step"),
             _tol("jensen_tol", 1e-6), _tol("div_tol", 1e-6))),
     "demo-quadratic": Operation(
         _h_demo_quadratic, "pointwise quadratic margin identity", (

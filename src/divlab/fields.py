@@ -38,34 +38,40 @@ def as_points(x, dim: int) -> np.ndarray:
 _U_MIN = 2.0 ** -55
 
 
-def bump(u) -> np.ndarray:
-    """w(u) = exp(-1/(1-(2u-1)^2)) on (0,1), zero outside."""
+def _profile_terms(u):
+    """u as floats, the mask of the profile's support, and on it v = 2u - 1,
+    g = 1 - v^2 and exp(-1/g), which the profile and its derivatives share."""
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
     m = (u > _U_MIN) & (u < 1.0)
     v = 2.0 * u[m] - 1.0
-    out[m] = np.exp(-1.0 / (1.0 - v * v))
+    g = 1.0 - v * v
+    return u, m, v, g, np.exp(-1.0 / g)
+
+
+def bump(u) -> np.ndarray:
+    """w(u) = exp(-1/(1-(2u-1)^2)) on (0,1), zero outside."""
+    u, m, _, _, e = _profile_terms(u)
+    out = np.zeros_like(u)
+    out[m] = e
     return out
 
 
 def bump_d1(u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
+    u, m, v, g, e = _profile_terms(u)
     out = np.zeros_like(u)
-    m = (u > _U_MIN) & (u < 1.0)
-    v = 2.0 * u[m] - 1.0
-    g = 1.0 - v * v
-    out[m] = np.exp(-1.0 / g) * (-4.0 * v / g**2)
+    out[m] = e * (-4.0 * v / g**2)
     return out
 
 
-def bump_d2(u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    m = (u > _U_MIN) & (u < 1.0)
-    v = 2.0 * u[m] - 1.0
-    g = 1.0 - v * v
-    out[m] = np.exp(-1.0 / g) * (16.0 * v * v / g**4 - 8.0 / g**2 - 32.0 * v * v / g**3)
-    return out
+def bump_derivatives(u) -> tuple[np.ndarray, np.ndarray]:
+    """w'(u) and w''(u) from one exp(-1/g); zero outside (0, 1)."""
+    u, m, v, g, e = _profile_terms(u)
+    w1 = np.zeros_like(u)
+    w2 = np.zeros_like(u)
+    g2 = g**2
+    w1[m] = e * (-4.0 * v / g2)
+    w2[m] = e * (16.0 * v * v / g**4 - 8.0 / g2 - 32.0 * v * v / g**3)
+    return w1, w2
 
 
 def golden_max(f: Callable[[float], float], a: float, b: float,
@@ -129,6 +135,10 @@ class Exclusion:
 class VectorField:
     """Bounded vector field on R^dim, evaluated in batches.
 
+    `eval_jacobian`, when declared, returns (values, J) for a batch in one
+    call, J[m, i, j] = d_j eta_i at point m; its values equal `eval`'s
+    bitwise, so a caller may use either.  Flow transport needs it.
+
     Three optional fields declare closed-form structure that probes use
     in place of generic quadrature.  Derived fields (translated, rescaled,
     extruded, lifted, mollified) leave them at None:
@@ -147,7 +157,8 @@ class VectorField:
     sup_bound: float
     name: str = "field"
     analytic_div: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    analytic_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    eval_jacobian: Optional[
+        Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     smooth_exclusion: Sequence[Exclusion] = ()
     # open-domain membership test; None means the field is global
     domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -185,13 +196,13 @@ def constant_field(vec, name: str = "") -> VectorField:
     def ev(pts):
         return np.broadcast_to(v, (pts.shape[0], dim)).copy()
 
-    def jac(pts):
-        return np.zeros((pts.shape[0], dim, dim))
+    def evj(pts):
+        return ev(pts), np.zeros((pts.shape[0], dim, dim))
 
     return VectorField(dim=dim, eval=ev, sup_bound=float(np.linalg.norm(v)),
                        name=name or f"constant:{v.tolist()}",
                        analytic_div=lambda pts: np.zeros(pts.shape[0]),
-                       analytic_jacobian=jac)
+                       eval_jacobian=evj)
 
 
 def zero_field(dim: int) -> VectorField:
@@ -201,30 +212,39 @@ def zero_field(dim: int) -> VectorField:
 # ---------------------------------------------------------------------------
 # stream-function fields (2D, exactly divergence-free)
 
+# eta = (-d2 psi, d1 psi) and its Jacobian rows (-H01, -H11), (H00, H01)
+# from the flattened Hessian H of psi; a sign flip is exact, so the signed
+# copies equal the negated entries bitwise
+_ROTATE_SIGNS = np.array([-1.0, 1.0])
+_STREAM_J_ENTRIES = [1, 3, 0, 1]
+_STREAM_J_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
 def make_stream_field(analytic_grad: Callable[[np.ndarray], np.ndarray],
-                      analytic_hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                      analytic_grad_hess: Callable[
+                          [np.ndarray], tuple[np.ndarray, np.ndarray]],
                       sup_bound: float = np.inf,
                       name: str = "stream") -> VectorField:
-    """Rotate the gradient of a stream function: eta = (-d2 psi, d1 psi)."""
+    """Rotate the gradient of a stream function: eta = (-d2 psi, d1 psi).
+
+    analytic_grad_hess(pts) returns the gradient and Hessian of psi from
+    one pass; its gradient must equal analytic_grad's bitwise.
+    """
+
+    def rotate(g):
+        return g[:, ::-1] * _ROTATE_SIGNS
 
     def ev(pts):
-        g = analytic_grad(pts)
-        return np.stack([-g[:, 1], g[:, 0]], axis=1)
+        return rotate(analytic_grad(pts))
 
-    jac = None
-    if analytic_hessian is not None:
-        def jac(pts):
-            H = analytic_hessian(pts)
-            J = np.empty((pts.shape[0], 2, 2))
-            J[:, 0, 0] = -H[:, 0, 1]
-            J[:, 0, 1] = -H[:, 1, 1]
-            J[:, 1, 0] = H[:, 0, 0]
-            J[:, 1, 1] = H[:, 0, 1]
-            return J
+    def evj(pts):
+        g, H = analytic_grad_hess(pts)
+        J = H.reshape(-1, 4)[:, _STREAM_J_ENTRIES] * _STREAM_J_SIGNS
+        return rotate(g), J.reshape(-1, 2, 2)
 
     return VectorField(dim=2, eval=ev, sup_bound=sup_bound, name=name,
                        analytic_div=lambda pts: np.zeros(pts.shape[0]),
-                       analytic_jacobian=jac)
+                       eval_jacobian=evj)
 
 
 def elliptic_bump_stream(center: tuple[float, float], rx: float, rz: float,
@@ -241,35 +261,35 @@ def elliptic_bump_stream(center: tuple[float, float], rx: float, rz: float,
     def _s(pts):
         y1 = pts[:, 0] - cx
         y2 = pts[:, 1] - cz
-        return y1, y2, np.sqrt(d1 * y1 * y1 + d2 * y2 * y2)
+        s = np.sqrt(d1 * y1 * y1 + d2 * y2 * y2)
+        return y1, y2, s, (s > 0.0) & (s < 1.0)
 
     def grad(pts):
-        y1, y2, s = _s(pts)
+        y1, y2, s, m = _s(pts)
         out = np.zeros((pts.shape[0], 2))
-        m = (s > 0.0) & (s < 1.0)
         w1 = bump_d1(s[m])
         out[m, 0] = a * w1 * d1 * y1[m] / s[m]
         out[m, 1] = a * w1 * d2 * y2[m] / s[m]
         return out
 
-    def hess(pts):
-        y1, y2, s = _s(pts)
-        out = np.zeros((pts.shape[0], 2, 2))
-        m = (s > 0.0) & (s < 1.0)
-        sm = s[m]
-        w1 = bump_d1(sm)
-        w2 = bump_d2(sm)
-        u1 = d1 * y1[m]
-        u2 = d2 * y2[m]
+    def grad_hess(pts):
+        y1, y2, s, m = _s(pts)
+        sm, y1m, y2m = s[m], y1[m], y2[m]
+        w1, w2 = bump_derivatives(sm)
+        aw1 = a * w1
+        u1 = d1 * y1m
+        u2 = d2 * y2m
         c2 = a * (w2 - w1 / sm) / sm**2
-        c1 = a * w1 / sm
-        out[m, 0, 0] = c2 * u1 * u1 + c1 * d1
-        out[m, 0, 1] = c2 * u1 * u2
-        out[m, 1, 0] = out[m, 0, 1]
-        out[m, 1, 1] = c2 * u2 * u2 + c1 * d2
-        return out
+        c1 = aw1 / sm
+        h01 = c2 * u1 * u2
+        # the masked rows (gradient, then Hessian) go in in one assignment
+        out = np.zeros((pts.shape[0], 6))
+        out[m] = np.array([aw1 * d1 * y1m / sm, aw1 * d2 * y2m / sm,
+                           c2 * u1 * u1 + c1 * d1, h01, h01,
+                           c2 * u2 * u2 + c1 * d2]).T
+        return out[:, :2], out[:, 2:].reshape(-1, 2, 2)
 
-    return make_stream_field(grad, hess, sup_bound=amplitude, name=name)
+    return make_stream_field(grad, grad_hess, sup_bound=amplitude, name=name)
 
 
 # canonical stream bump: support strictly inside {1 < z < 2}, sup |eta| = 0.05
@@ -294,14 +314,14 @@ def translate_field(f: VectorField, shift) -> VectorField:
         return f.eval(pts - sh)
 
     adiv = None if f.analytic_div is None else (lambda pts: f.analytic_div(pts - sh))
-    ajac = None if f.analytic_jacobian is None else (lambda pts: f.analytic_jacobian(pts - sh))
+    evj = None if f.eval_jacobian is None else (lambda pts: f.eval_jacobian(pts - sh))
     excl = tuple(
         Exclusion(e.label + f" shifted", lambda pts, e=e: e.distance(pts - sh))
         for e in f.smooth_exclusion)
     dom = None if f.domain is None else (lambda pts: f.domain(pts - sh))
     return VectorField(dim=f.dim, eval=ev, sup_bound=f.sup_bound,
                        name=f.name + f":shift={sh.tolist()}",
-                       analytic_div=adiv, analytic_jacobian=ajac,
+                       analytic_div=adiv, eval_jacobian=evj,
                        smooth_exclusion=excl, domain=dom,
                        domain_label=f.domain_label)
 
@@ -318,31 +338,33 @@ def extrude_field_3d(f2: VectorField) -> VectorField:
     def proj(pts):
         return np.stack([pts[:, 0], pts[:, 2]], axis=1)
 
-    def ev(pts):
-        v = f2.eval(proj(pts))
-        out = np.zeros((pts.shape[0], 3))
+    def lift(v):
+        out = np.zeros((v.shape[0], 3))
         out[:, 0] = v[:, 0]
         out[:, 2] = v[:, 1]
         return out
+
+    def ev(pts):
+        return lift(f2.eval(proj(pts)))
 
     adiv = None
     if f2.analytic_div is not None:
         adiv = lambda pts: f2.analytic_div(proj(pts))
 
-    ajac = None
-    if f2.analytic_jacobian is not None:
-        def ajac(pts):
-            J2 = f2.analytic_jacobian(proj(pts))
+    evj = None
+    if f2.eval_jacobian is not None:
+        def evj(pts):
+            v2, J2 = f2.eval_jacobian(proj(pts))
             J = np.zeros((pts.shape[0], 3, 3))
             J[:, 0, 0] = J2[:, 0, 0]
             J[:, 0, 2] = J2[:, 0, 1]
             J[:, 2, 0] = J2[:, 1, 0]
             J[:, 2, 2] = J2[:, 1, 1]
-            return J
+            return lift(v2), J
 
     return VectorField(dim=3, eval=ev, sup_bound=f2.sup_bound,
                        name=f2.name + ":3d", analytic_div=adiv,
-                       analytic_jacobian=ajac)
+                       eval_jacobian=evj)
 
 
 # ---------------------------------------------------------------------------
@@ -491,16 +513,16 @@ def make_capillary_field(R: float) -> VectorField:
         f.check_domain(pts)
         return pts / R
 
-    def jac(pts):
+    def evj(pts):
         J = np.zeros((pts.shape[0], 2, 2))
         J[:, 0, 0] = 1.0 / R
         J[:, 1, 1] = 1.0 / R
-        return J
+        return ev(pts), J
 
     f = VectorField(dim=2, eval=lambda pts: ev(pts), sup_bound=1.0,
                     name=f"capillary:R={_fmt_num(R)}",
                     analytic_div=lambda pts: np.full(pts.shape[0], 2.0 / R),
-                    analytic_jacobian=jac,
+                    eval_jacobian=evj,
                     domain=inside, domain_label=f"open disk of radius {R}",
                     disk_radius=R)
     return f

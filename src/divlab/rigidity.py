@@ -45,24 +45,27 @@ def lifted_field(eta: VectorField, epsilon: float) -> VectorField:
     def ev(pts):
         return eta.eval(pts) + shift
 
+    evj = None
+    if eta.eval_jacobian is not None:
+        def evj(pts):
+            vals, J = eta.eval_jacobian(pts)
+            return vals + shift, J
+
     return VectorField(dim=eta.dim, eval=ev,
                        sup_bound=eta.sup_bound + epsilon,
                        name=f"lifted:eps={epsilon:g}:{eta.name}",
                        analytic_div=eta.analytic_div,
-                       analytic_jacobian=eta.analytic_jacobian,
+                       eval_jacobian=evj,
                        smooth_exclusion=eta.smooth_exclusion)
 
 
-def _trace_shear(X: VectorField, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """tr B for the height-parametrized flow Jacobian.
+def _trace_shear(vals: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """tr B for the height-parametrized flow Jacobian, from the lifted
+    field's values and Jacobian at the same points.
 
     B collects how horizontal velocity shear and vertical speed gradients
     tilt the transported volume element.
     """
-    if X.analytic_jacobian is None:
-        raise ValueError(f"{X.name} has no analytic Jacobian; "
-                         "flow transport needs one")
-    J = X.analytic_jacobian(pts)
     xn = vals[:, -1]
     horiz = vals[:, :-1]
     div_h = np.einsum("mii->m", J[:, :-1, :-1])
@@ -144,7 +147,7 @@ def _seed_transport(X: VectorField, A, h0: float, seeds_per_axis: int,
     lockstep; the last state column is the transported seed-plane
     Jacobian delta.  Returns the seeds, the seed cell measure, the ODE
     result and the smallest delta and widest horizontal excursion seen by
-    the right-hand side.
+    the right-hand side, which makes one `eval_jacobian` call per stage.
 
     A planar X over a 2D box stands for its extrusion, which neither
     moves nor depends on x2: only the seeds of one q1 column are flowed,
@@ -152,6 +155,9 @@ def _seed_transport(X: VectorField, A, h0: float, seeds_per_axis: int,
     grid's order.  The copies would have taken the same adaptive steps,
     since the x2 column's error estimate is exactly zero.
     """
+    if X.eval_jacobian is None:
+        raise ValueError(f"{X.name} has no analytic Jacobian; "
+                         "flow transport needs one")
     s = seeds_per_axis
     seeds, cell = _quad.midpoint_grid(A, [s] * len(A))
     section = X.dim < len(A) + 1
@@ -164,7 +170,7 @@ def _seed_transport(X: VectorField, A, h0: float, seeds_per_axis: int,
         pos = np.empty((nseeds, n))
         pos[:, :-1] = Y[:, :-1]
         pos[:, -1] = h
-        vals = X.eval(pos)
+        vals, J = X.eval_jacobian(pos)
         xn = vals[:, -1]
         mn = float(np.min(xn))
         if mn <= 0.0:
@@ -173,7 +179,7 @@ def _seed_transport(X: VectorField, A, h0: float, seeds_per_axis: int,
                 f"vertical speed {mn:.3e} <= 0 at {bad.tolist()}")
         watch["max_span"] = max(watch["max_span"],
                                 float(np.max(np.abs(Y[:, :-1]))))
-        tr = _trace_shear(X, pos, vals)
+        tr = _trace_shear(vals, J)
         dY = np.empty_like(Y)
         dY[:, :-1] = vals[:, :-1] / xn[:, None]
         dY[:, -1] = tr * Y[:, -1]

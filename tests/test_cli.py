@@ -136,7 +136,7 @@ class TestExitCodes:
          "invalid finite_float value"),
         (["demo", "separable", "--gamma", "inf"], "invalid finite_float value"),
         (["flow-tube", "--h0", "nan", "--seeds", "4"],
-         "invalid finite_float value"),
+         "invalid positive_float value"),
         (["certify", "--fd-points", "2000000000"],
          r"--fd-points: invalid integer in \[1, 100000\]"),
         (["flow-tube", "--seeds", "0"],
@@ -168,6 +168,40 @@ class TestExitCodes:
         assert code == 2
         assert f"argument {flag}: invalid integer in" in err
         assert "verdict" not in out
+
+    # at these values a run PASSed having checked nothing (the tube of
+    # height <= 0 has residual 0, a negative rtol stops any quadrature) or
+    # failed for the wrong reason (negative pairing tolerances, a NaN
+    # divergence)
+    @pytest.mark.parametrize("argv,flag", [
+        (["flow-tube", "--h0", "-1"], "--h0"),
+        (["flow-tube", "--h0", "0"], "--h0"),
+        (["strip-identity", "--rtol", "-1"], "--rtol"),
+        (["trace", "--method", "pairing", "--bump-radius", "-0.1"],
+         "--bump-radius"),
+        (["certify", "--fd-step", "0"], "--fd-step"),
+    ], ids=["negative-height", "zero-height", "negative-strip-rtol",
+            "negative-bump-radius", "zero-fd-step"])
+    def test_non_positive_parameter_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert f"argument {flag}: invalid positive_float value" in err
+        assert "verdict" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["flow-tube", "--epsilon", "0"],
+        ["flow-tube", "--refine-factor", "-4"],
+        ["flow-tube", "--rtol", "0"],
+        ["flow-tube", "--gauge-constant", "0"],
+        ["trace", "--rtol", "-1"],
+        ["trace", "--rho", "0"],
+        ["blowup", "--rtol", "0"],
+        ["demo", "jensen", "--epsilon", "-0.05"],
+        ["demo", "jensen", "--fd-step", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_every_positive_parameter_rejects_zero_or_less(self, argv):
+        with pytest.raises(UsageError, match="invalid positive_float value"):
+            build_parser().parse_args(argv)
 
     def test_blowup_radius_beyond_floats_is_usage_error(self, capsys):
         code, out, err = run_main(["demo", "separable", "--gamma", "1e-3",
@@ -372,6 +406,10 @@ class TestConfig:
         (["certify", "--no-field-checks"], {"resolution": 0}),
         (["demo", "jensen"], {"grid_n": 0}),
         (["demo", "quadratic"], {"samples": 0}),
+        (["flow-tube"], {"h0": 0}),
+        (["strip-identity"], {"rtol": -1}),
+        (["trace", "--method", "pairing"], {"bump_radius": -0.1}),
+        (["certify", "--no-field-checks"], {"fd_step": 0}),
     ])
     def test_config_value_converted_like_a_flag(self, tmp_path, capsys,
                                                 argv, config):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divlab.blowup import rescale
 from divlab.fields import (
     AUTO,
     RADIAL_BOUND_CONSTANT,
@@ -29,6 +30,7 @@ from divlab.fields import (
     _level_geometry,
     _twisting_balls,
 )
+from divlab.rigidity import lifted_field
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +306,9 @@ def test_stream_bump_is_finite_next_to_its_center(stream_bump):
     # derivative formula evaluates 0 * inf
     pts = np.array([[3.8094611052537206e-97, 1.5], [-1e-20, 1.5]])
     assert np.array_equal(stream_bump.eval(pts), np.zeros((2, 2)))
-    assert np.all(np.isfinite(stream_bump.analytic_jacobian(pts)))
+    vals, J = stream_bump.eval_jacobian(pts)
+    assert np.array_equal(vals, np.zeros((2, 2)))
+    assert np.all(np.isfinite(J))
 
 
 def test_extrusion_matches_planar_slice(stream_bump, rng):
@@ -358,4 +362,54 @@ def test_zero_and_constant_fields(rng):
     assert np.all(z.eval(pts) == 0.0)
     c = constant_field([1.0, -2.0])
     assert np.all(c.analytic_div(pts[:, :2]) == 0.0)
-    assert np.all(c.analytic_jacobian(pts[:, :2]) == 0.0)
+    assert np.all(c.eval_jacobian(pts[:, :2])[1] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# fused value + Jacobian
+
+def _declared_jacobian_fields():
+    bump = stream_bump_field()
+    return {
+        "stream:bump": (bump, 2.0),
+        "stream:bump:3d": (get_field("stream:bump:3d"), 2.0),
+        "capillary": (make_capillary_field(1.0), 0.6),
+        "constant": (constant_field((0.25, -1.5)), 2.0),
+        "translated": (translate_field(bump, (0.3, -0.2)), 2.0),
+        "rescaled": (rescale(bump, (0.4, 1.3), 0.25), 2.0),
+        "lifted": (lifted_field(bump, 0.1), 2.0),
+    }
+
+
+def _jacobian_sample(f, half_width, rng):
+    # about half the points inside the stream bump's support ellipse
+    pts = rng.uniform(-half_width, half_width, size=(256, f.dim))
+    if f.dim == 2 and f.disk_radius is None:
+        pts[:, 1] = 1.5 + pts[:, 1] / 3.0
+    elif f.dim == 3:
+        pts[:, 2] = 1.5 + pts[:, 2] / 3.0
+    return pts
+
+
+@pytest.mark.parametrize("name", sorted(_declared_jacobian_fields()))
+def test_eval_jacobian_values_equal_eval_bitwise(name):
+    f, half_width = _declared_jacobian_fields()[name]
+    pts = _jacobian_sample(f, half_width, np.random.default_rng(7))
+    vals, J = f.eval_jacobian(pts)
+    # tobytes also tells -0.0 from 0.0
+    assert vals.tobytes() == f.eval(pts).tobytes()
+    assert J.shape == (pts.shape[0], f.dim, f.dim)
+
+
+@pytest.mark.parametrize("name", sorted(_declared_jacobian_fields()))
+def test_eval_jacobian_matches_centered_differences(name):
+    f, half_width = _declared_jacobian_fields()[name]
+    pts = _jacobian_sample(f, half_width, np.random.default_rng(11))
+    _, J = f.eval_jacobian(pts)
+    h = 1e-6
+    for j in range(f.dim):
+        step = np.zeros(f.dim)
+        step[j] = h
+        fd = (f.eval(pts + step) - f.eval(pts - step)) / (2.0 * h)
+        assert np.max(np.abs(fd - J[:, :, j])) < 1e-6, j
+    assert np.any(J != 0.0) or name == "constant"

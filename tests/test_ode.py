@@ -35,3 +35,24 @@ def test_non_finite_input_is_rejected_before_any_rhs_call(integrator,
             _ode.rk45_event(f, t0, y0, lambda t, y: y[0] - 2.0, t_max=t1,
                             max_steps=200)
     assert calls == []
+
+
+# the step controller checks its tolerances before the first rhs call; a
+# negative rtol used to reach err ** -0.2 and die with a complex-number
+# TypeError, and zero tolerances divide by a zero error scale
+@pytest.mark.parametrize("rtol,atol", [
+    (-1.0, 1e-12), (math.nan, 1e-12), (1e-9, math.inf), (1e-9, -1e-12),
+    (0.0, 0.0),
+], ids=["negative-rtol", "nan-rtol", "inf-atol", "negative-atol",
+        "both-zero"])
+@pytest.mark.parametrize("integrator", ["rk45", "rk45_event"])
+def test_bad_tolerance_is_rejected_before_any_rhs_call(integrator, rtol,
+                                                       atol):
+    f, calls = _counting_rhs()
+    with pytest.raises(ValueError, match="tolerances"):
+        if integrator == "rk45":
+            _ode.rk45(f, 0.0, np.ones(1), 5.0, rtol=rtol, atol=atol)
+        else:
+            _ode.rk45_event(f, 0.0, np.ones(1), lambda t, y: y[0] - 0.5,
+                            t_max=5.0, rtol=rtol, atol=atol)
+    assert calls == []

@@ -188,3 +188,31 @@ def test_circle_rule_matches_the_disk_boundary_flux():
                                    rtol=1e-12)
     assert out == pytest.approx(2.0 * math.pi, rel=1e-12)
     assert inward == -out
+
+
+# the refinement loop checks its tolerances before the first level; a
+# negative rtol used to run all 12 doublings and then report a misleading
+# failure to converge
+@pytest.mark.parametrize("rtol,atol", [
+    (-1.0, 1e-12), (math.nan, 1e-12), (1e-8, math.inf), (1e-8, -1e-12),
+], ids=["negative-rtol", "nan-rtol", "inf-atol", "negative-atol"])
+@pytest.mark.parametrize("rule", ["1d", "2d", "ball"])
+def test_bad_tolerance_is_rejected_before_any_integrand_call(rule, rtol,
+                                                             atol):
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.ones(x.shape[0])
+
+    with pytest.raises(ValueError, match="tolerances"):
+        if rule == "1d":
+            _quad.adaptive_gauss_1d(lambda s: f(s[:, None]), 0.0, 1.0,
+                                    rtol=rtol, atol=atol)
+        elif rule == "2d":
+            _quad.adaptive_gauss_2d(f, (0.0, 1.0, 0.0, 1.0), rtol=rtol,
+                                    atol=atol)
+        else:
+            _quad.adaptive_ball_quad(f, (0.0, 0.0), 1.0, 2, rtol=rtol,
+                                     atol=atol)
+    assert calls == []

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from divlab import rigidity
 from divlab.calculus import GridSpec
 from divlab.fields import (
     AUTO, CylindricalPotential, constant_field, counterexample_potential,
@@ -162,7 +163,7 @@ class TestFlowTube:
 
         planar = dataclasses.replace(
             stream_bump, eval=counting("eval", stream_bump.eval),
-            analytic_jacobian=counting("jac", stream_bump.analytic_jacobian))
+            eval_jacobian=counting("jac", stream_bump.eval_jacobian))
         tubes = [build_flow_tube(f, eps, TUBE_BOX, 1.95, seeds_per_axis=8,
                                  gauge_constant=0.5)
                  for f in (planar, extruded)]
@@ -171,13 +172,16 @@ class TestFlowTube:
             assert getattr(tubes[0], name) == getattr(tubes[1], name), name
         assert sizes["jac"] and max(sizes["jac"]) <= 8
 
+        # the trajectories flow with the fused call alone
         sizes["eval"].clear()
+        sizes["jac"].clear()
         rows = flow_tube_trajectories(planar, eps, TUBE_BOX, 1.95,
                                       seeds_per_axis=8)
         assert rows == flow_tube_trajectories(extruded, eps, TUBE_BOX, 1.95,
                                               seeds_per_axis=8)
         assert len(rows) % 64 == 0
-        assert sizes["eval"] and max(sizes["eval"]) <= 8
+        assert sizes["jac"] and max(sizes["jac"]) <= 8
+        assert sizes["eval"] == []
 
     def test_audit_rejects_missing_divergence(self):
         f = constant_field((0.0, 0.0))
@@ -189,9 +193,59 @@ class TestFlowTube:
         f = constant_field((0.0, 0.0))
         lying = type(f)(dim=2, eval=f.eval, sup_bound=0.0, name="lying",
                         analytic_div=lambda pts: np.ones(pts.shape[0]),
-                        analytic_jacobian=f.analytic_jacobian)
+                        eval_jacobian=f.eval_jacobian)
         with pytest.raises(ValueError, match="not zero"):
             build_flow_tube(lying, 1.0, ((-1.0, 1.0), (-1.0, 1.0)), 1.0)
+
+    def test_tube_values_are_unchanged_by_the_fused_field_call(
+            self, stream_bump):
+        # reprs of the tube before value and Jacobian shared one call
+        tube = build_flow_tube(stream_bump, 2.0 * stream_bump.sup_bound,
+                               TUBE_BOX, 1.95, seeds_per_axis=16)
+        assert repr(tube.residual) == "8.99660230563315e-05"
+        assert repr(tube.bottom_measure) == "5.999100339769438"
+        assert repr(tube.delta_min) == "0.8893836078044807"
+
+    def test_tube_rhs_makes_one_fused_call_and_no_value_call(
+            self, stream_bump, monkeypatch):
+        calls = {"eval": 0, "jac": 0}
+        per_rhs = []
+
+        def counting(kind, fn):
+            def wrapped(pts):
+                calls[kind] += 1
+                return fn(pts)
+            return wrapped
+
+        rk45 = rigidity._ode.rk45
+
+        def counting_rk45(f, *args, **kwargs):
+            def rhs(t, y):
+                before = dict(calls)
+                out = f(t, y)
+                per_rhs.append((calls["jac"] - before["jac"],
+                                calls["eval"] - before["eval"]))
+                return out
+            return rk45(rhs, *args, **kwargs)
+
+        monkeypatch.setattr(rigidity._ode, "rk45", counting_rk45)
+        f = dataclasses.replace(
+            stream_bump, eval=counting("eval", stream_bump.eval),
+            eval_jacobian=counting("jac", stream_bump.eval_jacobian))
+        build_flow_tube(f, 2.0 * f.sup_bound, TUBE_BOX, 1.95,
+                        seeds_per_axis=16)
+        assert per_rhs and set(per_rhs) == {(1, 0)}
+        assert calls["jac"] == len(per_rhs)
+
+    def test_field_without_jacobian_fails_before_the_flow(self, stream_bump,
+                                                          monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow started")
+
+        monkeypatch.setattr(rigidity._ode, "rk45", no_flow)
+        bare = dataclasses.replace(stream_bump, eval_jacobian=None)
+        with pytest.raises(ValueError, match="no analytic Jacobian"):
+            build_flow_tube(bare, 0.1, TUBE_BOX, 1.95, seeds_per_axis=4)
 
     def test_audit_rejects_field_alive_below_zero(self):
         with pytest.raises(ValueError, match="vanish below"):

@@ -1,8 +1,8 @@
 """Structure guard over the package source: fields, probes and reports
 declare their structure, so no module bolts attributes onto frozen
 instances, dispatches with hasattr, or keeps an import it never uses; and
-every adaptive quadrature and ODE integration stops by one policy, written
-once."""
+every adaptive quadrature and ODE integration stops by one policy, and a
+field's Jacobian has one entry point, each written once."""
 
 import ast
 import pathlib
@@ -100,3 +100,25 @@ def test_one_refinement_loop_and_one_step_controller():
             if node.id == "_B4" and isinstance(node.ctx, ast.Load):
                 found.add(("_B4", f"{path.name}:{where}"))
     assert found == _ONE_PLACE
+
+
+# a field declares its Jacobian only through `eval_jacobian`, which returns
+# the values too; the bump profile's second derivative has one home,
+# `bump_derivatives`, which shares exp(-1/g) with the first derivative and
+# is read only by the stream bump's fused gradient-and-Hessian pass
+def test_one_jacobian_entry_point():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if "analytic_jacobian" in text:
+            found.add(("analytic_jacobian", path.name))
+        tree = ast.parse(text, filename=str(path))
+        for node, where in _nodes(tree, ast.Name):
+            if node.id in ("bump_derivatives", "bump_d2") or (
+                    node.id == "bump_d1" and where.endswith("grad_hess")):
+                found.add((node.id, f"{path.name}:{where}"))
+        for node, where in _nodes(tree, ast.FunctionDef):
+            if node.name == "bump_d2":
+                found.add(("def bump_d2", f"{path.name}:{where}"))
+    assert found == {
+        ("bump_derivatives", "fields.py:elliptic_bump_stream.grad_hess")}
