@@ -75,18 +75,6 @@ def _gauss_rows(f: Callable, rows: np.ndarray, a: np.ndarray,
     return half * (vals.reshape(rows.size, panels, order) @ w).sum(axis=1)
 
 
-def _one_row(f: Callable) -> Callable:
-    return lambda rows, s: f(s[0])
-
-
-def gauss_panels_1d(f: Callable, a: float, b: float,
-                    panels: int, order: int = 8) -> float:
-    """Composite Gauss rule with `panels` equal segments."""
-    return float(_gauss_rows(_one_row(f), np.zeros(1, dtype=int),
-                             np.array([a], dtype=float),
-                             np.array([b], dtype=float), panels, order)[0])
-
-
 def adaptive_gauss_rows(f: Callable, a, b, rtol: float = 1e-8,
                         atol: float = 1e-12,
                         max_doublings: int = 12) -> np.ndarray:
@@ -116,8 +104,8 @@ def adaptive_gauss_1d(f: Callable, a: float, b: float,
                       rtol: float = 1e-8, atol: float = 1e-12,
                       max_doublings: int = 12) -> float:
     """Integrate f over [a, b], doubling panel count until stable."""
-    return float(adaptive_gauss_rows(_one_row(f), [a], [b], rtol, atol,
-                                     max_doublings)[0])
+    return float(adaptive_gauss_rows(lambda rows, s: f(s[0]), [a], [b],
+                                     rtol, atol, max_doublings)[0])
 
 
 def adaptive_gauss_2d(f: Callable, box, rtol: float = 1e-8,

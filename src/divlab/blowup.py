@@ -20,8 +20,9 @@ from .calculus import (GridSpec, AnnulusRegion, bump_test,
                        gauss_green_residual, constant_test)
 from .fields import Exclusion, VectorField
 from .report import CheckResult, VerificationReport
-from .trace import OrientedInterface, DensityProbe, _eddy_pairings, \
-    density, deviation_indicator, weak_trace_ball_average
+from .trace import OrientedInterface, DensityProbe, _disk_radius, \
+    _eddy_pairings, check_radii, density, deviation_indicator, \
+    weak_trace_ball_average
 
 __all__ = [
     "rescale", "BlowupSequence", "blowup_sequence",
@@ -102,9 +103,7 @@ class BlowupSequence:
 
 
 def blowup_sequence(z: VectorField, x0, radii) -> BlowupSequence:
-    radii = [float(r) for r in radii]
-    if min(radii) <= 0 or any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be positive and strictly decreasing")
+    radii = check_radii(radii)
     x0 = np.asarray(x0, dtype=float)
     zs = tuple(rescale(z, x0, r) for r in radii)
     return BlowupSequence(base=z, x0=tuple(x0.tolist()),
@@ -202,13 +201,11 @@ def _halfspace_lhs(seq: BlowupSequence, k: int, psi_family,
 
     # the rescaled domain begins at inward depth s_star(t) from the flat
     # line: 0 for a global field, the disk's sagitta for a rim point
-    R = base.disk_radius
-    if base.domain is not None:
-        if R is None:
-            raise ValueError("domain-restricted field without a usable "
-                             "boundary description")
-        if abs(np.linalg.norm(x0) - R) > 1e-9:
-            raise ValueError("blow-up center must sit on the disk boundary")
+    R = _disk_radius(base)
+    if R is not None and abs(np.linalg.norm(x0) - R) > 1e-9:
+        raise ValueError("blow-up center must sit on the disk boundary")
+    if zk.analytic_div is None:
+        raise ValueError("divergence information required")
     tdir = np.array([-nu[1], nu[0]])
 
     def lhs(psi) -> float:
@@ -217,9 +214,7 @@ def _halfspace_lhs(seq: BlowupSequence, k: int, psi_family,
         s_c = float(pc @ (-nu))
 
         def g(y):
-            div = zk.analytic_div(y) if zk.analytic_div is not None \
-                else np.zeros(y.shape[0])
-            return psi.value(y) * div + np.einsum(
+            return psi.value(y) * zk.analytic_div(y) + np.einsum(
                 "ij,ij->i", zk.eval(y), psi.gradient(y))
 
         def inner(t_arr):
@@ -228,7 +223,7 @@ def _halfspace_lhs(seq: BlowupSequence, k: int, psi_family,
             # from the scalar power for about 1 input in 1,000, which would
             # move the s-nodes and the reported digits
             s_star = np.zeros(t_arr.size)
-            if base.domain is not None:
+            if R is not None:
                 s_star = np.array([
                     (R / r_k) * (1.0 - math.sqrt(max(1.0 - (r_k * t / R) ** 2,
                                                      0.0)))

@@ -136,13 +136,6 @@ def numeric_divergence(field: VectorField, x, h: float = DEFAULT_FD_STEP):
     return acc
 
 
-def _divergence_values(field: VectorField, pts: np.ndarray,
-                       h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    if field.analytic_div is not None:
-        return field.analytic_div(pts)
-    return numeric_divergence(field, pts, h)
-
-
 # ---------------------------------------------------------------------------
 # regions with oriented boundaries
 
@@ -153,6 +146,7 @@ class RectRegion:
         (self.ax, self.bx), (self.ay, self.by) = bounds
         if self.ax >= self.bx or self.ay >= self.by:
             raise ValueError("degenerate rectangle")
+        self.area = (self.bx - self.ax) * (self.by - self.ay)
 
     def volume_integral(self, f, rtol=1e-9, atol=1e-12) -> float:
         return _quad.adaptive_gauss_2d(f, (self.ax, self.bx, self.ay, self.by),
@@ -178,11 +172,6 @@ class RectRegion:
             total += _quad.adaptive_gauss_1d(integrand, lo, hi, rtol=rtol, atol=atol)
         return total
 
-    def sample_points(self, n: int = 256) -> np.ndarray:
-        rng = np.random.default_rng(5150)
-        pts = rng.uniform((self.ax, self.ay), (self.bx, self.by), size=(n, 2))
-        return pts
-
 
 class DiskRegion:
     def __init__(self, center, radius: float):
@@ -190,6 +179,7 @@ class DiskRegion:
         self.radius = float(radius)
         if self.radius <= 0:
             raise ValueError("radius must be positive")
+        self.area = math.pi * self.radius ** 2
 
     def volume_integral(self, f, rtol=1e-9, atol=1e-12) -> float:
         return _quad.adaptive_ball_quad(f, self.center, self.radius, 2,
@@ -198,12 +188,6 @@ class DiskRegion:
     def boundary_integral(self, g, rtol=1e-9, atol=1e-12) -> float:
         return _quad.adaptive_circle(g, self.center, self.radius, +1.0,
                                      rtol, atol)
-
-    def sample_points(self, n: int = 256) -> np.ndarray:
-        rng = np.random.default_rng(5151)
-        th = rng.uniform(0, 2 * math.pi, n)
-        rr = self.radius * np.sqrt(rng.uniform(0, 1, n))
-        return self.center[None, :] + np.stack([rr * np.cos(th), rr * np.sin(th)], 1)
 
 
 class AnnulusRegion:
@@ -215,6 +199,7 @@ class AnnulusRegion:
         self.center = np.asarray(center, dtype=float)
         self.r_inner = float(r_inner)
         self.r_outer = float(r_outer)
+        self.area = math.pi * (self.r_outer ** 2 - self.r_inner ** 2)
 
     def volume_integral(self, f, rtol=1e-9, atol=1e-12) -> float:
         n = 128
@@ -243,20 +228,16 @@ class AnnulusRegion:
 # Gauss-Green pairing residual
 
 def gauss_green_residual(field: VectorField, region, psi: ScalarTest,
-                         rtol: float = 1e-9, atol: float = 1e-12,
-                         fd_step: float = DEFAULT_FD_STEP) -> float:
+                         rtol: float = 1e-9, atol: float = 1e-12) -> float:
     """Residual of the boundary pairing:
     int psi div(field) + int field . grad psi - int_boundary psi (field . nu).
+    The field must declare `analytic_div`.
     """
-    if field.analytic_div is None and field.smooth_exclusion:
-        samples = region.sample_points()
-        if np.any(field.exclusion_distance(samples) <= 2.0 * fd_step):
-            raise ValueError(
-                "region touches a non-smooth set and the field has no "
-                "analytic divergence")
+    if field.analytic_div is None:
+        raise ValueError("Gauss-Green residual needs divergence information")
 
     def vol_term(pts):
-        return psi.value(pts) * _divergence_values(field, pts, fd_step)
+        return psi.value(pts) * field.analytic_div(pts)
 
     def transport_term(pts):
         return np.einsum("ij,ij->i", field.eval(pts), psi.gradient(pts))

@@ -47,7 +47,7 @@ from .rigidity import (CERTIFIED, VIOLATED, build_flow_tube, certify_potential,
                        default_certification_grid, flow_tube_trajectories,
                        separable_demo, strip_identity_2d)
 from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
-                    circle_interface, density, line_interface,
+                    check_radii, circle_interface, density, line_interface,
                     one_sided_ap_lim, weak_trace_ball_average,
                     weak_trace_curvilinear, weak_trace_pairing,
                     weak_trace_sphere_flux)
@@ -204,7 +204,10 @@ def _parse_radii(spec: str) -> tuple:
     vals = _floats(spec, "radii")
     if len(vals) < 2:
         raise UsageError("need at least two probe radii")
-    return tuple(vals)
+    try:
+        return tuple(check_radii(vals))
+    except ValueError as exc:
+        raise UsageError(f"bad radii {spec!r}: {exc}") from exc
 
 
 def _parse_box(spec: str) -> list:
@@ -577,6 +580,8 @@ def _h_aplim(sc: Scenario):
     else:
         w = _floats(p["w"], "w", 2)
     alphas = _floats(p["alphas"], "alphas")
+    if not alphas or min(alphas) <= 0.0:
+        raise UsageError(f"deviation levels must be positive: {p['alphas']!r}")
     radii = _parse_radii(p["radii"])
     rep = one_sided_ap_lim(f, S, x0, w, alphas, radii,
                            eps_density=tol["eps_density"],
@@ -914,7 +919,7 @@ _OPERATIONS = {
     "nalpha": Operation(
         _h_nalpha, "deviation-set density at an interface point", (
             _field("capillary:R=1"), _SEED, _x0("1,0"),
-            Param("alpha", 0.2, finite_float, "deviation level"),
+            Param("alpha", 0.2, positive_float, "deviation level"),
             _RADII, _INTERFACE, _SAMPLES, _tol("ratio_tol", 1e-2))),
     "blowup": Operation(_h_blowup, "per-scale trace consistency", (
         _field("twisting:levels=8"), _x0("0.5,0"), _RADII, _INTERFACE,

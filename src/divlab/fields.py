@@ -148,7 +148,9 @@ class VectorField:
       `blowup`;
     - `disk_radius`: the capillary field's open disk, read by the lens
       averages and sphere flux in `trace`, the rim blow-up in `blowup` and
-      the default interface in `cli`;
+      the default interface in `cli`.  The trace probes and the blow-up
+      half-space pairing refuse a field with a `domain` but no disk
+      (`trace._disk_radius`), such as a translated or rescaled one;
     - `potential`: the counterexample's cylindrical potential, read by
       `cli certify`.
     """

@@ -27,7 +27,7 @@ __all__ = [
     "OrientedInterface", "TraceProbe", "DensityProbe",
     "line_interface", "circle_interface",
     "weak_trace_ball_average", "weak_trace_curvilinear",
-    "weak_trace_pairing", "weak_trace_sphere_flux",
+    "weak_trace_pairing", "weak_trace_sphere_flux", "check_radii",
     "density", "deviation_indicator", "one_sided_ap_lim", "ApLimReport",
     "AP_LIM_CONFIRMED", "AP_LIM_REJECTED", "AP_LIM_INCONCLUSIVE",
     "EPS_DENSITY",
@@ -142,6 +142,23 @@ def circle_interface(center=(0.0, 0.0), radius: float = 1.0,
 # ---------------------------------------------------------------------------
 # probes
 
+def check_radii(radii) -> list[float]:
+    """The radii as floats, if positive and strictly decreasing."""
+    radii = [float(r) for r in radii]
+    if min(radii) <= 0 or any(b >= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be positive and strictly decreasing")
+    return radii
+
+
+def _disk_radius(field: VectorField) -> Optional[float]:
+    """The radius of the disk a field lives on, None for a global field;
+    a field with a domain but no declared disk is refused, not masked."""
+    if field.domain is not None and field.disk_radius is None:
+        raise ValueError(f"{field.name}: a domain-restricted field must "
+                         f"declare its disk_radius to be probed")
+    return field.disk_radius
+
+
 @dataclass(frozen=True)
 class TraceProbe:
     x0: tuple
@@ -155,9 +172,7 @@ class TraceProbe:
     notes: str = ""
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        if np.any(r <= 0) or np.any(np.diff(r) >= 0):
-            raise ValueError("radii must be positive and strictly decreasing")
+        check_radii(self.radii)
 
     def rows(self) -> list[dict]:
         # deterministic quadratures carry no sampling error
@@ -264,11 +279,10 @@ def _twisting_ball_average(field: VectorField, x0: np.ndarray, r: float,
     return total / (math.pi * r * r)
 
 
-def _disk_lens_average(field: VectorField, x0: np.ndarray, r: float,
+def _disk_lens_average(R: float, x0: np.ndarray, r: float,
                        nu0: np.ndarray, rtol: float) -> float:
-    """Average of the radial disk field over a boundary ball, restricting
-    to the lens inside the disk; both lens integrals reduce to 1D."""
-    R = field.disk_radius
+    """Average of the radial field on the disk of radius R over a boundary
+    ball, restricted to the lens inside the disk; both integrals are 1D."""
     a = x0  # on the circle, |a| = R up to the interface tolerance
     sgn = float(np.sign(a @ nu0))
 
@@ -292,64 +306,31 @@ def _disk_lens_average(field: VectorField, x0: np.ndarray, r: float,
     return sgn * num / den
 
 
-def _generic_ball_average(field: VectorField, x0: np.ndarray, r: float,
-                          nu0: np.ndarray, rtol: float) -> float:
-    if field.domain is None:
-        val = _quad.adaptive_ball_quad(
-            lambda pts: field.eval(pts) @ nu0, x0, r, field.dim,
-            rtol=rtol, atol=1e-14)
-        return val / (_quad.ball_volume(field.dim) * r ** field.dim)
-
-    def masked(pts):
-        inside = field.domain(pts)
-        out = np.zeros(pts.shape[0])
-        if np.any(inside):
-            out[inside] = field.eval(pts[inside]) @ nu0
-        return out
-
-    def indicator(pts):
-        return field.domain(pts).astype(float)
-
-    num = _quad.adaptive_ball_quad(masked, x0, r, field.dim,
-                                   rtol=max(rtol, 1e-6), atol=1e-12)
-    den = _quad.adaptive_ball_quad(indicator, x0, r, field.dim,
-                                   rtol=max(rtol, 1e-6), atol=1e-12)
-    if den <= 0.0:
-        raise ValueError("window does not meet the field's domain")
-    return num / den
-
-
 def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
                             x0, radii, rtol: float = 1e-9) -> TraceProbe:
     """Solid averages of the normal component over shrinking balls.
 
-    The window is normalized by the part of the ball where the field is
-    defined, so a field living on one side of its boundary averages to
-    its one-sided trace rather than half of it.
+    A field on a disk is averaged over the lens of each ball inside the
+    disk, so it averages to its one-sided trace rather than half of it.
     """
     x0 = np.asarray(x0, dtype=float)
     S.require_on(x0)
     nu0 = S.normal_at(x0)
-    notes = ""
+    R = _disk_radius(field)
     if field.eddies is not None:
         estimates = [_twisting_ball_average(field, x0, float(r), nu0)
                      for r in radii]
-        quad_tol = 1e-10
-    elif field.domain is not None and field.disk_radius is not None:
-        estimates = [_disk_lens_average(field, x0, float(r), nu0, rtol)
+        return _make_probe(x0, radii, estimates, "ball_average", 1e-10)
+    if R is not None:
+        estimates = [_disk_lens_average(R, x0, float(r), nu0, rtol)
                      for r in radii]
-        quad_tol = rtol
-    elif field.domain is None:
-        estimates = [_generic_ball_average(field, x0, float(r), nu0, rtol)
-                     for r in radii]
-        quad_tol = rtol
     else:
-        estimates = [_generic_ball_average(field, x0, float(r), nu0, rtol)
-                     for r in radii]
-        quad_tol = 1e-5
-        notes = "indicator-weighted quadrature; accuracy limited by the domain edge"
-    return _make_probe(x0, radii, estimates, "ball_average", quad_tol,
-                       notes=notes)
+        vol = _quad.ball_volume(field.dim)
+        estimates = [_quad.adaptive_ball_quad(
+            lambda pts: field.eval(pts) @ nu0, x0, float(r), field.dim,
+            rtol=rtol, atol=1e-14) / (vol * float(r) ** field.dim)
+            for r in radii]
+    return _make_probe(x0, radii, estimates, "ball_average", rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +493,15 @@ def weak_trace_pairing(field: VectorField, region, psi_family,
             return psi.value(pts) * div + np.einsum(
                 "ij,ij->i", field.eval(pts), grads)
 
-        out.append(float(region.volume_integral(g, rtol=rtol, atol=1e-13)))
+        # the pairing of a trace that vanishes converges to about 0, where
+        # a relative test cannot stop; sup|xi| C1(psi) |region| bounds
+        # |int xi . grad psi| and gives the absolute floor its scale
+        scale = field.sup_bound * psi.c1_norm * region.area
+        if not math.isfinite(scale):
+            raise ValueError(f"pairing against {psi.label}: sup bound x C1 "
+                             f"norm x area = {scale} is not finite")
+        out.append(float(region.volume_integral(g, rtol=rtol,
+                                                atol=rtol * scale)))
     return out
 
 
@@ -538,31 +527,21 @@ def weak_trace_sphere_flux(field: VectorField, S: OrientedInterface,
 
     # for a field living on a centered disk with x0 on its rim, the arc
     # inside the domain is known in closed form; integrating only there
-    # keeps the integrand smooth (the masked jump defeats panel doubling)
-    disk_R = field.disk_radius
-    half_width = 0.5 * math.pi
-    if disk_R is not None:
-        if abs(np.linalg.norm(x0) - disk_R) > 1e-9:
-            raise ValueError("flux probe on a disk field needs a rim point")
+    # keeps the integrand smooth
+    disk_R = _disk_radius(field)
+    if disk_R is not None and abs(np.linalg.norm(x0) - disk_R) > 1e-9:
+        raise ValueError("flux probe on a disk field needs a rim point")
 
     estimates = []
     for r in radii:
         def integrand(th):
             e = np.stack([np.cos(th), np.sin(th)], axis=1)
             pts = x0 + float(r) * e
-            out = np.zeros(th.size)
-            if field.domain is None or disk_R is not None:
-                out = np.einsum("ij,ij->i", field.eval(pts), x0 - pts)
-            else:
-                inside = field.domain(pts)
-                if np.any(inside):
-                    out[inside] = np.einsum(
-                        "ij,ij->i", field.eval(pts[inside]),
-                        (x0 - pts)[inside])
-            return out * float(r)  # dH^1 = r dtheta
+            # dH^1 = r dtheta
+            return np.einsum("ij,ij->i", field.eval(pts), x0 - pts) * float(r)
 
-        if disk_R is not None:
-            half_width = math.acos(min(1.0, float(r) / (2.0 * disk_R)))
+        half_width = (0.5 * math.pi if disk_R is None else
+                      math.acos(min(1.0, float(r) / (2.0 * disk_R))))
         val = _quad.adaptive_gauss_1d(
             integrand, phi0 - half_width, phi0 + half_width,
             rtol=rtol, atol=1e-13)
@@ -593,9 +572,7 @@ def density(indicator, x, radii, samples: int = 100_000,
     """Volume fraction of a set in shrinking balls, by quasi-random
     stratified sampling; the sampling error is reported per radius."""
     x = np.asarray(x, dtype=float)
-    radii = [float(r) for r in radii]
-    if any(b >= a for a, b in zip(radii, radii[1:])) or min(radii) <= 0:
-        raise ValueError("radii must be positive and strictly decreasing")
+    radii = check_radii(radii)
     ratios, errs = [], []
     for k, r in enumerate(radii):
         pts = _sobol_ball(x, r, samples, seed=seed + k)

@@ -215,6 +215,15 @@ class TestTraceConsistency:
             assert len(calls) - before <= 1
         assert sum(calls) > 0
 
+    def test_halfspace_pairing_needs_declared_divergence(self):
+        # a missing divergence is refused, not replaced by zero
+        f = constant_field((0.0, 1.0))
+        f = type(f)(dim=2, eval=f.eval, sup_bound=f.sup_bound, name="nodiv")
+        seq = blowup_sequence(f, (0.0, 0.0), [0.5, 0.25])
+        with pytest.raises(ValueError, match="divergence information"):
+            _halfspace_lhs(seq, 0, [bump_test((0.0, 0.0), 0.5)],
+                           np.array([0.0, 1.0]), 1e-8)
+
     def test_domain_restricted_field_skips_annuli(self, capillary):
         # the half-space pairing's inner quadratures share one field call
         # per doubling level; one quadrature per outer node made ~57k calls

@@ -115,6 +115,15 @@ def test_gauss_green_residual_smooth(stream_bump):
     assert abs(gauss_green_residual(stream_bump, reg, psi)) < 1e-8
 
 
+def test_gauss_green_residual_needs_declared_divergence(stream_bump):
+    # a mollified field declares no divergence; the residual refuses it
+    # instead of finite-differencing the convolution inside the quadrature
+    smooth = mollify(stream_bump, make_mollifier(0.05, 2))
+    reg = RectRegion(((-1.0, 1.0), (1.2, 1.8)))
+    with pytest.raises(ValueError, match="divergence information"):
+        gauss_green_residual(smooth, reg, bump_test((0.0, 1.5), 0.25))
+
+
 # ---------------------------------------------------------------------------
 # mollification
 

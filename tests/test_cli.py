@@ -172,7 +172,7 @@ class TestExitCodes:
     # at these values a run PASSed having checked nothing (the tube of
     # height <= 0 has residual 0, a negative rtol stops any quadrature) or
     # failed for the wrong reason (negative pairing tolerances, a NaN
-    # divergence)
+    # divergence, a negative deviation level that every sample exceeds)
     @pytest.mark.parametrize("argv,flag", [
         (["flow-tube", "--h0", "-1"], "--h0"),
         (["flow-tube", "--h0", "0"], "--h0"),
@@ -180,8 +180,9 @@ class TestExitCodes:
         (["trace", "--method", "pairing", "--bump-radius", "-0.1"],
          "--bump-radius"),
         (["certify", "--fd-step", "0"], "--fd-step"),
+        (["nalpha", "--alpha", "-1", "--samples", "100"], "--alpha"),
     ], ids=["negative-height", "zero-height", "negative-strip-rtol",
-            "negative-bump-radius", "zero-fd-step"])
+            "negative-bump-radius", "zero-fd-step", "negative-alpha"])
     def test_non_positive_parameter_is_usage_error(self, capsys, argv, flag):
         code, out, err = run_main(argv, capsys)
         assert code == 2
@@ -198,10 +199,31 @@ class TestExitCodes:
         ["blowup", "--rtol", "0"],
         ["demo", "jensen", "--epsilon", "-0.05"],
         ["demo", "jensen", "--fd-step", "0"],
+        ["nalpha", "--alpha", "0"],
     ], ids=lambda argv: " ".join(argv))
     def test_every_positive_parameter_rejects_zero_or_less(self, argv):
         with pytest.raises(UsageError, match="invalid positive_float value"):
             build_parser().parse_args(argv)
+
+    # a probe radius sequence must be positive and strictly decreasing;
+    # a negative radius ended as an execution FAIL (exit 1)
+    @pytest.mark.parametrize("radii", ["0.1,-0.1", "0.1,0.2"])
+    def test_bad_radii_are_usage_errors(self, capsys, radii):
+        code, out, err = run_main(["trace", "--field", "capillary:R=1",
+                                   "--x0", "1,0", "--radii", radii], capsys)
+        assert code == 2
+        assert "radii must be positive and strictly decreasing" in err
+        assert "verdict" not in out
+
+    # the same for each entry of a deviation-level list
+    @pytest.mark.parametrize("alphas", ["0.5,-0.1", "0"])
+    def test_non_positive_deviation_levels_are_usage_errors(self, capsys,
+                                                            alphas):
+        code, out, err = run_main(["aplim", "--alphas", alphas,
+                                   "--samples", "100"], capsys)
+        assert code == 2
+        assert "deviation levels must be positive" in err
+        assert "verdict" not in out
 
     def test_blowup_radius_beyond_floats_is_usage_error(self, capsys):
         code, out, err = run_main(["demo", "separable", "--gamma", "1e-3",

@@ -10,9 +10,10 @@ from divlab import _quad
 
 
 def test_gauss_1d_exact_on_polynomials():
-    # order-8 Gauss integrates degree <= 15 exactly on each panel
-    val = _quad.gauss_panels_1d(lambda x: 3.0 * x**7 - x**2 + 1.0,
-                                -1.0, 2.0, panels=2)
+    # order-8 Gauss integrates degree <= 15 exactly on each panel, so the
+    # first two levels (2 and 4 panels) agree and the rule stops there
+    val = _quad.adaptive_gauss_1d(lambda x: 3.0 * x**7 - x**2 + 1.0,
+                                  -1.0, 2.0, rtol=0.0, atol=1e-12)
     exact = 3.0 * (2.0**8 - 1.0) / 8.0 - (2.0**3 + 1.0) / 3.0 + 3.0
     assert abs(val - exact) < 1e-12
 

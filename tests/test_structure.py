@@ -122,3 +122,15 @@ def test_one_jacobian_entry_point():
                 found.add(("def bump_d2", f"{path.name}:{where}"))
     assert found == {
         ("bump_derivatives", "fields.py:elliptic_bump_stream.grad_hess")}
+
+
+# a probe in `trace` integrates a domain-restricted field only through the
+# disk it declares: `_disk_radius` reads the domain to refuse a field that
+# declares none, and the deviation indicator counts points outside it as
+# deviating; no other probe masks the domain inside a quadrature
+def test_trace_reads_the_domain_in_two_places():
+    path = SRC / "trace.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = {where for node, where in _nodes(tree, ast.Attribute)
+             if node.attr == "domain"}
+    assert found == {"_disk_radius", "deviation_indicator.indicator"}

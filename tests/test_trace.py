@@ -16,7 +16,7 @@ from divlab.blowup import rescale
 from divlab import trace
 from divlab.calculus import RectRegion, bump_test, constant_test
 from divlab.fields import constant_field, make_capillary_field, \
-    make_twisting_field, zero_field
+    make_twisting_field, translate_field, zero_field
 from divlab.trace import (
     AP_LIM_CONFIRMED, AP_LIM_REJECTED,
     circle_interface, density, line_interface, one_sided_ap_lim,
@@ -154,6 +154,17 @@ class TestCapillaryProbes:
             weak_trace_sphere_flux(self.f, circle_interface((0.5, 0.0), 0.5),
                                    (0.0, 0.0), RADII)
 
+    # a translated disk field keeps its domain but declares no disk, so the
+    # probes have no closed-form lens or arc for it; they refuse it rather
+    # than integrate the masked jump at the domain edge
+    @pytest.mark.parametrize("probe", [weak_trace_ball_average,
+                                       weak_trace_sphere_flux])
+    def test_domain_without_disk_radius_is_refused(self, probe):
+        moved = translate_field(self.f, (0.1, 0.0))
+        S = circle_interface((0.1, 0.0), 1.0)
+        with pytest.raises(ValueError, match="must declare its disk_radius"):
+            probe(moved, S, (1.1, 0.0), RADII)
+
 
 # ---------------------------------------------------------------------------
 # twisting field: genuine oscillation at an off-center boundary point
@@ -250,6 +261,23 @@ class TestPairing:
         fam = [bump_test((0.0, 0.0), 0.5)]
         vals = weak_trace_pairing(zero_field(2), reg, fam)
         assert vals == [0.0]
+
+    def test_generic_pairing_settles_next_to_zero(self):
+        # the box cuts eddies, so the generic 2D rule runs; the pairing is
+        # about 0, and an absolute floor of 1e-13 with no scale left the
+        # rule one doubling short of settling (QuadratureError).  The bump
+        # is the third that `trace --bumps 3` draws in this box.
+        f = make_twisting_field(4)
+        reg = RectRegion(((0.2, 0.8), (0.1, 0.6)))
+        psi = bump_test((0.57674962879464, 0.42478788736338435), 0.125)
+        [val] = weak_trace_pairing(f, reg, [psi])
+        assert abs(val) <= 1e-6 * psi.c1_norm
+
+    def test_pairing_needs_a_finite_scale(self):
+        f = dataclasses.replace(zero_field(2), sup_bound=math.inf)
+        reg = RectRegion(((-1.0, 1.0), (-1.0, 1.0)))
+        with pytest.raises(ValueError, match="area = inf is not finite"):
+            weak_trace_pairing(f, reg, [bump_test((0.0, 0.0), 0.5)])
 
     def test_pairing_needs_divergence_information(self):
         f = constant_field((1.0, 0.0))
