@@ -16,6 +16,10 @@ from typing import Callable, Optional
 import numpy as np
 
 
+# an event function within this of zero counts as crossed
+EVENT_TOL = 1e-12
+
+
 class StiffFailure(RuntimeError):
     """Step size underflowed, or the step budget ran out, at time t."""
 
@@ -148,7 +152,7 @@ def rk45(f: Callable, t0: float, y0, t1: float, rtol: float = 1e-9,
 
 def rk45_event(f: Callable, t0: float, y0, event: Callable,
                t_max: float, rtol: float = 1e-9, atol: float = 1e-12,
-               event_tol: float = 1e-12, max_steps: int = 200_000) -> OdeResult:
+               max_steps: int = 200_000) -> OdeResult:
     """Integrate until event(t, y) crosses zero, refining by bisection.
 
     Stops at the first sign change of the event function along accepted
@@ -159,14 +163,14 @@ def rk45_event(f: Callable, t0: float, y0, event: Callable,
     y = np.array(y0, dtype=float)
     _check_finite(t0, t_max, y)
     g_prev = float(event(float(t0), y))
-    if abs(g_prev) <= event_tol:
+    if abs(g_prev) <= EVENT_TOL:
         return OdeResult(float(t0), y, 0, 0, status="event")
     res = OdeResult(float(t0), y, 0, 0)
     for t, y, h, y5, res.nrejected in _dp_steps(f, t0, y, t_max, rtol,
                                                 atol, max_steps):
         g_new = float(event(t + h, y5))
         if g_prev * g_new <= 0.0:
-            tc, yc = _bisect_event(f, t, y, h, event, g_prev, event_tol)
+            tc, yc = _bisect_event(f, t, y, h, event, g_prev)
             return OdeResult(tc, yc, res.naccepted + 1, res.nrejected,
                              status="event")
         g_prev = g_new
@@ -175,14 +179,14 @@ def rk45_event(f: Callable, t0: float, y0, event: Callable,
     return res
 
 
-def _bisect_event(f, t0, y0, h, event, g0, event_tol):
+def _bisect_event(f, t0, y0, h, event, g0):
     # bisect the step fraction so the bracket works for either sign of h
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         ym = dp_step(f, t0, y0, mid * h)
         gm = float(event(t0 + mid * h, ym))
-        if abs(gm) <= event_tol or (hi - lo) <= 1e-16:
+        if abs(gm) <= EVENT_TOL or (hi - lo) <= 1e-16:
             return t0 + mid * h, ym
         if g0 * gm <= 0.0:
             hi = mid

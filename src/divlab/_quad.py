@@ -156,8 +156,9 @@ def sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-def ball_volume(dim: int, radius: float = 1.0) -> float:
-    return sphere_area(dim) / dim * radius**dim
+def ball_volume(dim: int) -> float:
+    """Volume of the unit ball in R^dim."""
+    return sphere_area(dim) / dim
 
 
 def sphere_rule(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import _quad
-from .calculus import (GridSpec, AnnulusRegion, bump_test,
-                       gauss_green_residual, constant_test)
+from .calculus import (AnnulusRegion, bump_test, gauss_green_residual,
+                       constant_test)
 from .fields import Exclusion, VectorField
 from .report import CheckResult, VerificationReport
 from .trace import OrientedInterface, DensityProbe, _disk_radius, \
@@ -114,8 +114,8 @@ def blowup_sequence(z: VectorField, x0, radii) -> BlowupSequence:
 # deviation-set densities
 
 def nalpha_density(xi: VectorField, S: OrientedInterface, x0, alpha: float,
-                   radii, samples: int = 100_000, seed: int = 0,
-                   normalization_tol: float = 1e-6) -> DensityProbe:
+                   radii, samples: int = 100_000,
+                   seed: int = 0) -> DensityProbe:
     """Density ratios of the deviation set: one-sided points where the
     field differs from the interface normal at x0 by at least alpha.
 
@@ -129,14 +129,14 @@ def nalpha_density(xi: VectorField, S: OrientedInterface, x0, alpha: float,
     S.require_on(x0)
     nu = S.normal_at(x0)
 
-    # normalization audit on a fixed sample cloud near x0
+    # normalization audit on a fixed sample cloud near x0, to 1e-6
     rng = np.random.default_rng(424242)
     cloud = x0 + rng.uniform(-1.0, 1.0, size=(4096, 2))
     if xi.domain is not None:
         cloud = cloud[xi.domain(cloud)]
     if cloud.shape[0]:
         sup = float(np.max(np.linalg.norm(xi.eval(cloud), axis=1)))
-        if sup > 1.0 + normalization_tol:
+        if sup > 1.0 + 1e-6:
             raise ValueError(f"field is not normalized: sampled sup "
                              f"{sup:.6f} exceeds 1")
 
@@ -153,10 +153,7 @@ def quadratic_inequality_check(xi: VectorField, points,
     z_n >= |z|^2 / 2; the margin has the closed form (1 - |xi|^2)/2, which
     doubles as an independent oracle for the computed margin.
     """
-    if isinstance(points, GridSpec):
-        pts = points.points()
-    else:
-        pts = np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     vals = xi.eval(pts)
     norms = np.linalg.norm(vals, axis=1)
     sup = float(np.max(norms))
@@ -248,7 +245,7 @@ def _halfspace_lhs(seq: BlowupSequence, k: int, psi_family,
 
 
 def _off_interface_div_mass(seq: BlowupSequence, k: int, psi,
-                            nu: np.ndarray, rtol: float) -> float:
+                            rtol: float) -> float:
     """integral of psi |div z_k| over the off-interface support of psi."""
     zk = seq.fields[k]
     if zk.analytic_div is None:
@@ -274,6 +271,29 @@ def _off_interface_div_mass(seq: BlowupSequence, k: int, psi,
                                     rtol=max(rtol, 1e-8), atol=1e-13)
 
 
+def _diagnostic(rep: VerificationReport, seq: BlowupSequence, name: str,
+                fit_note: str, defect) -> list[float]:
+    """defect(k) at every scale k of an INFO-only diagnostic, reported as
+    its final value and decay exponent.  It gates nothing: a scale whose
+    quadrature fails leaves NaN in its row, and the diagnostic is SKIPPED
+    with the first failure and no exponent fitted."""
+    defects = [math.nan] * len(seq)
+    failed = ""
+    for k in range(len(seq)):
+        try:
+            defects[k] = defect(k)
+        except _quad.QuadratureError as exc:
+            failed = failed or f"scale {k}: {exc}"
+    if failed:
+        rep.add(CheckResult.skipped(name, failed))
+    else:
+        exponent = _decay_exponent(seq.radii, defects)
+        rep.add(CheckResult.info(
+            f"{name}, final", defects[-1],
+            detail=f"decay exponent {exponent:.3f}{fit_note}"))
+    return defects
+
+
 def _decay_exponent(radii, defects) -> float:
     r = np.asarray(radii, dtype=float)[-3:]
     d = np.abs(np.asarray(defects, dtype=float))[-3:]
@@ -290,11 +310,11 @@ class ConsistencyReport(VerificationReport):
 
 
 def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
-                             psi_family: Optional[Sequence] = None,
                              trace_value: Optional[float] = None,
                              rtol: float = 1e-8,
                              final_tol: float = 1e-2) -> ConsistencyReport:
-    """Per-scale evidence for the blow-up trace identities.
+    """Per-scale evidence for the blow-up trace identities, against five
+    bumps of radius 0.5 centered along the interface tangent:
 
     (a) off-interface divergence mass against each test bump,
     (b) half-space pairing against the trace value times the flat boundary
@@ -302,7 +322,8 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
     (c) punctured-ball flux balance as a decay diagnostic (global fields
         only).
     Defect trends are summarized by fitted decay exponents; only the final
-    defect of (b) gates the verdict.
+    defect of (b) gates the verdict.  A scale where the quadrature of (a)
+    or (c) fails leaves NaN in its row, and that diagnostic is SKIPPED.
     """
     x0 = np.asarray(seq.x0)
     S.require_on(x0)
@@ -311,9 +332,8 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
     rep = ConsistencyReport(
         scenario=f"blowup-consistency:{seq.base.name}:x0={list(seq.x0)}")
 
-    if psi_family is None:
-        offsets = np.linspace(-0.6, 0.6, 5)
-        psi_family = [bump_test(o * tdir, 0.5) for o in offsets]
+    offsets = np.linspace(-0.6, 0.6, 5)
+    psi_family = [bump_test(o * tdir, 0.5) for o in offsets]
 
     if trace_value is None:
         probe = weak_trace_ball_average(
@@ -321,20 +341,13 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
         trace_value = probe.extrapolated
     rep.add(CheckResult.info("trace value used", trace_value))
 
-    # (a) off-interface divergence mass: bump translated inward
-    defects_a = []
-    for k in range(len(seq)):
-        worst = 0.0
-        for psi in psi_family:
-            shifted = bump_test(psi.center + 2.0 * psi.radius * (-nu),
-                                psi.radius, psi.height)
-            worst = max(worst, abs(_off_interface_div_mass(
-                seq, k, shifted, nu, rtol)))
-        defects_a.append(worst)
-    exp_a = _decay_exponent(seq.radii, defects_a)
-    rep.add(CheckResult.info(
-        "off-interface divergence mass, final", defects_a[-1],
-        detail=f"decay exponent {exp_a:.3f} over last 3 scales"))
+    # (a) off-interface divergence mass: bumps translated inward
+    shifted = [bump_test(psi.center + 2.0 * psi.radius * (-nu), psi.radius,
+                         psi.height) for psi in psi_family]
+    defects_a = _diagnostic(
+        rep, seq, "off-interface divergence mass", " over last 3 scales",
+        lambda k: max(abs(_off_interface_div_mass(seq, k, psi, rtol))
+                      for psi in shifted))
 
     # (b) half-space pairing vs trace * flat boundary term
     defects_b = []
@@ -354,27 +367,20 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
         "half-space pairing defect, final", defects_b[-1], final_tol,
         detail=f"decay exponent {exp_b:.3f} over last 3 scales"))
 
-    # (c) punctured-ball flux balance in original coordinates; it gates
-    # nothing, so a scale whose quadrature fails leaves NaN in its row
-    defects_c = [math.nan] * len(seq)
-    failed = ""
+    # (c) punctured-ball flux balance in original coordinates
     if seq.base.domain is None:
         one = constant_test(1.0, 2)
-        for k, r in enumerate(seq.radii):
-            try:
-                defects_c[k] = abs(gauss_green_residual(
-                    seq.base, AnnulusRegion(x0, 0.5 * r, r), one, rtol=1e-9))
-            except _quad.QuadratureError as exc:
-                failed = failed or f"scale {k}: {exc}"
+        r = seq.radii
+        defects_c = _diagnostic(
+            rep, seq, "punctured-ball flux residual", "; diagnostic only",
+            lambda k: abs(gauss_green_residual(
+                seq.base, AnnulusRegion(x0, 0.5 * r[k], r[k]), one,
+                rtol=1e-9)))
     else:
-        failed = "domain-restricted field: annuli leave the domain"
-    if failed:
-        rep.add(CheckResult.skipped("punctured-ball flux residual", failed))
-    else:
-        exp_c = _decay_exponent(seq.radii, defects_c)
-        rep.add(CheckResult.info(
-            "punctured-ball flux residual, final", defects_c[-1],
-            detail=f"decay exponent {exp_c:.3f}; diagnostic only"))
+        defects_c = [math.nan] * len(seq)
+        rep.add(CheckResult.skipped(
+            "punctured-ball flux residual",
+            "domain-restricted field: annuli leave the domain"))
 
     for k, r in enumerate(seq.radii):
         rep.rows.append({

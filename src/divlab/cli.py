@@ -422,7 +422,8 @@ def _h_flow_tube(sc: Scenario):
 
     trows = []
     for row in flow_tube_trajectories(f, eps, A, h0,
-                                      seeds_per_axis=p["plot_seeds"]):
+                                      seeds_per_axis=p["plot_seeds"],
+                                      rtol=p["rtol"]):
         trows.append([*row["seed"], row["h"], *row["position"], row["delta"]])
     ndim = len(A)
     header = ([f"seed_q{i + 1}" for i in range(ndim)] + ["h"]
@@ -528,7 +529,7 @@ def _h_trace(sc: Scenario):
             probe = weak_trace_curvilinear(f, S, x0, rho=p["rho"],
                                            r_seq=radii, rtol=p["rtol"])
         elif m == "flux":
-            probe = weak_trace_sphere_flux(f, S, x0, radii)
+            probe = weak_trace_sphere_flux(f, S, x0, radii, rtol=p["rtol"])
         else:
             raise UsageError(f"unknown trace method {m!r}")
         _probe_checks(rep, probe, m, p, tol)

@@ -140,17 +140,17 @@ class VectorField:
     bitwise, so a caller may use either.  Flow transport needs it.
 
     Three optional fields declare closed-form structure that probes use
-    in place of generic quadrature.  Derived fields (translated, rescaled,
-    extruded, lifted, mollified) leave them at None:
+    in place of generic quadrature.  Derived fields (rescaled, extruded,
+    lifted, mollified) leave them at None:
 
-    - `eddies`: the twisting field's rotational eddy stack, read by the
-      ball averages and pairings in `trace` and the half-space pairing in
-      `blowup`;
+    - `eddies`: the twisting field's eddy centers and radii as arrays, read
+      by the ball averages and pairings in `trace` and the half-space
+      pairing in `blowup`;
     - `disk_radius`: the capillary field's open disk, read by the lens
       averages and sphere flux in `trace`, the rim blow-up in `blowup` and
       the default interface in `cli`.  The trace probes and the blow-up
       half-space pairing refuse a field with a `domain` but no disk
-      (`trace._disk_radius`), such as a translated or rescaled one;
+      (`trace._disk_radius`), such as a rescaled one;
     - `potential`: the counterexample's cylindrical potential, read by
       `cli certify`.
     """
@@ -306,28 +306,6 @@ def stream_bump_field() -> VectorField:
                                 STREAM_BUMP_RZ, STREAM_BUMP_SUP, "stream:bump")
 
 
-def translate_field(f: VectorField, shift) -> VectorField:
-    """Field x -> f(x - shift); divergence and Jacobian translate along."""
-    sh = np.asarray(shift, dtype=float)
-    if sh.shape != (f.dim,):
-        raise ValueError("shift dimension mismatch")
-
-    def ev(pts):
-        return f.eval(pts - sh)
-
-    adiv = None if f.analytic_div is None else (lambda pts: f.analytic_div(pts - sh))
-    evj = None if f.eval_jacobian is None else (lambda pts: f.eval_jacobian(pts - sh))
-    excl = tuple(
-        Exclusion(e.label + f" shifted", lambda pts, e=e: e.distance(pts - sh))
-        for e in f.smooth_exclusion)
-    dom = None if f.domain is None else (lambda pts: f.domain(pts - sh))
-    return VectorField(dim=f.dim, eval=ev, sup_bound=f.sup_bound,
-                       name=f.name + f":shift={sh.tolist()}",
-                       analytic_div=adiv, eval_jacobian=evj,
-                       smooth_exclusion=excl, domain=dom,
-                       domain_label=f.domain_label)
-
-
 def extrude_field_3d(f2: VectorField) -> VectorField:
     """Trivially extend a planar field along a new middle axis.
 
@@ -373,30 +351,25 @@ def extrude_field_3d(f2: VectorField) -> VectorField:
 # twisting field: dyadic stack of rotational eddies over the line {y = 0}
 
 @dataclass(frozen=True)
-class Ball:
-    center: np.ndarray
-    radius: float
-    level: int
-    index: int
-
-
-@dataclass(frozen=True)
 class EddyStack:
-    """Disjoint eddy balls, ordered by level; the field inside ball b is
-    calibration * profile(s / b.radius) / s times (p - b.center)-perp,
-    with s = |p - b.center|.
+    """Disjoint eddy balls, ordered by level and, within a level, by
+    center: ball n has center centers[n] (an (N, 2) array) and radius
+    radii[n] (an (N,) array).  Inside ball n the field is
+    calibration * bump(s / radii[n]) / s times (p - centers[n])-perp, with
+    s = |p - centers[n]|.
 
     A level-i ball lies in the band 0.75 * 2^-i < y < 1.25 * 2^-i.  The
     bands are disjoint and the centers of one level are 2^-i apart, more
     than two radii, so a point can only sit in the ball of level
     rint(-log2 y) whose center is nearest to it."""
-    balls: tuple[Ball, ...]
+    centers: np.ndarray
+    radii: np.ndarray
     calibration: float
-    profile: Callable[[np.ndarray], np.ndarray]
 
 
 # each level doubles the eddy count: 13 levels hold 16,369 balls, and the
-# per-ball loops of the trace and blow-up probes grow with that count
+# eddy pairings of the trace and blow-up probes integrate every ball that
+# meets a test function
 MAX_TWISTING_LEVELS = 13
 # registry fields' dimension: `certify` allocates 4 * fd_points * n floats
 # for its divergence sample before it checks anything
@@ -408,16 +381,6 @@ def _level_geometry(max_level: int) -> tuple[np.ndarray, np.ndarray]:
     heights = np.array([2.0**-i for i in range(1, max_level + 1)])
     radii = np.array([2.0**-(i + 2) for i in range(1, max_level + 1)])
     return heights, radii
-
-
-def _twisting_balls(max_level: int) -> list[Ball]:
-    heights, radii = _level_geometry(max_level)
-    balls = []
-    for i in range(1, max_level + 1):
-        y, r = float(heights[i - 1]), float(radii[i - 1])
-        for j in range(1, 2**i):
-            balls.append(Ball(np.array([j * 2.0**-i, y]), r, i, j))
-    return balls
 
 
 def _assert_disjoint(heights: np.ndarray, radii: np.ndarray) -> None:
@@ -440,13 +403,12 @@ def _assert_disjoint(heights: np.ndarray, radii: np.ndarray) -> None:
             raise AssertionError(f"level {i} band straddles a lookup cell")
 
 
-def make_twisting_field(max_level: int = 8,
-                        profile: Callable[[np.ndarray], np.ndarray] = bump) -> VectorField:
+def make_twisting_field(max_level: int = 8) -> VectorField:
     """Stack of disjoint rotational eddies accumulating on {y = 0}.
 
     Level i places balls of radius 2^-(i+2) at height 2^-i over the dyadic
     points j/2^i.  Inside each ball the field is f(s) (p - c)-perp with
-    f(s) = cal * profile(s / r) / s, calibrated so the per-ball sup of the
+    f(s) = cal * bump(s / r) / s, calibrated so the per-ball sup of the
     speed is exactly 1.  Eddies never overlap, so the field is smooth and
     divergence-free on the whole plane.
 
@@ -460,11 +422,14 @@ def make_twisting_field(max_level: int = 8,
             f"max_level must be between 1 and {MAX_TWISTING_LEVELS}")
     heights, radii = _level_geometry(max_level)
     _assert_disjoint(heights, radii)
-    balls = _twisting_balls(max_level)
-
-    # speed is cal * profile(s/r): sup over s equals cal * peak(profile)
-    _, peak = golden_max(lambda u: float(profile(u)), 1e-12, 1.0 - 1e-12, 1e-12)
-    cal = 1.0 / peak
+    # level i: 2^i - 1 balls centered at (j 2^-i, 2^-i), j = 1..2^i - 1
+    counts = 2 ** np.arange(1, max_level + 1) - 1
+    j = np.concatenate([np.arange(1.0, c + 1.0) for c in counts])
+    y = np.repeat(heights, counts)
+    # speed is cal * bump(s/r), whose sup over s is cal * BUMP_PEAK
+    cal = 1.0 / BUMP_PEAK
+    eddies = EddyStack(np.stack([j * y, y], axis=1),
+                       np.repeat(radii, counts), cal)
 
     scales = np.array([2.0**i for i in range(1, max_level + 1)])
     name = f"twisting:levels={max_level}"
@@ -489,7 +454,7 @@ def make_twisting_field(max_level: int = 8,
         dy = y - heights[i]
         s = np.hypot(dx, dy)
         m = inside_j & (s > 0.0) & (s < r)
-        speed = cal * profile(s[m] / r[m]) / s[m]
+        speed = cal * bump(s[m] / r[m]) / s[m]
         # += into zeros turns a -0.0 component into 0.0
         out[k[m], 0] += speed * (-dy[m])
         out[k[m], 1] += speed * dx[m]
@@ -497,7 +462,7 @@ def make_twisting_field(max_level: int = 8,
 
     return VectorField(dim=2, eval=ev, sup_bound=1.0, name=name,
                        analytic_div=lambda pts: np.zeros(pts.shape[0]),
-                       eddies=EddyStack(tuple(balls), cal, profile))
+                       eddies=eddies)
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +657,7 @@ def potential_to_field(P: CylindricalPotential) -> VectorField:
                        ))
 
 
-def field_to_potential(eta: VectorField, symmetry_samples: int = 32,
-                       symmetry_tol: float = 1e-8) -> CylindricalPotential:
+def field_to_potential(eta: VectorField) -> CylindricalPotential:
     """Recover the potential by integrating the radial coefficient in z.
 
     V(rho, z) = -rho^(n-1) * integral of f(rho, s) ds over [0, z], where f
@@ -703,7 +667,7 @@ def field_to_potential(eta: VectorField, symmetry_samples: int = 32,
     """
     from . import _quad
     n = eta.dim
-    _audit_cylindrical(eta, symmetry_samples, symmetry_tol)
+    _audit_cylindrical(eta)
 
     def components(rho, z):
         rho = np.asarray(rho, dtype=float)
@@ -749,9 +713,11 @@ def field_to_potential(eta: VectorField, symmetry_samples: int = 32,
                                 label=f"recovered:{eta.name}")
 
 
-def _audit_cylindrical(eta: VectorField, samples: int, tol: float) -> None:
-    """Reject fields whose horizontal part is not radial or not symmetric."""
+def _audit_cylindrical(eta: VectorField) -> None:
+    """Reject fields whose horizontal part is not radial or not symmetric,
+    by 1e-8 or more at 32 random points and rotations."""
     rng = np.random.default_rng(873214)
+    samples = 32
     n = eta.dim
     rho = rng.uniform(0.2, 2.0, samples)
     z = rng.uniform(0.1, 2.0, samples)
@@ -771,7 +737,7 @@ def _audit_cylindrical(eta: VectorField, samples: int, tol: float) -> None:
     tangential = vr[:, :-1] - fr[:, None] * rot[:, :-1]
     defect = max(np.max(np.abs(fb - fr)), np.max(np.abs(vb[:, -1] - vr[:, -1])),
                  np.max(np.linalg.norm(tangential, axis=1)))
-    if defect > tol:
+    if defect > 1e-8:
         raise ValueError(f"field is not cylindrically symmetric: defect {defect:.3e}")
 
 

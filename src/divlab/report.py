@@ -82,9 +82,6 @@ class VerificationReport:
             return FAIL
         return PASS if PASS in verdicts else INCONCLUSIVE
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if c.verdict == FAIL]
-
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario,

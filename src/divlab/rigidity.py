@@ -470,8 +470,8 @@ def certify_potential(P: CylindricalPotential, grid: GridSpec,
 # ---------------------------------------------------------------------------
 # separable-ansatz obstruction
 
-def separable_demo(gamma: float, rho0: float, psi0: float,
-                   blowup_threshold: float = 1e12) -> VerificationReport:
+def separable_demo(gamma: float, rho0: float,
+                   psi0: float) -> VerificationReport:
     """Integrate the saturated radial profile ODE rho psi' = gamma psi^2.
 
     The profile explodes at finite radius rho* = rho0 exp(1/(gamma psi0));
@@ -499,7 +499,7 @@ def separable_demo(gamma: float, rho0: float, psi0: float,
     try:
         res = _ode.rk45_event(
             rhs, rho0, np.array([psi0]),
-            lambda rho, y: float(y[0]) - blowup_threshold,
+            lambda rho, y: float(y[0]) - 1e12,   # blown up at 1e12
             t_max=2.0 * rho_star, rtol=1e-10, atol=1e-8)
         blow_rho = res.t if res.status == "event" else math.nan
     except _ode.StiffFailure as exc:

@@ -20,7 +20,7 @@ from scipy.stats import qmc
 
 from . import _quad
 from .calculus import BumpTest, RectRegion
-from .fields import EddyStack, VectorField
+from .fields import EddyStack, VectorField, bump
 from .report import CheckResult, VerificationReport
 
 __all__ = [
@@ -237,7 +237,7 @@ class DensityProbe:
 # ---------------------------------------------------------------------------
 # ball averages
 
-def _twisting_ball_average(field: VectorField, x0: np.ndarray, r: float,
+def _twisting_ball_average(eddies: EddyStack, x0: np.ndarray, r: float,
                            nu0: np.ndarray) -> float:
     """Exact-per-ball decomposition of the solid average.
 
@@ -247,18 +247,20 @@ def _twisting_ball_average(field: VectorField, x0: np.ndarray, r: float,
     2 sin(beta) (nu x d-hat), leaving a 1D radial integral.
     """
     total = 0.0
-    cal = field.eddies.calibration
-    profile = field.eddies.profile
     gx, gw = _quad.leggauss(64)
-    for b in field.eddies.balls:
-        d = b.center - x0
+    gaps = eddies.centers - x0
+    # a clipped ball has |dist - r| < r_b; the margin covers the rounding of
+    # the array test, so it keeps every ball the exact tests below keep
+    near = (np.abs(np.hypot(gaps[:, 0], gaps[:, 1]) - r)
+            <= eddies.radii + 1e-9 * (r + eddies.radii))
+    for d, radius in zip(gaps[near], eddies.radii[near]):
         dist = math.hypot(d[0], d[1])
-        if dist >= r + b.radius or dist + b.radius <= r:
+        if dist >= r + radius or dist + radius <= r:
             continue  # outside, or inside where odd symmetry kills it
         if dist == 0.0:
             continue
         s_lo = max(abs(r - dist), 0.0)
-        s_hi = min(r + dist, b.radius)
+        s_hi = min(r + dist, radius)
         if s_hi <= s_lo:
             continue
         # angular factor: integral over the in-window arc of xi . nu0
@@ -274,8 +276,8 @@ def _twisting_ball_average(field: VectorField, x0: np.ndarray, r: float,
             * np.sin(0.5 * math.pi * v) * np.cos(0.5 * math.pi * v)
         cval = (r * r - s * s - dist * dist) / (2.0 * s * dist)
         sinb = np.sqrt(np.clip(1.0 - cval * cval, 0.0, None))
-        vals = profile(s / b.radius) * s * 2.0 * sinb
-        total += cal * angfac * float(np.sum(gw * vals * ds))
+        vals = bump(s / radius) * s * 2.0 * sinb
+        total += eddies.calibration * angfac * float(np.sum(gw * vals * ds))
     return total / (math.pi * r * r)
 
 
@@ -318,7 +320,7 @@ def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
     nu0 = S.normal_at(x0)
     R = _disk_radius(field)
     if field.eddies is not None:
-        estimates = [_twisting_ball_average(field, x0, float(r), nu0)
+        estimates = [_twisting_ball_average(field.eddies, x0, float(r), nu0)
                      for r in radii]
         return _make_probe(x0, radii, estimates, "ball_average", 1e-10)
     if R is not None:
@@ -410,18 +412,19 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField, psi_family,
     test function psi.  Divergence-free rotational patches leave only this
     gradient term of the pairing.
 
-    Ball b enters as the ball of center (b.center - x0) / scale and radius
-    b.radius / scale, the coordinates of `field` and of the test functions;
-    the defaults are the identity.  Each ball gets a product rule with 16
-    radial nodes and angular_order(radius) angles.  The field is evaluated
-    once on the nodes of all balls the family needs (in batches of
-    _EDDY_EVAL_BATCH nodes) and the values serve every psi.  A ball that
-    misses the support of a BumpTest adds exact zeros, so it is skipped.
+    Ball n enters as the ball of center (centers[n] - x0) / scale and
+    radius radii[n] / scale, the coordinates of `field` and of the test
+    functions; the defaults are the identity.  Each ball gets a product
+    rule with 16 radial nodes and angular_order(radius) angles.  The field
+    is evaluated once on the nodes of all balls the family needs (in
+    batches of _EDDY_EVAL_BATCH nodes) and the values serve every psi.  A
+    ball that misses the support of a BumpTest adds exact zeros, so it is
+    skipped.
     """
     psi_family = list(psi_family)
     x0 = np.asarray(x0, dtype=float)
-    centers = (np.array([b.center for b in eddies.balls]) - x0) / scale
-    radii = np.array([b.radius for b in eddies.balls]) / scale
+    centers = (eddies.centers - x0) / scale
+    radii = eddies.radii / scale
     near = np.ones((len(psi_family), radii.size), dtype=bool)
     for p, psi in enumerate(psi_family):
         if isinstance(psi, BumpTest):
@@ -466,13 +469,10 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField, psi_family,
 def _balls_inside(field: VectorField, region) -> bool:
     if field.eddies is None or not isinstance(region, RectRegion):
         return False
-    for b in field.eddies.balls:
-        if (b.center[0] - b.radius < region.ax
-                or b.center[0] + b.radius > region.bx
-                or b.center[1] - b.radius < region.ay
-                or b.center[1] + b.radius > region.by):
-            return False
-    return True
+    c, r = field.eddies.centers, field.eddies.radii
+    return bool(np.all((c[:, 0] - r >= region.ax) & (c[:, 0] + r <= region.bx)
+                       & (c[:, 1] - r >= region.ay)
+                       & (c[:, 1] + r <= region.by)))
 
 
 def weak_trace_pairing(field: VectorField, region, psi_family,

@@ -241,3 +241,19 @@ class TestTraceConsistency:
         assert by["punctured-ball flux residual"].verdict == "SKIPPED"
         assert by["half-space pairing defect, final"].verdict == "PASS"
         assert 0 < len(calls) < 1000
+
+    def test_failed_off_interface_mass_is_skipped_not_fatal(self, capillary):
+        # at scale 1 the masked ball quadrature of (a) does not settle; the
+        # gated pairing (b) still runs and (a) leaves NaN in that row
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        seq = blowup_sequence(capillary, (1.0, 0.0), (1.0, 0.5, 0.25))
+        rep = blowup_trace_consistency(seq, S, rtol=1e-6)
+        by = {c.name: c for c in rep.checks}
+        skipped = by["off-interface divergence mass"]
+        assert skipped.verdict == "SKIPPED"
+        assert skipped.detail.startswith("scale 0: ball quadrature failed")
+        assert "off-interface divergence mass, final" not in by
+        assert by["half-space pairing defect, final"].verdict == "PASS"
+        mass = [row["off_interface_div_mass"] for row in rep.rows]
+        assert np.isnan(mass[0]) and np.all(np.isfinite(mass[1:]))
+        assert rep.verdict == "PASS"

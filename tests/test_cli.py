@@ -1,10 +1,12 @@
 """Command-line contract: exit codes, catalog, outputs, config precedence."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from divlab import cli
 from divlab.cli import (
     RECIPES, Scenario, UsageError, build_parser, main, _scenario_from_args,
 )
@@ -292,15 +294,87 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,gated", [
         (["blowup", "--field", "twisting:levels=8", "--x0", "0.25,0"],
          "PASS     half-space pairing defect, final"),
-        (["demo", "jensen", "--dim", "4", "--grid-n", "4"],
-         "PASS     mollified gauge domination"),
-    ], ids=["blowup-flux-diagnostic", "jensen-4d-mass-audit"])
+        (["blowup", "--field", "capillary:R=1", "--x0", "1,0",
+          "--radii", "1,0.5,0.25", "--rtol", "1e-6"],
+         "PASS     half-space pairing defect, final"),
+    ], ids=["blowup-flux-diagnostic", "blowup-off-interface-mass"])
     def test_failed_diagnostic_is_skipped(self, capsys, argv, gated):
         code, out, _ = run_main(argv, capsys)
         assert code == 0
         assert gated in out
         assert "execution" not in out
         assert "SKIPPED" in out and "failed to converge" in out
+
+
+    def test_library_failure_is_an_execution_fail(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def broken(sc):
+            raise RuntimeError("boom")
+
+        op = cli._OPERATIONS["demo-separable"]
+        monkeypatch.setitem(cli._OPERATIONS, "demo-separable",
+                            dataclasses.replace(op, handler=broken))
+        out = tmp_path / "run"
+        code, printed, _ = run_main(["demo", "separable", "--out", str(out),
+                                     "--name", "x"], capsys)
+        assert code == 1
+        assert "FAIL     execution" in printed
+        assert "RuntimeError: boom" in printed
+        rep = json.loads((out / "x.json").read_text())
+        assert rep["verdict"] == "FAIL"
+        assert [c["name"] for c in rep["checks"]] == ["execution"]
+
+
+# ---------------------------------------------------------------------------
+# operations and parameters past the usage checks
+
+class TestOperations:
+    # a parameter is never silently ignored: each library call receives it
+    @pytest.mark.parametrize("argv,target", [
+        (["trace", "--field", "capillary:R=1", "--method", "flux",
+          "--x0", "1,0"], "weak_trace_sphere_flux"),
+        (["flow-tube", "--seeds", "4", "--plot-seeds", "2"],
+         "flow_tube_trajectories"),
+    ], ids=["trace-flux", "flow-tube-trajectories"])
+    def test_rtol_reaches_the_library(self, capsys, monkeypatch, argv,
+                                      target):
+        seen = []
+        library = getattr(cli, target)
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("rtol"))
+            return library(*args, **kwargs)
+
+        monkeypatch.setattr(cli, target, spy)
+        run_main(argv + ["--rtol", "1e-3"], capsys)
+        assert seen == [1e-3]
+
+    def test_density_of_the_disk_at_its_rim(self, capsys):
+        code, out, _ = run_main(["density", "--field", "capillary:R=1",
+                                 "--x0", "1,0", "--expect", "value",
+                                 "--value", "0.5", "--samples", "20000"],
+                                capsys)
+        assert code == 0
+        assert "INFO     extrapolated density  value=0.500268441" in out
+        assert out.strip().endswith("verdict: PASS")
+
+    def test_interface_grammar_builds_the_circle(self, capsys):
+        base = ["trace", "--field", "capillary:R=1", "--x0", "1,0",
+                "--expect", "value", "--value", "1"]
+        auto = run_main(base, capsys)
+        circle = run_main(base + ["--interface", "circle:center=0,0:R=1"],
+                          capsys)
+        assert circle == auto and auto[0] == 0
+        code, out, _ = run_main(
+            base + ["--interface", "circle:center=0,0:R=1:inward"], capsys)
+        assert code == 1
+
+        def estimates(text):
+            return [line.split("value=")[1] for line in text.splitlines()
+                    if line.startswith("INFO     ball estimate")]
+
+        flipped = estimates(out)
+        assert flipped and flipped == ["-" + e for e in estimates(auto[1])]
 
 
 # ---------------------------------------------------------------------------

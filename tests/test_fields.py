@@ -11,8 +11,8 @@ from divlab.fields import (
     AUTO,
     RADIAL_BOUND_CONSTANT,
     REGISTRY_EXAMPLES,
-    Ball,
     OutOfDomainError,
+    bump,
     constant_field,
     counterexample_potential,
     extrude_field_3d,
@@ -24,11 +24,9 @@ from divlab.fields import (
     make_twisting_field,
     potential_to_field,
     stream_bump_field,
-    translate_field,
     zero_field,
     _assert_disjoint,
     _level_geometry,
-    _twisting_balls,
 )
 from divlab.rigidity import lifted_field
 
@@ -125,17 +123,26 @@ def test_field_to_potential_rejects_asymmetric_input():
 # twisting eddy stack
 
 def test_twisting_ball_count():
-    balls = _twisting_balls(8)
-    assert len(balls) == 2**9 - 2 - 8
-    assert all(isinstance(b, Ball) for b in balls)
+    eddies = make_twisting_field(8).eddies
+    assert eddies.centers.shape == (2**9 - 2 - 8, 2)
+    assert eddies.radii.shape == (2**9 - 2 - 8,)
+
+
+def test_twisting_balls_come_level_by_level_in_center_order():
+    # level i holds the balls at (j 2^-i, 2^-i), j = 1..2^i - 1, of radius
+    # 2^-(i+2); the probes add up per-ball terms in this order
+    eddies = make_twisting_field(5).eddies
+    want = [(j * 2.0**-i, 2.0**-i, 2.0**-(i + 2))
+            for i in range(1, 6) for j in range(1, 2**i)]
+    got = np.column_stack([eddies.centers, eddies.radii])
+    assert np.array_equal(got, np.array(want))
 
 
 def test_twisting_balls_stay_in_open_square():
-    for b in _twisting_balls(6):
-        assert b.center[0] - b.radius > 0.0
-        assert b.center[0] + b.radius < 1.0
-        assert b.center[1] - b.radius > 0.0
-        assert b.center[1] + b.radius < 1.0
+    eddies = make_twisting_field(6).eddies
+    c, r = eddies.centers, eddies.radii[:, None]
+    assert np.all(c - r > 0.0)
+    assert np.all(c + r < 1.0)
 
 
 def test_twisting_vanishes_off_eddies(twisting8):
@@ -147,9 +154,9 @@ def test_twisting_vanishes_off_eddies(twisting8):
 
 def test_twisting_speed_calibration(twisting8):
     # per-ball speed profile is calibrated to peak exactly at 1
-    b = twisting8.eddies.balls[0]
-    s = np.linspace(1e-6, b.radius * (1 - 1e-9), 4001)
-    pts = np.stack([b.center[0] + s, np.full_like(s, b.center[1])], axis=1)
+    center, radius = twisting8.eddies.centers[0], twisting8.eddies.radii[0]
+    s = np.linspace(1e-6, radius * (1 - 1e-9), 4001)
+    pts = np.stack([center[0] + s, np.full_like(s, center[1])], axis=1)
     speeds = np.linalg.norm(twisting8.eval(pts), axis=1)
     assert speeds.max() == pytest.approx(1.0, abs=1e-6)
     assert np.all(speeds <= 1.0 + 1e-12)
@@ -186,7 +193,7 @@ def _per_level_eval(field, max_level, pts):
         dy = y - 2.0**-lev
         s = np.hypot(dx, dy)
         m = (j >= 1) & (j <= 2**lev - 1) & (s > 0.0) & (s < r)
-        speed = eddies.calibration * eddies.profile(s[m] / r) / s[m]
+        speed = eddies.calibration * bump(s[m] / r) / s[m]
         out[m, 0] += speed * (-dy[m])
         out[m, 1] += speed * dx[m]
     return out
@@ -196,10 +203,8 @@ def _per_level_eval(field, max_level, pts):
 def test_twisting_level_lookup_matches_the_per_level_loop(max_level):
     f = make_twisting_field(max_level)
     rng = np.random.default_rng(max_level)
-    balls = f.eddies.balls
-    centers = np.array([b.center for b in balls])
-    radii = np.array([b.radius for b in balls])
-    pick = rng.integers(0, len(balls), 20_000)
+    centers, radii = f.eddies.centers, f.eddies.radii
+    pick = rng.integers(0, radii.size, 20_000)
     ang = rng.uniform(0.0, 2.0 * np.pi, pick.size)
     unit = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     # band edges 0.75 * 2^-i and 1.25 * 2^-i, one level past the stack too
@@ -225,12 +230,12 @@ def test_twisting_level_lookup_matches_the_per_level_loop(max_level):
     assert np.any(f.eval(sets["inside"]) != 0.0)
 
 
-def _overlapping_pairs(balls):
-    # brute force over all pairs, in integers: every length times
-    # 2^(deepest level + 2) is an integer far below 2**26
-    scale = 2.0 ** (max(b.level for b in balls) + 2)
-    c = np.array([b.center for b in balls]) * scale
-    r = np.array([b.radius for b in balls]) * scale
+def _overlapping_pairs(centers, radii):
+    # brute force over all pairs, in integers: every length divided by the
+    # smallest radius, 2^-(deepest level + 2), is an integer far below 2**26
+    scale = 1.0 / radii.min()
+    c = centers * scale
+    r = radii * scale
     dx = c[:, None, 0] - c[None, :, 0]
     dy = c[:, None, 1] - c[None, :, 1]
     bad = dx * dx + dy * dy < (r[:, None] + r[None, :]) ** 2
@@ -240,7 +245,8 @@ def _overlapping_pairs(balls):
 
 @pytest.mark.parametrize("max_level", range(1, 11))
 def test_twisting_eddies_are_pairwise_disjoint(max_level):
-    assert _overlapping_pairs(_twisting_balls(max_level)) == 0
+    eddies = make_twisting_field(max_level).eddies
+    assert _overlapping_pairs(eddies.centers, eddies.radii) == 0
     _assert_disjoint(*_level_geometry(max_level))
 
 
@@ -252,9 +258,10 @@ def test_disjointness_check_catches_overlaps():
     lifted[2] = heights[1] - radii[1]   # level 3 rises into level 2's band
     with pytest.raises(AssertionError, match="between levels 2 and 3"):
         _assert_disjoint(lifted, radii)
-    balls = [Ball(np.array([j * 2.0**-i, lifted[i - 1]]), radii[i - 1], i, j)
-             for i in range(1, 5) for j in range(1, 2**i)]
-    assert _overlapping_pairs(balls) > 0
+    levels = [(i, j) for i in range(1, 5) for j in range(1, 2**i)]
+    centers = np.array([[j * 2.0**-i, lifted[i - 1]] for i, j in levels])
+    assert _overlapping_pairs(
+        centers, np.array([radii[i - 1] for i, _ in levels])) > 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -328,8 +335,9 @@ def test_extrusion_matches_planar_slice(stream_bump, rng):
 @given(sx=st.floats(-2.0, 2.0), sz=st.floats(-2.0, 2.0),
        px=st.floats(-3.0, 3.0), pz=st.floats(-3.0, 3.0))
 def test_translate_field_shifts_evaluation(sx, sz, px, pz):
+    # the translate x -> f(x - shift) is the rescale about -shift at scale 1
     f = stream_bump_field()
-    g = translate_field(f, (sx, sz))
+    g = rescale(f, (-sx, -sz), 1.0)
     p = np.array([[px, pz]])
     assert np.array_equal(g.eval(p), f.eval(p - np.array([sx, sz])))
 
@@ -348,7 +356,7 @@ def test_get_field_grammar():
     c = get_field("constant:c=0.5,-2")
     assert np.array_equal(c.eval(np.zeros((1, 2))), [[0.5, -2.0]])
     assert get_field("stream:bump:3d").dim == 3
-    assert get_field("twisting:levels=3").eddies.balls[-1].level == 3
+    assert get_field("twisting:levels=3").eddies.radii[-1] == 2.0**-5
 
 
 def test_get_field_rejects_unknown():
@@ -375,7 +383,7 @@ def _declared_jacobian_fields():
         "stream:bump:3d": (get_field("stream:bump:3d"), 2.0),
         "capillary": (make_capillary_field(1.0), 0.6),
         "constant": (constant_field((0.25, -1.5)), 2.0),
-        "translated": (translate_field(bump, (0.3, -0.2)), 2.0),
+        "translated": (rescale(bump, (-0.3, 0.2), 1.0), 2.0),
         "rescaled": (rescale(bump, (0.4, 1.3), 0.25), 2.0),
         "lifted": (lifted_field(bump, 0.1), 2.0),
     }

@@ -39,7 +39,6 @@ def test_report_verdict_aggregation():
     assert rep.verdict == PASS
     rep.add(CheckResult.from_margin("bad", 0.0, 0.0, -1.0))
     assert rep.verdict == FAIL
-    assert [c.name for c in rep.failures()] == ["bad"]
 
 
 def test_info_and_skipped_do_not_decide():

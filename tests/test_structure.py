@@ -2,9 +2,11 @@
 declare their structure, so no module bolts attributes onto frozen
 instances, dispatches with hasattr, or keeps an import it never uses; and
 every adaptive quadrature and ODE integration stops by one policy, and a
-field's Jacobian has one entry point, each written once."""
+field's Jacobian has one entry point, each written once; and no defaulted
+parameter is a knob that only its default ever sets."""
 
 import ast
+import math
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "divlab"
@@ -134,3 +136,63 @@ def test_trace_reads_the_domain_in_two_places():
     found = {where for node, where in _nodes(tree, ast.Attribute)
              if node.attr == "domain"}
     assert found == {"_disk_radius", "deviation_indicator.indicator"}
+
+
+# a defaulted parameter that no call in the package sets is a knob with one
+# value: it becomes a constant.  These few are set only by tests, which cap
+# the refinement and step budgets, pass a gauge or drive the CLI in-process
+_TEST_ONLY_KNOBS = {
+    ("_quad.py", "adaptive_gauss_1d", "max_doublings"),
+    ("_quad.py", "adaptive_gauss_2d", "max_doublings"),
+    ("_quad.py", "adaptive_ball_quad", "max_doublings"),
+    ("_quad.py", "adaptive_circle", "max_doublings"),
+    ("_ode.py", "rk45", "max_steps"),
+    ("_ode.py", "rk45_event", "max_steps"),
+    ("rigidity.py", "strip_identity_2d", "gauge"),
+    ("cli.py", "main", "argv"),
+}
+
+
+def _defaulted_parameters(tree, path):
+    """(file, function, parameter, position in a call or None) for every
+    defaulted parameter of a module-level function or method; a method's
+    positions skip `self` or `cls`, and `__init__` is called by its class
+    name.  Nested closures are not visited."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs = [(node, node.name, 0)]
+        elif isinstance(node, ast.ClassDef):
+            defs = [(fn, node.name if fn.name == "__init__" else fn.name,
+                     0 if any(_name(d) == "staticmethod"
+                              for d in fn.decorator_list) else 1)
+                    for fn in node.body if isinstance(fn, ast.FunctionDef)]
+        else:
+            continue
+        for fn, called_as, bound in defs:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            out += [(path.name, called_as, a.arg, i - bound)
+                    for i, a in enumerate(positional) if i >= first]
+            out += [(path.name, called_as, a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+    return out
+
+
+def test_every_defaulted_parameter_has_a_src_caller():
+    params, calls = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        params += _defaulted_parameters(tree, path)
+        for call, _ in _nodes(tree, ast.Call):
+            starred = any(isinstance(a, ast.Starred) for a in call.args) \
+                or any(k.arg is None for k in call.keywords)
+            calls.setdefault(_name(call), []).append(
+                (math.inf if starred else len(call.args),
+                 {k.arg for k in call.keywords}))
+    unset = {(path, fn, arg) for path, fn, arg, pos in params
+             if not any(arg in keywords or (pos is not None and pos < npos)
+                        for npos, keywords in calls.get(fn, ()))}
+    assert unset == _TEST_ONLY_KNOBS

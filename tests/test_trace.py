@@ -11,17 +11,18 @@ import math
 import numpy as np
 import pytest
 
-from divlab._quad import ball_rule
+from divlab._quad import ball_rule, leggauss
 from divlab.blowup import rescale
 from divlab import trace
 from divlab.calculus import RectRegion, bump_test, constant_test
-from divlab.fields import constant_field, make_capillary_field, \
-    make_twisting_field, translate_field, zero_field
+from divlab.fields import bump, constant_field, make_capillary_field, \
+    make_twisting_field, zero_field
 from divlab.trace import (
     AP_LIM_CONFIRMED, AP_LIM_REJECTED,
     circle_interface, density, line_interface, one_sided_ap_lim,
     weak_trace_ball_average, weak_trace_curvilinear, weak_trace_pairing,
     weak_trace_sphere_flux, _eddy_pairings, _patch_angular_order, _tail_fit,
+    _twisting_ball_average,
 )
 
 RADII = [2.0 ** -k for k in range(3, 9)]
@@ -160,7 +161,7 @@ class TestCapillaryProbes:
     @pytest.mark.parametrize("probe", [weak_trace_ball_average,
                                        weak_trace_sphere_flux])
     def test_domain_without_disk_radius_is_refused(self, probe):
-        moved = translate_field(self.f, (0.1, 0.0))
+        moved = rescale(self.f, (-0.1, 0.0), 1.0)
         S = circle_interface((0.1, 0.0), 1.0)
         with pytest.raises(ValueError, match="must declare its disk_radius"):
             probe(moved, S, (1.1, 0.0), RADII)
@@ -182,6 +183,39 @@ class TestTwistingOscillation:
             assert est == pytest.approx(s * mag, abs=1e-12)
         assert p.oscillating
         assert p.oscillation == pytest.approx(0.011121588928275757, abs=1e-10)
+
+    @pytest.mark.parametrize("x0,r", [
+        ((1.0 / 3.0, 0.0), 2.0 ** -3), ((1.0 / 3.0, 0.0), 2.0 ** -8),
+        ((0.3, 0.0), 0.1), ((0.71, 0.05), 0.3), ((0.5, 0.0), 0.25),
+        ((0.2, 0.0), 1e3), ((0.40625, 0.0), 0.09375)])
+    def test_array_prefilter_keeps_every_clipped_ball(self, twisting12, x0,
+                                                      r):
+        # the average the array prefilter replaced: every ball of the stack
+        # through the exact tests, in ball order; bitwise the same
+        eddies, x0 = twisting12.eddies, np.asarray(x0)
+        nu0 = np.array([0.0, -1.0])
+        gx, gw = leggauss(64)
+        total = 0.0
+        for c, rb in zip(eddies.centers, eddies.radii.tolist()):
+            d = c - x0
+            dist = math.hypot(d[0], d[1])
+            if dist >= r + rb or dist + rb <= r or dist == 0.0:
+                continue
+            s_lo, s_hi = max(abs(r - dist), 0.0), min(r + dist, rb)
+            angfac = (nu0[0] * d[1] - nu0[1] * d[0]) / dist
+            if s_hi <= s_lo or angfac == 0.0:
+                continue
+            v = 0.5 * (gx + 1.0)
+            s = s_lo + (s_hi - s_lo) * np.sin(0.5 * math.pi * v) ** 2
+            ds = (s_hi - s_lo) * 0.5 * math.pi \
+                * np.sin(0.5 * math.pi * v) * np.cos(0.5 * math.pi * v)
+            cval = (r * r - s * s - dist * dist) / (2.0 * s * dist)
+            sinb = np.sqrt(np.clip(1.0 - cval * cval, 0.0, None))
+            vals = bump(s / rb) * s * 2.0 * sinb
+            total += eddies.calibration * angfac * float(
+                np.sum(gw * vals * ds))
+        want = total / (math.pi * r * r)
+        assert _twisting_ball_average(eddies, x0, r, nu0) == want
 
     def test_mirror_point_cancels_exactly(self, twisting12):
         # x = 1/2 is a mirror axis of the eddy lattice: clipped patches come
@@ -232,9 +266,8 @@ class TestPairing:
                              x0=x0, scale=scale)
         for psi, value in zip(fam, got):
             total = 0.0
-            for b in f.eddies.balls:
-                rb = b.radius / scale
-                pts, w = ball_rule(2, (b.center - x0) / scale, rb, 16,
+            for c, rb in zip(f.eddies.centers, f.eddies.radii / scale):
+                pts, w = ball_rule(2, (c - x0) / scale, rb, 16,
                                    _patch_angular_order(rb))
                 total += float(np.sum(w * np.einsum(
                     "ij,ij->i", zoomed.eval(pts), psi.gradient(pts))))
