@@ -14,6 +14,7 @@ import math
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import legendre
 
 # nodes per row of the finest level `_refine` builds: the finest 2D level
 # (256^2 panels of 8^2 nodes) and the 3D ball rule at order 128 sit at it
@@ -26,7 +27,7 @@ class QuadratureError(RuntimeError):
 
 @functools.lru_cache(maxsize=64)
 def leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = legendre.leggauss(order)
     return x, w
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import _quad
 from .calculus import (AnnulusRegion, bump_test, gauss_green_residual,
@@ -21,8 +22,7 @@ from .calculus import (AnnulusRegion, bump_test, gauss_green_residual,
 from .fields import Exclusion, VectorField
 from .report import CheckResult, VerificationReport
 from .trace import OrientedInterface, DensityProbe, _disk_radius, \
-    _eddy_pairings, check_radii, density, deviation_indicator, \
-    weak_trace_ball_average
+    _eddy_pairings, check_radii, deviation_densities, weak_trace_ball_average
 
 __all__ = [
     "rescale", "BlowupSequence", "blowup_sequence",
@@ -130,7 +130,7 @@ def nalpha_density(xi: VectorField, S: OrientedInterface, x0, alpha: float,
     nu = S.normal_at(x0)
 
     # normalization audit on a fixed sample cloud near x0, to 1e-6
-    rng = np.random.default_rng(424242)
+    rng = default_rng(424242)
     cloud = x0 + rng.uniform(-1.0, 1.0, size=(4096, 2))
     if xi.domain is not None:
         cloud = cloud[xi.domain(cloud)]
@@ -140,8 +140,8 @@ def nalpha_density(xi: VectorField, S: OrientedInterface, x0, alpha: float,
             raise ValueError(f"field is not normalized: sampled sup "
                              f"{sup:.6f} exceeds 1")
 
-    return density(deviation_indicator(xi, x0, nu, nu, alpha), x0, radii,
-                   samples=samples, seed=seed)
+    return deviation_densities(xi, x0, nu, nu, (alpha,), radii, samples,
+                               seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.random import default_rng
 
 from .blowup import (blowup_sequence, blowup_trace_consistency,
                      hash_unit_ball_field, nalpha_density,
@@ -303,7 +304,7 @@ def _certify_target(field_id: str):
 
 def _divergence_sample_points(f, count: int, seed: int, clearance: float):
     """Points keeping `clearance` away from every declared non-smooth set."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     n = f.dim
     out = []
     have = 0
@@ -494,7 +495,7 @@ def _h_trace(sc: Scenario):
             reg = RectRegion(((0.0, 1.0), (0.0, 1.0)))
         else:
             reg = RectRegion(_parse_box(region))
-        rng = np.random.default_rng(sc.seed)
+        rng = default_rng(sc.seed)
         radius = p["bump_radius"]
         lo = np.array([reg.ax + radius, reg.ay + radius])
         hi = np.array([reg.bx - radius, reg.by - radius])
@@ -692,7 +693,7 @@ def _h_demo_jensen(sc: Scenario):
 
     sb = stream_bump_field()
     smooth = mollify(sb, make_mollifier(eps, 2))
-    rng = np.random.default_rng(sc.seed)
+    rng = default_rng(sc.seed)
     pts = np.stack([rng.uniform(-2.5, 2.5, 64), rng.uniform(0.4, 2.4, 64)],
                    axis=1)
     div = numeric_divergence(smooth, pts, h=p["fd_step"])
@@ -707,7 +708,7 @@ def _h_demo_quadratic(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     dim, m = p["dim"], p["samples"]
     xi = hash_unit_ball_field(dim)
-    rng = np.random.default_rng(sc.seed)
+    rng = default_rng(sc.seed)
     dirs = rng.normal(size=(m, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = dirs * (rng.uniform(size=m) ** (1.0 / dim))[:, None]
@@ -834,7 +835,8 @@ _INTERFACE = Param("interface", "auto",
                    help="'auto', 'line[:origin=a,b][:dir=a,b]' or "
                         "'circle[:center=a,b][:R=r][:inward]'")
 _SAMPLES = Param("samples", 100_000, int_range(1, 1_000_000),
-                 "Monte Carlo samples per radius")
+                 "lattice points per radius over the full ball, rounded "
+                 "up to the lattice size")
 _VALUE = Param("value", 0.0, finite_float, "expected value")
 _VALUE_TOL = _tol("value_tol", 1e-2)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 AUTO = "auto"
 
@@ -716,7 +717,7 @@ def field_to_potential(eta: VectorField) -> CylindricalPotential:
 def _audit_cylindrical(eta: VectorField) -> None:
     """Reject fields whose horizontal part is not radial or not symmetric,
     by 1e-8 or more at 32 random points and rotations."""
-    rng = np.random.default_rng(873214)
+    rng = default_rng(873214)
     samples = 32
     n = eta.dim
     rho = rng.uniform(0.2, 2.0, samples)

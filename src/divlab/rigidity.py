@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import _ode, _quad
 from .calculus import GridSpec
@@ -119,7 +120,7 @@ def _audit_tube_preconditions(eta: VectorField, epsilon: float,
                               A, h0: float) -> None:
     if eta.analytic_div is None:
         raise ValueError("flow tube needs a certified divergence-free field")
-    rng = np.random.default_rng(20260819)
+    rng = default_rng(20260819)
     los = np.array([lo for lo, _ in A] + [0.0])
     his = np.array([hi for _, hi in A] + [h0])
     pts = los + (his - los) * rng.uniform(0.0, 1.0, size=(128, len(A) + 1))

@@ -5,8 +5,10 @@ functions, and (optionally) one-sided sphere flux.
 Averages are reported per radius with no convergence claim; a probe flags
 oscillation whenever the radius sequence refuses to settle, which is the
 numerically observable face of a trace that exists only weakly.  Density
-ratios and one-sided approximate limits quantify how much of a small ball
-violates a candidate limit.
+ratios and one-sided approximate limits quantify how much of a small disk
+violates a candidate limit.  They sample planar disks with a randomly
+shifted Fibonacci lattice mapped area-preservingly onto the disk, and
+report the spread over the independent shifts as their sampling error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
+from numpy.random import default_rng
 
 from . import _quad
 from .calculus import BumpTest, RectRegion
@@ -28,7 +30,7 @@ __all__ = [
     "line_interface", "circle_interface",
     "weak_trace_ball_average", "weak_trace_curvilinear",
     "weak_trace_pairing", "weak_trace_sphere_flux", "check_radii",
-    "density", "deviation_indicator", "one_sided_ap_lim", "ApLimReport",
+    "density", "deviation_densities", "one_sided_ap_lim", "ApLimReport",
     "AP_LIM_CONFIRMED", "AP_LIM_REJECTED", "AP_LIM_INCONCLUSIVE",
     "EPS_DENSITY",
 ]
@@ -222,6 +224,14 @@ def _make_probe(x0, radii, estimates, method, quad_tol,
 
 @dataclass(frozen=True)
 class DensityProbe:
+    """Area ratios of a set in shrinking disks about `center`, from
+    LATTICE_SHIFTS randomly shifted copies of one Fibonacci lattice.  Each
+    ratio pools every shift; its `stderr` is the spread of the per-shift
+    estimates (their sample standard deviation over sqrt(LATTICE_SHIFTS)),
+    floored at the weight of one pooled point.  `theta` extrapolates the
+    ratios to radius 0, clipped to [0, 1]; `samples_per_radius` counts the
+    points drawn per radius, on the inward half-disk only for a deviation
+    probe."""
     center: tuple
     radii: tuple
     ratios: tuple
@@ -555,61 +565,107 @@ def weak_trace_sphere_flux(field: VectorField, S: OrientedInterface,
 # ---------------------------------------------------------------------------
 # densities and approximate limits
 
-def _sobol_ball(center: np.ndarray, r: float, samples: int,
-                seed: int) -> np.ndarray:
-    dim = center.size
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    fill = _quad.ball_volume(dim) / 2.0**dim  # rejection keeps this fraction
-    m = max(8, math.ceil(math.log2(samples / fill)))
-    pts01 = eng.random_base2(m)
-    cube = center + (2.0 * pts01 - 1.0) * r
-    inside = np.sum((cube - center) ** 2, axis=1) < r * r
-    return cube[inside]
+# independent random shifts of the lattice per probe; the spread of their
+# estimates is the reported sampling error
+LATTICE_SHIFTS = 4
+
+
+def _lattice_disk(samples: int, seed: int,
+                  theta0: Optional[float] = None) -> np.ndarray:
+    """Unit-disk points, shape (LATTICE_SHIFTS, n, 2): the rank-1 lattice
+    (i/n, i g/n), i < n, with n = F_k and g = F_(k-1) consecutive Fibonacci
+    numbers, under LATTICE_SHIFTS Cranley-Patterson shifts drawn from
+    `seed`, mapped area-preservingly by r = sqrt(u) and theta = 2 pi v.
+
+    `samples` is the number of points over the full disk.  With theta0,
+    only the half-disk theta0 < theta < theta0 + pi is drawn
+    (theta = theta0 + pi v), at the same density.  n is the smallest
+    Fibonacci number for which all shifts together cover the request.
+    """
+    need = samples if theta0 is None else -(-samples // 2)
+    per_shift = -(-need // LATTICE_SHIFTS)
+    g, n = 1, 1
+    while n < per_shift:
+        g, n = n, g + n
+    i = np.arange(n)
+    shift_u, shift_v = default_rng(seed).random((2, LATTICE_SHIFTS, 1))
+    r = np.sqrt((i / n + shift_u) % 1.0)
+    v = ((i * g % n) / n + shift_v) % 1.0
+    theta = 2.0 * math.pi * v if theta0 is None else theta0 + math.pi * v
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=2)
+
+
+def _density_probe(center: np.ndarray, radii: list, hits: np.ndarray,
+                   n: int, fraction: float = 1.0) -> DensityProbe:
+    """The probe of per-radius, per-shift hit counts `hits` out of n
+    lattice points each, on a cloud covering `fraction` of every disk."""
+    shifts = hits.shape[1]
+    ratios = fraction * (hits.sum(axis=1) / (shifts * n))
+    # shifts that all agree resolve the ratio only to one pooled point
+    errs = fraction * np.maximum(
+        np.std(hits / n, axis=1, ddof=1) / math.sqrt(shifts),
+        1.0 / (shifts * n))
+    theta, _, _ = _tail_fit(radii, ratios)
+    return DensityProbe(center=tuple(center.tolist()), radii=tuple(radii),
+                        ratios=tuple(ratios.tolist()),
+                        stderrs=tuple(errs.tolist()),
+                        theta=min(1.0, max(0.0, theta)),
+                        samples_per_radius=shifts * n)
+
+
+def _planar_center(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2,):
+        raise ValueError(f"density probes are planar; got center "
+                         f"{x.tolist()}")
+    return x
 
 
 def density(indicator, x, radii, samples: int = 100_000,
             seed: int = 0) -> DensityProbe:
-    """Volume fraction of a set in shrinking balls, by quasi-random
-    stratified sampling; the sampling error is reported per radius."""
-    x = np.asarray(x, dtype=float)
+    """Area fraction of a set in shrinking disks about the planar point x.
+    One unit cloud of LATTICE_SHIFTS shifted Fibonacci lattices, at least
+    `samples` points in all (see `_lattice_disk`), is scaled to every
+    radius; each ratio's stderr is the spread over the shifts."""
+    x = _planar_center(x)
     radii = check_radii(radii)
-    ratios, errs = [], []
+    cloud = _lattice_disk(samples, seed)
+    shifts, n = cloud.shape[:2]
+    hits = np.array([np.count_nonzero(
+        np.reshape(indicator(x + r * cloud.reshape(-1, 2)), (shifts, n)),
+        axis=1) for r in radii])
+    return _density_probe(x, radii, hits, n)
+
+
+def deviation_densities(field: VectorField, x0, nu, w, alphas, radii,
+                        samples: int, seed: int) -> list[DensityProbe]:
+    """Density ratios of the one-sided deviation sets at x0, one probe per
+    alpha: points on the inward side (where (p - x0) . nu < 0) at which the
+    field differs from w by at least alpha.  Points where the field is
+    undefined count as deviating.
+
+    Only the inward half-disk is drawn, and each ratio is half the
+    deviating fraction of it: the outward half never deviates.  |xi - w|
+    is evaluated once per radius and thresholded at every alpha.
+    """
+    x0 = _planar_center(x0)
+    radii = check_radii(radii)
+    inward = math.atan2(-nu[1], -nu[0])
+    cloud = _lattice_disk(samples, seed, theta0=inward - 0.5 * math.pi)
+    shifts, n = cloud.shape[:2]
+    hits = np.zeros((len(alphas), len(radii), shifts), dtype=int)
     for k, r in enumerate(radii):
-        pts = _sobol_ball(x, r, samples, seed=seed + k)
-        n = pts.shape[0]
-        hits = np.count_nonzero(indicator(pts))
-        p = hits / n
-        ratios.append(p)
-        errs.append(math.sqrt(max(p * (1.0 - p), 1.0 / n) / n))
-    theta, _, _ = _tail_fit(radii, ratios)
-    theta = min(1.0, max(0.0, theta))
-    return DensityProbe(center=tuple(x.tolist()), radii=tuple(radii),
-                        ratios=tuple(ratios), stderrs=tuple(errs),
-                        theta=theta, samples_per_radius=samples)
-
-
-def deviation_indicator(field: VectorField, x0: np.ndarray, nu: np.ndarray,
-                        w, alpha: float):
-    """Indicator of the one-sided deviation set at x0: points on the inward
-    side (where (p - x0) . nu < 0) at which the field differs from w by at
-    least alpha.  Points where the field is undefined count as deviating."""
-    def indicator(pts):
-        oneside = (pts - x0) @ (-nu) > 0.0
-        out = np.zeros(pts.shape[0], dtype=bool)
-        if not np.any(oneside):
-            return out
-        sel = pts[oneside]
-        if field.domain is None:
-            dev = np.linalg.norm(field.eval(sel) - w, axis=1) >= alpha
-        else:
-            dom = field.domain(sel)
-            dev = np.ones(sel.shape[0], dtype=bool)
-            if np.any(dom):
-                dev[dom] = np.linalg.norm(
-                    field.eval(sel[dom]) - w, axis=1) >= alpha
-        out[oneside] = dev
-        return out
-    return indicator
+        pts = x0 + r * cloud.reshape(-1, 2)
+        inside = (np.ones(pts.shape[0], dtype=bool) if field.domain is None
+                  else field.domain(pts))
+        dist = np.full(pts.shape[0], np.inf)
+        if np.any(inside):
+            gap = field.eval(pts[inside]) - w
+            dist[inside] = np.hypot(gap[:, 0], gap[:, 1])
+        for a, alpha in enumerate(alphas):
+            hits[a, k] = np.count_nonzero(
+                (dist >= alpha).reshape(shifts, n), axis=1)
+    return [_density_probe(x0, radii, h, n, fraction=0.5) for h in hits]
 
 
 @dataclass
@@ -637,11 +693,11 @@ def one_sided_ap_lim(field: VectorField, S: OrientedInterface, x0, w,
         scenario=f"aplim:{field.name}:x0={x0.tolist()}",
         environment={"seed": seed, "samples": samples})
 
+    alphas = [float(a) for a in alphas]
     statuses = []
-    for i, alpha in enumerate(alphas):
-        probe = density(deviation_indicator(field, x0, nu0, w, float(alpha)),
-                        x0, radii, samples=samples, seed=seed + 1000 * i)
-        rep.probes.append((float(alpha), probe))
+    for alpha, probe in zip(alphas, deviation_densities(
+            field, x0, nu0, w, alphas, radii, samples, seed)):
+        rep.probes.append((alpha, probe))
         if probe.theta <= eps_density:
             status = "confirmed"
         elif min(probe.ratios) >= eps_density:

@@ -1,4 +1,6 @@
-"""Shared fixtures and the acceptance summary hook."""
+"""Shared fixtures, closed forms and the acceptance summary hook."""
+
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +18,15 @@ ACCEPTANCE_LINES = []
 
 def record_criterion(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
+
+
+def rim_lens_ratio(r: float) -> float:
+    """Exact fraction of the disk of radius r about a point of the unit
+    circle that lies inside the unit disk: A(r) / (pi r^2), with the lens
+    area A(r) = r^2 acos(r/2) + acos(1 - r^2/2) - (r/2) sqrt(4 - r^2)."""
+    lens = (r * r * math.acos(0.5 * r) + math.acos(1.0 - 0.5 * r * r)
+            - 0.5 * r * math.sqrt(4.0 - r * r))
+    return lens / (math.pi * r * r)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

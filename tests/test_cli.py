@@ -10,6 +10,9 @@ from divlab import cli
 from divlab.cli import (
     RECIPES, Scenario, UsageError, build_parser, main, _scenario_from_args,
 )
+from divlab.trace import _tail_fit
+
+from conftest import rim_lens_ratio
 
 
 # every recipe's resolved scenario: defaults, types and the tolerance split
@@ -269,6 +272,11 @@ class TestExitCodes:
         assert code == 2
         assert "domain-restricted" in err
 
+    def test_density_probes_are_planar(self, capsys):
+        code, _, err = run_main(["density", "--x0", "1,0,0"], capsys)
+        assert code == 2
+        assert "x0 needs 2 comma-separated values" in err
+
     def test_failed_check_exits_one(self, capsys):
         code, out, _ = run_main(
             ["trace", "--field", "stream:bump", "--expect", "value",
@@ -355,7 +363,14 @@ class TestOperations:
                                  "--value", "0.5", "--samples", "20000"],
                                 capsys)
         assert code == 0
-        assert "INFO     extrapolated density  value=0.500268441" in out
+        # the exact ratios A(r)/(pi r^2) of the rim lens extrapolate to
+        # 0.50000002; at 20,000 samples the lattice estimate stays within
+        # 2e-4 of that (at most 1e-4 over 20 seeds)
+        radii = list(cli.DEFAULT_RADII)
+        exact = _tail_fit(radii, [rim_lens_ratio(r) for r in radii])[0]
+        line = "INFO     extrapolated density  value=0.499914843"
+        assert line in out
+        assert abs(float(line.rsplit("=", 1)[1]) - exact) <= 2e-4
         assert out.strip().endswith("verdict: PASS")
 
     def test_interface_grammar_builds_the_circle(self, capsys):

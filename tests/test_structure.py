@@ -2,14 +2,23 @@
 declare their structure, so no module bolts attributes onto frozen
 instances, dispatches with hasattr, or keeps an import it never uses; and
 every adaptive quadrature and ODE integration stops by one policy, and a
-field's Jacobian has one entry point, each written once; and no defaulted
-parameter is a knob that only its default ever sets."""
+field's Jacobian has one entry point, each written once; no defaulted
+parameter is a knob that only its default ever sets; and the package
+imports exactly the third-party distributions it declares."""
 
 import ast
+import json
 import math
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "divlab"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "divlab"
 
 
 def _exported(tree) -> set:
@@ -128,14 +137,14 @@ def test_one_jacobian_entry_point():
 
 # a probe in `trace` integrates a domain-restricted field only through the
 # disk it declares: `_disk_radius` reads the domain to refuse a field that
-# declares none, and the deviation indicator counts points outside it as
+# declares none, and the deviation densities count points outside it as
 # deviating; no other probe masks the domain inside a quadrature
 def test_trace_reads_the_domain_in_two_places():
     path = SRC / "trace.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = {where for node, where in _nodes(tree, ast.Attribute)
              if node.attr == "domain"}
-    assert found == {"_disk_radius", "deviation_indicator.indicator"}
+    assert found == {"_disk_radius", "deviation_densities"}
 
 
 # a defaulted parameter that no call in the package sets is a knob with one
@@ -196,3 +205,37 @@ def test_every_defaulted_parameter_has_a_src_caller():
              if not any(arg in keywords or (pos is not None and pos < npos)
                         for npos, keywords in calls.get(fn, ()))}
     assert unset == _TEST_ONLY_KNOBS
+
+
+# the declared dependencies are exactly the third-party packages `src/`
+# imports, and importing the CLI loads no scipy: a stray import would cost
+# every process start about a second
+def test_declared_dependencies_are_exactly_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                    for dep in tomllib.load(fh)["project"]["dependencies"]}
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == declared
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy.random and numpy.polynomial load lazily; the package imports
+    # them itself, so their cost lands in the import, not in a first call
+    code = ("import json, sys, divlab.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m in "
+            "('numpy.random', 'numpy.polynomial.legendre'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, env=env)
+    assert json.loads(out.stdout) == ["numpy.polynomial.legendre",
+                                      "numpy.random"]

@@ -340,7 +340,7 @@ class TestDensity:
         a = density(upper, (0.0, 0.0), RADII, samples=20000, seed=7)
         b = density(lambda q: ~upper(q), (0.0, 0.0), RADII,
                     samples=20000, seed=7)
-        # same Sobol cloud per radius, so the two counts split it exactly
+        # same lattice cloud per radius, so the two counts split it exactly
         for ra, rb in zip(a.ratios, b.ratios):
             assert ra + rb == 1.0
 
@@ -358,6 +358,34 @@ class TestDensity:
             density(ind, (0.0, 0.0), [0.1, 0.2], samples=1000)
         with pytest.raises(ValueError, match="decreasing"):
             density(ind, (0.0, 0.0), [0.1, 0.0], samples=1000)
+
+    def test_halfplane_through_the_center_is_one_half_within_a_point(self):
+        # the angles of one shifted lattice of n points are n equispaced
+        # values, so a half-plane through the center holds n/2 of them up
+        # to rounding, in every shift
+        for samples, seed in ((20000, 7), (1000, 3), (4001, 11)):
+            p = density(lambda q: q[:, 1] > 0.0, (0.0, 0.0), RADII,
+                        samples=samples, seed=seed)
+            n = p.samples_per_radius // trace.LATTICE_SHIFTS
+            for ratio in p.ratios:
+                assert abs(ratio - 0.5) <= 1.0 / n
+
+    def test_a_single_sample_gives_finite_ratios(self, capillary):
+        p = density(lambda q: q[:, 0] > 0.0, (0.0, 0.0), RADII,
+                    samples=1, seed=2)
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        rep = one_sided_ap_lim(capillary, S, (1.0, 0.0), (1.0, 0.0),
+                               (0.2,), RADII, samples=1, seed=2)
+        for probe in (p, rep.probes[0][1]):
+            ratios = np.array(probe.ratios + (probe.theta,))
+            assert np.all(np.isfinite(ratios))
+            assert np.all((ratios >= 0.0) & (ratios <= 1.0))
+            assert np.all(np.isfinite(probe.stderrs))
+
+    def test_planar_only(self):
+        with pytest.raises(ValueError, match="planar"):
+            density(lambda q: q[:, 0] > 0.0, (0.0, 0.0, 0.0), RADII[:2],
+                    samples=1000)
 
     def test_rows_shape(self):
         p = density(lambda q: q[:, 0] > 0, (0.0, 0.0), RADII[:2],
@@ -397,6 +425,60 @@ class TestApLim:
         rep = one_sided_ap_lim(capillary, S, (1.0, 0.0), (-1.0, 0.0),
                                (0.5,), RADII[:4], samples=8000, seed=5)
         assert rep.classification == AP_LIM_REJECTED
+
+    def _spied(self, field):
+        """The field, recording every point handed to its eval and domain."""
+        evals, seen = [], []
+
+        def ev(pts):
+            evals.append(pts.copy())
+            return field.eval(pts)
+
+        def domain(pts):
+            seen.append(pts.copy())
+            return field.domain(pts)
+
+        return dataclasses.replace(field, eval=ev, domain=domain), evals, seen
+
+    def test_one_field_pass_per_radius_for_all_alphas(self, capillary):
+        spied, evals, _ = self._spied(capillary)
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        rep = one_sided_ap_lim(spied, S, (1.0, 0.0), (1.0, 0.0),
+                               (0.2, 0.1, 0.05), RADII,
+                               samples=20000, seed=20260819)
+        assert len(rep.probes) == 3
+        assert len(evals) == len(RADII)
+
+    def test_every_drawn_point_is_inward(self, capillary):
+        # the probe draws the inward half-disk only: the field sees each
+        # drawn point once per radius, none of them outward or outside it
+        spied, evals, seen = self._spied(capillary)
+        x0 = np.array([math.cos(2.0), math.sin(2.0)])
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        nu = S.normal_at(x0)
+        rep = one_sided_ap_lim(spied, S, x0, nu, (0.2,), RADII,
+                               samples=4000, seed=9)
+        (_, probe), = rep.probes
+        assert len(seen) == len(RADII)
+        for pts, r in zip(seen, RADII):
+            assert pts.shape[0] == probe.samples_per_radius
+            assert np.all((pts - x0) @ nu <= 1e-15)
+            assert np.all(np.hypot(*(pts - x0).T) <= r + 1e-15)
+        assert all(np.all((pts - x0) @ nu <= 1e-15) for pts in evals)
+
+    def test_ratios_do_not_increase_with_alpha(self, capillary, twisting8):
+        cases = (
+            (capillary, circle_interface((0.0, 0.0), 1.0, outward=True),
+             (1.0, 0.0), (1.0, 0.0), (0.05, 0.1, 0.2)),
+            (twisting8, line_interface((0.0, 0.0), (1.0, 0.0),
+                                       normal=(0.0, -1.0)),
+             (1.0 / 3.0, 0.0), (0.0, 0.0), (0.25, 0.5, 0.75)),
+        )
+        for field, S, x0, w, alphas in cases:
+            rep = one_sided_ap_lim(field, S, x0, w, alphas, RADII,
+                                   samples=8000, seed=20260819)
+            ratios = np.array([probe.ratios for _, probe in rep.probes])
+            assert np.all(np.diff(ratios, axis=0) <= 0.0)
 
 
 # ---------------------------------------------------------------------------
