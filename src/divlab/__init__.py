@@ -30,8 +30,8 @@ from .blowup import (BlowupSequence, blowup_sequence,
 from .report import (CheckResult, FAIL, INFO, PASS, SKIPPED,
                      VerificationReport)
 from .rigidity import (CERTIFIED, VIOLATED, FlowTube, MonotonicityViolation,
-                       RigidityCertificate, build_flow_tube,
-                       certify_potential, default_certification_grid,
+                       RigidityCertificate, certify_potential,
+                       check_seed_box, flow_tubes, default_certification_grid,
                        gamma_bounds, lifted_field,
                        separable_demo, strip_identity_2d)
 from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,

@@ -1,16 +1,16 @@
 """Embedded adaptive Runge-Kutta integration (Dormand-Prince 4(5)).
 
-Supports batched states with a common adaptive step (error controlled by
-the worst component across the batch) and single-trajectory integration
-with bisection-refined event detection.  Both consume the accepted steps
-of `_dp_steps`, the one step controller and the one place that raises
-`StiffFailure`.
+`_dp_steps`, the one step controller and the one place that raises
+`StiffFailure`, advances a state of any shape with a common adaptive step
+(error controlled by the worst component across the batch); the flow
+tube consumes its accepted steps directly.  `rk45_event` integrates a
+single trajectory with bisection-refined event detection on top of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,6 +18,8 @@ import numpy as np
 
 # an event function within this of zero counts as crossed
 EVENT_TOL = 1e-12
+# accepted and rejected steps together before an integration gives up
+MAX_STEPS = 200_000
 
 
 class StiffFailure(RuntimeError):
@@ -72,8 +74,9 @@ def _dp_steps(f: Callable, t0: float, y: np.ndarray, t1: float,
     nrejected) for each accepted step from (t, y) to (t + h, y_new) on the
     way from t0 to t1.  A step is accepted when its embedded error, the
     worst |y5 - y4| / (atol + rtol * max(|y|, |y5|)), is at most 1.
-    Negative, non-finite or all-zero tolerances raise ValueError before
-    the first call of f."""
+    Non-finite endpoints or initial state, and negative, non-finite or
+    all-zero tolerances, raise ValueError before the first call of f."""
+    _check_finite(t0, t1, y)
     if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf) \
             or rtol == atol == 0.0:
         raise ValueError(f"tolerances must be finite and non-negative, not "
@@ -118,41 +121,12 @@ class OdeResult:
     y: np.ndarray
     naccepted: int
     nrejected: int
-    path_t: list = field(default_factory=list)
-    path_y: list = field(default_factory=list)
-    status: str = "final"    # rk45_event: "event" when the event fired
-
-
-def rk45(f: Callable, t0: float, y0, t1: float, rtol: float = 1e-9,
-         atol: float = 1e-12, max_steps: int = 200_000,
-         record: bool = False) -> OdeResult:
-    """Integrate dy/dt = f(t, y) from t0 to t1 with a shared adaptive step.
-
-    y may have any shape; the error test takes the worst component, so a
-    batch of trajectories advances in lockstep at the accuracy of its most
-    demanding member.
-    """
-    y = np.array(y0, dtype=float)
-    _check_finite(t0, t1, y)
-    res = OdeResult(float(t0), y, 0, 0)
-    if t1 - t0 == 0.0:
-        return res
-    if record:
-        res.path_t.append(res.t)
-        res.path_y.append(y.copy())
-    for t, _, h, y5, res.nrejected in _dp_steps(f, t0, y, t1, rtol, atol,
-                                                max_steps):
-        res.t, res.y = t + h, y5
-        res.naccepted += 1
-        if record:
-            res.path_t.append(res.t)
-            res.path_y.append(y5.copy())
-    return res
+    status: str = "final"    # "event" when the event fired
 
 
 def rk45_event(f: Callable, t0: float, y0, event: Callable,
                t_max: float, rtol: float = 1e-9, atol: float = 1e-12,
-               max_steps: int = 200_000) -> OdeResult:
+               max_steps: int = MAX_STEPS) -> OdeResult:
     """Integrate until event(t, y) crosses zero, refining by bisection.
 
     Stops at the first sign change of the event function along accepted
@@ -161,6 +135,7 @@ def rk45_event(f: Callable, t0: float, y0, event: Callable,
     integrator's accuracy.
     """
     y = np.array(y0, dtype=float)
+    # checked here too: the event is evaluated before the first step
     _check_finite(t0, t_max, y)
     g_prev = float(event(float(t0), y))
     if abs(g_prev) <= EVENT_TOL:

@@ -44,8 +44,8 @@ from .fields import (AUTO, MAX_DIMENSION, REGISTRY_EXAMPLES,
                      parse_spec, phi_quadratic, potential_to_field,
                      stream_bump_field)
 from .report import FAIL, INFO, PASS, CheckResult, VerificationReport
-from .rigidity import (CERTIFIED, VIOLATED, build_flow_tube, certify_potential,
-                       default_certification_grid, flow_tube_trajectories,
+from .rigidity import (CERTIFIED, VIOLATED, certify_potential, check_seed_box,
+                       default_certification_grid, flow_tubes,
                        separable_demo, strip_identity_2d)
 from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
                     check_radii, circle_interface, density, line_interface,
@@ -393,25 +393,29 @@ def _h_flow_tube(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     f = _resolve_field(sc.field)
     A = _parse_box(p["box"])
+    try:
+        check_seed_box(f, A)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if p["epsilon"] is None:
         sup = f.sup_bound if f.sup_bound and math.isfinite(f.sup_bound) else 0.0
         eps = 2.0 * sup if sup > 0.0 else 1.0
     else:
         eps = p["epsilon"]
     h0, seeds = p["h0"], p["seeds"]
-
-    tube = build_flow_tube(f, eps, A, h0, seeds_per_axis=seeds,
-                           rtol=p["rtol"], gauge_constant=p["gauge_constant"])
+    levels = [seeds, 2 * seeds] if p["refine"] else [seeds]
+    tubes, paths = flow_tubes(f, eps, A, h0, levels,
+                              plot_seeds=p["plot_seeds"],
+                              gauge_constant=p["gauge_constant"],
+                              rtol=p["rtol"])
+    tube = tubes[0]
     rep = tube.to_report(tol=tol["residual_tol"])
     rep.add(CheckResult.info("epsilon", eps))
     rep.add(CheckResult.info("seeds per axis", seeds))
 
-    residual_rows = [[seeds, tube.residual]]
+    residual_rows = [[s, t.residual] for s, t in zip(levels, tubes)]
     if p["refine"]:
-        fine = build_flow_tube(f, eps, A, h0, seeds_per_axis=2 * seeds,
-                               rtol=p["rtol"],
-                               gauge_constant=p["gauge_constant"])
-        residual_rows.append([2 * seeds, fine.residual])
+        fine = tubes[1]
         factor = p["refine_factor"]
         rep.add(CheckResult.from_residual(
             "refined transport identity residual", fine.residual,
@@ -421,16 +425,11 @@ def _h_flow_tube(sc: Scenario):
             fine.residual, 0.0, tube.residual - factor * fine.residual,
             detail=f"coarse={tube.residual!r}, fine={fine.residual!r}"))
 
-    trows = []
-    for row in flow_tube_trajectories(f, eps, A, h0,
-                                      seeds_per_axis=p["plot_seeds"],
-                                      rtol=p["rtol"]):
-        trows.append([*row["seed"], row["h"], *row["position"], row["delta"]])
     ndim = len(A)
     header = ([f"seed_q{i + 1}" for i in range(ndim)] + ["h"]
               + [f"x{i + 1}" for i in range(ndim + 1)] + ["delta"])
     tables = [("residuals", ["seeds_per_axis", "residual"], residual_rows),
-              ("trajectories", header, trows)]
+              ("trajectories", header, paths.tolist())]
     return rep, tables, []
 
 

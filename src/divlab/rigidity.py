@@ -25,10 +25,9 @@ from .report import INCONCLUSIVE, CheckResult, VerificationReport
 
 __all__ = [
     "MonotonicityViolation", "FlowTube", "RigidityCertificate",
-    "lifted_field", "build_flow_tube", "strip_identity_2d",
+    "lifted_field", "flow_tubes", "check_seed_box", "strip_identity_2d",
     "certify_potential", "default_certification_grid", "gamma_bounds",
-    "separable_demo", "flow_tube_trajectories", "CERTIFIED", "VIOLATED",
-    "INCONCLUSIVE",
+    "separable_demo", "CERTIFIED", "VIOLATED", "INCONCLUSIVE",
 ]
 
 
@@ -109,8 +108,13 @@ class FlowTube:
         return rep
 
 
-def _check_tube_box(eta: VectorField, A) -> None:
-    # a planar field over a 2D box stands for its extrusion along x2
+def check_seed_box(eta: VectorField, A) -> None:
+    """Refuse, before anything is allocated, a seed box that is not 1D or
+    2D (the top flux is integrated over those only) or does not match the
+    field; a planar field over a 2D box stands for its extrusion."""
+    if not 1 <= len(A) <= 2:
+        raise ValueError(f"seed box of dimension {len(A)}: the flow tube "
+                         "takes boxes of dimension 1 or 2")
     if eta.dim != len(A) + 1 and not (eta.dim == 2 and len(A) == 2):
         raise ValueError(f"seed box of dimension {len(A)} does not match "
                          f"a field of dimension {eta.dim}")
@@ -140,32 +144,39 @@ def _audit_tube_preconditions(eta: VectorField, epsilon: float,
             f"{float(np.max(neg_part)):.3e}")
 
 
-def _seed_transport(X: VectorField, A, h0: float, seeds_per_axis: int,
-                    rtol: float, record: bool = False):
-    """Flow a midpoint seed grid on A x {h0} along X down to height zero.
+def _seed_transport(X: VectorField, A, h0: float, grids: Sequence[int],
+                    rtol: float, record: bool):
+    """Flow midpoint seed grids on A x {h0}, grids[i] seeds per axis each,
+    along X down to height zero as one batch.
 
     The flow is parametrized by height, so every seed advances in
     lockstep; the last state column is the transported seed-plane
-    Jacobian delta.  Returns the seeds, the seed cell measure, the ODE
-    result and the smallest delta and widest horizontal excursion seen by
-    the right-hand side, which makes one `eval_jacobian` call per stage.
+    Jacobian delta.  The right-hand side makes one `eval_jacobian` call
+    per stage and reduces each grid's rows to the smallest delta and
+    widest horizontal excursion it sees.  Returns per grid (seeds, cell
+    measure, final states, smallest delta, widest excursion), and with
+    `record` the last grid's (height, states) at the seed height and
+    after every accepted step.
 
     A planar X over a 2D box stands for its extrusion, which neither
-    moves nor depends on x2: only the seeds of one q1 column are flowed,
-    and the result (every recorded state too) is copied along q2 into the
-    grid's order.  The copies would have taken the same adaptive steps,
-    since the x2 column's error estimate is exactly zero.
+    moves nor depends on x2: only the seeds of one q1 column per grid are
+    flowed, and the states are copied along q2 into the grid's order.
+    The copies would have taken the same adaptive steps, since the x2
+    column's error estimate is exactly zero.
     """
     if X.eval_jacobian is None:
         raise ValueError(f"{X.name} has no analytic Jacobian; "
                          "flow transport needs one")
-    s = seeds_per_axis
-    seeds, cell = _quad.midpoint_grid(A, [s] * len(A))
     section = X.dim < len(A) + 1
-    flown = seeds[::s, :1] if section else seeds
+    grid_seeds = [_quad.midpoint_grid(A, [s] * len(A)) for s in grids]
+    parts = [seeds[::s, :1] if section else seeds
+             for s, (seeds, _) in zip(grids, grid_seeds)]
+    bounds = np.cumsum([0] + [part.shape[0] for part in parts])
+    starts = bounds[:-1]
     n = X.dim
-    nseeds = flown.shape[0]
-    watch = {"min_delta": math.inf, "max_span": 0.0}
+    nseeds = int(bounds[-1])
+    min_delta = np.full(len(grids), math.inf)
+    max_span = np.zeros(len(grids))
 
     def rhs(h, Y):
         pos = np.empty((nseeds, n))
@@ -178,40 +189,63 @@ def _seed_transport(X: VectorField, A, h0: float, seeds_per_axis: int,
             bad = pos[np.argmin(xn)]
             raise MonotonicityViolation(
                 f"vertical speed {mn:.3e} <= 0 at {bad.tolist()}")
-        watch["max_span"] = max(watch["max_span"],
-                                float(np.max(np.abs(Y[:, :-1]))))
+        np.maximum(max_span, np.maximum.reduceat(
+            np.max(np.abs(Y[:, :-1]), axis=1), starts), out=max_span)
         tr = _trace_shear(vals, J)
         dY = np.empty_like(Y)
         dY[:, :-1] = vals[:, :-1] / xn[:, None]
         dY[:, -1] = tr * Y[:, -1]
-        watch["min_delta"] = min(watch["min_delta"], float(np.min(Y[:, -1])))
+        np.minimum(min_delta, np.minimum.reduceat(Y[:, -1], starts),
+                   out=min_delta)
         return dY
 
-    Y0 = np.concatenate([flown, np.ones((nseeds, 1))], axis=1)
-    res = _ode.rk45(rhs, h0, Y0, 0.0, rtol=rtol, atol=1e-13, record=record)
-    if section:
-        q2 = seeds[:s, 1]
+    def extrude(Y, i):
+        if not section:
+            return Y
+        s = grids[i]
+        q2 = grid_seeds[i][0][:s, 1]
+        out = np.empty((Y.shape[0] * s, 3))
+        out[:, 0] = np.repeat(Y[:, 0], s)
+        out[:, 1] = np.tile(q2, Y.shape[0])
+        out[:, 2] = np.repeat(Y[:, 1], s)
+        return out
 
-        def extrude(Y):
-            out = np.empty((s * s, 3))
-            out[:, 0] = np.repeat(Y[:, 0], s)
-            out[:, 1] = np.tile(q2, s)
-            out[:, 2] = np.repeat(Y[:, 1], s)
-            return out
+    Y0 = np.concatenate([np.concatenate(parts), np.ones((nseeds, 1))],
+                        axis=1)
+    last = slice(starts[-1], nseeds)
+    path = [(h0, Y0[last].copy())] if record else []
+    Y = Y0
+    for t, _, step, Y, _ in _ode._dp_steps(rhs, h0, Y0, 0.0, rtol, 1e-13,
+                                           _ode.MAX_STEPS):
+        if record:
+            path.append((t + step, Y[last].copy()))
 
-        res.y = extrude(res.y)
-        res.path_y = [extrude(Y) for Y in res.path_y]
-        watch["max_span"] = max(watch["max_span"], float(np.max(np.abs(q2))))
-    return seeds, cell, res, watch
+    out = []
+    for i, (seeds, cell) in enumerate(grid_seeds):
+        span = float(max_span[i])
+        if section:
+            span = max(span, float(np.max(np.abs(seeds[:grids[i], 1]))))
+        out.append((seeds, cell, extrude(Y[bounds[i]:bounds[i + 1]], i),
+                    float(min_delta[i]), span))
+    return out, [(h, extrude(P, -1)) for h, P in path]
 
 
-def build_flow_tube(eta: VectorField, epsilon: float, A, h0: float,
-                    seeds_per_axis: int = 64,
-                    gauge_constant: Optional[float] = None,
-                    rtol: float = 1e-10) -> FlowTube:
-    """Seed a midpoint grid on A x {h0}, flow down to height zero, and
-    compare epsilon times the transported bottom measure with an
-    independent adaptive quadrature of the top flux.
+def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
+               seed_levels: Sequence[int], plot_seeds: Optional[int] = None,
+               gauge_constant: Optional[float] = None,
+               rtol: float = 1e-10
+               ) -> tuple[list[FlowTube], Optional[np.ndarray]]:
+    """Flow tubes of the lift X = eta + epsilon e_n at several seed
+    levels, from one flow.
+
+    Each level seeds a midpoint grid with that many seeds per axis on
+    A x {h0}, and epsilon times its transported bottom measure is
+    compared with one independent adaptive quadrature of the top flux.
+    Every level's grid, and the `plot_seeds` grid when one is given, flow
+    down to height zero as one batch.  Returns one FlowTube per level and
+    the plot grid's paths: one row (seed, height, position, delta) per
+    seed at the seed height and after every accepted step, or None
+    without a plot grid.
 
     A planar field with a 2D box A = A1 x A2 is the tube of its extrusion
     (f1(x1, x3), 0, f2(x1, x3)).  That tube is a product: each trajectory
@@ -220,13 +254,10 @@ def build_flow_tube(eta: VectorField, epsilon: float, A, h0: float,
     the plane, with the same numbers as the extruded 3D field gives.
     """
     A = [tuple(map(float, ab)) for ab in A]
-    _check_tube_box(eta, A)
+    check_seed_box(eta, A)
     _audit_tube_preconditions(eta, epsilon, A, h0)
     X = lifted_field(eta, epsilon)
     n = X.dim
-    seeds, cell, res, watch = _seed_transport(X, A, h0, seeds_per_axis, rtol)
-    deltas = res.y[:, -1]
-    bottom = float(cell * np.sum(deltas))
 
     # integrate only the field part; the constant epsilon contributes
     # epsilon * |A| exactly, so a vanishing field gives residual 0.0
@@ -255,46 +286,38 @@ def build_flow_tube(eta: VectorField, epsilon: float, A, h0: float,
     for lo, hi in A:
         box_measure *= hi - lo
     top = top_field + epsilon * box_measure
-    residual = abs(top - epsilon * bottom)
     corner = max(max(abs(lo), abs(hi)) for lo, hi in A)
-    R = max(watch["max_span"], corner, h0)
 
-    disp_margin = disp_bound = None
-    if gauge_constant is not None:
-        disp_bound = max(h0, h0 / gauge_constant)
-        final_pos = res.y[:, :-1]
-        disp = np.sqrt(np.sum((final_pos - seeds) ** 2, axis=1) + h0 * h0)
-        disp_margin = float(disp_bound - np.max(disp))
+    plot = [] if plot_seeds is None else [plot_seeds]
+    flown, path = _seed_transport(X, A, h0, [*seed_levels, *plot], rtol,
+                                  record=bool(plot))
 
-    return FlowTube(A=A, h0=h0, epsilon=epsilon,
-                    seeds_per_axis=seeds_per_axis,
-                    top_integral=top, bottom_measure=bottom,
-                    residual=residual, R_bound=R,
-                    delta_min=min(watch["min_delta"], float(np.min(deltas))),
-                    displacement_margin=disp_margin,
-                    displacement_bound=disp_bound)
+    tubes = []
+    for s, (seeds, cell, final, delta_min, span) in zip(seed_levels, flown):
+        deltas = final[:, -1]
+        bottom = float(cell * np.sum(deltas))
+        disp_margin = disp_bound = None
+        if gauge_constant is not None:
+            disp_bound = max(h0, h0 / gauge_constant)
+            disp = np.sqrt(np.sum((final[:, :-1] - seeds) ** 2, axis=1)
+                           + h0 * h0)
+            disp_margin = float(disp_bound - np.max(disp))
+        tubes.append(FlowTube(
+            A=A, h0=h0, epsilon=epsilon, seeds_per_axis=s,
+            top_integral=top, bottom_measure=bottom,
+            residual=abs(top - epsilon * bottom),
+            R_bound=max(span, corner, h0),
+            delta_min=min(delta_min, float(np.min(deltas))),
+            displacement_margin=disp_margin, displacement_bound=disp_bound))
 
-
-def flow_tube_trajectories(eta: VectorField, epsilon: float, A, h0: float,
-                           seeds_per_axis: int = 8,
-                           rtol: float = 1e-10) -> list[dict]:
-    """Recorded trajectory samples (seed, height, position, delta) for
-    plotting; a coarse seed grid keeps the output small."""
-    A = [tuple(map(float, ab)) for ab in A]
-    _check_tube_box(eta, A)
-    X = lifted_field(eta, epsilon)
-    seeds, _, res, _ = _seed_transport(X, A, h0, seeds_per_axis, rtol,
-                                       record=True)
-    rows = []
-    for h, Y in zip(res.path_t, res.path_y):
-        for i in range(seeds.shape[0]):
-            rows.append({
-                "seed": seeds[i].tolist(),
-                "h": h,
-                "position": [*Y[i, :-1].tolist(), h],
-                "delta": float(Y[i, -1]),
-            })
-    return rows
+    table = None
+    if plot:
+        seeds = flown[-1][0]
+        ones = np.ones((seeds.shape[0], 1))
+        table = np.concatenate([np.hstack([seeds, h * ones, Y[:, :-1],
+                                           h * ones, Y[:, -1:]])
+                                for h, Y in path])
+    return tubes, table
 
 
 # ---------------------------------------------------------------------------

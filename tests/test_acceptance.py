@@ -22,8 +22,8 @@ from divlab.fields import (AUTO, constant_field, counterexample_potential,
                            field_to_potential, gamma_bounds,
                            make_counterexample_field, phi_quadratic,
                            potential_to_field, zero_field)
-from divlab.rigidity import (CERTIFIED, VIOLATED, build_flow_tube,
-                             certify_potential, default_certification_grid,
+from divlab.rigidity import (CERTIFIED, VIOLATED, certify_potential,
+                             default_certification_grid, flow_tubes,
                              separable_demo, strip_identity_2d)
 from divlab.trace import (AP_LIM_CONFIRMED, AP_LIM_REJECTED,
                           circle_interface, line_interface, one_sided_ap_lim,
@@ -103,16 +103,13 @@ def test_criterion_02_amplitude_bounds_and_violation():
 def test_criterion_03_flow_tube_transport(stream_bump):
     t0 = time.monotonic()
     failures = []
-    tube0 = build_flow_tube(zero_field(2), 1.0, TUBE_BOX, 1.95,
-                            seeds_per_axis=64)
+    (tube0,), _ = flow_tubes(zero_field(2), 1.0, TUBE_BOX, 1.95, [64])
     if tube0.residual != 0.0:
         failures.append(f"zero-field residual {tube0.residual!r} != 0.0")
 
     eps = 2.0 * stream_bump.sup_bound
-    coarse = build_flow_tube(stream_bump, eps, TUBE_BOX, 1.95,
-                             seeds_per_axis=64)
-    fine = build_flow_tube(stream_bump, eps, TUBE_BOX, 1.95,
-                           seeds_per_axis=128)
+    (coarse, fine), _ = flow_tubes(stream_bump, eps, TUBE_BOX, 1.95,
+                                   [64, 128])
     if coarse.residual > 1e-6:
         failures.append(f"64^2 residual {coarse.residual:.3e} > 1e-6")
     if fine.residual > coarse.residual / 4.0:

@@ -6,10 +6,12 @@ import os
 
 import pytest
 
-from divlab import cli
+from divlab import _ode, _quad, cli
 from divlab.cli import (
     RECIPES, Scenario, UsageError, build_parser, main, _scenario_from_args,
 )
+from divlab.fields import stream_bump_field
+from divlab.rigidity import flow_tubes
 from divlab.trace import _tail_fit
 
 from conftest import rim_lens_ratio
@@ -210,6 +212,25 @@ class TestExitCodes:
         with pytest.raises(UsageError, match="invalid positive_float value"):
             build_parser().parse_args(argv)
 
+    # a seed box the tube cannot take is refused before any seed grid is
+    # allocated; both ended as an execution FAIL (exit 1), and the 3D box
+    # asked for 256^3 + 512^3 seeds, about 100 GB
+    @pytest.mark.parametrize("argv", [
+        ["flow-tube", "--field", "zero:dim=3", "--box=0,1"],
+        ["flow-tube", "--field", "zero:dim=4", "--box=0,1;0,1;0,1",
+         "--seeds", "256", "--refine"],
+    ], ids=["box-below-the-field", "three-dimensional-box"])
+    def test_unusable_seed_box_is_usage_error(self, capsys, monkeypatch,
+                                              argv):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a seed grid was allocated")
+
+        monkeypatch.setattr(_quad, "midpoint_grid", no_grid)
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert "seed box of dimension" in err
+        assert "verdict" not in out
+
     # a probe radius sequence must be positive and strictly decreasing;
     # a negative radius ended as an execution FAIL (exit 1)
     @pytest.mark.parametrize("radii", ["0.1,-0.1", "0.1,0.2"])
@@ -342,7 +363,7 @@ class TestOperations:
         (["trace", "--field", "capillary:R=1", "--method", "flux",
           "--x0", "1,0"], "weak_trace_sphere_flux"),
         (["flow-tube", "--seeds", "4", "--plot-seeds", "2"],
-         "flow_tube_trajectories"),
+         "flow_tubes"),
     ], ids=["trace-flux", "flow-tube-trajectories"])
     def test_rtol_reaches_the_library(self, capsys, monkeypatch, argv,
                                       target):
@@ -356,6 +377,37 @@ class TestOperations:
         monkeypatch.setattr(cli, target, spy)
         run_main(argv + ["--rtol", "1e-3"], capsys)
         assert seen == [1e-3]
+
+    # the coarse, refined and plotted seed grids flow as one batch: one
+    # integration, where three flows one after another took 9,303 rhs
+    # calls, with each residual within ODE noise of its level flowed alone
+    def test_refined_tube_flows_once(self, tmp_path, capsys, monkeypatch):
+        f = stream_bump_field()
+        alone = {s: flow_tubes(f, 2.0 * f.sup_bound, [(-2.7, 3.3), (0.0, 1.0)],
+                               1.95, [s])[0][0].residual for s in (32, 64)}
+        flows, rhs_calls = [], []
+        dp_steps = _ode._dp_steps
+
+        def counting_dp_steps(rhs, *args):
+            def counted(t, y):
+                rhs_calls.append(t)
+                return rhs(t, y)
+            flows.append(args)
+            return dp_steps(counted, *args)
+
+        monkeypatch.setattr(_ode, "_dp_steps", counting_dp_steps)
+        code, _, _ = run_main(
+            ["flow-tube", "--field", "stream:bump", "--h0", "1.95",
+             "--seeds", "32", "--refine", "--residual-tol", "1e-4",
+             "--out", str(tmp_path), "--name", "tube"], capsys)
+        assert code == 0
+        assert len(flows) == 1 and len(rhs_calls) < 4000
+        lines = (tmp_path / "tube-residuals.csv").read_text().splitlines()
+        fused = {int(s): float(r) for s, r in
+                 (line.split(",") for line in lines[1:])}
+        assert sorted(fused) == [32, 64]
+        for s, residual in alone.items():
+            assert abs(fused[s] - residual) <= 1e-11, s
 
     def test_density_of_the_disk_at_its_rim(self, capsys):
         code, out, _ = run_main(["density", "--field", "capillary:R=1",

@@ -18,6 +18,13 @@ def _counting_rhs():
     return f, calls
 
 
+def _flow(f, t0, y0, t1, rtol=1e-9, atol=1e-12):
+    # the batched RK45 path the flow tube drives: the step controller's
+    # accepted steps, consumed to the end
+    for _ in _ode._dp_steps(f, t0, y0, t1, rtol, atol, 200):
+        pass
+
+
 @pytest.mark.parametrize("t0,t1,y0", [
     (math.nan, 0.0, np.ones(3)),
     (0.0, math.nan, np.ones(3)),
@@ -30,7 +37,7 @@ def test_non_finite_input_is_rejected_before_any_rhs_call(integrator,
     f, calls = _counting_rhs()
     with pytest.raises(ValueError, match="finite"):
         if integrator == "rk45":
-            _ode.rk45(f, t0, y0, t1, max_steps=200)
+            _flow(f, t0, y0, t1)
         else:
             _ode.rk45_event(f, t0, y0, lambda t, y: y[0] - 2.0, t_max=t1,
                             max_steps=200)
@@ -51,7 +58,7 @@ def test_bad_tolerance_is_rejected_before_any_rhs_call(integrator, rtol,
     f, calls = _counting_rhs()
     with pytest.raises(ValueError, match="tolerances"):
         if integrator == "rk45":
-            _ode.rk45(f, 0.0, np.ones(1), 5.0, rtol=rtol, atol=atol)
+            _flow(f, 0.0, np.ones(1), 5.0, rtol=rtol, atol=atol)
         else:
             _ode.rk45_event(f, 0.0, np.ones(1), lambda t, y: y[0] - 0.5,
                             t_max=5.0, rtol=rtol, atol=atol)

@@ -18,12 +18,20 @@ from divlab.fields import (
     get_field, stream_bump_field, zero_field,
 )
 from divlab.rigidity import (
-    CERTIFIED, INCONCLUSIVE, VIOLATED, build_flow_tube, certify_potential,
-    default_certification_grid, flow_tube_trajectories, lifted_field,
-    separable_demo, strip_identity_2d,
+    CERTIFIED, INCONCLUSIVE, VIOLATED, certify_potential,
+    default_certification_grid, flow_tubes, lifted_field, separable_demo,
+    strip_identity_2d,
 )
 
 TUBE_BOX = ((-2.7, 3.3), (0.0, 1.0))
+
+
+def one_tube(eta, epsilon, A, h0, seeds_per_axis=64, **kwargs):
+    # one seed level and no plot grid: exactly the batch of a lone tube
+    (tube,), paths = flow_tubes(eta, epsilon, A, h0, [seeds_per_axis],
+                                **kwargs)
+    assert paths is None
+    return tube
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +114,15 @@ class TestFlowTube:
             lifted_field(zero_field(2), 0.0)
 
     def test_zero_field_residual_is_exactly_zero(self):
-        tube = build_flow_tube(zero_field(2), 1.0, ((-1.0, 1.0), (-1.0, 1.0)),
-                               1.95, seeds_per_axis=8)
+        tube = one_tube(zero_field(2), 1.0, ((-1.0, 1.0), (-1.0, 1.0)),
+                        1.95, seeds_per_axis=8)
         assert tube.residual == 0.0
         assert tube.bottom_measure == pytest.approx(4.0, abs=1e-12)
         assert tube.delta_min == 1.0
 
     def test_stream_bump_transport_identity(self, stream_bump):
         eps = 2.0 * stream_bump.sup_bound
-        tube = build_flow_tube(stream_bump, eps, TUBE_BOX, 1.95,
-                               seeds_per_axis=16)
+        tube = one_tube(stream_bump, eps, TUBE_BOX, 1.95, seeds_per_axis=16)
         # top height clears the support, so the top flux is eps * |A|
         assert tube.top_integral == pytest.approx(eps * 6.0, abs=1e-12)
         assert tube.residual == pytest.approx(8.99660230563315e-05, rel=1e-6)
@@ -124,28 +131,28 @@ class TestFlowTube:
 
     def test_refinement_shrinks_the_residual(self, stream_bump):
         eps = 2.0 * stream_bump.sup_bound
-        coarse = build_flow_tube(stream_bump, eps, TUBE_BOX, 1.95,
-                                 seeds_per_axis=16)
-        fine = build_flow_tube(stream_bump, eps, TUBE_BOX, 1.95,
-                               seeds_per_axis=32)
+        (coarse, fine), _ = flow_tubes(stream_bump, eps, TUBE_BOX, 1.95,
+                                       [16, 32])
         assert fine.residual <= coarse.residual / 4.0
 
     def test_displacement_bound(self, stream_bump):
         eps = 2.0 * stream_bump.sup_bound
-        tube = build_flow_tube(stream_bump, eps, TUBE_BOX, 1.95,
-                               seeds_per_axis=8, gauge_constant=0.5)
+        tube = one_tube(stream_bump, eps, TUBE_BOX, 1.95, seeds_per_axis=8,
+                        gauge_constant=0.5)
         assert tube.displacement_bound == pytest.approx(3.9)
         assert tube.displacement_margin is not None
         assert tube.displacement_margin > 0.0
 
     def test_trajectories_reach_the_bottom(self, stream_bump):
         eps = 2.0 * stream_bump.sup_bound
-        rows = flow_tube_trajectories(stream_bump, eps, TUBE_BOX, 1.95,
-                                      seeds_per_axis=3)
-        assert rows
-        heights = sorted({row["h"] for row in rows})
+        _, rows = flow_tubes(stream_bump, eps, TUBE_BOX, 1.95, [],
+                             plot_seeds=3)
+        assert rows.shape[0] and rows.shape[0] % 9 == 0
+        # columns: seed q1 q2, height, position x1 x2 x3, delta
+        heights = sorted(set(rows[:, 2]))
         assert heights[0] == 0.0 and heights[-1] == 1.95
-        assert all(row["delta"] > 0.0 for row in rows)
+        assert np.array_equal(rows[:, 5], rows[:, 2])
+        assert np.all(rows[:, -1] > 0.0)
 
     def test_planar_tube_flows_one_seed_column_of_its_extrusion(
             self, stream_bump):
@@ -154,40 +161,42 @@ class TestFlowTube:
         eps = 2.0 * stream_bump.sup_bound
         extruded = get_field("stream:bump:3d")
         sizes = {"eval": [], "jac": []}
+        order = []
 
         def counting(kind, fn):
             def wrapped(pts):
                 sizes[kind].append(pts.shape[0])
+                order.append(kind)
                 return fn(pts)
             return wrapped
 
         planar = dataclasses.replace(
             stream_bump, eval=counting("eval", stream_bump.eval),
             eval_jacobian=counting("jac", stream_bump.eval_jacobian))
-        tubes = [build_flow_tube(f, eps, TUBE_BOX, 1.95, seeds_per_axis=8,
-                                 gauge_constant=0.5)
+        tubes = [one_tube(f, eps, TUBE_BOX, 1.95, seeds_per_axis=8,
+                          gauge_constant=0.5)
                  for f in (planar, extruded)]
         for name in ("residual", "bottom_measure", "top_integral",
                      "delta_min", "R_bound", "displacement_margin"):
             assert getattr(tubes[0], name) == getattr(tubes[1], name), name
         assert sizes["jac"] and max(sizes["jac"]) <= 8
 
-        # the trajectories flow with the fused call alone
-        sizes["eval"].clear()
+        # the trajectories flow with the fused call alone: the audit and
+        # the top flux make their value calls before the flow starts
         sizes["jac"].clear()
-        rows = flow_tube_trajectories(planar, eps, TUBE_BOX, 1.95,
-                                      seeds_per_axis=8)
-        assert rows == flow_tube_trajectories(extruded, eps, TUBE_BOX, 1.95,
-                                              seeds_per_axis=8)
+        order.clear()
+        _, rows = flow_tubes(planar, eps, TUBE_BOX, 1.95, [], plot_seeds=8)
+        assert np.array_equal(rows, flow_tubes(extruded, eps, TUBE_BOX, 1.95,
+                                               [], plot_seeds=8)[1])
         assert len(rows) % 64 == 0
         assert sizes["jac"] and max(sizes["jac"]) <= 8
-        assert sizes["eval"] == []
+        assert "eval" not in order[order.index("jac"):]
 
     def test_audit_rejects_missing_divergence(self):
         f = constant_field((0.0, 0.0))
         bare = type(f)(dim=2, eval=f.eval, sup_bound=0.0, name="bare")
         with pytest.raises(ValueError, match="divergence-free"):
-            build_flow_tube(bare, 1.0, ((-1.0, 1.0), (-1.0, 1.0)), 1.0)
+            one_tube(bare, 1.0, ((-1.0, 1.0), (-1.0, 1.0)), 1.0)
 
     def test_audit_rejects_wrong_declared_divergence(self):
         f = constant_field((0.0, 0.0))
@@ -195,13 +204,13 @@ class TestFlowTube:
                         analytic_div=lambda pts: np.ones(pts.shape[0]),
                         eval_jacobian=f.eval_jacobian)
         with pytest.raises(ValueError, match="not zero"):
-            build_flow_tube(lying, 1.0, ((-1.0, 1.0), (-1.0, 1.0)), 1.0)
+            one_tube(lying, 1.0, ((-1.0, 1.0), (-1.0, 1.0)), 1.0)
 
     def test_tube_values_are_unchanged_by_the_fused_field_call(
             self, stream_bump):
         # reprs of the tube before value and Jacobian shared one call
-        tube = build_flow_tube(stream_bump, 2.0 * stream_bump.sup_bound,
-                               TUBE_BOX, 1.95, seeds_per_axis=16)
+        tube = one_tube(stream_bump, 2.0 * stream_bump.sup_bound,
+                        TUBE_BOX, 1.95, seeds_per_axis=16)
         assert repr(tube.residual) == "8.99660230563315e-05"
         assert repr(tube.bottom_measure) == "5.999100339769438"
         assert repr(tube.delta_min) == "0.8893836078044807"
@@ -217,23 +226,22 @@ class TestFlowTube:
                 return fn(pts)
             return wrapped
 
-        rk45 = rigidity._ode.rk45
+        dp_steps = rigidity._ode._dp_steps
 
-        def counting_rk45(f, *args, **kwargs):
+        def counting_dp_steps(f, *args, **kwargs):
             def rhs(t, y):
                 before = dict(calls)
                 out = f(t, y)
                 per_rhs.append((calls["jac"] - before["jac"],
                                 calls["eval"] - before["eval"]))
                 return out
-            return rk45(rhs, *args, **kwargs)
+            return dp_steps(rhs, *args, **kwargs)
 
-        monkeypatch.setattr(rigidity._ode, "rk45", counting_rk45)
+        monkeypatch.setattr(rigidity._ode, "_dp_steps", counting_dp_steps)
         f = dataclasses.replace(
             stream_bump, eval=counting("eval", stream_bump.eval),
             eval_jacobian=counting("jac", stream_bump.eval_jacobian))
-        build_flow_tube(f, 2.0 * f.sup_bound, TUBE_BOX, 1.95,
-                        seeds_per_axis=16)
+        flow_tubes(f, 2.0 * f.sup_bound, TUBE_BOX, 1.95, [16])
         assert per_rhs and set(per_rhs) == {(1, 0)}
         assert calls["jac"] == len(per_rhs)
 
@@ -242,20 +250,19 @@ class TestFlowTube:
         def no_flow(*args, **kwargs):
             raise AssertionError("the flow started")
 
-        monkeypatch.setattr(rigidity._ode, "rk45", no_flow)
+        monkeypatch.setattr(rigidity._ode, "_dp_steps", no_flow)
         bare = dataclasses.replace(stream_bump, eval_jacobian=None)
         with pytest.raises(ValueError, match="no analytic Jacobian"):
-            build_flow_tube(bare, 0.1, TUBE_BOX, 1.95, seeds_per_axis=4)
+            flow_tubes(bare, 0.1, TUBE_BOX, 1.95, [4])
 
     def test_audit_rejects_field_alive_below_zero(self):
         with pytest.raises(ValueError, match="vanish below"):
-            build_flow_tube(constant_field((0.0, 1.0)), 1.0,
-                            ((-1.0, 1.0), (-1.0, 1.0)), 1.0)
+            one_tube(constant_field((0.0, 1.0)), 1.0,
+                     ((-1.0, 1.0), (-1.0, 1.0)), 1.0)
 
     def test_audit_rejects_dominated_epsilon(self, stream_bump):
         with pytest.raises(ValueError, match="downdraft"):
-            build_flow_tube(stream_bump, 1e-6, TUBE_BOX, 1.95,
-                            seeds_per_axis=8)
+            one_tube(stream_bump, 1e-6, TUBE_BOX, 1.95, seeds_per_axis=8)
 
 
 # ---------------------------------------------------------------------------

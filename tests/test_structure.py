@@ -113,6 +113,25 @@ def test_one_refinement_loop_and_one_step_controller():
     assert found == _ONE_PLACE
 
 
+# every seed level of a flow tube and its plotted paths flow as one batch
+# through one entry point, `flow_tubes`; the step controller is driven by
+# that batch and by the event integrator alone
+def test_one_tube_entry_point_and_two_step_controller_callers():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for call, where in _nodes(tree, ast.Call):
+            if _name(call) in ("_dp_steps", "_seed_transport"):
+                found.add((_name(call), f"{path.name}:{where}"))
+        if path.name == "rigidity.py":
+            tube_names = {name for name in _exported(tree)
+                          if "tube" in name.lower()}
+    assert found == {("_dp_steps", "rigidity.py:_seed_transport"),
+                     ("_dp_steps", "_ode.py:rk45_event"),
+                     ("_seed_transport", "rigidity.py:flow_tubes")}
+    assert tube_names == {"FlowTube", "flow_tubes"}
+
+
 # a field declares its Jacobian only through `eval_jacobian`, which returns
 # the values too; the bump profile's second derivative has one home,
 # `bump_derivatives`, which shares exp(-1/g) with the first derivative and
@@ -155,7 +174,6 @@ _TEST_ONLY_KNOBS = {
     ("_quad.py", "adaptive_gauss_2d", "max_doublings"),
     ("_quad.py", "adaptive_ball_quad", "max_doublings"),
     ("_quad.py", "adaptive_circle", "max_doublings"),
-    ("_ode.py", "rk45", "max_steps"),
     ("_ode.py", "rk45_event", "max_steps"),
     ("rigidity.py", "strip_identity_2d", "gauge"),
     ("cli.py", "main", "argv"),
