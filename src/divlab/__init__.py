@@ -29,10 +29,10 @@ from .blowup import (BlowupSequence, blowup_sequence,
                      nalpha_density, quadratic_inequality_check, rescale)
 from .report import (CheckResult, FAIL, INFO, PASS, SKIPPED,
                      VerificationReport)
-from .rigidity import (CERTIFIED, VIOLATED, FlowTube, MonotonicityViolation,
-                       RigidityCertificate, certify_potential,
-                       check_seed_box, flow_tubes, default_certification_grid,
-                       gamma_bounds, lifted_field,
+from .rigidity import (CERTIFIED, VIOLATED, FlowInputError, FlowTube,
+                       MonotonicityViolation, RigidityCertificate,
+                       certify_potential, flow_tubes,
+                       default_certification_grid, gamma_bounds, lifted_field,
                        separable_demo, strip_identity_2d)
 from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
                     DensityProbe, OrientedInterface, TraceProbe,

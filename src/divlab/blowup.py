@@ -211,8 +211,9 @@ def _halfspace_lhs(seq: BlowupSequence, k: int, psi_family,
         s_c = float(pc @ (-nu))
 
         def g(y):
-            return psi.value(y) * zk.analytic_div(y) + np.einsum(
-                "ij,ij->i", zk.eval(y), psi.gradient(y))
+            value, grad = psi.value_and_gradient(y)
+            return value * zk.analytic_div(y) + np.einsum(
+                "ij,ij->i", zk.eval(y), grad)
 
         def inner(t_arr):
             # one batched s-quadrature, a row per outer node t.  The depths
@@ -349,18 +350,20 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
         lambda k: max(abs(_off_interface_div_mass(seq, k, psi, rtol))
                       for psi in shifted))
 
-    # (b) half-space pairing vs trace * flat boundary term
+    # (b) half-space pairing vs trace * flat boundary term; the boundary
+    # term, psi integrated along the tangent line, is the same at every scale
+    bdry = []
+    for psi in psi_family:
+        t_c = float(np.asarray(psi.center) @ tdir)
+        bdry.append(_quad.adaptive_gauss_1d(
+            lambda t: psi.value(np.outer(t, tdir)),
+            t_c - psi.radius, t_c + psi.radius, rtol=1e-11, atol=1e-15))
     defects_b = []
     for k in range(len(seq)):
         worst = 0.0
         lhs_family = _halfspace_lhs(seq, k, psi_family, nu, rtol)
-        for psi, lhs in zip(psi_family, lhs_family):
-            t_c = float(np.asarray(psi.center) @ tdir)
-            bdry = _quad.adaptive_gauss_1d(
-                lambda t: psi.value(np.outer(t, tdir)),
-                t_c - psi.radius, t_c + psi.radius,
-                rtol=1e-11, atol=1e-15)
-            worst = max(worst, abs(lhs - trace_value * bdry))
+        for lhs, b in zip(lhs_family, bdry):
+            worst = max(worst, abs(lhs - trace_value * b))
         defects_b.append(worst)
     exp_b = _decay_exponent(seq.radii, defects_b)
     rep.add(CheckResult.from_residual(

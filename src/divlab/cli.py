@@ -44,7 +44,7 @@ from .fields import (AUTO, MAX_DIMENSION, REGISTRY_EXAMPLES,
                      parse_spec, phi_quadratic, potential_to_field,
                      stream_bump_field)
 from .report import FAIL, INFO, PASS, CheckResult, VerificationReport
-from .rigidity import (CERTIFIED, VIOLATED, certify_potential, check_seed_box,
+from .rigidity import (CERTIFIED, VIOLATED, FlowInputError, certify_potential,
                        default_certification_grid, flow_tubes,
                        separable_demo, strip_identity_2d)
 from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
@@ -150,9 +150,9 @@ def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
+        # csv writes str(v): a float's shortest repr, and 0.1 rather than
+        # numpy 2's repr np.float64(0.1) for a numpy scalar
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +393,6 @@ def _h_flow_tube(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     f = _resolve_field(sc.field)
     A = _parse_box(p["box"])
-    try:
-        check_seed_box(f, A)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     if p["epsilon"] is None:
         sup = f.sup_bound if f.sup_bound and math.isfinite(f.sup_bound) else 0.0
         eps = 2.0 * sup if sup > 0.0 else 1.0
@@ -404,10 +400,14 @@ def _h_flow_tube(sc: Scenario):
         eps = p["epsilon"]
     h0, seeds = p["h0"], p["seeds"]
     levels = [seeds, 2 * seeds] if p["refine"] else [seeds]
-    tubes, paths = flow_tubes(f, eps, A, h0, levels,
-                              plot_seeds=p["plot_seeds"],
-                              gauge_constant=p["gauge_constant"],
-                              rtol=p["rtol"])
+    # the seed box and the field audit are refused before any allocation
+    try:
+        tubes, paths = flow_tubes(f, eps, A, h0, levels,
+                                  plot_seeds=p["plot_seeds"],
+                                  gauge_constant=p["gauge_constant"],
+                                  rtol=p["rtol"])
+    except FlowInputError as exc:
+        raise UsageError(str(exc)) from exc
     tube = tubes[0]
     rep = tube.to_report(tol=tol["residual_tol"])
     rep.add(CheckResult.info("epsilon", eps))

@@ -64,6 +64,16 @@ def bump_d1(u) -> np.ndarray:
     return out
 
 
+def bump_with_d1(u) -> tuple[np.ndarray, np.ndarray]:
+    """w(u) and w'(u) from one exp(-1/g); zero outside (0, 1)."""
+    u, m, v, g, e = _profile_terms(u)
+    w = np.zeros_like(u)
+    w1 = np.zeros_like(u)
+    w[m] = e
+    w1[m] = e * (-4.0 * v / g**2)
+    return w, w1
+
+
 def bump_derivatives(u) -> tuple[np.ndarray, np.ndarray]:
     """w'(u) and w''(u) from one exp(-1/g); zero outside (0, 1)."""
     u, m, v, g, e = _profile_terms(u)

@@ -24,8 +24,8 @@ from .fields import CylindricalPotential, PhiFunction, VectorField, gamma_bounds
 from .report import INCONCLUSIVE, CheckResult, VerificationReport
 
 __all__ = [
-    "MonotonicityViolation", "FlowTube", "RigidityCertificate",
-    "lifted_field", "flow_tubes", "check_seed_box", "strip_identity_2d",
+    "MonotonicityViolation", "FlowInputError", "FlowTube",
+    "RigidityCertificate", "lifted_field", "flow_tubes", "strip_identity_2d",
     "certify_potential", "default_certification_grid", "gamma_bounds",
     "separable_demo", "CERTIFIED", "VIOLATED", "INCONCLUSIVE",
 ]
@@ -33,6 +33,11 @@ __all__ = [
 
 class MonotonicityViolation(RuntimeError):
     """The lifted field's vertical component was not positive."""
+
+
+class FlowInputError(ValueError):
+    """Flow inputs refused before anything is allocated: a seed box the
+    flow cannot take, or a field and lift the audit rejects."""
 
 
 def lifted_field(eta: VectorField, epsilon: float) -> VectorField:
@@ -108,22 +113,22 @@ class FlowTube:
         return rep
 
 
-def check_seed_box(eta: VectorField, A) -> None:
+def _check_inputs(eta: VectorField, epsilon: float, A, h0: float) -> None:
     """Refuse, before anything is allocated, a seed box that is not 1D or
     2D (the top flux is integrated over those only) or does not match the
-    field; a planar field over a 2D box stands for its extrusion."""
+    field, where a planar field over a 2D box stands for its extrusion;
+    then audit the field at 128 points of the box: a declared divergence
+    that is zero, nothing alive below height zero, and a lift epsilon
+    above the sampled downdraft."""
     if not 1 <= len(A) <= 2:
-        raise ValueError(f"seed box of dimension {len(A)}: the flow tube "
-                         "takes boxes of dimension 1 or 2")
+        raise FlowInputError(f"seed box of dimension {len(A)}: the flow "
+                             "tube takes boxes of dimension 1 or 2")
     if eta.dim != len(A) + 1 and not (eta.dim == 2 and len(A) == 2):
-        raise ValueError(f"seed box of dimension {len(A)} does not match "
-                         f"a field of dimension {eta.dim}")
-
-
-def _audit_tube_preconditions(eta: VectorField, epsilon: float,
-                              A, h0: float) -> None:
+        raise FlowInputError(f"seed box of dimension {len(A)} does not "
+                             f"match a field of dimension {eta.dim}")
     if eta.analytic_div is None:
-        raise ValueError("flow tube needs a certified divergence-free field")
+        raise FlowInputError(
+            "flow tube needs a certified divergence-free field")
     rng = default_rng(20260819)
     los = np.array([lo for lo, _ in A] + [0.0])
     his = np.array([hi for _, hi in A] + [h0])
@@ -132,14 +137,14 @@ def _audit_tube_preconditions(eta: VectorField, epsilon: float,
         pts = pts[:, [0, -1]]   # the planar section of the extruded box
     div = eta.analytic_div(pts)
     if np.max(np.abs(div)) > 1e-10:
-        raise ValueError("field's declared divergence is not zero")
+        raise FlowInputError("field's declared divergence is not zero")
     below = pts.copy()
     below[:, -1] = -np.abs(below[:, -1]) - 1e-6
     if np.max(np.abs(eta.eval(below))) > 0.0:
-        raise ValueError("field does not vanish below height zero")
+        raise FlowInputError("field does not vanish below height zero")
     neg_part = np.maximum(-eta.eval(pts)[:, -1], 0.0)
     if epsilon <= float(np.max(neg_part)):
-        raise ValueError(
+        raise FlowInputError(
             f"epsilon {epsilon} does not dominate the sampled downdraft "
             f"{float(np.max(neg_part)):.3e}")
 
@@ -254,8 +259,7 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
     the plane, with the same numbers as the extruded 3D field gives.
     """
     A = [tuple(map(float, ab)) for ab in A]
-    check_seed_box(eta, A)
-    _audit_tube_preconditions(eta, epsilon, A, h0)
+    _check_inputs(eta, epsilon, A, h0)
     X = lifted_field(eta, epsilon)
     n = X.dim
 

@@ -461,7 +461,7 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField, psi_family,
             keep = near[p, batch]
             rows = np.repeat(keep, batch_sizes)
             terms = w[rows] * np.einsum(
-                "ij,ij->i", vals[rows], psi.gradient(pts[rows]))
+                "ij,ij->i", vals[rows], psi.value_and_gradient(pts[rows])[1])
             lo = 0
             for n, size in zip(batch[keep], batch_sizes[keep]):
                 sums[p, n] = np.sum(terms[lo:lo + size])
@@ -499,8 +499,8 @@ def weak_trace_pairing(field: VectorField, region, psi_family,
     for psi in psi_family:
         def g(pts):
             div = field.analytic_div(pts)
-            grads = psi.gradient(pts)
-            return psi.value(pts) * div + np.einsum(
+            value, grads = psi.value_and_gradient(pts)
+            return value * div + np.einsum(
                 "ij,ij->i", field.eval(pts), grads)
 
         # the pairing of a trace that vanishes converges to about 0, where

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divlab import _quad, fields
 from divlab.blowup import (
     blowup_sequence, blowup_trace_consistency, hash_unit_ball_field,
     nalpha_density, quadratic_inequality_check, rescale, _halfspace_lhs,
@@ -252,6 +253,52 @@ class TestTraceConsistency:
         assert by["punctured-ball flux residual"].verdict == "SKIPPED"
         assert by["half-space pairing defect, final"].verdict == "PASS"
         assert 0 < len(calls) < 1000
+
+    def test_halfspace_pairing_makes_one_profile_pass_per_integrand_call(
+            self, capillary, monkeypatch):
+        # the bump's value and gradient share one distance and one profile
+        # evaluation; separate value and gradient calls made two passes
+        passes, integrand_calls = [], []
+        profile_terms = fields._profile_terms
+
+        def counting_terms(u):
+            passes.append(np.size(u))
+            return profile_terms(u)
+
+        def counting_div(pts):
+            # the integrand reads the divergence once per call
+            integrand_calls.append(len(pts))
+            return capillary.analytic_div(pts)
+
+        monkeypatch.setattr(fields, "_profile_terms", counting_terms)
+        counted = dataclasses.replace(capillary, analytic_div=counting_div)
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        x0 = (1.0, 0.0)
+        seq = blowup_sequence(counted, x0, (0.25, 0.125))
+        fam = [bump_test((0.0, o), 0.5) for o in np.linspace(-0.6, 0.6, 5)]
+        lhs = _halfspace_lhs(seq, 1, fam, S.normal_at(np.asarray(x0)), 1e-6)
+        assert len(lhs) == len(fam)
+        assert len(integrand_calls) > 0
+        assert passes == integrand_calls
+
+    def test_flat_boundary_term_is_integrated_once_per_bump(
+            self, capillary, monkeypatch):
+        # the tangent-line integral of each bump does not depend on the
+        # scale; it was integrated again at every scale (15 times here)
+        flat = []
+        gauss_1d = _quad.adaptive_gauss_1d
+
+        def counting_1d(f, a, b, **kwargs):
+            if kwargs.get("atol") == 1e-15:
+                flat.append((a, b))
+            return gauss_1d(f, a, b, **kwargs)
+
+        monkeypatch.setattr(_quad, "adaptive_gauss_1d", counting_1d)
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        seq = blowup_sequence(capillary, (1.0, 0.0), (0.25, 0.125, 0.0625))
+        rep = blowup_trace_consistency(seq, S, trace_value=1.0, rtol=1e-6)
+        assert len(rep.rows) == 3
+        assert len(flat) == 5 and len(set(flat)) == 5
 
     def test_failed_off_interface_mass_is_skipped_not_fatal(self, capillary):
         # at scale 1 the masked ball quadrature of (a) does not settle; the

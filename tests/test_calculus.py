@@ -21,6 +21,8 @@ from divlab.fields import (
     constant_field,
     make_counterexample_field,
     phi_quadratic,
+    bump,
+    bump_d1,
     stream_bump_field,
 )
 from divlab.blowup import rescale
@@ -107,6 +109,62 @@ def test_annulus_region_volume():
     assert area == pytest.approx(math.pi * (4.0 - 0.25), rel=1e-9)
     with pytest.raises(ValueError):
         AnnulusRegion((0.0, 0.0), 2.0, 0.5)
+
+
+# the test bump's value and gradient as two passes, one distance and one
+# profile evaluation each: the fused pass must reproduce them bit for bit
+def _separate_value(psi, pts):
+    s = np.linalg.norm(pts - psi.center, axis=1) / psi.radius
+    return psi.height * bump(s)
+
+
+def _separate_gradient(psi, pts):
+    d = pts - psi.center
+    s = np.linalg.norm(d, axis=1) / psi.radius
+    fac = np.zeros_like(s)
+    m = s > 0.0
+    sm = s[m]
+    fac[m] = psi.height * bump_d1(sm) / (psi.radius * sm * psi.radius)
+    return fac[:, None] * d
+
+
+def _same_bits(a, b):
+    # equal including the sign of every zero
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("center, radius, height", [
+    ((0.0, 0.0), 0.5, 1.0),
+    ((0.0, 0.0), 0.75, -2.5),
+    ((0.3, -0.2), 0.25, 1.0),
+    ((1.0, 1.0), 1.0, 3.0),
+    ((0.1, 0.2, -0.3), 0.4, -1.0),
+])
+def test_bump_value_and_gradient_match_separate_passes(center, radius,
+                                                       height):
+    psi = bump_test(center, radius, height)
+    dim = len(center)
+    rng = np.random.default_rng(20260819)
+    c = np.asarray(center)
+    e = np.eye(dim)[0]
+    edge = np.array([
+        c,                                      # s = 0
+        c + radius * 2.0 ** -60 * e,            # s below 2**-55
+        c + radius * 2.0 ** -54 * e,            # just above it
+        c + radius * e,                         # s = 1 at a zero center
+        c - radius * e,
+        c + 2.0 * radius * e,                   # outside the support
+    ])
+    pts = np.concatenate([
+        edge, c + radius * rng.uniform(-1.5, 1.5, size=(4000, dim))])
+    value, grad = psi.value_and_gradient(pts)
+    assert _same_bits(value, _separate_value(psi, pts))
+    assert _same_bits(grad, _separate_gradient(psi, pts))
+    if not np.any(c):
+        assert value[0] == value[1] == value[3] == value[4] == 0.0
+        assert np.all(grad[[0, 1, 3, 4, 5]] == 0.0)
+    assert np.count_nonzero(value) > 500
 
 
 def test_gauss_green_residual_smooth(stream_bump):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from divlab import _ode, _quad, cli
@@ -229,6 +230,42 @@ class TestExitCodes:
         code, out, err = run_main(argv, capsys)
         assert code == 2
         assert "seed box of dimension" in err
+        assert "verdict" not in out
+
+    # a field or lift the flow tube's audit refuses is a usage error too,
+    # also refused before any seed grid is allocated; each ended as an
+    # execution FAIL (exit 1)
+    @pytest.mark.parametrize("argv, message", [
+        (["flow-tube", "--epsilon", "1e-6", "--seeds", "4"],
+         "epsilon 1e-06 does not dominate the sampled downdraft 8.482e-03"),
+        (["flow-tube", "--field", "capillary:R=1", "--seeds", "4"],
+         "field's declared divergence is not zero"),
+        (["flow-tube", "--field", "constant:c=0,1", "--epsilon", "1",
+          "--seeds", "4"],
+         "field does not vanish below height zero"),
+    ], ids=["dominated-epsilon", "divergent-field", "alive-below-zero"])
+    def test_refused_tube_field_is_usage_error(self, capsys, monkeypatch,
+                                               argv, message):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a seed grid was allocated")
+
+        monkeypatch.setattr(_quad, "midpoint_grid", no_grid)
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert message in err
+        assert "verdict" not in out
+
+    def test_tube_field_without_divergence_is_usage_error(self, capsys,
+                                                          monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a seed grid was allocated")
+
+        bare = dataclasses.replace(stream_bump_field(), analytic_div=None)
+        monkeypatch.setattr(cli, "_resolve_field", lambda spec: bare)
+        monkeypatch.setattr(_quad, "midpoint_grid", no_grid)
+        code, out, err = run_main(["flow-tube", "--seeds", "4"], capsys)
+        assert code == 2
+        assert "needs a certified divergence-free field" in err
         assert "verdict" not in out
 
     # a probe radius sequence must be positive and strictly decreasing;
@@ -500,6 +537,13 @@ class TestOutputs:
         # floats are written with repr so they reparse exactly
         first = lines[1].split(",")
         assert float(first[0]) == 5.0
+
+    def test_csv_writes_numpy_scalars_like_floats(self, tmp_path):
+        # numpy 2 spells repr(np.float64(0.1)) as 'np.float64(0.1)'
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), ["a", "b", "c"],
+                       [[np.float64(0.1), 0.1, np.float64(1e-300)]])
+        assert path.read_text().splitlines() == ["a,b,c", "0.1,0.1,1e-300"]
 
     def test_reports_identical_up_to_timestamp(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -154,6 +154,37 @@ def test_one_jacobian_entry_point():
         ("bump_derivatives", "fields.py:elliptic_bump_stream.grad_hess")}
 
 
+# a test function gives its gradient only together with its values, through
+# `value_and_gradient`, since every pairing integrand reads both at the same
+# nodes; the profile's value-and-slope pass has one home, `bump_with_d1`,
+# read by the bump test alone, and a lone slope `bump_d1` is read only by
+# the stream bump's gradient and the slope peak's calibration at import
+def test_one_value_and_gradient_pass():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node, where in _nodes(tree, (ast.FunctionDef, ast.AnnAssign,
+                                         ast.Attribute, ast.keyword,
+                                         ast.Name)):
+            where = f"{path.name}:{where or '<module>'}"
+            if isinstance(node, ast.FunctionDef):
+                name = f"def {node.name}"
+            elif isinstance(node, ast.AnnAssign):
+                name = f"field {_name(node.target)}"
+            elif isinstance(node, ast.keyword):
+                name = f"keyword {node.arg}"
+            else:
+                name = _name(node)
+            if name.split(" ")[-1] == "gradient" or name in (
+                    "def bump_with_d1", "bump_with_d1", "bump_d1"):
+                found.add((name, where))
+    assert found == {
+        ("def bump_with_d1", "fields.py:<module>"),
+        ("bump_with_d1", "calculus.py:BumpTest.value_and_gradient"),
+        ("bump_d1", "fields.py:elliptic_bump_stream.grad"),
+        ("bump_d1", "fields.py:<module>")}
+
+
 # a probe in `trace` integrates a domain-restricted field only through the
 # disk it declares: `_disk_radius` reads the domain to refuse a field that
 # declares none, and the deviation densities count points outside it as
