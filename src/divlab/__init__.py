@@ -13,9 +13,8 @@ flow-tube and certification machinery, `trace` and `blowup` probe
 interface behavior, and `cli` wires everything into scenarios.
 """
 
-from .calculus import (GridSpec, MollifierKernel, RectRegion, DiskRegion,
-                       AnnulusRegion, ScalarTest, bump_test, constant_test,
-                       gauss_green_residual, jensen_check,
+from .calculus import (GridSpec, MollifierKernel, RectRegion, AnnulusRegion,
+                       bump_test, flux_residual, jensen_check,
                        make_mollifier, mollify, numeric_divergence)
 from .fields import (AUTO, CylindricalPotential, OutOfDomainError,
                      PhiFunction, VectorField, constant_field,

@@ -1,12 +1,12 @@
 """Differential and integral kernels: mollification, divergence estimates,
-Gauss-Green pairing residuals, and the convexity-transport audit.
+flux residuals, and the convexity-transport audit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,29 +19,7 @@ DEFAULT_FD_STEP = 1e-4
 
 
 # ---------------------------------------------------------------------------
-# scalar test functions
-
-@dataclass(frozen=True)
-class ScalarTest:
-    """C^1 test function with an exact gradient, which comes with the
-    values: a pairing integrand reads both at the same nodes."""
-    value: Callable[[np.ndarray], np.ndarray]
-    value_and_gradient: Callable[[np.ndarray],
-                                 tuple[np.ndarray, np.ndarray]]
-    label: str
-    c1_norm: float = math.nan   # sup |psi| + sup |grad psi| when known
-
-
-def constant_test(c: float, dim: int) -> ScalarTest:
-    def value(pts):
-        return np.full(pts.shape[0], float(c))
-
-    return ScalarTest(
-        value=value,
-        value_and_gradient=lambda pts: (value(pts),
-                                        np.zeros((pts.shape[0], dim))),
-        label=f"constant:{c}", c1_norm=abs(float(c)))
-
+# the test function
 
 @dataclass(frozen=True)
 class BumpTest:
@@ -146,10 +124,10 @@ def numeric_divergence(field: VectorField, x, h: float = DEFAULT_FD_STEP):
 
 
 # ---------------------------------------------------------------------------
-# regions with oriented boundaries
+# regions
 
 class RectRegion:
-    """Axis-aligned planar rectangle with outward normals."""
+    """Axis-aligned planar rectangle; the region of a pairing."""
 
     def __init__(self, bounds):
         (self.ax, self.bx), (self.ay, self.by) = bounds
@@ -160,43 +138,6 @@ class RectRegion:
     def volume_integral(self, f, rtol=1e-9, atol=1e-12) -> float:
         return _quad.adaptive_gauss_2d(f, (self.ax, self.bx, self.ay, self.by),
                                        rtol=rtol, atol=atol)
-
-    def boundary_integral(self, g, rtol=1e-9, atol=1e-12) -> float:
-        ax, bx, ay, by = self.ax, self.bx, self.ay, self.by
-        sides = [
-            (ax, bx, lambda t: np.stack([t, np.full_like(t, ay)], 1), (0.0, -1.0)),
-            (ax, bx, lambda t: np.stack([t, np.full_like(t, by)], 1), (0.0, 1.0)),
-            (ay, by, lambda t: np.stack([np.full_like(t, ax), t], 1), (-1.0, 0.0)),
-            (ay, by, lambda t: np.stack([np.full_like(t, bx), t], 1), (1.0, 0.0)),
-        ]
-        total = 0.0
-        for lo, hi, path, nv in sides:
-            normal = np.asarray(nv)
-
-            def integrand(t, path=path, normal=normal):
-                p = path(np.asarray(t, dtype=float))
-                nn = np.broadcast_to(normal, p.shape)
-                return g(p, nn)
-
-            total += _quad.adaptive_gauss_1d(integrand, lo, hi, rtol=rtol, atol=atol)
-        return total
-
-
-class DiskRegion:
-    def __init__(self, center, radius: float):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        self.area = math.pi * self.radius ** 2
-
-    def volume_integral(self, f, rtol=1e-9, atol=1e-12) -> float:
-        return _quad.adaptive_ball_quad(f, self.center, self.radius, 2,
-                                        rtol=rtol, atol=atol)
-
-    def boundary_integral(self, g, rtol=1e-9, atol=1e-12) -> float:
-        return _quad.adaptive_circle(g, self.center, self.radius, +1.0,
-                                     rtol, atol)
 
 
 class AnnulusRegion:
@@ -234,32 +175,21 @@ class AnnulusRegion:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Green pairing residual
+# flux residual
 
-def gauss_green_residual(field: VectorField, region, psi: ScalarTest,
-                         rtol: float = 1e-9) -> float:
-    """Residual of the boundary pairing:
-    int psi div(field) + int field . grad psi - int_boundary psi (field . nu),
+def flux_residual(field: VectorField, region, rtol: float) -> float:
+    """Divergence theorem residual int div(field) - int_boundary field . nu,
     each term to rtol and an absolute 1e-12.  The field must declare
     `analytic_div`.
     """
     if field.analytic_div is None:
-        raise ValueError("Gauss-Green residual needs divergence information")
+        raise ValueError("flux residual needs divergence information")
 
-    def vol_term(pts):
-        return psi.value(pts) * field.analytic_div(pts)
+    def flux(pts, normals):
+        return np.einsum("ij,ij->i", field.eval(pts), normals)
 
-    def transport_term(pts):
-        return np.einsum("ij,ij->i", field.eval(pts),
-                         psi.value_and_gradient(pts)[1])
-
-    def flux_term(pts, normals):
-        return psi.value(pts) * np.einsum("ij,ij->i", field.eval(pts), normals)
-
-    t1 = region.volume_integral(vol_term, rtol=rtol, atol=1e-12)
-    t2 = region.volume_integral(transport_term, rtol=rtol, atol=1e-12)
-    t3 = region.boundary_integral(flux_term, rtol=rtol, atol=1e-12)
-    return t1 + t2 - t3
+    return (region.volume_integral(field.analytic_div, rtol=rtol, atol=1e-12)
+            - region.boundary_integral(flux, rtol=rtol, atol=1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -85,34 +85,13 @@ def bump_derivatives(u) -> tuple[np.ndarray, np.ndarray]:
     return w1, w2
 
 
-def golden_max(f: Callable[[float], float], a: float, b: float,
-               xtol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [a, b].
-
-    Returns (argmax, max). The returned value never exceeds the true
-    maximum, so calibration constants derived from it are conservative.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-# peak value and peak slope of the bump profile, golden-calibrated once
-_BUMP_PEAK_ARG, BUMP_PEAK = golden_max(lambda u: float(bump(u)), 0.25, 0.75, 1e-12)
-_BUMP_SLOPE_ARG, BUMP_SLOPE_PEAK = golden_max(
-    lambda u: float(abs(bump_d1(u))), 0.5, 1.0 - 1e-12, 1e-12)
+# peak value and peak slope of the bump profile, in closed form: w peaks
+# at u = 1/2, and |w'| where 1 - 3 s^2 = 0 for s = v^2, v = 2u - 1
+BUMP_PEAK = math.exp(-1.0)
+_s = 1.0 / math.sqrt(3.0)
+_v = math.sqrt(_s)
+BUMP_SLOPE_PEAK = 4.0 * _v * math.exp(-1.0 / (1.0 - _s)) / (1.0 - _s) ** 2
+del _s, _v
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +510,7 @@ class CylindricalPotential:
     dim: int
     gamma: float
     V: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dV: Optional[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
+    dV: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     label: str = "potential"
 
 
@@ -640,8 +619,6 @@ def make_counterexample_field(n: int, gamma=AUTO) -> VectorField:
 
 def potential_to_field(P: CylindricalPotential) -> VectorField:
     """Assemble the cylindrically symmetric field from a potential gradient."""
-    if P.dV is None:
-        raise ValueError("potential carries no gradient")
     n = P.dim
 
     def ev(pts):

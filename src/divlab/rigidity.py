@@ -116,7 +116,8 @@ class FlowTube:
 def _check_inputs(eta: VectorField, epsilon: float, A, h0: float) -> None:
     """Refuse, before anything is allocated, a seed box that is not 1D or
     2D (the top flux is integrated over those only) or does not match the
-    field, where a planar field over a 2D box stands for its extrusion;
+    field, where a planar field over a 2D box stands for its extrusion,
+    and a field without an analytic Jacobian, which the transport needs;
     then audit the field at 128 points of the box: a declared divergence
     that is zero, nothing alive below height zero, and a lift epsilon
     above the sampled downdraft."""
@@ -129,6 +130,9 @@ def _check_inputs(eta: VectorField, epsilon: float, A, h0: float) -> None:
     if eta.analytic_div is None:
         raise FlowInputError(
             "flow tube needs a certified divergence-free field")
+    if eta.eval_jacobian is None:
+        raise FlowInputError(f"{eta.name} has no analytic Jacobian; "
+                             "flow transport needs one")
     rng = default_rng(20260819)
     los = np.array([lo for lo, _ in A] + [0.0])
     his = np.array([hi for _, hi in A] + [h0])
@@ -169,9 +173,6 @@ def _seed_transport(X: VectorField, A, h0: float, grids: Sequence[int],
     The copies would have taken the same adaptive steps, since the x2
     column's error estimate is exactly zero.
     """
-    if X.eval_jacobian is None:
-        raise ValueError(f"{X.name} has no analytic Jacobian; "
-                         "flow transport needs one")
     section = X.dim < len(A) + 1
     grid_seeds = [_quad.midpoint_grid(A, [s] * len(A)) for s in grids]
     parts = [seeds[::s, :1] if section else seeds
@@ -425,8 +426,6 @@ def certify_potential(P: CylindricalPotential, grid: GridSpec,
 
     The verdict is INCONCLUSIVE, never CERTIFIED, when a margin is NaN.
     """
-    if P.dV is None:
-        raise ValueError("certification needs the potential gradient")
     if not math.isfinite(margin_tol):
         raise ValueError(f"margin_tol must be finite, got {margin_tol}")
     n = P.dim

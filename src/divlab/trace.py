@@ -415,7 +415,8 @@ def _patch_angular_order(radius: float) -> int:
     return int(min(512, max(32, 2.0 ** math.ceil(math.log2(4096.0 * radius)))))
 
 
-def _eddy_pairings(eddies: EddyStack, field: VectorField, psi_family,
+def _eddy_pairings(eddies: EddyStack, field: VectorField,
+                   psi_family: Sequence[BumpTest],
                    angular_order: Callable[[float], int],
                    x0=(0.0, 0.0), scale: float = 1.0) -> list[float]:
     """Sum over the eddy balls of the integral of field . grad psi, for each
@@ -428,18 +429,17 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField, psi_family,
     rule with 16 radial nodes and angular_order(radius) angles.  The field
     is evaluated once on the nodes of all balls the family needs (in
     batches of _EDDY_EVAL_BATCH nodes) and the values serve every psi.  A
-    ball that misses the support of a BumpTest adds exact zeros, so it is
-    skipped.
+    ball that misses the support of a test function adds exact zeros, so
+    it is skipped.
     """
     psi_family = list(psi_family)
     x0 = np.asarray(x0, dtype=float)
     centers = (eddies.centers - x0) / scale
     radii = eddies.radii / scale
-    near = np.ones((len(psi_family), radii.size), dtype=bool)
+    near = np.empty((len(psi_family), radii.size), dtype=bool)
     for p, psi in enumerate(psi_family):
-        if isinstance(psi, BumpTest):
-            gap = centers - psi.center
-            near[p] = np.hypot(gap[:, 0], gap[:, 1]) <= psi.radius + radii
+        gap = centers - psi.center
+        near[p] = np.hypot(gap[:, 0], gap[:, 1]) <= psi.radius + radii
     used = np.flatnonzero(near.any(axis=0))
     sizes = np.array([16 * angular_order(radii[n]) for n in used], dtype=int)
     # per-ball sums, added up in ball order below like a loop over balls
@@ -476,8 +476,8 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField, psi_family,
     return out
 
 
-def _balls_inside(field: VectorField, region) -> bool:
-    if field.eddies is None or not isinstance(region, RectRegion):
+def _balls_inside(field: VectorField, region: RectRegion) -> bool:
+    if field.eddies is None:
         return False
     c, r = field.eddies.centers, field.eddies.radii
     return bool(np.all((c[:, 0] - r >= region.ax) & (c[:, 0] + r <= region.bx)
@@ -485,7 +485,8 @@ def _balls_inside(field: VectorField, region) -> bool:
                        & (c[:, 1] + r <= region.by)))
 
 
-def weak_trace_pairing(field: VectorField, region, psi_family,
+def weak_trace_pairing(field: VectorField, region: RectRegion,
+                       psi_family: Sequence[BumpTest],
                        rtol: float = 1e-9) -> list[float]:
     """Distributional pairing of the normal trace with each test function:
     the volume terms psi d(div xi) + xi . grad psi over the region.

@@ -7,11 +7,10 @@ import pytest
 
 from divlab.calculus import (
     AnnulusRegion,
-    DiskRegion,
     GridSpec,
     RectRegion,
     bump_test,
-    gauss_green_residual,
+    flux_residual,
     jensen_check,
     make_mollifier,
     mollify,
@@ -88,19 +87,6 @@ def test_rect_region_integrals():
     reg = RectRegion(((0.0, 2.0), (-1.0, 1.0)))
     area = reg.volume_integral(lambda p: np.ones(p.shape[0]))
     assert area == pytest.approx(4.0, rel=1e-12)
-    # boundary flux of the identity field equals 2 * area
-    flux = reg.boundary_integral(
-        lambda pts, nu: np.einsum("ij,ij->i", pts, nu))
-    assert flux == pytest.approx(8.0, rel=1e-12)
-
-
-def test_disk_region_integrals():
-    reg = DiskRegion((1.0, -2.0), 1.5)
-    area = reg.volume_integral(lambda p: np.ones(p.shape[0]))
-    assert area == pytest.approx(math.pi * 2.25, rel=1e-10)
-    flux = reg.boundary_integral(
-        lambda pts, nu: np.einsum("ij,ij->i", pts - np.array([1.0, -2.0]), nu))
-    assert flux == pytest.approx(2.0 * math.pi * 2.25, rel=1e-12)
 
 
 def test_annulus_region_volume():
@@ -167,19 +153,26 @@ def test_bump_value_and_gradient_match_separate_passes(center, radius,
     assert np.count_nonzero(value) > 500
 
 
-def test_gauss_green_residual_smooth(stream_bump):
-    reg = RectRegion(((-1.0, 1.0), (1.2, 1.8)))
-    psi = bump_test((0.0, 1.5), 0.25)
-    assert abs(gauss_green_residual(stream_bump, reg, psi)) < 1e-8
+def test_flux_residual_vanishes_on_an_annulus(stream_bump, capillary):
+    # the stream bump's support, centered at (0, 1.5) with semi-axes 2 and
+    # 0.5, holds the inner circle and is cut by the outer one; the
+    # capillary field's divergence is nonzero inside the disk and balances
+    # its flux through the two circles
+    cut = AnnulusRegion((0.0, 1.5), 0.3, 0.8)
+    assert abs(flux_residual(stream_bump, cut, rtol=1e-9)) < 1e-12
+    inside = AnnulusRegion((0.1, -0.2), 0.2, 0.6)
+    div_mass = inside.volume_integral(capillary.analytic_div)
+    assert abs(div_mass) > 0.1
+    assert abs(flux_residual(capillary, inside, rtol=1e-9)) < 1e-12
 
 
-def test_gauss_green_residual_needs_declared_divergence(stream_bump):
+def test_flux_residual_needs_declared_divergence(stream_bump):
     # a mollified field declares no divergence; the residual refuses it
     # instead of finite-differencing the convolution inside the quadrature
     smooth = mollify(stream_bump, make_mollifier(0.05, 2))
-    reg = RectRegion(((-1.0, 1.0), (1.2, 1.8)))
+    reg = AnnulusRegion((0.0, 1.5), 0.3, 0.8)
     with pytest.raises(ValueError, match="divergence information"):
-        gauss_green_residual(smooth, reg, bump_test((0.0, 1.5), 0.25))
+        flux_residual(smooth, reg, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------

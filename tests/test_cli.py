@@ -268,6 +268,21 @@ class TestExitCodes:
         assert "needs a certified divergence-free field" in err
         assert "verdict" not in out
 
+    # the transport needs an analytic Jacobian; a field without one ended as
+    # an execution FAIL (exit 1) after the top-flux quadrature had run
+    def test_tube_field_without_jacobian_is_usage_error(self, capsys,
+                                                        monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the tube started its numerics")
+
+        monkeypatch.setattr(_quad, "adaptive_gauss_1d", no_work)
+        monkeypatch.setattr(_quad, "midpoint_grid", no_work)
+        code, out, err = run_main(["flow-tube", "--field", "twisting:levels=2",
+                                   "--seeds", "4"], capsys)
+        assert code == 2
+        assert "twisting:levels=2 has no analytic Jacobian" in err
+        assert "verdict" not in out
+
     # a probe radius sequence must be positive and strictly decreasing;
     # a negative radius ended as an execution FAIL (exit 1)
     @pytest.mark.parametrize("radii", ["0.1,-0.1", "0.1,0.2"])

@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 from divlab.blowup import rescale
 from divlab.fields import (
     AUTO,
+    BUMP_PEAK,
+    BUMP_SLOPE_PEAK,
     RADIAL_BOUND_CONSTANT,
     REGISTRY_EXAMPLES,
     OutOfDomainError,
     bump,
+    bump_d1,
     constant_field,
     counterexample_potential,
     extrude_field_3d,
@@ -29,6 +32,20 @@ from divlab.fields import (
     _level_geometry,
 )
 from divlab.rigidity import lifted_field
+
+
+# ---------------------------------------------------------------------------
+# bump profile
+
+def test_bump_peaks_are_the_closed_forms():
+    # the stream bump's amplitude and every test bump's C1 norm divide or
+    # multiply by these, so their bits are pinned: the value peak is w(1/2)
+    # and the slope peak is |w'| where 1 - 3 s^2 = 0, s = (2u - 1)^2
+    assert BUMP_PEAK == 0.36787944117144233 == bump(0.5)
+    assert BUMP_SLOPE_PEAK == 1.5968595036671986
+    slopes = np.abs(bump_d1(np.linspace(0.0, 1.0, 2_000_001)))
+    assert np.max(slopes) <= BUMP_SLOPE_PEAK
+    assert np.max(slopes) == pytest.approx(BUMP_SLOPE_PEAK, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------

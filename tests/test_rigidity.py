@@ -14,7 +14,7 @@ import pytest
 from divlab import rigidity
 from divlab.calculus import GridSpec
 from divlab.fields import (
-    AUTO, CylindricalPotential, constant_field, counterexample_potential,
+    AUTO, constant_field, counterexample_potential,
     get_field, stream_bump_field, zero_field,
 )
 from divlab.rigidity import (
@@ -96,13 +96,6 @@ class TestCertification:
         with pytest.raises(ValueError, match="margin_tol"):
             certify_potential(counterexample_potential(4, 1.0), grid,
                               margin_tol=margin_tol)
-
-    def test_needs_gradient(self):
-        P = CylindricalPotential(dim=4, gamma=0.1,
-                                 V=lambda rho, z: np.zeros_like(rho),
-                                 dV=None, label="gradient-free")
-        with pytest.raises(ValueError, match="gradient"):
-            certify_potential(P, default_certification_grid(10))
 
 
 # ---------------------------------------------------------------------------

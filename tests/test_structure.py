@@ -2,7 +2,8 @@
 declare their structure, so no module bolts attributes onto frozen
 instances, dispatches with hasattr, or keeps an import it never uses; and
 every adaptive quadrature and ODE integration stops by one policy, and a
-field's Jacobian has one entry point, each written once; no defaulted
+field's Jacobian has one entry point, each written once; the bump is the
+one test function, and no probe dispatches on its type; no defaulted
 parameter is a knob that only its default ever sets; and the package
 imports exactly the third-party distributions it declares."""
 
@@ -158,7 +159,7 @@ def test_one_jacobian_entry_point():
 # `value_and_gradient`, since every pairing integrand reads both at the same
 # nodes; the profile's value-and-slope pass has one home, `bump_with_d1`,
 # read by the bump test alone, and a lone slope `bump_d1` is read only by
-# the stream bump's gradient and the slope peak's calibration at import
+# the stream bump's gradient (the profile's peaks are closed forms)
 def test_one_value_and_gradient_pass():
     found = set()
     for path in sorted(SRC.glob("*.py")):
@@ -181,8 +182,37 @@ def test_one_value_and_gradient_pass():
     assert found == {
         ("def bump_with_d1", "fields.py:<module>"),
         ("bump_with_d1", "calculus.py:BumpTest.value_and_gradient"),
-        ("bump_d1", "fields.py:elliptic_bump_stream.grad"),
-        ("bump_d1", "fields.py:<module>")}
+        ("bump_d1", "fields.py:elliptic_bump_stream.grad")}
+
+
+# the bump is the one test function: one class provides `value_and_gradient`,
+# no probe dispatches on the type of a test function or a region, and the
+# general Gauss-Green residual, its constant test function and the disk
+# region that only tests reached are neither defined nor read
+def test_one_test_function_and_no_type_dispatch():
+    providers, dispatch, gone = set(), [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node, _ in _nodes(tree, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and item.name == "value_and_gradient") or (
+                        isinstance(item, ast.AnnAssign)
+                        and _name(item.target) == "value_and_gradient"):
+                    providers.add(f"{path.name}:{node.name}")
+        for call, where in _nodes(tree, ast.Call):
+            if _name(call) == "isinstance" and {
+                    _name(arg) for arg in ast.walk(call)} & {
+                    "BumpTest", "ScalarTest", "RectRegion"}:
+                dispatch.append(f"{path.name}:{call.lineno} in {where}")
+        for node in ast.walk(tree):
+            # a read, an import (alias) or a definition of a deleted name
+            if {_name(node), getattr(node, "name", None)} & {
+                    "gauss_green_residual", "constant_test", "DiskRegion"}:
+                gone.append(f"{path.name}:{node.lineno}")
+    assert providers == {"calculus.py:BumpTest"}
+    assert not dispatch, "\n".join(dispatch)
+    assert not gone, "\n".join(gone)
 
 
 # a probe in `trace` integrates a domain-restricted field only through the
