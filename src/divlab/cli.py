@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -147,12 +148,29 @@ def run(scenario: Scenario) -> VerificationReport:
 
 
 def _write_csv(path: str, header, rows) -> None:
+    """Write a header and rows: a list of rows, or a 2D float array whose
+    cells are spelled as csv spells the Python floats of `tolist()`."""
+    if isinstance(rows, np.ndarray):
+        rows = zip(*map(_spelled_column, rows.T))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        # csv writes str(v): a float's shortest repr, and 0.1 rather than
-        # numpy 2's repr np.float64(0.1) for a numpy scalar
+        # csv writes a cell that is not a string as str(v): a float's
+        # shortest repr, and 0.1 rather than numpy 2's repr np.float64(0.1)
+        # for a numpy scalar; an array's cells arrive spelled already
         writer.writerows(rows)
+
+
+def _spelled_column(col: np.ndarray) -> list:
+    """repr of each float in col, computed once per distinct value.
+
+    Values are keyed on their bits, so -0.0 and 0.0 keep their own
+    spellings; a float's str is its repr."""
+    bits = np.asarray(col, dtype=np.float64).view(np.uint64)
+    distinct, where = np.unique(bits, return_inverse=True)
+    spelled = np.array([repr(v) for v in distinct.view(np.float64).tolist()],
+                       dtype=object)
+    return spelled[where].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +447,7 @@ def _h_flow_tube(sc: Scenario):
     header = ([f"seed_q{i + 1}" for i in range(ndim)] + ["h"]
               + [f"x{i + 1}" for i in range(ndim + 1)] + ["delta"])
     tables = [("residuals", ["seeds_per_axis", "residual"], residual_rows),
-              ("trajectories", header, paths.tolist())]
+              ("trajectories", header, paths)]
     return rep, tables, []
 
 
@@ -1062,6 +1080,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# built once per process: parsing leaves the parser as it was, and the
+# parameter tables it is built from do not change
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog=PROG, description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)

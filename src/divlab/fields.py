@@ -41,7 +41,7 @@ _U_MIN = 2.0 ** -55
 
 def _profile_terms(u):
     """u as floats, the mask of the profile's support, and on it v = 2u - 1,
-    g = 1 - v^2 and exp(-1/g), which the profile and its derivatives share."""
+    g = 1 - v^2 and exp(-1/g), which the profile and its slope share."""
     u = np.asarray(u, dtype=float)
     m = (u > _U_MIN) & (u < 1.0)
     v = 2.0 * u[m] - 1.0
@@ -75,13 +75,14 @@ def bump_with_d1(u) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bump_derivatives(u) -> tuple[np.ndarray, np.ndarray]:
-    """w'(u) and w''(u) from one exp(-1/g); zero outside (0, 1)."""
-    u, m, v, g, e = _profile_terms(u)
-    w1 = np.zeros_like(u)
-    w2 = np.zeros_like(u)
+    """w'(u) and w''(u) from one exp(-1/g), for u inside (2**-55, 1) only:
+    the caller keeps the points of the profile's support."""
+    v = 2.0 * u - 1.0
+    g = 1.0 - v * v
+    e = np.exp(-1.0 / g)
     g2 = g**2
-    w1[m] = e * (-4.0 * v / g2)
-    w2[m] = e * (16.0 * v * v / g**4 - 8.0 / g2 - 32.0 * v * v / g**3)
+    w1 = e * (-4.0 * v / g2)
+    w2 = e * (16.0 * v * v / g**4 - 8.0 / g2 - 32.0 * v * v / g**3)
     return w1, w2
 
 
@@ -205,34 +206,37 @@ def zero_field(dim: int) -> VectorField:
 # stream-function fields (2D, exactly divergence-free)
 
 # eta = (-d2 psi, d1 psi) and its Jacobian rows (-H01, -H11), (H00, H01)
-# from the flattened Hessian H of psi; a sign flip is exact, so the signed
-# copies equal the negated entries bitwise
+# from psi's gradient and Hessian H; a sign flip is exact, so negating an
+# entry equals multiplying it by -1 bitwise.  Off the support every entry
+# is the zero that sign-flipping psi's zero derivatives gives.
 _ROTATE_SIGNS = np.array([-1.0, 1.0])
-_STREAM_J_ENTRIES = [1, 3, 0, 1]
-_STREAM_J_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
+_STREAM_ZERO_ROW = np.array([-0.0, 0.0, -0.0, -0.0, 0.0, 0.0])
 
 
 def make_stream_field(analytic_grad: Callable[[np.ndarray], np.ndarray],
                       analytic_grad_hess: Callable[
-                          [np.ndarray], tuple[np.ndarray, np.ndarray]],
+                          [np.ndarray], tuple[np.ndarray, tuple]],
                       sup_bound: float = np.inf,
                       name: str = "stream") -> VectorField:
     """Rotate the gradient of a stream function: eta = (-d2 psi, d1 psi).
 
-    analytic_grad_hess(pts) returns the gradient and Hessian of psi from
-    one pass; its gradient must equal analytic_grad's bitwise.
+    analytic_grad(pts) returns grad psi at every point.
+    analytic_grad_hess(pts) returns the mask of the points where psi's
+    derivatives may be nonzero and, at those points only and from one
+    pass, (d1 psi, d2 psi, H00, H01, H11); its gradient must equal
+    analytic_grad's bitwise, and analytic_grad must be zero off the mask.
     """
 
-    def rotate(g):
-        return g[:, ::-1] * _ROTATE_SIGNS
-
     def ev(pts):
-        return rotate(analytic_grad(pts))
+        return analytic_grad(pts)[:, ::-1] * _ROTATE_SIGNS
 
     def evj(pts):
-        g, H = analytic_grad_hess(pts)
-        J = H.reshape(-1, 4)[:, _STREAM_J_ENTRIES] * _STREAM_J_SIGNS
-        return rotate(g), J.reshape(-1, 2, 2)
+        m, (g0, g1, h00, h01, h11) = analytic_grad_hess(pts)
+        # values and Jacobian rows go in in one masked assignment
+        out = np.empty((pts.shape[0], 6))
+        out[:] = _STREAM_ZERO_ROW
+        out[m] = np.array([-g1, g0, -h01, -h11, h00, h01]).T
+        return out[:, :2], out[:, 2:].reshape(-1, 2, 2)
 
     return VectorField(dim=2, eval=ev, sup_bound=sup_bound, name=name,
                        analytic_div=lambda pts: np.zeros(pts.shape[0]),
@@ -254,7 +258,8 @@ def elliptic_bump_stream(center: tuple[float, float], rx: float, rz: float,
         y1 = pts[:, 0] - cx
         y2 = pts[:, 1] - cz
         s = np.sqrt(d1 * y1 * y1 + d2 * y2 * y2)
-        return y1, y2, s, (s > 0.0) & (s < 1.0)
+        # the profile's support: at s <= 2**-55 its derivatives vanish
+        return y1, y2, s, (s > _U_MIN) & (s < 1.0)
 
     def grad(pts):
         y1, y2, s, m = _s(pts)
@@ -273,13 +278,9 @@ def elliptic_bump_stream(center: tuple[float, float], rx: float, rz: float,
         u2 = d2 * y2m
         c2 = a * (w2 - w1 / sm) / sm**2
         c1 = aw1 / sm
-        h01 = c2 * u1 * u2
-        # the masked rows (gradient, then Hessian) go in in one assignment
-        out = np.zeros((pts.shape[0], 6))
-        out[m] = np.array([aw1 * d1 * y1m / sm, aw1 * d2 * y2m / sm,
-                           c2 * u1 * u1 + c1 * d1, h01, h01,
-                           c2 * u2 * u2 + c1 * d2]).T
-        return out[:, :2], out[:, 2:].reshape(-1, 2, 2)
+        return m, (aw1 * d1 * y1m / sm, aw1 * d2 * y2m / sm,
+                   c2 * u1 * u1 + c1 * d1, c2 * u1 * u2,
+                   c2 * u2 * u2 + c1 * d2)
 
     return make_stream_field(grad, grad_hess, sup_bound=amplitude, name=name)
 

@@ -72,10 +72,11 @@ def _trace_shear(vals: np.ndarray, J: np.ndarray) -> np.ndarray:
     tilt the transported volume element.
     """
     xn = vals[:, -1]
-    horiz = vals[:, :-1]
-    div_h = np.einsum("mii->m", J[:, :-1, :-1])
-    shear = np.einsum("mi,mi->m", horiz, J[:, -1, :-1])
-    return div_h / xn - shear / xn**2
+    div_h = np.add.reduce(J.diagonal(axis1=1, axis2=2)[:, :-1], axis=1)
+    shear = np.add.reduce(vals[:, :-1] * J[:, -1, :-1], axis=1)
+    np.divide(div_h, xn, out=div_h)
+    np.divide(shear, xn * xn, out=shear)
+    return np.subtract(div_h, shear, out=div_h)
 
 
 @dataclass
@@ -184,23 +185,25 @@ def _seed_transport(X: VectorField, A, h0: float, grids: Sequence[int],
     min_delta = np.full(len(grids), math.inf)
     max_span = np.zeros(len(grids))
 
+    # one buffer for every stage's points: eval_jacobian keeps no reference
+    pos = np.empty((nseeds, n))
+
     def rhs(h, Y):
-        pos = np.empty((nseeds, n))
         pos[:, :-1] = Y[:, :-1]
         pos[:, -1] = h
         vals, J = X.eval_jacobian(pos)
         xn = vals[:, -1]
-        mn = float(np.min(xn))
+        mn = float(xn.min())
         if mn <= 0.0:
             bad = pos[np.argmin(xn)]
             raise MonotonicityViolation(
                 f"vertical speed {mn:.3e} <= 0 at {bad.tolist()}")
         np.maximum(max_span, np.maximum.reduceat(
-            np.max(np.abs(Y[:, :-1]), axis=1), starts), out=max_span)
+            np.abs(Y[:, :-1]).max(axis=1), starts), out=max_span)
         tr = _trace_shear(vals, J)
         dY = np.empty_like(Y)
-        dY[:, :-1] = vals[:, :-1] / xn[:, None]
-        dY[:, -1] = tr * Y[:, -1]
+        np.divide(vals[:, :-1], xn[:, None], out=dY[:, :-1])
+        np.multiply(tr, Y[:, -1], out=dY[:, -1])
         np.minimum(min_delta, np.minimum.reduceat(Y[:, -1], starts),
                    out=min_delta)
         return dY

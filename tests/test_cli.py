@@ -1,7 +1,9 @@
 """Command-line contract: exit codes, catalog, outputs, config precedence."""
 
+import csv
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -109,6 +111,22 @@ def run_main(argv, capsys):
 # exit codes
 
 class TestExitCodes:
+    # the parser is built once per process: a usage error on a later call
+    # still exits 2, and one parse's repeated flags do not reach the next
+    def test_parser_is_built_once_per_process(self, capsys):
+        build_parser.cache_clear()
+        code, _, _ = run_main(["list"], capsys)
+        assert code == 0
+        code, _, err = run_main(["flow-tube", "--seeds", "0"], capsys)
+        assert code == 2 and "--seeds" in err
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        parser = build_parser()
+        argv = ["strip-identity", "--at", "1,1"]
+        assert parser.parse_args(argv + ["--at", "2,2"]).at == ["1,1", "2,2"]
+        assert parser.parse_args(argv).at == ["1,1"]
+        assert parser.parse_args(["strip-identity"]).at is None
+
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run_main([], capsys)
         assert code == 2
@@ -559,6 +577,24 @@ class TestOutputs:
         cli._write_csv(str(path), ["a", "b", "c"],
                        [[np.float64(0.1), 0.1, np.float64(1e-300)]])
         assert path.read_text().splitlines() == ["a,b,c", "0.1,0.1,1e-300"]
+
+    # a float table is spelled once per distinct value and column, keyed on
+    # the bits; the bytes are those csv writes for the table's Python floats
+    def test_csv_writes_a_float_array_like_its_list(self, tmp_path):
+        col = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16,
+               1e-5, 0.1, 0.0, -0.0, 0.1, 1e16, math.nan, -5e-324]
+        table = np.array([col, col[::-1], [1.0 / 3.0] * len(col)]).T
+        table[3, 2] = -table[3, 2]
+        header = ["a", "b", "c"]
+        got, want = tmp_path / "array.csv", tmp_path / "list.csv"
+        cli._write_csv(str(got), header, table)
+        with open(want, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(table.tolist())
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_text().splitlines()[1] == (
+            "-0.0,-5e-324,0.3333333333333333")
 
     def test_reports_identical_up_to_timestamp(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

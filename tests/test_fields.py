@@ -335,6 +335,29 @@ def test_stream_bump_is_finite_next_to_its_center(stream_bump):
     assert np.all(np.isfinite(J))
 
 
+# eval and eval_jacobian agree to the bit, the sign of every zero included,
+# at the center (s = 0), where 0 < s <= 2**-55 leaves the profile's
+# derivatives zero, and on both sides of the support ellipse's boundary
+# (s = 1 at x = +-2 on the long axis and z = 1.5 +- 0.5 on the short one)
+def test_stream_bump_values_agree_bitwise_at_the_support_edges(stream_bump):
+    below_2 = math.nextafter(2.0, 0.0)
+    pts = np.array([
+        [0.0, 1.5], [-0.0, 1.5],
+        [2.0 ** -55, 1.5], [-(2.0 ** -55), 1.5], [2.0 ** -54, 1.5],
+        [3.8094611052537206e-97, 1.5], [-1e-20, 1.5],
+        [below_2, 1.5], [-below_2, 1.5], [2.0, 1.5], [-2.0, 1.5],
+        [math.nextafter(2.0, 3.0), 1.5],
+        [0.0, math.nextafter(2.0, 0.0)], [0.0, 2.0],
+        [0.0, math.nextafter(1.0, 2.0)], [0.0, 1.0],
+        [0.3, 1.7], [-0.3, 1.2],
+    ])
+    vals, J = stream_bump.eval_jacobian(pts)
+    assert vals.tobytes() == stream_bump.eval(pts).tobytes()
+    assert np.all(np.isfinite(J))
+    assert np.all(vals[:16] == 0.0) and np.all(J[:16] == 0.0)
+    assert np.all(vals[16:] != 0.0)
+
+
 def test_extrusion_matches_planar_slice(stream_bump, rng):
     f3 = extrude_field_3d(stream_bump)
     assert f3.dim == 3

@@ -238,6 +238,23 @@ class TestFlowTube:
         assert per_rhs and set(per_rhs) == {(1, 0)}
         assert calls["jac"] == len(per_rhs)
 
+    # the height-flow trace tr B = div_h / X_n - (X_h . grad_h X_n) / X_n^2,
+    # bit for bit as the einsum expression spelled it; the stream bump's
+    # tube only runs the planar case
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_trace_shear_matches_the_einsum_expression(self, n):
+        rng = np.random.default_rng(20 + n)
+        m = 4096
+        vals = rng.uniform(0.5, 2.0, (m, n)) * rng.choice([-1.0, 1.0], (m, n))
+        J = rng.uniform(0.5, 2.0, (m, n, n)) * rng.choice([-1.0, 1.0],
+                                                          (m, n, n))
+        vals *= 10.0 ** rng.integers(-8, 9, (m, n))
+        J *= 10.0 ** rng.integers(-8, 9, (m, n, n))
+        xn = vals[:, -1]
+        old = (np.einsum("mii->m", J[:, :-1, :-1]) / xn
+               - np.einsum("mi,mi->m", vals[:, :-1], J[:, -1, :-1]) / xn**2)
+        assert rigidity._trace_shear(vals, J).tobytes() == old.tobytes()
+
     def test_field_without_jacobian_fails_before_the_flow(self, stream_bump,
                                                           monkeypatch):
         def no_flow(*args, **kwargs):
