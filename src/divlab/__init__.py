@@ -16,7 +16,7 @@ interface behavior, and `cli` wires everything into scenarios.
 from .calculus import (GridSpec, MollifierKernel, RectRegion, AnnulusRegion,
                        bump_test, flux_residual, jensen_check,
                        make_mollifier, mollify, numeric_divergence)
-from .fields import (AUTO, CylindricalPotential, OutOfDomainError,
+from .fields import (AUTO, CylindricalPotential, Disk, OutOfDomainError,
                      PhiFunction, VectorField, constant_field,
                      counterexample_potential, field_to_potential,
                      get_field, make_capillary_field,

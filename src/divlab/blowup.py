@@ -18,10 +18,10 @@ from numpy.random import default_rng
 
 from . import _quad
 from .calculus import AnnulusRegion, bump_test, flux_residual
-from .fields import Exclusion, VectorField
+from .fields import Disk, EddyStack, Exclusion, VectorField
 from .report import CheckResult, VerificationReport
-from .trace import OrientedInterface, DensityProbe, _disk_radius, \
-    _eddy_pairings, check_radii, deviation_densities, weak_trace_ball_average
+from .trace import OrientedInterface, DensityProbe, _eddy_pairings, \
+    check_radii, deviation_densities, weak_trace_ball_average
 
 __all__ = [
     "rescale", "BlowupSequence", "blowup_sequence",
@@ -60,7 +60,9 @@ def hash_unit_ball_field(dim: int = 2) -> VectorField:
 
 def rescale(z: VectorField, x0, r: float) -> VectorField:
     """Zoom the field in on x0 at scale r: the rescaled field reads the
-    original at x0 + r*y, so values (and the sup bound) are preserved."""
+    original at x0 + r*y, so values (and the sup bound) are preserved.
+    A declared disk or eddy stack is mapped once, by y = (x - x0) / r; the
+    eddies' calibration is invariant under the zoom."""
     if r <= 0:
         raise ValueError("scale must be positive")
     x0 = np.asarray(x0, dtype=float)
@@ -82,12 +84,18 @@ def rescale(z: VectorField, x0, r: float) -> VectorField:
         Exclusion(e.label + " rescaled",
                   lambda pts, e=e: e.distance(x0 + r * pts) / r)
         for e in z.smooth_exclusion)
-    dom = None if z.domain is None else (lambda pts: z.domain(x0 + r * pts))
+    disk = None
+    if z.disk is not None:
+        disk = Disk(tuple(((np.asarray(z.disk.center) - x0) / r).tolist()),
+                    z.disk.radius / r)
+    eddies = None
+    if z.eddies is not None:
+        eddies = EddyStack((z.eddies.centers - x0) / r, z.eddies.radii / r,
+                           z.eddies.calibration)
     return VectorField(dim=z.dim, eval=ev, sup_bound=z.sup_bound,
                        name=f"{z.name}:zoom(r={r:g})",
                        analytic_div=adiv, eval_jacobian=evj,
-                       smooth_exclusion=excl, domain=dom,
-                       domain_label=z.domain_label)
+                       smooth_exclusion=excl, disk=disk, eddies=eddies)
 
 
 @dataclass(frozen=True)
@@ -131,8 +139,8 @@ def nalpha_density(xi: VectorField, S: OrientedInterface, x0, alpha: float,
     # normalization audit on a fixed sample cloud near x0, to 1e-6
     rng = default_rng(424242)
     cloud = x0 + rng.uniform(-1.0, 1.0, size=(4096, 2))
-    if xi.domain is not None:
-        cloud = cloud[xi.domain(cloud)]
+    if xi.disk is not None:
+        cloud = cloud[xi.disk.contains(cloud)]
     if cloud.shape[0]:
         sup = float(np.max(np.linalg.norm(xi.eval(cloud), axis=1)))
         if sup > 1.0 + 1e-6:
@@ -186,20 +194,20 @@ def _halfspace_lhs(seq: BlowupSequence, k: int, psi_family,
     """integral over (rescaled domain) ∩ (inward half plane) ∩ supp psi of
     psi * div z_k + grad psi . z_k, in blow-up coordinates, for each psi."""
     zk = seq.fields[k]
-    r_k = seq.radii[k]
-    x0 = np.asarray(seq.x0)
-    base = seq.base
 
-    if base.eddies is not None:
+    if zk.eddies is not None:
         # divergence-free eddies: the div term vanishes identically
-        return _eddy_pairings(base.eddies, zk, psi_family, lambda r: 32,
-                              x0=x0, scale=r_k)
+        return _eddy_pairings(zk.eddies, zk, psi_family, lambda r: 32)
 
     # the rescaled domain begins at inward depth s_star(t) from the flat
-    # line: 0 for a global field, the disk's sagitta for a rim point
-    R = _disk_radius(base)
-    if R is not None and abs(np.linalg.norm(x0) - R) > 1e-9:
-        raise ValueError("blow-up center must sit on the disk boundary")
+    # line: 0 for a global field, the sagitta of the rescaled disk of
+    # radius R_k for a rim point.  The rim point is the zoom's origin; its
+    # distance to the circle is checked in the original coordinates
+    R_k = None
+    if zk.disk is not None:
+        R_k = zk.disk.radius
+        if abs(np.linalg.norm(zk.disk.center) - R_k) * seq.radii[k] > 1e-9:
+            raise ValueError("blow-up center must sit on the disk boundary")
     if zk.analytic_div is None:
         raise ValueError("divergence information required")
     tdir = np.array([-nu[1], nu[0]])
@@ -220,10 +228,9 @@ def _halfspace_lhs(seq: BlowupSequence, k: int, psi_family,
             # from the scalar power for about 1 input in 1,000, which would
             # move the s-nodes and the reported digits
             s_star = np.zeros(t_arr.size)
-            if R is not None:
+            if R_k is not None:
                 s_star = np.array([
-                    (R / r_k) * (1.0 - math.sqrt(max(1.0 - (r_k * t / R) ** 2,
-                                                     0.0)))
+                    R_k * (1.0 - math.sqrt(max(1.0 - (t / R_k) ** 2, 0.0)))
                     for t in t_arr])
             hi = s_c + psi.radius
             # an empty row (hi <= lo) has a == b and integrates to 0
@@ -255,19 +262,15 @@ def _off_interface_div_mass(seq: BlowupSequence, k: int, psi,
     def g(y):
         return psi.value(y) * np.abs(zk.analytic_div(y))
 
-    if seq.base.domain is not None:
-        dom = zk.domain
+    def g_masked(y):
+        inside = zk.disk.contains(y)
+        out = np.zeros(y.shape[0])
+        if np.any(inside):
+            out[inside] = g(y[inside])
+        return out
 
-        def g_masked(y):
-            inside = dom(y)
-            out = np.zeros(y.shape[0])
-            if np.any(inside):
-                out[inside] = g(y[inside])
-            return out
-
-        return _quad.adaptive_ball_quad(g_masked, pc, psi.radius, 2,
-                                        rtol=max(rtol, 1e-8), atol=1e-13)
-    return _quad.adaptive_ball_quad(g, pc, psi.radius, 2,
+    return _quad.adaptive_ball_quad(g if zk.disk is None else g_masked,
+                                    pc, psi.radius, 2,
                                     rtol=max(rtol, 1e-8), atol=1e-13)
 
 
@@ -370,7 +373,7 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
         detail=f"decay exponent {exp_b:.3f} over last 3 scales"))
 
     # (c) punctured-ball flux balance in original coordinates
-    if seq.base.domain is None:
+    if seq.base.disk is None:
         r = seq.radii
         defects_c = _diagnostic(
             rep, seq, "punctured-ball flux residual", "; diagnostic only",

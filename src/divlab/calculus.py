@@ -237,7 +237,7 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
     """
     if field.dim != kernel.dim:
         raise ValueError("kernel dimension does not match the field")
-    if field.domain is not None:
+    if field.disk is not None:
         raise ValueError("mollification of domain-restricted fields "
                          "is not supported")
     nodes = kernel.nodes

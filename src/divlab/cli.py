@@ -271,8 +271,8 @@ def _resolve_interface(spec, f):
     'circle[:center=a,b][:R=r][:inward]'; anything else is a usage
     error."""
     if spec in ("", "auto"):
-        if f.disk_radius is not None:
-            return circle_interface((0.0, 0.0), f.disk_radius, outward=True)
+        if f.disk is not None:
+            return circle_interface(f.disk.center, f.disk.radius, outward=True)
         # planar fields here carry their structure in the upper half plane;
         # point the normal down so the sampled side (-nu) is the upper one
         return line_interface((0.0, 0.0), (1.0, 0.0), normal=(0.0, -1.0))
@@ -565,13 +565,13 @@ def _h_trace(sc: Scenario):
 def _h_density(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     f = _resolve_field(sc.field)
-    if f.domain is None:
+    if f.disk is None:
         raise UsageError(
             "density probes need a domain-restricted field; "
             f"{f.name!r} is defined everywhere")
     x0 = _floats(p["x0"], "x0", f.dim)
     radii = _parse_radii(p["radii"])
-    probe = density(lambda pts: f.domain(pts), x0, radii,
+    probe = density(f.disk.contains, x0, radii,
                     samples=p["samples"], seed=sc.seed)
     rep = VerificationReport(scenario="",
                              environment={"samples": p["samples"]})

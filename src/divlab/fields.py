@@ -123,6 +123,17 @@ class Exclusion:
 
 
 @dataclass(frozen=True)
+class Disk:
+    """The open disk |p - center| < radius."""
+    center: tuple[float, float]
+    radius: float
+
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        d = pts - self.center
+        return np.einsum("ij,ij->i", d, d) < self.radius * self.radius
+
+
+@dataclass(frozen=True)
 class VectorField:
     """Bounded vector field on R^dim, evaluated in batches.
 
@@ -131,17 +142,16 @@ class VectorField:
     bitwise, so a caller may use either.  Flow transport needs it.
 
     Three optional fields declare closed-form structure that probes use
-    in place of generic quadrature.  Derived fields (rescaled, extruded,
-    lifted, mollified) leave them at None:
+    in place of generic quadrature.  `blowup.rescale` maps `disk` and
+    `eddies` into the zoom; the other derived fields (extruded, lifted,
+    mollified) leave all three at None:
 
+    - `disk`: the open disk the field lives on, tested by `check_domain`
+      and the deviation densities, and read by the lens average and sphere
+      flux in `trace`, the rim blow-up and the default interface in `cli`;
     - `eddies`: the twisting field's eddy centers and radii as arrays, read
       by the ball averages and pairings in `trace` and the half-space
       pairing in `blowup`;
-    - `disk_radius`: the capillary field's open disk, read by the lens
-      averages and sphere flux in `trace`, the rim blow-up in `blowup` and
-      the default interface in `cli`.  The trace probes and the blow-up
-      half-space pairing refuse a field with a `domain` but no disk
-      (`trace._disk_radius`), such as a rescaled one;
     - `potential`: the counterexample's cylindrical potential, read by
       `cli certify`.
     """
@@ -153,11 +163,8 @@ class VectorField:
     eval_jacobian: Optional[
         Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     smooth_exclusion: Sequence[Exclusion] = ()
-    # open-domain membership test; None means the field is global
-    domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    domain_label: str = ""
+    disk: Optional[Disk] = None
     eddies: Optional[EddyStack] = None
-    disk_radius: Optional[float] = None
     potential: Optional[CylindricalPotential] = None
 
     def __call__(self, x) -> np.ndarray:
@@ -168,12 +175,13 @@ class VectorField:
         return out
 
     def check_domain(self, pts: np.ndarray) -> None:
-        if self.domain is not None:
-            ok = self.domain(pts)
+        if self.disk is not None:
+            ok = self.disk.contains(pts)
             if not np.all(ok):
                 bad = pts[~ok][0]
                 raise OutOfDomainError(
-                    f"{self.name}: point {bad.tolist()} outside {self.domain_label}")
+                    f"{self.name}: point {bad.tolist()} outside open disk "
+                    f"of radius {self.disk.radius}")
 
     def exclusion_distance(self, pts: np.ndarray) -> np.ndarray:
         """Distance to the nearest excluded set (inf when there is none)."""
@@ -464,9 +472,6 @@ def make_capillary_field(R: float) -> VectorField:
     if R <= 0:
         raise ValueError("R must be positive")
 
-    def inside(pts):
-        return np.einsum("ij,ij->i", pts, pts) < R * R
-
     def ev(pts):
         f.check_domain(pts)
         return pts / R
@@ -480,9 +485,7 @@ def make_capillary_field(R: float) -> VectorField:
     f = VectorField(dim=2, eval=lambda pts: ev(pts), sup_bound=1.0,
                     name=f"capillary:R={_fmt_num(R)}",
                     analytic_div=lambda pts: np.full(pts.shape[0], 2.0 / R),
-                    eval_jacobian=evj,
-                    domain=inside, domain_label=f"open disk of radius {R}",
-                    disk_radius=R)
+                    eval_jacobian=evj, disk=Disk((0.0, 0.0), R))
     return f
 
 

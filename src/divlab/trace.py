@@ -22,7 +22,7 @@ from numpy.random import default_rng
 
 from . import _quad
 from .calculus import BumpTest, RectRegion
-from .fields import EddyStack, VectorField, bump
+from .fields import Disk, EddyStack, VectorField, bump
 from .report import CheckResult, VerificationReport
 
 __all__ = [
@@ -150,15 +150,6 @@ def check_radii(radii) -> list[float]:
     if min(radii) <= 0 or any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be positive and strictly decreasing")
     return radii
-
-
-def _disk_radius(field: VectorField) -> Optional[float]:
-    """The radius of the disk a field lives on, None for a global field;
-    a field with a domain but no declared disk is refused, not masked."""
-    if field.domain is not None and field.disk_radius is None:
-        raise ValueError(f"{field.name}: a domain-restricted field must "
-                         f"declare its disk_radius to be probed")
-    return field.disk_radius
 
 
 @dataclass(frozen=True)
@@ -291,11 +282,12 @@ def _twisting_ball_average(eddies: EddyStack, x0: np.ndarray, r: float,
     return total / (math.pi * r * r)
 
 
-def _disk_lens_average(R: float, x0: np.ndarray, r: float,
+def _disk_lens_average(disk: Disk, x0: np.ndarray, r: float,
                        nu0: np.ndarray, rtol: float) -> float:
-    """Average of the radial field on the disk of radius R over a boundary
-    ball, restricted to the lens inside the disk; both integrals are 1D."""
-    a = x0  # on the circle, |a| = R up to the interface tolerance
+    """Average of the radial field on the disk over a boundary ball,
+    restricted to the lens inside the disk; both integrals are 1D."""
+    R = disk.radius
+    a = x0 - disk.center  # |a| = R up to the interface tolerance
     sgn = float(np.sign(a @ nu0))
 
     def pieces(delta):
@@ -328,13 +320,12 @@ def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
     x0 = np.asarray(x0, dtype=float)
     S.require_on(x0)
     nu0 = S.normal_at(x0)
-    R = _disk_radius(field)
     if field.eddies is not None:
         estimates = [_twisting_ball_average(field.eddies, x0, float(r), nu0)
                      for r in radii]
         return _make_probe(x0, radii, estimates, "ball_average", 1e-10)
-    if R is not None:
-        estimates = [_disk_lens_average(R, x0, float(r), nu0, rtol)
+    if field.disk is not None:
+        estimates = [_disk_lens_average(field.disk, x0, float(r), nu0, rtol)
                      for r in radii]
     else:
         vol = _quad.ball_volume(field.dim)
@@ -417,15 +408,13 @@ def _patch_angular_order(radius: float) -> int:
 
 def _eddy_pairings(eddies: EddyStack, field: VectorField,
                    psi_family: Sequence[BumpTest],
-                   angular_order: Callable[[float], int],
-                   x0=(0.0, 0.0), scale: float = 1.0) -> list[float]:
+                   angular_order: Callable[[float], int]) -> list[float]:
     """Sum over the eddy balls of the integral of field . grad psi, for each
     test function psi.  Divergence-free rotational patches leave only this
     gradient term of the pairing.
 
-    Ball n enters as the ball of center (centers[n] - x0) / scale and
-    radius radii[n] / scale, the coordinates of `field` and of the test
-    functions; the defaults are the identity.  Each ball gets a product
+    The balls are in the coordinates of `field` and of the test functions
+    (a rescaled field carries its eddies mapped).  Each ball gets a product
     rule with 16 radial nodes and angular_order(radius) angles.  The field
     is evaluated once on the nodes of all balls the family needs (in
     batches of _EDDY_EVAL_BATCH nodes) and the values serve every psi.  A
@@ -433,9 +422,7 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
     it is skipped.
     """
     psi_family = list(psi_family)
-    x0 = np.asarray(x0, dtype=float)
-    centers = (eddies.centers - x0) / scale
-    radii = eddies.radii / scale
+    centers, radii = eddies.centers, eddies.radii
     near = np.empty((len(psi_family), radii.size), dtype=bool)
     for p, psi in enumerate(psi_family):
         gap = centers - psi.center
@@ -536,11 +523,12 @@ def weak_trace_sphere_flux(field: VectorField, S: OrientedInterface,
     nu0 = S.normal_at(x0)
     phi0 = math.atan2(-nu0[1], -nu0[0])
 
-    # for a field living on a centered disk with x0 on its rim, the arc
-    # inside the domain is known in closed form; integrating only there
-    # keeps the integrand smooth
-    disk_R = _disk_radius(field)
-    if disk_R is not None and abs(np.linalg.norm(x0) - disk_R) > 1e-9:
+    # for a field living on a disk with x0 on its rim, the arc inside the
+    # domain is known in closed form; integrating only there keeps the
+    # integrand smooth
+    disk = field.disk
+    if disk is not None and abs(
+            np.linalg.norm(x0 - disk.center) - disk.radius) > 1e-9:
         raise ValueError("flux probe on a disk field needs a rim point")
 
     estimates = []
@@ -551,8 +539,8 @@ def weak_trace_sphere_flux(field: VectorField, S: OrientedInterface,
             # dH^1 = r dtheta
             return np.einsum("ij,ij->i", field.eval(pts), x0 - pts) * float(r)
 
-        half_width = (0.5 * math.pi if disk_R is None else
-                      math.acos(min(1.0, float(r) / (2.0 * disk_R))))
+        half_width = (0.5 * math.pi if disk is None else
+                      math.acos(min(1.0, float(r) / (2.0 * disk.radius))))
         val = _quad.adaptive_gauss_1d(
             integrand, phi0 - half_width, phi0 + half_width,
             rtol=rtol, atol=1e-13)
@@ -657,8 +645,8 @@ def deviation_densities(field: VectorField, x0, nu, w, alphas, radii,
     hits = np.zeros((len(alphas), len(radii), shifts), dtype=int)
     for k, r in enumerate(radii):
         pts = x0 + r * cloud.reshape(-1, 2)
-        inside = (np.ones(pts.shape[0], dtype=bool) if field.domain is None
-                  else field.domain(pts))
+        inside = (np.ones(pts.shape[0], dtype=bool) if field.disk is None
+                  else field.disk.contains(pts))
         dist = np.full(pts.shape[0], np.inf)
         if np.any(inside):
             gap = field.eval(pts[inside]) - w

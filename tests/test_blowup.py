@@ -14,7 +14,7 @@ from divlab.blowup import (
     nalpha_density, quadratic_inequality_check, rescale, _halfspace_lhs,
 )
 from divlab.calculus import bump_test
-from divlab.fields import constant_field, make_capillary_field
+from divlab.fields import Disk, constant_field, make_capillary_field
 from divlab.trace import (circle_interface, line_interface,
                           one_sided_ap_lim, _tail_fit)
 
@@ -59,8 +59,17 @@ class TestRescale:
         assert np.allclose(z.analytic_div(pts),
                            0.5 * capillary.analytic_div(
                                np.array([1.0, 0.0]) + 0.5 * pts))
-        assert z.domain(np.array([[-0.5, 0.0]]))[0]
-        assert not z.domain(np.array([[0.5, 0.0]]))[0]
+        assert z.disk == Disk((-2.0, 0.0), 2.0)
+        assert z.disk.contains(np.array([[-0.5, 0.0]]))[0]
+        assert not z.disk.contains(np.array([[0.5, 0.0]]))[0]
+        # the eddy stack is mapped by y = (x - x0) / r; the calibration is
+        # invariant under the zoom
+        f = fields.make_twisting_field(5)
+        x0 = np.array([0.3, 0.1])
+        zoomed = rescale(f, x0, 0.25).eddies
+        assert np.array_equal(zoomed.centers, (f.eddies.centers - x0) / 0.25)
+        assert np.array_equal(zoomed.radii, f.eddies.radii / 0.25)
+        assert zoomed.calibration == f.eddies.calibration
 
     def test_rejects_bad_scale_and_center(self, stream_bump):
         with pytest.raises(ValueError, match="positive"):

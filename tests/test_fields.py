@@ -304,7 +304,8 @@ def test_capillary_is_identity_over_radius(capillary, rng):
 def test_capillary_domain_is_the_open_disk(capillary):
     with pytest.raises(OutOfDomainError):
         capillary.eval(np.array([[1.5, 0.0]]))
-    inside = capillary.domain(np.array([[0.3, 0.4], [0.8, 0.61], [1.0, 0.0]]))
+    inside = capillary.disk.contains(
+        np.array([[0.3, 0.4], [0.8, 0.61], [1.0, 0.0]]))
     assert inside.tolist() == [True, False, False]
 
 
@@ -432,7 +433,7 @@ def _declared_jacobian_fields():
 def _jacobian_sample(f, half_width, rng):
     # about half the points inside the stream bump's support ellipse
     pts = rng.uniform(-half_width, half_width, size=(256, f.dim))
-    if f.dim == 2 and f.disk_radius is None:
+    if f.dim == 2 and f.disk is None:
         pts[:, 1] = 1.5 + pts[:, 1] / 3.0
     elif f.dim == 3:
         pts[:, 2] = 1.5 + pts[:, 2] / 3.0

@@ -31,12 +31,12 @@ def _flow(f, t0, y0, t1, rtol=1e-9, atol=1e-12):
     (0.0, math.inf, np.ones(3)),
     (0.0, 1.0, np.array([1.0, math.nan, 1.0])),
 ], ids=["nan-t0", "nan-t1", "inf-t1", "nan-y0"])
-@pytest.mark.parametrize("integrator", ["rk45", "rk45_event"])
+@pytest.mark.parametrize("integrator", ["dp_steps", "rk45_event"])
 def test_non_finite_input_is_rejected_before_any_rhs_call(integrator,
                                                           t0, t1, y0):
     f, calls = _counting_rhs()
     with pytest.raises(ValueError, match="finite"):
-        if integrator == "rk45":
+        if integrator == "dp_steps":
             _flow(f, t0, y0, t1)
         else:
             _ode.rk45_event(f, t0, y0, lambda t, y: y[0] - 2.0, t_max=t1,
@@ -52,12 +52,12 @@ def test_non_finite_input_is_rejected_before_any_rhs_call(integrator,
     (0.0, 0.0),
 ], ids=["negative-rtol", "nan-rtol", "inf-atol", "negative-atol",
         "both-zero"])
-@pytest.mark.parametrize("integrator", ["rk45", "rk45_event"])
+@pytest.mark.parametrize("integrator", ["dp_steps", "rk45_event"])
 def test_bad_tolerance_is_rejected_before_any_rhs_call(integrator, rtol,
                                                        atol):
     f, calls = _counting_rhs()
     with pytest.raises(ValueError, match="tolerances"):
-        if integrator == "rk45":
+        if integrator == "dp_steps":
             _flow(f, 0.0, np.ones(1), 5.0, rtol=rtol, atol=atol)
         else:
             _ode.rk45_event(f, 0.0, np.ones(1), lambda t, y: y[0] - 0.5,

@@ -215,16 +215,34 @@ def test_one_test_function_and_no_type_dispatch():
     assert not gone, "\n".join(gone)
 
 
-# a probe in `trace` integrates a domain-restricted field only through the
-# disk it declares: `_disk_radius` reads the domain to refuse a field that
-# declares none, and the deviation densities count points outside it as
-# deviating; no other probe masks the domain inside a quadrature
-def test_trace_reads_the_domain_in_two_places():
-    path = SRC / "trace.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = {where for node, where in _nodes(tree, ast.Attribute)
-             if node.attr == "domain"}
-    assert found == {"_disk_radius", "deviation_densities"}
+# a field's disk is declared once, as `VectorField.disk`, and `rescale`
+# maps it and the eddy stack into the zoom: no module reads a second
+# declaration, no probe redoes the zoom from the blow-up's base field, and
+# no trace probe masks the disk inside a quadrature (only the deviation
+# densities test membership, to count points outside as deviating)
+def test_the_disk_is_declared_once():
+    stale, base, contains = [], [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node, where in _nodes(tree, ast.Attribute):
+            if node.attr in ("domain", "domain_label", "disk_radius"):
+                stale.append(f"{path.name}:{node.lineno} .{node.attr}")
+            if (path.name == "blowup.py" and node.attr == "base"
+                    and where.split(".")[0] in ("_halfspace_lhs",
+                                                "_off_interface_div_mass")):
+                base.append(f"{path.name}:{node.lineno} in {where}")
+            if path.name == "trace.py" and node.attr == "contains":
+                contains.add(where)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name != "_disk_radius", path.name
+                if node.name == "_eddy_pairings":
+                    params = {a.arg for a in node.args.args
+                              + node.args.kwonlyargs}
+                    assert not params & {"x0", "scale"}, params
+    assert not stale, "\n".join(stale)
+    assert not base, "\n".join(base)
+    assert contains == {"deviation_densities"}
 
 
 # a defaulted parameter that no call in the package sets is a knob with one

@@ -15,8 +15,8 @@ from divlab._quad import ball_rule, leggauss
 from divlab.blowup import rescale
 from divlab import trace
 from divlab.calculus import RectRegion, bump_test
-from divlab.fields import bump, constant_field, make_capillary_field, \
-    make_twisting_field, zero_field
+from divlab.fields import Disk, bump, constant_field, \
+    make_capillary_field, make_twisting_field, zero_field
 from divlab.trace import (
     AP_LIM_CONFIRMED, AP_LIM_REJECTED,
     circle_interface, density, line_interface, one_sided_ap_lim,
@@ -155,16 +155,17 @@ class TestCapillaryProbes:
             weak_trace_sphere_flux(self.f, circle_interface((0.5, 0.0), 0.5),
                                    (0.0, 0.0), RADII)
 
-    # a translated disk field keeps its domain but declares no disk, so the
-    # probes have no closed-form lens or arc for it; they refuse it rather
-    # than integrate the masked jump at the domain edge
+    # a translated disk field carries its translated disk, so the probes
+    # use the closed-form lens and arc about the disk's own center
     @pytest.mark.parametrize("probe", [weak_trace_ball_average,
                                        weak_trace_sphere_flux])
-    def test_domain_without_disk_radius_is_refused(self, probe):
+    def test_translated_disk_matches_the_centered_disk(self, probe):
         moved = rescale(self.f, (-0.1, 0.0), 1.0)
         S = circle_interface((0.1, 0.0), 1.0)
-        with pytest.raises(ValueError, match="must declare its disk_radius"):
-            probe(moved, S, (1.1, 0.0), RADII)
+        got = probe(moved, S, (1.1, 0.0), RADII)
+        want = probe(self.f, self.S, self.X0, RADII)
+        assert np.allclose(got.estimates, want.estimates, rtol=0.0,
+                           atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +262,8 @@ class TestPairing:
         x0 = np.asarray(x0)
         fam = [bump_test((0.5, 0.5), 0.3), bump_test((0.1, 0.2), 0.15),
                bump_test((-2.0, 1.0), 1.5), bump_test((5.0, 5.0), 0.5)]
-        got = _eddy_pairings(f.eddies, zoomed, fam, _patch_angular_order,
-                             x0=x0, scale=scale)
+        got = _eddy_pairings(zoomed.eddies, zoomed, fam,
+                             _patch_angular_order)
         for psi, value in zip(fam, got):
             total = 0.0
             for c, rb in zip(f.eddies.centers, f.eddies.radii / scale):
@@ -427,18 +428,21 @@ class TestApLim:
         assert rep.classification == AP_LIM_REJECTED
 
     def _spied(self, field):
-        """The field, recording every point handed to its eval and domain."""
+        """The field, recording every point handed to its eval and to its
+        disk's membership test."""
         evals, seen = [], []
 
         def ev(pts):
             evals.append(pts.copy())
             return field.eval(pts)
 
-        def domain(pts):
-            seen.append(pts.copy())
-            return field.domain(pts)
+        class SpiedDisk(Disk):
+            def contains(self, pts):
+                seen.append(pts.copy())
+                return super().contains(pts)
 
-        return dataclasses.replace(field, eval=ev, domain=domain), evals, seen
+        disk = SpiedDisk(field.disk.center, field.disk.radius)
+        return dataclasses.replace(field, eval=ev, disk=disk), evals, seen
 
     def test_one_field_pass_per_radius_for_all_alphas(self, capillary):
         spied, evals, _ = self._spied(capillary)
