@@ -71,9 +71,14 @@ def dp_step(f: Callable, t: float, y: np.ndarray, h: float) -> np.ndarray:
 def _dp_steps(f: Callable, t0: float, y: np.ndarray, t1: float,
               rtol: float, atol: float, max_steps: int):
     """The one Dormand-Prince step controller: yields (t, y, h, y_new,
-    nrejected) for each accepted step from (t, y) to (t + h, y_new) on the
-    way from t0 to t1.  A step is accepted when its embedded error, the
-    worst |y5 - y4| / (atol + rtol * max(|y|, |y5|)), is at most 1.
+    local_error, nrejected) for each accepted step from (t, y) to
+    (t + h, y_new) on the way from t0 to t1, where local_error is the
+    step's embedded estimate y5 - y4, one entry per state component.
+    Summed along the solution, |local_error| is the standard estimate of
+    the global error while the flow does not amplify it (Hairer, Norsett
+    & Wanner, Solving ODEs I, II.4).  A step is accepted when its embedded
+    error, the worst |y5 - y4| / (atol + rtol * max(|y|, |y5|)), is at
+    most 1.
     Non-finite endpoints or initial state, and negative, non-finite or
     all-zero tolerances, raise ValueError before the first call of f."""
     _check_finite(t0, t1, y)
@@ -98,10 +103,11 @@ def _dp_steps(f: Callable, t0: float, y: np.ndarray, t1: float,
         k7 = np.asarray(f(t + h, y5))
         ks.append(k7)
         y4 = y + h * sum(b * k for b, k in zip(_B4, ks) if b != 0.0)
+        local = y5 - y4
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(y5 - y4) / scale)) if y5.size else 0.0
+        err = float(np.max(np.abs(local) / scale)) if y5.size else 0.0
         if err <= 1.0:
-            yield t, y, h, y5, nrejected
+            yield t, y, h, y5, local, nrejected
             t += h
             y = y5
             k1 = k7  # first-same-as-last
@@ -141,8 +147,8 @@ def rk45_event(f: Callable, t0: float, y0, event: Callable,
     if abs(g_prev) <= EVENT_TOL:
         return OdeResult(float(t0), y, 0, 0, status="event")
     res = OdeResult(float(t0), y, 0, 0)
-    for t, y, h, y5, res.nrejected in _dp_steps(f, t0, y, t_max, rtol,
-                                                atol, max_steps):
+    for t, y, h, y5, _, res.nrejected in _dp_steps(f, t0, y, t_max, rtol,
+                                                   atol, max_steps):
         g_new = float(event(t + h, y5))
         if g_prev * g_new <= 0.0:
             tc, yc = _bisect_event(f, t, y, h, event, g_prev)

@@ -423,11 +423,11 @@ def _h_flow_tube(sc: Scenario):
         tubes, paths = flow_tubes(f, eps, A, h0, levels,
                                   plot_seeds=p["plot_seeds"],
                                   gauge_constant=p["gauge_constant"],
-                                  rtol=p["rtol"])
+                                  residual_tol=tol["residual_tol"])
     except FlowInputError as exc:
         raise UsageError(str(exc)) from exc
     tube = tubes[0]
-    rep = tube.to_report(tol=tol["residual_tol"])
+    rep = tube.to_report()
     rep.add(CheckResult.info("epsilon", eps))
     rep.add(CheckResult.info("seeds per axis", seeds))
 
@@ -435,13 +435,15 @@ def _h_flow_tube(sc: Scenario):
     if p["refine"]:
         fine = tubes[1]
         factor = p["refine_factor"]
-        rep.add(CheckResult.from_residual(
-            "refined transport identity residual", fine.residual,
-            tol["residual_tol"]))
+        rep.add(fine.residual_check("refined transport identity residual"))
+        # the flow's error bounds count against the shrink
+        ode = tube.ode_error + factor * fine.ode_error
         rep.add(CheckResult.from_margin(
             f"refinement shrinks the residual by {factor:g}x",
-            fine.residual, 0.0, tube.residual - factor * fine.residual,
-            detail=f"coarse={tube.residual!r}, fine={fine.residual!r}"))
+            fine.residual, 0.0, tube.residual - factor * fine.residual - ode,
+            detail=f"coarse={tube.residual!r}, fine={fine.residual!r}, "
+                   f"ODE error bounds {tube.ode_error!r}, "
+                   f"{fine.ode_error!r}"))
 
     ndim = len(A)
     header = ([f"seed_q{i + 1}" for i in range(ndim)] + ["h"]
@@ -901,8 +903,9 @@ _OPERATIONS = {
                   "check the displacement bound for this gauge constant"),
             Param("plot_seeds", 6, int_range(1, 64),
                   "seeds per axis of the plotted paths"),
-            Param("rtol", 1e-10, positive_float, "ODE relative tolerance"),
-            _tol("residual_tol", 1e-6))),
+            Param("residual_tol", 1e-6, positive_float,
+                  "transport residual tolerance; also sets the ODE budget",
+                  tol=True))),
     "strip-identity": Operation(
         _h_strip, "horizontal strip balance for a planar field", (
             _field("stream:bump"),

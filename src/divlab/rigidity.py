@@ -21,7 +21,8 @@ from numpy.random import default_rng
 from . import _ode, _quad
 from .calculus import GridSpec
 from .fields import CylindricalPotential, PhiFunction, VectorField, gamma_bounds
-from .report import INCONCLUSIVE, CheckResult, VerificationReport
+from .report import (FAIL, INCONCLUSIVE, PASS, CheckResult,
+                     VerificationReport)
 
 __all__ = [
     "MonotonicityViolation", "FlowInputError", "FlowTube",
@@ -29,6 +30,22 @@ __all__ = [
     "certify_potential", "default_certification_grid", "gamma_bounds",
     "separable_demo", "CERTIFIED", "VIOLATED", "INCONCLUSIVE",
 ]
+
+
+# The flow's share of a transport residual's gate tau: the flow's error
+# bound must stay within ODE_SHARE * tau.  The Dormand-Prince rtol is that
+# share over ODE_ERROR_GROWTH * |top flux|, clamped to [ODE_RTOL_MIN,
+# ODE_RTOL_MAX]: the floor bounds the work of a gate no flow can meet, the
+# cap keeps a loose gate's trajectories resolved.  On the 32^2 and 64^2
+# levels of the stream bump tube the flow's error bound in epsilon * bottom
+# measure is 0.7 (rtol 1e-5) to 7 (rtol 1e-10) times rtol * |top|, growing
+# as the steps multiply; below rtol of about 3e-11 (gates under about 1e-8
+# there) it passes the growth factor, and the residual check fails on the
+# flow's share.
+ODE_SHARE = 1e-2
+ODE_ERROR_GROWTH = 10.0
+ODE_RTOL_MIN = 1e-12
+ODE_RTOL_MAX = 1e-6
 
 
 class MonotonicityViolation(RuntimeError):
@@ -81,6 +98,11 @@ def _trace_shear(vals: np.ndarray, J: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FlowTube:
+    """One seed level's transport identity.  The flow ran at the
+    Dormand-Prince tolerance `rtol`, budgeted from the gate `residual_tol`;
+    `ode_error` bounds how far the flow's error moves `residual`: epsilon
+    times the cell measure times the summed local error estimates of every
+    seed's transported Jacobian."""
     A: Sequence[tuple[float, float]]
     h0: float
     epsilon: float
@@ -90,14 +112,28 @@ class FlowTube:
     residual: float
     R_bound: float
     delta_min: float
+    residual_tol: float
+    rtol: float
+    ode_error: float
     displacement_margin: Optional[float] = None
     displacement_bound: Optional[float] = None
 
-    def to_report(self, tol: float = 1e-6) -> VerificationReport:
+    def residual_check(self, name: str) -> CheckResult:
+        """The residual against the gate; FAIL also when the flow's error
+        bound exceeds its share ODE_SHARE * residual_tol."""
+        tol, share = self.residual_tol, ODE_SHARE * self.residual_tol
+        r = abs(self.residual)
+        ok = r <= tol and self.ode_error <= share
+        return CheckResult(
+            name, self.residual, tol, min(tol - r, share - self.ode_error),
+            PASS if ok else FAIL,
+            detail=f"ODE error bound {self.ode_error!r} against its share "
+                   f"{share!r} at rtol {self.rtol!r}")
+
+    def to_report(self) -> VerificationReport:
         rep = VerificationReport(scenario=f"flow-tube:h0={self.h0:g}:"
                                           f"seeds={self.seeds_per_axis}")
-        rep.add(CheckResult.from_residual("transport identity residual",
-                                          self.residual, tol))
+        rep.add(self.residual_check("transport identity residual"))
         rep.add(CheckResult.from_margin(
             "transported Jacobian positivity", self.delta_min, 0.0,
             self.delta_min))
@@ -111,17 +147,23 @@ class FlowTube:
                 1e-9, self.displacement_margin))
         rep.add(CheckResult.info("top integral", self.top_integral))
         rep.add(CheckResult.info("bottom measure", self.bottom_measure))
+        rep.add(CheckResult.info("ODE relative tolerance", self.rtol))
         return rep
 
 
-def _check_inputs(eta: VectorField, epsilon: float, A, h0: float) -> None:
-    """Refuse, before anything is allocated, a seed box that is not 1D or
-    2D (the top flux is integrated over those only) or does not match the
-    field, where a planar field over a 2D box stands for its extrusion,
-    and a field without an analytic Jacobian, which the transport needs;
-    then audit the field at 128 points of the box: a declared divergence
-    that is zero, nothing alive below height zero, and a lift epsilon
-    above the sampled downdraft."""
+def _check_inputs(eta: VectorField, epsilon: float, A, h0: float,
+                  residual_tol: float) -> None:
+    """Refuse, before anything is allocated, a residual gate that is not
+    finite and positive (the flow's budget divides by it), a seed box that
+    is not 1D or 2D (the top flux is integrated over those only) or does
+    not match the field, where a planar field over a 2D box stands for its
+    extrusion, and a field without an analytic Jacobian, which the
+    transport needs; then audit the field at 128 points of the box: a
+    declared divergence that is zero, nothing alive below height zero, and
+    a lift epsilon above the sampled downdraft."""
+    if not 0.0 < residual_tol < math.inf:
+        raise FlowInputError(f"residual tolerance {residual_tol!r} is not "
+                             "finite and positive")
     if not 1 <= len(A) <= 2:
         raise FlowInputError(f"seed box of dimension {len(A)}: the flow "
                              "tube takes boxes of dimension 1 or 2")
@@ -163,16 +205,19 @@ def _seed_transport(X: VectorField, A, h0: float, grids: Sequence[int],
     lockstep; the last state column is the transported seed-plane
     Jacobian delta.  The right-hand side makes one `eval_jacobian` call
     per stage and reduces each grid's rows to the smallest delta and
-    widest horizontal excursion it sees.  Returns per grid (seeds, cell
-    measure, final states, smallest delta, widest excursion), and with
-    `record` the last grid's (height, states) at the seed height and
-    after every accepted step.
+    widest horizontal excursion it sees.  Each seed sums the |y5 - y4|
+    estimates of its delta over the accepted steps.  Returns per grid
+    (seeds, cell measure, final states, smallest delta, widest excursion,
+    bound on the flow's error in the bottom measure: cell times the sum
+    over the grid's seeds), and with `record` the last grid's (height,
+    states) at the seed height and after every accepted step.
 
     A planar X over a 2D box stands for its extrusion, which neither
     moves nor depends on x2: only the seeds of one q1 column per grid are
     flowed, and the states are copied along q2 into the grid's order.
     The copies would have taken the same adaptive steps, since the x2
-    column's error estimate is exactly zero.
+    column's error estimate is exactly zero; each flowed seed's error
+    counts once per copy.
     """
     section = X.dim < len(A) + 1
     grid_seeds = [_quad.midpoint_grid(A, [s] * len(A)) for s in grids]
@@ -224,25 +269,31 @@ def _seed_transport(X: VectorField, A, h0: float, grids: Sequence[int],
     last = slice(starts[-1], nseeds)
     path = [(h0, Y0[last].copy())] if record else []
     Y = Y0
-    for t, _, step, Y, _ in _ode._dp_steps(rhs, h0, Y0, 0.0, rtol, 1e-13,
-                                           _ode.MAX_STEPS):
+    delta_error = np.zeros(nseeds)
+    for t, _, step, Y, local, _ in _ode._dp_steps(rhs, h0, Y0, 0.0, rtol,
+                                                  1e-13, _ode.MAX_STEPS):
+        delta_error += np.abs(local[:, -1])
         if record:
             path.append((t + step, Y[last].copy()))
 
+    level_error = np.add.reduceat(delta_error, starts)
     out = []
     for i, (seeds, cell) in enumerate(grid_seeds):
         span = float(max_span[i])
+        copies = 1
         if section:
             span = max(span, float(np.max(np.abs(seeds[:grids[i], 1]))))
+            copies = grids[i]
         out.append((seeds, cell, extrude(Y[bounds[i]:bounds[i + 1]], i),
-                    float(min_delta[i]), span))
+                    float(min_delta[i]), span,
+                    cell * copies * float(level_error[i])))
     return out, [(h, extrude(P, -1)) for h, P in path]
 
 
 def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
                seed_levels: Sequence[int], plot_seeds: Optional[int] = None,
                gauge_constant: Optional[float] = None,
-               rtol: float = 1e-10
+               residual_tol: float = 1e-6
                ) -> tuple[list[FlowTube], Optional[np.ndarray]]:
     """Flow tubes of the lift X = eta + epsilon e_n at several seed
     levels, from one flow.
@@ -256,6 +307,13 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
     seed at the seed height and after every accepted step, or None
     without a plot grid.
 
+    The flow's tolerance comes from the residual gate `residual_tol`
+    (tau), which must be finite and positive: the top flux is computed
+    first, and the flow runs at rtol = ODE_SHARE * tau / (ODE_ERROR_GROWTH
+    * |top|), clamped to [ODE_RTOL_MIN, ODE_RTOL_MAX].  Each tube carries
+    that rtol and its flow's error bound `ode_error`, which its residual
+    check holds to ODE_SHARE * tau.
+
     A planar field with a 2D box A = A1 x A2 is the tube of its extrusion
     (f1(x1, x3), 0, f2(x1, x3)).  That tube is a product: each trajectory
     is the planar one from (q1, h0) with x2 = q2 held fixed, and the top
@@ -263,7 +321,7 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
     the plane, with the same numbers as the extruded 3D field gives.
     """
     A = [tuple(map(float, ab)) for ab in A]
-    _check_inputs(eta, epsilon, A, h0)
+    _check_inputs(eta, epsilon, A, h0, residual_tol)
     X = lifted_field(eta, epsilon)
     n = X.dim
 
@@ -295,13 +353,17 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
         box_measure *= hi - lo
     top = top_field + epsilon * box_measure
     corner = max(max(abs(lo), abs(hi)) for lo, hi in A)
+    budget = (ODE_SHARE * residual_tol / (ODE_ERROR_GROWTH * abs(top))
+              if top else math.inf)
+    rtol = min(ODE_RTOL_MAX, max(ODE_RTOL_MIN, budget))
 
     plot = [] if plot_seeds is None else [plot_seeds]
     flown, path = _seed_transport(X, A, h0, [*seed_levels, *plot], rtol,
                                   record=bool(plot))
 
     tubes = []
-    for s, (seeds, cell, final, delta_min, span) in zip(seed_levels, flown):
+    for s, (seeds, cell, final, delta_min, span, bottom_error) in zip(
+            seed_levels, flown):
         deltas = final[:, -1]
         bottom = float(cell * np.sum(deltas))
         disp_margin = disp_bound = None
@@ -316,6 +378,8 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
             residual=abs(top - epsilon * bottom),
             R_bound=max(span, corner, h0),
             delta_min=min(delta_min, float(np.min(deltas))),
+            residual_tol=residual_tol, rtol=rtol,
+            ode_error=epsilon * bottom_error,
             displacement_margin=disp_margin, displacement_bound=disp_bound))
 
     table = None

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from divlab import _ode, _quad, cli
+from divlab import _ode, _quad, cli, rigidity
 from divlab.cli import (
     RECIPES, Scenario, UsageError, build_parser, main, _scenario_from_args,
 )
@@ -38,7 +38,7 @@ GOLDEN_ECHOES = {
         '{"field":"stream:bump","name":"flow-tube","operation":"flow-tube",'
         '"params":{"box":"-2.7,3.3;0,1","epsilon":null,"gauge_constant":null,'
         '"h0":1.95,"plot_seeds":6,"refine":true,"refine_factor":4.0,'
-        '"rtol":1e-10,"seeds":64},"tolerances":{"residual_tol":1e-06}}',
+        '"seeds":64},"tolerances":{"residual_tol":1e-06}}',
     'strip-identity-stream-bump':
         '{"field":"stream:bump","name":"strip-identity",'
         '"operation":"strip-identity","params":{"at":["5,3","2,1"],'
@@ -218,7 +218,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["flow-tube", "--epsilon", "0"],
         ["flow-tube", "--refine-factor", "-4"],
-        ["flow-tube", "--rtol", "0"],
+        ["flow-tube", "--residual-tol", "0"],
         ["flow-tube", "--gauge-constant", "0"],
         ["trace", "--rtol", "-1"],
         ["trace", "--rho", "0"],
@@ -248,6 +248,28 @@ class TestExitCodes:
         code, out, err = run_main(argv, capsys)
         assert code == 2
         assert "seed box of dimension" in err
+        assert "verdict" not in out
+
+    # the flow's budget divides by the residual gate: a gate of zero or
+    # less is refused before any flow (both ran the whole flow and ended
+    # as a FAIL, exit 1); the flow's own rtol is gone with its flag
+    @pytest.mark.parametrize("argv, message", [
+        (["flow-tube", "--seeds", "4", "--residual-tol", "0"],
+         "argument --residual-tol: invalid positive_float value"),
+        (["flow-tube", "--seeds", "4", "--residual-tol", "-1"],
+         "argument --residual-tol: invalid positive_float value"),
+        (["flow-tube", "--seeds", "4", "--rtol", "1e-8"],
+         "unrecognized arguments: --rtol 1e-8"),
+    ], ids=["zero-gate", "negative-gate", "removed-rtol"])
+    def test_tube_gate_is_checked_before_the_flow(self, capsys, monkeypatch,
+                                                  argv, message):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow started")
+
+        monkeypatch.setattr(_ode, "_dp_steps", no_flow)
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert message in err
         assert "verdict" not in out
 
     # a field or lift the flow tube's audit refuses is a usage error too,
@@ -432,9 +454,7 @@ class TestOperations:
     @pytest.mark.parametrize("argv,target", [
         (["trace", "--field", "capillary:R=1", "--method", "flux",
           "--x0", "1,0"], "weak_trace_sphere_flux"),
-        (["flow-tube", "--seeds", "4", "--plot-seeds", "2"],
-         "flow_tubes"),
-    ], ids=["trace-flux", "flow-tube-trajectories"])
+    ], ids=["trace-flux"])
     def test_rtol_reaches_the_library(self, capsys, monkeypatch, argv,
                                       target):
         seen = []
@@ -448,15 +468,49 @@ class TestOperations:
         run_main(argv + ["--rtol", "1e-3"], capsys)
         assert seen == [1e-3]
 
+    # the flow tube has no rtol of its own: the flow runs at the share of
+    # the residual gate, ODE_SHARE * tau / (ODE_ERROR_GROWTH * |top|)
+    @pytest.mark.parametrize("tau", [1e-4, 1e-6])
+    def test_budgeted_rtol_reaches_the_step_controller(self, tmp_path, capsys,
+                                                       monkeypatch, tau):
+        seen = []
+        dp_steps = _ode._dp_steps
+
+        def spy(rhs, t0, y0, t1, rtol, *args):
+            seen.append(rtol)
+            return dp_steps(rhs, t0, y0, t1, rtol, *args)
+
+        monkeypatch.setattr(_ode, "_dp_steps", spy)
+        code, _, _ = run_main(["flow-tube", "--seeds", "4", "--plot-seeds",
+                               "2", "--residual-tol", repr(tau), "--out",
+                               str(tmp_path), "--name", "t"], capsys)
+        rep = json.loads((tmp_path / "t.json").read_text())
+        checks = {c["name"]: c for c in rep["checks"]}
+        top = checks["top integral"]["value"]
+        want = rigidity.ODE_SHARE * tau / (rigidity.ODE_ERROR_GROWTH * top)
+        assert code == 1   # a 4^2 tube is far outside either gate
+        assert seen == [want]
+        assert checks["ODE relative tolerance"]["value"] == want
+        assert f"at rtol {want!r}" in \
+            checks["transport identity residual"]["detail"]
+
     # the coarse, refined and plotted seed grids flow as one batch: one
     # integration, where three flows one after another took 9,303 rhs
-    # calls, with each residual within ODE noise of its level flowed alone
+    # calls, with each residual within the two flows' error bounds of its
+    # level flowed alone under the same budget
     def test_refined_tube_flows_once(self, tmp_path, capsys, monkeypatch):
         f = stream_bump_field()
         alone = {s: flow_tubes(f, 2.0 * f.sup_bound, [(-2.7, 3.3), (0.0, 1.0)],
-                               1.95, [s])[0][0].residual for s in (32, 64)}
-        flows, rhs_calls = [], []
+                               1.95, [s], residual_tol=1e-4)[0][0]
+                 for s in (32, 64)}
+        flows, rhs_calls, fused_tubes = [], [], []
         dp_steps = _ode._dp_steps
+        library = cli.flow_tubes
+
+        def keeping_flow_tubes(*args, **kwargs):
+            out = library(*args, **kwargs)
+            fused_tubes.extend(out[0])
+            return out
 
         def counting_dp_steps(rhs, *args):
             def counted(t, y):
@@ -466,6 +520,7 @@ class TestOperations:
             return dp_steps(counted, *args)
 
         monkeypatch.setattr(_ode, "_dp_steps", counting_dp_steps)
+        monkeypatch.setattr(cli, "flow_tubes", keeping_flow_tubes)
         code, _, _ = run_main(
             ["flow-tube", "--field", "stream:bump", "--h0", "1.95",
              "--seeds", "32", "--refine", "--residual-tol", "1e-4",
@@ -475,9 +530,11 @@ class TestOperations:
         lines = (tmp_path / "tube-residuals.csv").read_text().splitlines()
         fused = {int(s): float(r) for s, r in
                  (line.split(",") for line in lines[1:])}
-        assert sorted(fused) == [32, 64]
-        for s, residual in alone.items():
-            assert abs(fused[s] - residual) <= 1e-11, s
+        assert sorted(fused) == [32, 64] and len(fused_tubes) == 2
+        for (s, tube), joint in zip(alone.items(), fused_tubes):
+            assert tube.rtol == joint.rtol
+            assert abs(fused[s] - tube.residual) <= \
+                tube.ode_error + joint.ode_error, s
 
     def test_density_of_the_disk_at_its_rim(self, capsys):
         code, out, _ = run_main(["density", "--field", "capillary:R=1",

@@ -24,6 +24,9 @@ from divlab.rigidity import (
 )
 
 TUBE_BOX = ((-2.7, 3.3), (0.0, 1.0))
+# the gate whose budget flows the stream bump tube (top flux
+# 0.6000000000000001) at rtol exactly 1e-10, where its values were frozen
+GATE_AT_RTOL_1E10 = 6.000000000000001e-08
 
 
 def one_tube(eta, epsilon, A, h0, seeds_per_axis=64, **kwargs):
@@ -115,7 +118,8 @@ class TestFlowTube:
 
     def test_stream_bump_transport_identity(self, stream_bump):
         eps = 2.0 * stream_bump.sup_bound
-        tube = one_tube(stream_bump, eps, TUBE_BOX, 1.95, seeds_per_axis=16)
+        tube = one_tube(stream_bump, eps, TUBE_BOX, 1.95, seeds_per_axis=16,
+                        residual_tol=GATE_AT_RTOL_1E10)
         # top height clears the support, so the top flux is eps * |A|
         assert tube.top_integral == pytest.approx(eps * 6.0, abs=1e-12)
         assert tube.residual == pytest.approx(8.99660230563315e-05, rel=1e-6)
@@ -127,6 +131,64 @@ class TestFlowTube:
         (coarse, fine), _ = flow_tubes(stream_bump, eps, TUBE_BOX, 1.95,
                                        [16, 32])
         assert fine.residual <= coarse.residual / 4.0
+
+    # the flow's error bound is a bound: each level's residual lies within
+    # it of the residual flowed at the rtol floor, and it keeps to the
+    # flow's share of the gate that budgeted the flow
+    @pytest.mark.parametrize("tau", [1e-4, 1e-6])
+    def test_ode_error_bounds_the_flow_shift(self, stream_bump, tau):
+        eps = 2.0 * stream_bump.sup_bound
+        reference, _ = flow_tubes(stream_bump, eps, TUBE_BOX, 1.95, [32, 64],
+                                  residual_tol=1e-300)
+        assert reference[0].rtol == rigidity.ODE_RTOL_MIN == 1e-12
+        tubes, _ = flow_tubes(stream_bump, eps, TUBE_BOX, 1.95, [32, 64],
+                              residual_tol=tau)
+        for tube, ref in zip(tubes, reference):
+            assert rigidity.ODE_RTOL_MIN < tube.rtol < rigidity.ODE_RTOL_MAX
+            assert 0.0 < abs(tube.residual - ref.residual) <= tube.ode_error
+            assert tube.ode_error <= rigidity.ODE_SHARE * tau
+
+    # a gate finer than the rtol floor can resolve flows at the floor, a
+    # bounded amount of work, and its residual check cannot pass
+    def test_gate_below_the_floor_flows_at_the_floor(self, stream_bump,
+                                                     monkeypatch):
+        seen = []
+        dp_steps = rigidity._ode._dp_steps
+
+        def spy(f, t0, y0, t1, rtol, *args):
+            seen.append(rtol)
+            return dp_steps(f, t0, y0, t1, rtol, *args)
+
+        monkeypatch.setattr(rigidity._ode, "_dp_steps", spy)
+        tube = one_tube(stream_bump, 2.0 * stream_bump.sup_bound, TUBE_BOX,
+                        1.95, seeds_per_axis=8, residual_tol=1e-300)
+        assert seen == [rigidity.ODE_RTOL_MIN] and tube.rtol == 1e-12
+        check = tube.residual_check("transport identity residual")
+        assert check.verdict == "FAIL"
+        assert tube.to_report().verdict == "FAIL"
+
+    # the residual check fails on the flow's share even when the residual
+    # itself is inside the gate, and a NaN bound never passes
+    @pytest.mark.parametrize("ode_error", [2e-8, math.nan])
+    def test_residual_check_fails_when_the_bound_breaks_its_share(
+            self, ode_error):
+        tube = one_tube(zero_field(2), 1.0, ((-1.0, 1.0), (-1.0, 1.0)),
+                        1.95, seeds_per_axis=4)
+        assert tube.residual == 0.0 and tube.ode_error == 0.0
+        assert tube.residual_check("r").verdict == "PASS"
+        broken = dataclasses.replace(tube, ode_error=ode_error)
+        assert broken.residual_check("r").verdict == "FAIL"
+        assert broken.to_report().verdict == "FAIL"
+
+    def test_flow_tube_refuses_a_non_positive_gate(self, monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow started")
+
+        monkeypatch.setattr(rigidity._ode, "_dp_steps", no_flow)
+        for tau in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="residual tolerance"):
+                one_tube(zero_field(2), 1.0, ((-1.0, 1.0), (-1.0, 1.0)),
+                         1.95, seeds_per_axis=4, residual_tol=tau)
 
     def test_displacement_bound(self, stream_bump):
         eps = 2.0 * stream_bump.sup_bound
@@ -170,8 +232,11 @@ class TestFlowTube:
                           gauge_constant=0.5)
                  for f in (planar, extruded)]
         for name in ("residual", "bottom_measure", "top_integral",
-                     "delta_min", "R_bound", "displacement_margin"):
+                     "delta_min", "R_bound", "displacement_margin", "rtol"):
             assert getattr(tubes[0], name) == getattr(tubes[1], name), name
+        # each flowed seed's error counts once per copy along x2
+        assert tubes[0].ode_error == pytest.approx(tubes[1].ode_error,
+                                                   rel=1e-12)
         assert sizes["jac"] and max(sizes["jac"]) <= 8
 
         # the trajectories flow with the fused call alone: the audit and
@@ -203,7 +268,9 @@ class TestFlowTube:
             self, stream_bump):
         # reprs of the tube before value and Jacobian shared one call
         tube = one_tube(stream_bump, 2.0 * stream_bump.sup_bound,
-                        TUBE_BOX, 1.95, seeds_per_axis=16)
+                        TUBE_BOX, 1.95, seeds_per_axis=16,
+                        residual_tol=GATE_AT_RTOL_1E10)
+        assert tube.rtol == 1e-10
         assert repr(tube.residual) == "8.99660230563315e-05"
         assert repr(tube.bottom_measure) == "5.999100339769438"
         assert repr(tube.delta_min) == "0.8893836078044807"
