@@ -435,7 +435,8 @@ def _h_flow_tube(sc: Scenario):
     if p["refine"]:
         fine = tubes[1]
         factor = p["refine_factor"]
-        rep.add(fine.residual_check("refined transport identity residual"))
+        for check in fine.gate_checks("refined "):
+            rep.add(check)
         # the flow's error bounds count against the shrink
         ode = tube.ode_error + factor * fine.ode_error
         rep.add(CheckResult.from_margin(

@@ -17,7 +17,7 @@ from divlab.fields import stream_bump_field
 from divlab.rigidity import flow_tubes
 from divlab.trace import _tail_fit
 
-from conftest import rim_lens_ratio
+from conftest import GATE_AT_RTOL_1E10, rim_lens_ratio
 
 
 # every recipe's resolved scenario: defaults, types and the tolerance split
@@ -491,26 +491,16 @@ class TestOperations:
         assert code == 1   # a 4^2 tube is far outside either gate
         assert seen == [want]
         assert checks["ODE relative tolerance"]["value"] == want
-        assert f"at rtol {want!r}" in \
-            checks["transport identity residual"]["detail"]
+        bound = checks["ODE error bound"]
+        assert bound["margin"] == rigidity.ODE_SHARE * tau - bound["value"]
 
     # the coarse, refined and plotted seed grids flow as one batch: one
     # integration, where three flows one after another took 9,303 rhs
-    # calls, with each residual within the two flows' error bounds of its
-    # level flowed alone under the same budget
+    # calls; at one rtol the batch moves no level's residual by more than
+    # 1e-11 from the same level flowed alone
     def test_refined_tube_flows_once(self, tmp_path, capsys, monkeypatch):
-        f = stream_bump_field()
-        alone = {s: flow_tubes(f, 2.0 * f.sup_bound, [(-2.7, 3.3), (0.0, 1.0)],
-                               1.95, [s], residual_tol=1e-4)[0][0]
-                 for s in (32, 64)}
-        flows, rhs_calls, fused_tubes = [], [], []
+        flows, rhs_calls = [], []
         dp_steps = _ode._dp_steps
-        library = cli.flow_tubes
-
-        def keeping_flow_tubes(*args, **kwargs):
-            out = library(*args, **kwargs)
-            fused_tubes.extend(out[0])
-            return out
 
         def counting_dp_steps(rhs, *args):
             def counted(t, y):
@@ -520,7 +510,6 @@ class TestOperations:
             return dp_steps(counted, *args)
 
         monkeypatch.setattr(_ode, "_dp_steps", counting_dp_steps)
-        monkeypatch.setattr(cli, "flow_tubes", keeping_flow_tubes)
         code, _, _ = run_main(
             ["flow-tube", "--field", "stream:bump", "--h0", "1.95",
              "--seeds", "32", "--refine", "--residual-tol", "1e-4",
@@ -528,13 +517,19 @@ class TestOperations:
         assert code == 0
         assert len(flows) == 1 and len(rhs_calls) < 4000
         lines = (tmp_path / "tube-residuals.csv").read_text().splitlines()
-        fused = {int(s): float(r) for s, r in
-                 (line.split(",") for line in lines[1:])}
-        assert sorted(fused) == [32, 64] and len(fused_tubes) == 2
-        for (s, tube), joint in zip(alone.items(), fused_tubes):
-            assert tube.rtol == joint.rtol
-            assert abs(fused[s] - tube.residual) <= \
-                tube.ode_error + joint.ode_error, s
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [32, 64]
+
+        monkeypatch.setattr(_ode, "_dp_steps", dp_steps)
+        f = stream_bump_field()
+        args = (f, 2.0 * f.sup_bound, [(-2.7, 3.3), (0.0, 1.0)], 1.95)
+        fused, _ = flow_tubes(*args, [32, 64], plot_seeds=6,
+                              residual_tol=GATE_AT_RTOL_1E10)
+        for tube in fused:
+            alone = flow_tubes(*args, [tube.seeds_per_axis],
+                               residual_tol=GATE_AT_RTOL_1E10)[0][0]
+            assert tube.rtol == alone.rtol == 1e-10
+            assert abs(tube.residual - alone.residual) <= 1e-11, \
+                tube.seeds_per_axis
 
     def test_density_of_the_disk_at_its_rim(self, capsys):
         code, out, _ = run_main(["density", "--field", "capillary:R=1",

@@ -23,10 +23,9 @@ from divlab.rigidity import (
     strip_identity_2d,
 )
 
+from conftest import GATE_AT_RTOL_1E10
+
 TUBE_BOX = ((-2.7, 3.3), (0.0, 1.0))
-# the gate whose budget flows the stream bump tube (top flux
-# 0.6000000000000001) at rtol exactly 1e-10, where its values were frozen
-GATE_AT_RTOL_1E10 = 6.000000000000001e-08
 
 
 def one_tube(eta, epsilon, A, h0, seeds_per_axis=64, **kwargs):
@@ -163,21 +162,46 @@ class TestFlowTube:
         tube = one_tube(stream_bump, 2.0 * stream_bump.sup_bound, TUBE_BOX,
                         1.95, seeds_per_axis=8, residual_tol=1e-300)
         assert seen == [rigidity.ODE_RTOL_MIN] and tube.rtol == 1e-12
-        check = tube.residual_check("transport identity residual")
-        assert check.verdict == "FAIL"
+        assert [c.verdict for c in tube.gate_checks()] == ["FAIL", "FAIL"]
         assert tube.to_report().verdict == "FAIL"
 
-    # the residual check fails on the flow's share even when the residual
+    # the first guess at the rtol can break the share on a converged
+    # level: at tau = 3e-9 the 128^2 level's first bound is 1.3 times its
+    # share, and one tighter flow meets it; at tau = 1e-8 the first does
+    @pytest.mark.parametrize("tau, flows", [(1e-8, 1), (3e-9, 2)])
+    def test_converged_level_meets_its_share(self, stream_bump, monkeypatch,
+                                             tau, flows):
+        eps = 2.0 * stream_bump.sup_bound
+        reference = one_tube(stream_bump, eps, TUBE_BOX, 1.95,
+                             seeds_per_axis=128, residual_tol=1e-300)
+        seen = []
+        dp_steps = rigidity._ode._dp_steps
+
+        def spy(f, t0, y0, t1, rtol, *args):
+            seen.append(rtol)
+            return dp_steps(f, t0, y0, t1, rtol, *args)
+
+        monkeypatch.setattr(rigidity._ode, "_dp_steps", spy)
+        tube = one_tube(stream_bump, eps, TUBE_BOX, 1.95,
+                        seeds_per_axis=128, residual_tol=tau)
+        assert len(seen) == flows and seen == sorted(seen, reverse=True)
+        assert tube.rtol == seen[-1] > rigidity.ODE_RTOL_MIN
+        assert abs(tube.residual - reference.residual) <= tube.ode_error
+        assert tube.ode_error <= rigidity.ODE_SHARE * tau
+        assert tube.residual <= tau
+        assert tube.to_report().verdict == "PASS"
+
+    # the bound's check fails on the flow's share even when the residual
     # itself is inside the gate, and a NaN bound never passes
     @pytest.mark.parametrize("ode_error", [2e-8, math.nan])
-    def test_residual_check_fails_when_the_bound_breaks_its_share(
+    def test_ode_bound_check_fails_when_the_bound_breaks_its_share(
             self, ode_error):
         tube = one_tube(zero_field(2), 1.0, ((-1.0, 1.0), (-1.0, 1.0)),
                         1.95, seeds_per_axis=4)
         assert tube.residual == 0.0 and tube.ode_error == 0.0
-        assert tube.residual_check("r").verdict == "PASS"
+        assert [c.verdict for c in tube.gate_checks()] == ["PASS", "PASS"]
         broken = dataclasses.replace(tube, ode_error=ode_error)
-        assert broken.residual_check("r").verdict == "FAIL"
+        assert [c.verdict for c in broken.gate_checks()] == ["PASS", "FAIL"]
         assert broken.to_report().verdict == "FAIL"
 
     def test_flow_tube_refuses_a_non_positive_gate(self, monkeypatch):
