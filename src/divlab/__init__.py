@@ -31,7 +31,7 @@ from .report import (CheckResult, FAIL, INFO, PASS, SKIPPED,
 from .rigidity import (CERTIFIED, VIOLATED, FlowInputError, FlowTube,
                        MonotonicityViolation, RigidityCertificate,
                        certify_potential, flow_tubes,
-                       default_certification_grid, gamma_bounds, lifted_field,
+                       default_certification_grid, gamma_bounds,
                        separable_demo, strip_identity_2d)
 from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
                     DensityProbe, OrientedInterface, TraceProbe,

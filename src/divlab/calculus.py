@@ -149,7 +149,6 @@ class AnnulusRegion:
         self.center = np.asarray(center, dtype=float)
         self.r_inner = float(r_inner)
         self.r_outer = float(r_outer)
-        self.area = math.pi * (self.r_outer ** 2 - self.r_inner ** 2)
 
     def volume_integral(self, f, rtol=1e-9, atol=1e-12) -> float:
         n = 128

@@ -143,12 +143,13 @@ class VectorField:
 
     Three optional fields declare closed-form structure that probes use
     in place of generic quadrature.  `blowup.rescale` maps `disk` and
-    `eddies` into the zoom; the other derived fields (extruded, lifted,
-    mollified) leave all three at None:
+    `eddies` into the zoom; the other derived fields (extruded, mollified)
+    leave all three at None:
 
-    - `disk`: the open disk the field lives on, tested by `check_domain`
-      and the deviation densities, and read by the lens average and sphere
-      flux in `trace`, the rim blow-up and the default interface in `cli`;
+    - `disk`: the open disk the field lives on, tested by the capillary's
+      evaluator and the deviation densities, and read by the lens average
+      and sphere flux in `trace`, the rim blow-up and the default
+      interface in `cli`;
     - `eddies`: the twisting field's eddy centers and radii as arrays, read
       by the ball averages and pairings in `trace` and the half-space
       pairing in `blowup`;
@@ -173,15 +174,6 @@ class VectorField:
         if np.asarray(x).ndim == 1:
             return out[0]
         return out
-
-    def check_domain(self, pts: np.ndarray) -> None:
-        if self.disk is not None:
-            ok = self.disk.contains(pts)
-            if not np.all(ok):
-                bad = pts[~ok][0]
-                raise OutOfDomainError(
-                    f"{self.name}: point {bad.tolist()} outside open disk "
-                    f"of radius {self.disk.radius}")
 
     def exclusion_distance(self, pts: np.ndarray) -> np.ndarray:
         """Distance to the nearest excluded set (inf when there is none)."""
@@ -211,7 +203,7 @@ def zero_field(dim: int) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# stream-function fields (2D, exactly divergence-free)
+# stream bump (2D, exactly divergence-free)
 
 # eta = (-d2 psi, d1 psi) and its Jacobian rows (-H01, -H11), (H00, H01)
 # from psi's gradient and Hessian H; a sign flip is exact, so negating an
@@ -219,78 +211,6 @@ def zero_field(dim: int) -> VectorField:
 # is the zero that sign-flipping psi's zero derivatives gives.
 _ROTATE_SIGNS = np.array([-1.0, 1.0])
 _STREAM_ZERO_ROW = np.array([-0.0, 0.0, -0.0, -0.0, 0.0, 0.0])
-
-
-def make_stream_field(analytic_grad: Callable[[np.ndarray], np.ndarray],
-                      analytic_grad_hess: Callable[
-                          [np.ndarray], tuple[np.ndarray, tuple]],
-                      sup_bound: float = np.inf,
-                      name: str = "stream") -> VectorField:
-    """Rotate the gradient of a stream function: eta = (-d2 psi, d1 psi).
-
-    analytic_grad(pts) returns grad psi at every point.
-    analytic_grad_hess(pts) returns the mask of the points where psi's
-    derivatives may be nonzero and, at those points only and from one
-    pass, (d1 psi, d2 psi, H00, H01, H11); its gradient must equal
-    analytic_grad's bitwise, and analytic_grad must be zero off the mask.
-    """
-
-    def ev(pts):
-        return analytic_grad(pts)[:, ::-1] * _ROTATE_SIGNS
-
-    def evj(pts):
-        m, (g0, g1, h00, h01, h11) = analytic_grad_hess(pts)
-        # values and Jacobian rows go in in one masked assignment
-        out = np.empty((pts.shape[0], 6))
-        out[:] = _STREAM_ZERO_ROW
-        out[m] = np.array([-g1, g0, -h01, -h11, h00, h01]).T
-        return out[:, :2], out[:, 2:].reshape(-1, 2, 2)
-
-    return VectorField(dim=2, eval=ev, sup_bound=sup_bound, name=name,
-                       analytic_div=lambda pts: np.zeros(pts.shape[0]),
-                       eval_jacobian=evj)
-
-
-def elliptic_bump_stream(center: tuple[float, float], rx: float, rz: float,
-                         amplitude: float, name: str) -> VectorField:
-    """Stream bump with elliptic level sets; sup |eta| calibrated to amplitude.
-
-    The supremum of |grad psi| over the support ellipse is (a/min(rx,rz))
-    times the peak slope of the profile, attained on the short axis.
-    """
-    a = amplitude * min(rx, rz) / BUMP_SLOPE_PEAK
-    cx, cz = center
-    d1, d2 = 1.0 / rx**2, 1.0 / rz**2
-
-    def _s(pts):
-        y1 = pts[:, 0] - cx
-        y2 = pts[:, 1] - cz
-        s = np.sqrt(d1 * y1 * y1 + d2 * y2 * y2)
-        # the profile's support: at s <= 2**-55 its derivatives vanish
-        return y1, y2, s, (s > _U_MIN) & (s < 1.0)
-
-    def grad(pts):
-        y1, y2, s, m = _s(pts)
-        out = np.zeros((pts.shape[0], 2))
-        w1 = bump_d1(s[m])
-        out[m, 0] = a * w1 * d1 * y1[m] / s[m]
-        out[m, 1] = a * w1 * d2 * y2[m] / s[m]
-        return out
-
-    def grad_hess(pts):
-        y1, y2, s, m = _s(pts)
-        sm, y1m, y2m = s[m], y1[m], y2[m]
-        w1, w2 = bump_derivatives(sm)
-        aw1 = a * w1
-        u1 = d1 * y1m
-        u2 = d2 * y2m
-        c2 = a * (w2 - w1 / sm) / sm**2
-        c1 = aw1 / sm
-        return m, (aw1 * d1 * y1m / sm, aw1 * d2 * y2m / sm,
-                   c2 * u1 * u1 + c1 * d1, c2 * u1 * u2,
-                   c2 * u2 * u2 + c1 * d2)
-
-    return make_stream_field(grad, grad_hess, sup_bound=amplitude, name=name)
 
 
 # canonical stream bump: support strictly inside {1 < z < 2}, sup |eta| = 0.05
@@ -301,8 +221,54 @@ STREAM_BUMP_SUP = 0.05
 
 
 def stream_bump_field() -> VectorField:
-    return elliptic_bump_stream(STREAM_BUMP_CENTER, STREAM_BUMP_RX,
-                                STREAM_BUMP_RZ, STREAM_BUMP_SUP, "stream:bump")
+    """Stream bump with elliptic level sets: eta = (-d2 psi, d1 psi) for
+    psi = a * bump(s), s^2 = (y1/rx)^2 + (y2/rz)^2 about the center.
+
+    The supremum of |grad psi| over the support ellipse is (a/min(rx,rz))
+    times the peak slope of the profile, attained on the short axis; a is
+    calibrated so that sup |eta| = STREAM_BUMP_SUP.
+    """
+    a = STREAM_BUMP_SUP * min(STREAM_BUMP_RX, STREAM_BUMP_RZ) / BUMP_SLOPE_PEAK
+    cx, cz = STREAM_BUMP_CENTER
+    d1, d2 = 1.0 / STREAM_BUMP_RX**2, 1.0 / STREAM_BUMP_RZ**2
+
+    def _s(pts):
+        y1 = pts[:, 0] - cx
+        y2 = pts[:, 1] - cz
+        s = np.sqrt(d1 * y1 * y1 + d2 * y2 * y2)
+        # the profile's support: at s <= 2**-55 its derivatives vanish
+        return y1, y2, s, (s > _U_MIN) & (s < 1.0)
+
+    def ev(pts):
+        y1, y2, s, m = _s(pts)
+        grad = np.zeros((pts.shape[0], 2))
+        w1 = bump_d1(s[m])
+        grad[m, 0] = a * w1 * d1 * y1[m] / s[m]
+        grad[m, 1] = a * w1 * d2 * y2[m] / s[m]
+        return grad[:, ::-1] * _ROTATE_SIGNS
+
+    def evj(pts):
+        y1, y2, s, m = _s(pts)
+        sm, y1m, y2m = s[m], y1[m], y2[m]
+        w1, w2 = bump_derivatives(sm)
+        aw1 = a * w1
+        u1 = d1 * y1m
+        u2 = d2 * y2m
+        c2 = a * (w2 - w1 / sm) / sm**2
+        c1 = aw1 / sm
+        g0, g1 = aw1 * d1 * y1m / sm, aw1 * d2 * y2m / sm
+        h00, h01 = c2 * u1 * u1 + c1 * d1, c2 * u1 * u2
+        h11 = c2 * u2 * u2 + c1 * d2
+        # values and Jacobian rows go in in one masked assignment
+        out = np.empty((pts.shape[0], 6))
+        out[:] = _STREAM_ZERO_ROW
+        out[m] = np.array([-g1, g0, -h01, -h11, h00, h01]).T
+        return out[:, :2], out[:, 2:].reshape(-1, 2, 2)
+
+    return VectorField(dim=2, eval=ev, sup_bound=STREAM_BUMP_SUP,
+                       name="stream:bump",
+                       analytic_div=lambda pts: np.zeros(pts.shape[0]),
+                       eval_jacobian=evj)
 
 
 def extrude_field_3d(f2: VectorField) -> VectorField:
@@ -472,8 +438,15 @@ def make_capillary_field(R: float) -> VectorField:
     if R <= 0:
         raise ValueError("R must be positive")
 
+    disk = Disk((0.0, 0.0), R)
+    name = f"capillary:R={_fmt_num(R)}"
+
     def ev(pts):
-        f.check_domain(pts)
+        ok = disk.contains(pts)
+        if not np.all(ok):
+            raise OutOfDomainError(
+                f"{name}: point {pts[~ok][0].tolist()} outside open disk "
+                f"of radius {R}")
         return pts / R
 
     def evj(pts):
@@ -482,11 +455,9 @@ def make_capillary_field(R: float) -> VectorField:
         J[:, 1, 1] = 1.0 / R
         return ev(pts), J
 
-    f = VectorField(dim=2, eval=lambda pts: ev(pts), sup_bound=1.0,
-                    name=f"capillary:R={_fmt_num(R)}",
-                    analytic_div=lambda pts: np.full(pts.shape[0], 2.0 / R),
-                    eval_jacobian=evj, disk=Disk((0.0, 0.0), R))
-    return f
+    return VectorField(dim=2, eval=ev, sup_bound=1.0, name=name,
+                       analytic_div=lambda pts: np.full(pts.shape[0], 2.0 / R),
+                       eval_jacobian=evj, disk=disk)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +465,11 @@ def make_capillary_field(R: float) -> VectorField:
 
 RADIAL_BOUND_CONSTANT = (math.pi + 3.0 ** 0.75) / 2.0
 AXIS_CUTOFF = 1e-8
+# a cylindrical field is smooth off its interface and its axis
+_CYLINDRICAL_EXCLUSIONS = (
+    Exclusion("hyperplane z=0", lambda pts: np.abs(pts[:, -1])),
+    Exclusion("axis r=0", lambda pts: np.linalg.norm(pts[:, :-1], axis=1)),
+)
 
 
 def gamma_bounds(n: int) -> tuple[float, float]:
@@ -611,14 +587,10 @@ def make_counterexample_field(n: int, gamma=AUTO) -> VectorField:
         out[m] = block
         return out
 
-    exclusions = (
-        Exclusion("hyperplane z=0", lambda pts: np.abs(pts[:, -1])),
-        Exclusion("axis r=0", lambda pts: np.linalg.norm(pts[:, :-1], axis=1)),
-    )
     return VectorField(dim=n, eval=ev, sup_bound=1.0,
                        name=f"counterexample:n={n}:gamma={_fmt_num(g)}",
                        analytic_div=lambda pts: np.zeros(pts.shape[0]),
-                       smooth_exclusion=exclusions, potential=P)
+                       smooth_exclusion=_CYLINDRICAL_EXCLUSIONS, potential=P)
 
 
 def potential_to_field(P: CylindricalPotential) -> VectorField:
@@ -642,11 +614,7 @@ def potential_to_field(P: CylindricalPotential) -> VectorField:
     return VectorField(dim=n, eval=ev, sup_bound=np.inf,
                        name=f"from-potential:{P.label}",
                        analytic_div=lambda pts: np.zeros(pts.shape[0]),
-                       smooth_exclusion=(
-                           Exclusion("hyperplane z=0", lambda pts: np.abs(pts[:, -1])),
-                           Exclusion("axis r=0",
-                                     lambda pts: np.linalg.norm(pts[:, :-1], axis=1)),
-                       ))
+                       smooth_exclusion=_CYLINDRICAL_EXCLUSIONS)
 
 
 def field_to_potential(eta: VectorField) -> CylindricalPotential:

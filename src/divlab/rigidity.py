@@ -25,7 +25,7 @@ from .report import INCONCLUSIVE, CheckResult, VerificationReport
 
 __all__ = [
     "MonotonicityViolation", "FlowInputError", "FlowTube",
-    "RigidityCertificate", "lifted_field", "flow_tubes", "strip_identity_2d",
+    "RigidityCertificate", "flow_tubes", "strip_identity_2d",
     "certify_potential", "default_certification_grid", "gamma_bounds",
     "separable_demo", "CERTIFIED", "VIOLATED", "INCONCLUSIVE",
 ]
@@ -57,30 +57,6 @@ class MonotonicityViolation(RuntimeError):
 class FlowInputError(ValueError):
     """Flow inputs refused before anything is allocated: a seed box the
     flow cannot take, or a field and lift the audit rejects."""
-
-
-def lifted_field(eta: VectorField, epsilon: float) -> VectorField:
-    """X = eta + epsilon * e_n; the Jacobian is unchanged."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    shift = np.zeros(eta.dim)
-    shift[-1] = epsilon
-
-    def ev(pts):
-        return eta.eval(pts) + shift
-
-    evj = None
-    if eta.eval_jacobian is not None:
-        def evj(pts):
-            vals, J = eta.eval_jacobian(pts)
-            return vals + shift, J
-
-    return VectorField(dim=eta.dim, eval=ev,
-                       sup_bound=eta.sup_bound + epsilon,
-                       name=f"lifted:eps={epsilon:g}:{eta.name}",
-                       analytic_div=eta.analytic_div,
-                       eval_jacobian=evj,
-                       smooth_exclusion=eta.smooth_exclusion)
 
 
 def _trace_shear(vals: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -158,17 +134,20 @@ class FlowTube:
 
 def _check_inputs(eta: VectorField, epsilon: float, A, h0: float,
                   residual_tol: float) -> None:
-    """Refuse, before anything is allocated, a residual gate that is not
-    finite and positive (the flow's budget divides by it), a seed box that
-    is not 1D or 2D (the top flux is integrated over those only) or does
-    not match the field, where a planar field over a 2D box stands for its
-    extrusion, and a field without an analytic Jacobian, which the
-    transport needs; then audit the field at 128 points of the box: a
-    declared divergence that is zero, nothing alive below height zero, and
-    a lift epsilon above the sampled downdraft."""
-    if not 0.0 < residual_tol < math.inf:
-        raise FlowInputError(f"residual tolerance {residual_tol!r} is not "
-                             "finite and positive")
+    """Refuse, before anything is allocated, a lift epsilon or a residual
+    gate that is not finite and positive (the flow's budget divides by the
+    gate), a seed box that is not 1D or 2D (the top flux is integrated
+    over those only) or does not match the field, where a planar field
+    over a 2D box stands for its extrusion, and a field without an
+    analytic Jacobian, which the transport needs; then audit the field at
+    128 points of the box: a declared divergence that is zero, nothing
+    alive below height zero, and a lift epsilon above the sampled
+    downdraft."""
+    for what, value in (("lift epsilon", epsilon),
+                        ("residual tolerance", residual_tol)):
+        if not 0.0 < value < math.inf:
+            raise FlowInputError(f"{what} {value!r} is not finite and "
+                                 "positive")
     if not 1 <= len(A) <= 2:
         raise FlowInputError(f"seed box of dimension {len(A)}: the flow "
                              "tube takes boxes of dimension 1 or 2")
@@ -201,15 +180,16 @@ def _check_inputs(eta: VectorField, epsilon: float, A, h0: float,
             f"{float(np.max(neg_part)):.3e}")
 
 
-def _seed_transport(X: VectorField, A, h0: float, grids: Sequence[int],
-                    rtol: float, record: bool):
+def _seed_transport(eta: VectorField, epsilon: float, A, h0: float,
+                    grids: Sequence[int], rtol: float, record: bool):
     """Flow midpoint seed grids on A x {h0}, grids[i] seeds per axis each,
-    along X down to height zero as one batch.
+    along the lift X = eta + epsilon e_n down to height zero as one batch.
 
     The flow is parametrized by height, so every seed advances in
     lockstep; the last state column is the transported seed-plane
     Jacobian delta.  The right-hand side makes one `eval_jacobian` call
-    per stage and reduces each grid's rows to the smallest delta and
+    of eta per stage, adds epsilon to the last value column (X's Jacobian
+    is eta's) and reduces each grid's rows to the smallest delta and
     widest horizontal excursion it sees.  Each seed sums the |y5 - y4|
     estimates of its delta over the accepted steps.  Returns per grid
     (seeds, cell measure, final states, smallest delta, widest excursion,
@@ -217,31 +197,35 @@ def _seed_transport(X: VectorField, A, h0: float, grids: Sequence[int],
     over the grid's seeds), and with `record` the last grid's (height,
     states) at the seed height and after every accepted step.
 
-    A planar X over a 2D box stands for its extrusion, which neither
+    A planar eta over a 2D box stands for its extrusion, which neither
     moves nor depends on x2: only the seeds of one q1 column per grid are
     flowed, and the states are copied along q2 into the grid's order.
     The copies would have taken the same adaptive steps, since the x2
     column's error estimate is exactly zero; each flowed seed's error
     counts once per copy.
     """
-    section = X.dim < len(A) + 1
+    section = eta.dim < len(A) + 1
     grid_seeds = [_quad.midpoint_grid(A, [s] * len(A)) for s in grids]
     parts = [seeds[::s, :1] if section else seeds
              for s, (seeds, _) in zip(grids, grid_seeds)]
     bounds = np.cumsum([0] + [part.shape[0] for part in parts])
     starts = bounds[:-1]
-    n = X.dim
+    n = eta.dim
     nseeds = int(bounds[-1])
     min_delta = np.full(len(grids), math.inf)
     max_span = np.zeros(len(grids))
 
     # one buffer for every stage's points: eval_jacobian keeps no reference
     pos = np.empty((nseeds, n))
+    # a fresh sum: += on the last column would keep -0.0 where + 0.0 gives 0.0
+    shift = np.zeros(n)
+    shift[-1] = epsilon
 
     def rhs(h, Y):
         pos[:, :-1] = Y[:, :-1]
         pos[:, -1] = h
-        vals, J = X.eval_jacobian(pos)
+        vals, J = eta.eval_jacobian(pos)
+        vals = vals + shift
         xn = vals[:, -1]
         mn = float(xn.min())
         if mn <= 0.0:
@@ -301,7 +285,8 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
                residual_tol: float = 1e-6
                ) -> tuple[list[FlowTube], Optional[np.ndarray]]:
     """Flow tubes of the lift X = eta + epsilon e_n at several seed
-    levels, from one flow.
+    levels, from one flow; epsilon must be finite, positive and above the
+    downdraft of eta sampled over the box.
 
     Each level seeds a midpoint grid with that many seeds per axis on
     A x {h0}, and epsilon times its transported bottom measure is
@@ -330,8 +315,7 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
     """
     A = [tuple(map(float, ab)) for ab in A]
     _check_inputs(eta, epsilon, A, h0, residual_tol)
-    X = lifted_field(eta, epsilon)
-    n = X.dim
+    n = eta.dim
 
     # integrate only the field part; the constant epsilon contributes
     # epsilon * |A| exactly, so a vanishing field gives residual 0.0
@@ -392,7 +376,8 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
                 displacement_bound=disp_bound))
         return tubes
 
-    flown, path = _seed_transport(X, A, h0, grids, rtol, record=bool(plot))
+    flown, path = _seed_transport(eta, epsilon, A, h0, grids, rtol,
+                                  record=bool(plot))
     tubes = level_tubes(flown, rtol)
     # a level whose residual the flow's error could still bring inside the
     # gate, and whose bound broke its share, is worth one tighter flow
@@ -402,7 +387,7 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
     if worst and rtol > ODE_RTOL_MIN:
         rtol = max(ODE_RTOL_MIN,
                    rtol * (ODE_REFLOW_AIM * share / worst) ** 1.25)
-        flown, path = _seed_transport(X, A, h0, grids, rtol,
+        flown, path = _seed_transport(eta, epsilon, A, h0, grids, rtol,
                                       record=bool(plot))
         tubes = level_tubes(flown, rtol)
 

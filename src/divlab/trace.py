@@ -45,13 +45,13 @@ ON_INTERFACE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class OrientedInterface:
-    """Arc-length parametrized hypersurface with a chosen unit normal."""
-    kind: str
+    """Arc-length parametrized curve with a chosen unit normal; `arclength`
+    maps a point of the curve to its `parametrization` argument."""
     parametrization: Callable[[np.ndarray], np.ndarray]
     tangent: Callable[[np.ndarray], np.ndarray]
     normal: Callable[[np.ndarray], np.ndarray]
     distance: Callable[[np.ndarray], float]
-    orientation_sign: float = 1.0
+    arclength: Callable[[np.ndarray], float]
     curvature_bound: float = 0.0
 
     def normal_at(self, x) -> np.ndarray:
@@ -106,8 +106,12 @@ def line_interface(origin=(0.0, 0.0), direction=(1.0, 0.0),
     def dist(x):
         return abs(float((np.asarray(x, dtype=float) - o) @ nu))
 
-    return OrientedInterface(kind="line", parametrization=param, tangent=tang,
-                             normal=nrm, distance=dist, curvature_bound=0.0)
+    def arclength(x):
+        return float((np.asarray(x, dtype=float) - o) @ d)
+
+    return OrientedInterface(parametrization=param, tangent=tang, normal=nrm,
+                             distance=dist, arclength=arclength,
+                             curvature_bound=0.0)
 
 
 def circle_interface(center=(0.0, 0.0), radius: float = 1.0,
@@ -136,9 +140,12 @@ def circle_interface(center=(0.0, 0.0), radius: float = 1.0,
     def dist(x):
         return abs(float(np.linalg.norm(np.asarray(x, dtype=float) - c)) - R)
 
-    return OrientedInterface(kind="circle", parametrization=param,
-                             tangent=tang, normal=nrm, distance=dist,
-                             orientation_sign=sign, curvature_bound=1.0 / R)
+    def arclength(x):
+        return R * math.atan2(x[1] - c[1], x[0] - c[0])
+
+    return OrientedInterface(parametrization=param, tangent=tang, normal=nrm,
+                             distance=dist, arclength=arclength,
+                             curvature_bound=1.0 / R)
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +364,7 @@ def weak_trace_curvilinear(field: VectorField, S: OrientedInterface,
         raise ValueError("curvilinear rectangle does not embed: "
                          "radius or width exceeds the curvature scale")
 
-    # arc-length origin at x0
-    if S.kind == "circle":
-        # recover the arc-length coordinate from the angle
-        p0 = S.parametrization(np.array([0.0]))[0]
-        R = 1.0 / kappa if kappa > 0 else None
-        center = p0 - R * S.normal_at(p0) * S.orientation_sign
-        ang = math.atan2(x0[1] - center[1], x0[0] - center[0])
-        sig0 = R * ang
-    else:
-        rel = x0 - S.parametrization(np.array([0.0]))[0]
-        tau0 = S.tangent(np.array([0.0]))[0]
-        sig0 = float(rel @ tau0)
+    sig0 = S.arclength(x0)
 
     def integrand(st):
         sig = sig0 + st[:, 0]

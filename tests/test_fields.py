@@ -31,7 +31,6 @@ from divlab.fields import (
     _assert_disjoint,
     _level_geometry,
 )
-from divlab.rigidity import lifted_field
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,8 @@ def test_capillary_is_identity_over_radius(capillary, rng):
 
 
 def test_capillary_domain_is_the_open_disk(capillary):
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(OutOfDomainError,
+                       match=r"outside open disk of radius 1\.0"):
         capillary.eval(np.array([[1.5, 0.0]]))
     inside = capillary.disk.contains(
         np.array([[0.3, 0.4], [0.8, 0.61], [1.0, 0.0]]))
@@ -315,7 +315,7 @@ def test_capillary_constant_divergence(capillary, rng):
 
 
 # ---------------------------------------------------------------------------
-# stream bump and lifting
+# stream bump, extrusion and translation
 
 def test_stream_bump_support_and_bound(stream_bump, rng):
     pts = rng.uniform(-5.0, 5.0, size=(256, 2))
@@ -426,7 +426,6 @@ def _declared_jacobian_fields():
         "constant": (constant_field((0.25, -1.5)), 2.0),
         "translated": (rescale(bump, (-0.3, 0.2), 1.0), 2.0),
         "rescaled": (rescale(bump, (0.4, 1.3), 0.25), 2.0),
-        "lifted": (lifted_field(bump, 0.1), 2.0),
     }
 
 

@@ -19,7 +19,7 @@ from divlab.fields import (
 )
 from divlab.rigidity import (
     CERTIFIED, INCONCLUSIVE, VIOLATED, certify_potential,
-    default_certification_grid, flow_tubes, lifted_field, separable_demo,
+    default_certification_grid, flow_tubes, separable_demo,
     strip_identity_2d,
 )
 
@@ -104,9 +104,19 @@ class TestCertification:
 # flow tubes
 
 class TestFlowTube:
-    def test_lift_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError, match="positive"):
-            lifted_field(zero_field(2), 0.0)
+    # a lift outside (0, inf) is refused with the other inputs, before the
+    # top flux is integrated or a seed flows
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+    def test_lift_must_be_finite_and_positive(self, epsilon, monkeypatch):
+        for module, name in ((rigidity._quad, "adaptive_gauss_1d"),
+                             (rigidity._ode, "_dp_steps")):
+            def spy(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} ran")
+            monkeypatch.setattr(module, name, spy)
+        with pytest.raises(rigidity.FlowInputError,
+                           match="lift epsilon .* finite and positive"):
+            flow_tubes(zero_field(2), epsilon, ((-1.0, 1.0), (-1.0, 1.0)),
+                       1.95, [4])
 
     def test_zero_field_residual_is_exactly_zero(self):
         tube = one_tube(zero_field(2), 1.0, ((-1.0, 1.0), (-1.0, 1.0)),

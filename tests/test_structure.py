@@ -146,13 +146,13 @@ def test_one_jacobian_entry_point():
         tree = ast.parse(text, filename=str(path))
         for node, where in _nodes(tree, ast.Name):
             if node.id in ("bump_derivatives", "bump_d2") or (
-                    node.id == "bump_d1" and where.endswith("grad_hess")):
+                    node.id == "bump_d1" and where.endswith("evj")):
                 found.add((node.id, f"{path.name}:{where}"))
         for node, where in _nodes(tree, ast.FunctionDef):
             if node.name == "bump_d2":
                 found.add(("def bump_d2", f"{path.name}:{where}"))
     assert found == {
-        ("bump_derivatives", "fields.py:elliptic_bump_stream.grad_hess")}
+        ("bump_derivatives", "fields.py:stream_bump_field.evj")}
 
 
 # a test function gives its gradient only together with its values, through
@@ -182,7 +182,7 @@ def test_one_value_and_gradient_pass():
     assert found == {
         ("def bump_with_d1", "fields.py:<module>"),
         ("bump_with_d1", "calculus.py:BumpTest.value_and_gradient"),
-        ("bump_d1", "fields.py:elliptic_bump_stream.grad")}
+        ("bump_d1", "fields.py:stream_bump_field.ev")}
 
 
 # the bump is the one test function: one class provides `value_and_gradient`,
@@ -243,6 +243,37 @@ def test_the_disk_is_declared_once():
     assert not stale, "\n".join(stale)
     assert not base, "\n".join(base)
     assert contains == {"deviation_densities"}
+
+
+# each field has one constructor that builds it, and its consumers call
+# the field directly: the flow adds the lift epsilon e_n in its own
+# right-hand side, the capillary's evaluator tests its disk itself, and an
+# interface hands the curvilinear probe its arc length, so no pass-through
+# builder, domain-check method or interface kind is defined or read
+_FOLDED = {"lifted_field", "make_stream_field", "elliptic_bump_stream",
+           "check_domain", "field kind", "field orientation_sign"}
+
+
+def test_one_constructor_per_field():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            # a definition, import, read or __all__ entry of a callable
+            names = {_name(node), getattr(node, "name", None)}
+            if isinstance(node, ast.Constant):
+                names.add(node.value)
+            # a declaration, keyword or attribute read of an interface
+            # field; a local variable may still be called kind
+            if isinstance(node, ast.AnnAssign):
+                names.add(f"field {_name(node.target)}")
+            elif isinstance(node, ast.keyword):
+                names.add(f"field {node.arg}")
+            elif isinstance(node, ast.Attribute):
+                names.add(f"field {node.attr}")
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in names & _FOLDED]
+    assert not found, "\n".join(found)
 
 
 # a defaulted parameter that no call in the package sets is a knob with one

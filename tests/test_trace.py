@@ -167,6 +167,17 @@ class TestCapillaryProbes:
         assert np.allclose(got.estimates, want.estimates, rtol=0.0,
                            atol=1e-12)
 
+    # the curvilinear probe reads the arc length about the circle's own
+    # center, here off the origin and at a rim point off the axis
+    def test_curvilinear_on_a_translated_circle(self):
+        moved = rescale(self.f, (-0.1, 0.0), 1.0)
+        S = circle_interface((0.1, 0.0), 1.0)
+        rim = np.array([math.cos(0.3), math.sin(0.3)])
+        got = weak_trace_curvilinear(moved, S, rim + (0.1, 0.0), 0.1, RADII)
+        want = weak_trace_curvilinear(self.f, self.S, rim, 0.1, RADII)
+        assert np.allclose(got.estimates, want.estimates, rtol=0.0,
+                           atol=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # twisting field: genuine oscillation at an off-center boundary point
