@@ -624,6 +624,15 @@ def field_to_potential(eta: VectorField) -> CylindricalPotential:
     is read off the field's radial part.  The gradient components come
     straight from field evaluations, so the round trip back to the field
     is exact up to quadrature in V itself.
+
+    V integrates each gap between consecutive heights of one radius once,
+    each to rtol = 1e-12 and atol = 1e-20, and sums the gaps below a node;
+    the error of a sum is bounded by the sum of its pieces' estimates, so
+    the k-th height of a radius carries an estimated error of at most
+    rho^(n-1) * (rtol * sum |gap| + k * atol).  Where the radial
+    coefficient keeps its sign on (0, z), as the counterexample's does (a
+    positive multiple of z / (1 + z^4)), sum |gap| is |V| / rho^(n-1) and
+    the bound is rtol * |V| + k * rho^(n-1) * atol.
     """
     from . import _quad
     n = eta.dim
@@ -647,18 +656,29 @@ def field_to_potential(eta: VectorField) -> CylindricalPotential:
         z = np.asarray(z, dtype=float)
         rho, z = np.broadcast_arrays(rho, z)
         rr, zz = rho.ravel(), z.ravel()
-        # one batched z-quadrature, a row per node; V = 0 for z <= 0.  The
+        # V = 0 for z <= 0.  The nodes above are sorted by (rho, z), and each
+        # integrates only the gap up from the height below it at its radius
+        # (from 0 for the lowest), all gaps in one batched quadrature.  The
         # z-integral is of size |V| / rho^(n-1) and gets scaled back up by
         # rho^(n-1), up to 1e9 on wide grids; keep its error relative
         live = np.flatnonzero(~(zz <= 0.0))  # a NaN z fails in _quad
-        val = _quad.adaptive_gauss_rows(
-            lambda rows, s: components(rr[live[rows], None], s)[0],
-            np.zeros(live.size), zz[live], rtol=1e-12, atol=1e-20)
+        live = live[np.lexsort((zz[live], rr[live]))]
+        r, top = rr[live], zz[live]
+        starts = np.flatnonzero(r[1:] != r[:-1]) + 1  # a NaN rho runs alone
+        bottom = np.zeros(top.size)
+        bottom[1:] = top[:-1]
+        bottom[starts] = 0.0
+        gaps = _quad.adaptive_gauss_rows(
+            lambda rows, s: components(r[rows, None], s)[0],
+            bottom, top, rtol=1e-12, atol=1e-20)
+        # sum each radius's run on its own: one global cumsum less a run's
+        # offset cancels the digits the rho^(n-1) scale then magnifies
+        val = np.concatenate([np.cumsum(run) for run in np.split(gaps, starts)])
         out = np.zeros(rr.size)
         # the scale stays a scalar power: numpy's array power rounds some
         # inputs differently in the last bit, which would change the digits
-        out[live] = [-(max(r, AXIS_CUTOFF) ** (n - 1.0)) * v
-                     for r, v in zip(rr[live].tolist(), val.tolist())]
+        out[live] = [-(max(x, AXIS_CUTOFF) ** (n - 1.0)) * v
+                     for x, v in zip(r.tolist(), val.tolist())]
         return out.reshape(rho.shape)
 
     def dV(rho, z):

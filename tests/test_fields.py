@@ -1,11 +1,13 @@
 """Field constructors: registry, bounds, symmetry, exact values."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divlab._quad import QuadratureError
 from divlab.blowup import rescale
 from divlab.fields import (
     AUTO,
@@ -31,6 +33,7 @@ from divlab.fields import (
     _assert_disjoint,
     _level_geometry,
 )
+from divlab.rigidity import default_certification_grid
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +136,71 @@ def test_potential_field_round_trip():
 def test_field_to_potential_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         field_to_potential(constant_field([1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.fixture(scope="module")
+def recovered_counterexample(counterexample_auto):
+    return field_to_potential(counterexample_auto)
+
+
+def _alone(Q, rho, z):
+    # a point on its own integrates one row from z = 0 up to its height
+    return np.array([float(Q.V(r, h)) for r, h in
+                     zip(np.ravel(rho).tolist(), np.ravel(z).tolist())])
+
+
+def test_recovered_potential_sums_gaps_like_rows_from_zero(
+        recovered_counterexample):
+    Q = recovered_counterexample
+    # unsorted, repeated radii and heights, mixed with z <= 0; the small
+    # radii's large z-integrals come first in (rho, z) order, where one
+    # cumsum across radii would cancel the wide radii's digits
+    rng = np.random.default_rng(1708)
+    rho = rng.choice([0.05, 0.7, 3.0, 40.0, 1e3], size=40)
+    z = rng.choice([-1.0, 0.0, 0.4, 1.3, 2.5, 6.0], size=40)
+    rho[:3], z[:3] = 0.7, 1.3
+    got = Q.V(rho, z)
+    assert got.shape == (40,)
+    np.testing.assert_allclose(got, _alone(Q, rho, z), rtol=1e-11, atol=0)
+    assert np.all(got[z <= 0.0] == 0.0)
+    # an 'xy' meshgrid: heights vary along the first axis
+    RR, ZZ = np.meshgrid([2.0, 0.1, 9.0], [3.0, -0.5, 0.2, 1.0])
+    got = Q.V(RR, ZZ)
+    assert got.shape == RR.shape
+    np.testing.assert_allclose(got.ravel(), _alone(Q, RR, ZZ),
+                               rtol=1e-11, atol=0)
+    scalar = Q.V(0.7, 1.3)
+    assert scalar.shape == ()
+    assert float(scalar) == float(Q.V(np.array([0.7]), np.array([1.3]))[0])
+    assert Q.V(np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", ["z", "rho"])
+def test_recovered_potential_nan_input_raises(recovered_counterexample, bad):
+    # a NaN never reaches a neighbour's prefix sum as a value
+    rho = np.array([0.7, 0.7, 0.7, 2.0])
+    z = np.array([0.5, 1.0, 2.0, 1.0])
+    (rho if bad == "rho" else z)[1] = np.nan
+    with pytest.raises(QuadratureError):
+        recovered_counterexample.V(rho, z)
+
+
+def test_recovered_potential_integrates_each_gap_once(counterexample_auto):
+    nodes = [0]
+
+    def counted(pts, ev=counterexample_auto.eval):
+        nodes[0] += pts.shape[0]
+        return ev(pts)
+
+    Q = field_to_potential(dataclasses.replace(counterexample_auto,
+                                               eval=counted))
+    rho_ax, z_ax = default_certification_grid(50).axes()
+    RHO, Z = np.meshgrid(rho_ax, z_ax, indexing="ij")
+    nodes[0] = 0
+    Q.V(RHO, Z)
+    # 2,250 gaps that settle at 2 and 4 panels of 8 nodes: 108,000 nodes;
+    # one row per node from z = 0 takes 942,176
+    assert nodes[0] <= 120_000
 
 
 # ---------------------------------------------------------------------------
