@@ -17,14 +17,13 @@ from .calculus import (GridSpec, MollifierKernel, RectRegion, AnnulusRegion,
                        bump_test, flux_residual, jensen_check,
                        make_mollifier, mollify, numeric_divergence)
 from .fields import (AUTO, CylindricalPotential, Disk, OutOfDomainError,
-                     PhiFunction, VectorField, constant_field,
+                     VectorField, constant_field,
                      counterexample_potential, field_to_potential,
                      get_field, make_capillary_field,
                      make_counterexample_field, make_twisting_field,
                      phi_quadratic, potential_to_field,
                      stream_bump_field, zero_field)
-from .blowup import (BlowupSequence, blowup_sequence,
-                     blowup_trace_consistency, hash_unit_ball_field,
+from .blowup import (blowup_trace_consistency, hash_unit_ball_field,
                      nalpha_density, quadratic_inequality_check, rescale)
 from .report import (CheckResult, FAIL, INFO, PASS, SKIPPED,
                      VerificationReport)

@@ -77,15 +77,15 @@ def _gauss_rows(f: Callable, rows: np.ndarray, a: np.ndarray,
 
 
 def adaptive_gauss_rows(f: Callable, a, b, rtol: float = 1e-8,
-                        atol: float = 1e-12,
-                        max_doublings: int = 12) -> np.ndarray:
+                        atol: float = 1e-12) -> np.ndarray:
     """Integrate row i of f over [a[i], b[i]] for every i at once.
 
     f(rows, s) returns the integrand of rows `rows` (indices into a and b)
     at the nodes s, shape (len(rows), nodes).  Each row doubles its panel
-    count from 2 and stops on its own test, exactly as if integrated
-    alone; the rows still open at a level go to f in one call, so a nested
-    integral costs one call per level.  A row with a == b gives 0.0.
+    count from 2, at most 12 times, and stops on its own test, exactly as
+    if integrated alone; the rows still open at a level go to f in one
+    call, so a nested integral costs one call per level.  A row with
+    a == b gives 0.0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -95,24 +95,25 @@ def adaptive_gauss_rows(f: Callable, a, b, rtol: float = 1e-8,
         out[rows] = _refine(
             lambda i, n: _gauss_rows(f, rows[i], a[rows[i]], b[rows[i]],
                                      n, 8),
-            2, lambda n: 8 * n, rtol, atol, max_doublings, "1d",
+            2, lambda n: 8 * n, rtol, atol, 12, "1d",
             lambda i: f"[{float(a[rows[i]])}, {float(b[rows[i]])}]",
             rows.size)
     return out
 
 
 def adaptive_gauss_1d(f: Callable, a: float, b: float,
-                      rtol: float = 1e-8, atol: float = 1e-12,
-                      max_doublings: int = 12) -> float:
-    """Integrate f over [a, b], doubling panel count until stable."""
+                      rtol: float = 1e-8, atol: float = 1e-12) -> float:
+    """Integrate f over [a, b], doubling the panel count from 2, at most
+    12 times, until stable."""
     return float(adaptive_gauss_rows(lambda rows, s: f(s[0]), [a], [b],
-                                     rtol, atol, max_doublings)[0])
+                                     rtol, atol)[0])
 
 
 def adaptive_gauss_2d(f: Callable, box, rtol: float = 1e-8,
                       atol: float = 1e-12, max_doublings: int = 8) -> float:
     """Integrate f over box = (ax, bx, ay, by) by tensor-product composite
-    Gauss, doubling the panels per axis from 1 until two levels agree."""
+    Gauss, doubling the panels per axis from 1, at most `max_doublings`
+    times, until two levels agree."""
     ax, bx, ay, by = box
     x, w = leggauss(8)
 
@@ -226,10 +227,9 @@ def ball_rule(dim: int, center, radius: float, radial_order: int,
 
 
 def adaptive_ball_quad(f: Callable, center, radius: float, dim: int,
-                       rtol: float = 1e-8, atol: float = 1e-12,
-                       max_doublings: int = 6) -> float:
+                       rtol: float = 1e-8, atol: float = 1e-12) -> float:
     """Integrate f over a ball, doubling the radial order from 4 (with
-    max(order, 6) angles) until two levels agree."""
+    max(order, 6) angles), at most 6 times, until two levels agree."""
     def level(rows, order):
         pts, wts = ball_rule(dim, center, radius, order, max(order, 6))
         return float(np.dot(wts, np.asarray(f(pts), dtype=float)))
@@ -238,17 +238,16 @@ def adaptive_ball_quad(f: Callable, center, radius: float, dim: int,
         return order * max(order, 6) ** (dim - 1) * (1 if dim == 2 else 2)
 
     return float(_refine(
-        level, 4, size, rtol, atol, max_doublings, "ball",
+        level, 4, size, rtol, atol, 6, "ball",
         lambda i: (f"the ball of radius {radius} about "
                    f"{np.asarray(center, dtype=float).tolist()}"))[0])
 
 
 def adaptive_circle(g: Callable, center, radius: float, sign: float = 1.0,
-                    rtol: float = 1e-8, atol: float = 1e-12,
-                    max_doublings: int = 10) -> float:
+                    rtol: float = 1e-8, atol: float = 1e-12) -> float:
     """Integrate g(points, normals) over a circle, normals pointing out
-    (sign +1) or in (sign -1), by the trapezoid rule from 32 nodes; it is
-    spectrally accurate on a smooth periodic integrand."""
+    (sign +1) or in (sign -1), by the trapezoid rule from 32 nodes (at
+    most 10 doublings), spectrally accurate on smooth periodic g."""
     c = np.asarray(center, dtype=float)
 
     def level(rows, n):
@@ -258,5 +257,5 @@ def adaptive_circle(g: Callable, center, radius: float, sign: float = 1.0,
         return float(np.sum(vals) * 2.0 * math.pi * radius / n)
 
     return float(_refine(
-        level, 32, lambda n: n, rtol, atol, max_doublings, "circle",
+        level, 32, lambda n: n, rtol, atol, 10, "circle",
         lambda i: f"the circle of radius {radius} about {c.tolist()}")[0])

@@ -1,6 +1,6 @@
-"""Rescaling analysis around interface points: blow-up sequences,
-deviation-set densities, the quadratic pointwise inequality, and per-scale
-trace consistency.
+"""Rescaling analysis around interface points: zooms of a field about a
+point, deviation-set densities, the quadratic pointwise inequality, and
+per-scale trace consistency.
 
 Everything here is per-scale evidence: finite sequences cannot certify a
 limit, so probes report defects together with fitted decay exponents and
@@ -24,8 +24,7 @@ from .trace import OrientedInterface, DensityProbe, _eddy_pairings, \
     check_radii, deviation_densities, weak_trace_ball_average
 
 __all__ = [
-    "rescale", "BlowupSequence", "blowup_sequence",
-    "nalpha_density", "quadratic_inequality_check",
+    "rescale", "nalpha_density", "quadratic_inequality_check",
     "blowup_trace_consistency", "ConsistencyReport", "hash_unit_ball_field",
 ]
 
@@ -96,25 +95,6 @@ def rescale(z: VectorField, x0, r: float) -> VectorField:
                        name=f"{z.name}:zoom(r={r:g})",
                        analytic_div=adiv, eval_jacobian=evj,
                        smooth_exclusion=excl, disk=disk, eddies=eddies)
-
-
-@dataclass(frozen=True)
-class BlowupSequence:
-    base: VectorField
-    x0: tuple
-    radii: tuple
-    fields: tuple
-
-    def __len__(self) -> int:
-        return len(self.radii)
-
-
-def blowup_sequence(z: VectorField, x0, radii) -> BlowupSequence:
-    radii = check_radii(radii)
-    x0 = np.asarray(x0, dtype=float)
-    zs = tuple(rescale(z, x0, r) for r in radii)
-    return BlowupSequence(base=z, x0=tuple(x0.tolist()),
-                          radii=tuple(radii), fields=zs)
 
 
 # ---------------------------------------------------------------------------
@@ -189,25 +169,19 @@ def quadratic_inequality_check(xi: VectorField, points,
 # ---------------------------------------------------------------------------
 # per-scale trace consistency
 
-def _halfspace_lhs(seq: BlowupSequence, k: int, psi_family,
-                   nu: np.ndarray, rtol: float) -> list[float]:
+def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
+                   rtol: float) -> list[float]:
     """integral over (rescaled domain) ∩ (inward half plane) ∩ supp psi of
-    psi * div z_k + grad psi . z_k, in blow-up coordinates, for each psi."""
-    zk = seq.fields[k]
-
+    psi * div z_k + grad psi . z_k, in the coordinates of the zoom z_k,
+    for each psi.  A disk field's zoom must be centered on the rim."""
     if zk.eddies is not None:
         # divergence-free eddies: the div term vanishes identically
         return _eddy_pairings(zk.eddies, zk, psi_family, lambda r: 32)
 
     # the rescaled domain begins at inward depth s_star(t) from the flat
     # line: 0 for a global field, the sagitta of the rescaled disk of
-    # radius R_k for a rim point.  The rim point is the zoom's origin; its
-    # distance to the circle is checked in the original coordinates
-    R_k = None
-    if zk.disk is not None:
-        R_k = zk.disk.radius
-        if abs(np.linalg.norm(zk.disk.center) - R_k) * seq.radii[k] > 1e-9:
-            raise ValueError("blow-up center must sit on the disk boundary")
+    # radius R_k for a rim point, which is the zoom's origin
+    R_k = None if zk.disk is None else zk.disk.radius
     if zk.analytic_div is None:
         raise ValueError("divergence information required")
     tdir = np.array([-nu[1], nu[0]])
@@ -251,10 +225,8 @@ def _halfspace_lhs(seq: BlowupSequence, k: int, psi_family,
     return [lhs(psi) for psi in psi_family]
 
 
-def _off_interface_div_mass(seq: BlowupSequence, k: int, psi,
-                            rtol: float) -> float:
+def _off_interface_div_mass(zk: VectorField, psi, rtol: float) -> float:
     """integral of psi |div z_k| over the off-interface support of psi."""
-    zk = seq.fields[k]
     if zk.analytic_div is None:
         raise ValueError("divergence information required")
     pc = np.asarray(psi.center)
@@ -274,15 +246,15 @@ def _off_interface_div_mass(seq: BlowupSequence, k: int, psi,
                                     rtol=max(rtol, 1e-8), atol=1e-13)
 
 
-def _diagnostic(rep: VerificationReport, seq: BlowupSequence, name: str,
-                fit_note: str, defect) -> list[float]:
+def _diagnostic(rep: VerificationReport, radii, name: str, fit_note: str,
+                defect) -> list[float]:
     """defect(k) at every scale k of an INFO-only diagnostic, reported as
     its final value and decay exponent.  It gates nothing: a scale whose
     quadrature fails leaves NaN in its row, and the diagnostic is SKIPPED
     with the first failure and no exponent fitted."""
-    defects = [math.nan] * len(seq)
+    defects = [math.nan] * len(radii)
     failed = ""
-    for k in range(len(seq)):
+    for k in range(len(radii)):
         try:
             defects[k] = defect(k)
         except _quad.QuadratureError as exc:
@@ -290,7 +262,7 @@ def _diagnostic(rep: VerificationReport, seq: BlowupSequence, name: str,
     if failed:
         rep.add(CheckResult.skipped(name, failed))
     else:
-        exponent = _decay_exponent(seq.radii, defects)
+        exponent = _decay_exponent(radii, defects)
         rep.add(CheckResult.info(
             f"{name}, final", defects[-1],
             detail=f"decay exponent {exponent:.3f}{fit_note}"))
@@ -312,12 +284,14 @@ class ConsistencyReport(VerificationReport):
     rows: list = dc_field(default_factory=list)
 
 
-def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
-                             trace_value: Optional[float] = None,
+def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
+                             radii, trace_value: Optional[float] = None,
                              rtol: float = 1e-8,
                              final_tol: float = 1e-2) -> ConsistencyReport:
-    """Per-scale evidence for the blow-up trace identities, against five
-    bumps of radius 0.5 centered along the interface tangent:
+    """Per-scale evidence for the blow-up trace identities at the point x0
+    of S, from the zooms z_k(y) = field(x0 + r_k y) at the strictly
+    decreasing radii r_k, against five bumps of radius 0.5 centered along
+    the interface tangent:
 
     (a) off-interface divergence mass against each test bump,
     (b) half-space pairing against the trace value times the flat boundary
@@ -327,20 +301,26 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
     Defect trends are summarized by fitted decay exponents; only the final
     defect of (b) gates the verdict.  A scale where the quadrature of (a)
     or (c) fails leaves NaN in its row, and that diagnostic is SKIPPED.
+    On a disk field x0 must sit on the rim, to 1e-9.
     """
-    x0 = np.asarray(seq.x0)
+    radii = check_radii(radii)
+    x0 = np.asarray(x0, dtype=float)
     S.require_on(x0)
+    if field.disk is not None and abs(np.linalg.norm(
+            x0 - field.disk.center) - field.disk.radius) > 1e-9:
+        raise ValueError("blow-up center must sit on the disk boundary")
+    zooms = [rescale(field, x0, r) for r in radii]
     nu = S.normal_at(x0)
     tdir = np.array([-nu[1], nu[0]])
     rep = ConsistencyReport(
-        scenario=f"blowup-consistency:{seq.base.name}:x0={list(seq.x0)}")
+        scenario=f"blowup-consistency:{field.name}:x0={x0.tolist()}")
 
     offsets = np.linspace(-0.6, 0.6, 5)
     psi_family = [bump_test(o * tdir, 0.5) for o in offsets]
 
     if trace_value is None:
         probe = weak_trace_ball_average(
-            seq.base, S, x0, [2.0 ** -m for m in range(3, 9)])
+            field, S, x0, [2.0 ** -m for m in range(3, 9)])
         trace_value = probe.extrapolated
     rep.add(CheckResult.info("trace value used", trace_value))
 
@@ -348,8 +328,8 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
     shifted = [bump_test(psi.center + 2.0 * psi.radius * (-nu), psi.radius,
                          psi.height) for psi in psi_family]
     defects_a = _diagnostic(
-        rep, seq, "off-interface divergence mass", " over last 3 scales",
-        lambda k: max(abs(_off_interface_div_mass(seq, k, psi, rtol))
+        rep, radii, "off-interface divergence mass", " over last 3 scales",
+        lambda k: max(abs(_off_interface_div_mass(zooms[k], psi, rtol))
                       for psi in shifted))
 
     # (b) half-space pairing vs trace * flat boundary term; the boundary
@@ -361,31 +341,31 @@ def blowup_trace_consistency(seq: BlowupSequence, S: OrientedInterface,
             lambda t: psi.value(np.outer(t, tdir)),
             t_c - psi.radius, t_c + psi.radius, rtol=1e-11, atol=1e-15))
     defects_b = []
-    for k in range(len(seq)):
+    for zk in zooms:
         worst = 0.0
-        lhs_family = _halfspace_lhs(seq, k, psi_family, nu, rtol)
+        lhs_family = _halfspace_lhs(zk, psi_family, nu, rtol)
         for lhs, b in zip(lhs_family, bdry):
             worst = max(worst, abs(lhs - trace_value * b))
         defects_b.append(worst)
-    exp_b = _decay_exponent(seq.radii, defects_b)
+    exp_b = _decay_exponent(radii, defects_b)
     rep.add(CheckResult.from_residual(
         "half-space pairing defect, final", defects_b[-1], final_tol,
         detail=f"decay exponent {exp_b:.3f} over last 3 scales"))
 
     # (c) punctured-ball flux balance in original coordinates
-    if seq.base.disk is None:
-        r = seq.radii
+    if field.disk is None:
         defects_c = _diagnostic(
-            rep, seq, "punctured-ball flux residual", "; diagnostic only",
+            rep, radii, "punctured-ball flux residual", "; diagnostic only",
             lambda k: abs(flux_residual(
-                seq.base, AnnulusRegion(x0, 0.5 * r[k], r[k]), rtol=1e-9)))
+                field, AnnulusRegion(x0, 0.5 * radii[k], radii[k]),
+                rtol=1e-9)))
     else:
-        defects_c = [math.nan] * len(seq)
+        defects_c = [math.nan] * len(radii)
         rep.add(CheckResult.skipped(
             "punctured-ball flux residual",
             "domain-restricted field: annuli leave the domain"))
 
-    for k, r in enumerate(seq.radii):
+    for k, r in enumerate(radii):
         rep.rows.append({
             "k": k, "radius": r,
             "off_interface_div_mass": defects_a[k],

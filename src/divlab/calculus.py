@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _quad
-from .fields import (BUMP_PEAK, BUMP_SLOPE_PEAK, PhiFunction, VectorField,
-                     as_points, bump, bump_with_d1)
+from .fields import (BUMP_PEAK, BUMP_SLOPE_PEAK, VectorField, as_points,
+                     bump, bump_with_d1)
 from .report import CheckResult, VerificationReport
 
 DEFAULT_FD_STEP = 1e-4
@@ -263,14 +263,15 @@ def mollify(field: VectorField, kernel: MollifierKernel) -> VectorField:
 # ---------------------------------------------------------------------------
 # convexity transport audit
 
-def jensen_check(field: VectorField, phi: PhiFunction, kernel: MollifierKernel,
+def jensen_check(field: VectorField, phi: Callable, kernel: MollifierKernel,
                  grid: GridSpec, tol: float = 1e-6) -> VerificationReport:
     """Verify that smoothing preserves gauge domination.
 
     If the vertical component dominates phi(speed) pointwise, convexity of
-    phi pushes the same bound through any unit-mass averaging.  The audit
-    first confirms the pointwise hypothesis on the grid, to 1e-12, then
-    checks the mollified field there.
+    the gauge phi, called on an array of speeds, pushes the same bound
+    through any unit-mass averaging.  The audit first confirms the
+    pointwise hypothesis on the grid, to 1e-12, then checks the mollified
+    field there.
     """
     precondition_tol = 1e-12
     rep = VerificationReport(scenario=f"jensen:{field.name}")

@@ -33,9 +33,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.random import default_rng
 
-from .blowup import (blowup_sequence, blowup_trace_consistency,
-                     hash_unit_ball_field, nalpha_density,
-                     quadratic_inequality_check)
+from .blowup import (blowup_trace_consistency, hash_unit_ball_field,
+                     nalpha_density, quadratic_inequality_check)
 from .calculus import (GridSpec, RectRegion, bump_test, jensen_check,
                        make_mollifier, mollify, numeric_divergence)
 from .fields import (AUTO, MAX_DIMENSION, REGISTRY_EXAMPLES,
@@ -286,6 +285,17 @@ def _resolve_interface(spec, f):
         raise UsageError(f"bad interface {spec!r}: {exc}") from exc
 
 
+def _interface_point(p, f):
+    """x0 and the interface of `p`; x0 off the interface is a usage error."""
+    x0 = _floats(p["x0"], "x0", 2)
+    S = _resolve_interface(p["interface"], f)
+    try:
+        S.require_on(x0)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return x0, S
+
+
 def _pass_fail(name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name=name, value=1.0 if ok else 0.0, tolerance=0.0,
                        margin=0.0 if ok else -1.0,
@@ -534,8 +544,7 @@ def _h_trace(sc: Scenario):
         tables.append(("pairings", ["psi", "value", "c1_norm", "bound"], rows))
         return rep, tables, []
 
-    x0 = _floats(p["x0"], "x0", 2)
-    S = _resolve_interface(p["interface"], f)
+    x0, S = _interface_point(p, f)
     radii = _parse_radii(p["radii"])
     sigmas = np.linspace(-0.5, 0.5, 33)
     nd, td = S.frame_defects(sigmas)
@@ -595,8 +604,7 @@ def _h_density(sc: Scenario):
 def _h_aplim(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     f = _resolve_field(sc.field)
-    x0 = _floats(p["x0"], "x0", 2)
-    S = _resolve_interface(p["interface"], f)
+    x0, S = _interface_point(p, f)
     if str(p["w"]).strip().lower() == "nu":
         w = S.normal_at(np.asarray(x0, dtype=float))
     else:
@@ -637,8 +645,7 @@ def _h_aplim(sc: Scenario):
 def _h_nalpha(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     f = _resolve_field(sc.field)
-    x0 = _floats(p["x0"], "x0", 2)
-    S = _resolve_interface(p["interface"], f)
+    x0, S = _interface_point(p, f)
     alpha = p["alpha"]
     radii = _parse_radii(p["radii"])
     probe = nalpha_density(f, S, x0, alpha, radii,
@@ -665,12 +672,11 @@ def _h_nalpha(sc: Scenario):
 def _h_blowup(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     f = _resolve_field(sc.field)
-    x0 = _floats(p["x0"], "x0", 2)
-    S = _resolve_interface(p["interface"], f)
+    x0, S = _interface_point(p, f)
     radii = (tuple(2.0 ** -k for k in range(2, 7)) if p["radii"] == "auto"
              else _parse_radii(p["radii"]))
-    seq = blowup_sequence(f, x0, radii)
-    rep = blowup_trace_consistency(seq, S, trace_value=p["trace_value"],
+    rep = blowup_trace_consistency(f, S, x0, radii,
+                                   trace_value=p["trace_value"],
                                    rtol=p["rtol"], final_tol=tol["final_tol"])
     rows = [[r["k"], r["radius"], r["off_interface_div_mass"],
              r["half_space_defect"], r["punctured_ball_residual"]]
@@ -708,7 +714,7 @@ def _h_demo_jensen(sc: Scenario):
     vertical = constant_field(vec, name="constant-vertical")
     grid = GridSpec(box=((-1.0, 1.0),) * dim,
                     resolution=(p["grid_n"],) * dim)
-    rep = jensen_check(vertical, phi_quadratic(), kernel, grid,
+    rep = jensen_check(vertical, phi_quadratic, kernel, grid,
                        tol=tol["jensen_tol"])
 
     sb = stream_bump_field()

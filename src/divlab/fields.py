@@ -98,18 +98,10 @@ del _s, _v
 # ---------------------------------------------------------------------------
 # gauges
 
-@dataclass(frozen=True)
-class PhiFunction:
-    """Convex gauge: phi(0) = 0, phi > 0 off 0, midpoint-convex."""
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    label: str
-
-    def __call__(self, t) -> np.ndarray:
-        return self.evaluator(np.asarray(t, dtype=float))
-
-
-def phi_quadratic() -> PhiFunction:
-    return PhiFunction(lambda t: 0.5 * t * t, "quadratic:t^2/2")
+def phi_quadratic(t) -> np.ndarray:
+    """The convex gauge phi(t) = t^2/2: phi(0) = 0, phi > 0 off 0."""
+    t = np.asarray(t, dtype=float)
+    return 0.5 * t * t
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.random import default_rng
 
 from . import _ode, _quad
 from .calculus import GridSpec
-from .fields import CylindricalPotential, PhiFunction, VectorField, gamma_bounds
+from .fields import CylindricalPotential, VectorField, gamma_bounds
 from .report import INCONCLUSIVE, CheckResult, VerificationReport
 
 __all__ = [
@@ -202,7 +202,8 @@ def _seed_transport(eta: VectorField, epsilon: float, A, h0: float,
     flowed, and the states are copied along q2 into the grid's order.
     The copies would have taken the same adaptive steps, since the x2
     column's error estimate is exactly zero; each flowed seed's error
-    counts once per copy.
+    counts once per copy.  The widest excursion is then that of x1 alone;
+    the held q2 lies in the box, whose corner `flow_tubes` puts in R_bound.
     """
     section = eta.dim < len(A) + 1
     grid_seeds = [_quad.midpoint_grid(A, [s] * len(A)) for s in grids]
@@ -268,13 +269,9 @@ def _seed_transport(eta: VectorField, epsilon: float, A, h0: float,
     level_error = np.add.reduceat(delta_error, starts)
     out = []
     for i, (seeds, cell) in enumerate(grid_seeds):
-        span = float(max_span[i])
-        copies = 1
-        if section:
-            span = max(span, float(np.max(np.abs(seeds[:grids[i], 1]))))
-            copies = grids[i]
+        copies = grids[i] if section else 1
         out.append((seeds, cell, extrude(Y[bounds[i]:bounds[i + 1]], i),
-                    float(min_delta[i]), span,
+                    float(min_delta[i]), float(max_span[i]),
                     cell * copies * float(level_error[i])))
     return out, [(h, extrude(P, -1)) for h, P in path]
 
@@ -318,32 +315,24 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
     n = eta.dim
 
     # integrate only the field part; the constant epsilon contributes
-    # epsilon * |A| exactly, so a vanishing field gives residual 0.0
-    def top_flux_1d(q):
-        pts = np.empty((q.size, n))
-        pts[:, 0] = q
+    # epsilon * |A| exactly, so a vanishing field gives residual 0.0.  The
+    # nodes q are a vector (1D rule) or rows of (q1, q2) (2D rule)
+    def top_flux(q):
+        pts = np.empty((q.shape[0], n))
+        pts[:, :-1] = q.reshape(q.shape[0], -1)
         pts[:, -1] = h0
         return eta.eval(pts)[:, -1]
 
     if n == 2:
         depth = math.prod(hi - lo for lo, hi in A[1:])   # |A2|, or 1
         top_field = depth * _quad.adaptive_gauss_1d(
-            top_flux_1d, A[0][0], A[0][1], rtol=1e-11, atol=1e-13)
+            top_flux, A[0][0], A[0][1], rtol=1e-11, atol=1e-13)
     else:
-        def top_flux_2d(pts2):
-            pts = np.empty((pts2.shape[0], 3))
-            pts[:, :2] = pts2
-            pts[:, 2] = h0
-            return eta.eval(pts)[:, -1]
-
         top_field = _quad.adaptive_gauss_2d(
-            top_flux_2d, (A[0][0], A[0][1], A[1][0], A[1][1]),
+            top_flux, (A[0][0], A[0][1], A[1][0], A[1][1]),
             rtol=1e-11, atol=1e-13)
 
-    box_measure = 1.0
-    for lo, hi in A:
-        box_measure *= hi - lo
-    top = top_field + epsilon * box_measure
+    top = top_field + epsilon * math.prod(hi - lo for lo, hi in A)
     corner = max(max(abs(lo), abs(hi)) for lo, hi in A)
     budget = (ODE_SHARE * residual_tol / (ODE_ERROR_GROWTH * abs(top))
               if top else math.inf)
@@ -405,13 +394,14 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
 # planar strip identity
 
 def strip_identity_2d(eta: VectorField, r: float, t: float,
-                      gauge: Optional[PhiFunction] = None,
+                      gauge: Optional[Callable] = None,
                       rtol: float = 1e-10) -> VerificationReport:
     """Box flux balance on the strip [-r, r] x [0, t].
 
     The top flux of the vertical component equals the net side influx of
     the horizontal component; nothing crosses the bottom where the field
-    vanishes.
+    vanishes.  With a `gauge`, a convex function called on an array of
+    |eta_1| values, eta_2 must dominate gauge(|eta_1|) at both top corners.
     """
     if eta.dim != 2:
         raise ValueError("strip identity is planar")

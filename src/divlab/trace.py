@@ -161,14 +161,11 @@ def check_radii(radii) -> list[float]:
 
 @dataclass(frozen=True)
 class TraceProbe:
-    x0: tuple
     radii: tuple
-    method: str
     estimates: tuple
     extrapolated: float
     oscillation: float
     oscillating: bool
-    quad_tol: float
     notes: str = ""
 
     def __post_init__(self):
@@ -201,28 +198,24 @@ def _tail_fit(radii, estimates) -> tuple[float, float, float]:
     return intercept, float(np.max(resid) - np.min(resid)), raw
 
 
-def _make_probe(x0, radii, estimates, method, quad_tol,
-                notes="") -> TraceProbe:
+def _make_probe(radii, estimates, quad_tol, notes="") -> TraceProbe:
     extrapolated, osc, raw = _tail_fit(radii, estimates)
     # both gates: above quadrature noise, and not explained by a smooth
     # trend in the radius
     oscillating = bool(osc > 5.0 * quad_tol and osc > 0.25 * raw)
     return TraceProbe(
-        x0=tuple(np.asarray(x0, dtype=float).tolist()),
         radii=tuple(float(r) for r in radii),
-        method=method,
         estimates=tuple(float(v) for v in estimates),
         extrapolated=extrapolated,
         oscillation=osc,
         oscillating=oscillating,
-        quad_tol=quad_tol,
         notes=notes,
     )
 
 
 @dataclass(frozen=True)
 class DensityProbe:
-    """Area ratios of a set in shrinking disks about `center`, from
+    """Area ratios of a set in shrinking disks about one point, from
     LATTICE_SHIFTS randomly shifted copies of one Fibonacci lattice.  Each
     ratio pools every shift; its `stderr` is the spread of the per-shift
     estimates (their sample standard deviation over sqrt(LATTICE_SHIFTS)),
@@ -230,7 +223,6 @@ class DensityProbe:
     ratios to radius 0, clipped to [0, 1]; `samples_per_radius` counts the
     points drawn per radius, on the inward half-disk only for a deviation
     probe."""
-    center: tuple
     radii: tuple
     ratios: tuple
     stderrs: tuple
@@ -330,7 +322,7 @@ def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
     if field.eddies is not None:
         estimates = [_twisting_ball_average(field.eddies, x0, float(r), nu0)
                      for r in radii]
-        return _make_probe(x0, radii, estimates, "ball_average", 1e-10)
+        return _make_probe(radii, estimates, 1e-10)
     if field.disk is not None:
         estimates = [_disk_lens_average(field.disk, x0, float(r), nu0, rtol)
                      for r in radii]
@@ -340,7 +332,7 @@ def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
             lambda pts: field.eval(pts) @ nu0, x0, float(r), field.dim,
             rtol=rtol, atol=1e-14) / (vol * float(r) ** field.dim)
             for r in radii]
-    return _make_probe(x0, radii, estimates, "ball_average", rtol)
+    return _make_probe(radii, estimates, rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +375,7 @@ def weak_trace_curvilinear(field: VectorField, S: OrientedInterface,
                                       rtol=rtol, atol=1e-13)
         estimates.append(val / (omega * rho ** (field.dim - 1) * float(r)))
     radii = sorted((float(r) for r in r_seq), reverse=True)
-    return _make_probe(x0, radii, estimates, "curvilinear", rtol)
+    return _make_probe(radii, estimates, rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +534,7 @@ def weak_trace_sphere_flux(field: VectorField, S: OrientedInterface,
             rtol=rtol, atol=1e-13)
         omega = _quad.ball_volume(field.dim - 1)
         estimates.append(val / (omega * float(r) ** field.dim))
-    return _make_probe(x0, radii, estimates, "sphere_flux", rtol,
+    return _make_probe(radii, estimates, rtol,
                        notes="pairs the field with the inward chord; "
                              "normalized by omega_{n-1} r^n")
 
@@ -580,8 +572,8 @@ def _lattice_disk(samples: int, seed: int,
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=2)
 
 
-def _density_probe(center: np.ndarray, radii: list, hits: np.ndarray,
-                   n: int, fraction: float = 1.0) -> DensityProbe:
+def _density_probe(radii: list, hits: np.ndarray, n: int,
+                   fraction: float = 1.0) -> DensityProbe:
     """The probe of per-radius, per-shift hit counts `hits` out of n
     lattice points each, on a cloud covering `fraction` of every disk."""
     shifts = hits.shape[1]
@@ -591,7 +583,7 @@ def _density_probe(center: np.ndarray, radii: list, hits: np.ndarray,
         np.std(hits / n, axis=1, ddof=1) / math.sqrt(shifts),
         1.0 / (shifts * n))
     theta, _, _ = _tail_fit(radii, ratios)
-    return DensityProbe(center=tuple(center.tolist()), radii=tuple(radii),
+    return DensityProbe(radii=tuple(radii),
                         ratios=tuple(ratios.tolist()),
                         stderrs=tuple(errs.tolist()),
                         theta=min(1.0, max(0.0, theta)),
@@ -619,7 +611,7 @@ def density(indicator, x, radii, samples: int = 100_000,
     hits = np.array([np.count_nonzero(
         np.reshape(indicator(x + r * cloud.reshape(-1, 2)), (shifts, n)),
         axis=1) for r in radii])
-    return _density_probe(x, radii, hits, n)
+    return _density_probe(radii, hits, n)
 
 
 def deviation_densities(field: VectorField, x0, nu, w, alphas, radii,
@@ -650,7 +642,7 @@ def deviation_densities(field: VectorField, x0, nu, w, alphas, radii,
         for a, alpha in enumerate(alphas):
             hits[a, k] = np.count_nonzero(
                 (dist >= alpha).reshape(shifts, n), axis=1)
-    return [_density_probe(x0, radii, h, n, fraction=0.5) for h in hits]
+    return [_density_probe(radii, h, n, fraction=0.5) for h in hits]
 
 
 @dataclass

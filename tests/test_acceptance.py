@@ -231,7 +231,7 @@ def test_criterion_07_convexity_and_mollification(stream_bump):
     kernel = make_mollifier(0.05, 2)
     vertical = constant_field((0.0, 1.0), name="constant-vertical")
     grid = GridSpec(box=((-1.0, 1.0), (-1.0, 1.0)), resolution=(21, 21))
-    rep = jensen_check(vertical, phi_quadratic(), kernel, grid, tol=1e-6)
+    rep = jensen_check(vertical, phi_quadratic, kernel, grid, tol=1e-6)
     margins = [c.margin for c in rep.checks if c.verdict in ("PASS", "FAIL")]
     worst = min(margins)
     if rep.verdict != "PASS" or worst < -1e-6:

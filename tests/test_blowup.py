@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from divlab import _quad, fields
 from divlab.blowup import (
-    blowup_sequence, blowup_trace_consistency, hash_unit_ball_field,
-    nalpha_density, quadratic_inequality_check, rescale, _halfspace_lhs,
+    blowup_trace_consistency, hash_unit_ball_field, nalpha_density,
+    quadratic_inequality_check, rescale, _halfspace_lhs,
 )
 from divlab.calculus import bump_test
 from divlab.fields import Disk, constant_field, make_capillary_field
@@ -76,23 +76,6 @@ class TestRescale:
             rescale(stream_bump, (0.0, 0.0), 0.0)
         with pytest.raises(ValueError, match="dimension"):
             rescale(stream_bump, (0.0, 0.0, 0.0), 1.0)
-
-
-class TestBlowupSequence:
-    def test_builds_one_field_per_radius(self, stream_bump):
-        seq = blowup_sequence(stream_bump, (0.3, 1.0), (0.5, 0.25, 0.125))
-        assert len(seq) == 3
-        assert seq.radii == (0.5, 0.25, 0.125)
-        y = np.array([[0.0, 0.0], [0.5, -0.25], [1.0, 1.0]])
-        for r_k, f in zip(seq.radii, seq.fields):
-            assert np.array_equal(
-                f.eval(y), stream_bump.eval(np.array([0.3, 1.0]) + r_k * y))
-
-    def test_rejects_non_decreasing_radii(self, stream_bump):
-        with pytest.raises(ValueError, match="decreasing"):
-            blowup_sequence(stream_bump, (0.0, 0.0), (0.25, 0.5))
-        with pytest.raises(ValueError, match="decreasing"):
-            blowup_sequence(stream_bump, (0.0, 0.0), (0.25, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +181,41 @@ class TestHashField:
 # per-scale trace consistency
 
 class TestTraceConsistency:
+    def test_rejects_non_decreasing_radii_before_any_field_call(
+            self, stream_bump):
+        calls = []
+
+        def counting_eval(pts):
+            calls.append(len(pts))
+            return stream_bump.eval(pts)
+
+        counted = dataclasses.replace(stream_bump, eval=counting_eval)
+        S = line_interface()
+        for radii in [(0.25, 0.5), (0.25, 0.25), (0.25, 0.0)]:
+            with pytest.raises(ValueError, match="decreasing"):
+                blowup_trace_consistency(counted, S, (0.0, 0.0), radii)
+        assert calls == []
+
+    def test_off_rim_center_is_refused_before_any_quadrature(
+            self, capillary, monkeypatch):
+        # x0 lies on the line but inside the disk; the refusal came only
+        # once the first half-space pairing ran, after the trace probe and
+        # the off-interface mass had run their quadratures
+        ran = []
+        for name in ("adaptive_ball_quad", "adaptive_gauss_rows"):
+            def spy(*args, _rule=getattr(_quad, name), **kwargs):
+                ran.append(_rule.__name__)
+                return _rule(*args, **kwargs)
+            monkeypatch.setattr(_quad, name, spy)
+        with pytest.raises(ValueError, match="on the disk boundary"):
+            blowup_trace_consistency(capillary, line_interface(), (0.5, 0.0),
+                                     (0.25, 0.125))
+        assert ran == []
+
     def test_twisting_mirror_point(self, twisting8):
         S = line_interface((0.0, 0.0), (1.0, 0.0), normal=(0.0, -1.0))
-        seq = blowup_sequence(twisting8, (0.5, 0.0),
-                              tuple(2.0 ** -k for k in range(2, 7)))
-        rep = blowup_trace_consistency(seq, S)
+        rep = blowup_trace_consistency(twisting8, S, (0.5, 0.0),
+                                       [2.0 ** -k for k in range(2, 7)])
         assert rep.verdict == "PASS"
         by = {c.name: c for c in rep.checks}
         assert by["trace value used"].value == 0.0
@@ -225,13 +238,12 @@ class TestTraceConsistency:
             return twisting8.eval(pts)
 
         counted = dataclasses.replace(twisting8, eval=counting_eval)
-        seq = blowup_sequence(counted, (0.5, 0.0),
-                              tuple(2.0 ** -k for k in range(3, 9)))
         nu = np.array([0.0, -1.0])
         fam = [bump_test((o, 0.0), 0.5) for o in np.linspace(-0.6, 0.6, 5)]
-        for k in range(len(seq)):
+        for k in range(3, 9):
+            zk = rescale(counted, (0.5, 0.0), 2.0 ** -k)
             before = len(calls)
-            lhs = _halfspace_lhs(seq, k, fam, nu, 1e-8)
+            lhs = _halfspace_lhs(zk, fam, nu, 1e-8)
             assert len(lhs) == len(fam)
             assert len(calls) - before <= 1
         assert sum(calls) > 0
@@ -240,9 +252,9 @@ class TestTraceConsistency:
         # a missing divergence is refused, not replaced by zero
         f = constant_field((0.0, 1.0))
         f = type(f)(dim=2, eval=f.eval, sup_bound=f.sup_bound, name="nodiv")
-        seq = blowup_sequence(f, (0.0, 0.0), [0.5, 0.25])
         with pytest.raises(ValueError, match="divergence information"):
-            _halfspace_lhs(seq, 0, [bump_test((0.0, 0.0), 0.5)],
+            _halfspace_lhs(rescale(f, (0.0, 0.0), 0.5),
+                           [bump_test((0.0, 0.0), 0.5)],
                            np.array([0.0, 1.0]), 1e-8)
 
     def test_domain_restricted_field_skips_annuli(self, capillary):
@@ -256,8 +268,8 @@ class TestTraceConsistency:
 
         counted = dataclasses.replace(capillary, eval=counting_eval)
         S = circle_interface((0.0, 0.0), 1.0, outward=True)
-        seq = blowup_sequence(counted, (1.0, 0.0), (0.25, 0.125))
-        rep = blowup_trace_consistency(seq, S, trace_value=1.0)
+        rep = blowup_trace_consistency(counted, S, (1.0, 0.0), (0.25, 0.125),
+                                       trace_value=1.0)
         by = {c.name: c for c in rep.checks}
         assert by["punctured-ball flux residual"].verdict == "SKIPPED"
         assert by["half-space pairing defect, final"].verdict == "PASS"
@@ -283,9 +295,9 @@ class TestTraceConsistency:
         counted = dataclasses.replace(capillary, analytic_div=counting_div)
         S = circle_interface((0.0, 0.0), 1.0, outward=True)
         x0 = (1.0, 0.0)
-        seq = blowup_sequence(counted, x0, (0.25, 0.125))
         fam = [bump_test((0.0, o), 0.5) for o in np.linspace(-0.6, 0.6, 5)]
-        lhs = _halfspace_lhs(seq, 1, fam, S.normal_at(np.asarray(x0)), 1e-6)
+        lhs = _halfspace_lhs(rescale(counted, x0, 0.125), fam,
+                             S.normal_at(np.asarray(x0)), 1e-6)
         assert len(lhs) == len(fam)
         assert len(integrand_calls) > 0
         assert passes == integrand_calls
@@ -304,8 +316,9 @@ class TestTraceConsistency:
 
         monkeypatch.setattr(_quad, "adaptive_gauss_1d", counting_1d)
         S = circle_interface((0.0, 0.0), 1.0, outward=True)
-        seq = blowup_sequence(capillary, (1.0, 0.0), (0.25, 0.125, 0.0625))
-        rep = blowup_trace_consistency(seq, S, trace_value=1.0, rtol=1e-6)
+        rep = blowup_trace_consistency(capillary, S, (1.0, 0.0),
+                                       (0.25, 0.125, 0.0625),
+                                       trace_value=1.0, rtol=1e-6)
         assert len(rep.rows) == 3
         assert len(flat) == 5 and len(set(flat)) == 5
 
@@ -313,8 +326,8 @@ class TestTraceConsistency:
         # at scale 1 the masked ball quadrature of (a) does not settle; the
         # gated pairing (b) still runs and (a) leaves NaN in that row
         S = circle_interface((0.0, 0.0), 1.0, outward=True)
-        seq = blowup_sequence(capillary, (1.0, 0.0), (1.0, 0.5, 0.25))
-        rep = blowup_trace_consistency(seq, S, rtol=1e-6)
+        rep = blowup_trace_consistency(capillary, S, (1.0, 0.0),
+                                       (1.0, 0.5, 0.25), rtol=1e-6)
         by = {c.name: c for c in rep.checks}
         skipped = by["off-interface divergence mass"]
         assert skipped.verdict == "SKIPPED"

@@ -222,7 +222,7 @@ def _unit_grid():
 
 
 def test_jensen_check_constant_vertical_field():
-    rep = jensen_check(constant_field([0.0, 1.0]), phi_quadratic(),
+    rep = jensen_check(constant_field([0.0, 1.0]), phi_quadratic,
                        make_mollifier(0.05, 2), _unit_grid())
     assert rep.verdict == PASS
     by_name = {c.name: c for c in rep.checks}
@@ -233,7 +233,7 @@ def test_jensen_check_constant_vertical_field():
 
 def test_jensen_check_precondition_failure():
     # a horizontal unit field never dominates phi(speed) = 1/2
-    rep = jensen_check(constant_field([1.0, 0.0]), phi_quadratic(),
+    rep = jensen_check(constant_field([1.0, 0.0]), phi_quadratic,
                        make_mollifier(0.05, 2), _unit_grid())
     names = [c.name for c in rep.checks]
     assert names == ["PRECONDITION_FAILED:pointwise gauge domination"]

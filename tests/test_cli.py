@@ -364,6 +364,21 @@ class TestExitCodes:
         assert "divlab: error:" in err and message in err
         assert "verdict" not in out
 
+    # every probe at a point of the interface refuses a point off it as a
+    # usage error, before any computation, not as a failed execution
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--method", "all"],
+        ["aplim", "--w", "nu"],
+        ["nalpha"],
+        ["blowup"],
+    ], ids=["trace", "aplim", "nalpha", "blowup"])
+    def test_point_off_the_interface_is_usage_error(self, capsys, argv):
+        code, out, err = run_main(argv + ["--field", "capillary:R=1",
+                                          "--x0", "0.5,0"], capsys)
+        assert code == 2
+        assert "from the interface" in err
+        assert "execution" not in out and "verdict" not in out
+
     # the 4D default grid would need 9.4e9 field evaluations
     def test_unbounded_jensen_grid_is_usage_error(self, capsys):
         code, out, err = run_main(["demo", "jensen", "--dim", "4"], capsys)

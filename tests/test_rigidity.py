@@ -15,7 +15,7 @@ from divlab import rigidity
 from divlab.calculus import GridSpec
 from divlab.fields import (
     AUTO, constant_field, counterexample_potential,
-    get_field, stream_bump_field, zero_field,
+    get_field, phi_quadratic, stream_bump_field, zero_field,
 )
 from divlab.rigidity import (
     CERTIFIED, INCONCLUSIVE, VIOLATED, certify_potential,
@@ -403,9 +403,7 @@ class TestStripIdentity:
         assert rep.verdict == "PASS"
 
     def test_gauge_edge_check_recorded(self, stream_bump):
-        from divlab.fields import PhiFunction
-        phi = PhiFunction(lambda t: 0.5 * t * t, label="t^2/2")
-        rep = strip_identity_2d(stream_bump, 3.0, 1.75, gauge=phi)
+        rep = strip_identity_2d(stream_bump, 3.0, 1.75, gauge=phi_quadratic)
         by = {c.name: c for c in rep.checks}
         assert by["gauge decay at strip edges"].verdict == "PASS"
 

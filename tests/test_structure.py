@@ -276,14 +276,40 @@ def test_one_constructor_per_field():
     assert not found, "\n".join(found)
 
 
+# a probe takes the plain values it reads: the blow-up takes the field,
+# the point and the radii, and builds each zoom itself; a gauge is a plain
+# callable; and a probe record declares no field that nothing reads
+_PASS_THROUGH = {"BlowupSequence", "blowup_sequence", "PhiFunction"}
+_UNREAD_RECORD_FIELDS = {"TraceProbe": {"x0", "method", "quad_tol"},
+                         "DensityProbe": {"center"}}
+
+
+def test_probes_take_plain_inputs_and_keep_only_what_they_read():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            # a definition, import, read or __all__ entry
+            names = {_name(node), getattr(node, "name", None)}
+            if isinstance(node, ast.Constant):
+                names.add(node.value)
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in names & _PASS_THROUGH]
+            if isinstance(node, ast.ClassDef) and node.name in \
+                    _UNREAD_RECORD_FIELDS:
+                declared = {_name(item.target) for item in node.body
+                            if isinstance(item, ast.AnnAssign)}
+                found += [f"{path.name}:{node.lineno} {node.name}.{field}"
+                          for field in sorted(
+                              declared & _UNREAD_RECORD_FIELDS[node.name])]
+    assert not found, "\n".join(found)
+
+
 # a defaulted parameter that no call in the package sets is a knob with one
 # value: it becomes a constant.  These few are set only by tests, which cap
 # the refinement and step budgets, pass a gauge or drive the CLI in-process
 _TEST_ONLY_KNOBS = {
-    ("_quad.py", "adaptive_gauss_1d", "max_doublings"),
     ("_quad.py", "adaptive_gauss_2d", "max_doublings"),
-    ("_quad.py", "adaptive_ball_quad", "max_doublings"),
-    ("_quad.py", "adaptive_circle", "max_doublings"),
     ("_ode.py", "rk45_event", "max_steps"),
     ("rigidity.py", "strip_identity_2d", "gauge"),
     ("cli.py", "main", "argv"),
