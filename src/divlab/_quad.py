@@ -33,18 +33,20 @@ def leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _refine(level: Callable, n0: int, size: Callable, rtol: float,
             atol: float, max_doublings: int, rule: str, domain: Callable,
-            nrows: int = 1) -> np.ndarray:
+            nrows: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The one refinement loop: level(rows, n) integrates rows `rows` of
     range(nrows) on size(n) nodes each (a float for one row).  From n0,
     each row doubles n until |cur - prev| <= rtol*|cur| + atol and leaves
-    the batch.  A row still open after max_doublings, or before a level
-    above MAX_LEVEL_NODES, raises QuadratureError naming the rule,
-    domain(row) and the last delta.  Negative or non-finite tolerances
-    raise ValueError before the first level."""
+    the batch.  Returns each row's value and its last delta |cur - prev|,
+    the achieved error estimate.  A row still open after max_doublings, or
+    before a level above MAX_LEVEL_NODES, raises QuadratureError naming
+    the rule, domain(row) and the last delta.  Negative or non-finite
+    tolerances raise ValueError before the first level."""
     if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):
         raise ValueError(f"tolerances must be finite and non-negative; got "
                          f"rtol={rtol}, atol={atol}")
-    out, rows, n = np.zeros(nrows), np.arange(nrows), n0
+    out, err = np.zeros(nrows), np.zeros(nrows)
+    rows, n = np.arange(nrows), n0
     prev = np.atleast_1d(level(rows, n))
     delta = np.full(nrows, math.inf)
     for _ in range(max_doublings):
@@ -55,9 +57,10 @@ def _refine(level: Callable, n0: int, size: Callable, rtol: float,
         delta = np.abs(cur - prev)
         done = delta <= rtol * np.abs(cur) + atol
         out[rows[done]] = cur[done]
+        err[rows[done]] = delta[done]
         rows, prev, delta = rows[~done], cur[~done], delta[~done]
         if rows.size == 0:
-            return out
+            return out, err
     raise QuadratureError(
         f"{rule} quadrature failed to converge on {domain(int(rows[0]))} "
         f"(last delta {float(delta[0]):.3e} at {size(n)} nodes)")
@@ -76,6 +79,24 @@ def _gauss_rows(f: Callable, rows: np.ndarray, a: np.ndarray,
     return half * (vals.reshape(rows.size, panels, order) @ w).sum(axis=1)
 
 
+def _gauss_rows_estimated(f: Callable, a, b, rtol: float,
+                          atol: float) -> tuple[np.ndarray, np.ndarray]:
+    """`adaptive_gauss_rows` that also returns each row's achieved error
+    estimate, its last accepted delta (0.0 for a row with a == b)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out, err = np.zeros(a.shape), np.zeros(a.shape)
+    rows = np.flatnonzero(a != b)
+    if rows.size:
+        out[rows], err[rows] = _refine(
+            lambda i, n: _gauss_rows(f, rows[i], a[rows[i]], b[rows[i]],
+                                     n, 8),
+            2, lambda n: 8 * n, rtol, atol, 12, "1d",
+            lambda i: f"[{float(a[rows[i]])}, {float(b[rows[i]])}]",
+            rows.size)
+    return out, err
+
+
 def adaptive_gauss_rows(f: Callable, a, b, rtol: float = 1e-8,
                         atol: float = 1e-12) -> np.ndarray:
     """Integrate row i of f over [a[i], b[i]] for every i at once.
@@ -87,18 +108,7 @@ def adaptive_gauss_rows(f: Callable, a, b, rtol: float = 1e-8,
     call, so a nested integral costs one call per level.  A row with
     a == b gives 0.0.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.zeros(a.shape)
-    rows = np.flatnonzero(a != b)
-    if rows.size:
-        out[rows] = _refine(
-            lambda i, n: _gauss_rows(f, rows[i], a[rows[i]], b[rows[i]],
-                                     n, 8),
-            2, lambda n: 8 * n, rtol, atol, 12, "1d",
-            lambda i: f"[{float(a[rows[i]])}, {float(b[rows[i]])}]",
-            rows.size)
-    return out
+    return _gauss_rows_estimated(f, a, b, rtol, atol)[0]
 
 
 def adaptive_gauss_1d(f: Callable, a: float, b: float,
@@ -132,7 +142,7 @@ def adaptive_gauss_2d(f: Callable, box, rtol: float = 1e-8,
         return float(wx @ vals @ wy)
 
     return float(_refine(level, 1, lambda n: (8 * n) ** 2, rtol, atol,
-                         max_doublings, "2d", lambda i: f"{box}")[0])
+                         max_doublings, "2d", lambda i: f"{box}")[0][0])
 
 
 def midpoint_grid(bounds, ns) -> tuple[np.ndarray, float]:
@@ -240,7 +250,7 @@ def adaptive_ball_quad(f: Callable, center, radius: float, dim: int,
     return float(_refine(
         level, 4, size, rtol, atol, 6, "ball",
         lambda i: (f"the ball of radius {radius} about "
-                   f"{np.asarray(center, dtype=float).tolist()}"))[0])
+                   f"{np.asarray(center, dtype=float).tolist()}"))[0][0])
 
 
 def adaptive_circle(g: Callable, center, radius: float, sign: float = 1.0,
@@ -258,4 +268,4 @@ def adaptive_circle(g: Callable, center, radius: float, sign: float = 1.0,
 
     return float(_refine(
         level, 32, lambda n: n, rtol, atol, 10, "circle",
-        lambda i: f"the circle of radius {radius} about {c.tolist()}")[0])
+        lambda i: f"the circle of radius {radius} about {c.tolist()}")[0][0])

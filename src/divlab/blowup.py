@@ -28,6 +28,18 @@ __all__ = [
     "blowup_trace_consistency", "ConsistencyReport", "hash_unit_ball_field",
 ]
 
+# The blow-up gates one number, the final half-space pairing defect
+# |lhs - T*b| against final_tol, and its quadratures share the absolute
+# budget PAIRING_SHARE * final_tol.  The budget is absolute because the gate
+# is: a relative rule would divide by |T*b|, which is 0 where the trace is.
+# The flat boundary term b takes BOUNDARY_SLICE of the budget over
+# max(1, |T|), since its error enters the defect times |T|; the pairing lhs
+# takes the rest, half for the outer t-quadrature and half for the inner
+# s-rows per unit length of the t-interval.  The INFO diagnostics, the decay
+# exponents included, take no share.
+PAIRING_SHARE = 1e-2
+BOUNDARY_SLICE = 1e-2
+
 
 def hash_unit_ball_field(dim: int = 2) -> VectorField:
     """Deterministic rough field with values in the closed unit ball.
@@ -170,13 +182,20 @@ def quadratic_inequality_check(xi: VectorField, points,
 # per-scale trace consistency
 
 def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
-                   rtol: float) -> list[float]:
+                   atol: float) -> tuple[list[float], Optional[float]]:
     """integral over (rescaled domain) ∩ (inward half plane) ∩ supp psi of
     psi * div z_k + grad psi . z_k, in the coordinates of the zoom z_k,
-    for each psi.  A disk field's zoom must be centered on the rim."""
+    for each psi.  A disk field's zoom must be centered on the rim.
+
+    Each pairing by adaptive quadrature is held to the absolute budget
+    atol: atol/2 for the outer t-quadrature and atol/(2 * t-width) for
+    each of its inner s-rows.  Returns the pairings and the achieved error
+    estimate, the largest over psi of the outer delta plus the t-width
+    times the largest inner delta at the final outer level; the eddy
+    stack's closed-form ball rules give no estimate (None)."""
     if zk.eddies is not None:
         # divergence-free eddies: the div term vanishes identically
-        return _eddy_pairings(zk.eddies, zk, psi_family, lambda r: 32)
+        return _eddy_pairings(zk.eddies, zk, psi_family, lambda r: 32), None
 
     # the rescaled domain begins at inward depth s_star(t) from the flat
     # line: 0 for a global field, the sagitta of the rescaled disk of
@@ -186,10 +205,12 @@ def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
         raise ValueError("divergence information required")
     tdir = np.array([-nu[1], nu[0]])
 
-    def lhs(psi) -> float:
+    def lhs(psi) -> tuple[float, float]:
         pc = np.asarray(psi.center)
         t_c = float(pc @ tdir)
         s_c = float(pc @ (-nu))
+        width = 2.0 * psi.radius
+        inner_delta = 0.0       # the largest row delta of the last level
 
         def g(y):
             value, grad = psi.value_and_gradient(y)
@@ -197,6 +218,7 @@ def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
                 "ij,ij->i", zk.eval(y), grad)
 
         def inner(t_arr):
+            nonlocal inner_delta
             # one batched s-quadrature, a row per outer node t.  The depths
             # stay scalar arithmetic: numpy's array `** 2` rounds differently
             # from the scalar power for about 1 input in 1,000, which would
@@ -214,15 +236,19 @@ def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
                 y = t_arr[rows, None, None] * tdir + s[:, :, None] * -nu
                 return g(y.reshape(-1, 2)).reshape(s.shape)
 
-            return _quad.adaptive_gauss_rows(rows_g, lo,
-                                             np.full(t_arr.size, hi),
-                                             rtol=rtol, atol=1e-14)
+            vals, deltas = _quad._gauss_rows_estimated(
+                rows_g, lo, np.full(t_arr.size, hi), rtol=0.0,
+                atol=0.5 * atol / width)
+            inner_delta = float(deltas.max())
+            return vals
 
-        return _quad.adaptive_gauss_1d(inner, t_c - psi.radius,
-                                       t_c + psi.radius,
-                                       rtol=rtol, atol=1e-14)
+        vals, deltas = _quad._gauss_rows_estimated(
+            lambda rows, t: inner(t[0]), [t_c - psi.radius],
+            [t_c + psi.radius], rtol=0.0, atol=0.5 * atol)
+        return float(vals[0]), float(deltas[0]) + width * inner_delta
 
-    return [lhs(psi) for psi in psi_family]
+    pairs = [lhs(psi) for psi in psi_family]
+    return [v for v, _ in pairs], max(e for _, e in pairs)
 
 
 def _off_interface_div_mass(zk: VectorField, psi, rtol: float) -> float:
@@ -302,8 +328,21 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
     defect of (b) gates the verdict.  A scale where the quadrature of (a)
     or (c) fails leaves NaN in its row, and that diagnostic is SKIPPED.
     On a disk field x0 must sit on the rim, to 1e-9.
+
+    The quadratures of (b) share the absolute budget PAIRING_SHARE *
+    final_tol: BOUNDARY_SLICE of it over max(1, |T|) for the flat boundary
+    term, and the rest split in half between the outer t-quadrature and
+    the inner s-rows of each pairing.  When (b) runs by adaptive quadrature
+    the report checks its achieved estimate against the budget.  rtol sets
+    only the relative tolerance of (a), no tighter than 1e-8; (c) runs at
+    1e-9.  The INFO diagnostics and every decay exponent, the one of (b)
+    included, get no share of their own: they report what the gated
+    budget resolves.
     """
     radii = check_radii(radii)
+    if not 0.0 < final_tol < math.inf:
+        raise ValueError(f"final_tol must be finite and positive; got "
+                         f"{final_tol}: it sets the pairing's budget")
     x0 = np.asarray(x0, dtype=float)
     S.require_on(x0)
     if field.disk is not None and abs(np.linalg.norm(
@@ -334,23 +373,34 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
 
     # (b) half-space pairing vs trace * flat boundary term; the boundary
     # term, psi integrated along the tangent line, is the same at every scale
+    budget = PAIRING_SHARE * final_tol
     bdry = []
     for psi in psi_family:
         t_c = float(np.asarray(psi.center) @ tdir)
         bdry.append(_quad.adaptive_gauss_1d(
             lambda t: psi.value(np.outer(t, tdir)),
-            t_c - psi.radius, t_c + psi.radius, rtol=1e-11, atol=1e-15))
-    defects_b = []
+            t_c - psi.radius, t_c + psi.radius, rtol=0.0,
+            atol=BOUNDARY_SLICE * budget / max(1.0, abs(trace_value))))
+    defects_b, estimates = [], []
     for zk in zooms:
         worst = 0.0
-        lhs_family = _halfspace_lhs(zk, psi_family, nu, rtol)
+        lhs_family, estimate = _halfspace_lhs(
+            zk, psi_family, nu, (1.0 - BOUNDARY_SLICE) * budget)
         for lhs, b in zip(lhs_family, bdry):
             worst = max(worst, abs(lhs - trace_value * b))
         defects_b.append(worst)
+        estimates.append(estimate)
     exp_b = _decay_exponent(radii, defects_b)
     rep.add(CheckResult.from_residual(
         "half-space pairing defect, final", defects_b[-1], final_tol,
         detail=f"decay exponent {exp_b:.3f} over last 3 scales"))
+    if estimates[0] is not None:
+        worst_estimate = max(estimates)
+        rep.add(CheckResult.from_margin(
+            "half-space pairing quadrature estimate", worst_estimate, 0.0,
+            budget - worst_estimate,
+            detail=f"share {PAIRING_SHARE:g} of the final gate: "
+                   f"{budget!r}"))
 
     # (c) punctured-ball flux balance in original coordinates
     if field.disk is None:

@@ -183,6 +183,15 @@ def finite_float(text) -> float:
     return value
 
 
+def nonnegative_float(text) -> float:
+    """Converter of a tolerance: a negative one makes its gate meaningless
+    (a margin gate passes whatever the estimate), so it is a usage error."""
+    value = finite_float(text)
+    if not value >= 0.0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
 def positive_float(text) -> float:
     """Converter of a parameter that must be finite and > 0 (a length, a
     step, a lift, a relative tolerance): zero or less is a usage error."""
@@ -841,8 +850,8 @@ class Param:
                 f"config value {self.name}={value!r}: {exc}") from exc
 
 
-def _tol(name, default, help=""):
-    return Param(name, default, finite_float, help or "tolerance", tol=True)
+def _tol(name, default):
+    return Param(name, default, nonnegative_float, "tolerance", tol=True)
 
 
 def _field(default):
@@ -887,8 +896,8 @@ _OPERATIONS = {
               "certification grid nodes per axis"),
         _expect("certified", "violated", "none"),
         _tol("margin_tol", 1e-12),
-        Param("speed_tol", 1e-12, finite_float, tol=True, flag=False),
-        Param("fd_tol", 1e-6, finite_float, tol=True, flag=False),
+        Param("speed_tol", 1e-12, nonnegative_float, tol=True, flag=False),
+        Param("fd_tol", 1e-6, nonnegative_float, tol=True, flag=False),
         Param("fd_points", 1000, int_range(1, 100_000),
               "divergence sample points"),
         Param("fd_step", 1e-4, positive_float, "centered-difference step"),
@@ -933,7 +942,8 @@ _OPERATIONS = {
         Param("bump_radius", 0.125, positive_float, "test bump radius"),
         Param("rtol", 1e-9, positive_float, "quadrature relative tolerance"),
         _expect("none", "value", "oscillating"), _VALUE, _VALUE_TOL,
-        _tol("gap", 0.01, "required oscillation subsequence gap"),
+        Param("gap", 0.01, positive_float,
+              "required oscillation subsequence gap (> 0)", tol=True),
         _tol("pairing_tol", 1e-6))),
     "density": Operation(_h_density, "volume density of a field's domain", (
         _field("capillary:R=1"), _SEED, _x0("0,0"), _RADII, _SAMPLES,
@@ -955,8 +965,13 @@ _OPERATIONS = {
         _field("twisting:levels=8"), _x0("0.5,0"), _RADII, _INTERFACE,
         Param("trace_value", None, finite_float,
               "known trace (default: probe for it)"),
-        Param("rtol", 1e-8, positive_float, "quadrature relative tolerance"),
-        _tol("final_tol", 1e-2))),
+        Param("rtol", 1e-8, positive_float,
+              "relative tolerance of the INFO off-interface divergence "
+              "mass, no tighter than 1e-8; the gated pairing takes its "
+              "budget from --final-tol"),
+        Param("final_tol", 1e-2, positive_float,
+              "final half-space pairing defect tolerance; also sets the "
+              "pairing's quadrature budget", tol=True))),
     "demo-separable": Operation(
         _h_demo_separable, "separable profile blow-up", (
             Param("gamma", 1.0, finite_float, "amplitude"),

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divlab import _quad, fields
+from divlab import blowup as blowup_module
 from divlab.blowup import (
-    blowup_trace_consistency, hash_unit_ball_field, nalpha_density,
-    quadratic_inequality_check, rescale, _halfspace_lhs,
+    BOUNDARY_SLICE, PAIRING_SHARE, blowup_trace_consistency,
+    hash_unit_ball_field, nalpha_density, quadratic_inequality_check,
+    rescale, _halfspace_lhs,
 )
 from divlab.calculus import bump_test
 from divlab.fields import Disk, constant_field, make_capillary_field
@@ -202,7 +204,8 @@ class TestTraceConsistency:
         # once the first half-space pairing ran, after the trace probe and
         # the off-interface mass had run their quadratures
         ran = []
-        for name in ("adaptive_ball_quad", "adaptive_gauss_rows"):
+        for name in ("adaptive_ball_quad", "adaptive_gauss_rows",
+                     "_gauss_rows_estimated"):
             def spy(*args, _rule=getattr(_quad, name), **kwargs):
                 ran.append(_rule.__name__)
                 return _rule(*args, **kwargs)
@@ -223,6 +226,8 @@ class TestTraceConsistency:
         assert by["half-space pairing defect, final"].value == pytest.approx(
             2.1189038365354647e-06, rel=1e-6)
         assert by["punctured-ball flux residual, final"].value <= 1e-12
+        # closed-form ball rules: no quadrature estimate to report
+        assert "half-space pairing quadrature estimate" not in by
         assert len(rep.rows) == 5
         assert set(rep.rows[0]) == {
             "k", "radius", "off_interface_div_mass", "half_space_defect",
@@ -243,8 +248,8 @@ class TestTraceConsistency:
         for k in range(3, 9):
             zk = rescale(counted, (0.5, 0.0), 2.0 ** -k)
             before = len(calls)
-            lhs = _halfspace_lhs(zk, fam, nu, 1e-8)
-            assert len(lhs) == len(fam)
+            lhs, estimate = _halfspace_lhs(zk, fam, nu, 1e-4)
+            assert len(lhs) == len(fam) and estimate is None
             assert len(calls) - before <= 1
         assert sum(calls) > 0
 
@@ -255,7 +260,7 @@ class TestTraceConsistency:
         with pytest.raises(ValueError, match="divergence information"):
             _halfspace_lhs(rescale(f, (0.0, 0.0), 0.5),
                            [bump_test((0.0, 0.0), 0.5)],
-                           np.array([0.0, 1.0]), 1e-8)
+                           np.array([0.0, 1.0]), 1e-4)
 
     def test_domain_restricted_field_skips_annuli(self, capillary):
         # the half-space pairing's inner quadratures share one field call
@@ -296,8 +301,8 @@ class TestTraceConsistency:
         S = circle_interface((0.0, 0.0), 1.0, outward=True)
         x0 = (1.0, 0.0)
         fam = [bump_test((0.0, o), 0.5) for o in np.linspace(-0.6, 0.6, 5)]
-        lhs = _halfspace_lhs(rescale(counted, x0, 0.125), fam,
-                             S.normal_at(np.asarray(x0)), 1e-6)
+        lhs, _ = _halfspace_lhs(rescale(counted, x0, 0.125), fam,
+                                S.normal_at(np.asarray(x0)), 1e-4)
         assert len(lhs) == len(fam)
         assert len(integrand_calls) > 0
         assert passes == integrand_calls
@@ -306,11 +311,14 @@ class TestTraceConsistency:
             self, capillary, monkeypatch):
         # the tangent-line integral of each bump does not depend on the
         # scale; it was integrated again at every scale (15 times here)
+        # the boundary term is the one 1D integral held to BOUNDARY_SLICE
+        # of the pairing's budget (trace value 1, default final_tol)
         flat = []
         gauss_1d = _quad.adaptive_gauss_1d
+        slice_atol = BOUNDARY_SLICE * PAIRING_SHARE * 1e-2
 
         def counting_1d(f, a, b, **kwargs):
-            if kwargs.get("atol") == 1e-15:
+            if kwargs.get("atol") == slice_atol:
                 flat.append((a, b))
             return gauss_1d(f, a, b, **kwargs)
 
@@ -321,6 +329,15 @@ class TestTraceConsistency:
                                        trace_value=1.0, rtol=1e-6)
         assert len(rep.rows) == 3
         assert len(flat) == 5 and len(set(flat)) == 5
+
+    def test_rejects_a_final_tolerance_that_leaves_no_budget(
+            self, capillary):
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        for final_tol in (0.0, -1.0, np.inf):
+            with pytest.raises(ValueError, match="final_tol"):
+                blowup_trace_consistency(capillary, S, (1.0, 0.0),
+                                         (0.25, 0.125), trace_value=1.0,
+                                         final_tol=final_tol)
 
     def test_failed_off_interface_mass_is_skipped_not_fatal(self, capillary):
         # at scale 1 the masked ball quadrature of (a) does not settle; the
@@ -337,3 +354,75 @@ class TestTraceConsistency:
         mass = [row["off_interface_div_mass"] for row in rep.rows]
         assert np.isnan(mass[0]) and np.all(np.isfinite(mass[1:]))
         assert rep.verdict == "PASS"
+
+
+# ---------------------------------------------------------------------------
+# the half-space pairing's quadrature budget
+
+CAPILLARY_RADII = (0.25, 0.125, 0.0625)
+
+
+def _pairing_nodes(field, monkeypatch, **kwargs):
+    """Integrand nodes of the 1D row rules (the half-space pairing and the
+    flat boundary term) of one capillary rim blow-up, and its report."""
+    nodes = []
+    gauss_rows = _quad._gauss_rows
+
+    def counting(f, rows, a, b, panels, order):
+        nodes.append(rows.size * panels * order)
+        return gauss_rows(f, rows, a, b, panels, order)
+
+    monkeypatch.setattr(_quad, "_gauss_rows", counting)
+    S = circle_interface((0.0, 0.0), 1.0, outward=True)
+    rep = blowup_trace_consistency(field, S, (1.0, 0.0), CAPILLARY_RADII,
+                                   trace_value=1.0, **kwargs)
+    monkeypatch.setattr(_quad, "_gauss_rows", gauss_rows)
+    return sum(nodes), rep
+
+
+class TestPairingBudget:
+    def test_rtol_no_longer_reaches_the_pairing(self, capillary,
+                                                monkeypatch):
+        # the pairing ran at --rtol: 2.47M nodes at 1e-6, 41M at 1e-10
+        coarse, rep = _pairing_nodes(capillary, monkeypatch, rtol=1e-6)
+        fine, _ = _pairing_nodes(capillary, monkeypatch, rtol=1e-10)
+        assert coarse == fine
+        assert 0 < coarse <= 300_000
+        by = {c.name: c for c in rep.checks}
+        estimate = by["half-space pairing quadrature estimate"]
+        assert estimate.verdict == "PASS"
+        assert 0.0 < estimate.value <= PAIRING_SHARE * 1e-2
+        assert estimate.margin == PAIRING_SHARE * 1e-2 - estimate.value
+        assert f"{PAIRING_SHARE:g}" in estimate.detail
+
+    def test_final_defect_agrees_with_a_tight_reference(self, capillary):
+        # the reference holds the pairing to a budget of 1e-8 (its gate of
+        # 1e-6 fails; only its defect row and its estimate are read)
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        rep = blowup_trace_consistency(capillary, S, (1.0, 0.0),
+                                       CAPILLARY_RADII, trace_value=1.0)
+        ref = blowup_trace_consistency(capillary, S, (1.0, 0.0),
+                                       CAPILLARY_RADII[-2:], trace_value=1.0,
+                                       final_tol=1e-6)
+        by = {c.name: c for c in ref.checks}
+        assert by["half-space pairing quadrature estimate"].value <= 1e-8
+        final = rep.rows[-1]["half_space_defect"]
+        reference = ref.rows[-1]["half_space_defect"]
+        assert abs(final - reference) <= PAIRING_SHARE * 1e-2
+
+    def test_estimate_above_its_share_fails_the_report(self, capillary,
+                                                       monkeypatch):
+        halfspace_lhs = blowup_module._halfspace_lhs
+
+        def over_budget(*args):
+            values, _ = halfspace_lhs(*args)
+            return values, 2.0 * PAIRING_SHARE * 1e-2
+
+        monkeypatch.setattr(blowup_module, "_halfspace_lhs", over_budget)
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        rep = blowup_trace_consistency(capillary, S, (1.0, 0.0),
+                                       CAPILLARY_RADII, trace_value=1.0)
+        by = {c.name: c for c in rep.checks}
+        assert by["half-space pairing defect, final"].verdict == "PASS"
+        assert by["half-space pairing quadrature estimate"].verdict == "FAIL"
+        assert rep.verdict == "FAIL"

@@ -159,7 +159,7 @@ class TestExitCodes:
     # before anything is allocated
     @pytest.mark.parametrize("argv,message", [
         (["certify", "--margin-tol", "nan", "--no-field-checks"],
-         "invalid finite_float value"),
+         "invalid nonnegative_float value"),
         (["demo", "separable", "--gamma", "inf"], "invalid finite_float value"),
         (["flow-tube", "--h0", "nan", "--seeds", "4"],
          "invalid positive_float value"),
@@ -214,6 +214,34 @@ class TestExitCodes:
         assert code == 2
         assert f"argument {flag}: invalid positive_float value" in err
         assert "verdict" not in out
+
+    # a negative tolerance made its gate vacuous (`--gap -5` PASSed the
+    # ball subsequence gap with margin 5.01 whatever the estimates; the gap
+    # is a lower bound, so 0 is vacuous too), and a final tolerance of 0 or
+    # less leaves the blow-up's pairing no budget
+    @pytest.mark.parametrize("argv,message", [
+        (["trace", "--field", "capillary:R=1", "--method", "ball",
+          "--x0", "1,0", "--expect", "oscillating", "--gap", "-5"],
+         "argument --gap: invalid positive_float value"),
+        (["trace", "--field", "capillary:R=1", "--method", "ball",
+          "--x0", "1,0", "--expect", "oscillating", "--gap", "0"],
+         "argument --gap: invalid positive_float value"),
+        (["certify", "--margin-tol", "-1", "--no-field-checks"],
+         "argument --margin-tol: invalid nonnegative_float value"),
+        (["blowup", "--field", "capillary:R=1", "--x0", "1,0",
+          "--final-tol", "0"],
+         "argument --final-tol: invalid positive_float value"),
+        (["blowup", "--field", "capillary:R=1", "--x0", "1,0",
+          "--final-tol", "-1"],
+         "argument --final-tol: invalid positive_float value"),
+    ], ids=["negative-gap", "zero-gap", "negative-margin-tol",
+            "zero-final-tol", "negative-final-tol"])
+    def test_tolerance_that_voids_its_gate_is_usage_error(self, capsys, argv,
+                                                          message):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert message in err
+        assert "execution" not in out and "verdict" not in out
 
     @pytest.mark.parametrize("argv", [
         ["flow-tube", "--epsilon", "0"],
