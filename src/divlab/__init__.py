@@ -23,8 +23,9 @@ from .fields import (AUTO, CylindricalPotential, Disk, OutOfDomainError,
                      make_counterexample_field, make_twisting_field,
                      phi_quadratic, potential_to_field,
                      stream_bump_field, zero_field)
-from .blowup import (blowup_trace_consistency, hash_unit_ball_field,
-                     nalpha_density, quadratic_inequality_check, rescale)
+from .blowup import (blowup_trace_consistency, finest_ratio_check,
+                     hash_unit_ball_field, nalpha_density,
+                     quadratic_inequality_check, rescale)
 from .report import (CheckResult, FAIL, INFO, PASS, SKIPPED,
                      VerificationReport)
 from .rigidity import (CERTIFIED, VIOLATED, FlowInputError, FlowTube,

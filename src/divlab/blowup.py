@@ -19,12 +19,14 @@ from numpy.random import default_rng
 from . import _quad
 from .calculus import AnnulusRegion, bump_test, flux_residual
 from .fields import Disk, EddyStack, Exclusion, VectorField
-from .report import CheckResult, VerificationReport
+from .report import (FAIL, INCONCLUSIVE, PASS, CheckResult,
+                     VerificationReport)
 from .trace import OrientedInterface, DensityProbe, _eddy_pairings, \
-    check_radii, deviation_densities, weak_trace_ball_average
+    _sampled_side, check_radii, deviation_densities, weak_trace_ball_average
 
 __all__ = [
-    "rescale", "nalpha_density", "quadratic_inequality_check",
+    "rescale", "nalpha_density", "finest_ratio_check",
+    "quadratic_inequality_check",
     "blowup_trace_consistency", "ConsistencyReport", "hash_unit_ball_field",
 ]
 
@@ -113,14 +115,16 @@ def rescale(z: VectorField, x0, r: float) -> VectorField:
 # deviation-set densities
 
 def nalpha_density(xi: VectorField, S: OrientedInterface, x0, alpha: float,
-                   radii, samples: int = 100_000,
-                   seed: int = 0) -> DensityProbe:
+                   radii, samples: int = 100_000, seed: int = 0,
+                   ratio_tol: Optional[float] = None) -> DensityProbe:
     """Density ratios of the deviation set: one-sided points where the
     field differs from the interface normal at x0 by at least alpha.
 
     The set is the one `one_sided_ap_lim` samples with the candidate
     limit set to the normal, in the original coordinates.  Points where
-    the field is undefined count as deviating.
+    the field is undefined count as deviating.  Without ratio_tol the
+    lattice is drawn at the ceiling `samples`; with it, in the rounds of
+    `trace._lattice_sizes` until `finest_ratio_check` decides.
     """
     if xi.dim != 2:
         raise ValueError("deviation densities are planar")
@@ -139,8 +143,25 @@ def nalpha_density(xi: VectorField, S: OrientedInterface, x0, alpha: float,
             raise ValueError(f"field is not normalized: sampled sup "
                              f"{sup:.6f} exceeds 1")
 
+    resolved = None if ratio_tol is None else (
+        lambda probes: finest_ratio_check(
+            probes[0], alpha, ratio_tol).verdict != INCONCLUSIVE)
     return deviation_densities(xi, x0, nu, nu, (alpha,), radii, samples,
-                               seed)[0]
+                               seed, resolved)[0]
+
+
+def finest_ratio_check(probe: DensityProbe, alpha: float,
+                       ratio_tol: float) -> CheckResult:
+    """The nalpha gate: the deviation ratio at the finest radius must lie
+    below ratio_tol.  PASS when it lies SAMPLING_Z standard errors below,
+    FAIL when that far above, INCONCLUSIVE within."""
+    ratio = probe.ratios[-1]
+    side = _sampled_side(ratio, probe.stderrs[-1], ratio_tol)
+    return CheckResult(
+        "deviation ratio at the finest radius", ratio, ratio_tol,
+        ratio_tol - abs(ratio), {-1: PASS, 0: INCONCLUSIVE, 1: FAIL}[side],
+        detail=f"alpha={alpha:g}, r={probe.radii[-1]:g}, stderr "
+               f"{probe.stderrs[-1]:.2g}; {probe.draws()}")
 
 
 # ---------------------------------------------------------------------------

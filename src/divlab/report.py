@@ -75,11 +75,14 @@ class VerificationReport:
 
     @property
     def verdict(self) -> str:
-        """FAIL if a check failed, else PASS if one passed: INFO and
-        SKIPPED records alone check nothing and give INCONCLUSIVE."""
+        """FAIL if a check failed, else INCONCLUSIVE if a check could not
+        decide, else PASS if one passed: INFO and SKIPPED records alone
+        check nothing and give INCONCLUSIVE."""
         verdicts = {c.verdict for c in self.checks}
         if FAIL in verdicts:
             return FAIL
+        if INCONCLUSIVE in verdicts:
+            return INCONCLUSIVE
         return PASS if PASS in verdicts else INCONCLUSIVE
 
     def to_dict(self) -> dict:

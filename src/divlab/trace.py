@@ -9,6 +9,9 @@ ratios and one-sided approximate limits quantify how much of a small disk
 violates a candidate limit.  They sample planar disks with a randomly
 shifted Fibonacci lattice mapped area-preservingly onto the disk, and
 report the spread over the independent shifts as their sampling error.
+A gated probe draws the lattice in rounds of growing size and stops at
+the first round that puts each gated quantity SAMPLING_Z standard errors
+from its threshold.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from numpy.random import default_rng
 from . import _quad
 from .calculus import BumpTest, RectRegion
 from .fields import Disk, EddyStack, VectorField, bump
-from .report import CheckResult, VerificationReport
+from .report import (FAIL, INCONCLUSIVE, PASS, CheckResult,
+                     VerificationReport)
 
 __all__ = [
     "OrientedInterface", "TraceProbe", "DensityProbe",
@@ -32,7 +36,7 @@ __all__ = [
     "weak_trace_pairing", "weak_trace_sphere_flux", "check_radii",
     "density", "deviation_densities", "one_sided_ap_lim", "ApLimReport",
     "AP_LIM_CONFIRMED", "AP_LIM_REJECTED", "AP_LIM_INCONCLUSIVE",
-    "EPS_DENSITY",
+    "EPS_DENSITY", "SAMPLING_Z",
 ]
 
 EPS_DENSITY = 1e-2
@@ -198,6 +202,14 @@ def _tail_fit(radii, estimates) -> tuple[float, float, float]:
     return intercept, float(np.max(resid) - np.min(resid)), raw
 
 
+def _intercept_weights(radii) -> np.ndarray:
+    """Weights c of the `_tail_fit` intercept: c @ estimates[-c.size:]."""
+    r = np.asarray(radii, dtype=float)[-4:]
+    if r.size == 1:
+        return np.ones(1)
+    return np.linalg.pinv(np.stack([np.ones_like(r), r], axis=1))[0]
+
+
 def _make_probe(radii, estimates, quad_tol, notes="") -> TraceProbe:
     extrapolated, osc, raw = _tail_fit(radii, estimates)
     # both gates: above quadrature noise, and not explained by a smooth
@@ -220,18 +232,32 @@ class DensityProbe:
     ratio pools every shift; its `stderr` is the spread of the per-shift
     estimates (their sample standard deviation over sqrt(LATTICE_SHIFTS)),
     floored at the weight of one pooled point.  `theta` extrapolates the
-    ratios to radius 0, clipped to [0, 1]; `samples_per_radius` counts the
-    points drawn per radius, on the inward half-disk only for a deviation
-    probe."""
+    ratios to radius 0, clipped to [0, 1]; `theta_stderr` is the sum of
+    the stderrs times the absolute intercept weights of that fit, an upper
+    bound however the ratios of one cloud correlate.
+
+    Point counts are per radius, on the inward half-disk only for a
+    deviation probe: `samples_per_radius` in the final round,
+    `drawn_per_radius` over all rounds, and `ceiling_per_radius` in the
+    largest round the probe could draw."""
     radii: tuple
     ratios: tuple
     stderrs: tuple
     theta: float
+    theta_stderr: float
     samples_per_radius: int
+    drawn_per_radius: int
+    ceiling_per_radius: int
 
     def rows(self) -> list[dict]:
         return [{"radius": r, "estimate": p, "stderr": s}
                 for r, p, s in zip(self.radii, self.ratios, self.stderrs)]
+
+    def draws(self) -> str:
+        """The point counts, as the gated checks state them."""
+        return (f"{self.drawn_per_radius} points drawn per radius, "
+                f"{self.samples_per_radius} in the final round, ceiling "
+                f"{self.ceiling_per_radius}")
 
 
 # ---------------------------------------------------------------------------
@@ -545,25 +571,57 @@ def weak_trace_sphere_flux(field: VectorField, S: OrientedInterface,
 # independent random shifts of the lattice per probe; the spread of their
 # estimates is the reported sampling error
 LATTICE_SHIFTS = 4
+# a gated quantity is resolved once it lies this many standard errors from
+# its threshold.  A stderr over LATTICE_SHIFTS shifts has 3 degrees of
+# freedom, and Student's t_3 quantile at 0.995 is 5.84
+SAMPLING_Z = 6.0
+# points per shift of a gated probe's first lattice round (F_16)
+FIRST_ROUND = 987
 
 
-def _lattice_disk(samples: int, seed: int,
-                  theta0: Optional[float] = None) -> np.ndarray:
+def _lattice_sizes(samples: int, half: bool) -> list[int]:
+    """Points per shift of each lattice round of a gated probe.  The last,
+    the ceiling, is the smallest Fibonacci number for which all shifts
+    together cover `samples` points over the full disk (half of them on a
+    half-disk).  The rounds before it are the first Fibonacci number from
+    FIRST_ROUND on and every third one after it, about phi^3 = 4.24 times
+    apart, that stay at least three Fibonacci numbers below the ceiling.
+    So all rounds together hold at most 1 / (1 - phi^-3) = 1.31 times the
+    ceiling's points, and a ceiling closer to FIRST_ROUND is the only
+    round."""
+    need = -(-samples // 2) if half else samples
+    per_shift = -(-need // LATTICE_SHIFTS)
+    fib = [1, 1]
+    while fib[-1] < per_shift:
+        fib.append(fib[-2] + fib[-1])
+    last = len(fib) - 1
+    first = next(k for k, n in enumerate(fib)
+                 if n >= FIRST_ROUND or k == last)
+    return fib[first:last - 2:3] + [fib[last]]
+
+
+def _lattice_disk(samples: int, seed: int, theta0: Optional[float] = None,
+                  n: Optional[int] = None) -> np.ndarray:
     """Unit-disk points, shape (LATTICE_SHIFTS, n, 2): the rank-1 lattice
     (i/n, i g/n), i < n, with n = F_k and g = F_(k-1) consecutive Fibonacci
     numbers, under LATTICE_SHIFTS Cranley-Patterson shifts drawn from
     `seed`, mapped area-preservingly by r = sqrt(u) and theta = 2 pi v.
+    With theta0, only the half-disk theta0 < theta < theta0 + pi is drawn
+    (theta = theta0 + pi v), at the same density.
 
-    `samples` is the number of points over the full disk.  With theta0,
-    only the half-disk theta0 < theta < theta0 + pi is drawn
-    (theta = theta0 + pi v), at the same density.  n is the smallest
-    Fibonacci number for which all shifts together cover the request.
+    n defaults to the ceiling of `samples` (see `_lattice_sizes`): the
+    one cloud `density` draws, `samples` points over the full disk rounded
+    up to the lattice.  A gated probe draws the rounds of `_lattice_sizes`
+    in turn, all with the same shifts, and stops at the first round whose
+    gated quantities each lie SAMPLING_Z standard errors from their
+    thresholds.  A probe whose gates stay unresolved ends on the default
+    cloud, bit for bit, and its gated checks are INCONCLUSIVE.
     """
-    need = samples if theta0 is None else -(-samples // 2)
-    per_shift = -(-need // LATTICE_SHIFTS)
-    g, n = 1, 1
-    while n < per_shift:
-        g, n = n, g + n
+    if n is None:
+        n = _lattice_sizes(samples, theta0 is not None)[-1]
+    g, m = 1, 1
+    while m < n:
+        g, m = m, g + m
     i = np.arange(n)
     shift_u, shift_v = default_rng(seed).random((2, LATTICE_SHIFTS, 1))
     r = np.sqrt((i / n + shift_u) % 1.0)
@@ -573,9 +631,12 @@ def _lattice_disk(samples: int, seed: int,
 
 
 def _density_probe(radii: list, hits: np.ndarray, n: int,
-                   fraction: float = 1.0) -> DensityProbe:
+                   fraction: float = 1.0, drawn: Optional[int] = None,
+                   ceiling: Optional[int] = None) -> DensityProbe:
     """The probe of per-radius, per-shift hit counts `hits` out of n
-    lattice points each, on a cloud covering `fraction` of every disk."""
+    lattice points each, on a cloud covering `fraction` of every disk;
+    `drawn` and `ceiling` are points per shift over all rounds and in the
+    largest round (default n)."""
     shifts = hits.shape[1]
     ratios = fraction * (hits.sum(axis=1) / (shifts * n))
     # shifts that all agree resolve the ratio only to one pooled point
@@ -583,11 +644,24 @@ def _density_probe(radii: list, hits: np.ndarray, n: int,
         np.std(hits / n, axis=1, ddof=1) / math.sqrt(shifts),
         1.0 / (shifts * n))
     theta, _, _ = _tail_fit(radii, ratios)
+    weights = np.abs(_intercept_weights(radii))
     return DensityProbe(radii=tuple(radii),
                         ratios=tuple(ratios.tolist()),
                         stderrs=tuple(errs.tolist()),
                         theta=min(1.0, max(0.0, theta)),
-                        samples_per_radius=shifts * n)
+                        theta_stderr=float(weights @ errs[-weights.size:]),
+                        samples_per_radius=shifts * n,
+                        drawn_per_radius=shifts * (drawn or n),
+                        ceiling_per_radius=shifts * (ceiling or n))
+
+
+def _sampled_side(value: float, stderr: float, threshold: float) -> int:
+    """+1 when value lies at least SAMPLING_Z standard errors above the
+    threshold, -1 when that far below, 0 when the sampling cannot tell."""
+    gap = value - threshold
+    if abs(gap) < SAMPLING_Z * stderr:
+        return 0
+    return 1 if gap > 0 else -1
 
 
 def _planar_center(x) -> np.ndarray:
@@ -603,7 +677,8 @@ def density(indicator, x, radii, samples: int = 100_000,
     """Area fraction of a set in shrinking disks about the planar point x.
     One unit cloud of LATTICE_SHIFTS shifted Fibonacci lattices, at least
     `samples` points in all (see `_lattice_disk`), is scaled to every
-    radius; each ratio's stderr is the spread over the shifts."""
+    radius; each ratio's stderr is the spread over the shifts.  No gate
+    reads the ratios here, so that cloud is drawn in one round."""
     x = _planar_center(x)
     radii = check_radii(radii)
     cloud = _lattice_disk(samples, seed)
@@ -615,7 +690,9 @@ def density(indicator, x, radii, samples: int = 100_000,
 
 
 def deviation_densities(field: VectorField, x0, nu, w, alphas, radii,
-                        samples: int, seed: int) -> list[DensityProbe]:
+                        samples: int, seed: int,
+                        resolved: Optional[Callable[[list], bool]] = None
+                        ) -> list[DensityProbe]:
     """Density ratios of the one-sided deviation sets at x0, one probe per
     alpha: points on the inward side (where (p - x0) . nu < 0) at which the
     field differs from w by at least alpha.  Points where the field is
@@ -623,26 +700,39 @@ def deviation_densities(field: VectorField, x0, nu, w, alphas, radii,
 
     Only the inward half-disk is drawn, and each ratio is half the
     deviating fraction of it: the outward half never deviates.  |xi - w|
-    is evaluated once per radius and thresholded at every alpha.
+    is evaluated once per radius and round and thresholded at every alpha.
+    Without `resolved` the one round is the ceiling of `samples`; with it,
+    the rounds of `_lattice_sizes` are drawn until `resolved` accepts the
+    probes of one, or the ceiling is drawn.  The probes of the last round
+    drawn are returned.
     """
     x0 = _planar_center(x0)
     radii = check_radii(radii)
-    inward = math.atan2(-nu[1], -nu[0])
-    cloud = _lattice_disk(samples, seed, theta0=inward - 0.5 * math.pi)
-    shifts, n = cloud.shape[:2]
-    hits = np.zeros((len(alphas), len(radii), shifts), dtype=int)
-    for k, r in enumerate(radii):
-        pts = x0 + r * cloud.reshape(-1, 2)
-        inside = (np.ones(pts.shape[0], dtype=bool) if field.disk is None
-                  else field.disk.contains(pts))
-        dist = np.full(pts.shape[0], np.inf)
-        if np.any(inside):
-            gap = field.eval(pts[inside]) - w
-            dist[inside] = np.hypot(gap[:, 0], gap[:, 1])
-        for a, alpha in enumerate(alphas):
-            hits[a, k] = np.count_nonzero(
-                (dist >= alpha).reshape(shifts, n), axis=1)
-    return [_density_probe(radii, h, n, fraction=0.5) for h in hits]
+    theta0 = math.atan2(-nu[1], -nu[0]) - 0.5 * math.pi
+    sizes = _lattice_sizes(samples, half=True)
+    if resolved is None:
+        sizes = sizes[-1:]
+    drawn = 0
+    for n in sizes:
+        cloud = _lattice_disk(samples, seed, theta0, n)
+        shifts = cloud.shape[0]
+        drawn += n
+        hits = np.zeros((len(alphas), len(radii), shifts), dtype=int)
+        for k, r in enumerate(radii):
+            pts = x0 + r * cloud.reshape(-1, 2)
+            inside = (np.ones(pts.shape[0], dtype=bool) if field.disk is None
+                      else field.disk.contains(pts))
+            dist = np.full(pts.shape[0], np.inf)
+            if np.any(inside):
+                gap = field.eval(pts[inside]) - w
+                dist[inside] = np.hypot(gap[:, 0], gap[:, 1])
+            for a, alpha in enumerate(alphas):
+                hits[a, k] = np.count_nonzero(
+                    (dist >= alpha).reshape(shifts, n), axis=1)
+        probes = [_density_probe(radii, h, n, fraction=0.5, drawn=drawn,
+                                 ceiling=sizes[-1]) for h in hits]
+        if n == sizes[-1] or resolved(probes):
+            return probes
 
 
 @dataclass
@@ -653,6 +743,22 @@ class ApLimReport(VerificationReport):
     probes: list = dc_field(default_factory=list)
 
 
+def _ap_lim_status(probe: DensityProbe, eps_density: float) -> str:
+    """The candidate's status at one alpha: confirmed when theta lies below
+    eps_density, rejected when theta and every ratio lie above it,
+    inconclusive when theta lies above and some ratio below.  Each side is
+    read at SAMPLING_Z standard errors; a gated quantity within that gives
+    unresolved."""
+    side = _sampled_side(probe.theta, probe.theta_stderr, eps_density)
+    if side <= 0:
+        return "confirmed" if side else "unresolved"
+    sides = [_sampled_side(p, e, eps_density)
+             for p, e in zip(probe.ratios, probe.stderrs)]
+    if min(sides) > 0:
+        return "rejected"
+    return "inconclusive" if min(sides) < 0 else "unresolved"
+
+
 def one_sided_ap_lim(field: VectorField, S: OrientedInterface, x0, w,
                      alphas, radii, eps_density: float = EPS_DENSITY,
                      samples: int = 100_000, seed: int = 0) -> ApLimReport:
@@ -661,6 +767,14 @@ def one_sided_ap_lim(field: VectorField, S: OrientedInterface, x0, w,
 
     Points where the field is undefined count against the candidate; on
     the inward side they can only occur in a vanishing sliver.
+
+    Each alpha gates theta against eps_density and, when theta lies above
+    it, the ratios too (see `_ap_lim_status`).  All alphas share one
+    lattice cloud per round.  `samples` is a ceiling: the rounds of
+    `_lattice_sizes` are drawn until every gated quantity lies SAMPLING_Z
+    standard errors from eps_density.  A gate still within that at the
+    ceiling gives its check INCONCLUSIVE and the classification
+    INCONCLUSIVE, never a confident one.
     """
     x0 = np.asarray(x0, dtype=float)
     S.require_on(x0)
@@ -671,28 +785,30 @@ def one_sided_ap_lim(field: VectorField, S: OrientedInterface, x0, w,
         environment={"seed": seed, "samples": samples})
 
     alphas = [float(a) for a in alphas]
+    probes = deviation_densities(
+        field, x0, nu0, w, alphas, radii, samples, seed,
+        resolved=lambda round_probes: all(
+            _ap_lim_status(p, eps_density) != "unresolved"
+            for p in round_probes))
     statuses = []
-    for alpha, probe in zip(alphas, deviation_densities(
-            field, x0, nu0, w, alphas, radii, samples, seed)):
+    for alpha, probe in zip(alphas, probes):
         rep.probes.append((alpha, probe))
-        if probe.theta <= eps_density:
-            status = "confirmed"
-        elif min(probe.ratios) >= eps_density:
-            status = "rejected"
-        else:
-            status = "inconclusive"
+        status = _ap_lim_status(probe, eps_density)
         statuses.append(status)
         rep.add(CheckResult(
             name=f"deviation density at alpha={alpha:g}",
             value=probe.theta, tolerance=eps_density,
             margin=eps_density - probe.theta,
-            verdict="PASS" if status == "confirmed" else "FAIL",
-            detail=f"ratios={['%.4f' % p for p in probe.ratios]} ({status})"))
+            verdict={"confirmed": PASS,
+                     "unresolved": INCONCLUSIVE}.get(status, FAIL),
+            detail=f"ratios={['%.4f' % p for p in probe.ratios]} ({status}); "
+                   f"theta stderr {probe.theta_stderr:.2g}; {probe.draws()}"))
 
-    if all(s == "confirmed" for s in statuses):
-        rep.classification = AP_LIM_CONFIRMED
-    elif any(s == "rejected" for s in statuses):
-        rep.classification = AP_LIM_REJECTED
+    if "unresolved" not in statuses:
+        if all(s == "confirmed" for s in statuses):
+            rep.classification = AP_LIM_CONFIRMED
+        elif "rejected" in statuses:
+            rep.classification = AP_LIM_REJECTED
     rep.add(CheckResult.info("ap-lim classification", 0.0,
                              detail=rep.classification))
     return rep

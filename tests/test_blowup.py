@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from divlab import _quad, fields
 from divlab import blowup as blowup_module
+from divlab import trace
 from divlab.blowup import (
     BOUNDARY_SLICE, PAIRING_SHARE, blowup_trace_consistency,
-    hash_unit_ball_field, nalpha_density, quadratic_inequality_check,
-    rescale, _halfspace_lhs,
+    finest_ratio_check, hash_unit_ball_field, nalpha_density,
+    quadratic_inequality_check, rescale, _halfspace_lhs,
 )
 from divlab.calculus import bump_test
 from divlab.fields import Disk, constant_field, make_capillary_field
@@ -104,15 +105,56 @@ class TestNalphaDensity:
         assert probe.ratios[-1] <= 1e-2
 
     def test_matches_the_ap_lim_deviation_probe_bitwise(self, capillary):
-        # same candidate, same sampler seed: the two routes must agree
-        # exactly, not just statistically
+        # same candidate, same sampler seed, both gates met in the first
+        # of three rounds: the two routes must agree exactly, not just
+        # statistically
         S = circle_interface((0.0, 0.0), 1.0, outward=True)
         x0 = (1.0, 0.0)
         na = nalpha_density(capillary, S, x0, 0.2, RADII,
-                            samples=20000, seed=20260819)
+                            samples=100_000, seed=20260819, ratio_tol=1e-2)
         ap = one_sided_ap_lim(capillary, S, x0, S.normal_at(x0), (0.2,),
-                              RADII, samples=20000, seed=20260819)
-        assert na.ratios == ap.probes[0][1].ratios
+                              RADII, samples=100_000, seed=20260819)
+        (_, probe), = ap.probes
+        assert na.samples_per_radius == probe.samples_per_radius \
+            == 4 * trace.FIRST_ROUND < na.ceiling_per_radius
+        assert na.ratios == probe.ratios
+
+    def test_without_a_gate_draws_the_ceiling_once(self, capillary):
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        probe = nalpha_density(capillary, S, (1.0, 0.0), 0.2, RADII,
+                               samples=100_000, seed=20260819)
+        assert probe.samples_per_radius == probe.drawn_per_radius \
+            == probe.ceiling_per_radius == 4 * 17711
+
+    def test_finest_ratio_within_the_sampling_error_is_inconclusive(
+            self, capillary):
+        # a tolerance two standard errors above the finest ratio passes it
+        # from the point estimate alone; the gate cannot tell, so the probe
+        # draws every round, ends on the gate-free cloud and decides nothing
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        args = (capillary, S, (1.0, 0.0), 0.2, RADII)
+        free = nalpha_density(*args, samples=100_000, seed=20260819)
+        tol = free.ratios[-1] + 2.0 * free.stderrs[-1]
+        gated = nalpha_density(*args, samples=100_000, seed=20260819,
+                               ratio_tol=tol)
+        assert gated.ratios == free.ratios
+        assert gated.drawn_per_radius == 4 * (987 + 4181 + 17711)
+        check = finest_ratio_check(gated, 0.2, tol)
+        assert check.verdict == "INCONCLUSIVE"
+        assert check.margin > 0.0
+        assert "91516 points drawn per radius, 70844 in the final round, " \
+            "ceiling 70844" in check.detail
+
+    @pytest.mark.parametrize("tol, verdict", [(1e-2, "PASS"),
+                                              (1e-5, "FAIL")])
+    def test_finest_ratio_check_decides_clear_margins(self, capillary, tol,
+                                                       verdict):
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        probe = nalpha_density(capillary, S, (1.0, 0.0), 0.2, RADII,
+                               samples=100_000, seed=20260819,
+                               ratio_tol=tol)
+        assert finest_ratio_check(probe, 0.2, tol).verdict == verdict
+        assert probe.samples_per_radius < probe.ceiling_per_radius
 
     def test_rejects_unnormalized_field(self):
         S = line_interface()

@@ -2,22 +2,27 @@
 
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
-from divlab import _ode, _quad, cli, rigidity
+from divlab import _ode, _quad, cli, rigidity, trace
+from divlab.blowup import nalpha_density
 from divlab.cli import (
     RECIPES, Scenario, UsageError, build_parser, main, _scenario_from_args,
 )
-from divlab.fields import stream_bump_field
+from divlab.fields import make_capillary_field, stream_bump_field
 from divlab.rigidity import flow_tubes
-from divlab.trace import _tail_fit
+from divlab.trace import _tail_fit, circle_interface
 
 from conftest import GATE_AT_RTOL_1E10, rim_lens_ratio
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 # every recipe's resolved scenario: defaults, types and the tolerance split
@@ -589,6 +594,72 @@ class TestOperations:
         assert line in out
         assert abs(float(line.rsplit("=", 1)[1]) - exact) <= 2e-4
         assert out.strip().endswith("verdict: PASS")
+
+    def test_nalpha_gate_within_the_sampling_error_is_inconclusive(
+            self, capsys):
+        # a tolerance two standard errors above the finest ratio passes it
+        # from the point estimate alone: the report must not PASS
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        probe = nalpha_density(make_capillary_field(1.0), S, (1.0, 0.0), 0.2,
+                               cli.DEFAULT_RADII, samples=20000,
+                               seed=cli.DEFAULT_SEED)
+        tol = probe.ratios[-1] + 2.0 * probe.stderrs[-1]
+        code, out, _ = run_main(["nalpha", "--samples", "20000",
+                                 "--ratio-tol", repr(tol)], capsys)
+        assert code == 1
+        assert "INCONCLUSIVE deviation ratio at the finest radius" in out
+        assert out.strip().endswith("verdict: INCONCLUSIVE")
+
+    # --samples is a ceiling for the gated probes: every call of the
+    # sampling workload resolves its gates in the first lattice round, with
+    # one field pass per radius (and one normalization audit for nalpha)
+    def test_sampling_workload_stops_in_the_first_round(self, tmp_path,
+                                                        capsys, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        rounds, evals = [], []
+        lattice_disk, resolve_field = trace._lattice_disk, cli._resolve_field
+
+        def spied_lattice_disk(*args):
+            rounds.append(args[-1])
+            return lattice_disk(*args)
+
+        def spied_field(field_id):
+            field = resolve_field(field_id)
+
+            def ev(pts):
+                evals.append(pts.shape[0])
+                return field.eval(pts)
+
+            return dataclasses.replace(field, eval=ev)
+
+        monkeypatch.setattr(trace, "_lattice_disk", spied_lattice_disk)
+        monkeypatch.setattr(cli, "_resolve_field", spied_field)
+        for seed in (1, 2, 3):
+            for op in workloads.inputs("sampling", seed).ops:
+                rounds.clear()
+                evals.clear()
+                code, _, _ = run_main([*op.argv, "--out", str(tmp_path),
+                                       "--name", op.name], capsys)
+                assert code == 0, op.name
+                assert rounds == [trace.FIRST_ROUND], op.name
+                audit = 1 if op.argv[0] == "nalpha" else 0
+                assert len(evals) == len(cli.DEFAULT_RADII) + audit, op.name
+                rep = json.loads((tmp_path / f"{op.name}.json").read_text())
+                gated = [c for c in rep["checks"]
+                         if c["verdict"] in ("PASS", "FAIL")
+                         and c["name"].startswith("deviation")]
+                for c in gated:
+                    assert ("3948 points drawn per radius, 3948 in the "
+                            "final round, ceiling 185472") in c["detail"]
+
+    def test_samples_help_states_ceiling_and_exact_count(self, capsys):
+        for op in ("aplim", "nalpha", "density"):
+            code, out, _ = run_main([op, "--help"], capsys)
+            assert code == 0
+            text = " ".join(out.split())
+            assert ("the exact count for density, a ceiling for aplim and "
+                    "nalpha") in text
 
     def test_interface_grammar_builds_the_circle(self, capsys):
         base = ["trace", "--field", "capillary:R=1", "--x0", "1,0",

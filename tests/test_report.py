@@ -49,6 +49,16 @@ def test_info_and_skipped_do_not_decide():
     assert VerificationReport(scenario="empty").verdict == INCONCLUSIVE
 
 
+def test_an_undecided_check_keeps_the_report_from_passing():
+    rep = VerificationReport(scenario="undecided")
+    rep.add(CheckResult.from_margin("ok", 0.0, 0.0, 1.0))
+    rep.add(CheckResult("within the sampling error", 0.5, 0.5, 0.0,
+                        INCONCLUSIVE))
+    assert rep.verdict == INCONCLUSIVE
+    rep.add(CheckResult.from_margin("bad", 0.0, 0.0, -1.0))
+    assert rep.verdict == FAIL
+
+
 def test_to_json_is_sorted_and_stable():
     rep = VerificationReport(scenario="s", environment={"seed": 7})
     rep.add(CheckResult.from_margin("a", 1.0, 0.5, 0.25, detail="d"))

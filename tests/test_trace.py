@@ -18,11 +18,11 @@ from divlab.calculus import RectRegion, bump_test
 from divlab.fields import Disk, bump, constant_field, \
     make_capillary_field, make_twisting_field, zero_field
 from divlab.trace import (
-    AP_LIM_CONFIRMED, AP_LIM_REJECTED,
+    AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
     circle_interface, density, line_interface, one_sided_ap_lim,
     weak_trace_ball_average, weak_trace_curvilinear, weak_trace_pairing,
-    weak_trace_sphere_flux, _eddy_pairings, _patch_angular_order, _tail_fit,
-    _twisting_ball_average,
+    weak_trace_sphere_flux, _eddy_pairings, _intercept_weights,
+    _patch_angular_order, _tail_fit, _twisting_ball_average,
 )
 
 RADII = [2.0 ** -k for k in range(3, 9)]
@@ -497,6 +497,140 @@ class TestApLim:
 
 
 # ---------------------------------------------------------------------------
+# lattice rounds of the gated probes
+
+def _lattice_disk_at_ceiling(samples, seed, theta0=None):
+    """The one cloud every deviation probe drew before the probes drew in
+    rounds: the smallest Fibonacci lattice covering the request."""
+    need = samples if theta0 is None else -(-samples // 2)
+    per_shift = -(-need // 4)
+    g, n = 1, 1
+    while n < per_shift:
+        g, n = n, g + n
+    i = np.arange(n)
+    shift_u, shift_v = np.random.default_rng(seed).random((2, 4, 1))
+    r = np.sqrt((i / n + shift_u) % 1.0)
+    v = ((i * g % n) / n + shift_v) % 1.0
+    theta = 2.0 * math.pi * v if theta0 is None else theta0 + math.pi * v
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=2)
+
+
+class TestLatticeRounds:
+    X0 = (1.0 / 3.0, 0.0)
+    SEED = 20260819
+
+    @staticmethod
+    def _twisting_case(twisting8):
+        S = line_interface((0.0, 0.0), (1.0, 0.0), normal=(0.0, -1.0))
+        return twisting8, S, (0.0, 0.0), (0.5,)
+
+    @staticmethod
+    def _spied_eval(field):
+        evals = []
+
+        def ev(pts):
+            evals.append(pts.copy())
+            return field.eval(pts)
+
+        return dataclasses.replace(field, eval=ev), evals
+
+    def test_schedule_grows_by_phi_cubed_to_the_ceiling(self):
+        fib = [1, 2]
+        while fib[-1] < 10 ** 6:
+            fib.append(fib[-2] + fib[-1])
+        for samples in (1, 7, 1000, 7896, 7897, 20000, 33000, 100_000,
+                        250_000, 999_999, 1_000_000):
+            for half in (False, True):
+                sizes = trace._lattice_sizes(samples, half)
+                ceiling = _lattice_disk_at_ceiling(
+                    samples, 0, 0.0 if half else None).shape[1]
+                assert sizes[-1] == ceiling
+                assert all(n in fib for n in sizes)
+                steps = [fib.index(b) - fib.index(a)
+                         for a, b in zip(sizes, sizes[1:])]
+                assert all(k == 3 for k in steps[:-1])
+                assert all(3 <= k <= 5 for k in steps[-1:])
+                if fib.index(ceiling) >= fib.index(trace.FIRST_ROUND) + 3:
+                    assert sizes[0] == trace.FIRST_ROUND
+                else:
+                    assert sizes == [ceiling]
+                assert sum(sizes) <= 1.35 * ceiling
+
+    def test_gate_free_call_draws_the_ceiling_cloud_once(self, twisting8):
+        field, S, w, alphas = self._twisting_case(twisting8)
+        spied, evals = self._spied_eval(field)
+        nu = S.normal_at(np.asarray(self.X0))
+        theta0 = math.atan2(-nu[1], -nu[0]) - 0.5 * math.pi
+        probe, = trace.deviation_densities(spied, self.X0, nu, w, alphas,
+                                           RADII, 100_000, self.SEED)
+        cloud = _lattice_disk_at_ceiling(100_000, self.SEED, theta0)
+        assert np.array_equal(trace._lattice_disk(100_000, self.SEED, theta0),
+                              cloud)
+        assert len(evals) == len(RADII)
+        for pts, r in zip(evals, RADII):
+            assert np.array_equal(pts, np.asarray(self.X0)
+                                  + r * cloud.reshape(-1, 2))
+        assert (probe.samples_per_radius == probe.drawn_per_radius
+                == probe.ceiling_per_radius == cloud.shape[0] * cloud.shape[1])
+
+    def _ceiling_probe(self, field, S, w, alphas, samples):
+        nu = S.normal_at(np.asarray(self.X0))
+        return trace.deviation_densities(field, self.X0, nu, w, alphas,
+                                         RADII, samples, self.SEED)[0]
+
+    def test_twisting_rejection_within_the_sampling_error_is_inconclusive(
+            self, twisting8):
+        # the finest ratio, about 0.0133, is the smallest; a threshold two
+        # standard errors below it would reject the candidate 0 from the
+        # point estimate alone
+        field, S, w, alphas = self._twisting_case(twisting8)
+        ceiling = self._ceiling_probe(field, S, w, alphas, 100_000)
+        k = int(np.argmin(ceiling.ratios))
+        assert k == len(RADII) - 1
+        eps = ceiling.ratios[k] - 2.0 * ceiling.stderrs[k]
+        assert ceiling.theta - eps >= trace.SAMPLING_Z * ceiling.theta_stderr
+        spied, evals = self._spied_eval(field)
+        rep = one_sided_ap_lim(spied, S, self.X0, w, alphas, RADII,
+                               eps_density=eps, samples=100_000,
+                               seed=self.SEED)
+        (_, probe), = rep.probes
+        check, = [c for c in rep.checks
+                  if c.name.startswith("deviation density")]
+        assert rep.classification == AP_LIM_INCONCLUSIVE
+        assert check.verdict == "INCONCLUSIVE" and "(unresolved)" in \
+            check.detail
+        assert rep.verdict == "INCONCLUSIVE"
+        # it drew every round, at most 1.35x the points of the gate-free
+        # call, and ended on the gate-free cloud
+        assert (probe.ratios, probe.stderrs) == (ceiling.ratios,
+                                                 ceiling.stderrs)
+        assert probe.samples_per_radius == probe.ceiling_per_radius
+        points = sum(pts.shape[0] for pts in evals)
+        assert points == len(RADII) * probe.drawn_per_radius
+        assert points <= 1.35 * len(RADII) * ceiling.samples_per_radius
+        cloud = _lattice_disk_at_ceiling(100_000, self.SEED, 0.0)
+        for pts, r in zip(evals[-len(RADII):], RADII):
+            assert np.array_equal(pts, np.asarray(self.X0)
+                                  + r * cloud.reshape(-1, 2))
+
+    def test_twisting_confirmation_within_the_sampling_error_is_inconclusive(
+            self, twisting8):
+        # a threshold two standard errors above theta would confirm the
+        # candidate 0 from the point estimate alone
+        field, S, w, alphas = self._twisting_case(twisting8)
+        ceiling = self._ceiling_probe(field, S, w, alphas, 100_000)
+        eps = ceiling.theta + 2.0 * ceiling.theta_stderr
+        rep = one_sided_ap_lim(field, S, self.X0, w, alphas, RADII,
+                               eps_density=eps, samples=100_000,
+                               seed=self.SEED)
+        (_, probe), = rep.probes
+        assert rep.classification == AP_LIM_INCONCLUSIVE
+        assert [c.verdict for c in rep.checks] == ["INCONCLUSIVE", "INFO"]
+        assert rep.verdict == "INCONCLUSIVE"
+        assert probe.ratios == ceiling.ratios
+
+
+# ---------------------------------------------------------------------------
 # extrapolation internals
 
 class TestTailFit:
@@ -517,3 +651,10 @@ class TestTailFit:
     def test_single_radius_passthrough(self):
         intercept, osc, raw = _tail_fit([0.1], [3.5])
         assert (intercept, osc, raw) == (3.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize("radii", [[0.1], [0.4, 0.2], RADII])
+    def test_intercept_weights_reproduce_the_fit(self, radii):
+        est = np.cos(np.arange(len(radii)) + 1.0)
+        c = _intercept_weights(radii)
+        assert c @ est[-c.size:] == pytest.approx(_tail_fit(radii, est)[0],
+                                                  abs=1e-12)
