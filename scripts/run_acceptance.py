@@ -8,10 +8,14 @@ distinguishable from the CLI's own usage-error code.
 import argparse
 import contextlib
 import io
+import pathlib
 import sys
 import time
 
-from divlab.cli import RECIPES, main as cli_main
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from divlab.cli import RECIPES, main as cli_main  # noqa: E402
 
 
 def run_recipe(name: str, argv: list[str], verbose: bool) -> tuple[int, float]:

@@ -10,11 +10,15 @@ default keeps the flow's error far below the finest level's residual.
 """
 
 import argparse
+import pathlib
 import sys
 import time
 
-from divlab.fields import stream_bump_field
-from divlab.rigidity import flow_tubes
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from divlab.fields import stream_bump_field  # noqa: E402
+from divlab.rigidity import flow_tubes  # noqa: E402
 
 
 def main() -> int:

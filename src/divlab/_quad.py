@@ -2,8 +2,9 @@
 
 All routines take vectorized integrands (arrays in, arrays out).  The
 adaptive rules -- the 1D row batch `adaptive_gauss_rows` (with its
-one-row case `adaptive_gauss_1d`), the 2D tensor rule, the ball rule and
-the circle trapezoid -- are level functions run by `_refine`, the one
+one-row case `adaptive_gauss_1d`), the 2D tensor rule, the ball row batch
+`adaptive_ball_rows` (with its one-row case `adaptive_ball_quad`) and the
+circle trapezoid -- are level functions run by `_refine`, the one
 refinement loop and the one place that raises `QuadratureError`.
 """
 
@@ -223,34 +224,69 @@ def sphere_rule(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"sphere rule not implemented for dim {dim}")
 
 
+def ball_rules(dim: int, centers, radii, radial_order: int,
+               angular_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """`ball_rule` for many balls at once, one per row of centers (shape
+    (balls, dim)) with one radius each (or one for all); returns points
+    (balls, nodes, dim) and weights (balls, nodes), each ball's bit for bit
+    what `ball_rule` gives it."""
+    c = np.asarray(centers, dtype=float)
+    radii = np.broadcast_to(np.asarray(radii, dtype=float), c.shape[:1])
+    xr, wr = leggauss(radial_order)
+    half = (0.5 * radii)[:, None]
+    r = half * (xr + 1.0)
+    wrr = half * wr * r ** (dim - 1)
+    spts, swts = sphere_rule(dim, angular_order)
+    pts = r[:, :, None, None] * spts[None, None, :, :]
+    pts += c[:, None, None, :]      # in place: the sum is the same either way
+    wts = wrr[:, :, None] * swts[None, None, :]
+    return pts.reshape(c.shape[0], -1, dim), wts.reshape(c.shape[0], -1)
+
+
 def ball_rule(dim: int, center, radius: float, radial_order: int,
               angular_order: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed product rule over a ball; weights include the volume element."""
-    c = np.asarray(center, dtype=float)
-    xr, wr = leggauss(radial_order)
-    r = 0.5 * radius * (xr + 1.0)
-    wrr = 0.5 * radius * wr * r ** (dim - 1)
-    spts, swts = sphere_rule(dim, angular_order)
-    pts = c[None, None, :] + r[:, None, None] * spts[None, :, :]
-    wts = wrr[:, None] * swts[None, :]
-    return pts.reshape(-1, dim), wts.ravel()
+    pts, wts = ball_rules(dim, np.asarray(center, dtype=float)[None],
+                          radius, radial_order, angular_order)
+    return pts[0], wts[0]
+
+
+def adaptive_ball_rows(f: Callable, centers, radii, dim: int,
+                       rtol: float = 1e-8, atol: float = 1e-12) -> np.ndarray:
+    """Integrate row i of f over the ball about centers[i] of radius
+    radii[i] (or one radius for all) for every i at once.
+
+    f(rows, pts) returns the integrand of rows `rows` at the nodes pts,
+    shape (len(rows), nodes, dim), as an array (len(rows), nodes).  Each
+    row doubles its radial order from 4 (with max(order, 6) angles), at
+    most 6 times, and stops on its own test, exactly as if integrated
+    alone; the rows still open at a level go to f in one call.
+    """
+    c = np.asarray(centers, dtype=float)
+    radii = np.broadcast_to(np.asarray(radii, dtype=float), c.shape[:1])
+
+    def level(rows, order):
+        pts, wts = ball_rules(dim, c[rows], radii[rows], order,
+                              max(order, 6))
+        vals = np.asarray(f(rows, pts), dtype=float)
+        return np.array([np.dot(w, v) for w, v in zip(wts, vals)])
+
+    def size(order):    # radial x sphere nodes: a, 2a^2 or 2a^3 angles
+        return order * max(order, 6) ** (dim - 1) * (1 if dim == 2 else 2)
+
+    return _refine(
+        level, 4, size, rtol, atol, 6, "ball",
+        lambda i: (f"the ball of radius {float(radii[i])} about "
+                   f"{c[i].tolist()}"), c.shape[0])[0]
 
 
 def adaptive_ball_quad(f: Callable, center, radius: float, dim: int,
                        rtol: float = 1e-8, atol: float = 1e-12) -> float:
     """Integrate f over a ball, doubling the radial order from 4 (with
     max(order, 6) angles), at most 6 times, until two levels agree."""
-    def level(rows, order):
-        pts, wts = ball_rule(dim, center, radius, order, max(order, 6))
-        return float(np.dot(wts, np.asarray(f(pts), dtype=float)))
-
-    def size(order):    # radial x sphere nodes: a, 2a^2 or 2a^3 angles
-        return order * max(order, 6) ** (dim - 1) * (1 if dim == 2 else 2)
-
-    return float(_refine(
-        level, 4, size, rtol, atol, 6, "ball",
-        lambda i: (f"the ball of radius {radius} about "
-                   f"{np.asarray(center, dtype=float).tolist()}"))[0][0])
+    return float(adaptive_ball_rows(
+        lambda rows, pts: np.asarray(f(pts[0]), dtype=float)[None],
+        np.asarray(center, dtype=float)[None], radius, dim, rtol, atol)[0])
 
 
 def adaptive_circle(g: Callable, center, radius: float, sign: float = 1.0,

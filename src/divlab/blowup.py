@@ -17,7 +17,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import _quad
-from .calculus import AnnulusRegion, bump_test, flux_residual
+from .calculus import AnnulusRegion, BumpTest, bump_test, flux_residual
 from .fields import Disk, EddyStack, Exclusion, VectorField
 from .report import (FAIL, INCONCLUSIVE, PASS, CheckResult,
                      VerificationReport)
@@ -202,17 +202,34 @@ def quadratic_inequality_check(xi: VectorField, points,
 # ---------------------------------------------------------------------------
 # per-scale trace consistency
 
+def _common_bump(psi_family) -> tuple[np.ndarray, BumpTest]:
+    """The centers of a bump family that shares one radius and height, and
+    the family's bump about the origin: psi_i(y) is that bump read at
+    y - centers[i], bit for bit, so one profile pass serves every bump."""
+    psi_family = list(psi_family)
+    radius, height = psi_family[0].radius, psi_family[0].height
+    if any((psi.radius, psi.height) != (radius, height)
+           for psi in psi_family):
+        raise ValueError("the bump family must share one radius and height")
+    centers = np.array([psi.center for psi in psi_family], dtype=float)
+    return centers, bump_test(np.zeros(centers.shape[1]), radius, height)
+
+
 def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
                    atol: float) -> tuple[list[float], Optional[float]]:
     """integral over (rescaled domain) ∩ (inward half plane) ∩ supp psi of
     psi * div z_k + grad psi . z_k, in the coordinates of the zoom z_k,
-    for each psi.  A disk field's zoom must be centered on the rim.
+    for each psi of a family that shares one radius and height.  A disk
+    field's zoom must be centered on the rim.
 
+    The bumps are the rows of one outer t-quadrature, each stopping on its
+    own test; the inner s-rows of every open bump go to the integrand
+    together, one call per level for the whole family at this scale.
     Each pairing by adaptive quadrature is held to the absolute budget
     atol: atol/2 for the outer t-quadrature and atol/(2 * t-width) for
     each of its inner s-rows.  Returns the pairings and the achieved error
     estimate, the largest over psi of the outer delta plus the t-width
-    times the largest inner delta at the final outer level; the eddy
+    times the largest inner delta at its final outer level; the eddy
     stack's closed-form ball rules give no estimate (None)."""
     if zk.eddies is not None:
         # divergence-free eddies: the div term vanishes identically
@@ -224,73 +241,73 @@ def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
     R_k = None if zk.disk is None else zk.disk.radius
     if zk.analytic_div is None:
         raise ValueError("divergence information required")
+    centers, origin = _common_bump(psi_family)
+    radius = origin.radius
     tdir = np.array([-nu[1], nu[0]])
+    # per-bump scalar projections: a matrix product rounds differently
+    t_c = np.array([float(c @ tdir) for c in centers])
+    s_c = np.array([float(c @ (-nu)) for c in centers])
+    width = 2.0 * radius
+    inner_delta = np.zeros(len(centers))  # per bump, of its last level
 
-    def lhs(psi) -> tuple[float, float]:
-        pc = np.asarray(psi.center)
-        t_c = float(pc @ tdir)
-        s_c = float(pc @ (-nu))
-        width = 2.0 * psi.radius
-        inner_delta = 0.0       # the largest row delta of the last level
+    def inner(bumps, t):
+        # one batched s-quadrature, a row per open bump and outer node t.
+        # The depths stay scalar arithmetic: numpy's array `** 2` rounds
+        # differently from the scalar power for about 1 input in 1,000,
+        # which would move the s-nodes and the reported digits
+        t_arr = t.ravel()
+        owner = np.repeat(bumps, t.shape[1])
+        s_star = np.zeros(t_arr.size)
+        if R_k is not None:
+            s_star = np.array([
+                R_k * (1.0 - math.sqrt(max(1.0 - (t / R_k) ** 2, 0.0)))
+                for t in t_arr])
+        hi = s_c[owner] + radius
+        # an empty row (hi <= lo) has a == b and integrates to 0
+        lo = np.minimum(np.maximum(s_star, s_c[owner] - radius), hi)
 
-        def g(y):
-            value, grad = psi.value_and_gradient(y)
-            return value * zk.analytic_div(y) + np.einsum(
-                "ij,ij->i", zk.eval(y), grad)
-
-        def inner(t_arr):
-            nonlocal inner_delta
-            # one batched s-quadrature, a row per outer node t.  The depths
-            # stay scalar arithmetic: numpy's array `** 2` rounds differently
-            # from the scalar power for about 1 input in 1,000, which would
-            # move the s-nodes and the reported digits
-            s_star = np.zeros(t_arr.size)
-            if R_k is not None:
-                s_star = np.array([
-                    R_k * (1.0 - math.sqrt(max(1.0 - (t / R_k) ** 2, 0.0)))
-                    for t in t_arr])
-            hi = s_c + psi.radius
-            # an empty row (hi <= lo) has a == b and integrates to 0
-            lo = np.minimum(np.maximum(s_star, s_c - psi.radius), hi)
-
-            def rows_g(rows, s):
-                y = t_arr[rows, None, None] * tdir + s[:, :, None] * -nu
-                return g(y.reshape(-1, 2)).reshape(s.shape)
-
-            vals, deltas = _quad._gauss_rows_estimated(
-                rows_g, lo, np.full(t_arr.size, hi), rtol=0.0,
-                atol=0.5 * atol / width)
-            inner_delta = float(deltas.max())
-            return vals
+        def rows_g(rows, s):
+            y = t_arr[rows, None, None] * tdir + s[:, :, None] * -nu
+            value, grad = origin.value_and_gradient(
+                (y - centers[owner[rows], None, :]).reshape(-1, 2))
+            y = y.reshape(-1, 2)
+            return (value * zk.analytic_div(y) + np.einsum(
+                "ij,ij->i", zk.eval(y), grad)).reshape(s.shape)
 
         vals, deltas = _quad._gauss_rows_estimated(
-            lambda rows, t: inner(t[0]), [t_c - psi.radius],
-            [t_c + psi.radius], rtol=0.0, atol=0.5 * atol)
-        return float(vals[0]), float(deltas[0]) + width * inner_delta
+            rows_g, lo, hi, rtol=0.0, atol=0.5 * atol / width)
+        inner_delta[bumps] = deltas.reshape(t.shape).max(axis=1)
+        return vals.reshape(t.shape)
 
-    pairs = [lhs(psi) for psi in psi_family]
-    return [v for v, _ in pairs], max(e for _, e in pairs)
+    vals, deltas = _quad._gauss_rows_estimated(
+        inner, t_c - radius, t_c + radius, rtol=0.0, atol=0.5 * atol)
+    return ([float(v) for v in vals],
+            max(float(d) + width * float(e)
+                for d, e in zip(deltas, inner_delta)))
 
 
-def _off_interface_div_mass(zk: VectorField, psi, rtol: float) -> float:
-    """integral of psi |div z_k| over the off-interface support of psi."""
+def _off_interface_div_mass(zk: VectorField, psi_family,
+                            rtol: float) -> list[float]:
+    """integral of psi |div z_k| over the off-interface support of psi, for
+    each psi of a family that shares one radius and height; the bumps are
+    the rows of one ball quadrature, one divergence call per level for the
+    whole family at this scale."""
     if zk.analytic_div is None:
         raise ValueError("divergence information required")
-    pc = np.asarray(psi.center)
+    centers, origin = _common_bump(psi_family)
 
-    def g(y):
-        return psi.value(y) * np.abs(zk.analytic_div(y))
-
-    def g_masked(y):
-        inside = zk.disk.contains(y)
-        out = np.zeros(y.shape[0])
+    def g(rows, pts):
+        out = np.zeros(pts.shape[:2])
+        inside = np.ones(out.shape, dtype=bool) if zk.disk is None else \
+            zk.disk.contains(pts.reshape(-1, zk.dim)).reshape(out.shape)
         if np.any(inside):
-            out[inside] = g(y[inside])
+            psi = origin.value((pts - centers[rows, None, :])[inside])
+            out[inside] = psi * np.abs(zk.analytic_div(pts[inside]))
         return out
 
-    return _quad.adaptive_ball_quad(g if zk.disk is None else g_masked,
-                                    pc, psi.radius, 2,
-                                    rtol=max(rtol, 1e-8), atol=1e-13)
+    masses = _quad.adaptive_ball_rows(g, centers, origin.radius, zk.dim,
+                                      rtol=max(rtol, 1e-8), atol=1e-13)
+    return [float(m) for m in masses]
 
 
 def _diagnostic(rep: VerificationReport, radii, name: str, fit_note: str,
@@ -389,8 +406,8 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
                          psi.height) for psi in psi_family]
     defects_a = _diagnostic(
         rep, radii, "off-interface divergence mass", " over last 3 scales",
-        lambda k: max(abs(_off_interface_div_mass(zooms[k], psi, rtol))
-                      for psi in shifted))
+        lambda k: max(abs(mass) for mass in
+                      _off_interface_div_mass(zooms[k], shifted, rtol)))
 
     # (b) half-space pairing vs trace * flat boundary term; the boundary
     # term, psi integrated along the tangent line, is the same at every scale

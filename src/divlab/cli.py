@@ -45,13 +45,14 @@ from .fields import (AUTO, MAX_DIMENSION, REGISTRY_EXAMPLES,
                      get_field, make_counterexample_field, parse_gamma,
                      parse_spec, phi_quadratic, potential_to_field,
                      stream_bump_field)
-from .report import FAIL, INFO, PASS, CheckResult, VerificationReport
+from .report import (FAIL, INCONCLUSIVE, INFO, PASS, CheckResult,
+                     VerificationReport)
 from .rigidity import (CERTIFIED, VIOLATED, FlowInputError, certify_potential,
                        default_certification_grid, flow_tubes,
                        separable_demo, strip_identity_2d)
 from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
-                    check_radii, circle_interface, density, line_interface,
-                    one_sided_ap_lim, weak_trace_ball_average,
+                    _sampled_side, check_radii, circle_interface, density,
+                    line_interface, one_sided_ap_lim, weak_trace_ball_average,
                     weak_trace_curvilinear, weak_trace_pairing,
                     weak_trace_sphere_flux)
 
@@ -604,12 +605,27 @@ def _h_density(sc: Scenario):
                                  detail=f"stderr={row['stderr']:.2e}"))
     rep.add(CheckResult.info("extrapolated density", probe.theta))
     if p["expect"] == "value":
-        rep.add(CheckResult.from_residual(
-            "density matches expected value",
-            probe.theta - p["value"], tol["value_tol"]))
+        rep.add(_density_value_check(probe.theta, probe.theta_stderr,
+                                     p["value"], tol["value_tol"]))
     rows = [[row["radius"], row["estimate"], row["stderr"]]
             for row in probe.rows()]
     return rep, [("ratios", ["radius", "ratio", "stderr"], rows)], []
+
+
+def _density_value_check(theta: float, stderr: float, value: float,
+                         value_tol: float) -> CheckResult:
+    """The density gate |theta - value| <= value_tol, read at SAMPLING_Z
+    standard errors: PASS when theta lies that far inside both bounds
+    value -/+ value_tol, FAIL when that far outside either, INCONCLUSIVE
+    otherwise."""
+    above_lo = _sampled_side(theta, stderr, value - value_tol)
+    above_hi = _sampled_side(theta, stderr, value + value_tol)
+    verdict = (PASS if (above_lo, above_hi) == (1, -1) else
+               FAIL if above_lo < 0 or above_hi > 0 else INCONCLUSIVE)
+    residual = theta - value
+    return CheckResult("density matches expected value", residual,
+                       value_tol, value_tol - abs(residual), verdict,
+                       detail=f"theta stderr {stderr:.2g}")
 
 
 def _h_aplim(sc: Scenario):

@@ -307,32 +307,41 @@ def _twisting_ball_average(eddies: EddyStack, x0: np.ndarray, r: float,
     return total / (math.pi * r * r)
 
 
-def _disk_lens_average(disk: Disk, x0: np.ndarray, r: float,
-                       nu0: np.ndarray, rtol: float) -> float:
-    """Average of the radial field on the disk over a boundary ball,
-    restricted to the lens inside the disk; both integrals are 1D."""
+def _disk_lens_averages(disk: Disk, x0: np.ndarray, radii,
+                        nu0: np.ndarray, rtol: float) -> list[float]:
+    """Average of the radial field on the disk over the boundary ball of
+    each radius, restricted to the lens inside the disk.  Each average is
+    a ratio of two 1D integrals, split at the kink where the cap binds;
+    every piece at every radius is a row of one row batch."""
     R = disk.radius
     a = x0 - disk.center  # |a| = R up to the interface tolerance
     sgn = float(np.sign(a @ nu0))
+    # rows (k, lo, hi, numerator?) in the order the pieces are summed
+    pieces = []
+    for k, r in enumerate(radii):
+        dstar = math.acos(min(1.0, r / (2.0 * R)))
+        for lo, hi in [(0.5 * math.pi, math.pi - dstar),
+                       (math.pi - dstar, math.pi)]:
+            if hi > lo:
+                pieces += [(k, lo, hi, True), (k, lo, hi, False)]
+    k_row, lo, hi, is_num = (np.array(col) for col in zip(*pieces))
+    r_row = np.asarray(radii, dtype=float)[k_row]
 
-    def pieces(delta):
-        m = np.minimum(r, -2.0 * R * np.cos(delta))
-        num = 0.5 * m * m + np.cos(delta) * m ** 3 / (3.0 * R)
+    def f(rows, delta):
+        m = np.minimum(r_row[rows, None], -2.0 * R * np.cos(delta))
         den = 0.5 * m * m
-        return num, den
+        num = den + np.cos(delta) * m ** 3 / (3.0 * R)
+        return np.where(is_num[rows, None], num, den)
 
-    dstar = math.acos(min(1.0, r / (2.0 * R)))  # kink where the cap binds
-    splits = [(0.5 * math.pi, math.pi - dstar), (math.pi - dstar, math.pi)]
-    num = den = 0.0
-    for lo, hi in splits:
-        if hi <= lo:
-            continue
-        num += _quad.adaptive_gauss_1d(lambda t: pieces(t)[0], lo, hi,
-                                       rtol=rtol, atol=1e-15)
-        den += _quad.adaptive_gauss_1d(lambda t: pieces(t)[1], lo, hi,
-                                       rtol=rtol, atol=1e-15)
+    vals = _quad.adaptive_gauss_rows(f, lo, hi, rtol=rtol, atol=1e-15)
+    num, den = [0.0] * len(radii), [0.0] * len(radii)
+    for (k, _, _, numerator), v in zip(pieces, vals):
+        if numerator:
+            num[k] += float(v)
+        else:
+            den[k] += float(v)
     # the lens is symmetric about the normal direction
-    return sgn * num / den
+    return [sgn * n / d for n, d in zip(num, den)]
 
 
 def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
@@ -350,8 +359,8 @@ def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
                      for r in radii]
         return _make_probe(radii, estimates, 1e-10)
     if field.disk is not None:
-        estimates = [_disk_lens_average(field.disk, x0, float(r), nu0, rtol)
-                     for r in radii]
+        estimates = _disk_lens_averages(field.disk, x0,
+                                        [float(r) for r in radii], nu0, rtol)
     else:
         vol = _quad.ball_volume(field.dim)
         estimates = [_quad.adaptive_ball_quad(
@@ -431,9 +440,12 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
     (a rescaled field carries its eddies mapped).  Each ball gets a product
     rule with 16 radial nodes and angular_order(radius) angles.  The field
     is evaluated once on the nodes of all balls the family needs (in
-    batches of _EDDY_EVAL_BATCH nodes) and the values serve every psi.  A
-    ball that misses the support of a test function adds exact zeros, so
-    it is skipped.
+    batches of _EDDY_EVAL_BATCH nodes, one call per batch: a blow-up
+    scale's family fits in one) and the values serve every psi.  A batch
+    builds one rule per angular order for all its balls of that order and
+    reads their per-ball sums off one reshape per order.  A ball that
+    misses the support of a test function adds exact zeros, so it is
+    skipped.
     """
     psi_family = list(psi_family)
     centers, radii = eddies.centers, eddies.radii
@@ -452,21 +464,26 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
                               side="right")
         stop = start + max(1, int(fit))
         batch, batch_sizes = used[start:stop], sizes[start:stop]
-        rules = [_quad.ball_rule(2, centers[n], radii[n], radial_order=16,
-                                 angular_order=angular_order(radii[n]))
-                 for n in batch]
-        pts = np.concatenate([q for q, _ in rules])
-        w = np.concatenate([wq for _, wq in rules])
+        # the batch's balls grouped by node count, that is by angular
+        # order: one rule for each group
+        groups = [(int(size), batch[batch_sizes == size])
+                  for size in np.unique(batch_sizes)]
+        rules = [_quad.ball_rules(2, centers[group], radii[group], 16,
+                                  size // 16) for size, group in groups]
+        pts = np.concatenate([q.reshape(-1, 2) for q, _ in rules])
+        w = np.concatenate([wq.ravel() for _, wq in rules])
         vals = field.eval(pts)
         for p, psi in enumerate(psi_family):
-            keep = near[p, batch]
-            rows = np.repeat(keep, batch_sizes)
+            rows = np.concatenate([np.repeat(near[p, group], size)
+                                   for size, group in groups])
             terms = w[rows] * np.einsum(
                 "ij,ij->i", vals[rows], psi.value_and_gradient(pts[rows])[1])
             lo = 0
-            for n, size in zip(batch[keep], batch_sizes[keep]):
-                sums[p, n] = np.sum(terms[lo:lo + size])
-                lo += size
+            for size, group in groups:
+                keep = group[near[p, group]]
+                hi = lo + keep.size * size
+                sums[p, keep] = terms[lo:hi].reshape(-1, size).sum(axis=1)
+                lo = hi
         start = stop
     out = []
     for p in range(len(psi_family)):

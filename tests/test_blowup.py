@@ -404,9 +404,11 @@ class TestTraceConsistency:
 CAPILLARY_RADII = (0.25, 0.125, 0.0625)
 
 
-def _pairing_nodes(field, monkeypatch, **kwargs):
-    """Integrand nodes of the 1D row rules (the half-space pairing and the
-    flat boundary term) of one capillary rim blow-up, and its report."""
+def _pairing_nodes(field, monkeypatch, x0=(1.0, 0.0), trace_value=1.0,
+                   **kwargs):
+    """Integrand nodes of the 1D row rules (the half-space pairing, the
+    flat boundary term and, with no trace value given, the lens averages
+    of the trace probe) of one capillary rim blow-up, and its report."""
     nodes = []
     gauss_rows = _quad._gauss_rows
 
@@ -416,8 +418,8 @@ def _pairing_nodes(field, monkeypatch, **kwargs):
 
     monkeypatch.setattr(_quad, "_gauss_rows", counting)
     S = circle_interface((0.0, 0.0), 1.0, outward=True)
-    rep = blowup_trace_consistency(field, S, (1.0, 0.0), CAPILLARY_RADII,
-                                   trace_value=1.0, **kwargs)
+    rep = blowup_trace_consistency(field, S, x0, CAPILLARY_RADII,
+                                   trace_value=trace_value, **kwargs)
     monkeypatch.setattr(_quad, "_gauss_rows", gauss_rows)
     return sum(nodes), rep
 
@@ -468,3 +470,64 @@ class TestPairingBudget:
         assert by["half-space pairing defect, final"].verdict == "PASS"
         assert by["half-space pairing quadrature estimate"].verdict == "FAIL"
         assert rep.verdict == "FAIL"
+
+
+# ---------------------------------------------------------------------------
+# one row batch per scale
+
+class TestScaleBatches:
+    def test_family_pairing_equals_the_one_bump_pairings(self, capillary):
+        # the five bumps run as rows of one outer quadrature; each row
+        # stops on its own test, so every pairing is the one-bump value
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        x0 = np.array([0.6, 0.8])
+        nu = S.normal_at(x0)
+        tdir = np.array([-nu[1], nu[0]])
+        fam = [bump_test(o * tdir, 0.5) for o in np.linspace(-0.6, 0.6, 5)]
+        zk = rescale(capillary, x0, 0.125)
+        lhs, estimate = _halfspace_lhs(zk, fam, nu, 1e-4)
+        alone = [_halfspace_lhs(zk, [psi], nu, 1e-4) for psi in fam]
+        assert lhs == [value for [value], _ in alone]
+        assert estimate == max(e for _, e in alone)
+
+    def test_family_off_interface_mass_equals_the_one_bump_masses(
+            self, capillary):
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        x0 = np.array([0.6, 0.8])
+        nu = S.normal_at(x0)
+        tdir = np.array([-nu[1], nu[0]])
+        shifted = [bump_test(o * tdir - nu, 0.5)
+                   for o in np.linspace(-0.6, 0.6, 5)]
+        zk = rescale(capillary, x0, 0.25)
+        masses = blowup_module._off_interface_div_mass(zk, shifted, 1e-6)
+        assert masses == [
+            blowup_module._off_interface_div_mass(zk, [psi], 1e-6)[0]
+            for psi in shifted]
+
+    def test_family_must_share_one_radius_and_height(self, capillary):
+        zk = rescale(capillary, (1.0, 0.0), 0.25)
+        nu = np.array([1.0, 0.0])
+        for odd in (bump_test((0.0, 0.5), 0.25),
+                    bump_test((0.0, 0.5), 0.5, height=2.0)):
+            with pytest.raises(ValueError, match="one radius and height"):
+                _halfspace_lhs(zk, [bump_test((0.0, 0.0), 0.5), odd], nu,
+                               1e-4)
+
+    def test_rim_blowup_makes_one_divergence_call_per_level_and_scale(
+            self, capillary, monkeypatch):
+        # the benchmark's blow-up shape with its trace value probed: a
+        # nested quadrature per bump and scale made 215 divergence calls
+        # for the same 256,168 points
+        calls = []
+
+        def counting_div(pts):
+            calls.append(len(pts))
+            return capillary.analytic_div(pts)
+
+        counted = dataclasses.replace(capillary, analytic_div=counting_div)
+        nodes, rep = _pairing_nodes(counted, monkeypatch, x0=(0.6, 0.8),
+                                    trace_value=None, rtol=1e-6)
+        assert rep.verdict == "PASS"
+        assert len(calls) <= 50
+        assert sum(calls) == 256_168
+        assert nodes == 177_472

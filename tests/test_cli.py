@@ -17,6 +17,7 @@ from divlab.cli import (
     RECIPES, Scenario, UsageError, build_parser, main, _scenario_from_args,
 )
 from divlab.fields import make_capillary_field, stream_bump_field
+from divlab.report import FAIL, INCONCLUSIVE, PASS
 from divlab.rigidity import flow_tubes
 from divlab.trace import _tail_fit, circle_interface
 
@@ -594,6 +595,34 @@ class TestOperations:
         assert line in out
         assert abs(float(line.rsplit("=", 1)[1]) - exact) <= 2e-4
         assert out.strip().endswith("verdict: PASS")
+
+    @pytest.mark.parametrize("value_tol,verdict,want", [
+        # theta lies 5.12e-05, half its stderr of 1.0e-4, inside the bound:
+        # a confident PASS before the gate read the sampling error
+        ("0.00013638844740950678", "INCONCLUSIVE", 1),
+        ("0.01", "PASS", 0),
+    ])
+    def test_density_value_gate_reads_the_sampling_error(
+            self, value_tol, verdict, want, capsys):
+        code, out, _ = run_main(["density", "--field", "capillary:R=1",
+                                 "--x0", "1,0", "--samples", "20000",
+                                 "--expect", "value", "--value", "0.5",
+                                 "--value-tol", value_tol], capsys)
+        assert code == want
+        assert f"{verdict:8s} density matches expected value" in out
+        assert "theta stderr 0.0001" in out
+        assert out.strip().endswith(f"verdict: {verdict}")
+
+    def test_density_value_far_outside_its_bounds_fails(self):
+        # SAMPLING_Z = 6 stderrs of 1e-5 outside either bound 0.5 -/+ 1e-3
+        # is a FAIL, that far inside both a PASS; within them, undecided
+        for theta, verdict in [(0.45, FAIL), (0.4989, FAIL),
+                               (0.49895, INCONCLUSIVE),
+                               (0.49905, INCONCLUSIVE), (0.5, PASS),
+                               (0.50095, INCONCLUSIVE), (0.5012, FAIL)]:
+            check = cli._density_value_check(theta, 1e-5, 0.5, 1e-3)
+            assert check.verdict == verdict, theta
+            assert check.margin == 1e-3 - abs(theta - 0.5)
 
     def test_nalpha_gate_within_the_sampling_error_is_inconclusive(
             self, capsys):

@@ -136,6 +136,90 @@ def test_adaptive_ball_quad_constant():
     assert val == pytest.approx(math.pi * 2.25, rel=1e-12)
 
 
+def _reference_ball_rule(dim, center, radius, radial_order, angular_order):
+    # one ball at a time, as the rule was written before balls were
+    # batched; every batched ball must reproduce it bit for bit
+    c = np.asarray(center, dtype=float)
+    xr, wr = _quad.leggauss(radial_order)
+    r = 0.5 * radius * (xr + 1.0)
+    wrr = 0.5 * radius * wr * r ** (dim - 1)
+    spts, swts = _quad.sphere_rule(dim, angular_order)
+    pts = c[None, None, :] + r[:, None, None] * spts[None, :, :]
+    wts = wrr[:, None] * swts[None, :]
+    return pts.reshape(-1, dim), wts.ravel()
+
+
+def _reference_adaptive_ball(f, center, radius, dim, rtol, atol):
+    order = 4
+    pts, w = _reference_ball_rule(dim, center, radius, order, 6)
+    prev = float(np.dot(w, f(pts)))
+    for _ in range(6):
+        order *= 2
+        pts, w = _reference_ball_rule(dim, center, radius, order,
+                                      max(order, 6))
+        cur = float(np.dot(w, f(pts)))
+        if abs(cur - prev) <= rtol * abs(cur) + atol:
+            return cur
+        prev = cur
+    raise _quad.QuadratureError("reference failed to converge")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_rules_match_one_ball_rule_bitwise(dim):
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(-2.0, 2.0, (7, dim))
+    radii = rng.uniform(0.01, 3.0, 7)
+    for radial, angular in [(16, 32), (8, 6), (5, 128)]:
+        pts, wts = _quad.ball_rules(dim, centers, radii, radial, angular)
+        for c, r, p, w in zip(centers, radii, pts, wts):
+            ref_p, ref_w = _reference_ball_rule(dim, c, r, radial, angular)
+            assert np.array_equal(p, ref_p) and np.array_equal(w, ref_w)
+
+
+def test_ball_row_batch_matches_one_row_loop_bitwise():
+    rng = np.random.default_rng(17)
+    centers = rng.uniform(-1.0, 1.0, (12, 2))
+    k = rng.uniform(0.5, 12.0, 12)
+    radii = rng.uniform(0.1, 1.0, 12)
+
+    def row(i):
+        return lambda p: np.cos(k[i] * p[:, 0]) * np.exp(-p[:, 1] ** 2)
+
+    def f(rows, pts):
+        return np.cos(k[rows, None] * pts[..., 0]) * np.exp(-pts[..., 1] ** 2)
+
+    for radius in (radii, 0.5):
+        batch = _quad.adaptive_ball_rows(f, centers, radius, 2, rtol=1e-9,
+                                         atol=1e-13)
+        rr = np.broadcast_to(radius, 12)
+        loop = [_quad.adaptive_ball_quad(row(i), centers[i], rr[i], 2,
+                                         rtol=1e-9, atol=1e-13)
+                for i in range(12)]
+        reference = [_reference_adaptive_ball(row(i), centers[i], rr[i], 2,
+                                              1e-9, 1e-13)
+                     for i in range(12)]
+        assert np.array_equal(batch, loop)
+        assert np.array_equal(batch, reference)
+
+
+def test_ball_row_batch_failure_names_the_failing_row():
+    # row 1 oscillates beyond the finest order and never settles
+    k = np.array([1.0, 1e7, 2.0])
+    centers = np.array([[0.0, 0.0], [0.25, -1.0], [1.0, 1.0]])
+
+    def f(rows, pts):
+        return np.sin(k[rows, None] * pts[..., 0])
+
+    with pytest.raises(_quad.QuadratureError) as batch:
+        _quad.adaptive_ball_rows(f, centers, 0.5, 2, rtol=1e-14, atol=1e-16)
+    with pytest.raises(_quad.QuadratureError) as alone:
+        _quad.adaptive_ball_quad(lambda p: np.sin(1e7 * p[:, 0]),
+                                 (0.25, -1.0), 0.5, 2, rtol=1e-14,
+                                 atol=1e-16)
+    assert "the ball of radius 0.5 about [0.25, -1.0]" in str(batch.value)
+    assert str(batch.value) == str(alone.value)
+
+
 # every adaptive rule fails through the one refinement loop, whose error
 # names the rule, its domain and the last delta between two levels
 @pytest.mark.parametrize("integrate,names", [

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from divlab import _quad
 from divlab._quad import ball_rule, leggauss
 from divlab.blowup import rescale
 from divlab import trace
@@ -133,6 +134,41 @@ class TestCapillaryProbes:
         assert np.allclose(p.estimates, frozen, rtol=0.0, atol=1e-12)
         assert p.extrapolated == pytest.approx(1.0000184182316565, abs=1e-10)
         assert not p.oscillating
+
+    @pytest.mark.parametrize("x0", [(1.0, 0.0), (0.6, 0.8)])
+    def test_lens_averages_are_one_row_batch_equal_to_the_pieces(
+            self, x0, monkeypatch):
+        # every radius, split and numerator/denominator piece is a row of
+        # one batch; 24 one-row quadratures here gave the same bits
+        def pieces_alone(r, nu0):
+            R, sgn = 1.0, float(np.sign(np.asarray(x0) @ nu0))
+            dstar = math.acos(min(1.0, r / (2.0 * R)))
+            num = den = 0.0
+            for lo, hi in [(0.5 * math.pi, math.pi - dstar),
+                           (math.pi - dstar, math.pi)]:
+                m = lambda t: np.minimum(r, -2.0 * R * np.cos(t))
+                num += _quad.adaptive_gauss_1d(
+                    lambda t: 0.5 * m(t) * m(t)
+                    + np.cos(t) * m(t) ** 3 / (3.0 * R),
+                    lo, hi, rtol=1e-9, atol=1e-15)
+                den += _quad.adaptive_gauss_1d(
+                    lambda t: 0.5 * m(t) * m(t), lo, hi, rtol=1e-9,
+                    atol=1e-15)
+            return sgn * num / den
+
+        nu0 = self.S.normal_at(np.asarray(x0))
+        want = [pieces_alone(r, nu0) for r in RADII]
+        batches = []
+        rows = _quad.adaptive_gauss_rows
+
+        def counting_rows(*args, **kwargs):
+            batches.append(1)
+            return rows(*args, **kwargs)
+
+        monkeypatch.setattr(_quad, "adaptive_gauss_rows", counting_rows)
+        p = weak_trace_ball_average(self.f, self.S, x0, RADII)
+        assert list(p.estimates) == want
+        assert len(batches) == 1
 
     def test_curvilinear_limit_is_the_arc_average(self):
         # fixed patch half-width rho on the unit circle: the r -> 0 limit
