@@ -19,10 +19,10 @@ from numpy.random import default_rng
 from . import _quad
 from .calculus import AnnulusRegion, BumpTest, bump_test, flux_residual
 from .fields import Disk, EddyStack, Exclusion, VectorField
-from .report import (FAIL, INCONCLUSIVE, PASS, CheckResult,
-                     VerificationReport)
+from .report import INCONCLUSIVE, CheckResult, VerificationReport
 from .trace import OrientedInterface, DensityProbe, _eddy_pairings, \
-    _sampled_side, check_radii, deviation_densities, weak_trace_ball_average
+    check_radii, deviation_densities, sampled_verdict, \
+    weak_trace_ball_average
 
 __all__ = [
     "rescale", "nalpha_density", "finest_ratio_check",
@@ -126,11 +126,7 @@ def nalpha_density(xi: VectorField, S: OrientedInterface, x0, alpha: float,
     lattice is drawn at the ceiling `samples`; with it, in the rounds of
     `trace._lattice_sizes` until `finest_ratio_check` decides.
     """
-    if xi.dim != 2:
-        raise ValueError("deviation densities are planar")
-    x0 = np.asarray(x0, dtype=float)
-    S.require_on(x0)
-    nu = S.normal_at(x0)
+    x0, nu = S.frame(xi, x0)
 
     # normalization audit on a fixed sample cloud near x0, to 1e-6
     rng = default_rng(424242)
@@ -153,13 +149,12 @@ def nalpha_density(xi: VectorField, S: OrientedInterface, x0, alpha: float,
 def finest_ratio_check(probe: DensityProbe, alpha: float,
                        ratio_tol: float) -> CheckResult:
     """The nalpha gate: the deviation ratio at the finest radius must lie
-    below ratio_tol.  PASS when it lies SAMPLING_Z standard errors below,
-    FAIL when that far above, INCONCLUSIVE within."""
+    below ratio_tol, read by `sampled_verdict`."""
     ratio = probe.ratios[-1]
-    side = _sampled_side(ratio, probe.stderrs[-1], ratio_tol)
     return CheckResult(
         "deviation ratio at the finest radius", ratio, ratio_tol,
-        ratio_tol - abs(ratio), {-1: PASS, 0: INCONCLUSIVE, 1: FAIL}[side],
+        ratio_tol - abs(ratio),
+        sampled_verdict(ratio, probe.stderrs[-1], hi=ratio_tol),
         detail=f"alpha={alpha:g}, r={probe.radii[-1]:g}, stderr "
                f"{probe.stderrs[-1]:.2g}; {probe.draws()}")
 
@@ -365,7 +360,7 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
     Defect trends are summarized by fitted decay exponents; only the final
     defect of (b) gates the verdict.  A scale where the quadrature of (a)
     or (c) fails leaves NaN in its row, and that diagnostic is SKIPPED.
-    On a disk field x0 must sit on the rim, to 1e-9.
+    On a disk field x0 must pass `Disk.check_rim`.
 
     The quadratures of (b) share the absolute budget PAIRING_SHARE *
     final_tol: BOUNDARY_SLICE of it over max(1, |T|) for the flat boundary
@@ -381,13 +376,10 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
     if not 0.0 < final_tol < math.inf:
         raise ValueError(f"final_tol must be finite and positive; got "
                          f"{final_tol}: it sets the pairing's budget")
-    x0 = np.asarray(x0, dtype=float)
-    S.require_on(x0)
-    if field.disk is not None and abs(np.linalg.norm(
-            x0 - field.disk.center) - field.disk.radius) > 1e-9:
-        raise ValueError("blow-up center must sit on the disk boundary")
+    x0, nu = S.frame(field, x0)
+    if field.disk is not None:
+        field.disk.check_rim(x0, nu)
     zooms = [rescale(field, x0, r) for r in radii]
-    nu = S.normal_at(x0)
     tdir = np.array([-nu[1], nu[0]])
     rep = ConsistencyReport(
         scenario=f"blowup-consistency:{field.name}:x0={x0.tolist()}")

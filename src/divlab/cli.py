@@ -45,14 +45,14 @@ from .fields import (AUTO, MAX_DIMENSION, REGISTRY_EXAMPLES,
                      get_field, make_counterexample_field, parse_gamma,
                      parse_spec, phi_quadratic, potential_to_field,
                      stream_bump_field)
-from .report import (FAIL, INCONCLUSIVE, INFO, PASS, CheckResult,
+from .report import (FAIL, INFO, PASS, CheckResult,
                      VerificationReport)
 from .rigidity import (CERTIFIED, VIOLATED, FlowInputError, certify_potential,
                        default_certification_grid, flow_tubes,
                        separable_demo, strip_identity_2d)
 from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
-                    _sampled_side, check_radii, circle_interface, density,
-                    line_interface, one_sided_ap_lim, weak_trace_ball_average,
+                    check_radii, circle_interface, density, line_interface,
+                    one_sided_ap_lim, sampled_verdict, weak_trace_ball_average,
                     weak_trace_curvilinear, weak_trace_pairing,
                     weak_trace_sphere_flux)
 
@@ -298,14 +298,14 @@ def _resolve_interface(spec, f):
 
 
 def _interface_point(p, f):
-    """x0 and the interface of `p`; x0 off the interface is a usage error."""
-    x0 = _floats(p["x0"], "x0", 2)
+    """x0, the interface of `p` and its normal at x0; a non-planar field
+    and x0 off the interface are usage errors (`OrientedInterface.frame`)."""
     S = _resolve_interface(p["interface"], f)
     try:
-        S.require_on(x0)
+        x0, nu0 = S.frame(f, _floats(p["x0"], "x0", 2))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return x0, S
+    return x0, S, nu0
 
 
 def _pass_fail(name: str, ok: bool, detail: str = "") -> CheckResult:
@@ -328,18 +328,15 @@ def _certify_target(field_id: str):
         kind, kw = parse_spec(field_id)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if kind == "counterexample":
-        pot = counterexample_potential(kw["n"], kw["gamma"])
-        try:
-            fld = make_counterexample_field(kw["n"], kw["gamma"])
-        except ValueError:
-            fld = None
-        return pot, fld
-    fld = _resolve_field(field_id)
-    if fld.potential is None:
+    if kind != "counterexample":
         raise UsageError(
             f"field {field_id!r} carries no cylindrical potential to certify")
-    return fld.potential, fld
+    pot = counterexample_potential(kw["n"], kw["gamma"])
+    try:
+        fld = make_counterexample_field(kw["n"], kw["gamma"])
+    except ValueError:
+        fld = None
+    return pot, fld
 
 
 def _divergence_sample_points(f, count: int, seed: int, clearance: float):
@@ -403,7 +400,7 @@ def _h_certify(sc: Scenario):
             "field-side checks",
             "field constructor rejects this amplitude; certificate only"))
     elif p["field_checks"]:
-        g = fld.potential.gamma
+        g = pot.gamma
         axis_point = np.zeros(fld.dim)
         axis_point[-1] = 1.0
         speed = float(np.linalg.norm(fld(axis_point)))
@@ -532,6 +529,9 @@ def _h_trace(sc: Scenario):
     tables = []
 
     if method == "pairing":
+        if f.dim != 2:
+            raise UsageError(f"the pairing probe is planar; {f.name!r} has "
+                             f"dimension {f.dim}")
         region = p["omega"]
         if region == "unit-square":
             reg = RectRegion(((0.0, 1.0), (0.0, 1.0)))
@@ -556,7 +556,7 @@ def _h_trace(sc: Scenario):
         tables.append(("pairings", ["psi", "value", "c1_norm", "bound"], rows))
         return rep, tables, []
 
-    x0, S = _interface_point(p, f)
+    x0, S, _ = _interface_point(p, f)
     radii = _parse_radii(p["radii"])
     sigmas = np.linspace(-0.5, 0.5, 33)
     nd, td = S.frame_defects(sigmas)
@@ -614,26 +614,22 @@ def _h_density(sc: Scenario):
 
 def _density_value_check(theta: float, stderr: float, value: float,
                          value_tol: float) -> CheckResult:
-    """The density gate |theta - value| <= value_tol, read at SAMPLING_Z
-    standard errors: PASS when theta lies that far inside both bounds
-    value -/+ value_tol, FAIL when that far outside either, INCONCLUSIVE
-    otherwise."""
-    above_lo = _sampled_side(theta, stderr, value - value_tol)
-    above_hi = _sampled_side(theta, stderr, value + value_tol)
-    verdict = (PASS if (above_lo, above_hi) == (1, -1) else
-               FAIL if above_lo < 0 or above_hi > 0 else INCONCLUSIVE)
+    """The density gate |theta - value| <= value_tol, read by
+    `sampled_verdict` on the bounds value -/+ value_tol."""
     residual = theta - value
     return CheckResult("density matches expected value", residual,
-                       value_tol, value_tol - abs(residual), verdict,
+                       value_tol, value_tol - abs(residual),
+                       sampled_verdict(theta, stderr, value - value_tol,
+                                       value + value_tol),
                        detail=f"theta stderr {stderr:.2g}")
 
 
 def _h_aplim(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     f = _resolve_field(sc.field)
-    x0, S = _interface_point(p, f)
+    x0, S, nu0 = _interface_point(p, f)
     if str(p["w"]).strip().lower() == "nu":
-        w = S.normal_at(np.asarray(x0, dtype=float))
+        w = nu0
     else:
         w = _floats(p["w"], "w", 2)
     alphas = _floats(p["alphas"], "alphas")
@@ -672,7 +668,7 @@ def _h_aplim(sc: Scenario):
 def _h_nalpha(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     f = _resolve_field(sc.field)
-    x0, S = _interface_point(p, f)
+    x0, S, _ = _interface_point(p, f)
     alpha = p["alpha"]
     radii = _parse_radii(p["radii"])
     probe = nalpha_density(f, S, x0, alpha, radii, samples=p["samples"],
@@ -696,7 +692,7 @@ def _h_nalpha(sc: Scenario):
 def _h_blowup(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     f = _resolve_field(sc.field)
-    x0, S = _interface_point(p, f)
+    x0, S, _ = _interface_point(p, f)
     radii = (tuple(2.0 ** -k for k in range(2, 7)) if p["radii"] == "auto"
              else _parse_radii(p["radii"]))
     rep = blowup_trace_consistency(f, S, x0, radii,

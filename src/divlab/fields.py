@@ -124,6 +124,18 @@ class Disk:
         d = pts - self.center
         return np.einsum("ij,ij->i", d, d) < self.radius * self.radius
 
+    def check_rim(self, x0: np.ndarray, nu: np.ndarray) -> None:
+        """Refuse x0 off the rim or a normal nu not radial there, each to
+        1e-9: the closed forms on the disk assume both."""
+        a = x0 - self.center
+        off = abs(float(np.linalg.norm(a)) - self.radius)
+        tilt = abs(float(a[0] * nu[1] - a[1] * nu[0])) / self.radius
+        if not (off <= 1e-9 and tilt <= 1e-9):
+            raise ValueError(
+                f"x0 {x0.tolist()} must be a rim point: on the disk boundary"
+                f" with a radial normal, each to 1e-9; it lies {off:.3e} off "
+                f"the boundary and its normal {tilt:.3e} off radial")
+
 
 @dataclass(frozen=True)
 class VectorField:
@@ -145,8 +157,7 @@ class VectorField:
     - `eddies`: the twisting field's eddy centers and radii as arrays, read
       by the ball averages and pairings in `trace` and the half-space
       pairing in `blowup`;
-    - `potential`: the counterexample's cylindrical potential, read by
-      `cli certify`.
+    - `potential`: the counterexample's cylindrical potential.
     """
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]

@@ -2,6 +2,10 @@
 rectangles hugging the interface, distributional pairings against test
 functions, and (optionally) one-sided sphere flux.
 
+Every probe at a point x0 of an interface S enters through
+`OrientedInterface.frame`, which refuses a non-planar field or point and
+a point off S, and returns the normal there.
+
 Averages are reported per radius with no convergence claim; a probe flags
 oscillation whenever the radius sequence refuses to settle, which is the
 numerically observable face of a trace that exists only weakly.  Density
@@ -10,8 +14,7 @@ violates a candidate limit.  They sample planar disks with a randomly
 shifted Fibonacci lattice mapped area-preservingly onto the disk, and
 report the spread over the independent shifts as their sampling error.
 A gated probe draws the lattice in rounds of growing size and stops at
-the first round that puts each gated quantity SAMPLING_Z standard errors
-from its threshold.
+the first round whose gated quantities `sampled_verdict` decides.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ __all__ = [
     "weak_trace_pairing", "weak_trace_sphere_flux", "check_radii",
     "density", "deviation_densities", "one_sided_ap_lim", "ApLimReport",
     "AP_LIM_CONFIRMED", "AP_LIM_REJECTED", "AP_LIM_INCONCLUSIVE",
-    "EPS_DENSITY", "SAMPLING_Z",
+    "EPS_DENSITY", "SAMPLING_Z", "sampled_verdict",
 ]
 
 EPS_DENSITY = 1e-2
@@ -73,11 +76,19 @@ class OrientedInterface:
         ortho = float(np.max(np.abs(np.einsum("ij,ij->i", nu, tau))))
         return norm_defect, ortho
 
-    def require_on(self, x0) -> None:
-        d = float(self.distance(np.asarray(x0, dtype=float)))
-        if d > ON_INTERFACE_TOL:
-            raise ValueError(f"point {np.asarray(x0).tolist()} is {d:.3e} "
+    def frame(self, field: VectorField, x0) -> tuple[np.ndarray, np.ndarray]:
+        """x0 as an array and the unit normal there: the entry check of
+        every probe of `field` at x0, which refuses a non-planar field or
+        point and a point farther than ON_INTERFACE_TOL from the curve."""
+        x0 = np.asarray(x0, dtype=float)
+        if field.dim != 2 or x0.shape != (2,):
+            raise ValueError(f"interface probes are planar; got a field of "
+                             f"dimension {field.dim} at {x0.tolist()}")
+        d = float(self.distance(x0))
+        if not d <= ON_INTERFACE_TOL:
+            raise ValueError(f"point {x0.tolist()} is {d:.3e} "
                              f"from the interface")
+        return x0, self.normal_at(x0)
 
 
 def line_interface(origin=(0.0, 0.0), direction=(1.0, 0.0),
@@ -313,8 +324,9 @@ def _disk_lens_averages(disk: Disk, x0: np.ndarray, radii,
     each radius, restricted to the lens inside the disk.  Each average is
     a ratio of two 1D integrals, split at the kink where the cap binds;
     every piece at every radius is a row of one row batch."""
+    disk.check_rim(x0, nu0)
     R = disk.radius
-    a = x0 - disk.center  # |a| = R up to the interface tolerance
+    a = x0 - disk.center
     sgn = float(np.sign(a @ nu0))
     # rows (k, lo, hi, numerator?) in the order the pieces are summed
     pieces = []
@@ -348,12 +360,11 @@ def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
                             x0, radii, rtol: float = 1e-9) -> TraceProbe:
     """Solid averages of the normal component over shrinking balls.
 
-    A field on a disk is averaged over the lens of each ball inside the
-    disk, so it averages to its one-sided trace rather than half of it.
+    A field on a disk is averaged, at a rim point (`Disk.check_rim`), over
+    the lens of each ball inside the disk, so it averages to its one-sided
+    trace rather than half of it.
     """
-    x0 = np.asarray(x0, dtype=float)
-    S.require_on(x0)
-    nu0 = S.normal_at(x0)
+    x0, nu0 = S.frame(field, x0)
     if field.eddies is not None:
         estimates = [_twisting_ball_average(field.eddies, x0, float(r), nu0)
                      for r in radii]
@@ -379,12 +390,7 @@ def weak_trace_curvilinear(field: VectorField, S: OrientedInterface,
     """One-sided averages over curvilinear rectangles: interface patches of
     half-width rho pushed inward along the frozen normal at x0 by up to r.
     """
-    if field.dim != 2:
-        raise ValueError("curvilinear rectangles are implemented for "
-                         "planar fields only")
-    x0 = np.asarray(x0, dtype=float)
-    S.require_on(x0)
-    nu0 = S.normal_at(x0)
+    x0, nu0 = S.frame(field, x0)
     r_max = float(max(r_seq))
     kappa = S.curvature_bound
     if kappa * r_max >= 0.9 or kappa * rho >= 0.5 * math.pi * 0.9:
@@ -547,20 +553,15 @@ def weak_trace_sphere_flux(field: VectorField, S: OrientedInterface,
     component exactly: the half-circle integral balances the flux through
     the flat diameter, whose measure is ``omega_{n-1} r^{n-1}``.
     """
-    if field.dim != 2:
-        raise ValueError("sphere flux probe is planar only")
-    x0 = np.asarray(x0, dtype=float)
-    S.require_on(x0)
-    nu0 = S.normal_at(x0)
+    x0, nu0 = S.frame(field, x0)
     phi0 = math.atan2(-nu0[1], -nu0[0])
 
     # for a field living on a disk with x0 on its rim, the arc inside the
     # domain is known in closed form; integrating only there keeps the
     # integrand smooth
     disk = field.disk
-    if disk is not None and abs(
-            np.linalg.norm(x0 - disk.center) - disk.radius) > 1e-9:
-        raise ValueError("flux probe on a disk field needs a rim point")
+    if disk is not None:
+        disk.check_rim(x0, nu0)
 
     estimates = []
     for r in radii:
@@ -617,25 +618,14 @@ def _lattice_sizes(samples: int, half: bool) -> list[int]:
     return fib[first:last - 2:3] + [fib[last]]
 
 
-def _lattice_disk(samples: int, seed: int, theta0: Optional[float] = None,
-                  n: Optional[int] = None) -> np.ndarray:
+def _lattice_disk(seed: int, n: int, theta0: Optional[float]) -> np.ndarray:
     """Unit-disk points, shape (LATTICE_SHIFTS, n, 2): the rank-1 lattice
     (i/n, i g/n), i < n, with n = F_k and g = F_(k-1) consecutive Fibonacci
     numbers, under LATTICE_SHIFTS Cranley-Patterson shifts drawn from
     `seed`, mapped area-preservingly by r = sqrt(u) and theta = 2 pi v.
     With theta0, only the half-disk theta0 < theta < theta0 + pi is drawn
-    (theta = theta0 + pi v), at the same density.
-
-    n defaults to the ceiling of `samples` (see `_lattice_sizes`): the
-    one cloud `density` draws, `samples` points over the full disk rounded
-    up to the lattice.  A gated probe draws the rounds of `_lattice_sizes`
-    in turn, all with the same shifts, and stops at the first round whose
-    gated quantities each lie SAMPLING_Z standard errors from their
-    thresholds.  A probe whose gates stay unresolved ends on the default
-    cloud, bit for bit, and its gated checks are INCONCLUSIVE.
-    """
-    if n is None:
-        n = _lattice_sizes(samples, theta0 is not None)[-1]
+    (theta = theta0 + pi v), at the same density.  Every round of a probe
+    draws the same shifts."""
     g, m = 1, 1
     while m < n:
         g, m = m, g + m
@@ -647,13 +637,12 @@ def _lattice_disk(samples: int, seed: int, theta0: Optional[float] = None,
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=2)
 
 
-def _density_probe(radii: list, hits: np.ndarray, n: int,
-                   fraction: float = 1.0, drawn: Optional[int] = None,
-                   ceiling: Optional[int] = None) -> DensityProbe:
+def _density_probe(radii: list, hits: np.ndarray, n: int, fraction: float,
+                   drawn: int, ceiling: int) -> DensityProbe:
     """The probe of per-radius, per-shift hit counts `hits` out of n
     lattice points each, on a cloud covering `fraction` of every disk;
     `drawn` and `ceiling` are points per shift over all rounds and in the
-    largest round (default n)."""
+    largest round."""
     shifts = hits.shape[1]
     ratios = fraction * (hits.sum(axis=1) / (shifts * n))
     # shifts that all agree resolve the ratio only to one pooled point
@@ -668,42 +657,61 @@ def _density_probe(radii: list, hits: np.ndarray, n: int,
                         theta=min(1.0, max(0.0, theta)),
                         theta_stderr=float(weights @ errs[-weights.size:]),
                         samples_per_radius=shifts * n,
-                        drawn_per_radius=shifts * (drawn or n),
-                        ceiling_per_radius=shifts * (ceiling or n))
+                        drawn_per_radius=shifts * drawn,
+                        ceiling_per_radius=shifts * ceiling)
 
 
-def _sampled_side(value: float, stderr: float, threshold: float) -> int:
-    """+1 when value lies at least SAMPLING_Z standard errors above the
-    threshold, -1 when that far below, 0 when the sampling cannot tell."""
-    gap = value - threshold
-    if abs(gap) < SAMPLING_Z * stderr:
-        return 0
-    return 1 if gap > 0 else -1
+def sampled_verdict(value: float, stderr: float, lo: Optional[float] = None,
+                    hi: Optional[float] = None) -> str:
+    """The verdict of a sampled gate lo <= value <= hi (a bound left None
+    is absent): PASS when value lies SAMPLING_Z standard errors inside
+    every bound, FAIL when it lies that far outside one, INCONCLUSIVE
+    otherwise.  A NaN value, stderr or bound decides nothing."""
+    inside = [value - lo] if lo is not None else []
+    if hi is not None:
+        inside.append(hi - value)
+    reach = SAMPLING_Z * stderr
+    if all(d >= reach for d in inside):
+        return PASS
+    return FAIL if any(d <= -reach for d in inside) else INCONCLUSIVE
 
 
-def _planar_center(x) -> np.ndarray:
+def _lattice_rounds(x, radii, sizes: list[int], seed: int,
+                    theta0: Optional[float], fraction: float, mark,
+                    resolved) -> list[DensityProbe]:
+    """One probe per set from lattice rounds of `sizes` points per shift
+    about the planar point x: each round's cloud is scaled to every
+    radius, and mark(points) gives one boolean row per set.  The rounds
+    stop at the last size or at the first whose probes `resolved`
+    accepts; the probes of the last round drawn are returned."""
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise ValueError(f"density probes are planar; got center "
                          f"{x.tolist()}")
-    return x
+    radii = check_radii(radii)
+    drawn = 0
+    for n in sizes:
+        cloud = _lattice_disk(seed, n, theta0).reshape(-1, 2)
+        drawn += n
+        # hits[set, radius, shift]
+        hits = np.stack([np.count_nonzero(np.reshape(
+            mark(x + r * cloud), (-1, LATTICE_SHIFTS, n)), axis=2)
+            for r in radii], axis=1)
+        probes = [_density_probe(radii, h, n, fraction, drawn, sizes[-1])
+                  for h in hits]
+        if n == sizes[-1] or resolved(probes):
+            return probes
 
 
 def density(indicator, x, radii, samples: int = 100_000,
             seed: int = 0) -> DensityProbe:
     """Area fraction of a set in shrinking disks about the planar point x.
     One unit cloud of LATTICE_SHIFTS shifted Fibonacci lattices, at least
-    `samples` points in all (see `_lattice_disk`), is scaled to every
-    radius; each ratio's stderr is the spread over the shifts.  No gate
-    reads the ratios here, so that cloud is drawn in one round."""
-    x = _planar_center(x)
-    radii = check_radii(radii)
-    cloud = _lattice_disk(samples, seed)
-    shifts, n = cloud.shape[:2]
-    hits = np.array([np.count_nonzero(
-        np.reshape(indicator(x + r * cloud.reshape(-1, 2)), (shifts, n)),
-        axis=1) for r in radii])
-    return _density_probe(radii, hits, n)
+    `samples` points in all (the ceiling of `_lattice_sizes`), is scaled
+    to every radius; each ratio's stderr is the spread over the shifts.
+    No gate reads the ratios here, so that cloud is drawn in one round."""
+    return _lattice_rounds(x, radii, _lattice_sizes(samples, False)[-1:],
+                           seed, None, 1.0, indicator, None)[0]
 
 
 def deviation_densities(field: VectorField, x0, nu, w, alphas, radii,
@@ -720,36 +728,26 @@ def deviation_densities(field: VectorField, x0, nu, w, alphas, radii,
     is evaluated once per radius and round and thresholded at every alpha.
     Without `resolved` the one round is the ceiling of `samples`; with it,
     the rounds of `_lattice_sizes` are drawn until `resolved` accepts the
-    probes of one, or the ceiling is drawn.  The probes of the last round
-    drawn are returned.
+    probes of one, or the ceiling is drawn.
     """
-    x0 = _planar_center(x0)
-    radii = check_radii(radii)
     theta0 = math.atan2(-nu[1], -nu[0]) - 0.5 * math.pi
     sizes = _lattice_sizes(samples, half=True)
     if resolved is None:
         sizes = sizes[-1:]
-    drawn = 0
-    for n in sizes:
-        cloud = _lattice_disk(samples, seed, theta0, n)
-        shifts = cloud.shape[0]
-        drawn += n
-        hits = np.zeros((len(alphas), len(radii), shifts), dtype=int)
-        for k, r in enumerate(radii):
-            pts = x0 + r * cloud.reshape(-1, 2)
-            inside = (np.ones(pts.shape[0], dtype=bool) if field.disk is None
-                      else field.disk.contains(pts))
-            dist = np.full(pts.shape[0], np.inf)
-            if np.any(inside):
-                gap = field.eval(pts[inside]) - w
-                dist[inside] = np.hypot(gap[:, 0], gap[:, 1])
-            for a, alpha in enumerate(alphas):
-                hits[a, k] = np.count_nonzero(
-                    (dist >= alpha).reshape(shifts, n), axis=1)
-        probes = [_density_probe(radii, h, n, fraction=0.5, drawn=drawn,
-                                 ceiling=sizes[-1]) for h in hits]
-        if n == sizes[-1] or resolved(probes):
-            return probes
+    contains = None if field.disk is None else field.disk.contains
+    levels = np.asarray(alphas, dtype=float)[:, None]
+
+    def deviating(pts):
+        inside = (np.ones(pts.shape[0], dtype=bool) if contains is None
+                  else contains(pts))
+        dist = np.full(pts.shape[0], np.inf)
+        if np.any(inside):
+            gap = field.eval(pts[inside]) - w
+            dist[inside] = np.hypot(gap[:, 0], gap[:, 1])
+        return dist >= levels
+
+    return _lattice_rounds(x0, radii, sizes, seed, theta0, 0.5, deviating,
+                           resolved)
 
 
 @dataclass
@@ -764,16 +762,16 @@ def _ap_lim_status(probe: DensityProbe, eps_density: float) -> str:
     """The candidate's status at one alpha: confirmed when theta lies below
     eps_density, rejected when theta and every ratio lie above it,
     inconclusive when theta lies above and some ratio below.  Each side is
-    read at SAMPLING_Z standard errors; a gated quantity within that gives
+    read by `sampled_verdict`; a gated quantity it cannot decide gives
     unresolved."""
-    side = _sampled_side(probe.theta, probe.theta_stderr, eps_density)
-    if side <= 0:
-        return "confirmed" if side else "unresolved"
-    sides = [_sampled_side(p, e, eps_density)
+    theta = sampled_verdict(probe.theta, probe.theta_stderr, hi=eps_density)
+    if theta != FAIL:
+        return "confirmed" if theta == PASS else "unresolved"
+    above = [sampled_verdict(p, e, lo=eps_density)
              for p, e in zip(probe.ratios, probe.stderrs)]
-    if min(sides) > 0:
-        return "rejected"
-    return "inconclusive" if min(sides) < 0 else "unresolved"
+    if FAIL in above:
+        return "inconclusive"
+    return "rejected" if INCONCLUSIVE not in above else "unresolved"
 
 
 def one_sided_ap_lim(field: VectorField, S: OrientedInterface, x0, w,
@@ -793,9 +791,7 @@ def one_sided_ap_lim(field: VectorField, S: OrientedInterface, x0, w,
     ceiling gives its check INCONCLUSIVE and the classification
     INCONCLUSIVE, never a confident one.
     """
-    x0 = np.asarray(x0, dtype=float)
-    S.require_on(x0)
-    nu0 = S.normal_at(x0)
+    x0, nu0 = S.frame(field, x0)
     w = np.asarray(w, dtype=float)
     rep = ApLimReport(
         scenario=f"aplim:{field.name}:x0={x0.tolist()}",

@@ -156,6 +156,20 @@ class TestNalphaDensity:
         assert finest_ratio_check(probe, 0.2, tol).verdict == verdict
         assert probe.samples_per_radius < probe.ceiling_per_radius
 
+    # a NaN finest ratio or stderr has no sampled side: the gate read NaN
+    # as below ratio_tol and passed it
+    @pytest.mark.parametrize("ratio,stderr", [(float("nan"), 1e-4),
+                                              (1e-3, float("nan"))])
+    def test_finest_ratio_check_decides_nothing_on_nan(self, capillary,
+                                                        ratio, stderr):
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        probe = nalpha_density(capillary, S, (1.0, 0.0), 0.2, RADII,
+                               samples=2000, seed=20260819)
+        probe = dataclasses.replace(
+            probe, ratios=probe.ratios[:-1] + (ratio,),
+            stderrs=probe.stderrs[:-1] + (stderr,))
+        assert finest_ratio_check(probe, 0.2, 1e-2).verdict == "INCONCLUSIVE"
+
     def test_rejects_unnormalized_field(self):
         S = line_interface()
         with pytest.raises(ValueError, match="not normalized"):

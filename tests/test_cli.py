@@ -413,6 +413,64 @@ class TestExitCodes:
         assert "from the interface" in err
         assert "execution" not in out and "verdict" not in out
 
+    # the interface probes are planar: a 3D or 4D field is refused at the
+    # entry check, not left to a numpy broadcast error in the probe
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--field", "counterexample:n=4", "--method", "ball"],
+        ["trace", "--field", "stream:bump:3d", "--method", "all"],
+        ["aplim", "--field", "counterexample:n=4"],
+        ["nalpha", "--field", "stream:bump:3d"],
+        ["blowup", "--field", "counterexample:n=4"],
+    ], ids=["trace-ball", "trace-all", "aplim", "nalpha", "blowup"])
+    def test_non_planar_field_is_usage_error(self, capsys, argv):
+        code, out, err = run_main(argv + ["--x0", "0,0"], capsys)
+        assert code == 2
+        assert "planar" in err and "verdict" not in out
+
+    def test_non_planar_pairing_is_usage_error(self, capsys):
+        code, out, err = run_main(["trace", "--field", "zero:dim=3",
+                                   "--method", "pairing"], capsys)
+        assert code == 2
+        assert "planar" in err and "verdict" not in out
+
+    # the lens average's closed form holds only at a rim point with a
+    # radial normal; here it read -1.00002 (true average -0.5 off the rim)
+    @pytest.mark.parametrize("x0,interface", [
+        ("0.5,0", "line:origin=0.5,0:dir=0,1"),
+        ("1,0", "line:origin=1,0:dir=1,1"),
+    ], ids=["off-rim", "tilted-normal"])
+    def test_lens_average_refuses_a_point_it_cannot_read(self, capsys, x0,
+                                                         interface):
+        code, out, _ = run_main(
+            ["trace", "--field", "capillary:R=1", "--method", "ball",
+             "--x0", x0, "--interface", interface, "--expect", "value",
+             "--value", "-1"], capsys)
+        assert code == 1
+        assert "PASS" not in out and "rim point" in out
+
+    # the deviation densities need no rim: an interior point stays a probe
+    def test_interior_aplim_still_passes(self, capsys):
+        code, out, _ = run_main(
+            ["aplim", "--field", "capillary:R=1", "--x0", "0.5,0",
+             "--interface", "line:origin=0.5,0:dir=0,1", "--w", "0.5,0",
+             "--alphas", "0.1"], capsys)
+        assert code == 0
+        assert out.strip().endswith("verdict: PASS")
+
+    # only the counterexample declares a cylindrical potential; any other
+    # field is refused by its kind, before it is built
+    def test_certify_refuses_a_field_without_a_potential(self, capsys,
+                                                         monkeypatch):
+        def no_build(field_id):
+            raise AssertionError(f"built {field_id}")
+
+        monkeypatch.setattr(cli, "_resolve_field", no_build)
+        code, out, err = run_main(["certify", "--field", "capillary:R=1"],
+                                  capsys)
+        assert code == 2
+        assert "carries no cylindrical potential to certify" in err
+        assert "verdict" not in out
+
     # the 4D default grid would need 9.4e9 field evaluations
     def test_unbounded_jensen_grid_is_usage_error(self, capsys):
         code, out, err = run_main(["demo", "jensen", "--dim", "4"], capsys)
@@ -650,7 +708,7 @@ class TestOperations:
         lattice_disk, resolve_field = trace._lattice_disk, cli._resolve_field
 
         def spied_lattice_disk(*args):
-            rounds.append(args[-1])
+            rounds.append(args[1])
             return lattice_disk(*args)
 
         def spied_field(field_id):

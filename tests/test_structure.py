@@ -245,6 +245,35 @@ def test_the_disk_is_declared_once():
     assert contains == {"deviation_densities"}
 
 
+# a sampled gate is decided in one place: SAMPLING_Z is read only by
+# `trace.sampled_verdict`; every probe at an interface point enters through
+# `OrientedInterface.frame`, so the per-module gate, planar-point and
+# on-interface checks are neither defined nor read; and every caller of the
+# lattice passes its round size, so no default cloud is left to drift
+_ENTRY_COPIES = {"_sampled_side", "_planar_center", "require_on"}
+
+
+def test_one_sampled_gate_one_entry_check_one_round_size():
+    reads, copies, lattice = set(), [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node, where in _nodes(tree, (ast.Name, ast.Attribute)):
+            if _name(node) == "SAMPLING_Z" and isinstance(node.ctx,
+                                                          ast.Load):
+                reads.add(f"{path.name}:{where}")
+        for node in ast.walk(tree):
+            names = {_name(node), getattr(node, "name", None)}
+            copies += [f"{path.name}:{node.lineno} {name}"
+                       for name in names & _ENTRY_COPIES]
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name == "_lattice_disk":
+                lattice.append(([a.arg for a in node.args.args],
+                                len(node.args.defaults)))
+    assert reads == {"trace.py:sampled_verdict"}
+    assert not copies, "\n".join(copies)
+    assert lattice == [(["seed", "n", "theta0"], 0)]
+
+
 # each field has one constructor that builds it, and its consumers call
 # the field directly: the flow adds the lift epsilon e_n in its own
 # right-hand side, the capillary's evaluator tests its disk itself, and an

@@ -67,11 +67,13 @@ class TestInterfaces:
         with pytest.raises(ValueError, match="positive"):
             circle_interface((0.0, 0.0), 0.0)
 
-    def test_require_on_accepts_and_rejects(self):
+    def test_frame_accepts_and_rejects(self):
         S = circle_interface((0.0, 0.0), 1.0)
-        S.require_on((1.0, 0.0))
+        f = constant_field((0.0, 1.0))
+        x0, nu0 = S.frame(f, (1.0, 0.0))
+        assert x0.tolist() == [1.0, 0.0] and nu0.tolist() == [1.0, 0.0]
         with pytest.raises(ValueError, match="from the interface"):
-            S.require_on((1.01, 0.0))
+            S.frame(f, (1.01, 0.0))
 
     def test_probes_reject_off_interface_points(self):
         S = line_interface()
@@ -184,6 +186,16 @@ class TestCapillaryProbes:
             want = math.sqrt(1.0 - r * r / 4.0) - r * math.acos(r / 2.0)
             assert est == pytest.approx(want, abs=1e-12)
         assert p.extrapolated == pytest.approx(0.9999228731867713, abs=1e-10)
+
+    # the lens closed form holds only at a rim point with a radial normal:
+    # off the rim it read -1.00002 where the true average is -0.5
+    @pytest.mark.parametrize("S,x0", [
+        (line_interface((0.5, 0.0), (0.0, 1.0)), (0.5, 0.0)),
+        (line_interface((1.0, 0.0), (1.0, 1.0)), (1.0, 0.0)),
+    ], ids=["off-rim", "tilted-normal"])
+    def test_lens_average_requires_a_rim_point(self, S, x0):
+        with pytest.raises(ValueError, match="rim"):
+            weak_trace_ball_average(self.f, S, x0, RADII)
 
     def test_flux_requires_rim_point(self):
         # (0, 0) sits on this probe circle but not on the field's rim
@@ -533,6 +545,49 @@ class TestApLim:
 
 
 # ---------------------------------------------------------------------------
+# the sampled gate
+
+NAN = float("nan")
+
+
+class TestSampledVerdict:
+    # SAMPLING_Z = 6 standard errors of 1e-3: 6e-3 inside every bound is a
+    # PASS, that far outside one a FAIL, anything between or NaN undecided
+    @pytest.mark.parametrize("value,stderr,lo,hi,verdict", [
+        (0.0, 1e-3, None, 0.01, "PASS"),
+        (0.005, 1e-3, None, 0.01, "INCONCLUSIVE"),
+        (0.015, 1e-3, None, 0.01, "INCONCLUSIVE"),
+        (0.02, 1e-3, None, 0.01, "FAIL"),
+        (0.02, 1e-3, 0.01, None, "PASS"),
+        (0.0, 1e-3, 0.01, None, "FAIL"),
+        (0.5, 1e-3, 0.49, 0.51, "PASS"),
+        (0.495, 1e-3, 0.49, 0.51, "INCONCLUSIVE"),
+        (0.47, 1e-3, 0.49, 0.51, "FAIL"),
+        (0.53, 1e-3, 0.49, 0.51, "FAIL"),
+        (NAN, 1e-3, None, 0.01, "INCONCLUSIVE"),
+        (NAN, 1e-3, 0.49, 0.51, "INCONCLUSIVE"),
+        (0.0, NAN, None, 0.01, "INCONCLUSIVE"),
+        (0.02, NAN, None, 0.01, "INCONCLUSIVE"),
+        (0.5, NAN, 0.49, 0.51, "INCONCLUSIVE"),
+    ])
+    def test_table(self, value, stderr, lo, hi, verdict):
+        assert trace.sampled_verdict(value, stderr, lo, hi) == verdict
+
+    # a NaN theta or stderr read as "below eps_density" and confirmed
+    @pytest.mark.parametrize("theta,stderr", [(NAN, 1e-4), (1e-3, NAN)])
+    def test_ap_lim_status_is_unresolved_on_nan(self, capillary, theta,
+                                                stderr):
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        rep = one_sided_ap_lim(capillary, S, (1.0, 0.0), (1.0, 0.0), (0.2,),
+                               RADII, samples=2000, seed=20260819)
+        (_, probe), = rep.probes
+        assert trace._ap_lim_status(probe, 1e-2) == "confirmed"
+        nan_probe = dataclasses.replace(probe, theta=theta,
+                                        theta_stderr=stderr)
+        assert trace._ap_lim_status(nan_probe, 1e-2) == "unresolved"
+
+
+# ---------------------------------------------------------------------------
 # lattice rounds of the gated probes
 
 def _lattice_disk_at_ceiling(samples, seed, theta0=None):
@@ -600,8 +655,8 @@ class TestLatticeRounds:
         probe, = trace.deviation_densities(spied, self.X0, nu, w, alphas,
                                            RADII, 100_000, self.SEED)
         cloud = _lattice_disk_at_ceiling(100_000, self.SEED, theta0)
-        assert np.array_equal(trace._lattice_disk(100_000, self.SEED, theta0),
-                              cloud)
+        assert np.array_equal(
+            trace._lattice_disk(self.SEED, cloud.shape[1], theta0), cloud)
         assert len(evals) == len(RADII)
         for pts, r in zip(evals, RADII):
             assert np.array_equal(pts, np.asarray(self.X0)
