@@ -5,6 +5,9 @@
 (error controlled by the worst component across the batch); the flow
 tube consumes its accepted steps directly.  `rk45_event` integrates a
 single trajectory with bisection-refined event detection on top of it.
+A 0-d state is accepted: it takes the same steps as a one-component
+array, bit for bit, with numpy scalar arithmetic in place of array
+operations.
 """
 
 from __future__ import annotations

@@ -360,7 +360,7 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
     Defect trends are summarized by fitted decay exponents; only the final
     defect of (b) gates the verdict.  A scale where the quadrature of (a)
     or (c) fails leaves NaN in its row, and that diagnostic is SKIPPED.
-    On a disk field x0 must pass `Disk.check_rim`.
+    On a disk field x0 and nu must pass `Disk.check_outward_rim`.
 
     The quadratures of (b) share the absolute budget PAIRING_SHARE *
     final_tol: BOUNDARY_SLICE of it over max(1, |T|) for the flat boundary
@@ -378,7 +378,7 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
                          f"{final_tol}: it sets the pairing's budget")
     x0, nu = S.frame(field, x0)
     if field.disk is not None:
-        field.disk.check_rim(x0, nu)
+        field.disk.check_outward_rim(x0, nu)
     zooms = [rescale(field, x0, r) for r in radii]
     tdir = np.array([-nu[1], nu[0]])
     rep = ConsistencyReport(

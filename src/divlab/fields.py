@@ -136,6 +136,17 @@ class Disk:
                 f" with a radial normal, each to 1e-9; it lies {off:.3e} off "
                 f"the boundary and its normal {tilt:.3e} off radial")
 
+    def check_outward_rim(self, x0: np.ndarray, nu: np.ndarray) -> None:
+        """`check_rim`, and refuse a normal that points into the disk: a
+        probe that integrates on the -nu side of x0 needs that side to be
+        the disk."""
+        self.check_rim(x0, nu)
+        if float((x0 - self.center) @ nu) < 0.0:
+            raise ValueError(
+                f"the normal {nu.tolist()} at the rim point {x0.tolist()} is "
+                f"the inward normal of the disk; this probe integrates on "
+                f"the -nu side and needs the outward normal")
+
 
 @dataclass(frozen=True)
 class VectorField:
@@ -403,8 +414,8 @@ def make_twisting_field(max_level: int = 8) -> VectorField:
     name = f"twisting:levels={max_level}"
 
     def ev(pts):
-        finite = np.isfinite(pts).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(pts).all():
+            finite = np.isfinite(pts).all(axis=1)
             raise ValueError(
                 f"{name}: non-finite point {pts[~finite][0].tolist()}")
         out = np.zeros((pts.shape[0], 2))
@@ -424,8 +435,9 @@ def make_twisting_field(max_level: int = 8) -> VectorField:
         m = inside_j & (s > 0.0) & (s < r)
         speed = cal * bump(s[m] / r[m]) / s[m]
         # += into zeros turns a -0.0 component into 0.0
-        out[k[m], 0] += speed * (-dy[m])
-        out[k[m], 1] += speed * dx[m]
+        km = k[m]
+        out[km, 0] += speed * (-dy[m])
+        out[km, 1] += speed * dx[m]
         return out
 
     return VectorField(dim=2, eval=ev, sup_bound=1.0, name=name,

@@ -591,8 +591,8 @@ def separable_demo(gamma: float, rho0: float,
 
     try:
         res = _ode.rk45_event(
-            rhs, rho0, np.array([psi0]),
-            lambda rho, y: float(y[0]) - 1e12,   # blown up at 1e12
+            rhs, rho0, np.array(psi0),
+            lambda rho, y: float(y) - 1e12,   # blown up at 1e12
             t_max=2.0 * rho_star, rtol=1e-10, atol=1e-8)
         blow_rho = res.t if res.status == "event" else math.nan
     except _ode.StiffFailure as exc:
@@ -610,8 +610,8 @@ def separable_demo(gamma: float, rho0: float,
     else:
         try:
             slope = _ode.rk45_event(
-                rhs, rho0, np.array([psi0]),
-                lambda rho, y: gamma * float(y[0]) ** 2 / rho - rho,
+                rhs, rho0, np.array(psi0),
+                lambda rho, y: gamma * float(y) ** 2 / rho - rho,
                 t_max=2.0 * rho_star, rtol=1e-10, atol=1e-12)
             if slope.status == "event":
                 cap_radius = slope.t

@@ -448,10 +448,12 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
     is evaluated once on the nodes of all balls the family needs (in
     batches of _EDDY_EVAL_BATCH nodes, one call per batch: a blow-up
     scale's family fits in one) and the values serve every psi.  A batch
-    builds one rule per angular order for all its balls of that order and
-    reads their per-ball sums off one reshape per order.  A ball that
-    misses the support of a test function adds exact zeros, so it is
-    skipped.
+    groups its balls by angular order and builds one rule per group,
+    points (balls, nodes, 2) and weights (balls, nodes); the field values
+    are read as the same (balls, nodes, 2) blocks.  For each psi, a group's
+    balls near psi are gathered by index from those three arrays and each
+    gathered ball's sum is one row sum.  A ball that misses the support of
+    a test function adds exact zeros, so it is skipped.
     """
     psi_family = list(psi_family)
     centers, radii = eddies.centers, eddies.radii
@@ -476,20 +478,21 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
                   for size in np.unique(batch_sizes)]
         rules = [_quad.ball_rules(2, centers[group], radii[group], 16,
                                   size // 16) for size, group in groups]
-        pts = np.concatenate([q.reshape(-1, 2) for q, _ in rules])
-        w = np.concatenate([wq.ravel() for _, wq in rules])
-        vals = field.eval(pts)
-        for p, psi in enumerate(psi_family):
-            rows = np.concatenate([np.repeat(near[p, group], size)
-                                   for size, group in groups])
-            terms = w[rows] * np.einsum(
-                "ij,ij->i", vals[rows], psi.value_and_gradient(pts[rows])[1])
-            lo = 0
-            for size, group in groups:
-                keep = group[near[p, group]]
-                hi = lo + keep.size * size
-                sums[p, keep] = terms[lo:hi].reshape(-1, size).sum(axis=1)
-                lo = hi
+        vals = field.eval(np.concatenate([q.reshape(-1, 2)
+                                          for q, _ in rules]))
+        lo = 0
+        for (size, group), (q, wq) in zip(groups, rules):
+            hi = lo + group.size * size
+            vq = vals[lo:hi].reshape(group.size, size, 2)
+            lo = hi
+            for p, psi in enumerate(psi_family):
+                idx = np.flatnonzero(near[p, group])
+                if idx.size == 0:
+                    continue
+                terms = wq[idx].ravel() * np.einsum(
+                    "ij,ij->i", vq[idx].reshape(-1, 2),
+                    psi.value_and_gradient(q[idx].reshape(-1, 2))[1])
+                sums[p, group[idx]] = terms.reshape(-1, size).sum(axis=1)
         start = stop
     out = []
     for p in range(len(psi_family)):
@@ -561,7 +564,7 @@ def weak_trace_sphere_flux(field: VectorField, S: OrientedInterface,
     # integrand smooth
     disk = field.disk
     if disk is not None:
-        disk.check_rim(x0, nu0)
+        disk.check_outward_rim(x0, nu0)
 
     estimates = []
     for r in radii:

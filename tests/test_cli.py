@@ -448,6 +448,36 @@ class TestExitCodes:
         assert code == 1
         assert "PASS" not in out and "rim point" in out
 
+    # the sphere flux and the rim blow-up integrate on the -nu side, so an
+    # inward rim normal would send them outside the disk: both refuse it
+    # before the field is evaluated (it ended on the field's
+    # OutOfDomainError); the lens average reads either sign
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--method", "flux"],
+        ["blowup", "--radii", "0.25,0.125"],
+    ], ids=["flux", "blowup"])
+    def test_inward_rim_normal_is_refused_before_any_field_call(
+            self, capsys, monkeypatch, argv):
+        calls = []
+        resolve_field = cli._resolve_field
+
+        def spied_field(spec):
+            field = resolve_field(spec)
+
+            def ev(pts):
+                calls.append(len(pts))
+                return field.eval(pts)
+            return dataclasses.replace(field, eval=ev, eval_jacobian=None)
+
+        monkeypatch.setattr(cli, "_resolve_field", spied_field)
+        code, out, _ = run_main(
+            argv + ["--field", "capillary:R=1", "--x0", "1,0", "--interface",
+                    "circle:center=0,0:R=1:inward"], capsys)
+        assert code == 1
+        assert "is the inward normal of the disk" in out
+        assert "PASS" not in out and "OutOfDomainError" not in out
+        assert calls == []
+
     # the deviation densities need no rim: an interior point stays a probe
     def test_interior_aplim_still_passes(self, capsys):
         code, out, _ = run_main(

@@ -63,3 +63,35 @@ def test_bad_tolerance_is_rejected_before_any_rhs_call(integrator, rtol,
             _ode.rk45_event(f, 0.0, np.ones(1), lambda t, y: y[0] - 0.5,
                             t_max=5.0, rtol=rtol, atol=atol)
     assert calls == []
+
+
+# the separable profile rho psi' = gamma psi^2 of `rigidity.separable_demo`
+# integrates a 0-d state: the same controller, step for step, as the
+# one-component array it replaced
+@pytest.mark.parametrize("gamma,rho0,psi0,event,atol", [
+    (1.0, 1.0, 1.0, "blow-up", 1e-8),
+    (0.5, 2.0, 1.0, "blow-up", 1e-8),
+    (0.5, 2.0, 1.0, "slope-cap", 1e-12),
+], ids=["default-blow-up", "capped-blow-up", "capped-slope-cap"])
+def test_scalar_state_steps_like_a_one_component_array(gamma, rho0, psi0,
+                                                        event, atol):
+    def rhs(rho, y):
+        return gamma * y * y / rho
+
+    def g(rho, y):
+        psi = float(np.ravel(y)[0])
+        return psi - 1e12 if event == "blow-up" else \
+            gamma * psi ** 2 / rho - rho
+
+    t_max = 2.0 * rho0 * math.exp(1.0 / (gamma * psi0))
+    runs = [_ode.rk45_event(rhs, rho0, y0, g, t_max=t_max, rtol=1e-10,
+                            atol=atol)
+            for y0 in (np.array([psi0]), np.array(psi0))]
+    assert [np.shape(r.y) for r in runs] == [(1,), ()]
+    vector, scalar = runs
+    assert vector.status == scalar.status == "event"
+    assert scalar.t == vector.t
+    assert float(scalar.y) == float(vector.y[0])
+    assert (scalar.naccepted, scalar.nrejected) == \
+        (vector.naccepted, vector.nrejected)
+    assert scalar.naccepted > 100

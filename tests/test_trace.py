@@ -334,6 +334,44 @@ class TestPairing:
             assert value == total
         assert got[3] == 0.0
 
+    # zoomed out by 2 about (0.5, 0), the 6-level stack's balls take 256,
+    # 128, 64 and 32 angles: four rule groups.  The pairing gathers each
+    # group's balls near psi by index; the reference is one rule per ball.
+    # The second bump touches only the top ball, so it misses three groups
+    # and their every ball; the third touches no ball and pairs to 0.0
+    @pytest.mark.parametrize("batch", [None, 5_000],
+                             ids=["one-batch", "groups-split"])
+    def test_eddy_pairing_gathers_each_group_like_a_loop_over_balls(
+            self, monkeypatch, batch):
+        if batch is not None:
+            monkeypatch.setattr(trace, "_EDDY_EVAL_BATCH", batch)
+        f = make_twisting_field(6)
+        x0, scale = np.array([0.5, 0.0]), 2.0
+        zoomed = rescale(f, x0, scale)
+        radii = f.eddies.radii / scale
+        orders = {_patch_angular_order(rb) for rb in radii}
+        assert orders == {256, 128, 64, 32}
+        fam = [bump_test((0.1, 0.1), 0.3), bump_test((0.0, 0.25), 0.05),
+               bump_test((3.0, -1.0), 0.5), bump_test((-0.2, 0.05), 0.12)]
+        got = _eddy_pairings(zoomed.eddies, zoomed, fam,
+                             _patch_angular_order)
+        touched = []
+        for psi, value in zip(fam, got):
+            total, hit = 0.0, set()
+            for c, rb in zip(f.eddies.centers, radii):
+                pts, w = ball_rule(2, (c - x0) / scale, rb, 16,
+                                   _patch_angular_order(rb))
+                grads = psi.value_and_gradient(pts)[1]
+                if np.any(grads != 0.0):
+                    hit.add(_patch_angular_order(rb))
+                total += float(np.sum(w * np.einsum(
+                    "ij,ij->i", zoomed.eval(pts), grads)))
+            assert value == total
+            touched.append(hit)
+        assert touched[0] == orders and touched[1] == {256}
+        assert touched[2] == set() and got[2] == 0.0
+        assert got[3] != 0.0
+
     def test_eddy_pairing_batches_leave_the_values_unchanged(self,
                                                               monkeypatch):
         calls = []
