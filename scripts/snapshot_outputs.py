@@ -16,8 +16,10 @@ the same files.
 The second form judges a digit change instead of rejecting it.  For every
 file that differs between the snapshots OLD and NEW it prints:
   - for a report, each gated (PASS/FAIL) check's |delta value| as a
-    fraction of its old margin, and each INFO check's relative drift and
-    any change of its detail text;
+    fraction of its old margin, each INFO check's relative drift, any
+    change of a check's detail text, and any change of a check's error
+    (absent in older reports, read as 0) with the new error as a fraction
+    of the old margin;
   - for a CSV table, the largest relative drift of each column, read as
     numbers;
   - for a certificate, the largest relative drift of its numbers.
@@ -133,6 +135,11 @@ def _compare_checks(old: list, new: list, out: list, problems: list):
             else:
                 out.append(f"  {c['verdict'].lower()} {name}: {a!r} -> "
                            f"{b!r}, relative drift {_drift(a, b):.3g}")
+        e, f = c.get("error", 0.0), match.get("error", 0.0)
+        if _drift(e, f):
+            share = f / abs(c["margin"]) if c["margin"] else math.inf
+            out.append(f"  error of {name}: {e!r} -> {f!r} = {share:.3g} "
+                       f"of margin {c['margin']:.3g}")
         if c["detail"] != match["detail"]:
             out.append(f"  detail of {name}: {c['detail']!r} -> "
                        f"{match['detail']!r}")

@@ -21,7 +21,7 @@ from .calculus import AnnulusRegion, BumpTest, bump_test, flux_residual
 from .fields import Disk, EddyStack, Exclusion, VectorField
 from .report import INCONCLUSIVE, CheckResult, VerificationReport
 from .trace import OrientedInterface, DensityProbe, _eddy_pairings, \
-    check_radii, deviation_densities, sampled_verdict, \
+    check_radii, deviation_densities, sampling_error, \
     weak_trace_ball_average
 
 __all__ = [
@@ -149,14 +149,12 @@ def nalpha_density(xi: VectorField, S: OrientedInterface, x0, alpha: float,
 def finest_ratio_check(probe: DensityProbe, alpha: float,
                        ratio_tol: float) -> CheckResult:
     """The nalpha gate: the deviation ratio at the finest radius must lie
-    below ratio_tol, read by `sampled_verdict`."""
-    ratio = probe.ratios[-1]
-    return CheckResult(
-        "deviation ratio at the finest radius", ratio, ratio_tol,
-        ratio_tol - abs(ratio),
-        sampled_verdict(ratio, probe.stderrs[-1], hi=ratio_tol),
+    below ratio_tol, with `sampling_error` as its error."""
+    return CheckResult.from_residual(
+        "deviation ratio at the finest radius", probe.ratios[-1], ratio_tol,
         detail=f"alpha={alpha:g}, r={probe.radii[-1]:g}, stderr "
-               f"{probe.stderrs[-1]:.2g}; {probe.draws()}")
+               f"{probe.stderrs[-1]:.2g}; {probe.draws()}",
+        error=sampling_error(probe.stderrs[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +364,8 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
     final_tol: BOUNDARY_SLICE of it over max(1, |T|) for the flat boundary
     term, and the rest split in half between the outer t-quadrature and
     the inner s-rows of each pairing.  When (b) runs by adaptive quadrature
-    the report checks its achieved estimate against the budget.  rtol sets
+    the gate carries the worst achieved estimate over the scales as its
+    error, and its detail states it next to the budget.  rtol sets
     only the relative tolerance of (a), no tighter than 1e-8; (c) runs at
     1e-9.  The INFO diagnostics and every decay exponent, the one of (b)
     included, get no share of their own: they report what the gated
@@ -421,16 +420,15 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
         defects_b.append(worst)
         estimates.append(estimate)
     exp_b = _decay_exponent(radii, defects_b)
-    rep.add(CheckResult.from_residual(
-        "half-space pairing defect, final", defects_b[-1], final_tol,
-        detail=f"decay exponent {exp_b:.3f} over last 3 scales"))
+    detail = f"decay exponent {exp_b:.3f} over last 3 scales"
+    worst_estimate = 0.0
     if estimates[0] is not None:
         worst_estimate = max(estimates)
-        rep.add(CheckResult.from_margin(
-            "half-space pairing quadrature estimate", worst_estimate, 0.0,
-            budget - worst_estimate,
-            detail=f"share {PAIRING_SHARE:g} of the final gate: "
-                   f"{budget!r}"))
+        detail += (f"; quadrature estimate {worst_estimate!r} against the "
+                   f"share {PAIRING_SHARE:g} of the final gate: {budget!r}")
+    rep.add(CheckResult.from_residual(
+        "half-space pairing defect, final", defects_b[-1], final_tol,
+        detail=detail, error=worst_estimate))
 
     # (c) punctured-ball flux balance in original coordinates
     if field.disk is None:

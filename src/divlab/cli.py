@@ -8,10 +8,11 @@ closed-form demos.  Every run prints its checks and a final verdict;
 
 Exit status: 0 when no check fails or is undecided and at least one
 passes (PASS), 1 when a check fails (FAIL) or none decides (INCONCLUSIVE:
-a sampled gate within its sampling error, or only INFO and SKIPPED
-records), 2 on usage errors.  Parameter precedence: command-line
-flags, then a `--config` JSON file, then built-in defaults.  Monte Carlo
-operations run with a fixed default seed, recorded in the report.
+a gate within its error, a sampling error or an achieved quadrature or
+ODE bound, or only INFO and SKIPPED records), 2 on usage errors.
+Parameter precedence: command-line flags, then a `--config` JSON file,
+then built-in defaults.  Monte Carlo operations run with a fixed default
+seed, recorded in the report.
 
 Each operation's parameter table (`_OPERATIONS`) is the single place a
 parameter is declared: its flag, converter, default, help text and
@@ -28,7 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,14 +46,13 @@ from .fields import (AUTO, MAX_DIMENSION, REGISTRY_EXAMPLES,
                      get_field, make_counterexample_field, parse_gamma,
                      parse_spec, phi_quadratic, potential_to_field,
                      stream_bump_field)
-from .report import (FAIL, INFO, PASS, CheckResult,
-                     VerificationReport)
+from .report import INFO, PASS, CheckResult, VerificationReport
 from .rigidity import (CERTIFIED, VIOLATED, FlowInputError, certify_potential,
                        default_certification_grid, flow_tubes,
                        separable_demo, strip_identity_2d)
 from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
                     check_radii, circle_interface, density, line_interface,
-                    one_sided_ap_lim, sampled_verdict, weak_trace_ball_average,
+                    one_sided_ap_lim, sampling_error, weak_trace_ball_average,
                     weak_trace_curvilinear, weak_trace_pairing,
                     weak_trace_sphere_flux)
 
@@ -62,6 +62,9 @@ DEFAULT_SEED = 20260819
 DEFAULT_RADII = tuple(2.0 ** -k for k in range(3, 9))
 # `demo jensen` grid points x kernel nodes; admits the 3D default, 3.7e7
 MAX_JENSEN_EVALUATIONS = 40_000_000
+# entries of a list parameter (radii, alphas, strip locations), each a
+# full probe, bounded like a count; recipes and benchmarks list at most 6
+MAX_LIST_LENGTH = 32
 PROG = "divlab"
 
 
@@ -127,9 +130,9 @@ def run(scenario: Scenario) -> VerificationReport:
         raise
     except Exception as exc:  # noqa: BLE001 -- any compute failure is a FAIL
         rep = VerificationReport(scenario="")
-        rep.add(CheckResult(name="execution", value=0.0, tolerance=0.0,
-                            margin=-1.0, verdict=FAIL,
-                            detail=f"{type(exc).__name__}: {exc}"))
+        rep.add(CheckResult.from_margin("execution", 0.0, 0.0, -1.0,
+                                        detail=f"{type(exc).__name__}: "
+                                               f"{exc}"))
         tables, extras = [], []
     rep.scenario = scenario.echo()
     rep.environment.setdefault("seed", scenario.seed)
@@ -225,6 +228,9 @@ def _floats(text: str, what: str, count: Optional[int] = None):
     if count is not None and len(vals) != count:
         raise UsageError(f"{what} needs {count} comma-separated values, "
                          f"got {text!r}")
+    if len(vals) > MAX_LIST_LENGTH:
+        raise UsageError(f"{len(vals)} {what} given; at most "
+                         f"{MAX_LIST_LENGTH}")
     return vals
 
 
@@ -309,9 +315,8 @@ def _interface_point(p, f):
 
 
 def _pass_fail(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, value=1.0 if ok else 0.0, tolerance=0.0,
-                       margin=0.0 if ok else -1.0,
-                       verdict=PASS if ok else FAIL, detail=detail)
+    return CheckResult.from_margin(name, float(ok), 0.0, float(ok) - 1.0,
+                                   detail)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +459,11 @@ def _h_flow_tube(sc: Scenario):
     if p["refine"]:
         fine = tubes[1]
         factor = p["refine_factor"]
-        for check in fine.gate_checks("refined "):
-            rep.add(check)
-        # the flow's error bounds count against the shrink
-        ode = tube.ode_error + factor * fine.ode_error
+        rep.add(fine.gate_check("refined "))
         rep.add(CheckResult.from_margin(
             f"refinement shrinks the residual by {factor:g}x",
-            fine.residual, 0.0, tube.residual - factor * fine.residual - ode,
+            fine.residual, 0.0, tube.residual - factor * fine.residual,
+            error=tube.ode_error + factor * fine.ode_error,
             detail=f"coarse={tube.residual!r}, fine={fine.residual!r}, "
                    f"ODE error bounds {tube.ode_error!r}, "
                    f"{fine.ode_error!r}"))
@@ -478,6 +481,9 @@ def _h_flow_tube(sc: Scenario):
 
 def _h_strip(sc: Scenario):
     p = sc.params
+    if len(p["at"]) > MAX_LIST_LENGTH:
+        raise UsageError(f"{len(p['at'])} strip locations given; at most "
+                         f"{MAX_LIST_LENGTH}")
     f = _resolve_field(sc.field)
     rep = VerificationReport(scenario="")
     rows = []
@@ -485,8 +491,7 @@ def _h_strip(sc: Scenario):
         r, t = _floats(item, "strip location", 2)
         sub = strip_identity_2d(f, r, t, rtol=p["rtol"])
         for c in sub.checks:
-            rep.add(CheckResult(f"[r={r:g},t={t:g}] {c.name}", c.value,
-                                c.tolerance, c.margin, c.verdict, c.detail))
+            rep.add(replace(c, name=f"[r={r:g},t={t:g}] {c.name}"))
             rows.append([r, t, c.name, c.value, c.margin, c.verdict])
     tables = [("checks", ["r", "t", "check", "value", "margin", "verdict"],
                rows)]
@@ -605,23 +610,13 @@ def _h_density(sc: Scenario):
                                  detail=f"stderr={row['stderr']:.2e}"))
     rep.add(CheckResult.info("extrapolated density", probe.theta))
     if p["expect"] == "value":
-        rep.add(_density_value_check(probe.theta, probe.theta_stderr,
-                                     p["value"], tol["value_tol"]))
+        rep.add(CheckResult.from_residual(
+            "density matches expected value", probe.theta - p["value"],
+            tol["value_tol"], detail=f"theta stderr {probe.theta_stderr:.2g}",
+            error=sampling_error(probe.theta_stderr)))
     rows = [[row["radius"], row["estimate"], row["stderr"]]
             for row in probe.rows()]
     return rep, [("ratios", ["radius", "ratio", "stderr"], rows)], []
-
-
-def _density_value_check(theta: float, stderr: float, value: float,
-                         value_tol: float) -> CheckResult:
-    """The density gate |theta - value| <= value_tol, read by
-    `sampled_verdict` on the bounds value -/+ value_tol."""
-    residual = theta - value
-    return CheckResult("density matches expected value", residual,
-                       value_tol, value_tol - abs(residual),
-                       sampled_verdict(theta, stderr, value - value_tol,
-                                       value + value_tol),
-                       detail=f"theta stderr {stderr:.2g}")
 
 
 def _h_aplim(sc: Scenario):
@@ -648,8 +643,7 @@ def _h_aplim(sc: Scenario):
             # per-alpha confirmation checks are informational here: the
             # scenario asserts the overall classification instead
             rep.checks = [
-                CheckResult(c.name, c.value, c.tolerance, c.margin, INFO,
-                            c.detail)
+                replace(c, verdict=INFO)
                 if c.name.startswith("deviation density") else c
                 for c in rep.checks
             ]

@@ -2,15 +2,17 @@
 
 A report is a named bundle of checks.  Each check carries the measured
 value, the tolerance it was held to, the signed margin (nonnegative means
-satisfied), and a verdict.  Reports serialize to JSON deterministically:
-two runs with the same scenario and seed produce byte-identical output
-except for the timestamp field.
+satisfied), the error of the gated quantity (an achieved quadrature or
+ODE bound, or a sampling error), and a verdict that one rule (`_gate`)
+decides.  Reports serialize to JSON deterministically, byte-identical
+between two runs of one scenario and seed apart from the timestamp.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import math
 from dataclasses import dataclass, field
 
 PASS = "PASS"
@@ -18,6 +20,17 @@ FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 INFO = "INFO"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+
+def _gate(value: float, slack: float, error: float) -> str:
+    """PASS when the gate holds with error to spare (slack >= error), FAIL
+    when it fails by more (slack < -error), else INCONCLUSIVE, also when
+    the value, the slack or the error is NaN."""
+    if math.isnan(value):
+        return INCONCLUSIVE
+    if slack >= error:
+        return PASS
+    return FAIL if slack < -error else INCONCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -28,23 +41,23 @@ class CheckResult:
     margin: float
     verdict: str
     detail: str = ""
+    error: float = 0.0
 
     @staticmethod
-    def from_margin(name: str, value: float, tolerance: float,
-                    margin: float, detail: str = "") -> "CheckResult":
-        """Margin check: passes when margin >= -tolerance."""
-        verdict = PASS if margin >= -tolerance else FAIL
-        return CheckResult(name, float(value), float(tolerance),
-                           float(margin), verdict, detail)
+    def from_margin(name: str, value: float, tolerance: float, margin: float,
+                    detail: str = "", error: float = 0.0) -> "CheckResult":
+        """Margin check margin >= -tolerance: slack margin + tolerance."""
+        return CheckResult(name, float(value), float(tolerance), float(margin),
+                           _gate(value, margin + tolerance, error), detail,
+                           float(error))
 
     @staticmethod
     def from_residual(name: str, residual: float, tolerance: float,
-                      detail: str = "") -> "CheckResult":
-        """Residual check: passes when |residual| <= tolerance."""
-        r = abs(float(residual))
-        verdict = PASS if r <= tolerance else FAIL
-        return CheckResult(name, float(residual), float(tolerance),
-                           tolerance - r, verdict, detail)
+                      detail: str = "", error: float = 0.0) -> "CheckResult":
+        """Residual check |residual| <= tolerance: slack tolerance - |r|."""
+        slack = tolerance - abs(float(residual))
+        return CheckResult(name, float(residual), float(tolerance), slack,
+                           _gate(residual, slack, error), detail, float(error))
 
     @staticmethod
     def info(name: str, value: float, detail: str = "") -> "CheckResult":
@@ -95,6 +108,7 @@ class VerificationReport:
                     "name": c.name,
                     "value": c.value,
                     "tolerance": c.tolerance,
+                    "error": c.error,
                     "margin": c.margin,
                     "verdict": c.verdict,
                     "detail": c.detail,

@@ -96,25 +96,21 @@ class FlowTube:
     displacement_margin: Optional[float] = None
     displacement_bound: Optional[float] = None
 
-    def gate_checks(self, prefix: str = "") -> list[CheckResult]:
-        """The residual against its gate residual_tol, and the flow's error
-        bound against its share ODE_SHARE * residual_tol: no flow-tube
-        residual passes on a flow whose bound broke its share."""
-        share = ODE_SHARE * self.residual_tol
-        return [CheckResult.from_residual(f"{prefix}transport identity "
-                                          "residual", self.residual,
-                                          self.residual_tol),
-                CheckResult.from_margin(
-                    f"{prefix}ODE error bound", self.ode_error, 0.0,
-                    share - self.ode_error,
-                    detail=f"share {ODE_SHARE:g} of the residual gate: "
-                           f"{share!r}")]
+    def gate_check(self, prefix: str = "") -> CheckResult:
+        """The residual against its gate residual_tol, with the flow's
+        error bound as its error; the detail states the bound next to its
+        share ODE_SHARE * residual_tol."""
+        return CheckResult.from_residual(
+            f"{prefix}transport identity residual", self.residual,
+            self.residual_tol, error=self.ode_error,
+            detail=f"ODE error bound {self.ode_error!r} against the share "
+                   f"{ODE_SHARE:g} of the gate: "
+                   f"{ODE_SHARE * self.residual_tol!r}")
 
     def to_report(self) -> VerificationReport:
         rep = VerificationReport(scenario=f"flow-tube:h0={self.h0:g}:"
                                           f"seeds={self.seeds_per_axis}")
-        for check in self.gate_checks():
-            rep.add(check)
+        rep.add(self.gate_check())
         rep.add(CheckResult.from_margin(
             "transported Jacobian positivity", self.delta_min, 0.0,
             self.delta_min))
@@ -298,10 +294,10 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
     (tau), which must be finite and positive: the top flux is computed
     first, and the flow runs at rtol = ODE_SHARE * tau / (ODE_ERROR_GROWTH
     * |top|), clamped to [ODE_RTOL_MIN, ODE_RTOL_MAX].  Each tube carries
-    that rtol and its flow's error bound `ode_error`, which its report
-    holds to ODE_SHARE * tau.  When a level's bound breaks that share
-    while its residual is within the bound of the gate, every grid flows
-    once more at a tolerance scaled to meet the share (see
+    that rtol and its flow's error bound `ode_error`, its residual gate's
+    error, budgeted at ODE_SHARE * tau.  When a level's bound breaks that
+    share while its residual is within the bound of the gate, every grid
+    flows once more at a tolerance scaled to meet the share (see
     ODE_REFLOW_AIM), no lower than ODE_RTOL_MIN; at most two flows run.
 
     A planar field with a 2D box A = A1 x A2 is the tube of its extrusion

@@ -14,7 +14,8 @@ violates a candidate limit.  They sample planar disks with a randomly
 shifted Fibonacci lattice mapped area-preservingly onto the disk, and
 report the spread over the independent shifts as their sampling error.
 A gated probe draws the lattice in rounds of growing size and stops at
-the first round whose gated quantities `sampled_verdict` decides.
+the first round whose gated quantities the report's gate rule decides,
+with `sampling_error` of each as its error.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ __all__ = [
     "weak_trace_pairing", "weak_trace_sphere_flux", "check_radii",
     "density", "deviation_densities", "one_sided_ap_lim", "ApLimReport",
     "AP_LIM_CONFIRMED", "AP_LIM_REJECTED", "AP_LIM_INCONCLUSIVE",
-    "EPS_DENSITY", "SAMPLING_Z", "sampled_verdict",
+    "EPS_DENSITY", "SAMPLING_Z", "sampling_error",
 ]
 
 EPS_DENSITY = 1e-2
@@ -600,6 +601,11 @@ SAMPLING_Z = 6.0
 FIRST_ROUND = 987
 
 
+def sampling_error(stderr: float) -> float:
+    """The error term of a sampled gate: SAMPLING_Z standard errors."""
+    return SAMPLING_Z * stderr
+
+
 def _lattice_sizes(samples: int, half: bool) -> list[int]:
     """Points per shift of each lattice round of a gated probe.  The last,
     the ceiling, is the smallest Fibonacci number for which all shifts
@@ -662,21 +668,6 @@ def _density_probe(radii: list, hits: np.ndarray, n: int, fraction: float,
                         samples_per_radius=shifts * n,
                         drawn_per_radius=shifts * drawn,
                         ceiling_per_radius=shifts * ceiling)
-
-
-def sampled_verdict(value: float, stderr: float, lo: Optional[float] = None,
-                    hi: Optional[float] = None) -> str:
-    """The verdict of a sampled gate lo <= value <= hi (a bound left None
-    is absent): PASS when value lies SAMPLING_Z standard errors inside
-    every bound, FAIL when it lies that far outside one, INCONCLUSIVE
-    otherwise.  A NaN value, stderr or bound decides nothing."""
-    inside = [value - lo] if lo is not None else []
-    if hi is not None:
-        inside.append(hi - value)
-    reach = SAMPLING_Z * stderr
-    if all(d >= reach for d in inside):
-        return PASS
-    return FAIL if any(d <= -reach for d in inside) else INCONCLUSIVE
 
 
 def _lattice_rounds(x, radii, sizes: list[int], seed: int,
@@ -765,12 +756,16 @@ def _ap_lim_status(probe: DensityProbe, eps_density: float) -> str:
     """The candidate's status at one alpha: confirmed when theta lies below
     eps_density, rejected when theta and every ratio lie above it,
     inconclusive when theta lies above and some ratio below.  Each side is
-    read by `sampled_verdict`; a gated quantity it cannot decide gives
-    unresolved."""
-    theta = sampled_verdict(probe.theta, probe.theta_stderr, hi=eps_density)
+    a margin gate with `sampling_error` as its error; a gated quantity it
+    cannot decide gives unresolved."""
+    def side(margin, stderr):
+        return CheckResult.from_margin("", 0.0, 0.0, margin,
+                                       error=sampling_error(stderr)).verdict
+
+    theta = side(eps_density - probe.theta, probe.theta_stderr)
     if theta != FAIL:
         return "confirmed" if theta == PASS else "unresolved"
-    above = [sampled_verdict(p, e, lo=eps_density)
+    above = [side(p - eps_density, e)
              for p, e in zip(probe.ratios, probe.stderrs)]
     if FAIL in above:
         return "inconclusive"
@@ -789,8 +784,8 @@ def one_sided_ap_lim(field: VectorField, S: OrientedInterface, x0, w,
     Each alpha gates theta against eps_density and, when theta lies above
     it, the ratios too (see `_ap_lim_status`).  All alphas share one
     lattice cloud per round.  `samples` is a ceiling: the rounds of
-    `_lattice_sizes` are drawn until every gated quantity lies SAMPLING_Z
-    standard errors from eps_density.  A gate still within that at the
+    `_lattice_sizes` are drawn until every gated quantity lies its
+    `sampling_error` from eps_density.  A gate still within that at the
     ceiling gives its check INCONCLUSIVE and the classification
     INCONCLUSIVE, never a confident one.
     """
@@ -818,7 +813,8 @@ def one_sided_ap_lim(field: VectorField, S: OrientedInterface, x0, w,
             verdict={"confirmed": PASS,
                      "unresolved": INCONCLUSIVE}.get(status, FAIL),
             detail=f"ratios={['%.4f' % p for p in probe.ratios]} ({status}); "
-                   f"theta stderr {probe.theta_stderr:.2g}; {probe.draws()}"))
+                   f"theta stderr {probe.theta_stderr:.2g}; {probe.draws()}",
+            error=sampling_error(probe.theta_stderr)))
 
     if "unresolved" not in statuses:
         if all(s == "confirmed" for s in statuses):

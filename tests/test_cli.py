@@ -377,6 +377,76 @@ class TestExitCodes:
         assert "deviation levels must be positive" in err
         assert "verdict" not in out
 
+    # a list parameter is bounded like a count: 3,000 radii or 500 alphas
+    # ran, each a full lattice cloud; one entry past MAX_LIST_LENGTH is a
+    # usage error before any field call, and MAX_LIST_LENGTH itself runs
+    @pytest.mark.parametrize("argv", [
+        lambda n: ["aplim", "--field", "capillary:R=1", "--x0", "1,0",
+                   "--w", "nu", "--alphas", ",".join(["0.1"] * n),
+                   "--samples", "1"],
+        lambda n: ["nalpha", "--field", "capillary:R=1", "--samples", "1",
+                   "--radii", ",".join(repr(2.0 ** -k) for k in range(n))],
+        lambda n: ["strip-identity", "--field", "stream:bump", "--rtol",
+                   "1e-6", *["--at", "2,1"] * n],
+    ], ids=["alphas", "radii", "strip-locations"])
+    def test_a_list_past_its_cap_is_refused_before_any_field_call(
+            self, capsys, monkeypatch, argv):
+        calls = []
+        resolve_field = cli._resolve_field
+
+        def spied_field(spec):
+            field = resolve_field(spec)
+
+            def ev(pts):
+                calls.append(len(pts))
+                return field.eval(pts)
+            return dataclasses.replace(field, eval=ev)
+
+        monkeypatch.setattr(cli, "_resolve_field", spied_field)
+        code, out, err = run_main(argv(cli.MAX_LIST_LENGTH + 1), capsys)
+        assert code == 2
+        assert f"{cli.MAX_LIST_LENGTH + 1} " in err
+        assert f"at most {cli.MAX_LIST_LENGTH}" in err
+        assert "verdict" not in out and calls == []
+        code, out, _ = run_main(argv(cli.MAX_LIST_LENGTH), capsys)
+        assert code in (0, 1) and "verdict" in out and calls
+
+    def test_density_radii_past_the_cap_draw_no_lattice(self, capsys,
+                                                         monkeypatch):
+        def no_lattice(*args, **kwargs):
+            raise AssertionError("the lattice was drawn")
+
+        monkeypatch.setattr(cli, "density", no_lattice)
+        radii = ",".join(repr(2.0 ** -k)
+                         for k in range(cli.MAX_LIST_LENGTH + 1))
+        code, out, err = run_main(["density", "--x0", "1,0", "--samples",
+                                   "1", "--radii", radii], capsys)
+        assert code == 2 and "at most" in err and "verdict" not in out
+
+    # an aplim check demoted to INFO (the scenario asserts the overall
+    # classification) keeps its sampling error
+    def test_demoted_aplim_check_keeps_its_error(self, tmp_path, capsys,
+                                                 monkeypatch):
+        reports = []
+        ap_lim = cli.one_sided_ap_lim
+
+        def kept(*args, **kwargs):
+            rep = ap_lim(*args, **kwargs)
+            reports.append((rep, list(rep.checks)))
+            return rep
+
+        monkeypatch.setattr(cli, "one_sided_ap_lim", kept)
+        run_main(["aplim", "--field", "twisting:levels=8", "--x0",
+                  "0.3333333333333333,0", "--alphas", "0.5", "--samples",
+                  "2000", "--expect", "rejected", "--out", str(tmp_path),
+                  "--name", "a"], capsys)
+        check = json.loads((tmp_path / "a.json").read_text())["checks"][0]
+        (rep, checks), = reports
+        gated = {c.name: c for c in checks}[check["name"]]
+        assert check["verdict"] == "INFO" != gated.verdict
+        assert check["error"] == gated.error > 0.0
+        assert gated.error == trace.SAMPLING_Z * rep.probes[0][1].theta_stderr
+
     def test_blowup_radius_beyond_floats_is_usage_error(self, capsys):
         code, out, err = run_main(["demo", "separable", "--gamma", "1e-3",
                                    "--rho0", "1", "--psi0", "1e-3"], capsys)
@@ -628,8 +698,11 @@ class TestOperations:
         assert code == 1   # a 4^2 tube is far outside either gate
         assert seen == [want]
         assert checks["ODE relative tolerance"]["value"] == want
-        bound = checks["ODE error bound"]
-        assert bound["margin"] == rigidity.ODE_SHARE * tau - bound["value"]
+        gate = checks["transport identity residual"]
+        assert gate["error"] > 0.0
+        assert f"ODE error bound {gate['error']!r} against the share " \
+            f"{rigidity.ODE_SHARE:g} of the gate: " \
+            f"{rigidity.ODE_SHARE * tau!r}" in gate["detail"]
 
     # the coarse, refined and plotted seed grids flow as one batch: one
     # integration, where three flows one after another took 9,303 rhs
@@ -701,16 +774,29 @@ class TestOperations:
         assert "theta stderr 0.0001" in out
         assert out.strip().endswith(f"verdict: {verdict}")
 
-    def test_density_value_far_outside_its_bounds_fails(self):
+    def test_density_value_far_outside_its_bounds_fails(
+            self, tmp_path, capsys, monkeypatch):
         # SAMPLING_Z = 6 stderrs of 1e-5 outside either bound 0.5 -/+ 1e-3
         # is a FAIL, that far inside both a PASS; within them, undecided
+        density = cli.density
+
+        def pinned(*args, **kwargs):
+            return dataclasses.replace(density(*args, **kwargs),
+                                       theta=theta, theta_stderr=1e-5)
+
+        monkeypatch.setattr(cli, "density", pinned)
         for theta, verdict in [(0.45, FAIL), (0.4989, FAIL),
                                (0.49895, INCONCLUSIVE),
                                (0.49905, INCONCLUSIVE), (0.5, PASS),
                                (0.50095, INCONCLUSIVE), (0.5012, FAIL)]:
-            check = cli._density_value_check(theta, 1e-5, 0.5, 1e-3)
-            assert check.verdict == verdict, theta
-            assert check.margin == 1e-3 - abs(theta - 0.5)
+            run_main(["density", "--x0", "1,0", "--samples", "1000",
+                      "--expect", "value", "--value", "0.5", "--value-tol",
+                      "1e-3", "--out", str(tmp_path), "--name", "d"], capsys)
+            check = json.loads((tmp_path / "d.json").read_text())["checks"][-1]
+            assert check["name"] == "density matches expected value"
+            assert check["verdict"] == verdict, theta
+            assert check["margin"] == 1e-3 - abs(theta - 0.5)
+            assert check["error"] == trace.SAMPLING_Z * 1e-5
 
     def test_nalpha_gate_within_the_sampling_error_is_inconclusive(
             self, capsys):

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
 from divlab.report import (CheckResult, VerificationReport, FAIL, INCONCLUSIVE,
@@ -29,6 +30,49 @@ def test_from_residual_verdict(residual, tol):
 
 def test_margin_boundary_is_a_pass():
     assert CheckResult.from_margin("edge", 0.0, 1e-12, -1e-12).verdict == PASS
+
+
+NAN = float("nan")
+
+
+# a NaN value, margin (or tolerance) or error decides nothing: it reads
+# INCONCLUSIVE from both constructors, never PASS (a NaN read FAIL before
+# the gates had an error term)
+@pytest.mark.parametrize("value, bound, error", [
+    (NAN, 1.0, 0.0), (0.0, NAN, 0.0), (0.0, 1.0, NAN), (NAN, NAN, NAN)])
+def test_nan_is_never_a_pass(value, bound, error):
+    assert CheckResult.from_margin("m", value, 0.0, bound,
+                                   error=error).verdict == INCONCLUSIVE
+    assert CheckResult.from_residual("r", value, bound,
+                                     error=error).verdict == INCONCLUSIVE
+
+
+# the error widens the undecided band on both sides of the gate: PASS
+# needs slack >= error, FAIL slack < -error
+@pytest.mark.parametrize("slack, error, verdict", [
+    (0.5, 0.0, PASS), (-0.5, 0.0, FAIL), (0.0, 0.0, PASS),
+    (0.5, 0.5, PASS), (0.5, 0.6, INCONCLUSIVE), (-0.5, 0.6, INCONCLUSIVE),
+    (-0.5, 0.5, INCONCLUSIVE), (-0.5, 0.4, FAIL), (0.0, 1e-300, INCONCLUSIVE)])
+def test_an_error_wider_than_the_slack_is_undecided(slack, error, verdict):
+    margin = CheckResult.from_margin("m", 1.0, 0.25, slack - 0.25,
+                                     error=error)
+    residual = CheckResult.from_residual("r", 1.0 - slack, 1.0, error=error)
+    assert margin.verdict == residual.verdict == verdict
+    assert margin.error == residual.error == error
+    assert residual.margin == slack
+
+
+def test_every_check_serializes_its_error():
+    rep = VerificationReport(scenario="e")
+    rep.add(CheckResult.from_margin("m", 1.0, 0.0, 1.0, error=0.25))
+    rep.add(CheckResult.from_residual("r", 0.1, 1.0, error=2.0))
+    rep.add(CheckResult.from_residual("plain", 0.1, 1.0))
+    rep.add(CheckResult.info("i", 3.0))
+    rep.add(CheckResult.skipped("s"))
+    checks = json.loads(rep.to_json())["checks"]
+    assert [c["error"] for c in checks] == [0.25, 2.0, 0.0, 0.0, 0.0]
+    assert [c["verdict"] for c in checks] == [PASS, INCONCLUSIVE, PASS, INFO,
+                                              SKIPPED]
 
 
 def test_report_verdict_aggregation():

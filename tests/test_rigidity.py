@@ -172,7 +172,7 @@ class TestFlowTube:
         tube = one_tube(stream_bump, 2.0 * stream_bump.sup_bound, TUBE_BOX,
                         1.95, seeds_per_axis=8, residual_tol=1e-300)
         assert seen == [rigidity.ODE_RTOL_MIN] and tube.rtol == 1e-12
-        assert [c.verdict for c in tube.gate_checks()] == ["FAIL", "FAIL"]
+        assert tube.gate_check().verdict == "FAIL"
         assert tube.to_report().verdict == "FAIL"
 
     # the first guess at the rtol can break the share on a converged
@@ -201,18 +201,23 @@ class TestFlowTube:
         assert tube.residual <= tau
         assert tube.to_report().verdict == "PASS"
 
-    # the bound's check fails on the flow's share even when the residual
-    # itself is inside the gate, and a NaN bound never passes
-    @pytest.mark.parametrize("ode_error", [2e-8, math.nan])
-    def test_ode_bound_check_fails_when_the_bound_breaks_its_share(
-            self, ode_error):
+    # the flow's error bound is the residual gate's error: a bound above
+    # its share but inside the gate's slack still passes, one wider than
+    # the slack leaves the gate undecided, and a NaN bound never passes
+    @pytest.mark.parametrize("ode_error, verdict", [
+        (2e-8, "PASS"), (2e-6, "INCONCLUSIVE"), (math.nan, "INCONCLUSIVE")])
+    def test_residual_gate_reads_the_ode_error(self, ode_error, verdict):
         tube = one_tube(zero_field(2), 1.0, ((-1.0, 1.0), (-1.0, 1.0)),
                         1.95, seeds_per_axis=4)
         assert tube.residual == 0.0 and tube.ode_error == 0.0
-        assert [c.verdict for c in tube.gate_checks()] == ["PASS", "PASS"]
+        assert tube.gate_check().verdict == "PASS"
         broken = dataclasses.replace(tube, ode_error=ode_error)
-        assert [c.verdict for c in broken.gate_checks()] == ["PASS", "FAIL"]
-        assert broken.to_report().verdict == "FAIL"
+        check = broken.gate_check()
+        assert check.verdict == verdict
+        assert check.error == ode_error or math.isnan(check.error)
+        assert f"ODE error bound {ode_error!r} against the share " \
+            f"{rigidity.ODE_SHARE:g} of the gate" in check.detail
+        assert broken.to_report().verdict == verdict
 
     def test_flow_tube_refuses_a_non_positive_gate(self, monkeypatch):
         def no_flow(*args, **kwargs):

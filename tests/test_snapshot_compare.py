@@ -70,6 +70,26 @@ def test_digit_drift_is_measured_against_each_margin(snapshots, tmp_path):
     assert text.endswith("4 files: 1 identical, 3 differ, 0 problems")
 
 
+# a report written before checks had an error term reads as error 0: a
+# check that gains the key is no problem, and a changed error is printed
+# against the check's margin, as a value drift is
+def test_a_gained_or_changed_error_is_printed_against_the_margin(
+        snapshots, tmp_path):
+    old = _write(tmp_path / "old", OLD_CHECKS, [1.0, 2.0])
+    gained = [dict(c, error=0.0) for c in OLD_CHECKS]
+    same = _write(tmp_path / "same", gained, [1.0, 2.0])
+    lines, problems = snapshots.compare(old, same)
+    assert problems == 0
+    assert not any("error of" in line for line in lines)
+    gained[0]["error"] = 4.8e-4
+    new = _write(tmp_path / "new", gained, [1.0, 2.0])
+    lines, problems = snapshots.compare(same, new)
+    assert problems == 0
+    assert "  error of defect: 0.0 -> 0.00048 = 0.05 of margin 0.0096" \
+        in lines
+    assert lines[-1] == "4 files: 3 identical, 1 differ, 0 problems"
+
+
 @pytest.mark.parametrize("checks,exit_line,problem", [
     (OLD_CHECKS + [_check("estimate", 1e-5, "PASS", margin=9e-5)],
      "exit 0", "new check 'estimate' (PASS)"),

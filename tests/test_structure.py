@@ -2,10 +2,11 @@
 declare their structure, so no module bolts attributes onto frozen
 instances, dispatches with hasattr, or keeps an import it never uses; and
 every adaptive quadrature and ODE integration stops by one policy, and a
-field's Jacobian has one entry point, each written once; the bump is the
-one test function, and no probe dispatches on its type; no defaulted
-parameter is a knob that only its default ever sets; and the package
-imports exactly the third-party distributions it declares."""
+field's Jacobian has one entry point, each written once; one rule decides
+every gate; the bump is the one test function, and no probe dispatches on
+its type; no defaulted parameter is a knob that only its default ever
+sets; and the package imports exactly the third-party distributions it
+declares."""
 
 import ast
 import json
@@ -245,8 +246,8 @@ def test_the_disk_is_declared_once():
     assert contains == {"deviation_densities"}
 
 
-# a sampled gate is decided in one place: SAMPLING_Z is read only by
-# `trace.sampled_verdict`; every probe at an interface point enters through
+# a sampled gate's error is computed in one place: SAMPLING_Z is read only
+# by `trace.sampling_error`; every probe at an interface point enters through
 # `OrientedInterface.frame`, so the per-module gate, planar-point and
 # on-interface checks are neither defined nor read; and every caller of the
 # lattice passes its round size, so no default cloud is left to drift
@@ -269,9 +270,41 @@ def test_one_sampled_gate_one_entry_check_one_round_size():
                     and node.name == "_lattice_disk":
                 lattice.append(([a.arg for a in node.args.args],
                                 len(node.args.defaults)))
-    assert reads == {"trace.py:sampled_verdict"}
+    assert reads == {"trace.py:sampling_error"}
     assert not copies, "\n".join(copies)
     assert lattice == [(["seed", "n", "theta0"], 0)]
+
+
+# every gate is decided by one rule, `report._gate`, with its error term:
+# outside report.py a verdict constant reaches `CheckResult(...)` only where
+# the aplim status maps onto its check, and the gate readers it replaced
+# (the sampled verdict, the density value check) are neither defined nor
+# read
+_VERDICTS = {"PASS", "FAIL", "INCONCLUSIVE", "INFO", "SKIPPED"}
+_FOLDED_GATES = {"sampled_verdict", "_density_value_check"}
+
+
+def test_one_gate_rule():
+    handmade, folded = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node, where in _nodes(tree, ast.Call):
+            if not (isinstance(node.func, ast.Name)
+                    and node.func.id == "CheckResult"):
+                continue
+            args = node.args + [k.value for k in node.keywords]
+            if any((_name(n) or getattr(n, "value", None)) in _VERDICTS
+                   for arg in args for n in ast.walk(arg)):
+                handmade.add(f"{path.name}:{where}")
+        for node in ast.walk(tree):
+            names = {_name(node), getattr(node, "name", None)}
+            if isinstance(node, ast.Constant):
+                names.add(node.value)
+            folded += [f"{path.name}:{node.lineno} {name}"
+                       for name in names & _FOLDED_GATES]
+    assert {w for w in handmade if not w.startswith("report.py:")} \
+        == {"trace.py:one_sided_ap_lim"}
+    assert not folded, "\n".join(folded)
 
 
 # each field has one constructor that builds it, and its consumers call

@@ -18,6 +18,7 @@ from divlab import trace
 from divlab.calculus import RectRegion, bump_test
 from divlab.fields import Disk, bump, constant_field, \
     make_capillary_field, make_twisting_field, zero_field
+from divlab.report import CheckResult
 from divlab.trace import (
     AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
     circle_interface, density, line_interface, one_sided_ap_lim,
@@ -589,8 +590,10 @@ NAN = float("nan")
 
 
 class TestSampledVerdict:
-    # SAMPLING_Z = 6 standard errors of 1e-3: 6e-3 inside every bound is a
-    # PASS, that far outside one a FAIL, anything between or NaN undecided
+    # a sampled gate lo <= value <= hi is the report's gate rule with
+    # SAMPLING_Z = 6 standard errors of 1e-3 as its error: 6e-3 inside
+    # every bound is a PASS, more than that outside one a FAIL, anything
+    # between or NaN undecided
     @pytest.mark.parametrize("value,stderr,lo,hi,verdict", [
         (0.0, 1e-3, None, 0.01, "PASS"),
         (0.005, 1e-3, None, 0.01, "INCONCLUSIVE"),
@@ -609,7 +612,15 @@ class TestSampledVerdict:
         (0.5, NAN, 0.49, 0.51, "INCONCLUSIVE"),
     ])
     def test_table(self, value, stderr, lo, hi, verdict):
-        assert trace.sampled_verdict(value, stderr, lo, hi) == verdict
+        error = trace.sampling_error(stderr)
+        if lo is not None and hi is not None:
+            check = CheckResult.from_residual(
+                "", value - 0.5 * (lo + hi), 0.5 * (hi - lo), error=error)
+        else:
+            margin = hi - value if lo is None else value - lo
+            check = CheckResult.from_margin("", value, 0.0, margin,
+                                            error=error)
+        assert check.verdict == verdict
 
     # a NaN theta or stderr read as "below eps_density" and confirmed
     @pytest.mark.parametrize("theta,stderr", [(NAN, 1e-4), (1e-3, NAN)])
