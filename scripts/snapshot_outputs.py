@@ -16,17 +16,20 @@ the same files.
 The second form judges a digit change instead of rejecting it.  For every
 file that differs between the snapshots OLD and NEW it prints:
   - for a report, each gated (PASS/FAIL) check's |delta value| as a
-    fraction of its old margin, each INFO check's relative drift, any
-    change of a check's detail text, and any change of a check's error
-    (absent in older reports, read as 0) with the new error as a fraction
-    of the old margin;
+    fraction of its old margin, each INFO check's relative drift, each
+    check's margin drift, any change of a check's detail text, and any
+    change of a check's error (absent in older reports, read as 0) with
+    the new error as a fraction of the old margin;
   - for a CSV table, the largest relative drift of each column, read as
     numbers;
   - for a certificate, the largest relative drift of its numbers.
 It exits 1 when a report's checks are not the same checks in the same
-order with the same verdicts, when any other text (a header, a label, an
-exit code, a verdict) changed, or when a file exists in one snapshot
-only; it exits 0 otherwise, also when digits drifted.
+order with the same verdicts and tolerances, when a leaf of a report's
+echoed scenario (its JSON parsed, so a problem names the parameter, as
+/scenario/params/rtol) changed or exists on one side only, when any
+other report field exists on one side only, when any other text (a
+header, a label, an exit code, a verdict) changed, or when a file exists
+in one snapshot only; it exits 0 otherwise, also when digits drifted.
 """
 
 import argparse
@@ -104,7 +107,8 @@ def _number(cell):
 
 def _compare_checks(old: list, new: list, out: list, problems: list):
     """Pair the checks by name in order; a check in one list only, a
-    change of order, or a pair with different verdicts is a problem."""
+    change of order, or a pair with different verdicts or tolerances is a
+    problem."""
     names_old = [c["name"] for c in old]
     names_new = [c["name"] for c in new]
     problems += [f"new check {c['name']!r} ({c['verdict']})"
@@ -124,6 +128,9 @@ def _compare_checks(old: list, new: list, out: list, problems: list):
         if c["verdict"] != match["verdict"]:
             problems.append(f"check {name!r}: verdict {c['verdict']} -> "
                             f"{match['verdict']}")
+        if _drift(c["tolerance"], match["tolerance"]):
+            problems.append(f"check {name!r}: tolerance {c['tolerance']!r} "
+                            f"-> {match['tolerance']!r}")
         a, b = c["value"], match["value"]
         if _drift(a, b):
             if c["verdict"] in ("PASS", "FAIL"):
@@ -135,6 +142,10 @@ def _compare_checks(old: list, new: list, out: list, problems: list):
             else:
                 out.append(f"  {c['verdict'].lower()} {name}: {a!r} -> "
                            f"{b!r}, relative drift {_drift(a, b):.3g}")
+        m, n = c["margin"], match["margin"]
+        if _drift(m, n):
+            out.append(f"  margin of {name}: {m!r} -> {n!r}, relative "
+                       f"drift {_drift(m, n):.3g}")
         e, f = c.get("error", 0.0), match.get("error", 0.0)
         if _drift(e, f):
             share = f / abs(c["margin"]) if c["margin"] else math.inf
@@ -161,8 +172,8 @@ def _compare_leaves(old, new, out: list, problems: list):
     """Numbers may drift (the largest drift is printed); any other leaf,
     and the set of paths, must be equal."""
     a, b = dict(_leaves(old)), dict(_leaves(new))
-    if a.keys() != b.keys():
-        problems.append(f"fields differ: {sorted(a.keys() ^ b.keys())}")
+    problems += [f"{path} only in {'OLD' if path in a else 'NEW'}"
+                 for path in sorted(a.keys() ^ b.keys())]
     worst, where = 0.0, ""
     for path in sorted(a.keys() & b.keys()):
         x, y = _number(a[path]), _number(b[path])
@@ -175,10 +186,31 @@ def _compare_leaves(old, new, out: list, problems: list):
         out.append(f"  largest relative drift {worst:.3g} at {where}")
 
 
+def _scenario(doc: dict):
+    """Pop the scenario a report echoes as JSON text, parsed (None when
+    absent, the text itself when it is not JSON)."""
+    text = doc.pop("scenario", None)
+    try:
+        return json.loads(text)
+    except (TypeError, ValueError):
+        return text
+
+
+def _compare_scenario(old, new, problems: list):
+    """The scenario is the run's input: a leaf on one side only, or any
+    changed leaf, is a problem that names its path."""
+    a, b = dict(_leaves(old, "/scenario")), dict(_leaves(new, "/scenario"))
+    problems += [f"{path} only in {'OLD' if path in a else 'NEW'}"
+                 for path in sorted(a.keys() ^ b.keys())]
+    problems += [f"{path}: {a[path]!r} -> {b[path]!r}"
+                 for path in sorted(a.keys() & b.keys()) if a[path] != b[path]]
+
+
 def _compare_json(old_text: str, new_text: str, out: list, problems: list):
     old, new = json.loads(old_text), json.loads(new_text)
     if "checks" in old and "checks" in new:
         _compare_checks(old.pop("checks"), new.pop("checks"), out, problems)
+    _compare_scenario(_scenario(old), _scenario(new), problems)
     _compare_leaves(old, new, out, problems)
 
 

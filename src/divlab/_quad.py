@@ -3,9 +3,10 @@
 All routines take vectorized integrands (arrays in, arrays out).  The
 adaptive rules -- the 1D row batch `adaptive_gauss_rows` (with its
 one-row case `adaptive_gauss_1d`), the 2D tensor rule, the ball row batch
-`adaptive_ball_rows` (with its one-row case `adaptive_ball_quad`) and the
-circle trapezoid -- are level functions run by `_refine`, the one
-refinement loop and the one place that raises `QuadratureError`.
+`adaptive_ball_rows` and the circle trapezoid -- are level functions run
+by `_refine`, the one refinement loop and the one place that raises
+`QuadratureError`.  Each row batch returns every row's value and its
+achieved error estimate.
 """
 
 from __future__ import annotations
@@ -80,10 +81,19 @@ def _gauss_rows(f: Callable, rows: np.ndarray, a: np.ndarray,
     return half * (vals.reshape(rows.size, panels, order) @ w).sum(axis=1)
 
 
-def _gauss_rows_estimated(f: Callable, a, b, rtol: float,
-                          atol: float) -> tuple[np.ndarray, np.ndarray]:
-    """`adaptive_gauss_rows` that also returns each row's achieved error
-    estimate, its last accepted delta (0.0 for a row with a == b)."""
+def adaptive_gauss_rows(f: Callable, a, b, rtol: float = 1e-8,
+                        atol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate row i of f over [a[i], b[i]] for every i at once; returns
+    each row's value and its achieved error estimate, the last accepted
+    delta.
+
+    f(rows, s) returns the integrand of rows `rows` (indices into a and b)
+    at the nodes s, shape (len(rows), nodes).  Each row doubles its panel
+    count from 2, at most 12 times, and stops on its own test, exactly as
+    if integrated alone; the rows still open at a level go to f in one
+    call, so a nested integral costs one call per level.  A row with
+    a == b gives 0.0 with estimate 0.0.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out, err = np.zeros(a.shape), np.zeros(a.shape)
@@ -98,26 +108,12 @@ def _gauss_rows_estimated(f: Callable, a, b, rtol: float,
     return out, err
 
 
-def adaptive_gauss_rows(f: Callable, a, b, rtol: float = 1e-8,
-                        atol: float = 1e-12) -> np.ndarray:
-    """Integrate row i of f over [a[i], b[i]] for every i at once.
-
-    f(rows, s) returns the integrand of rows `rows` (indices into a and b)
-    at the nodes s, shape (len(rows), nodes).  Each row doubles its panel
-    count from 2, at most 12 times, and stops on its own test, exactly as
-    if integrated alone; the rows still open at a level go to f in one
-    call, so a nested integral costs one call per level.  A row with
-    a == b gives 0.0.
-    """
-    return _gauss_rows_estimated(f, a, b, rtol, atol)[0]
-
-
 def adaptive_gauss_1d(f: Callable, a: float, b: float,
                       rtol: float = 1e-8, atol: float = 1e-12) -> float:
     """Integrate f over [a, b], doubling the panel count from 2, at most
     12 times, until stable."""
     return float(adaptive_gauss_rows(lambda rows, s: f(s[0]), [a], [b],
-                                     rtol, atol)[0])
+                                     rtol, atol)[0][0])
 
 
 def adaptive_gauss_2d(f: Callable, box, rtol: float = 1e-8,
@@ -226,10 +222,12 @@ def sphere_rule(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def ball_rules(dim: int, centers, radii, radial_order: int,
                angular_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """`ball_rule` for many balls at once, one per row of centers (shape
-    (balls, dim)) with one radius each (or one for all); returns points
-    (balls, nodes, dim) and weights (balls, nodes), each ball's bit for bit
-    what `ball_rule` gives it."""
+    """Fixed product rules over many balls at once, one per row of centers
+    (shape (balls, dim)) with one radius each (or one for all): Gauss in
+    the radius, `sphere_rule` in the angles.  Returns points
+    (balls, nodes, dim) and weights (balls, nodes), the weights with the
+    volume element; each ball's rule is the same bit for bit whatever
+    balls share the call."""
     c = np.asarray(centers, dtype=float)
     radii = np.broadcast_to(np.asarray(radii, dtype=float), c.shape[:1])
     xr, wr = leggauss(radial_order)
@@ -243,18 +241,12 @@ def ball_rules(dim: int, centers, radii, radial_order: int,
     return pts.reshape(c.shape[0], -1, dim), wts.reshape(c.shape[0], -1)
 
 
-def ball_rule(dim: int, center, radius: float, radial_order: int,
-              angular_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed product rule over a ball; weights include the volume element."""
-    pts, wts = ball_rules(dim, np.asarray(center, dtype=float)[None],
-                          radius, radial_order, angular_order)
-    return pts[0], wts[0]
-
-
 def adaptive_ball_rows(f: Callable, centers, radii, dim: int,
-                       rtol: float = 1e-8, atol: float = 1e-12) -> np.ndarray:
+                       rtol: float = 1e-8, atol: float = 1e-12
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate row i of f over the ball about centers[i] of radius
-    radii[i] (or one radius for all) for every i at once.
+    radii[i] (or one radius for all) for every i at once; returns each
+    row's value and its achieved error estimate, the last accepted delta.
 
     f(rows, pts) returns the integrand of rows `rows` at the nodes pts,
     shape (len(rows), nodes, dim), as an array (len(rows), nodes).  Each
@@ -277,16 +269,7 @@ def adaptive_ball_rows(f: Callable, centers, radii, dim: int,
     return _refine(
         level, 4, size, rtol, atol, 6, "ball",
         lambda i: (f"the ball of radius {float(radii[i])} about "
-                   f"{c[i].tolist()}"), c.shape[0])[0]
-
-
-def adaptive_ball_quad(f: Callable, center, radius: float, dim: int,
-                       rtol: float = 1e-8, atol: float = 1e-12) -> float:
-    """Integrate f over a ball, doubling the radial order from 4 (with
-    max(order, 6) angles), at most 6 times, until two levels agree."""
-    return float(adaptive_ball_rows(
-        lambda rows, pts: np.asarray(f(pts[0]), dtype=float)[None],
-        np.asarray(center, dtype=float)[None], radius, dim, rtol, atol)[0])
+                   f"{c[i].tolist()}"), c.shape[0])
 
 
 def adaptive_circle(g: Callable, center, radius: float, sign: float = 1.0,

@@ -267,12 +267,12 @@ def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
             return (value * zk.analytic_div(y) + np.einsum(
                 "ij,ij->i", zk.eval(y), grad)).reshape(s.shape)
 
-        vals, deltas = _quad._gauss_rows_estimated(
+        vals, deltas = _quad.adaptive_gauss_rows(
             rows_g, lo, hi, rtol=0.0, atol=0.5 * atol / width)
         inner_delta[bumps] = deltas.reshape(t.shape).max(axis=1)
         return vals.reshape(t.shape)
 
-    vals, deltas = _quad._gauss_rows_estimated(
+    vals, deltas = _quad.adaptive_gauss_rows(
         inner, t_c - radius, t_c + radius, rtol=0.0, atol=0.5 * atol)
     return ([float(v) for v in vals],
             max(float(d) + width * float(e)
@@ -298,8 +298,8 @@ def _off_interface_div_mass(zk: VectorField, psi_family,
             out[inside] = psi * np.abs(zk.analytic_div(pts[inside]))
         return out
 
-    masses = _quad.adaptive_ball_rows(g, centers, origin.radius, zk.dim,
-                                      rtol=max(rtol, 1e-8), atol=1e-13)
+    masses, _ = _quad.adaptive_ball_rows(g, centers, origin.radius, zk.dim,
+                                         rtol=max(rtol, 1e-8), atol=1e-13)
     return [float(m) for m in masses]
 
 

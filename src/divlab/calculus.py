@@ -217,7 +217,8 @@ def make_mollifier(epsilon: float, dim: int) -> MollifierKernel:
         lambda t: bump(t) * t ** (dim - 1), 0.0, 1.0, rtol=1e-13, atol=1e-16)
     mass = _quad.sphere_area(dim) * radial_mass * epsilon**dim
     norm = 1.0 / mass
-    nodes, wts = _quad.ball_rule(dim, np.zeros(dim), epsilon, 14, 12)
+    nodes, wts = _quad.ball_rules(dim, np.zeros((1, dim)), epsilon, 14, 12)
+    nodes, wts = nodes[0], wts[0]
     s = np.linalg.norm(nodes, axis=1) / epsilon
     weights = wts * norm * bump(s)
     rule_mass = float(np.sum(weights))

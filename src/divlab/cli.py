@@ -51,10 +51,10 @@ from .rigidity import (CERTIFIED, VIOLATED, FlowInputError, certify_potential,
                        default_certification_grid, flow_tubes,
                        separable_demo, strip_identity_2d)
 from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
-                    check_radii, circle_interface, density, line_interface,
-                    one_sided_ap_lim, sampling_error, weak_trace_ball_average,
-                    weak_trace_curvilinear, weak_trace_pairing,
-                    weak_trace_sphere_flux)
+                    check_curvilinear, check_radii, circle_interface, density,
+                    line_interface, one_sided_ap_lim, sampling_error,
+                    weak_trace_ball_average, weak_trace_curvilinear,
+                    weak_trace_pairing, weak_trace_sphere_flux)
 
 __all__ = ["Scenario", "UsageError", "run", "main", "RECIPES"]
 
@@ -220,6 +220,15 @@ def int_range(lo: int, hi: int) -> Callable:
     return conv
 
 
+def _refused(call: Callable):
+    """call(), with its ValueError a usage error: for the library's input
+    checks, which refuse before any field call."""
+    try:
+        return call()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _floats(text: str, what: str, count: Optional[int] = None):
     try:
         vals = [finite_float(tok) for tok in text.split(",") if tok.strip()]
@@ -260,10 +269,7 @@ def _parse_box(spec: str) -> list:
 def _resolve_field(field_id: str):
     if not field_id:
         raise UsageError("this operation needs --field")
-    try:
-        return get_field(field_id)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _refused(lambda: get_field(field_id))
 
 
 def _point(text: str) -> list:
@@ -293,10 +299,8 @@ def _resolve_interface(spec, f):
         # planar fields here carry their structure in the upper half plane;
         # point the normal down so the sampled side (-nu) is the upper one
         return line_interface((0.0, 0.0), (1.0, 0.0), normal=(0.0, -1.0))
-    try:
-        kind, params = parse_spec(str(spec), _INTERFACES, "interface")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    kind, params = _refused(
+        lambda: parse_spec(str(spec), _INTERFACES, "interface"))
     try:
         return _INTERFACES[kind][0](params)
     except ValueError as exc:
@@ -307,10 +311,7 @@ def _interface_point(p, f):
     """x0, the interface of `p` and its normal at x0; a non-planar field
     and x0 off the interface are usage errors (`OrientedInterface.frame`)."""
     S = _resolve_interface(p["interface"], f)
-    try:
-        x0, nu0 = S.frame(f, _floats(p["x0"], "x0", 2))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    x0, nu0 = _refused(lambda: S.frame(f, _floats(p["x0"], "x0", 2)))
     return x0, S, nu0
 
 
@@ -329,10 +330,7 @@ def _certify_target(field_id: str):
     a VIOLATED certificate is produced) while the field constructor
     rejects them, so the field half is optional.
     """
-    try:
-        kind, kw = parse_spec(field_id)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    kind, kw = _refused(lambda: parse_spec(field_id))
     if kind != "counterexample":
         raise UsageError(
             f"field {field_id!r} carries no cylindrical potential to certify")
@@ -484,12 +482,15 @@ def _h_strip(sc: Scenario):
     if len(p["at"]) > MAX_LIST_LENGTH:
         raise UsageError(f"{len(p['at'])} strip locations given; at most "
                          f"{MAX_LIST_LENGTH}")
+    locations = [_floats(item, "strip location", 2) for item in p["at"]]
+    for r, t in locations:
+        if not (r > 0.0 and t > 0.0):
+            raise UsageError(f"strip location {r:g},{t:g} must be positive")
     f = _resolve_field(sc.field)
     rep = VerificationReport(scenario="")
     rows = []
-    for item in p["at"]:
-        r, t = _floats(item, "strip location", 2)
-        sub = strip_identity_2d(f, r, t, rtol=p["rtol"])
+    for r, t in locations:
+        sub = strip_identity_2d(f, r, t)
         for c in sub.checks:
             rep.add(replace(c, name=f"[r={r:g},t={t:g}] {c.name}"))
             rows.append([r, t, c.name, c.value, c.margin, c.verdict])
@@ -538,10 +539,11 @@ def _h_trace(sc: Scenario):
             raise UsageError(f"the pairing probe is planar; {f.name!r} has "
                              f"dimension {f.dim}")
         region = p["omega"]
-        if region == "unit-square":
-            reg = RectRegion(((0.0, 1.0), (0.0, 1.0)))
-        else:
-            reg = RectRegion(_parse_box(region))
+        sides = ([(0.0, 1.0), (0.0, 1.0)] if region == "unit-square"
+                 else _parse_box(region))
+        if len(sides) != 2:
+            raise UsageError(f"pairing region {region!r} needs two sides")
+        reg = RectRegion(sides)
         rng = default_rng(sc.seed)
         radius = p["bump_radius"]
         lo = np.array([reg.ax + radius, reg.ay + radius])
@@ -550,7 +552,7 @@ def _h_trace(sc: Scenario):
             raise UsageError("bump radius too large for the region")
         family = [bump_test(lo + (hi - lo) * rng.uniform(size=2), radius)
                   for _ in range(p["bumps"])]
-        vals = weak_trace_pairing(f, reg, family, rtol=p["rtol"])
+        vals = weak_trace_pairing(f, reg, family)
         rows = []
         for psi, v in zip(family, vals):
             bound = tol["pairing_tol"] * psi.c1_norm
@@ -568,15 +570,17 @@ def _h_trace(sc: Scenario):
     rep.add(CheckResult.info("interface frame defect", max(nd, td)))
 
     methods = ["ball", "curvilinear", "flux"] if method == "all" else [method]
+    if "curvilinear" in methods:
+        _refused(lambda: check_curvilinear(S, p["rho"], radii))
     est_rows = []
     for m in methods:
         if m == "ball":
-            probe = weak_trace_ball_average(f, S, x0, radii, rtol=p["rtol"])
+            probe = weak_trace_ball_average(f, S, x0, radii)
         elif m == "curvilinear":
             probe = weak_trace_curvilinear(f, S, x0, rho=p["rho"],
-                                           r_seq=radii, rtol=p["rtol"])
+                                           r_seq=radii)
         elif m == "flux":
-            probe = weak_trace_sphere_flux(f, S, x0, radii, rtol=p["rtol"])
+            probe = weak_trace_sphere_flux(f, S, x0, radii)
         else:
             raise UsageError(f"unknown trace method {m!r}")
         _probe_checks(rep, probe, m, p, tol)
@@ -707,10 +711,7 @@ def _h_blowup(sc: Scenario):
 
 def _h_demo_separable(sc: Scenario):
     p = sc.params
-    try:
-        rep = separable_demo(p["gamma"], p["rho0"], p["psi0"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    rep = _refused(lambda: separable_demo(p["gamma"], p["rho0"], p["psi0"]))
     return rep, [], []
 
 
@@ -760,8 +761,8 @@ def _h_demo_quadratic(sc: Scenario):
 def _h_demo_roundtrip(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     n, gamma = p["n"], p["gamma"]
+    closed = _refused(lambda: make_counterexample_field(n, gamma))
     pot = counterexample_potential(n, gamma)
-    closed = make_counterexample_field(n, gamma)
     rebuilt = potential_to_field(pot)
 
     grid = default_certification_grid(p["resolution"])
@@ -933,9 +934,7 @@ _OPERATIONS = {
         _h_strip, "horizontal strip balance for a planar field", (
             _field("stream:bump"),
             Param("at", ("5,3", "2,1"), action="append",
-                  help="strip half-width and height 'R,T' (repeatable)"),
-            Param("rtol", 1e-10, positive_float,
-                  "quadrature relative tolerance"))),
+                  help="strip half-width and height 'R,T' (repeatable)"))),
     "trace": Operation(_h_trace, "weak normal trace probes", (
         _field("twisting:levels=8"), _SEED,
         Param("method", "ball", help="trace probe",
@@ -947,7 +946,6 @@ _OPERATIONS = {
         Param("bumps", 10, int_range(1, 1000),
               "random test bumps for the pairing"),
         Param("bump_radius", 0.125, positive_float, "test bump radius"),
-        Param("rtol", 1e-9, positive_float, "quadrature relative tolerance"),
         _expect("none", "value", "oscillating"), _VALUE, _VALUE_TOL,
         Param("gap", 0.01, positive_float,
               "required oscillation subsequence gap (> 0)", tol=True),

@@ -57,13 +57,6 @@ def bump(u) -> np.ndarray:
     return out
 
 
-def bump_d1(u) -> np.ndarray:
-    u, m, v, g, e = _profile_terms(u)
-    out = np.zeros_like(u)
-    out[m] = e * (-4.0 * v / g**2)
-    return out
-
-
 def bump_with_d1(u) -> tuple[np.ndarray, np.ndarray]:
     """w(u) and w'(u) from one exp(-1/g); zero outside (0, 1)."""
     u, m, v, g, e = _profile_terms(u)
@@ -256,7 +249,7 @@ def stream_bump_field() -> VectorField:
     def ev(pts):
         y1, y2, s, m = _s(pts)
         grad = np.zeros((pts.shape[0], 2))
-        w1 = bump_d1(s[m])
+        w1 = bump_with_d1(s[m])[1]
         grad[m, 0] = a * w1 * d1 * y1[m] / s[m]
         grad[m, 1] = a * w1 * d2 * y2[m] / s[m]
         return grad[:, ::-1] * _ROTATE_SIGNS
@@ -683,7 +676,7 @@ def field_to_potential(eta: VectorField) -> CylindricalPotential:
         bottom = np.zeros(top.size)
         bottom[1:] = top[:-1]
         bottom[starts] = 0.0
-        gaps = _quad.adaptive_gauss_rows(
+        gaps, _ = _quad.adaptive_gauss_rows(
             lambda rows, s: components(r[rows, None], s)[0],
             bottom, top, rtol=1e-12, atol=1e-20)
         # sum each radius's run on its own: one global cumsum less a run's

@@ -49,6 +49,9 @@ ODE_REFLOW_AIM = 0.5
 ODE_RTOL_MIN = 1e-12
 ODE_RTOL_MAX = 1e-6
 
+# relative tolerance of the strip identity's two flux quadratures
+STRIP_RTOL = 1e-10
+
 
 class MonotonicityViolation(RuntimeError):
     """The lifted field's vertical component was not positive."""
@@ -83,7 +86,6 @@ class FlowTube:
     seed's transported Jacobian."""
     A: Sequence[tuple[float, float]]
     h0: float
-    epsilon: float
     seeds_per_axis: int
     top_integral: float
     bottom_measure: float
@@ -350,7 +352,7 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
                                + h0 * h0)
                 disp_margin = float(disp_bound - np.max(disp))
             tubes.append(FlowTube(
-                A=A, h0=h0, epsilon=epsilon, seeds_per_axis=s,
+                A=A, h0=h0, seeds_per_axis=s,
                 top_integral=top, bottom_measure=bottom,
                 residual=abs(top - epsilon * bottom),
                 R_bound=max(span, corner, h0),
@@ -390,14 +392,14 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
 # planar strip identity
 
 def strip_identity_2d(eta: VectorField, r: float, t: float,
-                      gauge: Optional[Callable] = None,
-                      rtol: float = 1e-10) -> VerificationReport:
-    """Box flux balance on the strip [-r, r] x [0, t].
+                      gauge: Optional[Callable] = None) -> VerificationReport:
+    """Box flux balance on the strip [-r, r] x [0, t], for r, t > 0.
 
     The top flux of the vertical component equals the net side influx of
     the horizontal component; nothing crosses the bottom where the field
-    vanishes.  With a `gauge`, a convex function called on an array of
-    |eta_1| values, eta_2 must dominate gauge(|eta_1|) at both top corners.
+    vanishes.  Both fluxes are integrated to STRIP_RTOL.  With a `gauge`,
+    a convex function called on an array of |eta_1| values, eta_2 must
+    dominate gauge(|eta_1|) at both top corners.
     """
     if eta.dim != 2:
         raise ValueError("strip identity is planar")
@@ -413,9 +415,9 @@ def strip_identity_2d(eta: VectorField, r: float, t: float,
         pts = np.stack([np.full_like(x2, sign * r), x2], axis=1)
         return eta.eval(pts)[:, 0]
 
-    lhs = _quad.adaptive_gauss_1d(top, -r, r, rtol=rtol, atol=1e-14)
+    lhs = _quad.adaptive_gauss_1d(top, -r, r, rtol=STRIP_RTOL, atol=1e-14)
     rhs = _quad.adaptive_gauss_1d(lambda s: side(s, -1.0) - side(s, +1.0),
-                                  0.0, t, rtol=rtol, atol=1e-14)
+                                  0.0, t, rtol=STRIP_RTOL, atol=1e-14)
     residual = lhs - rhs
     rep.add(CheckResult.from_residual("strip flux identity", residual, 1e-8,
                                       detail=f"lhs={lhs:.12e} rhs={rhs:.12e}"))

@@ -36,11 +36,11 @@ from .report import (FAIL, INCONCLUSIVE, PASS, CheckResult,
 __all__ = [
     "OrientedInterface", "TraceProbe", "DensityProbe",
     "line_interface", "circle_interface",
-    "weak_trace_ball_average", "weak_trace_curvilinear",
+    "weak_trace_ball_average", "check_curvilinear", "weak_trace_curvilinear",
     "weak_trace_pairing", "weak_trace_sphere_flux", "check_radii",
     "density", "deviation_densities", "one_sided_ap_lim", "ApLimReport",
     "AP_LIM_CONFIRMED", "AP_LIM_REJECTED", "AP_LIM_INCONCLUSIVE",
-    "EPS_DENSITY", "SAMPLING_Z", "sampling_error",
+    "EPS_DENSITY", "PROBE_RTOL", "SAMPLING_Z", "sampling_error",
 ]
 
 EPS_DENSITY = 1e-2
@@ -49,6 +49,9 @@ AP_LIM_REJECTED = "AP_LIM_REJECTED"
 AP_LIM_INCONCLUSIVE = "INCONCLUSIVE"
 
 ON_INTERFACE_TOL = 1e-10
+# relative tolerance of every deterministic probe's quadratures; it also
+# sets the quadrature noise a probe's oscillation flag must clear
+PROBE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,18 +95,24 @@ class OrientedInterface:
         return x0, self.normal_at(x0)
 
 
+def _unit(v, what: str) -> np.ndarray:
+    """v scaled to length 1; a vector of length 0, NaN or inf is refused."""
+    v = np.asarray(v, dtype=float)
+    length = float(np.linalg.norm(v))
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"{what} must be finite and nonzero; "
+                         f"got {v.tolist()}")
+    return v / length
+
+
 def line_interface(origin=(0.0, 0.0), direction=(1.0, 0.0),
                    normal: Optional[Sequence[float]] = None) -> OrientedInterface:
     o = np.asarray(origin, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    if not np.linalg.norm(d) > 0.0:
-        raise ValueError("direction must be nonzero")
-    d = d / np.linalg.norm(d)
+    d = _unit(direction, "direction")
     if normal is None:
         nu = np.array([-d[1], d[0]])
     else:
-        nu = np.asarray(normal, dtype=float)
-        nu = nu / np.linalg.norm(nu)
+        nu = _unit(normal, "normal")
         if abs(nu @ d) > 1e-14:
             raise ValueError("normal must be orthogonal to the direction")
 
@@ -134,8 +143,8 @@ def circle_interface(center=(0.0, 0.0), radius: float = 1.0,
                      outward: bool = True) -> OrientedInterface:
     c = np.asarray(center, dtype=float)
     R = float(radius)
-    if R <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"radius must be finite and positive; got {R}")
     sign = 1.0 if outward else -1.0
 
     def param(sig):
@@ -320,7 +329,7 @@ def _twisting_ball_average(eddies: EddyStack, x0: np.ndarray, r: float,
 
 
 def _disk_lens_averages(disk: Disk, x0: np.ndarray, radii,
-                        nu0: np.ndarray, rtol: float) -> list[float]:
+                        nu0: np.ndarray) -> list[float]:
     """Average of the radial field on the disk over the boundary ball of
     each radius, restricted to the lens inside the disk.  Each average is
     a ratio of two 1D integrals, split at the kink where the cap binds;
@@ -346,7 +355,8 @@ def _disk_lens_averages(disk: Disk, x0: np.ndarray, radii,
         num = den + np.cos(delta) * m ** 3 / (3.0 * R)
         return np.where(is_num[rows, None], num, den)
 
-    vals = _quad.adaptive_gauss_rows(f, lo, hi, rtol=rtol, atol=1e-15)
+    vals, _ = _quad.adaptive_gauss_rows(f, lo, hi, rtol=PROBE_RTOL,
+                                        atol=1e-15)
     num, den = [0.0] * len(radii), [0.0] * len(radii)
     for (k, _, _, numerator), v in zip(pieces, vals):
         if numerator:
@@ -358,45 +368,55 @@ def _disk_lens_averages(disk: Disk, x0: np.ndarray, radii,
 
 
 def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
-                            x0, radii, rtol: float = 1e-9) -> TraceProbe:
-    """Solid averages of the normal component over shrinking balls.
+                            x0, radii) -> TraceProbe:
+    """Solid averages of the normal component over shrinking balls, each
+    quadrature to PROBE_RTOL.
 
     A field on a disk is averaged, at a rim point (`Disk.check_rim`), over
     the lens of each ball inside the disk, so it averages to its one-sided
-    trace rather than half of it.
+    trace rather than half of it.  Any other field integrates all its
+    balls as the rows of one ball row batch.
     """
     x0, nu0 = S.frame(field, x0)
+    radii = [float(r) for r in radii]
     if field.eddies is not None:
-        estimates = [_twisting_ball_average(field.eddies, x0, float(r), nu0)
+        estimates = [_twisting_ball_average(field.eddies, x0, r, nu0)
                      for r in radii]
         return _make_probe(radii, estimates, 1e-10)
     if field.disk is not None:
-        estimates = _disk_lens_averages(field.disk, x0,
-                                        [float(r) for r in radii], nu0, rtol)
+        estimates = _disk_lens_averages(field.disk, x0, radii, nu0)
     else:
-        vol = _quad.ball_volume(field.dim)
-        estimates = [_quad.adaptive_ball_quad(
-            lambda pts: field.eval(pts) @ nu0, x0, float(r), field.dim,
-            rtol=rtol, atol=1e-14) / (vol * float(r) ** field.dim)
-            for r in radii]
-    return _make_probe(radii, estimates, rtol)
+        totals, _ = _quad.adaptive_ball_rows(
+            lambda rows, pts: (field.eval(pts.reshape(-1, 2))
+                               @ nu0).reshape(pts.shape[:2]),
+            np.broadcast_to(x0, (len(radii), 2)), radii, 2,
+            rtol=PROBE_RTOL, atol=1e-14)
+        estimates = [t / (_quad.ball_volume(2) * r ** 2)
+                     for t, r in zip(totals, radii)]
+    return _make_probe(radii, estimates, PROBE_RTOL)
 
 
 # ---------------------------------------------------------------------------
 # curvilinear rectangles
 
-def weak_trace_curvilinear(field: VectorField, S: OrientedInterface,
-                           x0, rho: float, r_seq,
-                           rtol: float = 1e-9) -> TraceProbe:
-    """One-sided averages over curvilinear rectangles: interface patches of
-    half-width rho pushed inward along the frozen normal at x0 by up to r.
-    """
-    x0, nu0 = S.frame(field, x0)
-    r_max = float(max(r_seq))
+def check_curvilinear(S: OrientedInterface, rho: float, r_seq) -> None:
+    """Refuse curvilinear rectangles of half-width rho and depths r_seq
+    that do not embed: the depth or the width reaches the curvature scale
+    of S."""
     kappa = S.curvature_bound
-    if kappa * r_max >= 0.9 or kappa * rho >= 0.5 * math.pi * 0.9:
+    if kappa * float(max(r_seq)) >= 0.9 or kappa * rho >= 0.5 * math.pi * 0.9:
         raise ValueError("curvilinear rectangle does not embed: "
                          "radius or width exceeds the curvature scale")
+
+
+def weak_trace_curvilinear(field: VectorField, S: OrientedInterface,
+                           x0, rho: float, r_seq) -> TraceProbe:
+    """One-sided averages over curvilinear rectangles: interface patches of
+    half-width rho pushed inward along the frozen normal at x0 by up to r
+    (`check_curvilinear`), each integrated to PROBE_RTOL.
+    """
+    x0, nu0 = S.frame(field, x0)
+    check_curvilinear(S, rho, r_seq)
 
     sig0 = S.arclength(x0)
 
@@ -411,13 +431,13 @@ def weak_trace_curvilinear(field: VectorField, S: OrientedInterface,
         return np.einsum("ij,ij->i", field.eval(z), nu_y) * jac
 
     omega = _quad.ball_volume(field.dim - 1)
-    estimates = []
-    for r in sorted(r_seq, reverse=True):
-        val = _quad.adaptive_gauss_2d(integrand, (-rho, rho, 0.0, float(r)),
-                                      rtol=rtol, atol=1e-13)
-        estimates.append(val / (omega * rho ** (field.dim - 1) * float(r)))
     radii = sorted((float(r) for r in r_seq), reverse=True)
-    return _make_probe(radii, estimates, rtol)
+    estimates = []
+    for r in radii:
+        val = _quad.adaptive_gauss_2d(integrand, (-rho, rho, 0.0, r),
+                                      rtol=PROBE_RTOL, atol=1e-13)
+        estimates.append(val / (omega * rho ** (field.dim - 1) * r))
+    return _make_probe(radii, estimates, PROBE_RTOL)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +534,10 @@ def _balls_inside(field: VectorField, region: RectRegion) -> bool:
 
 
 def weak_trace_pairing(field: VectorField, region: RectRegion,
-                       psi_family: Sequence[BumpTest],
-                       rtol: float = 1e-9) -> list[float]:
+                       psi_family: Sequence[BumpTest]) -> list[float]:
     """Distributional pairing of the normal trace with each test function:
-    the volume terms psi d(div xi) + xi . grad psi over the region.
+    the volume terms psi d(div xi) + xi . grad psi over the region, each
+    integrated to PROBE_RTOL (the eddy balls by their fixed product rule).
     """
     if field.analytic_div is None:
         raise ValueError("pairing needs divergence information")
@@ -539,8 +559,8 @@ def weak_trace_pairing(field: VectorField, region: RectRegion,
         if not math.isfinite(scale):
             raise ValueError(f"pairing against {psi.label}: sup bound x C1 "
                              f"norm x area = {scale} is not finite")
-        out.append(float(region.volume_integral(g, rtol=rtol,
-                                                atol=rtol * scale)))
+        out.append(float(region.volume_integral(
+            g, rtol=PROBE_RTOL, atol=PROBE_RTOL * scale)))
     return out
 
 
@@ -548,8 +568,9 @@ def weak_trace_pairing(field: VectorField, region: RectRegion,
 # optional sphere flux (fourth method)
 
 def weak_trace_sphere_flux(field: VectorField, S: OrientedInterface,
-                           x0, radii, rtol: float = 1e-8) -> TraceProbe:
-    """One-sided flux through half spheres on the inward side.
+                           x0, radii) -> TraceProbe:
+    """One-sided flux through half spheres on the inward side, each
+    integrated to PROBE_RTOL.
 
     Pairs the field against the inward chord ``x0 - y`` (length r, so the
     resulting integral scales like r^n) and divides by ``omega_{n-1} r^n``.
@@ -579,10 +600,10 @@ def weak_trace_sphere_flux(field: VectorField, S: OrientedInterface,
                       math.acos(min(1.0, float(r) / (2.0 * disk.radius))))
         val = _quad.adaptive_gauss_1d(
             integrand, phi0 - half_width, phi0 + half_width,
-            rtol=rtol, atol=1e-13)
+            rtol=PROBE_RTOL, atol=1e-13)
         omega = _quad.ball_volume(field.dim - 1)
         estimates.append(val / (omega * float(r) ** field.dim))
-    return _make_probe(radii, estimates, rtol,
+    return _make_probe(radii, estimates, PROBE_RTOL,
                        notes="pairs the field with the inward chord; "
                              "normalized by omega_{n-1} r^n")
 

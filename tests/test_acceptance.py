@@ -211,8 +211,9 @@ def test_criterion_06_capillary_boundary_behaviour(capillary):
         failures.append(f"deviation ratio {na.ratios[-1]:.3e} > 1e-2")
 
     # extremality: total curvature mass equals the perimeter
-    total_div = _quad.adaptive_ball_quad(capillary.analytic_div, (0.0, 0.0),
-                                         1.0, 2, rtol=1e-10, atol=1e-12)
+    total_div = float(_quad.adaptive_ball_rows(
+        lambda rows, pts: capillary.analytic_div(pts[0])[None],
+        [(0.0, 0.0)], 1.0, 2, rtol=1e-10, atol=1e-12)[0][0])
     perimeter = 2.0 * math.pi
     if abs(total_div - perimeter) > 1e-6:
         failures.append(f"curvature mass {total_div!r} != perimeter")

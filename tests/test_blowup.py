@@ -260,8 +260,7 @@ class TestTraceConsistency:
         # once the first half-space pairing ran, after the trace probe and
         # the off-interface mass had run their quadratures
         ran = []
-        for name in ("adaptive_ball_quad", "adaptive_gauss_rows",
-                     "_gauss_rows_estimated"):
+        for name in ("adaptive_ball_rows", "adaptive_gauss_rows"):
             def spy(*args, _rule=getattr(_quad, name), **kwargs):
                 ran.append(_rule.__name__)
                 return _rule(*args, **kwargs)

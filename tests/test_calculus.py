@@ -21,7 +21,7 @@ from divlab.fields import (
     make_counterexample_field,
     phi_quadratic,
     bump,
-    bump_d1,
+    bump_with_d1,
     stream_bump_field,
 )
 from divlab.blowup import rescale
@@ -110,7 +110,8 @@ def _separate_gradient(psi, pts):
     fac = np.zeros_like(s)
     m = s > 0.0
     sm = s[m]
-    fac[m] = psi.height * bump_d1(sm) / (psi.radius * sm * psi.radius)
+    fac[m] = (psi.height * bump_with_d1(sm)[1]
+              / (psi.radius * sm * psi.radius))
     return fac[:, None] * d
 
 

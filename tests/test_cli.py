@@ -47,20 +47,20 @@ GOLDEN_ECHOES = {
         '"seeds":64},"tolerances":{"residual_tol":1e-06}}',
     'strip-identity-stream-bump':
         '{"field":"stream:bump","name":"strip-identity",'
-        '"operation":"strip-identity","params":{"at":["5,3","2,1"],'
-        '"rtol":1e-10},"tolerances":{}}',
+        '"operation":"strip-identity","params":{"at":["5,3","2,1"]},'
+        '"tolerances":{}}',
     'twisting-pairing':
         '{"field":"twisting:levels=8","name":"trace","operation":"trace",'
         '"params":{"bump_radius":0.125,"bumps":10,"expect":"none",'
         '"interface":"auto","method":"pairing","omega":"unit-square",'
-        '"radii":"auto","rho":0.2,"rtol":1e-09,"seed":null,"value":0.0,'
+        '"radii":"auto","rho":0.2,"seed":null,"value":0.0,'
         '"x0":"0,0"},"tolerances":{"gap":0.01,"pairing_tol":1e-06,'
         '"value_tol":0.01}}',
     'twisting-oscillation':
         '{"field":"twisting:levels=12","name":"trace","operation":"trace",'
         '"params":{"bump_radius":0.125,"bumps":10,"expect":"oscillating",'
         '"interface":"auto","method":"ball","omega":"unit-square",'
-        '"radii":"auto","rho":0.2,"rtol":1e-09,"seed":null,"value":0.0,'
+        '"radii":"auto","rho":0.2,"seed":null,"value":0.0,'
         '"x0":"0.3333333333333333,0"},"tolerances":{"gap":0.01,'
         '"pairing_tol":1e-06,"value_tol":0.01}}',
     'twisting-aplim':
@@ -72,7 +72,7 @@ GOLDEN_ECHOES = {
         '{"field":"capillary:R=1","name":"trace","operation":"trace",'
         '"params":{"bump_radius":0.125,"bumps":10,"expect":"value",'
         '"interface":"auto","method":"all","omega":"unit-square",'
-        '"radii":"auto","rho":0.1,"rtol":1e-09,"seed":null,"value":1.0,'
+        '"radii":"auto","rho":0.1,"seed":null,"value":1.0,'
         '"x0":"1,0"},"tolerances":{"gap":0.01,"pairing_tol":1e-06,'
         '"value_tol":0.01}}',
     'capillary-aplim':
@@ -202,19 +202,18 @@ class TestExitCodes:
         assert "verdict" not in out
 
     # at these values a run PASSed having checked nothing (the tube of
-    # height <= 0 has residual 0, a negative rtol stops any quadrature) or
+    # height <= 0 has residual 0) or
     # failed for the wrong reason (negative pairing tolerances, a NaN
     # divergence, a negative deviation level that every sample exceeds)
     @pytest.mark.parametrize("argv,flag", [
         (["flow-tube", "--h0", "-1"], "--h0"),
         (["flow-tube", "--h0", "0"], "--h0"),
-        (["strip-identity", "--rtol", "-1"], "--rtol"),
         (["trace", "--method", "pairing", "--bump-radius", "-0.1"],
          "--bump-radius"),
         (["certify", "--fd-step", "0"], "--fd-step"),
         (["nalpha", "--alpha", "-1", "--samples", "100"], "--alpha"),
-    ], ids=["negative-height", "zero-height", "negative-strip-rtol",
-            "negative-bump-radius", "zero-fd-step", "negative-alpha"])
+    ], ids=["negative-height", "zero-height", "negative-bump-radius",
+            "zero-fd-step", "negative-alpha"])
     def test_non_positive_parameter_is_usage_error(self, capsys, argv, flag):
         code, out, err = run_main(argv, capsys)
         assert code == 2
@@ -254,7 +253,6 @@ class TestExitCodes:
         ["flow-tube", "--refine-factor", "-4"],
         ["flow-tube", "--residual-tol", "0"],
         ["flow-tube", "--gauge-constant", "0"],
-        ["trace", "--rtol", "-1"],
         ["trace", "--rho", "0"],
         ["blowup", "--rtol", "0"],
         ["demo", "jensen", "--epsilon", "-0.05"],
@@ -286,7 +284,9 @@ class TestExitCodes:
 
     # the flow's budget divides by the residual gate: a gate of zero or
     # less is refused before any flow (both ran the whole flow and ended
-    # as a FAIL, exit 1); the flow's own rtol is gone with its flag
+    # as a FAIL, exit 1); the flow's own rtol is gone with its flag, and so
+    # are the rtols of the trace probes and the strip identity, which
+    # integrate at `trace.PROBE_RTOL` and `rigidity.STRIP_RTOL`
     @pytest.mark.parametrize("argv, message", [
         (["flow-tube", "--seeds", "4", "--residual-tol", "0"],
          "argument --residual-tol: invalid positive_float value"),
@@ -294,7 +294,11 @@ class TestExitCodes:
          "argument --residual-tol: invalid positive_float value"),
         (["flow-tube", "--seeds", "4", "--rtol", "1e-8"],
          "unrecognized arguments: --rtol 1e-8"),
-    ], ids=["zero-gate", "negative-gate", "removed-rtol"])
+        (["trace", "--rtol", "1e-9"], "unrecognized arguments: --rtol 1e-9"),
+        (["strip-identity", "--rtol", "1e-10"],
+         "unrecognized arguments: --rtol 1e-10"),
+    ], ids=["zero-gate", "negative-gate", "removed-rtol",
+            "removed-trace-rtol", "removed-strip-rtol"])
     def test_tube_gate_is_checked_before_the_flow(self, capsys, monkeypatch,
                                                   argv, message):
         def no_flow(*args, **kwargs):
@@ -305,6 +309,50 @@ class TestExitCodes:
         assert code == 2
         assert message in err
         assert "verdict" not in out
+
+    # inputs that ended as an execution FAIL (exit 1), or as a PASS or FAIL
+    # on a strip of no width or height, are refused before any field call:
+    # a pairing region with one or three sides ("not enough" or "too many
+    # values to unpack"), an amplitude past the radial-slope bound, a strip
+    # location that is not positive, and a curvilinear rectangle wider
+    # than the curvature scale
+    @pytest.mark.parametrize("argv,message", [
+        (["trace", "--field", "twisting:levels=3", "--method", "pairing",
+          "--omega", "0,1", "--bumps", "1"],
+         "needs two sides"),
+        (["trace", "--field", "twisting:levels=3", "--method", "pairing",
+          "--omega", "0,1;0,1;0,1", "--bumps", "1"],
+         "needs two sides"),
+        (["demo", "roundtrip", "--gamma", "5"],
+         "exceeds the radial-slope bound"),
+        (["strip-identity", "--at", "0,1"], "must be positive"),
+        (["strip-identity", "--at", "5,0"], "must be positive"),
+        (["strip-identity", "--at", "2,1", "--at", "5,-3"],
+         "must be positive"),
+        (["trace", "--field", "capillary:R=1", "--method", "curvilinear",
+          "--x0", "1,0", "--rho", "5"],
+         "curvilinear rectangle does not embed"),
+    ], ids=["one-sided-region", "three-sided-region", "roundtrip-gamma",
+            "zero-width-strip", "zero-height-strip", "negative-height-strip",
+            "wide-curvilinear"])
+    def test_unusable_input_is_refused_before_any_field_call(
+            self, capsys, monkeypatch, argv, message):
+        calls = []
+        resolve_field = cli._resolve_field
+
+        def spied_field(spec):
+            field = resolve_field(spec)
+
+            def ev(pts):
+                calls.append(len(pts))
+                return field.eval(pts)
+            return dataclasses.replace(field, eval=ev)
+
+        monkeypatch.setattr(cli, "_resolve_field", spied_field)
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert message in err
+        assert "verdict" not in out and calls == []
 
     # a field or lift the flow tube's audit refuses is a usage error too,
     # also refused before any seed grid is allocated; each ended as an
@@ -386,8 +434,8 @@ class TestExitCodes:
                    "--samples", "1"],
         lambda n: ["nalpha", "--field", "capillary:R=1", "--samples", "1",
                    "--radii", ",".join(repr(2.0 ** -k) for k in range(n))],
-        lambda n: ["strip-identity", "--field", "stream:bump", "--rtol",
-                   "1e-6", *["--at", "2,1"] * n],
+        lambda n: ["strip-identity", "--field", "stream:bump",
+                   *["--at", "2,1"] * n],
     ], ids=["alphas", "radii", "strip-locations"])
     def test_a_list_past_its_cap_is_refused_before_any_field_call(
             self, capsys, monkeypatch, argv):
@@ -657,23 +705,23 @@ class TestExitCodes:
 # operations and parameters past the usage checks
 
 class TestOperations:
-    # a parameter is never silently ignored: each library call receives it
-    @pytest.mark.parametrize("argv,target", [
-        (["trace", "--field", "capillary:R=1", "--method", "flux",
-          "--x0", "1,0"], "weak_trace_sphere_flux"),
-    ], ids=["trace-flux"])
-    def test_rtol_reaches_the_library(self, capsys, monkeypatch, argv,
-                                      target):
+    # the trace probes have no rtol of their own: the sphere flux integrates
+    # every radius at the one probe tolerance
+    def test_flux_quadrature_runs_at_the_probe_rtol(self, capsys,
+                                                    monkeypatch):
         seen = []
-        library = getattr(cli, target)
+        library = _quad.adaptive_gauss_1d
 
         def spy(*args, **kwargs):
-            seen.append(kwargs.get("rtol"))
+            seen.append(kwargs["rtol"])
             return library(*args, **kwargs)
 
-        monkeypatch.setattr(cli, target, spy)
-        run_main(argv + ["--rtol", "1e-3"], capsys)
-        assert seen == [1e-3]
+        monkeypatch.setattr(_quad, "adaptive_gauss_1d", spy)
+        code, out, _ = run_main(["trace", "--field", "capillary:R=1",
+                                 "--method", "flux", "--x0", "1,0"], capsys)
+        assert "flux estimate at" in out
+        assert code == 1 and len(seen) == len(cli.DEFAULT_RADII)
+        assert set(seen) == {trace.PROBE_RTOL} == {1e-9}
 
     # the flow tube has no rtol of its own: the flow runs at the share of
     # the residual gate, ODE_SHARE * tau / (ODE_ERROR_GROWTH * |top|)
@@ -1017,6 +1065,16 @@ class TestConfig:
         rep = json.loads((out / "s.json").read_text())
         assert json.loads(rep["scenario"])["params"]["gamma"] == 2.0
 
+    # the removed rtols are refused as config keys too
+    @pytest.mark.parametrize("operation", ["trace", "strip-identity"])
+    def test_removed_rtol_config_key_is_usage_error(self, tmp_path, capsys,
+                                                    operation):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rtol": 1e-9}))
+        code, out, err = run_main([operation, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "rtol" in err and "verdict" not in out
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -1034,7 +1092,7 @@ class TestConfig:
         (["demo", "jensen"], {"grid_n": 0}),
         (["demo", "quadratic"], {"samples": 0}),
         (["flow-tube"], {"h0": 0}),
-        (["strip-identity"], {"rtol": -1}),
+        (["strip-identity"], {"at": "5,3"}),
         (["trace", "--method", "pairing"], {"bump_radius": -0.1}),
         (["certify", "--no-field-checks"], {"fd_step": 0}),
     ])

@@ -72,7 +72,8 @@ def test_row_batch_matches_one_row_loop_bitwise():
     def f(rows, s):
         return np.sin(k[rows, None] * s) + c[rows, None] * s ** 3
 
-    batch = _quad.adaptive_gauss_rows(f, a, b, rtol=1e-10, atol=1e-13)
+    batch, estimates = _quad.adaptive_gauss_rows(f, a, b, rtol=1e-10,
+                                                 atol=1e-13)
     rows = [lambda s, i=i: np.sin(k[i] * s) + c[i] * s ** 3
             for i in range(40)]
     loop = [_quad.adaptive_gauss_1d(rows[i], a[i], b[i], rtol=1e-10,
@@ -82,6 +83,29 @@ def test_row_batch_matches_one_row_loop_bitwise():
     assert np.array_equal(batch, loop)
     assert np.array_equal(batch, reference)
     assert np.all(batch[:5] == 0.0)
+
+
+# each row's estimate is its last accepted delta: inside its own stopping
+# test, and the same as the row integrated alone; an empty row (a == b)
+# has nothing to estimate and reads 0.0
+def test_row_batch_returns_each_rows_estimate():
+    k = np.array([1.0, 3.0, 7.0, 2.0])
+    a = np.array([0.0, -1.0, 0.5, 2.0])
+    b = np.array([1.0, 2.0, 3.0, 2.0])
+
+    def f(rows, s):
+        return np.exp(np.sin(k[rows, None] * s))
+
+    vals, estimates = _quad.adaptive_gauss_rows(f, a, b, rtol=1e-10,
+                                                 atol=1e-13)
+    assert estimates[3] == 0.0 and vals[3] == 0.0
+    assert np.all(estimates[:3] > 0.0)
+    assert np.all(estimates <= 1e-10 * np.abs(vals) + 1e-13)
+    for i in range(3):
+        alone = _quad.adaptive_gauss_rows(
+            lambda rows, s, i=i: np.exp(np.sin(k[i] * s)), a[i:i + 1],
+            b[i:i + 1], rtol=1e-10, atol=1e-13)
+        assert alone[0][0] == vals[i] and alone[1][0] == estimates[i]
 
 
 def test_row_batch_failure_names_the_failing_row():
@@ -123,16 +147,25 @@ def test_ball_and_sphere_measures():
 
 
 def test_ball_rule_integrates_radius_squared():
-    pts, w = _quad.ball_rule(2, (0.5, -1.0), 2.0, radial_order=8,
-                             angular_order=16)
-    val = float(np.sum(w * np.sum((pts - np.array([0.5, -1.0])) ** 2, axis=1)))
+    pts, w = _quad.ball_rules(2, [(0.5, -1.0)], 2.0, radial_order=8,
+                              angular_order=16)
+    val = float(np.sum(w[0] * np.sum((pts[0] - np.array([0.5, -1.0])) ** 2,
+                                     axis=1)))
     # integral of s^2 over a disk of radius R is pi R^4 / 2
     assert val == pytest.approx(math.pi * 8.0, rel=1e-13)
 
 
-def test_adaptive_ball_quad_constant():
-    val = _quad.adaptive_ball_quad(lambda p: np.ones(p.shape[0]),
-                                   np.zeros(2), 1.5, 2, rtol=1e-12)
+def _one_ball(f, center, radius, dim, rtol=1e-8, atol=1e-12):
+    """f(points) integrated over one ball, as the one row of a batch."""
+    vals, _ = _quad.adaptive_ball_rows(
+        lambda rows, pts: np.asarray(f(pts[0]), dtype=float)[None],
+        np.asarray(center, dtype=float)[None], radius, dim, rtol, atol)
+    return float(vals[0])
+
+
+def test_ball_row_batch_integrates_a_constant():
+    val = _one_ball(lambda p: np.ones(p.shape[0]), np.zeros(2), 1.5, 2,
+                    rtol=1e-12)
     assert val == pytest.approx(math.pi * 2.25, rel=1e-12)
 
 
@@ -189,12 +222,12 @@ def test_ball_row_batch_matches_one_row_loop_bitwise():
         return np.cos(k[rows, None] * pts[..., 0]) * np.exp(-pts[..., 1] ** 2)
 
     for radius in (radii, 0.5):
-        batch = _quad.adaptive_ball_rows(f, centers, radius, 2, rtol=1e-9,
-                                         atol=1e-13)
+        batch, estimates = _quad.adaptive_ball_rows(f, centers, radius, 2,
+                                                    rtol=1e-9, atol=1e-13)
+        assert np.all(estimates <= 1e-9 * np.abs(batch) + 1e-13)
         rr = np.broadcast_to(radius, 12)
-        loop = [_quad.adaptive_ball_quad(row(i), centers[i], rr[i], 2,
-                                         rtol=1e-9, atol=1e-13)
-                for i in range(12)]
+        loop = [_one_ball(row(i), centers[i], rr[i], 2, rtol=1e-9,
+                          atol=1e-13) for i in range(12)]
         reference = [_reference_adaptive_ball(row(i), centers[i], rr[i], 2,
                                               1e-9, 1e-13)
                      for i in range(12)]
@@ -213,9 +246,8 @@ def test_ball_row_batch_failure_names_the_failing_row():
     with pytest.raises(_quad.QuadratureError) as batch:
         _quad.adaptive_ball_rows(f, centers, 0.5, 2, rtol=1e-14, atol=1e-16)
     with pytest.raises(_quad.QuadratureError) as alone:
-        _quad.adaptive_ball_quad(lambda p: np.sin(1e7 * p[:, 0]),
-                                 (0.25, -1.0), 0.5, 2, rtol=1e-14,
-                                 atol=1e-16)
+        _one_ball(lambda p: np.sin(1e7 * p[:, 0]), (0.25, -1.0), 0.5, 2,
+                  rtol=1e-14, atol=1e-16)
     assert "the ball of radius 0.5 about [0.25, -1.0]" in str(batch.value)
     assert str(batch.value) == str(alone.value)
 
@@ -227,7 +259,7 @@ def test_ball_row_batch_failure_names_the_failing_row():
         lambda p: np.sin(1e7 * p[:, 0] * p[:, 1]), (0.0, 1.0, 0.0, 0.5),
         rtol=1e-14, atol=1e-16, max_doublings=3),
      "2d quadrature failed to converge on (0.0, 1.0, 0.0, 0.5)"),
-    (lambda: _quad.adaptive_ball_quad(
+    (lambda: _one_ball(
         lambda p: np.sin(1e7 * p[:, 0]), (0.25, -1.0), 0.5, 2,
         rtol=1e-14, atol=1e-16),
      "ball quadrature failed to converge on the ball of radius 0.5 "
@@ -258,8 +290,7 @@ def test_level_above_the_node_cap_is_never_built(monkeypatch):
         return np.sin(1e7 * p[:, 0])
 
     with pytest.raises(_quad.QuadratureError, match=r"at 256 nodes\)$"):
-        _quad.adaptive_ball_quad(wild, (0.0, 0.0), 1.0, 2, rtol=1e-14,
-                                 atol=1e-16)
+        _one_ball(wild, (0.0, 0.0), 1.0, 2, rtol=1e-14, atol=1e-16)
     assert sizes == [24, 64, 256]
 
 
@@ -298,6 +329,5 @@ def test_bad_tolerance_is_rejected_before_any_integrand_call(rule, rtol,
             _quad.adaptive_gauss_2d(f, (0.0, 1.0, 0.0, 1.0), rtol=rtol,
                                     atol=atol)
         else:
-            _quad.adaptive_ball_quad(f, (0.0, 0.0), 1.0, 2, rtol=rtol,
-                                     atol=atol)
+            _one_ball(f, (0.0, 0.0), 1.0, 2, rtol=rtol, atol=atol)
     assert calls == []

@@ -24,11 +24,12 @@ def _check(name, value, verdict, margin=0.0, tolerance=0.0, detail=""):
             "margin": margin, "tolerance": tolerance, "detail": detail}
 
 
-def _write(root: pathlib.Path, checks, column, exit_line="exit 0"):
+def _write(root: pathlib.Path, checks, column, exit_line="exit 0",
+           scenario="s"):
     d = root / "recipes"
     d.mkdir(parents=True)
     report = {"checks": checks, "environment": {"seed": 1},
-              "scenario": "s", "timestamp": "", "verdict": "PASS"}
+              "scenario": scenario, "timestamp": "", "verdict": "PASS"}
     (d / "r.json").write_text(json.dumps(report), encoding="utf-8")
     rows = "".join(f"{k},{v!r},label\n" for k, v in enumerate(column))
     (d / "r-t.csv").write_text("k,value,name\n" + rows, encoding="utf-8")
@@ -105,3 +106,52 @@ def test_a_changed_check_list_or_verdict_is_a_problem(
     lines, problems = snapshots.compare(old, new)
     assert problems >= 1
     assert any(problem in line for line in lines)
+
+
+# a moved margin is printed as drift, as a moved value is; a changed
+# tolerance moves the contract and is a problem
+def test_a_moved_margin_is_printed_and_a_changed_tolerance_is_a_problem(
+        snapshots, tmp_path):
+    old = _write(tmp_path / "old", OLD_CHECKS, [1.0, 2.0])
+    moved = _write(tmp_path / "moved",
+                   [dict(OLD_CHECKS[0], margin=9.5e-3), OLD_CHECKS[1]],
+                   [1.0, 2.0])
+    lines, problems = snapshots.compare(old, moved)
+    assert problems == 0
+    assert "  margin of defect: 0.0096 -> 0.0095, relative drift 0.0104" \
+        in lines
+    assert lines[-1] == "4 files: 3 identical, 1 differ, 0 problems"
+    retol = _write(tmp_path / "retol",
+                   [dict(OLD_CHECKS[0], tolerance=2e-2), OLD_CHECKS[1]],
+                   [1.0, 2.0])
+    lines, problems = snapshots.compare(old, retol)
+    assert problems == 1
+    assert "  PROBLEM check 'defect': tolerance 0.01 -> 0.02" in lines
+
+
+# the scenario a report echoes is its input, parsed from its JSON text: a
+# parameter on one side only, or a changed one, is a problem that names
+# the parameter
+SCENARIO = {"field": "stream:bump", "operation": "strip-identity",
+            "params": {"at": ["5,3", "2,1"], "rtol": 1e-10},
+            "tolerances": {}}
+
+
+@pytest.mark.parametrize("params,problem", [
+    ({"at": ["5,3", "2,1"]}, "/scenario/params/rtol only in OLD"),
+    ({"at": ["5,3", "2,1"], "rtol": 1e-10, "seed": 3},
+     "/scenario/params/seed only in NEW"),
+    ({"at": ["5,3", "2,1"], "rtol": 1e-9},
+     "/scenario/params/rtol: 1e-10 -> 1e-09"),
+    ({"at": ["5,3"], "rtol": 1e-10}, "/scenario/params/at/1 only in OLD"),
+], ids=["dropped", "gained", "changed", "shorter-list"])
+def test_each_scenario_parameter_is_compared(snapshots, tmp_path, params,
+                                             problem):
+    old = _write(tmp_path / "old", OLD_CHECKS, [1.0, 2.0],
+                 scenario=json.dumps(SCENARIO))
+    new = _write(tmp_path / "new", OLD_CHECKS, [1.0, 2.0],
+                 scenario=json.dumps(dict(SCENARIO, params=params)))
+    lines, problems = snapshots.compare(old, new)
+    assert problems == 1
+    assert lines == ["recipes/r.json:", f"  PROBLEM {problem}",
+                     "4 files: 3 identical, 1 differ, 1 problems"]

@@ -159,8 +159,8 @@ def test_one_jacobian_entry_point():
 # a test function gives its gradient only together with its values, through
 # `value_and_gradient`, since every pairing integrand reads both at the same
 # nodes; the profile's value-and-slope pass has one home, `bump_with_d1`,
-# read by the bump test alone, and a lone slope `bump_d1` is read only by
-# the stream bump's gradient (the profile's peaks are closed forms)
+# read by the bump test and by the stream bump's gradient, and there is no
+# lone slope `bump_d1` (the profile's peaks are closed forms)
 def test_one_value_and_gradient_pass():
     found = set()
     for path in sorted(SRC.glob("*.py")):
@@ -183,7 +183,7 @@ def test_one_value_and_gradient_pass():
     assert found == {
         ("def bump_with_d1", "fields.py:<module>"),
         ("bump_with_d1", "calculus.py:BumpTest.value_and_gradient"),
-        ("bump_d1", "fields.py:stream_bump_field.ev")}
+        ("bump_with_d1", "fields.py:stream_bump_field.ev")}
 
 
 # the bump is the one test function: one class provides `value_and_gradient`,

@@ -7,12 +7,13 @@ they are reproducible bit-for-bit up to libm differences; tolerances of
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from divlab import _quad
-from divlab._quad import ball_rule, leggauss
+from divlab._quad import ball_rules, leggauss
 from divlab.blowup import rescale
 from divlab import trace
 from divlab.calculus import RectRegion, bump_test
@@ -28,6 +29,13 @@ from divlab.trace import (
 )
 
 RADII = [2.0 ** -k for k in range(3, 9)]
+
+
+def _one_ball_rule(center, radius):
+    """The eddy pairing's product rule over one ball: 16 radial nodes and
+    `_patch_angular_order(radius)` angles."""
+    pts, w = ball_rules(2, [center], radius, 16, _patch_angular_order(radius))
+    return pts[0], w[0]
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +75,33 @@ class TestInterfaces:
     def test_circle_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError, match="positive"):
             circle_interface((0.0, 0.0), 0.0)
+
+    # a zero normal built an interface whose normal was [nan, nan], with
+    # only a RuntimeWarning, and a NaN radius a circle of curvature bound
+    # NaN; both were refused only by the first probe's `frame`, as a point
+    # NaN from the interface
+    @pytest.mark.parametrize("build,message", [
+        (lambda: line_interface(normal=(0.0, 0.0)),
+         "normal must be finite and nonzero"),
+        (lambda: line_interface(normal=(0.0, math.nan)),
+         "normal must be finite and nonzero"),
+        (lambda: line_interface(direction=(0.0, 0.0)),
+         "direction must be finite and nonzero"),
+        (lambda: line_interface(direction=(math.inf, 1.0)),
+         "direction must be finite and nonzero"),
+        (lambda: circle_interface(radius=math.nan),
+         "radius must be finite and positive"),
+        (lambda: circle_interface(radius=math.inf),
+         "radius must be finite and positive"),
+        (lambda: circle_interface(radius=-1.0),
+         "radius must be finite and positive"),
+    ], ids=["zero-normal", "nan-normal", "zero-direction", "inf-direction",
+            "nan-radius", "inf-radius", "negative-radius"])
+    def test_builders_refuse_bad_geometry_when_called(self, build, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                build()
 
     def test_frame_accepts_and_rejects(self):
         S = circle_interface((0.0, 0.0), 1.0)
@@ -110,6 +145,44 @@ class TestConstantFieldExactness:
         p = weak_trace_sphere_flux(self.f, self.S, (0.2, 0.0), RADII)
         assert max(abs(e - self.C[1]) for e in p.estimates) <= 1e-14
         assert p.extrapolated == pytest.approx(self.C[1], abs=1e-14)
+
+    # a field with neither eddies nor a disk integrates every ball as one
+    # row of one ball row batch: each radius's estimate is, bit for bit,
+    # the row integrated alone, and each level is one field call for all
+    # the balls still open at it
+    def test_generic_ball_average_is_one_row_batch(self):
+        def wavy(pts):
+            return np.stack([np.sin(3.0 * pts[:, 1]),
+                             np.cos(2.0 * pts[:, 0]) + pts[:, 1] ** 2], axis=1)
+
+        S = line_interface((0.0, 0.0), (1.0, 0.0), normal=(0.0, -1.0))
+        x0, nu0 = np.array([0.3, 0.0]), np.array([0.0, -1.0])
+        radii = [0.5, 0.25, 0.125, 0.0625]
+        calls = []
+
+        def ev(pts):
+            calls.append(pts.shape[0])
+            return wavy(pts)
+
+        p = weak_trace_ball_average(dataclasses.replace(self.f, eval=ev), S,
+                                    x0, radii)
+        levels = []
+        for r, estimate in zip(radii, p.estimates):
+            alone = []
+
+            def row(rows, pts):
+                alone.append(pts.shape[1])
+                return (wavy(pts[0]) @ nu0)[None]
+
+            total = _quad.adaptive_ball_rows(
+                row, x0[None], r, 2, rtol=trace.PROBE_RTOL, atol=1e-14)[0][0]
+            assert estimate == total / (_quad.ball_volume(2) * r ** 2)
+            levels.append(alone)
+        assert any(e != 0.0 for e in p.estimates)
+        # the batch's level k holds the nodes of every row still open at k
+        assert calls == [sum(a[k] for a in levels if k < len(a))
+                         for k in range(max(map(len, levels)))]
+        assert calls[0] == len(radii) * 24
 
     def test_tilted_line(self):
         S = line_interface((0.0, 0.0), (1.0, 1.0))
@@ -327,8 +400,7 @@ class TestPairing:
         for psi, value in zip(fam, got):
             total = 0.0
             for c, rb in zip(f.eddies.centers, f.eddies.radii / scale):
-                pts, w = ball_rule(2, (c - x0) / scale, rb, 16,
-                                   _patch_angular_order(rb))
+                pts, w = _one_ball_rule((c - x0) / scale, rb)
                 total += float(np.sum(w * np.einsum(
                     "ij,ij->i", zoomed.eval(pts),
                     psi.value_and_gradient(pts)[1])))
@@ -360,8 +432,7 @@ class TestPairing:
         for psi, value in zip(fam, got):
             total, hit = 0.0, set()
             for c, rb in zip(f.eddies.centers, radii):
-                pts, w = ball_rule(2, (c - x0) / scale, rb, 16,
-                                   _patch_angular_order(rb))
+                pts, w = _one_ball_rule((c - x0) / scale, rb)
                 grads = psi.value_and_gradient(pts)[1]
                 if np.any(grads != 0.0):
                     hit.add(_patch_angular_order(rb))
