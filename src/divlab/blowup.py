@@ -170,7 +170,7 @@ def quadratic_inequality_check(xi: VectorField, points,
     vals = xi.eval(pts)
     norms = np.linalg.norm(vals, axis=1)
     sup = float(np.max(norms))
-    rep = VerificationReport(scenario=f"quadratic-inequality:{xi.name}")
+    rep = VerificationReport()
     if sup > 1.0 + tol:
         rep.add(CheckResult.from_margin(
             "normalization |xi| <= 1", sup, tol, 1.0 + tol - sup))
@@ -380,8 +380,7 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
         field.disk.check_outward_rim(x0, nu)
     zooms = [rescale(field, x0, r) for r in radii]
     tdir = np.array([-nu[1], nu[0]])
-    rep = ConsistencyReport(
-        scenario=f"blowup-consistency:{field.name}:x0={x0.tolist()}")
+    rep = ConsistencyReport()
 
     offsets = np.linspace(-0.6, 0.6, 5)
     psi_family = [bump_test(o * tdir, 0.5) for o in offsets]

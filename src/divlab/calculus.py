@@ -275,7 +275,7 @@ def jensen_check(field: VectorField, phi: Callable, kernel: MollifierKernel,
     field there.
     """
     precondition_tol = 1e-12
-    rep = VerificationReport(scenario=f"jensen:{field.name}")
+    rep = VerificationReport()
     pts = grid.points()
     raw = field.eval(pts)
     raw_margin = raw[:, -1] - phi(np.linalg.norm(raw, axis=1))

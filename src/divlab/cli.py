@@ -42,13 +42,14 @@ from .calculus import (GridSpec, RectRegion, bump_test, jensen_check,
                        make_mollifier, mollify, numeric_divergence)
 from .fields import (AUTO, MAX_DIMENSION, REGISTRY_EXAMPLES,
                      counterexample_potential, constant_field,
-                     field_to_potential, gamma_bounds,
-                     get_field, make_counterexample_field, parse_gamma,
-                     parse_spec, phi_quadratic, potential_to_field,
+                     field_to_potential, finite_float, gamma_bounds,
+                     get_field, int_range, make_counterexample_field,
+                     nonnegative_float, parse_gamma, parse_spec,
+                     phi_quadratic, positive_float, potential_to_field,
                      stream_bump_field)
 from .report import INFO, PASS, CheckResult, VerificationReport
 from .rigidity import (CERTIFIED, VIOLATED, FlowInputError, certify_potential,
-                       default_certification_grid, flow_tubes,
+                       check_strip, default_certification_grid, flow_tubes,
                        separable_demo, strip_identity_2d)
 from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
                     check_curvilinear, check_radii, circle_interface, density,
@@ -129,7 +130,7 @@ def run(scenario: Scenario) -> VerificationReport:
     except UsageError:
         raise
     except Exception as exc:  # noqa: BLE001 -- any compute failure is a FAIL
-        rep = VerificationReport(scenario="")
+        rep = VerificationReport()
         rep.add(CheckResult.from_margin("execution", 0.0, 0.0, -1.0,
                                         detail=f"{type(exc).__name__}: "
                                                f"{exc}"))
@@ -180,45 +181,6 @@ def _spelled_column(col: np.ndarray) -> list:
 
 # ---------------------------------------------------------------------------
 # parameter parsing helpers
-
-def finite_float(text) -> float:
-    """Converter of every float parameter: nan and inf are usage errors."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
-
-
-def nonnegative_float(text) -> float:
-    """Converter of a tolerance: a negative one makes its gate meaningless
-    (a margin gate passes whatever the estimate), so it is a usage error."""
-    value = finite_float(text)
-    if not value >= 0.0:
-        raise ValueError(f"{text!r} is negative")
-    return value
-
-
-def positive_float(text) -> float:
-    """Converter of a parameter that must be finite and > 0 (a length, a
-    step, a lift, a relative tolerance): zero or less is a usage error."""
-    value = finite_float(text)
-    if not value > 0.0:
-        raise ValueError(f"{text!r} is not positive")
-    return value
-
-
-def int_range(lo: int, hi: int) -> Callable:
-    """Converter of a count parameter: integers outside [lo, hi] are usage
-    errors, so no count can ask for unbounded work or memory."""
-    def conv(text) -> int:
-        value = int(text)
-        if not lo <= value <= hi:
-            raise ValueError(f"{value} is outside [{lo}, {hi}]")
-        return value
-
-    conv.__name__ = f"integer in [{lo}, {hi}]"   # argparse's error names it
-    return conv
-
 
 def _refused(call: Callable):
     """call(), with its ValueError a usage error: for the library's input
@@ -365,7 +327,7 @@ def _h_certify(sc: Scenario):
     cert = certify_potential(pot, grid, c=p["c"],
                              margin_tol=tol["margin_tol"])
     expect = p["expect"]
-    rep = VerificationReport(scenario="")
+    rep = VerificationReport()
 
     cond_rows = []
     for cond in cert.conditions:
@@ -483,11 +445,10 @@ def _h_strip(sc: Scenario):
         raise UsageError(f"{len(p['at'])} strip locations given; at most "
                          f"{MAX_LIST_LENGTH}")
     locations = [_floats(item, "strip location", 2) for item in p["at"]]
-    for r, t in locations:
-        if not (r > 0.0 and t > 0.0):
-            raise UsageError(f"strip location {r:g},{t:g} must be positive")
     f = _resolve_field(sc.field)
-    rep = VerificationReport(scenario="")
+    for r, t in locations:
+        _refused(lambda: check_strip(f, r, t))
+    rep = VerificationReport()
     rows = []
     for r, t in locations:
         sub = strip_identity_2d(f, r, t)
@@ -531,7 +492,7 @@ def _h_trace(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     f = _resolve_field(sc.field)
     method = p["method"]
-    rep = VerificationReport(scenario="")
+    rep = VerificationReport()
     tables = []
 
     if method == "pairing":
@@ -584,9 +545,9 @@ def _h_trace(sc: Scenario):
         else:
             raise UsageError(f"unknown trace method {m!r}")
         _probe_checks(rep, probe, m, p, tol)
-        for row in probe.rows():
-            est_rows.append([m, row["radius"], row["estimate"],
-                             row["stderr"]])
+        # deterministic quadratures carry no sampling error
+        est_rows += [[m, r, e, math.nan]
+                     for r, e in zip(probe.radii, probe.estimates)]
     tables.append(("estimates", ["method", "radius", "estimate", "stderr"],
                    est_rows))
     return rep, tables, []
@@ -606,20 +567,17 @@ def _h_density(sc: Scenario):
     radii = _parse_radii(p["radii"])
     probe = density(f.disk.contains, x0, radii,
                     samples=p["samples"], seed=sc.seed)
-    rep = VerificationReport(scenario="",
-                             environment={"samples": p["samples"]})
-    for row in probe.rows():
-        rep.add(CheckResult.info(f"volume ratio at r={row['radius']:g}",
-                                 row["estimate"],
-                                 detail=f"stderr={row['stderr']:.2e}"))
+    rep = VerificationReport(environment={"samples": p["samples"]})
+    rows = list(zip(probe.radii, probe.ratios, probe.stderrs))
+    for r, ratio, stderr in rows:
+        rep.add(CheckResult.info(f"volume ratio at r={r:g}", ratio,
+                                 detail=f"stderr={stderr:.2e}"))
     rep.add(CheckResult.info("extrapolated density", probe.theta))
     if p["expect"] == "value":
         rep.add(CheckResult.from_residual(
             "density matches expected value", probe.theta - p["value"],
             tol["value_tol"], detail=f"theta stderr {probe.theta_stderr:.2g}",
             error=sampling_error(probe.theta_stderr)))
-    rows = [[row["radius"], row["estimate"], row["stderr"]]
-            for row in probe.rows()]
     return rep, [("ratios", ["radius", "ratio", "stderr"], rows)], []
 
 
@@ -654,11 +612,8 @@ def _h_aplim(sc: Scenario):
         rep.add(_pass_fail("classification matches expectation",
                            rep.classification == want,
                            detail=f"got {rep.classification}, want {want}"))
-    rows = []
-    for alpha, probe in rep.probes:
-        for row in probe.rows():
-            rows.append([alpha, row["radius"], row["estimate"],
-                         row["stderr"]])
+    rows = [[alpha, *row] for alpha, probe in rep.probes
+            for row in zip(probe.radii, probe.ratios, probe.stderrs)]
     tables = [("deviation", ["alpha", "radius", "ratio", "stderr"], rows)]
     return rep, tables, []
 
@@ -671,17 +626,15 @@ def _h_nalpha(sc: Scenario):
     radii = _parse_radii(p["radii"])
     probe = nalpha_density(f, S, x0, alpha, radii, samples=p["samples"],
                            seed=sc.seed, ratio_tol=tol["ratio_tol"])
-    rep = VerificationReport(scenario="",
-                             environment={"samples": p["samples"]})
-    for row in probe.rows():
-        rep.add(CheckResult.info(
-            f"deviation ratio at r={row['radius']:g}", row["estimate"],
-            detail=f"stderr={row['stderr']:.2e}"))
+    rep = VerificationReport(environment={"samples": p["samples"]})
+    rows = list(zip(probe.radii, probe.ratios, probe.stderrs))
+    for r, ratio, stderr in rows:
+        rep.add(CheckResult.info(f"deviation ratio at r={r:g}", ratio,
+                                 detail=f"stderr={stderr:.2e}"))
     rep.add(CheckResult.info("extrapolated deviation density", probe.theta))
     rep.add(finest_ratio_check(probe, alpha, tol["ratio_tol"]))
-    rows = [[alpha, row["radius"], row["estimate"], row["stderr"]]
-            for row in probe.rows()]
-    return rep, [("ratios", ["alpha", "radius", "ratio", "stderr"], rows)], []
+    return rep, [("ratios", ["alpha", "radius", "ratio", "stderr"],
+                  [[alpha, *row] for row in rows])], []
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +726,7 @@ def _h_demo_roundtrip(sc: Scenario):
     pts[:, -1] = Z.ravel()
 
     diff = np.linalg.norm(rebuilt.eval(pts) - closed.eval(pts), axis=1)
-    rep = VerificationReport(scenario="")
+    rep = VerificationReport()
     rep.add(CheckResult.from_residual(
         "potential-derived field matches the closed form",
         float(np.max(diff)), tol["field_tol"],

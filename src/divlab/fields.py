@@ -146,8 +146,9 @@ class VectorField:
     """Bounded vector field on R^dim, evaluated in batches.
 
     `eval_jacobian`, when declared, returns (values, J) for a batch in one
-    call, J[m, i, j] = d_j eta_i at point m; its values equal `eval`'s
-    bitwise, so a caller may use either.  Flow transport needs it.
+    call, J[m, i, j] = d_j eta_i at point m; its values are `eval`'s, bit
+    for bit (the stream bump's `eval` reads them from it), so a caller may
+    use either.  Flow transport needs it.
 
     Three optional fields declare closed-form structure that probes use
     in place of generic quadrature.  `blowup.rescale` maps `disk` and
@@ -213,10 +214,10 @@ def zero_field(dim: int) -> VectorField:
 # stream bump (2D, exactly divergence-free)
 
 # eta = (-d2 psi, d1 psi) and its Jacobian rows (-H01, -H11), (H00, H01)
-# from psi's gradient and Hessian H; a sign flip is exact, so negating an
-# entry equals multiplying it by -1 bitwise.  Off the support every entry
-# is the zero that sign-flipping psi's zero derivatives gives.
-_ROTATE_SIGNS = np.array([-1.0, 1.0])
+# from psi's gradient and Hessian H, one row of six per point; the field's
+# `eval` reads the first two columns, so its values and the Jacobian's come
+# from one pass.  Off the support every entry is the zero that negating
+# psi's zero derivatives gives.
 _STREAM_ZERO_ROW = np.array([-0.0, 0.0, -0.0, -0.0, 0.0, 0.0])
 
 
@@ -239,23 +240,12 @@ def stream_bump_field() -> VectorField:
     cx, cz = STREAM_BUMP_CENTER
     d1, d2 = 1.0 / STREAM_BUMP_RX**2, 1.0 / STREAM_BUMP_RZ**2
 
-    def _s(pts):
+    def evj(pts):
         y1 = pts[:, 0] - cx
         y2 = pts[:, 1] - cz
         s = np.sqrt(d1 * y1 * y1 + d2 * y2 * y2)
         # the profile's support: at s <= 2**-55 its derivatives vanish
-        return y1, y2, s, (s > _U_MIN) & (s < 1.0)
-
-    def ev(pts):
-        y1, y2, s, m = _s(pts)
-        grad = np.zeros((pts.shape[0], 2))
-        w1 = bump_with_d1(s[m])[1]
-        grad[m, 0] = a * w1 * d1 * y1[m] / s[m]
-        grad[m, 1] = a * w1 * d2 * y2[m] / s[m]
-        return grad[:, ::-1] * _ROTATE_SIGNS
-
-    def evj(pts):
-        y1, y2, s, m = _s(pts)
+        m = (s > _U_MIN) & (s < 1.0)
         sm, y1m, y2m = s[m], y1[m], y2[m]
         w1, w2 = bump_derivatives(sm)
         aw1 = a * w1
@@ -272,8 +262,8 @@ def stream_bump_field() -> VectorField:
         out[m] = np.array([-g1, g0, -h01, -h11, h00, h01]).T
         return out[:, :2], out[:, 2:].reshape(-1, 2, 2)
 
-    return VectorField(dim=2, eval=ev, sup_bound=STREAM_BUMP_SUP,
-                       name="stream:bump",
+    return VectorField(dim=2, eval=lambda pts: evj(pts)[0],
+                       sup_bound=STREAM_BUMP_SUP, name="stream:bump",
                        analytic_div=lambda pts: np.zeros(pts.shape[0]),
                        eval_jacobian=evj)
 
@@ -736,50 +726,74 @@ def _fmt_num(x: float) -> str:
     return f"{x:g}"
 
 
-def _checked(kind, ok, what: str):
-    """Converter: kind(text), rejected unless ok(value) holds."""
-    def conv(text):
-        value = kind(text)
-        if not ok(value):
-            raise ValueError(f"must be {what}")
+# converters of user input, shared by the registry, the interface specs
+# and the CLI's flags and config keys: each raises ValueError on text it
+# refuses, and argparse names the converter in its message
+
+def finite_float(text) -> float:
+    """Converter of every float parameter: nan and inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def nonnegative_float(text) -> float:
+    """Converter of a tolerance: a negative one makes its gate meaningless
+    (a margin gate passes whatever the estimate), so it is a usage error."""
+    value = finite_float(text)
+    if not value >= 0.0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
+def positive_float(text) -> float:
+    """Converter of a parameter that must be finite and > 0 (a length, a
+    step, a lift, a relative tolerance): zero or less is a usage error."""
+    value = finite_float(text)
+    if not value > 0.0:
+        raise ValueError(f"{text!r} is not positive")
+    return value
+
+
+def int_range(lo: int, hi: int) -> Callable:
+    """Converter of a count parameter: integers outside [lo, hi] are usage
+    errors, so no count can ask for unbounded work or memory."""
+    def conv(text) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise ValueError(f"{value} is outside [{lo}, {hi}]")
         return value
+
+    conv.__name__ = f"integer in [{lo}, {hi}]"   # argparse's error names it
     return conv
-
-
-_positive = _checked(float, lambda x: 0 < x < math.inf, "positive and finite")
 
 
 def parse_gamma(text):
     """Amplitude text: 'auto' or a positive finite number."""
-    return AUTO if text == AUTO else _positive(text)
-
-
-_vector = _checked(lambda text: tuple(map(float, text.split(","))),
-                   lambda vec: all(map(math.isfinite, vec)), "finite")
+    return AUTO if text == AUTO else positive_float(text)
 
 
 # kind -> (builder, {key: (default, converter)}, bare words allowed in order)
 _REGISTRY = {
     "counterexample": (
         lambda p: make_counterexample_field(p["n"], p["gamma"]),
-        {"n": (4, _checked(int, lambda n: 4 <= n <= MAX_DIMENSION,
-                           f">= 4 and <= {MAX_DIMENSION}")),
+        {"n": (4, int_range(4, MAX_DIMENSION)),
          "gamma": (AUTO, parse_gamma)}, ()),
     "twisting": (
         lambda p: make_twisting_field(p["levels"]),
-        {"levels": (8, _checked(int, lambda k: 1 <= k <= MAX_TWISTING_LEVELS,
-                                f"between 1 and {MAX_TWISTING_LEVELS}"))}, ()),
+        {"levels": (8, int_range(1, MAX_TWISTING_LEVELS))}, ()),
     "capillary": (lambda p: make_capillary_field(p["R"]),
-                  {"R": (1.0, _positive)}, ()),
+                  {"R": (1.0, positive_float)}, ()),
     "stream": (
         lambda p: (extrude_field_3d(stream_bump_field()) if p["3d"]
                    else stream_bump_field()),
         {}, ("bump", "3d")),
     "zero": (lambda p: zero_field(p["dim"]),
-             {"dim": (2, _checked(int, lambda d: 1 <= d <= MAX_DIMENSION,
-                                  f">= 1 and <= {MAX_DIMENSION}"))}, ()),
+             {"dim": (2, int_range(1, MAX_DIMENSION))}, ()),
     "constant": (lambda p: constant_field(p["c"]),
-                 {"c": ((0.0, -1.0), _vector)}, ()),
+                 {"c": ((0.0, -1.0), lambda text: tuple(
+                     map(finite_float, text.split(","))))}, ()),
 }
 
 

@@ -1,11 +1,13 @@
 """Structured verification records shared by every module.
 
-A report is a named bundle of checks.  Each check carries the measured
-value, the tolerance it was held to, the signed margin (nonnegative means
+A report is a bundle of checks.  Each check carries the measured value,
+the tolerance it was held to, the signed margin (nonnegative means
 satisfied), the error of the gated quantity (an achieved quadrature or
 ODE bound, or a sampling error), and a verdict that one rule (`_gate`)
-decides.  Reports serialize to JSON deterministically, byte-identical
-between two runs of one scenario and seed apart from the timestamp.
+decides.  The library leaves a report's scenario empty; `cli.run` writes
+it, as the echo of the resolved command.  Reports serialize to JSON from
+their declared fields, deterministically: byte-identical between two runs
+of one scenario and seed apart from the timestamp.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -71,7 +73,7 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    scenario: str
+    scenario: str = ""
     checks: list[CheckResult] = field(default_factory=list)
     environment: dict = field(default_factory=dict)
     timestamp: str = ""
@@ -103,18 +105,7 @@ class VerificationReport:
             "scenario": self.scenario,
             "timestamp": self.timestamp,
             "verdict": self.verdict,
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": c.value,
-                    "tolerance": c.tolerance,
-                    "error": c.error,
-                    "margin": c.margin,
-                    "verdict": c.verdict,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "environment": self.environment,
         }
 

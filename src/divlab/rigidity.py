@@ -12,7 +12,7 @@ side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .report import INCONCLUSIVE, CheckResult, VerificationReport
 
 __all__ = [
     "MonotonicityViolation", "FlowInputError", "FlowTube",
-    "RigidityCertificate", "flow_tubes", "strip_identity_2d",
+    "RigidityCertificate", "flow_tubes", "check_strip", "strip_identity_2d",
     "certify_potential", "default_certification_grid", "gamma_bounds",
     "separable_demo", "CERTIFIED", "VIOLATED", "INCONCLUSIVE",
 ]
@@ -110,8 +110,7 @@ class FlowTube:
                    f"{ODE_SHARE * self.residual_tol!r}")
 
     def to_report(self) -> VerificationReport:
-        rep = VerificationReport(scenario=f"flow-tube:h0={self.h0:g}:"
-                                          f"seeds={self.seeds_per_axis}")
+        rep = VerificationReport()
         rep.add(self.gate_check())
         rep.add(CheckResult.from_margin(
             "transported Jacobian positivity", self.delta_min, 0.0,
@@ -391,9 +390,27 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
 # ---------------------------------------------------------------------------
 # planar strip identity
 
+def check_strip(eta: VectorField, r: float, t: float) -> None:
+    """Refuse, before any field call, a strip the identity cannot take: a
+    field that is not planar, not certified divergence-free or lives on a
+    disk (the strip would leave it), or a half-width r or height t that is
+    not finite and positive (a strip of no width or height reads 0 = 0)."""
+    if eta.dim != 2:
+        raise ValueError("strip identity is planar")
+    if eta.analytic_div is None:
+        raise ValueError("strip identity needs a certified divergence-free field")
+    if not (0.0 < r < math.inf and 0.0 < t < math.inf):
+        raise ValueError(f"strip location {r:g},{t:g} must be positive "
+                         f"and finite")
+    if eta.disk is not None:
+        raise ValueError(f"strip identity needs a field on the whole plane; "
+                         f"{eta.name!r} lives on the open disk of radius "
+                         f"{eta.disk.radius:g}")
+
+
 def strip_identity_2d(eta: VectorField, r: float, t: float,
                       gauge: Optional[Callable] = None) -> VerificationReport:
-    """Box flux balance on the strip [-r, r] x [0, t], for r, t > 0.
+    """Box flux balance on the strip [-r, r] x [0, t] (`check_strip`).
 
     The top flux of the vertical component equals the net side influx of
     the horizontal component; nothing crosses the bottom where the field
@@ -401,11 +418,8 @@ def strip_identity_2d(eta: VectorField, r: float, t: float,
     a convex function called on an array of |eta_1| values, eta_2 must
     dominate gauge(|eta_1|) at both top corners.
     """
-    if eta.dim != 2:
-        raise ValueError("strip identity is planar")
-    if eta.analytic_div is None:
-        raise ValueError("strip identity needs a certified divergence-free field")
-    rep = VerificationReport(scenario=f"strip:r={r:g}:t={t:g}:{eta.name}")
+    check_strip(eta, r, t)
+    rep = VerificationReport()
 
     def top(x1):
         pts = np.stack([x1, np.full_like(x1, t)], axis=1)
@@ -455,15 +469,10 @@ class RigidityCertificate:
     witness: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "label": self.label,
-            "grid": self.grid,
-            "conditions": self.conditions,
-            "constants": self.constants,
-            "verdict": self.verdict,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
+        """The declared fields; a witness only when there is one."""
+        out = asdict(self)
+        if self.witness is None:
+            del out["witness"]
         return out
 
 
@@ -581,8 +590,7 @@ def separable_demo(gamma: float, rho0: float,
         raise ValueError(
             f"blow-up radius rho0*exp(1/(gamma*psi0)) is not a finite float "
             f"for gamma={gamma:g}, rho0={rho0:g}, psi0={psi0:g}")
-    rep = VerificationReport(
-        scenario=f"separable:gamma={gamma:g}:rho0={rho0:g}:psi0={psi0:g}")
+    rep = VerificationReport()
 
     def rhs(rho, y):
         return gamma * y * y / rho

@@ -196,11 +196,6 @@ class TraceProbe:
     def __post_init__(self):
         check_radii(self.radii)
 
-    def rows(self) -> list[dict]:
-        # deterministic quadratures carry no sampling error
-        return [{"radius": r, "estimate": e, "stderr": float("nan")}
-                for r, e in zip(self.radii, self.estimates)]
-
 
 def _tail_fit(radii, estimates) -> tuple[float, float, float]:
     """Extrapolated intercept of the a + b*r model on the last four radii,
@@ -269,10 +264,6 @@ class DensityProbe:
     samples_per_radius: int
     drawn_per_radius: int
     ceiling_per_radius: int
-
-    def rows(self) -> list[dict]:
-        return [{"radius": r, "estimate": p, "stderr": s}
-                for r, p, s in zip(self.radii, self.ratios, self.stderrs)]
 
     def draws(self) -> str:
         """The point counts, as the gated checks state them."""
@@ -812,9 +803,7 @@ def one_sided_ap_lim(field: VectorField, S: OrientedInterface, x0, w,
     """
     x0, nu0 = S.frame(field, x0)
     w = np.asarray(w, dtype=float)
-    rep = ApLimReport(
-        scenario=f"aplim:{field.name}:x0={x0.tolist()}",
-        environment={"seed": seed, "samples": samples})
+    rep = ApLimReport(environment={"seed": seed, "samples": samples})
 
     alphas = [float(a) for a in alphas]
     probes = deviation_densities(

@@ -142,11 +142,11 @@ class TestExitCodes:
         ("twisting:levels=8:level=3", "bad part 'level=3'"),
         ("stream:bump:xyz", "bad part 'xyz'"),
         ("constant:c=1,2:foo=3", "bad part 'foo=3'"),
-        ("capillary:R=nan", "positive and finite"),
-        ("zero:dim=0", ">= 1"),
-        ("twisting:levels=14", "between 1 and 13"),
-        ("counterexample:n=65", "<= 64"),
-        ("zero:dim=65", "<= 64"),
+        ("capillary:R=nan", "'nan' is not a finite number"),
+        ("zero:dim=0", "0 is outside [1, 64]"),
+        ("twisting:levels=14", "14 is outside [1, 13]"),
+        ("counterexample:n=65", "65 is outside [4, 64]"),
+        ("zero:dim=65", "65 is outside [1, 64]"),
     ], ids=["unknown-kind", "unknown-key", "stray-word", "stray-key",
             "nan-value", "out-of-range", "too-many-levels",
             "too-many-dimensions", "too-many-zero-dimensions"])
@@ -159,7 +159,7 @@ class TestExitCodes:
         code, out, err = run_main(
             ["certify", "--field", "counterexample:n=4:gamma=nan"], capsys)
         assert code == 2
-        assert "positive and finite" in err and "PASS" not in out
+        assert "'nan' is not a finite number" in err and "PASS" not in out
 
     # out-of-range counts are turned away by the same converter step,
     # before anything is allocated
@@ -314,8 +314,9 @@ class TestExitCodes:
     # on a strip of no width or height, are refused before any field call:
     # a pairing region with one or three sides ("not enough" or "too many
     # values to unpack"), an amplitude past the radial-slope bound, a strip
-    # location that is not positive, and a curvilinear rectangle wider
-    # than the curvature scale
+    # location that is not positive, a strip for a field that lives on a
+    # disk (the strip leaves it), and a curvilinear rectangle wider than
+    # the curvature scale
     @pytest.mark.parametrize("argv,message", [
         (["trace", "--field", "twisting:levels=3", "--method", "pairing",
           "--omega", "0,1", "--bumps", "1"],
@@ -329,12 +330,14 @@ class TestExitCodes:
         (["strip-identity", "--at", "5,0"], "must be positive"),
         (["strip-identity", "--at", "2,1", "--at", "5,-3"],
          "must be positive"),
+        (["strip-identity", "--field", "capillary:R=1"],
+         "lives on the open disk of radius 1"),
         (["trace", "--field", "capillary:R=1", "--method", "curvilinear",
           "--x0", "1,0", "--rho", "5"],
          "curvilinear rectangle does not embed"),
     ], ids=["one-sided-region", "three-sided-region", "roundtrip-gamma",
             "zero-width-strip", "zero-height-strip", "negative-height-strip",
-            "wide-curvilinear"])
+            "disk-field-strip", "wide-curvilinear"])
     def test_unusable_input_is_refused_before_any_field_call(
             self, capsys, monkeypatch, argv, message):
         calls = []

@@ -124,3 +124,75 @@ def test_write_appends_newline(tmp_path):
 def test_timestamp_is_utc_iso():
     rep = VerificationReport(scenario="t")
     assert rep.timestamp.endswith("+00:00") or rep.timestamp.endswith("Z")
+
+
+# the serialized form of every kind of check, pinned as text: a report
+# written from the record's own fields must spell it the same way
+_PINNED_JSON = """{
+  "checks": [
+    {
+      "detail": "lhs=rhs",
+      "error": 0.125,
+      "margin": 0.75,
+      "name": "residual",
+      "tolerance": 1.0,
+      "value": 0.25,
+      "verdict": "PASS"
+    },
+    {
+      "detail": "",
+      "error": 0.0,
+      "margin": -1.0,
+      "name": "margin",
+      "tolerance": 0.5,
+      "value": 2.0,
+      "verdict": "FAIL"
+    },
+    {
+      "detail": "",
+      "error": 0.0,
+      "margin": NaN,
+      "name": "undecided",
+      "tolerance": 1.0,
+      "value": NaN,
+      "verdict": "INCONCLUSIVE"
+    },
+    {
+      "detail": "informational",
+      "error": 0.0,
+      "margin": 0.0,
+      "name": "note",
+      "tolerance": 0.0,
+      "value": 1.5,
+      "verdict": "INFO"
+    },
+    {
+      "detail": "no input",
+      "error": 0.0,
+      "margin": 0.0,
+      "name": "skipped",
+      "tolerance": 0.0,
+      "value": 0.0,
+      "verdict": "SKIPPED"
+    }
+  ],
+  "environment": {
+    "precision": "float64",
+    "seed": 3
+  },
+  "scenario": "demo",
+  "timestamp": "2026-01-02T03:04:05+00:00",
+  "verdict": "FAIL"
+}"""
+
+
+def test_to_json_text_of_every_kind_of_check():
+    rep = VerificationReport(scenario="demo", environment={"seed": 3},
+                             timestamp="2026-01-02T03:04:05+00:00")
+    rep.add(CheckResult.from_residual("residual", 0.25, 1.0,
+                                      detail="lhs=rhs", error=0.125))
+    rep.add(CheckResult.from_margin("margin", 2.0, 0.5, -1.0))
+    rep.add(CheckResult.from_residual("undecided", float("nan"), 1.0))
+    rep.add(CheckResult.info("note", 1.5, detail="informational"))
+    rep.add(CheckResult.skipped("skipped", "no input"))
+    assert rep.to_json() == _PINNED_JSON

@@ -18,8 +18,8 @@ from divlab.fields import (
     get_field, phi_quadratic, stream_bump_field, zero_field,
 )
 from divlab.rigidity import (
-    CERTIFIED, INCONCLUSIVE, VIOLATED, certify_potential,
-    default_certification_grid, flow_tubes, separable_demo,
+    CERTIFIED, INCONCLUSIVE, VIOLATED, RigidityCertificate,
+    certify_potential, default_certification_grid, flow_tubes, separable_demo,
     strip_identity_2d,
 )
 
@@ -98,6 +98,40 @@ class TestCertification:
         with pytest.raises(ValueError, match="margin_tol"):
             certify_potential(counterexample_potential(4, 1.0), grid,
                               margin_tol=margin_tol)
+
+    # the certificate's serialized form, pinned: a witness is written only
+    # when there is one
+    @pytest.mark.parametrize("witness", [
+        None, {"condition": "slope bounded by rho^(n-2)", "point": (2.0, 0.5),
+               "margin": -0.25, "V": 1.5}])
+    def test_to_dict_is_its_fields(self, witness):
+        cert = RigidityCertificate(
+            label="demo", grid={"box": [[1e-3, 1e3], [-1.0, 10.0]],
+                                "resolution": [4, 4],
+                                "spacing": ["log", "uniform"]},
+            conditions=[{"name": "zero below interface", "min_margin": -0.0,
+                         "argmin_point": None},
+                        {"name": "slope bounded by rho^(n-2)",
+                         "min_margin": -0.25, "argmin_point": (2.0, 0.5)}],
+            constants={"gamma": 0.5, "c": 1.0, "n": 4},
+            verdict=VIOLATED if witness else CERTIFIED, witness=witness)
+        want = {
+            "label": "demo",
+            "grid": {"box": [[1e-3, 1e3], [-1.0, 10.0]], "resolution": [4, 4],
+                     "spacing": ["log", "uniform"]},
+            "conditions": [
+                {"name": "zero below interface", "min_margin": -0.0,
+                 "argmin_point": None},
+                {"name": "slope bounded by rho^(n-2)", "min_margin": -0.25,
+                 "argmin_point": (2.0, 0.5)}],
+            "constants": {"gamma": 0.5, "c": 1.0, "n": 4},
+            "verdict": "VIOLATED" if witness else "CERTIFIED_SAMPLED",
+        }
+        if witness:
+            want["witness"] = {"condition": "slope bounded by rho^(n-2)",
+                               "point": (2.0, 0.5), "margin": -0.25,
+                               "V": 1.5}
+        assert cert.to_dict() == want
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +450,30 @@ class TestStripIdentity:
         f = constant_field((0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="planar"):
             strip_identity_2d(f, 1.0, 1.0)
+
+    # a strip of no width or height read PASS with every flux 0.0, and a
+    # field on a disk ended in an OutOfDomainError from the quadrature: both
+    # are refused before the field is called
+    @pytest.mark.parametrize("spec, r, t, message", [
+        ("stream:bump", 0.0, 1.0, "must be positive"),
+        ("stream:bump", 1.0, 0.0, "must be positive"),
+        ("stream:bump", -2.0, 1.0, "must be positive"),
+        ("stream:bump", math.nan, 1.0, "must be positive"),
+        ("stream:bump", 1.0, math.inf, "must be positive"),
+        ("capillary:R=1", 5.0, 3.0, "open disk of radius 1"),
+    ], ids=["no-width", "no-height", "negative-width", "nan-width",
+            "infinite-height", "disk-field"])
+    def test_refused_before_any_field_call(self, spec, r, t, message):
+        calls = []
+        field = get_field(spec)
+
+        def spy(pts):
+            calls.append(len(pts))
+            return field.eval(pts)
+
+        with pytest.raises(ValueError, match=message):
+            strip_identity_2d(dataclasses.replace(field, eval=spy), r, t)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The scripts run from a plain checkout, with no PYTHONPATH set."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -20,3 +21,29 @@ def test_script_imports_divlab_from_the_checkout(argv, tmp_path):
                            *argv[1:]], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# the refactor oracle itself: the writer runs every recipe and workload
+# call, each call exits 0, every report's timestamp is blanked, and a
+# snapshot compares equal to itself
+def test_snapshot_writer_runs_and_compares_equal_to_itself(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = str(ROOT / "scripts" / "snapshot_outputs.py")
+    snap = tmp_path / "snap"
+    done = subprocess.run([sys.executable, script, str(snap)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    stdouts = sorted(snap.rglob("*.stdout"))
+    assert len(stdouts) == 53
+    for path in stdouts:
+        assert path.read_text(encoding="utf-8").startswith("exit 0\n"), path
+    for path in snap.rglob("*.json"):
+        report = json.loads(path.read_text(encoding="utf-8"))
+        if "checks" in report:
+            assert report["timestamp"] == "", path
+    done = subprocess.run([sys.executable, script, "--compare", str(snap),
+                           str(snap)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "0 differ, 0 problems" in done.stdout

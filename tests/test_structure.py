@@ -4,9 +4,10 @@ instances, dispatches with hasattr, or keeps an import it never uses; and
 every adaptive quadrature and ODE integration stops by one policy, and a
 field's Jacobian has one entry point, each written once; one rule decides
 every gate; the bump is the one test function, and no probe dispatches on
-its type; no defaulted parameter is a knob that only its default ever
-sets; and the package imports exactly the third-party distributions it
-declares."""
+its type; a report's name, a probe's rows, the stream bump's values and
+the input converters each have one home; no defaulted parameter is a knob
+that only its default ever sets; and the package imports exactly the
+third-party distributions it declares."""
 
 import ast
 import json
@@ -159,8 +160,9 @@ def test_one_jacobian_entry_point():
 # a test function gives its gradient only together with its values, through
 # `value_and_gradient`, since every pairing integrand reads both at the same
 # nodes; the profile's value-and-slope pass has one home, `bump_with_d1`,
-# read by the bump test and by the stream bump's gradient, and there is no
-# lone slope `bump_d1` (the profile's peaks are closed forms)
+# read by the bump test alone (the stream bump's values come from its
+# Jacobian pass), and there is no lone slope `bump_d1` (the profile's peaks
+# are closed forms)
 def test_one_value_and_gradient_pass():
     found = set()
     for path in sorted(SRC.glob("*.py")):
@@ -182,8 +184,7 @@ def test_one_value_and_gradient_pass():
                 found.add((name, where))
     assert found == {
         ("def bump_with_d1", "fields.py:<module>"),
-        ("bump_with_d1", "calculus.py:BumpTest.value_and_gradient"),
-        ("bump_with_d1", "fields.py:stream_bump_field.ev")}
+        ("bump_with_d1", "calculus.py:BumpTest.value_and_gradient")}
 
 
 # the bump is the one test function: one class provides `value_and_gradient`,
@@ -335,6 +336,40 @@ def test_one_constructor_per_field():
                 names.add(f"field {node.attr}")
             found += [f"{path.name}:{node.lineno} {name}"
                       for name in names & _FOLDED]
+    assert not found, "\n".join(found)
+
+
+# each thing is written once: `cli.run` alone names a report (the echo of
+# its scenario), so no report built outside cli.py is handed `scenario=`;
+# the registry and the CLI share one set of input converters, so the
+# registry's own `_checked` and `_positive` are gone; a probe's table rows
+# are zipped from its tuples, so no probe record has a `rows` method; and
+# the stream bump's values come from its Jacobian pass, so neither its
+# value-only `ev` nor `_ROTATE_SIGNS` is defined or read
+_SECOND_COPIES = {"_checked", "_positive", "_ROTATE_SIGNS"}
+
+
+def test_each_thing_written_once():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node, where in _nodes(tree, ast.AST):
+            names = {_name(node), getattr(node, "name", None)}
+            if isinstance(node, ast.Constant):
+                names.add(node.value)
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in names & _SECOND_COPIES]
+            if (isinstance(node, ast.keyword) and node.arg == "scenario"
+                    and path.name != "cli.py"):
+                found.append(f"{path.name}:{node.value.lineno} scenario= "
+                             f"in {where}")
+            if isinstance(node, ast.FunctionDef) and (
+                    (node.name == "rows" and where in ("TraceProbe",
+                                                       "DensityProbe"))
+                    or (node.name == "ev" and where == "stream_bump_field")):
+                found.append(f"{path.name}:{node.lineno} {where}.{node.name}")
+            if isinstance(node, ast.Call) and _name(node) == "rows":
+                found.append(f"{path.name}:{node.lineno} rows() in {where}")
     assert not found, "\n".join(found)
 
 

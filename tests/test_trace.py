@@ -558,11 +558,11 @@ class TestDensity:
                     samples=1000)
 
     def test_rows_shape(self):
+        # the CLI's table rows zip these three tuples: one entry per radius
         p = density(lambda q: q[:, 0] > 0, (0.0, 0.0), RADII[:2],
                     samples=2000, seed=3)
-        rows = p.rows()
-        assert len(rows) == 2
-        assert set(rows[0]) == {"radius", "estimate", "stderr"}
+        assert p.radii == tuple(RADII[:2])
+        assert len(p.ratios) == len(p.stderrs) == 2
 
 
 # ---------------------------------------------------------------------------
