@@ -5,8 +5,8 @@ adaptive rules -- the 1D row batch `adaptive_gauss_rows` (with its
 one-row case `adaptive_gauss_1d`), the 2D tensor rule, the ball row batch
 `adaptive_ball_rows` and the circle trapezoid -- are level functions run
 by `_refine`, the one refinement loop and the one place that raises
-`QuadratureError`.  Each row batch returns every row's value and its
-achieved error estimate.
+`QuadratureError`; so are the eddy ball rows of `trace._eddy_pairings`.
+Each row batch returns every row's value and its achieved error estimate.
 """
 
 from __future__ import annotations
@@ -33,32 +33,45 @@ def leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _parts(values) -> np.ndarray:
+    """A level's values as (rows, parts); a float or a value per row is
+    one part."""
+    v = np.atleast_1d(values)
+    return v[:, None] if v.ndim == 1 else v
+
+
 def _refine(level: Callable, n0: int, size: Callable, rtol: float,
-            atol: float, max_doublings: int, rule: str, domain: Callable,
+            atol, max_doublings: int, rule: str, domain: Callable,
             nrows: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The one refinement loop: level(rows, n) integrates rows `rows` of
-    range(nrows) on size(n) nodes each (a float for one row).  From n0,
-    each row doubles n until |cur - prev| <= rtol*|cur| + atol and leaves
-    the batch.  Returns each row's value and its last delta |cur - prev|,
-    the achieved error estimate.  A row still open after max_doublings, or
+    range(nrows) on size(n) nodes each (a float for one row), or returns
+    each row as parts, one column per part.  A row's value is the sum of
+    its parts and its delta the sum of their |cur - prev|, so parts whose
+    errors cancel cannot hide them.  From n0, each row doubles n until
+    delta <= rtol*|value| + atol and leaves the batch; atol is one float
+    or one per row.  Returns each row's value and its last delta, the
+    achieved error estimate.  A row still open after max_doublings, or
     before a level above MAX_LEVEL_NODES, raises QuadratureError naming
     the rule, domain(row) and the last delta.  Negative or non-finite
     tolerances raise ValueError before the first level."""
-    if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):
+    tol = np.broadcast_to(np.asarray(atol, dtype=float), (nrows,))
+    if not (0.0 <= rtol < math.inf
+            and np.all((0.0 <= tol) & (tol < math.inf))):
         raise ValueError(f"tolerances must be finite and non-negative; got "
                          f"rtol={rtol}, atol={atol}")
     out, err = np.zeros(nrows), np.zeros(nrows)
     rows, n = np.arange(nrows), n0
-    prev = np.atleast_1d(level(rows, n))
+    prev = _parts(level(rows, n))
     delta = np.full(nrows, math.inf)
     for _ in range(max_doublings):
         if size(2 * n) > MAX_LEVEL_NODES:
             break
         n *= 2
-        cur = np.atleast_1d(level(rows, n))
-        delta = np.abs(cur - prev)
-        done = delta <= rtol * np.abs(cur) + atol
-        out[rows[done]] = cur[done]
+        cur = _parts(level(rows, n))
+        value = cur.sum(axis=1, initial=-0.0)   # one part: itself, -0.0 too
+        delta = np.abs(cur - prev).sum(axis=1)
+        done = delta <= rtol * np.abs(value) + tol[rows]
+        out[rows[done]] = value[done]
         err[rows[done]] = delta[done]
         rows, prev, delta = rows[~done], cur[~done], delta[~done]
         if rows.size == 0:

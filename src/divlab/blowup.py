@@ -209,7 +209,7 @@ def _common_bump(psi_family) -> tuple[np.ndarray, BumpTest]:
 
 
 def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
-                   atol: float) -> tuple[list[float], Optional[float]]:
+                   atol: float) -> tuple[list[float], float]:
     """integral over (rescaled domain) ∩ (inward half plane) ∩ supp psi of
     psi * div z_k + grad psi . z_k, in the coordinates of the zoom z_k,
     for each psi of a family that shares one radius and height.  A disk
@@ -222,11 +222,14 @@ def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
     atol: atol/2 for the outer t-quadrature and atol/(2 * t-width) for
     each of its inner s-rows.  Returns the pairings and the achieved error
     estimate, the largest over psi of the outer delta plus the t-width
-    times the largest inner delta at its final outer level; the eddy
-    stack's closed-form ball rules give no estimate (None)."""
+    times the largest inner delta at its final outer level.  An eddy
+    stack's pairings go to `_eddy_pairings`, each held to atol, and the
+    estimate is the largest of theirs."""
     if zk.eddies is not None:
         # divergence-free eddies: the div term vanishes identically
-        return _eddy_pairings(zk.eddies, zk, psi_family, lambda r: 32), None
+        values, estimates = _eddy_pairings(zk.eddies, zk, psi_family,
+                                           [atol] * len(psi_family))
+        return values, max(estimates)
 
     # the rescaled domain begins at inward depth s_star(t) from the flat
     # line: 0 for a global field, the sagitta of the rescaled disk of
@@ -363,8 +366,8 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
     The quadratures of (b) share the absolute budget PAIRING_SHARE *
     final_tol: BOUNDARY_SLICE of it over max(1, |T|) for the flat boundary
     term, and the rest split in half between the outer t-quadrature and
-    the inner s-rows of each pairing.  When (b) runs by adaptive quadrature
-    the gate carries the worst achieved estimate over the scales as its
+    the inner s-rows of each pairing, or held whole by each eddy pairing.
+    The gate carries the worst achieved estimate over the scales as its
     error, and its detail states it next to the budget.  rtol sets
     only the relative tolerance of (a), no tighter than 1e-8; (c) runs at
     1e-9.  The INFO diagnostics and every decay exponent, the one of (b)
@@ -419,12 +422,10 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
         defects_b.append(worst)
         estimates.append(estimate)
     exp_b = _decay_exponent(radii, defects_b)
-    detail = f"decay exponent {exp_b:.3f} over last 3 scales"
-    worst_estimate = 0.0
-    if estimates[0] is not None:
-        worst_estimate = max(estimates)
-        detail += (f"; quadrature estimate {worst_estimate!r} against the "
-                   f"share {PAIRING_SHARE:g} of the final gate: {budget!r}")
+    worst_estimate = max(estimates)
+    detail = (f"decay exponent {exp_b:.3f} over last 3 scales; quadrature "
+              f"estimate {worst_estimate!r} against the share "
+              f"{PAIRING_SHARE:g} of the final gate: {budget!r}")
     rep.add(CheckResult.from_residual(
         "half-space pairing defect, final", defects_b[-1], final_tol,
         detail=detail, error=worst_estimate))

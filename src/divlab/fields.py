@@ -31,6 +31,15 @@ def as_points(x, dim: int) -> np.ndarray:
     return a
 
 
+def check_finite(name: str, pts: np.ndarray) -> None:
+    """Refuse a batch that holds a non-finite point, naming the field and
+    the first such point: a kernel's masks would read NaN as outside every
+    support and return zeros."""
+    if not np.isfinite(pts).all():
+        bad = pts[~np.isfinite(pts).all(axis=1)][0]
+        raise ValueError(f"{name}: non-finite point {bad.tolist()}")
+
+
 # ---------------------------------------------------------------------------
 # smooth bump profile on (0, 1)
 
@@ -241,6 +250,7 @@ def stream_bump_field() -> VectorField:
     d1, d2 = 1.0 / STREAM_BUMP_RX**2, 1.0 / STREAM_BUMP_RZ**2
 
     def evj(pts):
+        check_finite("stream:bump", pts)
         y1 = pts[:, 0] - cx
         y2 = pts[:, 1] - cz
         s = np.sqrt(d1 * y1 * y1 + d2 * y2 * y2)
@@ -397,10 +407,7 @@ def make_twisting_field(max_level: int = 8) -> VectorField:
     name = f"twisting:levels={max_level}"
 
     def ev(pts):
-        if not np.isfinite(pts).all():
-            finite = np.isfinite(pts).all(axis=1)
-            raise ValueError(
-                f"{name}: non-finite point {pts[~finite][0].tolist()}")
+        check_finite(name, pts)
         out = np.zeros((pts.shape[0], 2))
         # only the level rint(-log2 y) can hold a point (see EddyStack)
         k = np.flatnonzero(pts[:, 1] > 0.0)
@@ -559,8 +566,10 @@ def make_counterexample_field(n: int, gamma=AUTO) -> VectorField:
     """
     g = _resolve_gamma(n, gamma, strict=True)
     P = counterexample_potential(n, g)
+    name = f"counterexample:n={n}:gamma={_fmt_num(g)}"
 
     def ev(pts):
+        check_finite(name, pts)
         r = pts[:, :-1]
         z = pts[:, -1]
         out = np.zeros((pts.shape[0], n))
@@ -585,8 +594,7 @@ def make_counterexample_field(n: int, gamma=AUTO) -> VectorField:
         out[m] = block
         return out
 
-    return VectorField(dim=n, eval=ev, sup_bound=1.0,
-                       name=f"counterexample:n={n}:gamma={_fmt_num(g)}",
+    return VectorField(dim=n, eval=ev, sup_bound=1.0, name=name,
                        analytic_div=lambda pts: np.zeros(pts.shape[0]),
                        smooth_exclusion=_CYLINDRICAL_EXCLUSIONS, potential=P)
 

@@ -434,38 +434,45 @@ def weak_trace_curvilinear(field: VectorField, S: OrientedInterface,
 # ---------------------------------------------------------------------------
 # distributional pairing
 
-# field nodes per eval call of the eddy pairing: one call covers the 294k
-# nodes of an 8-level stack, and pairing all 8.4M nodes of 13 levels adds
-# about 140 MB to the resident set
+# field nodes per eval call of the eddy pairing: each level of an 8-level
+# stack fits in one call (32k new nodes at most, 75k over all levels, when
+# every ball meets a test function), and pairing every ball of 13 levels,
+# 2.1M nodes over 5 levels, adds about 130 MB to the resident set
 _EDDY_EVAL_BATCH = 1 << 19
 
 
-def _patch_angular_order(radius: float) -> int:
-    # each circle concentric with a patch integrates the tangential gradient
-    # to zero, so the equal-angle rule is the accuracy driver; give wider
-    # patches more angular nodes
-    return int(min(512, max(32, 2.0 ** math.ceil(math.log2(4096.0 * radius)))))
-
-
 def _eddy_pairings(eddies: EddyStack, field: VectorField,
-                   psi_family: Sequence[BumpTest],
-                   angular_order: Callable[[float], int]) -> list[float]:
-    """Sum over the eddy balls of the integral of field . grad psi, for each
-    test function psi.  Divergence-free rotational patches leave only this
-    gradient term of the pairing.
+                   psi_family: Sequence[BumpTest], atol: Sequence[float]
+                   ) -> tuple[list[float], list[float]]:
+    """Sum over the eddy balls of the integral of field . grad psi for each
+    test function psi, held to the absolute tolerance atol[psi]; returns
+    the sums and their achieved error estimates, each a list over psi.
+    Divergence-free rotational patches leave only this gradient term of
+    the pairing.
 
     The balls are in the coordinates of `field` and of the test functions
-    (a rescaled field carries its eddies mapped).  Each ball gets a product
-    rule with 16 radial nodes and angular_order(radius) angles.  The field
-    is evaluated once on the nodes of all balls the family needs (in
-    batches of _EDDY_EVAL_BATCH nodes, one call per batch: a blow-up
-    scale's family fits in one) and the values serve every psi.  A batch
-    groups its balls by angular order and builds one rule per group,
-    points (balls, nodes, 2) and weights (balls, nodes); the field values
-    are read as the same (balls, nodes, 2) blocks.  For each psi, a group's
-    balls near psi are gathered by index from those three arrays and each
-    gathered ball's sum is one row sum.  A ball that misses the support of
-    a test function adds exact zeros, so it is skipped.
+    (a rescaled field carries its eddies mapped).  Each ball that meets a
+    psi's support is one row of `_quad._refine`, integrated by 16 radial
+    Gauss nodes times n equal angles.  Inside a ball the field is
+    f(s) (p - c)-perp, so field . grad psi = f(s) d psi / d theta and each
+    circle about c integrates to 0: the angular rule sets the accuracy.
+    The radial rule stays fixed; it is what would see a field that is not
+    purely rotational.  Each of the 16 circles is one part of its row, so
+    its delta is the sum of the circles' |T_2n - T_n|: errors of opposite
+    sign on two circles cannot cancel in it.
+
+    A row starts at the least n = 4 * 2^k whose rim spacing 2 pi rho / n
+    is at most R / 4 (rho the ball's radius, R the bump's), so its first
+    level samples the bump's support, and doubles n until its delta fits
+    its share rho^2 / (sum of rho^2 over the balls near psi) of atol[psi].
+    The trapezoid nodes are nested: a level evaluates only the new
+    odd-indexed angles and sets T_2n = T_n / 2 + (2 pi / 2n) * (their
+    sum), so a ball costs the nodes of its final order.  Per level the
+    field is called once on the new nodes of every open ball, in chunks
+    of at most _EDDY_EVAL_BATCH nodes; the rows of one ball at one order
+    share them.  Each psi's value adds its rows' values in ball order and
+    its estimate their last deltas.  A ball that misses a psi's support
+    pairs to exact zeros, so it is skipped.
     """
     psi_family = list(psi_family)
     centers, radii = eddies.centers, eddies.radii
@@ -473,46 +480,83 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
     for p, psi in enumerate(psi_family):
         gap = centers - psi.center
         near[p] = np.hypot(gap[:, 0], gap[:, 1]) <= psi.radius + radii
-    used = np.flatnonzero(near.any(axis=0))
-    sizes = np.array([16 * angular_order(radii[n]) for n in used], dtype=int)
-    # per-ball sums, added up in ball order below like a loop over balls
-    sums = np.zeros((len(psi_family), radii.size))
-    start = 0
-    while start < used.size:
-        # the next balls whose nodes fit in one batch, and at least one
-        fit = np.searchsorted(np.cumsum(sizes[start:]), _EDDY_EVAL_BATCH,
-                              side="right")
-        stop = start + max(1, int(fit))
-        batch, batch_sizes = used[start:stop], sizes[start:stop]
-        # the batch's balls grouped by node count, that is by angular
-        # order: one rule for each group
-        groups = [(int(size), batch[batch_sizes == size])
-                  for size in np.unique(batch_sizes)]
-        rules = [_quad.ball_rules(2, centers[group], radii[group], 16,
-                                  size // 16) for size, group in groups]
-        vals = field.eval(np.concatenate([q.reshape(-1, 2)
-                                          for q, _ in rules]))
+    # one row per near (psi, ball) pair, ordered by psi and then by ball
+    owner, ball = np.nonzero(near)
+    if owner.size == 0:
+        return [0.0] * len(psi_family), [0.0] * len(psi_family)
+    rho = radii[ball]
+    bump_radius = np.array([psi.radius for psi in psi_family])[owner]
+    start = 4 * 2 ** np.maximum(0, np.ceil(np.log2(
+        2.0 * math.pi * rho / bump_radius))).astype(int)
+    share = np.bincount(owner, weights=rho ** 2)
+    row_atol = np.asarray(atol, dtype=float)[owner] * rho ** 2 / share[owner]
+    xr, wr = _quad.leggauss(16)
+    unit_r = 0.5 * (xr + 1.0)
+    unit_w = 0.5 * wr * unit_r      # radial weights of the unit disk
+    last = np.zeros((owner.size, 16))   # each row's circles at its last level
+
+    def level(rows, m):
+        order = start[rows] * m
+        keys, key_of = np.unique(np.stack([ball[rows], order], axis=1),
+                                 axis=0, return_inverse=True)
+        key_of = key_of.ravel()
+        # new angles per (ball, order): all of them on the first level
+        fresh = keys[:, 1] if m == 1 else keys[:, 1] // 2
+        sums = np.zeros((rows.size, 16))
         lo = 0
-        for (size, group), (q, wq) in zip(groups, rules):
-            hi = lo + group.size * size
-            vq = vals[lo:hi].reshape(group.size, size, 2)
+        while lo < len(keys):
+            # the next keys whose new nodes fit in one call, and at least one
+            hi = lo + max(1, int(np.searchsorted(
+                np.cumsum(16 * fresh[lo:]), _EDDY_EVAL_BATCH, side="right")))
+            # one node block (balls, 16, new angles, 2) per new-angle count
+            groups = [lo + np.flatnonzero(fresh[lo:hi] == k)
+                      for k in np.unique(fresh[lo:hi])]
+            blocks = []
+            for g in groups:
+                n = int(keys[g[0], 1])
+                j = np.arange(n) if m == 1 else np.arange(1, n, 2)
+                th = 2.0 * math.pi * j / n
+                ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+                b = keys[g, 0]
+                blocks.append(centers[b, None, None, :] + ring
+                              * (radii[b, None] * unit_r)[:, :, None, None])
+            vals = field.eval(np.concatenate([q.reshape(-1, 2)
+                                              for q in blocks]))
+            at = 0
+            for g, q in zip(groups, blocks):
+                v = vals[at:at + q.size // 2].reshape(q.shape)
+                at += q.size // 2
+                slot = np.full(len(keys), -1)
+                slot[g] = np.arange(g.size)
+                mine = np.flatnonzero(slot[key_of] >= 0)
+                for p in np.unique(owner[rows[mine]]):
+                    idx = mine[owner[rows[mine]] == p]
+                    k = slot[key_of[idx]]
+                    grads = psi_family[p].value_and_gradient(
+                        q[k].reshape(-1, 2))[1]
+                    terms = np.einsum("ij,ij->i", v[k].reshape(-1, 2), grads)
+                    sums[idx] = terms.reshape(q[k].shape[:3]).sum(axis=2)
             lo = hi
-            for p, psi in enumerate(psi_family):
-                idx = np.flatnonzero(near[p, group])
-                if idx.size == 0:
-                    continue
-                terms = wq[idx].ravel() * np.einsum(
-                    "ij,ij->i", vq[idx].reshape(-1, 2),
-                    psi.value_and_gradient(q[idx].reshape(-1, 2))[1])
-                sums[p, group[idx]] = terms.reshape(-1, size).sum(axis=1)
-        start = stop
-    out = []
+        circles = (rho[rows] ** 2 * (2.0 * math.pi / order))[:, None] \
+            * unit_w * sums
+        if m > 1:
+            circles += 0.5 * last[rows]
+        last[rows] = circles
+        return circles
+
+    vals, deltas = _quad._refine(
+        level, 1, lambda m: 16 * int(start.max()) * m, 0.0, row_atol, 10,
+        "eddy", lambda i: (f"the eddy ball of radius {float(rho[i])} about "
+                           f"{centers[ball[i]].tolist()} against "
+                           f"{psi_family[owner[i]].label}"), owner.size)
+    out, est = [], []
     for p in range(len(psi_family)):
         total = 0.0
-        for term in sums[p, near[p]]:
+        for term in vals[owner == p]:
             total += float(term)
         out.append(total)
-    return out
+        est.append(float(np.sum(deltas[owner == p])))
+    return out, est
 
 
 def _balls_inside(field: VectorField, region: RectRegion) -> bool:
@@ -528,30 +572,34 @@ def weak_trace_pairing(field: VectorField, region: RectRegion,
                        psi_family: Sequence[BumpTest]) -> list[float]:
     """Distributional pairing of the normal trace with each test function:
     the volume terms psi d(div xi) + xi . grad psi over the region, each
-    integrated to PROBE_RTOL (the eddy balls by their fixed product rule).
+    integrated to PROBE_RTOL with the absolute floor PROBE_RTOL * sup|xi|
+    * C1(psi) * |region|; eddy balls inside the region go to
+    `_eddy_pairings` at that floor, the rest to the region's rule.
     """
     if field.analytic_div is None:
         raise ValueError("pairing needs divergence information")
-    if _balls_inside(field, region):
-        return _eddy_pairings(field.eddies, field, psi_family,
-                              _patch_angular_order)
-    out = []
+    # the pairing of a trace that vanishes converges to about 0, where a
+    # relative test cannot stop; sup|xi| C1(psi) |region| bounds
+    # |int xi . grad psi| and gives the absolute floor its scale
+    floors = []
     for psi in psi_family:
+        scale = field.sup_bound * psi.c1_norm * region.area
+        if not math.isfinite(scale):
+            raise ValueError(f"pairing against {psi.label}: sup bound x C1 "
+                             f"norm x area = {scale} is not finite")
+        floors.append(PROBE_RTOL * scale)
+    if _balls_inside(field, region):
+        return _eddy_pairings(field.eddies, field, psi_family, floors)[0]
+    out = []
+    for psi, floor in zip(psi_family, floors):
         def g(pts):
             div = field.analytic_div(pts)
             value, grads = psi.value_and_gradient(pts)
             return value * div + np.einsum(
                 "ij,ij->i", field.eval(pts), grads)
 
-        # the pairing of a trace that vanishes converges to about 0, where
-        # a relative test cannot stop; sup|xi| C1(psi) |region| bounds
-        # |int xi . grad psi| and gives the absolute floor its scale
-        scale = field.sup_bound * psi.c1_norm * region.area
-        if not math.isfinite(scale):
-            raise ValueError(f"pairing against {psi.label}: sup bound x C1 "
-                             f"norm x area = {scale} is not finite")
         out.append(float(region.volume_integral(
-            g, rtol=PROBE_RTOL, atol=PROBE_RTOL * scale)))
+            g, rtol=PROBE_RTOL, atol=floor)))
     return out
 
 

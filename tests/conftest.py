@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from divlab import _quad
 from divlab.fields import (
     AUTO,
     make_capillary_field,
@@ -39,6 +40,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def refine_levels(monkeypatch):
+    """The n of every level that `_quad._refine` runs, in order."""
+    levels, refine = [], _quad._refine
+
+    def counting_refine(level, *args, **kwargs):
+        return refine(lambda rows, n: levels.append(n) or level(rows, n),
+                      *args, **kwargs)
+
+    monkeypatch.setattr(_quad, "_refine", counting_refine)
+    return levels
 
 
 @pytest.fixture(scope="session")

@@ -278,22 +278,24 @@ class TestTraceConsistency:
         by = {c.name: c for c in rep.checks}
         assert by["trace value used"].value == 0.0
         assert by["off-interface divergence mass, final"].value == 0.0
-        assert by["half-space pairing defect, final"].value == pytest.approx(
-            2.1189038365354647e-06, rel=1e-6)
+        # the eddy pairings hold the defect to their share of the budget,
+        # and the gate carries their estimate as its error
+        budget = PAIRING_SHARE * 1e-2
+        final = by["half-space pairing defect, final"]
+        assert final.value <= budget
+        assert 0.0 < final.error <= budget
+        assert f"quadrature estimate {final.error!r}" in final.detail
         assert by["punctured-ball flux residual, final"].value <= 1e-12
-        # closed-form ball rules: no quadrature estimate to report
-        assert by["half-space pairing defect, final"].error == 0.0
-        assert "quadrature estimate" not in \
-            by["half-space pairing defect, final"].detail
         assert len(rep.rows) == 5
         assert set(rep.rows[0]) == {
             "k", "radius", "off_interface_div_mass", "half_space_defect",
             "punctured_ball_residual"}
 
-    def test_eddy_pairing_evaluates_the_field_once_per_scale(self, twisting8):
-        # one field call per scale serves the whole bump family; a call per
-        # ball and bump made 567 here
-        calls = []
+    def test_eddy_pairing_evaluates_the_field_once_per_level(
+            self, refine_levels, twisting8):
+        # one field call per doubling level serves the whole bump family; a
+        # call per ball and bump made 567 here
+        calls, levels = [], refine_levels
 
         def counting_eval(pts):
             calls.append(len(pts))
@@ -302,13 +304,19 @@ class TestTraceConsistency:
         counted = dataclasses.replace(twisting8, eval=counting_eval)
         nu = np.array([0.0, -1.0])
         fam = [bump_test((o, 0.0), 0.5) for o in np.linspace(-0.6, 0.6, 5)]
+        paired = []
         for k in range(3, 9):
             zk = rescale(counted, (0.5, 0.0), 2.0 ** -k)
-            before = len(calls)
+            calls.clear()
+            levels.clear()
             lhs, estimate = _halfspace_lhs(zk, fam, nu, 1e-4)
-            assert len(lhs) == len(fam) and estimate is None
-            assert len(calls) - before <= 1
-        assert sum(calls) > 0
+            assert len(lhs) == len(fam)
+            assert len(calls) <= len(levels)
+            assert (0.0 < estimate <= 1e-4) if calls else estimate == 0.0
+            if calls:
+                paired.append(k)
+        # at k = 8 no eddy ball of the 8-level stack reaches the bumps
+        assert paired == [3, 4, 5, 6, 7]
 
     def test_halfspace_pairing_needs_declared_divergence(self):
         # a missing divergence is refused, not replaced by zero

@@ -2,12 +2,12 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divlab._quad import QuadratureError
 from divlab.blowup import rescale
 from divlab.fields import (
     AUTO,
@@ -177,11 +177,12 @@ def test_recovered_potential_sums_gaps_like_rows_from_zero(
 
 @pytest.mark.parametrize("bad", ["z", "rho"])
 def test_recovered_potential_nan_input_raises(recovered_counterexample, bad):
-    # a NaN never reaches a neighbour's prefix sum as a value
+    # a NaN never reaches a neighbour's prefix sum as a value: the field
+    # refuses the first quadrature node it lands on
     rho = np.array([0.7, 0.7, 0.7, 2.0])
     z = np.array([0.5, 1.0, 2.0, 1.0])
     (rho if bad == "rho" else z)[1] = np.nan
-    with pytest.raises(QuadratureError):
+    with pytest.raises(ValueError, match="counterexample.*non-finite point"):
         recovered_counterexample.V(rho, z)
 
 
@@ -356,6 +357,22 @@ def test_twisting_rejects_non_finite_points(bad):
         f.eval(pts)
     with pytest.raises(ValueError, match="non-finite"):
         f.eval(pts[:, ::-1].copy())
+
+
+# a NaN coordinate is refused by name, never read as a point outside every
+# support: the stream bump returned (-0, 0) and the counterexample zeros
+@pytest.mark.parametrize("spec", REGISTRY_EXAMPLES)
+def test_registry_fields_refuse_a_nan_point(spec):
+    f = get_field(spec)
+    for axis in range(f.dim):
+        pts = np.full((3, f.dim), 0.25)
+        pts[1, axis] = np.nan
+        evaluators = [f.eval] + ([lambda p: f.eval_jacobian(p)[0]]
+                                 if f.eval_jacobian is not None else [])
+        for evaluate in evaluators:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{f.name}: ") + r".*\bnan\b"):
+                evaluate(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ every adaptive quadrature and ODE integration stops by one policy, and a
 field's Jacobian has one entry point, each written once; one rule decides
 every gate; the bump is the one test function, and no probe dispatches on
 its type; a report's name, a probe's rows, the stream bump's values and
-the input converters each have one home; no defaulted parameter is a knob
-that only its default ever sets; and the package imports exactly the
-third-party distributions it declares."""
+the input converters each have one home; the eddy pairing takes its
+angles from its gate and always reports an estimate; no defaulted
+parameter is a knob that only its default ever sets; and the package
+imports exactly the third-party distributions it declares."""
 
 import ast
 import json
@@ -371,6 +372,37 @@ def test_each_thing_written_once():
             if isinstance(node, ast.Call) and _name(node) == "rows":
                 found.append(f"{path.name}:{node.lineno} rows() in {where}")
     assert not found, "\n".join(found)
+
+
+# the eddy pairing doubles its angles until its gate is met: no fixed
+# angular-order table is left, `_eddy_pairings` takes a tolerance per test
+# function and no order callable, and `_halfspace_lhs` always returns an
+# estimate, so no caller tests it for None
+def test_eddy_pairing_takes_its_angles_from_its_gate():
+    names, params, returns, none_reads = set(), {}, "", []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names |= {_name(node), getattr(node, "name", None)}
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name == "_eddy_pairings":
+                params = {a.arg: ast.unparse(a.annotation)
+                          for a in node.args.args + node.args.kwonlyargs}
+            if node.name == "_halfspace_lhs":
+                returns = ast.unparse(node.returns)
+            if any(_name(call) == "_halfspace_lhs"
+                   for call in ast.walk(node) if isinstance(call, ast.Call)):
+                none_reads += [
+                    f"{path.name}:{cmp.lineno} {ast.unparse(cmp)}"
+                    for cmp in ast.walk(node) if isinstance(cmp, ast.Compare)
+                    and "estimate" in ast.unparse(cmp)
+                    and "None" in ast.unparse(cmp.comparators)]
+    assert "_patch_angular_order" not in names
+    assert list(params) == ["eddies", "field", "psi_family", "atol"]
+    assert not any("Callable" in note for note in params.values()), params
+    assert returns == "tuple[list[float], float]"
+    assert not none_reads, "\n".join(none_reads)
 
 
 # a probe takes the plain values it reads: the blow-up takes the field,

@@ -14,7 +14,7 @@ import pytest
 
 from divlab import _quad
 from divlab._quad import ball_rules, leggauss
-from divlab.blowup import rescale
+from divlab.blowup import BOUNDARY_SLICE, PAIRING_SHARE, rescale
 from divlab import trace
 from divlab.calculus import RectRegion, bump_test
 from divlab.fields import Disk, bump, constant_field, \
@@ -25,17 +25,46 @@ from divlab.trace import (
     circle_interface, density, line_interface, one_sided_ap_lim,
     weak_trace_ball_average, weak_trace_curvilinear, weak_trace_pairing,
     weak_trace_sphere_flux, _eddy_pairings, _intercept_weights,
-    _patch_angular_order, _tail_fit, _twisting_ball_average,
+    _tail_fit, _twisting_ball_average,
 )
 
 RADII = [2.0 ** -k for k in range(3, 9)]
 
 
-def _one_ball_rule(center, radius):
-    """The eddy pairing's product rule over one ball: 16 radial nodes and
-    `_patch_angular_order(radius)` angles."""
-    pts, w = ball_rules(2, [center], radius, 16, _patch_angular_order(radius))
-    return pts[0], w[0]
+def _circle_sums(field, center, radius, n, psi):
+    """The integral of field . grad psi over one ball by a fresh product
+    rule of 16 radial nodes and n angles, one sum per circle."""
+    pts, w = ball_rules(2, [center], radius, 16, n)
+    terms = w[0] * np.einsum("ij,ij->i", field.eval(pts[0]),
+                             psi.value_and_gradient(pts[0])[1])
+    return terms.reshape(16, n).sum(axis=1)
+
+
+def _loop_pairing(field, psi, atol):
+    """The eddy pairing as a loop over balls: each ball near psi starts at
+    the least 4 * 2^k angles whose rim spacing is at most psi's radius / 4
+    and doubles on a fresh rule until its circles' summed delta fits its
+    rho^2 share of atol.  Returns the value added in ball order, the
+    estimate, and each ball's final angle count."""
+    c, r = field.eddies.centers, field.eddies.radii
+    near = np.flatnonzero(np.hypot(*(c - psi.center).T) <= psi.radius + r)
+    total, estimate, orders = 0.0, 0.0, []
+    for b in near:
+        n = 4
+        while 2.0 * math.pi * r[b] / n > psi.radius / 4.0:
+            n *= 2
+        prev = _circle_sums(field, c[b], r[b], n, psi)
+        while True:
+            n *= 2
+            cur = _circle_sums(field, c[b], r[b], n, psi)
+            delta = float(np.sum(np.abs(cur - prev)))
+            prev = cur
+            if delta <= atol * r[b] ** 2 / np.sum(r[near] ** 2):
+                break
+        total += float(np.sum(cur))
+        estimate += delta
+        orders.append(n)
+    return total, estimate, orders
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +392,10 @@ class TestTwistingOscillation:
 # distributional pairing
 
 class TestPairing:
-    def test_twisting_pairings_vanish(self, twisting8):
-        # one field call serves all ten bumps; a call per ball and bump
-        # made 5,020
-        calls = []
+    def test_twisting_pairings_vanish(self, refine_levels, twisting8):
+        # one field call per doubling level serves all ten bumps; a call per
+        # ball and bump made 5,020
+        calls, levels = [], refine_levels
 
         def counting_eval(pts):
             calls.append(len(pts))
@@ -383,81 +412,124 @@ class TestPairing:
         vals = weak_trace_pairing(counted, reg, fam)
         assert len(vals) == 10
         assert max(abs(v) for v in vals) <= 1e-9
-        assert len(calls) <= 1
+        assert 0 < len(calls) <= len(levels)
 
+    # the exact value of every eddy pairing is 0, so a pairing's estimate
+    # must cover the pairing itself: at each scale of the blow-up at
+    # (0.5, 0) against its budget, and for random bumps at the floor of
+    # `weak_trace_pairing`
+    def test_the_estimate_bounds_the_error_at_each_blowup_scale(
+            self, twisting8):
+        budget = (1.0 - BOUNDARY_SLICE) * PAIRING_SHARE * 1e-2
+        fam = [bump_test((o, 0.0), 0.5) for o in np.linspace(-0.6, 0.6, 5)]
+        for k in range(2, 7):
+            zk = rescale(twisting8, (0.5, 0.0), 2.0 ** -k)
+            vals, estimates = _eddy_pairings(zk.eddies, zk, fam,
+                                             [budget] * len(fam))
+            for v, e in zip(vals, estimates):
+                assert abs(v) <= e <= budget, (k, v, e)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_estimate_bounds_the_error_of_random_bumps(self, twisting8,
+                                                           seed):
+        rng = np.random.default_rng(seed)
+        fam = [bump_test(0.125 + 0.75 * rng.uniform(size=2), 0.125)
+               for _ in range(10)]
+        floors = [trace.PROBE_RTOL * psi.c1_norm for psi in fam]
+        vals, estimates = _eddy_pairings(twisting8.eddies, twisting8, fam,
+                                         floors)
+        for v, e, floor in zip(vals, estimates, floors):
+            assert abs(v) <= e <= floor
+
+    # on this bump two circles of the top ball err with opposite signs: a
+    # delta of the ball's sum read 3.7e-9 and stopped at a pairing of
+    # -6.2e-8, above the floor of 1.3e-8.  The circles' own deltas see it
+    def test_circles_whose_errors_cancel_do_not_hide_them(self, twisting8):
+        psi = bump_test((0.2918386585039213, 0.5139349781622153), 0.125)
+        floor = trace.PROBE_RTOL * psi.c1_norm
+        [value], [estimate] = _eddy_pairings(twisting8.eddies, twisting8,
+                                             [psi], [floor])
+        assert abs(value) <= estimate <= floor
+
+    # rule 4: a ball of radius 1 against a bump of radius 0.2 that the 4-
+    # and 8-angle nodes miss.  Started there, both levels read 0.0 and the
+    # row would stop with estimate 0.0; its rim spacing starts it at 128
+    # angles, and it matches a 4,096-angle rule within its estimate
+    def test_a_row_starts_where_its_nodes_sample_the_bump(self):
+        f = rescale(make_twisting_field(1), (0.5, 0.5), 0.125)
+        assert f.eddies.radii.tolist() == [1.0]
+        psi = bump_test(0.6 * np.array([math.cos(0.41), math.sin(0.41)]),
+                        0.2)
+        for n in (4, 8):
+            assert not np.any(_circle_sums(f, (0.0, 0.0), 1.0, n, psi))
+        calls = []
+        counted = dataclasses.replace(
+            f, eval=lambda pts: calls.append(len(pts)) or f.eval(pts))
+        [value], [estimate] = _eddy_pairings(f.eddies, counted, [psi],
+                                             [1e-6])
+        assert calls[0] == 16 * 128
+        assert sum(calls) >= 2 * 16 * 128
+        reference = float(np.sum(_circle_sums(f, (0.0, 0.0), 1.0, 4096,
+                                              psi)))
+        assert 0.0 < abs(value - reference) <= estimate <= 1e-6
+
+    # the pairing a shared field call replaced: one rule and one field call
+    # per ball, each ball doubling on its own
     @pytest.mark.parametrize("x0,scale", [((0.0, 0.0), 1.0),
                                           ((0.5, 0.0), 0.125)])
     def test_eddy_pairing_matches_a_loop_over_balls(self, x0, scale):
-        # the pairing the shared field call replaced: one rule and one
-        # field call per ball and test function, every ball included
-        f = make_twisting_field(5)
-        zoomed = rescale(f, x0, scale)
-        x0 = np.asarray(x0)
+        zoomed = rescale(make_twisting_field(5), x0, scale)
         fam = [bump_test((0.5, 0.5), 0.3), bump_test((0.1, 0.2), 0.15),
                bump_test((-2.0, 1.0), 1.5), bump_test((5.0, 5.0), 0.5)]
-        got = _eddy_pairings(zoomed.eddies, zoomed, fam,
-                             _patch_angular_order)
-        for psi, value in zip(fam, got):
-            total = 0.0
-            for c, rb in zip(f.eddies.centers, f.eddies.radii / scale):
-                pts, w = _one_ball_rule((c - x0) / scale, rb)
-                total += float(np.sum(w * np.einsum(
-                    "ij,ij->i", zoomed.eval(pts),
-                    psi.value_and_gradient(pts)[1])))
-            assert value == total
-        assert got[3] == 0.0
+        atol = [1e-9 * psi.c1_norm for psi in fam]
+        got, estimates = _eddy_pairings(zoomed.eddies, zoomed, fam, atol)
+        for psi, tol, value, estimate in zip(fam, atol, got, estimates):
+            total, loop_estimate, _ = _loop_pairing(zoomed, psi, tol)
+            assert value == pytest.approx(total, rel=1e-9, abs=1e-16)
+            assert estimate == pytest.approx(loop_estimate, rel=1e-6,
+                                             abs=1e-16)
+        assert got[3] == 0.0 and estimates[3] == 0.0
 
-    # zoomed out by 2 about (0.5, 0), the 6-level stack's balls take 256,
-    # 128, 64 and 32 angles: four rule groups.  The pairing gathers each
-    # group's balls near psi by index; the reference is one rule per ball.
-    # The second bump touches only the top ball, so it misses three groups
-    # and their every ball; the third touches no ball and pairs to 0.0
+    # zoomed out by 2 about (0.5, 0), the balls near the family start at
+    # different angle counts, so a level holds several node blocks.  The
+    # pairing gathers each block's balls near psi by index; the reference
+    # is a loop over balls.  The second bump touches only the top ball;
+    # the third touches no ball and pairs to 0.0
     @pytest.mark.parametrize("batch", [None, 5_000],
                              ids=["one-batch", "groups-split"])
     def test_eddy_pairing_gathers_each_group_like_a_loop_over_balls(
             self, monkeypatch, batch):
         if batch is not None:
             monkeypatch.setattr(trace, "_EDDY_EVAL_BATCH", batch)
-        f = make_twisting_field(6)
-        x0, scale = np.array([0.5, 0.0]), 2.0
-        zoomed = rescale(f, x0, scale)
-        radii = f.eddies.radii / scale
-        orders = {_patch_angular_order(rb) for rb in radii}
-        assert orders == {256, 128, 64, 32}
+        zoomed = rescale(make_twisting_field(6), (0.5, 0.0), 2.0)
         fam = [bump_test((0.1, 0.1), 0.3), bump_test((0.0, 0.25), 0.05),
                bump_test((3.0, -1.0), 0.5), bump_test((-0.2, 0.05), 0.12)]
-        got = _eddy_pairings(zoomed.eddies, zoomed, fam,
-                             _patch_angular_order)
-        touched = []
-        for psi, value in zip(fam, got):
-            total, hit = 0.0, set()
-            for c, rb in zip(f.eddies.centers, radii):
-                pts, w = _one_ball_rule((c - x0) / scale, rb)
-                grads = psi.value_and_gradient(pts)[1]
-                if np.any(grads != 0.0):
-                    hit.add(_patch_angular_order(rb))
-                total += float(np.sum(w * np.einsum(
-                    "ij,ij->i", zoomed.eval(pts), grads)))
-            assert value == total
-            touched.append(hit)
-        assert touched[0] == orders and touched[1] == {256}
-        assert touched[2] == set() and got[2] == 0.0
+        atol = [1e-9 * psi.c1_norm for psi in fam]
+        got, _ = _eddy_pairings(zoomed.eddies, zoomed, fam, atol)
+        orders = []
+        for psi, tol, value in zip(fam, atol, got):
+            total, _, final = _loop_pairing(zoomed, psi, tol)
+            assert value == pytest.approx(total, rel=1e-9, abs=1e-16)
+            orders.append(final)
+        assert len(set(orders[0])) > 1 and len(orders[1]) == 1
+        assert orders[2] == [] and got[2] == 0.0
         assert got[3] != 0.0
 
-    def test_eddy_pairing_batches_leave_the_values_unchanged(self,
-                                                              monkeypatch):
-        calls = []
+    def test_eddy_pairing_batches_leave_the_values_unchanged(
+            self, monkeypatch, refine_levels):
+        calls, levels = [], refine_levels
         f = make_twisting_field(6)
         counted = dataclasses.replace(
             f, eval=lambda pts: calls.append(len(pts)) or f.eval(pts))
         fam = [bump_test((0.5, 0.1), 0.6), bump_test((0.2, 0.3), 0.2)]
-        whole = _eddy_pairings(f.eddies, counted, fam, _patch_angular_order)
-        assert len(calls) == 1
+        atol = [1e-9, 1e-9]
+        whole = _eddy_pairings(f.eddies, counted, fam, atol)
+        assert len(calls) == len(levels)
         monkeypatch.setattr(trace, "_EDDY_EVAL_BATCH", 10_000)
         calls.clear()
-        assert _eddy_pairings(f.eddies, counted, fam,
-                              _patch_angular_order) == whole
-        assert len(calls) > 10 and max(calls) <= 10_000
+        levels.clear()
+        assert _eddy_pairings(f.eddies, counted, fam, atol) == whole
+        assert len(calls) > len(levels) and max(calls) <= 10_000
 
     def test_zero_field_pairs_to_zero(self):
         reg = RectRegion(((-1.0, 1.0), (-1.0, 1.0)))
