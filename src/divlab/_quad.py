@@ -48,23 +48,38 @@ def _refine(level: Callable, n0: int, size: Callable, rtol: float,
     each row as parts, one column per part.  A row's value is the sum of
     its parts and its delta the sum of their |cur - prev|, so parts whose
     errors cancel cannot hide them.  From n0, each row doubles n until
-    delta <= rtol*|value| + atol and leaves the batch; atol is one float
-    or one per row.  Returns each row's value and its last delta, the
-    achieved error estimate.  A row still open after max_doublings, or
-    before a level above MAX_LEVEL_NODES, raises QuadratureError naming
-    the rule, domain(row) and the last delta.  Negative or non-finite
-    tolerances raise ValueError before the first level."""
+    delta <= rtol*|value| + atol and leaves the batch; atol and size(n)
+    are one number or one per row.  Returns each row's value and its last
+    delta, the achieved error estimate.  A row still open after
+    max_doublings, or before a level that would give an open row more
+    than MAX_LEVEL_NODES nodes, raises QuadratureError naming the rule,
+    domain(row) and the last delta; a row above it at n0 is refused
+    before the first level.  Negative or non-finite tolerances raise
+    ValueError before the first level."""
     tol = np.broadcast_to(np.asarray(atol, dtype=float), (nrows,))
     if not (0.0 <= rtol < math.inf
             and np.all((0.0 <= tol) & (tol < math.inf))):
         raise ValueError(f"tolerances must be finite and non-negative; got "
                          f"rtol={rtol}, atol={atol}")
+
+    def nodes(n):
+        return np.broadcast_to(size(n), (nrows,))
+
+    over = np.flatnonzero(nodes(n0) > MAX_LEVEL_NODES)
+    if over.size:
+        i = int(over[0])
+        raise QuadratureError(
+            f"{rule} quadrature refused {domain(i)}: its first level needs "
+            f"{int(nodes(n0)[i])} nodes, above the cap of {MAX_LEVEL_NODES}")
     out, err = np.zeros(nrows), np.zeros(nrows)
     rows, n = np.arange(nrows), n0
     prev = _parts(level(rows, n))
     delta = np.full(nrows, math.inf)
+    i = 0   # the open row the error names: the first, or the first at the cap
     for _ in range(max_doublings):
-        if size(2 * n) > MAX_LEVEL_NODES:
+        over = np.flatnonzero(nodes(2 * n)[rows] > MAX_LEVEL_NODES)
+        if over.size:
+            i = int(over[0])
             break
         n *= 2
         cur = _parts(level(rows, n))
@@ -77,8 +92,9 @@ def _refine(level: Callable, n0: int, size: Callable, rtol: float,
         if rows.size == 0:
             return out, err
     raise QuadratureError(
-        f"{rule} quadrature failed to converge on {domain(int(rows[0]))} "
-        f"(last delta {float(delta[0]):.3e} at {size(n)} nodes)")
+        f"{rule} quadrature failed to converge on {domain(int(rows[i]))} "
+        f"(last delta {float(delta[i]):.3e} at {int(nodes(n)[rows[i]])} "
+        f"nodes)")
 
 
 def _gauss_rows(f: Callable, rows: np.ndarray, a: np.ndarray,

@@ -434,10 +434,12 @@ def weak_trace_curvilinear(field: VectorField, S: OrientedInterface,
 # ---------------------------------------------------------------------------
 # distributional pairing
 
-# field nodes per eval call of the eddy pairing: each level of an 8-level
-# stack fits in one call (32k new nodes at most, 75k over all levels, when
-# every ball meets a test function), and pairing every ball of 13 levels,
-# 2.1M nodes over 5 levels, adds about 130 MB to the resident set
+# field nodes per eval call of the eddy pairing; a ball's new angles are
+# cut across calls, so no call holds more.  One bump over all 502 balls of
+# an 8-level stack, at its pairing floor, takes 81,536 nodes in 3 levels of
+# one call each (32,192 at most); over all 16,369 balls of 13 levels it
+# takes 2.1M nodes in 3 levels and 5 calls and adds about 110 MB to the
+# resident set
 _EDDY_EVAL_BATCH = 1 << 19
 
 
@@ -468,10 +470,13 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
     The trapezoid nodes are nested: a level evaluates only the new
     odd-indexed angles and sets T_2n = T_n / 2 + (2 pi / 2n) * (their
     sum), so a ball costs the nodes of its final order.  Per level the
-    field is called once on the new nodes of every open ball, in chunks
-    of at most _EDDY_EVAL_BATCH nodes; the rows of one ball at one order
-    share them.  Each psi's value adds its rows' values in ball order and
-    its estimate their last deltas.  A ball that misses a psi's support
+    new nodes of every open ball go to the field together, in calls of at
+    most _EDDY_EVAL_BATCH nodes (a ball's new angles may be cut across
+    calls); the rows of one ball at one order share them.  No row passes
+    `_quad.MAX_LEVEL_NODES` nodes at a level, and a row above it at its
+    start (a bump far smaller than the ball) is refused before any field
+    call.  Each psi's value adds its rows' values in ball order and its
+    estimate their last deltas.  A ball that misses a psi's support
     pairs to exact zeros, so it is skipped.
     """
     psi_family = list(psi_family)
@@ -502,23 +507,32 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
         key_of = key_of.ravel()
         # new angles per (ball, order): all of them on the first level
         fresh = keys[:, 1] if m == 1 else keys[:, 1] // 2
-        sums = np.zeros((rows.size, 16))
+        # each key's new angles in pieces of at most `cap`: a full piece
+        # fills its call alone, so no call meets a key twice
+        cap = _EDDY_EVAL_BATCH // 16
+        cuts = -(-fresh // cap)
+        key = np.repeat(np.arange(len(keys)), cuts)
+        first = cap * (np.arange(key.size) - np.repeat(np.cumsum(cuts) - cuts,
+                                                       cuts))
+        count = np.minimum(cap, fresh[key] - first)
+        sums = np.full((rows.size, 16), -0.0)
         lo = 0
-        while lo < len(keys):
-            # the next keys whose new nodes fit in one call, and at least one
+        while lo < key.size:
+            # the next pieces whose nodes fit in one call, and at least one
             hi = lo + max(1, int(np.searchsorted(
-                np.cumsum(16 * fresh[lo:]), _EDDY_EVAL_BATCH, side="right")))
-            # one node block (balls, 16, new angles, 2) per new-angle count
-            groups = [lo + np.flatnonzero(fresh[lo:hi] == k)
-                      for k in np.unique(fresh[lo:hi])]
+                np.cumsum(16 * count[lo:]), _EDDY_EVAL_BATCH, side="right")))
+            # one node block (pieces, 16, angles, 2) per piece length
+            groups = [lo + np.flatnonzero(count[lo:hi] == k)
+                      for k in np.unique(count[lo:hi])]
             blocks = []
             for g in groups:
-                n = int(keys[g[0], 1])
-                j = np.arange(n) if m == 1 else np.arange(1, n, 2)
-                th = 2.0 * math.pi * j / n
-                ring = np.stack([np.cos(th), np.sin(th)], axis=1)
-                b = keys[g, 0]
-                blocks.append(centers[b, None, None, :] + ring
+                j = first[g, None] + np.arange(count[g[0]])
+                if m > 1:
+                    j = 2 * j + 1   # the odd angles of the doubled rule
+                th = 2.0 * math.pi * j / keys[key[g], 1][:, None]
+                ring = np.stack([np.cos(th), np.sin(th)], axis=2)
+                b = keys[key[g], 0]
+                blocks.append(centers[b, None, None, :] + ring[:, None]
                               * (radii[b, None] * unit_r)[:, :, None, None])
             vals = field.eval(np.concatenate([q.reshape(-1, 2)
                                               for q in blocks]))
@@ -527,7 +541,7 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
                 v = vals[at:at + q.size // 2].reshape(q.shape)
                 at += q.size // 2
                 slot = np.full(len(keys), -1)
-                slot[g] = np.arange(g.size)
+                slot[key[g]] = np.arange(g.size)
                 mine = np.flatnonzero(slot[key_of] >= 0)
                 for p in np.unique(owner[rows[mine]]):
                     idx = mine[owner[rows[mine]] == p]
@@ -535,7 +549,7 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
                     grads = psi_family[p].value_and_gradient(
                         q[k].reshape(-1, 2))[1]
                     terms = np.einsum("ij,ij->i", v[k].reshape(-1, 2), grads)
-                    sums[idx] = terms.reshape(q[k].shape[:3]).sum(axis=2)
+                    sums[idx] += terms.reshape(q[k].shape[:3]).sum(axis=2)
             lo = hi
         circles = (rho[rows] ** 2 * (2.0 * math.pi / order))[:, None] \
             * unit_w * sums
@@ -545,10 +559,10 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
         return circles
 
     vals, deltas = _quad._refine(
-        level, 1, lambda m: 16 * int(start.max()) * m, 0.0, row_atol, 10,
-        "eddy", lambda i: (f"the eddy ball of radius {float(rho[i])} about "
-                           f"{centers[ball[i]].tolist()} against "
-                           f"{psi_family[owner[i]].label}"), owner.size)
+        level, 1, lambda m: 16 * start * m, 0.0, row_atol, 10, "eddy",
+        lambda i: (f"the eddy ball of radius {float(rho[i])} about "
+                   f"{centers[ball[i]].tolist()} against "
+                   f"{psi_family[owner[i]].label}"), owner.size)
     out, est = [], []
     for p in range(len(psi_family)):
         total = 0.0

@@ -294,6 +294,39 @@ def test_level_above_the_node_cap_is_never_built(monkeypatch):
     assert sizes == [24, 64, 256]
 
 
+def test_a_row_above_the_node_cap_at_its_first_level_is_refused(
+        monkeypatch):
+    monkeypatch.setattr(_quad, "MAX_LEVEL_NODES", 1000)
+    built = []
+    with pytest.raises(_quad.QuadratureError,
+                       match=r"^x quadrature refused row 1: its first level "
+                             r"needs 2000 nodes, above the cap of 1000$"):
+        _quad._refine(lambda rows, n: built.append(n) or np.zeros(rows.size),
+                      1, lambda n: np.array([10, 2000]) * n, 0.0, 1e-3, 10,
+                      "x", lambda i: f"row {i}", 2)
+    assert built == []
+
+
+# row 0 holds 400 nodes per n and settles at n = 2; row 1 holds 10 per n
+# and settles at n = 64.  The cap follows the open rows, so row 1 doubles
+# past the n at which row 0 would have passed it; a row that reaches the
+# cap is the one the error names, with its own node count
+def test_the_node_cap_follows_each_open_row(monkeypatch):
+    monkeypatch.setattr(_quad, "MAX_LEVEL_NODES", 1000)
+
+    def level(rows, n):
+        return np.where(rows == 0, 1.0, 1.0 / n)
+
+    out, err = _quad._refine(level, 1, lambda n: np.array([400, 10]) * n,
+                             0.0, 0.02, 10, "x", lambda i: f"row {i}", 2)
+    assert out.tolist() == [1.0, 1 / 64] and err.tolist() == [0.0, 1 / 64]
+    with pytest.raises(_quad.QuadratureError,
+                       match=r"^x quadrature failed to converge on row 1 "
+                             r"\(last delta 1\.250e-01 at 800 nodes\)$"):
+        _quad._refine(level, 1, lambda n: np.array([10, 100]) * n, 0.0, 0.02,
+                      10, "x", lambda i: f"row {i}", 2)
+
+
 def test_circle_rule_matches_the_disk_boundary_flux():
     # outward flux of x through the unit circle about (1, 2) is 2*pi
     def flux(p, nu):

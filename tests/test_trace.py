@@ -473,6 +473,43 @@ class TestPairing:
                                               psi)))
         assert 0.0 < abs(value - reference) <= estimate <= 1e-6
 
+    # rule 3: against a bump of radius 1e-5 the top ball of radius 0.125
+    # would start at 2^19 angles, 8.4M nodes; it is refused before the
+    # field sees a point
+    def test_a_bump_below_the_node_cap_is_refused_before_any_field_call(
+            self, twisting8):
+        calls = []
+        counted = dataclasses.replace(
+            twisting8,
+            eval=lambda pts: calls.append(len(pts)) or twisting8.eval(pts))
+        psi = bump_test((0.55, 0.52), 1e-5)
+        with pytest.raises(_quad.QuadratureError,
+                           match=r"refused the eddy ball of radius 0\.125 "
+                                 r"about \[0\.5, 0\.5\] against bump:.*: its "
+                                 r"first level needs 8388608 nodes"):
+            _eddy_pairings(twisting8.eddies, counted, [psi], [1e-9])
+        assert calls == []
+
+    # a ball whose new angles outgrow one call is cut across calls: no call
+    # passes the batch, and the sums move only by rounding
+    def test_no_field_call_passes_the_batch(self, monkeypatch):
+        f = rescale(make_twisting_field(1), (0.5, 0.5), 0.125)
+        psi = bump_test(0.6 * np.array([math.cos(0.41), math.sin(0.41)]),
+                        0.2)
+        calls = []
+        counted = dataclasses.replace(
+            f, eval=lambda pts: calls.append(len(pts)) or f.eval(pts))
+        [whole], [whole_estimate] = _eddy_pairings(f.eddies, counted, [psi],
+                                                   [1e-6])
+        assert max(calls) > 1000
+        monkeypatch.setattr(trace, "_EDDY_EVAL_BATCH", 1000)
+        calls.clear()
+        [value], [estimate] = _eddy_pairings(f.eddies, counted, [psi],
+                                             [1e-6])
+        assert max(calls) <= 1000 and 16 * 128 not in calls
+        assert value == pytest.approx(whole, rel=1e-12, abs=1e-18)
+        assert estimate == pytest.approx(whole_estimate, rel=1e-9)
+
     # the pairing a shared field call replaced: one rule and one field call
     # per ball, each ball doubling on its own
     @pytest.mark.parametrize("x0,scale", [((0.0, 0.0), 1.0),
