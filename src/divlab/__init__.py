@@ -13,7 +13,7 @@ flow-tube and certification machinery, `trace` and `blowup` probe
 interface behavior, and `cli` wires everything into scenarios.
 """
 
-from .calculus import (GridSpec, MollifierKernel, RectRegion, AnnulusRegion,
+from .calculus import (GridSpec, MollifierKernel, AnnulusRegion, bump_family,
                        bump_test, flux_residual, jensen_check,
                        make_mollifier, mollify, numeric_divergence)
 from .fields import (AUTO, CylindricalPotential, Disk, OutOfDomainError,

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import _quad
-from .calculus import AnnulusRegion, BumpTest, bump_test, flux_residual
+from .calculus import AnnulusRegion, bump_family, bump_test, flux_residual
 from .fields import Disk, EddyStack, Exclusion, VectorField
 from .report import INCONCLUSIVE, CheckResult, VerificationReport
 from .trace import OrientedInterface, DensityProbe, _eddy_pairings, \
@@ -195,25 +195,12 @@ def quadratic_inequality_check(xi: VectorField, points,
 # ---------------------------------------------------------------------------
 # per-scale trace consistency
 
-def _common_bump(psi_family) -> tuple[np.ndarray, BumpTest]:
-    """The centers of a bump family that shares one radius and height, and
-    the family's bump about the origin: psi_i(y) is that bump read at
-    y - centers[i], bit for bit, so one profile pass serves every bump."""
-    psi_family = list(psi_family)
-    radius, height = psi_family[0].radius, psi_family[0].height
-    if any((psi.radius, psi.height) != (radius, height)
-           for psi in psi_family):
-        raise ValueError("the bump family must share one radius and height")
-    centers = np.array([psi.center for psi in psi_family], dtype=float)
-    return centers, bump_test(np.zeros(centers.shape[1]), radius, height)
-
-
 def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
                    atol: float) -> tuple[list[float], float]:
     """integral over (rescaled domain) ∩ (inward half plane) ∩ supp psi of
     psi * div z_k + grad psi . z_k, in the coordinates of the zoom z_k,
-    for each psi of a family that shares one radius and height.  A disk
-    field's zoom must be centered on the rim.
+    for each psi of a family that `bump_family` accepts (one radius and
+    height).  A disk field's zoom must be centered on the rim.
 
     The bumps are the rows of one outer t-quadrature, each stopping on its
     own test; the inner s-rows of every open bump go to the integrand
@@ -237,7 +224,7 @@ def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
     R_k = None if zk.disk is None else zk.disk.radius
     if zk.analytic_div is None:
         raise ValueError("divergence information required")
-    centers, origin = _common_bump(psi_family)
+    centers, origin = bump_family(psi_family)
     radius = origin.radius
     tdir = np.array([-nu[1], nu[0]])
     # per-bump scalar projections: a matrix product rounds differently
@@ -290,7 +277,7 @@ def _off_interface_div_mass(zk: VectorField, psi_family,
     whole family at this scale."""
     if zk.analytic_div is None:
         raise ValueError("divergence information required")
-    centers, origin = _common_bump(psi_family)
+    centers, origin = bump_family(psi_family)
 
     def g(rows, pts):
         out = np.zeros(pts.shape[:2])

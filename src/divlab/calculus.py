@@ -1,5 +1,6 @@
-"""Differential and integral kernels: mollification, divergence estimates,
-flux residuals, and the convexity-transport audit.
+"""Differential and integral kernels: the bump test function and its
+one-radius families, mollification, divergence estimates, the annulus
+region and its flux residual, and the convexity-transport audit.
 """
 
 from __future__ import annotations
@@ -57,6 +58,18 @@ class BumpTest:
 
 def bump_test(center, radius: float, height: float = 1.0) -> BumpTest:
     return BumpTest(np.asarray(center, dtype=float), radius, height)
+
+
+def bump_family(psi_family) -> tuple[np.ndarray, BumpTest]:
+    """The centers of a bump family that shares one radius and height, and
+    the family's bump about the origin: psi_i(y) is that bump read at
+    y - centers[i], bit for bit, so one profile pass serves every bump."""
+    radius, height = psi_family[0].radius, psi_family[0].height
+    if any((psi.radius, psi.height) != (radius, height)
+           for psi in psi_family):
+        raise ValueError("the bump family must share one radius and height")
+    centers = np.array([psi.center for psi in psi_family], dtype=float)
+    return centers, bump_test(np.zeros(centers.shape[1]), radius, height)
 
 
 # ---------------------------------------------------------------------------
@@ -124,21 +137,7 @@ def numeric_divergence(field: VectorField, x, h: float = DEFAULT_FD_STEP):
 
 
 # ---------------------------------------------------------------------------
-# regions
-
-class RectRegion:
-    """Axis-aligned planar rectangle; the region of a pairing."""
-
-    def __init__(self, bounds):
-        (self.ax, self.bx), (self.ay, self.by) = bounds
-        if self.ax >= self.bx or self.ay >= self.by:
-            raise ValueError("degenerate rectangle")
-        self.area = (self.bx - self.ax) * (self.by - self.ay)
-
-    def volume_integral(self, f, rtol=1e-9, atol=1e-12) -> float:
-        return _quad.adaptive_gauss_2d(f, (self.ax, self.bx, self.ay, self.by),
-                                       rtol=rtol, atol=atol)
-
+# the annulus region
 
 class AnnulusRegion:
     """Disk with a concentric hole; used for punctured-ball diagnostics."""

@@ -35,10 +35,10 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.random import default_rng
 
-from .blowup import (blowup_trace_consistency, finest_ratio_check,
-                     hash_unit_ball_field, nalpha_density,
-                     quadratic_inequality_check)
-from .calculus import (GridSpec, RectRegion, bump_test, jensen_check,
+from .blowup import (PAIRING_SHARE, blowup_trace_consistency,
+                     finest_ratio_check, hash_unit_ball_field,
+                     nalpha_density, quadratic_inequality_check)
+from .calculus import (GridSpec, bump_test, jensen_check,
                        make_mollifier, mollify, numeric_divergence)
 from .fields import (AUTO, MAX_DIMENSION, REGISTRY_EXAMPLES,
                      counterexample_potential, constant_field,
@@ -500,26 +500,27 @@ def _h_trace(sc: Scenario):
             raise UsageError(f"the pairing probe is planar; {f.name!r} has "
                              f"dimension {f.dim}")
         region = p["omega"]
-        sides = ([(0.0, 1.0), (0.0, 1.0)] if region == "unit-square"
-                 else _parse_box(region))
+        sides = np.array([(0.0, 1.0), (0.0, 1.0)] if region == "unit-square"
+                         else _parse_box(region))
         if len(sides) != 2:
             raise UsageError(f"pairing region {region!r} needs two sides")
-        reg = RectRegion(sides)
         rng = default_rng(sc.seed)
         radius = p["bump_radius"]
-        lo = np.array([reg.ax + radius, reg.ay + radius])
-        hi = np.array([reg.bx - radius, reg.by - radius])
+        lo, hi = sides[:, 0] + radius, sides[:, 1] - radius
         if np.any(hi <= lo):
             raise UsageError("bump radius too large for the region")
         family = [bump_test(lo + (hi - lo) * rng.uniform(size=2), radius)
                   for _ in range(p["bumps"])]
-        vals = weak_trace_pairing(f, reg, family)
+        vals, estimates = weak_trace_pairing(
+            f, family, [PAIRING_SHARE * tol["pairing_tol"] * psi.c1_norm
+                        for psi in family])
         rows = []
-        for psi, v in zip(family, vals):
+        for psi, v, e in zip(family, vals, estimates):
             bound = tol["pairing_tol"] * psi.c1_norm
             rep.add(CheckResult.from_residual(
                 f"pairing against {psi.label}", v, bound,
-                detail=f"|value| vs {tol['pairing_tol']:g}*C1-norm"))
+                detail=f"|value| vs {tol['pairing_tol']:g}*C1-norm; "
+                       f"quadrature estimate {e!r}", error=e))
             rows.append([psi.label, v, psi.c1_norm, bound])
         tables.append(("pairings", ["psi", "value", "c1_norm", "bound"], rows))
         return rep, tables, []
@@ -895,14 +896,16 @@ _OPERATIONS = {
         _x0("0,0"), _RADII, _INTERFACE,
         Param("rho", 0.2, positive_float, "curvilinear rectangle half-width"),
         Param("omega", "unit-square",
-              help="pairing region: 'unit-square' or 'a,b;c,d'"),
+              help="pairing region, the bumps drawn inside it: "
+                   "'unit-square' or 'a,b;c,d'"),
         Param("bumps", 10, int_range(1, 1000),
               "random test bumps for the pairing"),
         Param("bump_radius", 0.125, positive_float, "test bump radius"),
         _expect("none", "value", "oscillating"), _VALUE, _VALUE_TOL,
         Param("gap", 0.01, positive_float,
               "required oscillation subsequence gap (> 0)", tol=True),
-        _tol("pairing_tol", 1e-6))),
+        Param("pairing_tol", 1e-6, positive_float, "pairing tolerance per "
+              "unit C1 norm; also sets its quadrature budget", tol=True))),
     "density": Operation(_h_density, "volume density of a field's domain", (
         _field("capillary:R=1"), _SEED, _x0("0,0"), _RADII, _SAMPLES,
         _expect("none", "value"), _VALUE, _VALUE_TOL)),

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import _quad
-from .calculus import BumpTest, RectRegion
+from .calculus import BumpTest, bump_family
 from .fields import Disk, EddyStack, VectorField, bump
 from .report import (FAIL, INCONCLUSIVE, PASS, CheckResult,
                      VerificationReport)
@@ -435,11 +435,11 @@ def weak_trace_curvilinear(field: VectorField, S: OrientedInterface,
 # distributional pairing
 
 # field nodes per eval call of the eddy pairing; a ball's new angles are
-# cut across calls, so no call holds more.  One bump over all 502 balls of
-# an 8-level stack, at its pairing floor, takes 81,536 nodes in 3 levels of
-# one call each (32,192 at most); over all 16,369 balls of 13 levels it
-# takes 2.1M nodes in 3 levels and 5 calls and adds about 110 MB to the
-# resident set
+# cut across calls, so no call holds more.  At the pairing recipe's budget
+# one bump of radius 0.75 about (0.5, 0.5) takes 71,296 nodes over all 502
+# balls of an 8-level stack, in 3 levels of one call each (32,192 at
+# most); over all 16,369 balls of 13 levels it takes 2.1M nodes in 3
+# levels and 5 calls and adds about 110 MB to the resident set
 _EDDY_EVAL_BATCH = 1 << 19
 
 
@@ -447,52 +447,50 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
                    psi_family: Sequence[BumpTest], atol: Sequence[float]
                    ) -> tuple[list[float], list[float]]:
     """Sum over the eddy balls of the integral of field . grad psi for each
-    test function psi, held to the absolute tolerance atol[psi]; returns
-    the sums and their achieved error estimates, each a list over psi.
-    Divergence-free rotational patches leave only this gradient term of
-    the pairing.
+    psi of a `bump_family`, held to the absolute tolerance atol[psi];
+    returns the sums and their achieved error estimates, each a list over
+    psi.  Divergence-free rotational patches leave only this gradient term.
 
-    The balls are in the coordinates of `field` and of the test functions
-    (a rescaled field carries its eddies mapped).  Each ball that meets a
-    psi's support is one row of `_quad._refine`, integrated by 16 radial
-    Gauss nodes times n equal angles.  Inside a ball the field is
-    f(s) (p - c)-perp, so field . grad psi = f(s) d psi / d theta and each
-    circle about c integrates to 0: the angular rule sets the accuracy.
-    The radial rule stays fixed; it is what would see a field that is not
-    purely rotational.  Each of the 16 circles is one part of its row, so
-    its delta is the sum of the circles' |T_2n - T_n|: errors of opposite
-    sign on two circles cannot cancel in it.
+    The balls are in the coordinates of `field` and of the bumps (a
+    rescaled field carries its eddies mapped).  Each ball that meets a
+    psi's support is one row of `_quad._refine`: 16 radial Gauss nodes
+    times n equal angles.  Inside a ball the field is f(s) (p - c)-perp,
+    so field . grad psi = f(s) d psi / d theta and each circle about c
+    integrates to 0: the angular rule sets the accuracy, and the fixed
+    radial rule is what would see a field that is not purely rotational.
+    Each of the 16 circles is one part of its row, so errors of opposite
+    sign on two circles cannot cancel in its delta.
 
-    A row starts at the least n = 4 * 2^k whose rim spacing 2 pi rho / n
-    is at most R / 4 (rho the ball's radius, R the bump's), so its first
-    level samples the bump's support, and doubles n until its delta fits
-    its share rho^2 / (sum of rho^2 over the balls near psi) of atol[psi].
+    With one bump radius R, the rows of a ball share one start, the least
+    n = 4 * 2^k whose rim spacing 2 pi rho / n is at most R / 4 (rho the
+    ball's radius), so the first level samples the bump and the open rows
+    of a ball sit at one order.  A row doubles n until its delta fits its
+    share rho^2 / (sum of rho^2 over the balls near psi) of atol[psi].
     The trapezoid nodes are nested: a level evaluates only the new
-    odd-indexed angles and sets T_2n = T_n / 2 + (2 pi / 2n) * (their
-    sum), so a ball costs the nodes of its final order.  Per level the
-    new nodes of every open ball go to the field together, in calls of at
-    most _EDDY_EVAL_BATCH nodes (a ball's new angles may be cut across
-    calls); the rows of one ball at one order share them.  No row passes
-    `_quad.MAX_LEVEL_NODES` nodes at a level, and a row above it at its
-    start (a bump far smaller than the ball) is refused before any field
-    call.  Each psi's value adds its rows' values in ball order and its
-    estimate their last deltas.  A ball that misses a psi's support
-    pairs to exact zeros, so it is skipped.
+    odd-indexed angles, T_2n = T_n / 2 + (2 pi / 2n) * (their sum), so a
+    ball costs the nodes of its final order.  Per level the new nodes of
+    every ball with an open row go to the field in calls of at most
+    _EDDY_EVAL_BATCH nodes (a ball's new angles may be cut across calls),
+    and each psi reads its gradient at q - centers[psi] from the origin
+    bump once per node block.  No row passes `_quad.MAX_LEVEL_NODES`
+    nodes at a level, and a row above it at its start is refused before
+    any field call.  Each psi's value adds its rows' values in ball order
+    and its estimate their last deltas; a ball that misses its support is
+    skipped.
     """
-    psi_family = list(psi_family)
+    bumps, origin = bump_family(psi_family)
     centers, radii = eddies.centers, eddies.radii
-    near = np.empty((len(psi_family), radii.size), dtype=bool)
-    for p, psi in enumerate(psi_family):
-        gap = centers - psi.center
-        near[p] = np.hypot(gap[:, 0], gap[:, 1]) <= psi.radius + radii
+    near = np.empty((len(bumps), radii.size), dtype=bool)
+    for p, c in enumerate(bumps):
+        gap = centers - c
+        near[p] = np.hypot(gap[:, 0], gap[:, 1]) <= origin.radius + radii
     # one row per near (psi, ball) pair, ordered by psi and then by ball
     owner, ball = np.nonzero(near)
     if owner.size == 0:
-        return [0.0] * len(psi_family), [0.0] * len(psi_family)
+        return [0.0] * len(bumps), [0.0] * len(bumps)
     rho = radii[ball]
-    bump_radius = np.array([psi.radius for psi in psi_family])[owner]
     start = 4 * 2 ** np.maximum(0, np.ceil(np.log2(
-        2.0 * math.pi * rho / bump_radius))).astype(int)
+        2.0 * math.pi * radii / origin.radius))).astype(int)
     share = np.bincount(owner, weights=rho ** 2)
     row_atol = np.asarray(atol, dtype=float)[owner] * rho ** 2 / share[owner]
     xr, wr = _quad.leggauss(16)
@@ -501,17 +499,15 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
     last = np.zeros((owner.size, 16))   # each row's circles at its last level
 
     def level(rows, m):
-        order = start[rows] * m
-        keys, key_of = np.unique(np.stack([ball[rows], order], axis=1),
-                                 axis=0, return_inverse=True)
-        key_of = key_of.ravel()
-        # new angles per (ball, order): all of them on the first level
-        fresh = keys[:, 1] if m == 1 else keys[:, 1] // 2
-        # each key's new angles in pieces of at most `cap`: a full piece
-        # fills its call alone, so no call meets a key twice
+        keys, key_of = np.unique(ball[rows], return_inverse=True)
+        order = start[keys] * m
+        # new angles per ball: all of them on the first level
+        fresh = order if m == 1 else order // 2
+        # each ball's new angles in pieces of at most `cap`: a full piece
+        # fills its call alone, so no call meets a ball twice
         cap = _EDDY_EVAL_BATCH // 16
         cuts = -(-fresh // cap)
-        key = np.repeat(np.arange(len(keys)), cuts)
+        key = np.repeat(np.arange(keys.size), cuts)
         first = cap * (np.arange(key.size) - np.repeat(np.cumsum(cuts) - cuts,
                                                        cuts))
         count = np.minimum(cap, fresh[key] - first)
@@ -529,9 +525,9 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
                 j = first[g, None] + np.arange(count[g[0]])
                 if m > 1:
                     j = 2 * j + 1   # the odd angles of the doubled rule
-                th = 2.0 * math.pi * j / keys[key[g], 1][:, None]
+                th = 2.0 * math.pi * j / order[key[g]][:, None]
                 ring = np.stack([np.cos(th), np.sin(th)], axis=2)
-                b = keys[key[g], 0]
+                b = keys[key[g]]
                 blocks.append(centers[b, None, None, :] + ring[:, None]
                               * (radii[b, None] * unit_r)[:, :, None, None])
             vals = field.eval(np.concatenate([q.reshape(-1, 2)
@@ -540,18 +536,18 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
             for g, q in zip(groups, blocks):
                 v = vals[at:at + q.size // 2].reshape(q.shape)
                 at += q.size // 2
-                slot = np.full(len(keys), -1)
+                slot = np.full(keys.size, -1)
                 slot[key[g]] = np.arange(g.size)
                 mine = np.flatnonzero(slot[key_of] >= 0)
                 for p in np.unique(owner[rows[mine]]):
                     idx = mine[owner[rows[mine]] == p]
                     k = slot[key_of[idx]]
-                    grads = psi_family[p].value_and_gradient(
-                        q[k].reshape(-1, 2))[1]
+                    grads = origin.value_and_gradient(
+                        q[k].reshape(-1, 2) - bumps[p])[1]
                     terms = np.einsum("ij,ij->i", v[k].reshape(-1, 2), grads)
                     sums[idx] += terms.reshape(q[k].shape[:3]).sum(axis=2)
             lo = hi
-        circles = (rho[rows] ** 2 * (2.0 * math.pi / order))[:, None] \
+        circles = (rho[rows] ** 2 * (2.0 * math.pi / order[key_of]))[:, None] \
             * unit_w * sums
         if m > 1:
             circles += 0.5 * last[rows]
@@ -559,12 +555,12 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
         return circles
 
     vals, deltas = _quad._refine(
-        level, 1, lambda m: 16 * start * m, 0.0, row_atol, 10, "eddy",
+        level, 1, lambda m: 16 * start[ball] * m, 0.0, row_atol, 10, "eddy",
         lambda i: (f"the eddy ball of radius {float(rho[i])} about "
                    f"{centers[ball[i]].tolist()} against "
                    f"{psi_family[owner[i]].label}"), owner.size)
     out, est = [], []
-    for p in range(len(psi_family)):
+    for p in range(len(bumps)):
         total = 0.0
         for term in vals[owner == p]:
             total += float(term)
@@ -573,48 +569,38 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
     return out, est
 
 
-def _balls_inside(field: VectorField, region: RectRegion) -> bool:
-    if field.eddies is None:
-        return False
-    c, r = field.eddies.centers, field.eddies.radii
-    return bool(np.all((c[:, 0] - r >= region.ax) & (c[:, 0] + r <= region.bx)
-                       & (c[:, 1] - r >= region.ay)
-                       & (c[:, 1] + r <= region.by)))
-
-
-def weak_trace_pairing(field: VectorField, region: RectRegion,
-                       psi_family: Sequence[BumpTest]) -> list[float]:
-    """Distributional pairing of the normal trace with each test function:
-    the volume terms psi d(div xi) + xi . grad psi over the region, each
-    integrated to PROBE_RTOL with the absolute floor PROBE_RTOL * sup|xi|
-    * C1(psi) * |region|; eddy balls inside the region go to
-    `_eddy_pairings` at that floor, the rest to the region's rule.
+def weak_trace_pairing(field: VectorField, psi_family: Sequence[BumpTest],
+                       atol: Sequence[float]
+                       ) -> tuple[list[float], list[float]]:
+    """Pairing of the normal trace with each psi of a `bump_family`: the
+    integral of psi div xi + xi . grad psi over psi's support, held to the
+    absolute tolerance atol[psi]; returns the pairings and their achieved
+    error estimates, each a list over psi.  An eddy stack, divergence-free
+    and zero outside its balls, goes to `_eddy_pairings`; any other field
+    runs each bump as a row of `_quad.adaptive_ball_rows` on the bump's
+    own ball, so its first level samples the bump, in chunks whose last
+    level fits `_quad.MAX_LEVEL_NODES` nodes in one field call.
     """
     if field.analytic_div is None:
         raise ValueError("pairing needs divergence information")
-    # the pairing of a trace that vanishes converges to about 0, where a
-    # relative test cannot stop; sup|xi| C1(psi) |region| bounds
-    # |int xi . grad psi| and gives the absolute floor its scale
-    floors = []
-    for psi in psi_family:
-        scale = field.sup_bound * psi.c1_norm * region.area
-        if not math.isfinite(scale):
-            raise ValueError(f"pairing against {psi.label}: sup bound x C1 "
-                             f"norm x area = {scale} is not finite")
-        floors.append(PROBE_RTOL * scale)
-    if _balls_inside(field, region):
-        return _eddy_pairings(field.eddies, field, psi_family, floors)[0]
-    out = []
-    for psi, floor in zip(psi_family, floors):
-        def g(pts):
-            div = field.analytic_div(pts)
-            value, grads = psi.value_and_gradient(pts)
-            return value * div + np.einsum(
-                "ij,ij->i", field.eval(pts), grads)
+    if field.eddies is not None:
+        return _eddy_pairings(field.eddies, field, psi_family, atol)
+    centers, origin = bump_family(psi_family)
 
-        out.append(float(region.volume_integral(
-            g, rtol=PROBE_RTOL, atol=floor)))
-    return out
+    def g(rows, pts):   # rows index the whole family
+        flat = pts.reshape(-1, 2)
+        value, grads = origin.value_and_gradient(
+            (pts - centers[rows, None, :]).reshape(-1, 2))
+        return (value * field.analytic_div(flat) + np.einsum(
+            "ij,ij->i", field.eval(flat), grads)).reshape(pts.shape[:2])
+
+    # bumps per chunk: a ball row's last level holds 256^2 nodes
+    chunk = _quad.MAX_LEVEL_NODES // 256 ** 2
+    parts = [_quad.adaptive_ball_rows(
+        lambda rows, pts, lo=lo: g(lo + rows, pts), centers[lo:lo + chunk],
+        origin.radius, 2, rtol=0.0, atol=atol[lo:lo + chunk])
+        for lo in range(0, len(centers), chunk)]
+    return tuple(np.concatenate(part).tolist() for part in zip(*parts))
 
 
 # ---------------------------------------------------------------------------

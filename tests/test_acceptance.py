@@ -13,9 +13,9 @@ import pytest
 
 from conftest import record_criterion
 from divlab import _quad
-from divlab.blowup import (hash_unit_ball_field, nalpha_density,
-                           quadratic_inequality_check)
-from divlab.calculus import (GridSpec, RectRegion, bump_test, jensen_check,
+from divlab.blowup import (PAIRING_SHARE, hash_unit_ball_field,
+                           nalpha_density, quadratic_inequality_check)
+from divlab.calculus import (GridSpec, bump_test, jensen_check,
                              make_mollifier, mollify, numeric_divergence)
 from divlab.cli import DEFAULT_SEED, _divergence_sample_points
 from divlab.fields import (AUTO, constant_field, counterexample_potential,
@@ -154,8 +154,9 @@ def test_criterion_05_twisting_traces(twisting8, twisting12):
     hi = np.array([1.0 - radius, 1.0 - radius])
     fam = [bump_test(lo + (hi - lo) * rng.uniform(size=2), radius)
            for _ in range(10)]
-    vals = weak_trace_pairing(twisting8,
-                              RectRegion(((0.0, 1.0), (0.0, 1.0))), fam)
+    # the budget the CLI hands the pairing: its share of the gate
+    vals, _ = weak_trace_pairing(
+        twisting8, fam, [PAIRING_SHARE * 1e-6 * psi.c1_norm for psi in fam])
     rel = max(abs(v) / psi.c1_norm for v, psi in zip(vals, fam))
     if rel > 1e-6:
         failures.append(f"pairing {rel:.3e} of the C1 norm > 1e-6")

@@ -8,7 +8,6 @@ import pytest
 from divlab.calculus import (
     AnnulusRegion,
     GridSpec,
-    RectRegion,
     bump_test,
     flux_residual,
     jensen_check,
@@ -82,12 +81,6 @@ def test_fd_divergence_refuses_non_smooth_neighborhoods():
 
 # ---------------------------------------------------------------------------
 # regions
-
-def test_rect_region_integrals():
-    reg = RectRegion(((0.0, 2.0), (-1.0, 1.0)))
-    area = reg.volume_integral(lambda p: np.ones(p.shape[0]))
-    assert area == pytest.approx(4.0, rel=1e-12)
-
 
 def test_annulus_region_volume():
     reg = AnnulusRegion((0.0, 0.0), 0.5, 2.0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from divlab import _ode, _quad, cli, rigidity, trace
-from divlab.blowup import nalpha_density
+from divlab.blowup import PAIRING_SHARE, nalpha_density
 from divlab.cli import (
     RECIPES, Scenario, UsageError, build_parser, main, _scenario_from_args,
 )
@@ -222,8 +222,8 @@ class TestExitCodes:
 
     # a negative tolerance made its gate vacuous (`--gap -5` PASSed the
     # ball subsequence gap with margin 5.01 whatever the estimates; the gap
-    # is a lower bound, so 0 is vacuous too), and a final tolerance of 0 or
-    # less leaves the blow-up's pairing no budget
+    # is a lower bound, so 0 is vacuous too), and a final or pairing
+    # tolerance of 0 or less leaves its pairing no budget
     @pytest.mark.parametrize("argv,message", [
         (["trace", "--field", "capillary:R=1", "--method", "ball",
           "--x0", "1,0", "--expect", "oscillating", "--gap", "-5"],
@@ -239,8 +239,10 @@ class TestExitCodes:
         (["blowup", "--field", "capillary:R=1", "--x0", "1,0",
           "--final-tol", "-1"],
          "argument --final-tol: invalid positive_float value"),
+        (["trace", "--method", "pairing", "--pairing-tol", "0"],
+         "argument --pairing-tol: invalid positive_float value"),
     ], ids=["negative-gap", "zero-gap", "negative-margin-tol",
-            "zero-final-tol", "negative-final-tol"])
+            "zero-final-tol", "negative-final-tol", "zero-pairing-tol"])
     def test_tolerance_that_voids_its_gate_is_usage_error(self, capsys, argv,
                                                           message):
         code, out, err = run_main(argv, capsys)
@@ -708,6 +710,30 @@ class TestExitCodes:
 # operations and parameters past the usage checks
 
 class TestOperations:
+    # the pairing takes its quadrature budget from its gate: each check
+    # carries its achieved estimate as its error, within the gate's share,
+    # and its detail states it
+    def test_pairing_checks_carry_their_estimates(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, _, _ = run_main(RECIPES["twisting-pairing"]["argv"]
+                              + ["--out", str(out), "--name", "p"], capsys)
+        assert code == 0
+        checks = json.loads((out / "p.json").read_text())["checks"]
+        assert any(c["error"] > 0.0 for c in checks)
+        for c in checks:
+            assert c["error"] <= PAIRING_SHARE * c["tolerance"]
+            assert c["detail"].endswith(
+                f"quadrature estimate {c['error']!r}")
+
+    # rule 4: one 2D rule over this region failed to converge (an
+    # execution FAIL, exit 1); each bump's own ball samples the bump
+    def test_pairing_over_a_wide_region_passes(self, capsys):
+        code, out, _ = run_main(["trace", "--field", "stream:bump",
+                                 "--method", "pairing",
+                                 "--omega=-2.5,2.5;0.5,2.5"], capsys)
+        assert code == 0
+        assert out.strip().endswith("verdict: PASS")
+
     # the trace probes have no rtol of their own: the sphere flux integrates
     # every radius at the one probe tolerance
     def test_flux_quadrature_runs_at_the_probe_rtol(self, capsys,

@@ -6,7 +6,8 @@ field's Jacobian has one entry point, each written once; one rule decides
 every gate; the bump is the one test function, and no probe dispatches on
 its type; a report's name, a probe's rows, the stream bump's values and
 the input converters each have one home; the eddy pairing takes its
-angles from its gate and always reports an estimate; no defaulted
+angles from its gate and always reports an estimate; a pairing reads one
+bump family and sets no accuracy floor of its own; no defaulted
 parameter is a knob that only its default ever sets; and the package
 imports exactly the third-party distributions it declares."""
 
@@ -403,6 +404,32 @@ def test_eddy_pairing_takes_its_angles_from_its_gate():
     assert not any("Callable" in note for note in params.values()), params
     assert returns == "tuple[list[float], float]"
     assert not none_reads, "\n".join(none_reads)
+
+
+# a pairing integrates over its bumps' supports and takes its accuracy
+# from its caller: no rectangle region, ball containment test or second
+# family check is left, `calculus.bump_family` is the one place that
+# refuses a family of mixed radii or heights, and `weak_trace_pairing`
+# sets no floor of its own
+_PAIRING_LEFTOVERS = {"RectRegion", "_balls_inside", "_common_bump"}
+
+
+def test_pairings_share_one_bump_family_and_no_floor():
+    gone, refusals, floor = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node, where in _nodes(tree, ast.AST):
+            if {_name(node), getattr(node, "name", None)} & _PAIRING_LEFTOVERS:
+                gone.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Raise) \
+                    and "one radius and height" in ast.unparse(node):
+                refusals.append(f"{path.name}:{where}")
+            if where.split(".")[0] == "weak_trace_pairing" \
+                    and _name(node) in ("PROBE_RTOL", "sup_bound"):
+                floor.append(f"{path.name}:{node.lineno} {_name(node)}")
+    assert not gone, "\n".join(gone)
+    assert refusals == ["calculus.py:bump_family"]
+    assert not floor, "\n".join(floor)
 
 
 # a probe takes the plain values it reads: the blow-up takes the field,

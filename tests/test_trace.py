@@ -16,7 +16,7 @@ from divlab import _quad
 from divlab._quad import ball_rules, leggauss
 from divlab.blowup import BOUNDARY_SLICE, PAIRING_SHARE, rescale
 from divlab import trace
-from divlab.calculus import RectRegion, bump_test
+from divlab.calculus import bump_test
 from divlab.fields import Disk, bump, constant_field, \
     make_capillary_field, make_twisting_field, zero_field
 from divlab.report import CheckResult
@@ -402,22 +402,22 @@ class TestPairing:
             return twisting8.eval(pts)
 
         counted = dataclasses.replace(twisting8, eval=counting_eval)
-        reg = RectRegion(((0.0, 1.0), (0.0, 1.0)))
         rng = np.random.default_rng(20260819)
         radius = 0.15
         lo = np.array([radius, radius])
         hi = np.array([1.0 - radius, 1.0 - radius])
         fam = [bump_test(lo + (hi - lo) * rng.uniform(size=2), radius)
                for _ in range(10)]
-        vals = weak_trace_pairing(counted, reg, fam)
+        vals, _ = weak_trace_pairing(counted, fam,
+                                     [1e-9 * psi.c1_norm for psi in fam])
         assert len(vals) == 10
         assert max(abs(v) for v in vals) <= 1e-9
         assert 0 < len(calls) <= len(levels)
 
     # the exact value of every eddy pairing is 0, so a pairing's estimate
     # must cover the pairing itself: at each scale of the blow-up at
-    # (0.5, 0) against its budget, and for random bumps at the floor of
-    # `weak_trace_pairing`
+    # (0.5, 0) against its budget, and for random bumps at 1e-9 of their
+    # C1 norms
     def test_the_estimate_bounds_the_error_at_each_blowup_scale(
             self, twisting8):
         budget = (1.0 - BOUNDARY_SLICE) * PAIRING_SHARE * 1e-2
@@ -511,13 +511,14 @@ class TestPairing:
         assert estimate == pytest.approx(whole_estimate, rel=1e-9)
 
     # the pairing a shared field call replaced: one rule and one field call
-    # per ball, each ball doubling on its own
+    # per ball, each ball doubling on its own.  The last bump is far from
+    # every ball at both zooms
     @pytest.mark.parametrize("x0,scale", [((0.0, 0.0), 1.0),
                                           ((0.5, 0.0), 0.125)])
     def test_eddy_pairing_matches_a_loop_over_balls(self, x0, scale):
         zoomed = rescale(make_twisting_field(5), x0, scale)
-        fam = [bump_test((0.5, 0.5), 0.3), bump_test((0.1, 0.2), 0.15),
-               bump_test((-2.0, 1.0), 1.5), bump_test((5.0, 5.0), 0.5)]
+        fam = [bump_test(c, 0.3)
+               for c in ((0.5, 0.5), (0.1, 0.2), (-2.0, 1.0), (5.0, 5.0))]
         atol = [1e-9 * psi.c1_norm for psi in fam]
         got, estimates = _eddy_pairings(zoomed.eddies, zoomed, fam, atol)
         for psi, tol, value, estimate in zip(fam, atol, got, estimates):
@@ -527,11 +528,12 @@ class TestPairing:
                                              abs=1e-16)
         assert got[3] == 0.0 and estimates[3] == 0.0
 
-    # zoomed out by 2 about (0.5, 0), the balls near the family start at
-    # different angle counts, so a level holds several node blocks.  The
-    # pairing gathers each block's balls near psi by index; the reference
-    # is a loop over balls.  The second bump touches only the top ball;
-    # the third touches no ball and pairs to 0.0
+    # zoomed out by 2 about (0.5, 0), the balls near the family have
+    # different radii and so start at different angle counts, and a level
+    # holds several node blocks.  The pairing gathers each block's balls
+    # near psi by index; the reference is a loop over balls.  The second
+    # bump touches only the top ball; the third touches no ball and pairs
+    # to 0.0
     @pytest.mark.parametrize("batch", [None, 5_000],
                              ids=["one-batch", "groups-split"])
     def test_eddy_pairing_gathers_each_group_like_a_loop_over_balls(
@@ -539,8 +541,8 @@ class TestPairing:
         if batch is not None:
             monkeypatch.setattr(trace, "_EDDY_EVAL_BATCH", batch)
         zoomed = rescale(make_twisting_field(6), (0.5, 0.0), 2.0)
-        fam = [bump_test((0.1, 0.1), 0.3), bump_test((0.0, 0.25), 0.05),
-               bump_test((3.0, -1.0), 0.5), bump_test((-0.2, 0.05), 0.12)]
+        fam = [bump_test(c, 0.05)
+               for c in ((0.1, 0.1), (0.0, 0.25), (3.0, -1.0), (-0.2, 0.05))]
         atol = [1e-9 * psi.c1_norm for psi in fam]
         got, _ = _eddy_pairings(zoomed.eddies, zoomed, fam, atol)
         orders = []
@@ -558,7 +560,7 @@ class TestPairing:
         f = make_twisting_field(6)
         counted = dataclasses.replace(
             f, eval=lambda pts: calls.append(len(pts)) or f.eval(pts))
-        fam = [bump_test((0.5, 0.1), 0.6), bump_test((0.2, 0.3), 0.2)]
+        fam = [bump_test((0.5, 0.1), 0.6), bump_test((0.2, 0.3), 0.6)]
         atol = [1e-9, 1e-9]
         whole = _eddy_pairings(f.eddies, counted, fam, atol)
         assert len(calls) == len(levels)
@@ -569,34 +571,79 @@ class TestPairing:
         assert len(calls) > len(levels) and max(calls) <= 10_000
 
     def test_zero_field_pairs_to_zero(self):
-        reg = RectRegion(((-1.0, 1.0), (-1.0, 1.0)))
         fam = [bump_test((0.0, 0.0), 0.5)]
-        vals = weak_trace_pairing(zero_field(2), reg, fam)
-        assert vals == [0.0]
+        assert weak_trace_pairing(zero_field(2), fam, [1e-12]) == ([0.0],
+                                                                   [0.0])
 
-    def test_generic_pairing_settles_next_to_zero(self):
-        # the box cuts eddies, so the generic 2D rule runs; the pairing is
-        # about 0, and an absolute floor of 1e-13 with no scale left the
-        # rule one doubling short of settling (QuadratureError).  The bump
-        # is the third that `trace --bumps 3` draws in this box.
-        f = make_twisting_field(4)
-        reg = RectRegion(((0.2, 0.8), (0.1, 0.6)))
-        psi = bump_test((0.57674962879464, 0.42478788736338435), 0.125)
-        [val] = weak_trace_pairing(f, reg, [psi])
-        assert abs(val) <= 1e-6 * psi.c1_norm
+    def test_generic_pairing_settles_next_to_zero(self, stream_bump):
+        # the stream bump is divergence-free, so each pairing is 0, where a
+        # relative test cannot stop; the gate's absolute budget stops it.
+        # The bumps are the first three that the stream-bump pairing call
+        # of tests/test_cli.py draws
+        fam = [bump_test(c, 0.125) for c in (
+            (-1.1162743325182354, 1.8836621881883069),
+            (-1.750895732674675, 1.4223317544971663),
+            (0.13232965977011135, 2.004894253966575))]
+        atol = [PAIRING_SHARE * 1e-6 * psi.c1_norm for psi in fam]
+        vals, estimates = weak_trace_pairing(stream_bump, fam, atol)
+        for psi, v, e, tol in zip(fam, vals, estimates, atol):
+            assert abs(v) <= 1e-6 * psi.c1_norm and e <= tol
 
-    def test_pairing_needs_a_finite_scale(self):
-        f = dataclasses.replace(zero_field(2), sup_bound=math.inf)
-        reg = RectRegion(((-1.0, 1.0), (-1.0, 1.0)))
-        with pytest.raises(ValueError, match="area = inf is not finite"):
-            weak_trace_pairing(f, reg, [bump_test((0.0, 0.0), 0.5)])
+    # rule 4: a bump of radius 0.002 that a 2D rule over a region never
+    # samples.  With the divergence term zeroed the capillary field pairs
+    # to -div * (integral of psi) = -2 * 2 pi R^2 * (integral of w(s) s);
+    # a rule over the region read exactly 0.0
+    def test_a_small_bump_is_sampled(self):
+        f = dataclasses.replace(make_capillary_field(1.0),
+                                analytic_div=lambda pts: np.zeros(len(pts)))
+        psi = bump_test((0.3137, 0.2211), 0.002)
+        exact = -4.0 * math.pi * psi.radius ** 2 * _quad.adaptive_gauss_1d(
+            lambda s: bump(s) * s, 0.0, 1.0, rtol=1e-13, atol=0.0)
+        [value], [estimate] = weak_trace_pairing(f, [psi], [1e-9])
+        assert exact == pytest.approx(-5.579e-6, rel=1e-3)
+        assert abs(value - exact) <= 1e-9 and estimate <= 1e-9
+
+    # rule 3: a row's last level holds 256^2 nodes, so the rows go in
+    # chunks of MAX_LEVEL_NODES / 256^2 bumps.  At a cap of 2^18 (chunks
+    # of 4) and a zero tolerance, every row of 10 runs to its last level:
+    # no field call passes the cap, and the refusal comes after it
+    def test_support_rows_keep_each_field_call_under_the_node_cap(
+            self, monkeypatch, stream_bump):
+        calls = []
+        counted = dataclasses.replace(
+            stream_bump,
+            eval=lambda pts: calls.append(len(pts)) or stream_bump.eval(pts))
+        fam = [bump_test((0.2 * k - 1.0, 1.5), 0.5) for k in range(10)]
+        monkeypatch.setattr(_quad, "MAX_LEVEL_NODES", 2 ** 18)
+        with pytest.raises(_quad.QuadratureError, match="ball quadrature "
+                           "failed to converge"):
+            weak_trace_pairing(counted, fam, [0.0] * 10)
+        assert max(calls) == 2 ** 18
+
+    # the chunks leave the values as one unchunked batch gives them: 70
+    # bumps are 2 chunks at the cap, one at a cap of 2^30
+    def test_support_row_chunks_leave_the_values_unchanged(
+            self, monkeypatch, stream_bump):
+        rng = np.random.default_rng(7)
+        fam = [bump_test(rng.uniform((-2.5, 0.5), (2.5, 2.5)), 0.125)
+               for _ in range(70)]
+        atol = [PAIRING_SHARE * 1e-6 * psi.c1_norm for psi in fam]
+        chunked = weak_trace_pairing(stream_bump, fam, atol)
+        monkeypatch.setattr(_quad, "MAX_LEVEL_NODES", 2 ** 30)
+        assert weak_trace_pairing(stream_bump, fam, atol) == chunked
+
+    @pytest.mark.parametrize("field", ["twisting8", "stream_bump"])
+    def test_pairing_refuses_a_family_of_mixed_radii(self, request, field):
+        f = request.getfixturevalue(field)
+        fam = [bump_test((0.5, 0.5), 0.125), bump_test((0.3, 0.4), 0.25)]
+        with pytest.raises(ValueError, match="one radius and height"):
+            weak_trace_pairing(f, fam, [1e-9, 1e-9])
 
     def test_pairing_needs_divergence_information(self):
         f = constant_field((1.0, 0.0))
         f = type(f)(dim=2, eval=f.eval, sup_bound=f.sup_bound, name="nodiv")
-        reg = RectRegion(((-1.0, 1.0), (-1.0, 1.0)))
         with pytest.raises(ValueError, match="divergence"):
-            weak_trace_pairing(f, reg, [bump_test((0.0, 0.0), 0.5)])
+            weak_trace_pairing(f, [bump_test((0.0, 0.0), 0.5)], [1e-9])
 
 
 # ---------------------------------------------------------------------------
