@@ -7,6 +7,9 @@ one-row case `adaptive_gauss_1d`), the 2D tensor rule, the ball row batch
 by `_refine`, the one refinement loop and the one place that raises
 `QuadratureError`; so are the eddy ball rows of `trace._eddy_pairings`.
 Each row batch returns every row's value and its achieved error estimate.
+`_refine` alone sizes the integrand's calls: a level's open rows reach
+their level function in calls of at most MAX_CALL_NODES nodes, a larger
+row alone, and no row holds more than MAX_LEVEL_NODES.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ from numpy.polynomial import legendre
 # nodes per row of the finest level `_refine` builds: the finest 2D level
 # (256^2 panels of 8^2 nodes) and the 3D ball rule at order 128 sit at it
 MAX_LEVEL_NODES = 2 ** 22
+# nodes per call of a level function (a larger row goes alone); each
+# level function computes its rows independently, so a row's value and
+# estimate are the same bit for bit however `_refine` cuts its level
+MAX_CALL_NODES = 2 ** 19
 
 
 class QuadratureError(RuntimeError):
@@ -45,7 +52,9 @@ def _refine(level: Callable, n0: int, size: Callable, rtol: float,
             nrows: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The one refinement loop: level(rows, n) integrates rows `rows` of
     range(nrows) on size(n) nodes each (a float for one row), or returns
-    each row as parts, one column per part.  A row's value is the sum of
+    each row as parts, one column per part.  A level's open rows go to
+    level in consecutive calls of at most MAX_CALL_NODES nodes, counted
+    by size(n); a row above that goes alone.  A row's value is the sum of
     its parts and its delta the sum of their |cur - prev|, so parts whose
     errors cancel cannot hide them.  From n0, each row doubles n until
     delta <= rtol*|value| + atol and leaves the batch; atol and size(n)
@@ -65,6 +74,18 @@ def _refine(level: Callable, n0: int, size: Callable, rtol: float,
     def nodes(n):
         return np.broadcast_to(size(n), (nrows,))
 
+    def run(rows, n):
+        # greedy cuts on the running node count, each at least one row
+        ends = np.cumsum(nodes(n)[rows])
+        parts, lo = [], 0
+        while lo < rows.size:
+            base = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(
+                ends, base + MAX_CALL_NODES, side="right")))
+            parts.append(_parts(level(rows[lo:hi], n)))
+            lo = hi
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     over = np.flatnonzero(nodes(n0) > MAX_LEVEL_NODES)
     if over.size:
         i = int(over[0])
@@ -73,7 +94,7 @@ def _refine(level: Callable, n0: int, size: Callable, rtol: float,
             f"{int(nodes(n0)[i])} nodes, above the cap of {MAX_LEVEL_NODES}")
     out, err = np.zeros(nrows), np.zeros(nrows)
     rows, n = np.arange(nrows), n0
-    prev = _parts(level(rows, n))
+    prev = run(rows, n)
     delta = np.full(nrows, math.inf)
     i = 0   # the open row the error names: the first, or the first at the cap
     for _ in range(max_doublings):
@@ -82,7 +103,7 @@ def _refine(level: Callable, n0: int, size: Callable, rtol: float,
             i = int(over[0])
             break
         n *= 2
-        cur = _parts(level(rows, n))
+        cur = run(rows, n)
         value = cur.sum(axis=1, initial=-0.0)   # one part: itself, -0.0 too
         delta = np.abs(cur - prev).sum(axis=1)
         done = delta <= rtol * np.abs(value) + tol[rows]
@@ -119,9 +140,9 @@ def adaptive_gauss_rows(f: Callable, a, b, rtol: float = 1e-8,
     f(rows, s) returns the integrand of rows `rows` (indices into a and b)
     at the nodes s, shape (len(rows), nodes).  Each row doubles its panel
     count from 2, at most 12 times, and stops on its own test, exactly as
-    if integrated alone; the rows still open at a level go to f in one
-    call, so a nested integral costs one call per level.  A row with
-    a == b gives 0.0 with estimate 0.0.
+    if integrated alone; the rows still open at a level go to f in calls
+    of at most MAX_CALL_NODES nodes, so a nested integral costs about one
+    call per level.  A row with a == b gives 0.0 with estimate 0.0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -281,7 +302,8 @@ def adaptive_ball_rows(f: Callable, centers, radii, dim: int,
     shape (len(rows), nodes, dim), as an array (len(rows), nodes).  Each
     row doubles its radial order from 4 (with max(order, 6) angles), at
     most 6 times, and stops on its own test, exactly as if integrated
-    alone; the rows still open at a level go to f in one call.
+    alone; the rows still open at a level go to f in calls of at most
+    MAX_CALL_NODES nodes.
     """
     c = np.asarray(centers, dtype=float)
     radii = np.broadcast_to(np.asarray(radii, dtype=float), c.shape[:1])

@@ -434,15 +434,6 @@ def weak_trace_curvilinear(field: VectorField, S: OrientedInterface,
 # ---------------------------------------------------------------------------
 # distributional pairing
 
-# field nodes per eval call of the eddy pairing; a ball's new angles are
-# cut across calls, so no call holds more.  At the pairing recipe's budget
-# one bump of radius 0.75 about (0.5, 0.5) takes 71,296 nodes over all 502
-# balls of an 8-level stack, in 3 levels of one call each (32,192 at
-# most); over all 16,369 balls of 13 levels it takes 2.1M nodes in 3
-# levels and 5 calls and adds about 110 MB to the resident set
-_EDDY_EVAL_BATCH = 1 << 19
-
-
 def _eddy_pairings(eddies: EddyStack, field: VectorField,
                    psi_family: Sequence[BumpTest], atol: Sequence[float]
                    ) -> tuple[list[float], list[float]]:
@@ -468,15 +459,12 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
     share rho^2 / (sum of rho^2 over the balls near psi) of atol[psi].
     The trapezoid nodes are nested: a level evaluates only the new
     odd-indexed angles, T_2n = T_n / 2 + (2 pi / 2n) * (their sum), so a
-    ball costs the nodes of its final order.  Per level the new nodes of
-    every ball with an open row go to the field in calls of at most
-    _EDDY_EVAL_BATCH nodes (a ball's new angles may be cut across calls),
-    and each psi reads its gradient at q - centers[psi] from the origin
-    bump once per node block.  No row passes `_quad.MAX_LEVEL_NODES`
-    nodes at a level, and a row above it at its start is refused before
-    any field call.  Each psi's value adds its rows' values in ball order
-    and its estimate their last deltas; a ball that misses its support is
-    skipped.
+    ball costs the nodes of its final order.  The rows are ordered by ball,
+    so the rows of a ball share a call of the level and its new nodes go
+    to the field once; each psi reads its gradient at q - centers[psi]
+    from the origin bump once per node block.  Each psi's value adds its
+    rows' values in ball order and its estimate their last deltas; a ball
+    that misses its support is skipped.
     """
     bumps, origin = bump_family(psi_family)
     centers, radii = eddies.centers, eddies.radii
@@ -484,13 +472,16 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
     for p, c in enumerate(bumps):
         gap = centers - c
         near[p] = np.hypot(gap[:, 0], gap[:, 1]) <= origin.radius + radii
-    # one row per near (psi, ball) pair, ordered by psi and then by ball
-    owner, ball = np.nonzero(near)
+    # one row per near (psi, ball) pair, ordered by ball and then by psi
+    ball, owner = np.nonzero(near.T)
     if owner.size == 0:
         return [0.0] * len(bumps), [0.0] * len(bumps)
     rho = radii[ball]
-    start = 4 * 2 ** np.maximum(0, np.ceil(np.log2(
-        2.0 * math.pi * radii / origin.radius))).astype(int)
+    # the exponent is clipped at 40, a first level of 2^46 nodes, far above
+    # any node cap: the count stays exact in int64 and the row is refused
+    # before any field call, naming the clipped count
+    start = 4 * 2 ** np.clip(np.ceil(np.log2(
+        2.0 * math.pi * radii / origin.radius)), 0, 40).astype(int)
     share = np.bincount(owner, weights=rho ** 2)
     row_atol = np.asarray(atol, dtype=float)[owner] * rho ** 2 / share[owner]
     xr, wr = _quad.leggauss(16)
@@ -503,50 +494,34 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
         order = start[keys] * m
         # new angles per ball: all of them on the first level
         fresh = order if m == 1 else order // 2
-        # each ball's new angles in pieces of at most `cap`: a full piece
-        # fills its call alone, so no call meets a ball twice
-        cap = _EDDY_EVAL_BATCH // 16
-        cuts = -(-fresh // cap)
-        key = np.repeat(np.arange(keys.size), cuts)
-        first = cap * (np.arange(key.size) - np.repeat(np.cumsum(cuts) - cuts,
-                                                       cuts))
-        count = np.minimum(cap, fresh[key] - first)
-        sums = np.full((rows.size, 16), -0.0)
-        lo = 0
-        while lo < key.size:
-            # the next pieces whose nodes fit in one call, and at least one
-            hi = lo + max(1, int(np.searchsorted(
-                np.cumsum(16 * count[lo:]), _EDDY_EVAL_BATCH, side="right")))
-            # one node block (pieces, 16, angles, 2) per piece length
-            groups = [lo + np.flatnonzero(count[lo:hi] == k)
-                      for k in np.unique(count[lo:hi])]
-            blocks = []
-            for g in groups:
-                j = first[g, None] + np.arange(count[g[0]])
-                if m > 1:
-                    j = 2 * j + 1   # the odd angles of the doubled rule
-                th = 2.0 * math.pi * j / order[key[g]][:, None]
-                ring = np.stack([np.cos(th), np.sin(th)], axis=2)
-                b = keys[key[g]]
-                blocks.append(centers[b, None, None, :] + ring[:, None]
-                              * (radii[b, None] * unit_r)[:, :, None, None])
-            vals = field.eval(np.concatenate([q.reshape(-1, 2)
-                                              for q in blocks]))
-            at = 0
-            for g, q in zip(groups, blocks):
-                v = vals[at:at + q.size // 2].reshape(q.shape)
-                at += q.size // 2
-                slot = np.full(keys.size, -1)
-                slot[key[g]] = np.arange(g.size)
-                mine = np.flatnonzero(slot[key_of] >= 0)
-                for p in np.unique(owner[rows[mine]]):
-                    idx = mine[owner[rows[mine]] == p]
-                    k = slot[key_of[idx]]
-                    grads = origin.value_and_gradient(
-                        q[k].reshape(-1, 2) - bumps[p])[1]
-                    terms = np.einsum("ij,ij->i", v[k].reshape(-1, 2), grads)
-                    sums[idx] += terms.reshape(q[k].shape[:3]).sum(axis=2)
-            lo = hi
+        # one node block (balls, 16, angles, 2) per number of new angles
+        groups = [np.flatnonzero(fresh == k) for k in np.unique(fresh)]
+        blocks = []
+        for g in groups:
+            j = np.arange(fresh[g[0]])
+            if m > 1:
+                j = 2 * j + 1   # the odd angles of the doubled rule
+            th = 2.0 * math.pi * j / order[g][:, None]
+            ring = np.stack([np.cos(th), np.sin(th)], axis=2)
+            b = keys[g]
+            blocks.append(centers[b, None, None, :] + ring[:, None]
+                          * (radii[b, None] * unit_r)[:, :, None, None])
+        vals = field.eval(np.concatenate([q.reshape(-1, 2) for q in blocks]))
+        sums = np.empty((rows.size, 16))
+        at = 0
+        for g, q in zip(groups, blocks):
+            v = vals[at:at + q.size // 2].reshape(q.shape)
+            at += q.size // 2
+            slot = np.full(keys.size, -1)
+            slot[g] = np.arange(g.size)
+            mine = np.flatnonzero(slot[key_of] >= 0)
+            for p in np.unique(owner[rows[mine]]):
+                idx = mine[owner[rows[mine]] == p]
+                k = slot[key_of[idx]]
+                grads = origin.value_and_gradient(
+                    q[k].reshape(-1, 2) - bumps[p])[1]
+                terms = np.einsum("ij,ij->i", v[k].reshape(-1, 2), grads)
+                sums[idx] = terms.reshape(q[k].shape[:3]).sum(axis=2)
         circles = (rho[rows] ** 2 * (2.0 * math.pi / order[key_of]))[:, None] \
             * unit_w * sums
         if m > 1:
@@ -578,8 +553,7 @@ def weak_trace_pairing(field: VectorField, psi_family: Sequence[BumpTest],
     error estimates, each a list over psi.  An eddy stack, divergence-free
     and zero outside its balls, goes to `_eddy_pairings`; any other field
     runs each bump as a row of `_quad.adaptive_ball_rows` on the bump's
-    own ball, so its first level samples the bump, in chunks whose last
-    level fits `_quad.MAX_LEVEL_NODES` nodes in one field call.
+    own ball, so its first level samples the bump.
     """
     if field.analytic_div is None:
         raise ValueError("pairing needs divergence information")
@@ -587,20 +561,16 @@ def weak_trace_pairing(field: VectorField, psi_family: Sequence[BumpTest],
         return _eddy_pairings(field.eddies, field, psi_family, atol)
     centers, origin = bump_family(psi_family)
 
-    def g(rows, pts):   # rows index the whole family
+    def g(rows, pts):
         flat = pts.reshape(-1, 2)
         value, grads = origin.value_and_gradient(
             (pts - centers[rows, None, :]).reshape(-1, 2))
         return (value * field.analytic_div(flat) + np.einsum(
             "ij,ij->i", field.eval(flat), grads)).reshape(pts.shape[:2])
 
-    # bumps per chunk: a ball row's last level holds 256^2 nodes
-    chunk = _quad.MAX_LEVEL_NODES // 256 ** 2
-    parts = [_quad.adaptive_ball_rows(
-        lambda rows, pts, lo=lo: g(lo + rows, pts), centers[lo:lo + chunk],
-        origin.radius, 2, rtol=0.0, atol=atol[lo:lo + chunk])
-        for lo in range(0, len(centers), chunk)]
-    return tuple(np.concatenate(part).tolist() for part in zip(*parts))
+    vals, estimates = _quad.adaptive_ball_rows(g, centers, origin.radius, 2,
+                                               rtol=0.0, atol=atol)
+    return vals.tolist(), estimates.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def refine_levels(monkeypatch):
-    """The n of every level that `_quad._refine` runs, in order."""
+    """The n of every call of a level function by `_quad._refine`, in
+    order: a level cut into several calls appears once per call."""
     levels, refine = [], _quad._refine
 
     def counting_refine(level, *args, **kwargs):

@@ -1,10 +1,12 @@
 """Grids, FD divergence, regions, mollification, convexity transport."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from divlab import _quad
 from divlab.calculus import (
     AnnulusRegion,
     GridSpec,
@@ -197,6 +199,26 @@ def test_mollify_commutes_with_translation(stream_bump):
     b = rescale(mollify(stream_bump, k), -shift, 1.0)
     pts = np.array([[0.3, 1.2], [1.0, 1.6], [-0.2, 0.9]])
     assert np.max(np.abs(a.eval(pts) - b.eval(pts))) < 1e-13
+
+
+# rule 3: a convolution's field call holds at most MAX_CALL_NODES shifted
+# nodes (3,120 points of the 2D kernel's 168 nodes at the default cap),
+# and its values do not depend on how the points are cut
+def test_mollify_keeps_each_field_call_under_the_cap(stream_bump,
+                                                     monkeypatch):
+    calls = []
+    counted = dataclasses.replace(
+        stream_bump,
+        eval=lambda pts: calls.append(len(pts)) or stream_bump.eval(pts))
+    k = make_mollifier(0.05, 2)
+    pts = np.random.default_rng(3).uniform((-1.5, 0.5), (1.5, 2.5),
+                                           (5000, 2))
+    whole = mollify(counted, k).eval(pts)
+    assert len(calls) == 2 and max(calls) <= _quad.MAX_CALL_NODES
+    monkeypatch.setattr(_quad, "MAX_CALL_NODES", 10_000)
+    calls.clear()
+    assert np.array_equal(mollify(counted, k).eval(pts), whole)
+    assert max(calls) <= 10_000
 
 
 def test_mollify_rejects_mismatched_inputs(capillary):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divlab import _quad
 from divlab.blowup import rescale
 from divlab.fields import (
     AUTO,
@@ -202,6 +203,31 @@ def test_recovered_potential_integrates_each_gap_once(counterexample_auto):
     # 2,250 gaps that settle at 2 and 4 panels of 8 nodes: 108,000 nodes;
     # one row per node from z = 0 takes 942,176
     assert nodes[0] <= 120_000
+
+
+# rule 3: the gaps of a grid reach the field in calls of at most
+# MAX_CALL_NODES nodes; at the 50x50 grid's first level (2,250 gaps of 16
+# nodes) one call held 36,000.  Under a cap of 4,096 none passes it, and V
+# is the same bit for bit
+def test_recovered_potential_keeps_each_field_call_under_the_cap(
+        counterexample_auto, monkeypatch):
+    calls = []
+
+    def counted(pts, ev=counterexample_auto.eval):
+        calls.append(pts.shape[0])
+        return ev(pts)
+
+    Q = field_to_potential(dataclasses.replace(counterexample_auto,
+                                               eval=counted))
+    rho_ax, z_ax = default_certification_grid(50).axes()
+    RHO, Z = np.meshgrid(rho_ax, z_ax, indexing="ij")
+    calls.clear()
+    whole = Q.V(RHO, Z)
+    assert max(calls) > 4096
+    monkeypatch.setattr(_quad, "MAX_CALL_NODES", 4096)
+    calls.clear()
+    assert np.array_equal(Q.V(RHO, Z), whole)
+    assert max(calls) <= 4096
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,32 @@ def test_row_batch_returns_each_rows_estimate():
         assert alone[0][0] == vals[i] and alone[1][0] == estimates[i]
 
 
+# rule 3: a level's open rows reach the integrand in calls of at most
+# MAX_CALL_NODES nodes.  At a cap of 1,000 every level of these 40 rows
+# (at most 512 nodes each) is cut, and each row's value and estimate are
+# those of the uncut batch bit for bit
+def test_row_batch_is_cut_at_the_call_cap(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-3.0, 3.0, 40)
+    b = a + rng.uniform(0.5, 3.0, 40)
+    k = rng.uniform(0.1, 10.0, 40)
+    calls = []
+
+    def f(rows, s):
+        calls.append(s.size)
+        return np.sin(k[rows, None] * s)
+
+    whole = _quad.adaptive_gauss_rows(f, a, b, rtol=1e-10, atol=1e-13)
+    uncut = len(calls)
+    assert max(calls) > 1000
+    monkeypatch.setattr(_quad, "MAX_CALL_NODES", 1000)
+    calls.clear()
+    cut = _quad.adaptive_gauss_rows(f, a, b, rtol=1e-10, atol=1e-13)
+    assert len(calls) > uncut and max(calls) <= 1000
+    assert np.array_equal(cut[0], whole[0])
+    assert np.array_equal(cut[1], whole[1])
+
+
 def test_row_batch_failure_names_the_failing_row():
     # row 1 oscillates beyond the finest panel count and never settles
     k = np.array([1.0, 1e7, 2.0])

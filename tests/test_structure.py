@@ -7,7 +7,8 @@ every gate; the bump is the one test function, and no probe dispatches on
 its type; a report's name, a probe's rows, the stream bump's values and
 the input converters each have one home; the eddy pairing takes its
 angles from its gate and always reports an estimate; a pairing reads one
-bump family and sets no accuracy floor of its own; no defaulted
+bump family and sets no accuracy floor of its own; one cap, kept by the
+refinement loop, sizes every quadrature's field call; no defaulted
 parameter is a knob that only its default ever sets; and the package
 imports exactly the third-party distributions it declares."""
 
@@ -430,6 +431,43 @@ def test_pairings_share_one_bump_family_and_no_floor():
     assert not gone, "\n".join(gone)
     assert refusals == ["calculus.py:bump_family"]
     assert not floor, "\n".join(floor)
+
+
+# one rule sizes a field call: `_quad._refine` hands each level's open rows
+# over in calls of at most MAX_CALL_NODES nodes and caps a row at
+# MAX_LEVEL_NODES; only `mollify`, whose convolution is no quadrature
+# level, reads the call cap too.  The eddy pairing's own batch is neither
+# defined nor read, and no module sizes its blocks with a literal of its own
+_HAND_SIZES = {"2 ** 23", "1 << 19", "256 ** 2"}
+
+
+def test_one_field_call_cap():
+    defined, reads, literals = set(), set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node, where in _nodes(tree, (ast.Name, ast.Attribute,
+                                         ast.BinOp)):
+            if isinstance(node, ast.BinOp):
+                if path.name != "_quad.py" and ast.unparse(node) \
+                        in _HAND_SIZES:
+                    literals.append(f"{path.name}:{node.lineno} "
+                                    f"{ast.unparse(node)}")
+                continue
+            name = _name(node)
+            if name not in ("_EDDY_EVAL_BATCH", "MAX_LEVEL_NODES",
+                            "MAX_CALL_NODES"):
+                continue
+            if isinstance(node.ctx, ast.Store):
+                defined.add((name, f"{path.name}:{where or '<module>'}"))
+            else:
+                reads.add((name, path.name if path.name == "_quad.py"
+                           else f"{path.name}:{where}"))
+    assert defined == {("MAX_LEVEL_NODES", "_quad.py:<module>"),
+                       ("MAX_CALL_NODES", "_quad.py:<module>")}
+    assert reads == {("MAX_LEVEL_NODES", "_quad.py"),
+                     ("MAX_CALL_NODES", "_quad.py"),
+                     ("MAX_CALL_NODES", "calculus.py:mollify")}
+    assert not literals, "\n".join(literals)
 
 
 # a probe takes the plain values it reads: the blow-up takes the field,

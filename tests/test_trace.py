@@ -490,25 +490,44 @@ class TestPairing:
             _eddy_pairings(twisting8.eddies, counted, [psi], [1e-9])
         assert calls == []
 
-    # a ball whose new angles outgrow one call is cut across calls: no call
-    # passes the batch, and the sums move only by rounding
-    def test_no_field_call_passes_the_batch(self, monkeypatch):
+    # a row above the call cap goes alone: the one ball's row holds 2,048
+    # nodes at its first level, so under a cap of 1,000 each level is still
+    # one call of the same size, and the values are the same bit for bit
+    def test_a_row_above_the_call_cap_goes_alone(self, monkeypatch):
         f = rescale(make_twisting_field(1), (0.5, 0.5), 0.125)
         psi = bump_test(0.6 * np.array([math.cos(0.41), math.sin(0.41)]),
                         0.2)
         calls = []
         counted = dataclasses.replace(
             f, eval=lambda pts: calls.append(len(pts)) or f.eval(pts))
-        [whole], [whole_estimate] = _eddy_pairings(f.eddies, counted, [psi],
-                                                   [1e-6])
-        assert max(calls) > 1000
-        monkeypatch.setattr(trace, "_EDDY_EVAL_BATCH", 1000)
+        whole = _eddy_pairings(f.eddies, counted, [psi], [1e-6])
+        uncapped = list(calls)
+        assert min(uncapped) > 1000
+        monkeypatch.setattr(_quad, "MAX_CALL_NODES", 1000)
         calls.clear()
-        [value], [estimate] = _eddy_pairings(f.eddies, counted, [psi],
-                                             [1e-6])
-        assert max(calls) <= 1000 and 16 * 128 not in calls
-        assert value == pytest.approx(whole, rel=1e-12, abs=1e-18)
-        assert estimate == pytest.approx(whole_estimate, rel=1e-9)
+        assert _eddy_pairings(f.eddies, counted, [psi], [1e-6]) == whole
+        assert calls == uncapped
+
+    # rule 3: against a bump of radius 1e-300 the start's exponent would
+    # overflow int64 to an order of 0 angles, divide by zero and fail to
+    # converge at 0 nodes; clipped, the ball is refused before any field
+    # call, with a node count above the cap
+    def test_a_vanishing_bump_is_refused_before_any_field_call(
+            self, twisting8):
+        calls = []
+        counted = dataclasses.replace(
+            twisting8,
+            eval=lambda pts: calls.append(len(pts)) or twisting8.eval(pts))
+        psi = bump_test((0.55, 0.52), 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(_quad.QuadratureError,
+                               match=r"refused the eddy ball of radius "
+                                     r"0\.125 about \[0\.5, 0\.5\] .*: its "
+                                     r"first level needs \d+ nodes, above "
+                                     r"the cap"):
+                _eddy_pairings(twisting8.eddies, counted, [psi], [1e-9])
+        assert calls == []
 
     # the pairing a shared field call replaced: one rule and one field call
     # per ball, each ball doubling on its own.  The last bump is far from
@@ -539,7 +558,7 @@ class TestPairing:
     def test_eddy_pairing_gathers_each_group_like_a_loop_over_balls(
             self, monkeypatch, batch):
         if batch is not None:
-            monkeypatch.setattr(trace, "_EDDY_EVAL_BATCH", batch)
+            monkeypatch.setattr(_quad, "MAX_CALL_NODES", batch)
         zoomed = rescale(make_twisting_field(6), (0.5, 0.0), 2.0)
         fam = [bump_test(c, 0.05)
                for c in ((0.1, 0.1), (0.0, 0.25), (3.0, -1.0), (-0.2, 0.05))]
@@ -564,11 +583,13 @@ class TestPairing:
         atol = [1e-9, 1e-9]
         whole = _eddy_pairings(f.eddies, counted, fam, atol)
         assert len(calls) == len(levels)
-        monkeypatch.setattr(trace, "_EDDY_EVAL_BATCH", 10_000)
+        uncapped = len(levels)
+        monkeypatch.setattr(_quad, "MAX_CALL_NODES", 10_000)
         calls.clear()
         levels.clear()
         assert _eddy_pairings(f.eddies, counted, fam, atol) == whole
-        assert len(calls) > len(levels) and max(calls) <= 10_000
+        assert len(calls) == len(levels) > uncapped
+        assert max(calls) <= 10_000
 
     def test_zero_field_pairs_to_zero(self):
         fam = [bump_test((0.0, 0.0), 0.5)]
@@ -603,10 +624,10 @@ class TestPairing:
         assert exact == pytest.approx(-5.579e-6, rel=1e-3)
         assert abs(value - exact) <= 1e-9 and estimate <= 1e-9
 
-    # rule 3: a row's last level holds 256^2 nodes, so the rows go in
-    # chunks of MAX_LEVEL_NODES / 256^2 bumps.  At a cap of 2^18 (chunks
-    # of 4) and a zero tolerance, every row of 10 runs to its last level:
-    # no field call passes the cap, and the refusal comes after it
+    # rule 3: a row's last level holds 256^2 nodes.  At a call cap of
+    # 2^18 (4 such rows) and a zero tolerance, every row of 10 runs to its
+    # last level: no field call passes the cap, and the refusal comes
+    # after it
     def test_support_rows_keep_each_field_call_under_the_node_cap(
             self, monkeypatch, stream_bump):
         calls = []
@@ -614,23 +635,31 @@ class TestPairing:
             stream_bump,
             eval=lambda pts: calls.append(len(pts)) or stream_bump.eval(pts))
         fam = [bump_test((0.2 * k - 1.0, 1.5), 0.5) for k in range(10)]
-        monkeypatch.setattr(_quad, "MAX_LEVEL_NODES", 2 ** 18)
+        monkeypatch.setattr(_quad, "MAX_CALL_NODES", 2 ** 18)
         with pytest.raises(_quad.QuadratureError, match="ball quadrature "
                            "failed to converge"):
             weak_trace_pairing(counted, fam, [0.0] * 10)
         assert max(calls) == 2 ** 18
 
-    # the chunks leave the values as one unchunked batch gives them: 70
-    # bumps are 2 chunks at the cap, one at a cap of 2^30
+    # the cuts leave the values as one uncut batch gives them: the 70
+    # bumps take one call per level at the default cap (147,456 nodes at
+    # most) and more calls at a cap of 20,000, above their largest row
     def test_support_row_chunks_leave_the_values_unchanged(
             self, monkeypatch, stream_bump):
+        calls = []
+        counted = dataclasses.replace(
+            stream_bump,
+            eval=lambda pts: calls.append(len(pts)) or stream_bump.eval(pts))
         rng = np.random.default_rng(7)
         fam = [bump_test(rng.uniform((-2.5, 0.5), (2.5, 2.5)), 0.125)
                for _ in range(70)]
         atol = [PAIRING_SHARE * 1e-6 * psi.c1_norm for psi in fam]
-        chunked = weak_trace_pairing(stream_bump, fam, atol)
-        monkeypatch.setattr(_quad, "MAX_LEVEL_NODES", 2 ** 30)
-        assert weak_trace_pairing(stream_bump, fam, atol) == chunked
+        whole = weak_trace_pairing(counted, fam, atol)
+        uncut = len(calls)
+        monkeypatch.setattr(_quad, "MAX_CALL_NODES", 20_000)
+        calls.clear()
+        assert weak_trace_pairing(counted, fam, atol) == whole
+        assert len(calls) > uncut and max(calls) <= 20_000
 
     @pytest.mark.parametrize("field", ["twisting8", "stream_bump"])
     def test_pairing_refuses_a_family_of_mixed_radii(self, request, field):
