@@ -13,8 +13,8 @@ flow-tube and certification machinery, `trace` and `blowup` probe
 interface behavior, and `cli` wires everything into scenarios.
 """
 
-from .calculus import (GridSpec, MollifierKernel, AnnulusRegion, bump_family,
-                       bump_test, flux_residual, jensen_check,
+from .calculus import (GridSpec, MollifierKernel, annulus_flux_residual,
+                       bump_family, bump_test, jensen_check,
                        make_mollifier, mollify, numeric_divergence)
 from .fields import (AUTO, CylindricalPotential, Disk, OutOfDomainError,
                      VectorField, constant_field,

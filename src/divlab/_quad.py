@@ -1,15 +1,17 @@
 """Quadrature kernels: composite Gauss panels with Richardson doubling.
 
 All routines take vectorized integrands (arrays in, arrays out).  The
-adaptive rules -- the 1D row batch `adaptive_gauss_rows` (with its
-one-row case `adaptive_gauss_1d`), the 2D tensor rule, the ball row batch
-`adaptive_ball_rows` and the circle trapezoid -- are level functions run
-by `_refine`, the one refinement loop and the one place that raises
-`QuadratureError`; so are the eddy ball rows of `trace._eddy_pairings`.
-Each row batch returns every row's value and its achieved error estimate.
-`_refine` alone sizes the integrand's calls: a level's open rows reach
-their level function in calls of at most MAX_CALL_NODES nodes, a larger
-row alone, and no row holds more than MAX_LEVEL_NODES.
+adaptive rules are three row batches, each a level function run by
+`_refine`, the one refinement loop and the one place that raises
+`QuadratureError`: the 1D Gauss rows `adaptive_gauss_rows` (with its
+one-row case `adaptive_gauss_1d` and its nested 2D form
+`adaptive_gauss_nested`, one inner row batch per outer level), the ball
+rows `adaptive_ball_rows`, and the eddy ball rows of
+`trace._eddy_pairings`.  Each row batch returns every row's value and its
+achieved error estimate.  `_refine` alone sizes the integrand's calls: a
+level's open rows reach their level function in calls of at most
+MAX_CALL_NODES nodes, a larger row alone, and no row holds more than
+MAX_LEVEL_NODES.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import legendre
 
-# nodes per row of the finest level `_refine` builds: the finest 2D level
-# (256^2 panels of 8^2 nodes) and the 3D ball rule at order 128 sit at it
+# nodes per row of the finest level `_refine` builds: the 3D ball rule at
+# order 128 sits at it
 MAX_LEVEL_NODES = 2 ** 22
 # nodes per call of a level function (a larger row goes alone); each
 # level function computes its rows independently, so a row's value and
@@ -132,10 +134,10 @@ def _gauss_rows(f: Callable, rows: np.ndarray, a: np.ndarray,
 
 
 def adaptive_gauss_rows(f: Callable, a, b, rtol: float = 1e-8,
-                        atol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate row i of f over [a[i], b[i]] for every i at once; returns
-    each row's value and its achieved error estimate, the last accepted
-    delta.
+                        atol=1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate row i of f over [a[i], b[i]] for every i at once, to the
+    absolute tolerance atol (one number, or one per row); returns each
+    row's value and its achieved error estimate, the last accepted delta.
 
     f(rows, s) returns the integrand of rows `rows` (indices into a and b)
     at the nodes s, shape (len(rows), nodes).  Each row doubles its panel
@@ -149,13 +151,53 @@ def adaptive_gauss_rows(f: Callable, a, b, rtol: float = 1e-8,
     out, err = np.zeros(a.shape), np.zeros(a.shape)
     rows = np.flatnonzero(a != b)
     if rows.size:
+        tol = np.broadcast_to(np.asarray(atol, dtype=float), a.shape)[rows]
         out[rows], err[rows] = _refine(
             lambda i, n: _gauss_rows(f, rows[i], a[rows[i]], b[rows[i]],
                                      n, 8),
-            2, lambda n: 8 * n, rtol, atol, 12, "1d",
+            2, lambda n: 8 * n, rtol, tol, 12, "1d",
             lambda i: f"[{float(a[rows[i]])}, {float(b[rows[i]])}]",
             rows.size)
     return out, err
+
+
+def adaptive_gauss_nested(f: Callable, a, b, lo: Callable, hi: Callable,
+                          rtol: float, atol: float
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate row i of f(x, y) over a[i] < x < b[i], lo < y < hi for
+    every i at once, as nested 1D rows: the outer x-rows are one
+    `adaptive_gauss_rows` batch, and each of its levels integrates every
+    outer node's y-row in one inner batch.  Returns each row's value and
+    its achieved error estimate.
+
+    lo(rows, x) and hi(rows, x) give the inner bounds of rows `rows` at
+    their outer nodes x, shape (len(rows), nodes), as arrays that
+    broadcast to it; f(rows, x, y) gets one entry of rows and x per inner
+    row and that row's nodes y, shape (inner rows, nodes).  A row is held
+    to the absolute budget atol: atol/2 for its outer rule and
+    atol/(2|b - a|) for each of its inner rows, both with rtol.  Its
+    estimate is its outer delta plus |b - a| times its largest inner
+    delta at its last outer level.  A row with a == b gives 0.0 with
+    estimate 0.0.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    width = np.abs(b - a)
+    inner_delta = np.zeros(a.shape)   # per row, of its last outer level
+
+    def inner(rows, x):
+        owner = np.repeat(rows, x.shape[1])
+        xs = x.ravel()
+        vals, deltas = adaptive_gauss_rows(
+            lambda i, y: f(owner[i], xs[i], y),
+            np.broadcast_to(lo(rows, x), x.shape).ravel(),
+            np.broadcast_to(hi(rows, x), x.shape).ravel(),
+            rtol, 0.5 * atol / width[owner])
+        inner_delta[rows] = deltas.reshape(x.shape).max(axis=1)
+        return vals.reshape(x.shape)
+
+    vals, deltas = adaptive_gauss_rows(inner, a, b, rtol, 0.5 * atol)
+    return vals, deltas + width * inner_delta
 
 
 def adaptive_gauss_1d(f: Callable, a: float, b: float,
@@ -164,32 +206,6 @@ def adaptive_gauss_1d(f: Callable, a: float, b: float,
     12 times, until stable."""
     return float(adaptive_gauss_rows(lambda rows, s: f(s[0]), [a], [b],
                                      rtol, atol)[0][0])
-
-
-def adaptive_gauss_2d(f: Callable, box, rtol: float = 1e-8,
-                      atol: float = 1e-12, max_doublings: int = 8) -> float:
-    """Integrate f over box = (ax, bx, ay, by) by tensor-product composite
-    Gauss, doubling the panels per axis from 1, at most `max_doublings`
-    times, until two levels agree."""
-    ax, bx, ay, by = box
-    x, w = leggauss(8)
-
-    def level(rows, panels):
-        ex = np.linspace(ax, bx, panels + 1)
-        ey = np.linspace(ay, by, panels + 1)
-        hx = 0.5 * (ex[1] - ex[0])
-        hy = 0.5 * (ey[1] - ey[0])
-        nx = (0.5 * (ex[:-1] + ex[1:])[:, None] + hx * x[None, :]).ravel()
-        ny = (0.5 * (ey[:-1] + ey[1:])[:, None] + hy * x[None, :]).ravel()
-        wx = np.tile(w, panels) * hx
-        wy = np.tile(w, panels) * hy
-        X, Y = np.meshgrid(nx, ny, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        vals = np.asarray(f(pts), dtype=float).reshape(nx.size, ny.size)
-        return float(wx @ vals @ wy)
-
-    return float(_refine(level, 1, lambda n: (8 * n) ** 2, rtol, atol,
-                         max_doublings, "2d", lambda i: f"{box}")[0][0])
 
 
 def midpoint_grid(bounds, ns) -> tuple[np.ndarray, float]:
@@ -322,20 +338,3 @@ def adaptive_ball_rows(f: Callable, centers, radii, dim: int,
         lambda i: (f"the ball of radius {float(radii[i])} about "
                    f"{c[i].tolist()}"), c.shape[0])
 
-
-def adaptive_circle(g: Callable, center, radius: float, sign: float = 1.0,
-                    rtol: float = 1e-8, atol: float = 1e-12) -> float:
-    """Integrate g(points, normals) over a circle, normals pointing out
-    (sign +1) or in (sign -1), by the trapezoid rule from 32 nodes (at
-    most 10 doublings), spectrally accurate on smooth periodic g."""
-    c = np.asarray(center, dtype=float)
-
-    def level(rows, n):
-        th = 2.0 * math.pi * np.arange(n) / n
-        ring = np.stack([np.cos(th), np.sin(th)], axis=1)
-        vals = g(c[None, :] + radius * ring, sign * ring)
-        return float(np.sum(vals) * 2.0 * math.pi * radius / n)
-
-    return float(_refine(
-        level, 32, lambda n: n, rtol, atol, 10, "circle",
-        lambda i: f"the circle of radius {radius} about {c.tolist()}")[0][0])

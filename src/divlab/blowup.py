@@ -17,7 +17,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import _quad
-from .calculus import AnnulusRegion, bump_family, bump_test, flux_residual
+from .calculus import annulus_flux_residual, bump_family, bump_test
 from .fields import Disk, EddyStack, Exclusion, VectorField
 from .report import INCONCLUSIVE, CheckResult, VerificationReport
 from .trace import OrientedInterface, DensityProbe, _eddy_pairings, \
@@ -202,16 +202,14 @@ def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
     for each psi of a family that `bump_family` accepts (one radius and
     height).  A disk field's zoom must be centered on the rim.
 
-    The bumps are the rows of one outer t-quadrature, each stopping on its
-    own test; the inner s-rows of every open bump go to the integrand
-    together, one call per level for the whole family at this scale.
-    Each pairing by adaptive quadrature is held to the absolute budget
-    atol: atol/2 for the outer t-quadrature and atol/(2 * t-width) for
-    each of its inner s-rows.  Returns the pairings and the achieved error
-    estimate, the largest over psi of the outer delta plus the t-width
-    times the largest inner delta at its final outer level.  An eddy
-    stack's pairings go to `_eddy_pairings`, each held to atol, and the
-    estimate is the largest of theirs."""
+    The bumps are the rows of one `_quad.adaptive_gauss_nested` batch,
+    outer in t and inner in s, each stopping on its own test; the inner
+    s-rows of every open bump go to the integrand together, one call per
+    level for the whole family at this scale.  Each pairing is held to
+    the absolute budget atol.  Returns the pairings and the achieved
+    error estimate, the largest of theirs.  An eddy stack's pairings go
+    to `_eddy_pairings`, each held to atol, and the estimate is again the
+    largest of theirs."""
     if zk.eddies is not None:
         # divergence-free eddies: the div term vanishes identically
         values, estimates = _eddy_pairings(zk.eddies, zk, psi_family,
@@ -230,43 +228,32 @@ def _halfspace_lhs(zk: VectorField, psi_family, nu: np.ndarray,
     # per-bump scalar projections: a matrix product rounds differently
     t_c = np.array([float(c @ tdir) for c in centers])
     s_c = np.array([float(c @ (-nu)) for c in centers])
-    width = 2.0 * radius
-    inner_delta = np.zeros(len(centers))  # per bump, of its last level
 
-    def inner(bumps, t):
-        # one batched s-quadrature, a row per open bump and outer node t.
-        # The depths stay scalar arithmetic: numpy's array `** 2` rounds
+    def lo(bumps, t):
+        # the depths stay scalar arithmetic: numpy's array `** 2` rounds
         # differently from the scalar power for about 1 input in 1,000,
         # which would move the s-nodes and the reported digits
-        t_arr = t.ravel()
-        owner = np.repeat(bumps, t.shape[1])
-        s_star = np.zeros(t_arr.size)
+        s_star = np.zeros(t.shape)
         if R_k is not None:
             s_star = np.array([
-                R_k * (1.0 - math.sqrt(max(1.0 - (t / R_k) ** 2, 0.0)))
-                for t in t_arr])
-        hi = s_c[owner] + radius
+                R_k * (1.0 - math.sqrt(max(1.0 - (u / R_k) ** 2, 0.0)))
+                for u in t.ravel()]).reshape(t.shape)
         # an empty row (hi <= lo) has a == b and integrates to 0
-        lo = np.minimum(np.maximum(s_star, s_c[owner] - radius), hi)
+        return np.minimum(np.maximum(s_star, s_c[bumps, None] - radius),
+                          s_c[bumps, None] + radius)
 
-        def rows_g(rows, s):
-            y = t_arr[rows, None, None] * tdir + s[:, :, None] * -nu
-            value, grad = origin.value_and_gradient(
-                (y - centers[owner[rows], None, :]).reshape(-1, 2))
-            y = y.reshape(-1, 2)
-            return (value * zk.analytic_div(y) + np.einsum(
-                "ij,ij->i", zk.eval(y), grad)).reshape(s.shape)
+    def g(bumps, t, s):
+        y = t[:, None, None] * tdir + s[:, :, None] * -nu
+        value, grad = origin.value_and_gradient(
+            (y - centers[bumps, None, :]).reshape(-1, 2))
+        y = y.reshape(-1, 2)
+        return (value * zk.analytic_div(y) + np.einsum(
+            "ij,ij->i", zk.eval(y), grad)).reshape(s.shape)
 
-        vals, deltas = _quad.adaptive_gauss_rows(
-            rows_g, lo, hi, rtol=0.0, atol=0.5 * atol / width)
-        inner_delta[bumps] = deltas.reshape(t.shape).max(axis=1)
-        return vals.reshape(t.shape)
-
-    vals, deltas = _quad.adaptive_gauss_rows(
-        inner, t_c - radius, t_c + radius, rtol=0.0, atol=0.5 * atol)
-    return ([float(v) for v in vals],
-            max(float(d) + width * float(e)
-                for d, e in zip(deltas, inner_delta)))
+    vals, estimates = _quad.adaptive_gauss_nested(
+        g, t_c - radius, t_c + radius, lo,
+        lambda bumps, t: s_c[bumps, None] + radius, 0.0, atol)
+    return [float(v) for v in vals], float(max(estimates))
 
 
 def _off_interface_div_mass(zk: VectorField, psi_family,
@@ -421,9 +408,8 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
     if field.disk is None:
         defects_c = _diagnostic(
             rep, radii, "punctured-ball flux residual", "; diagnostic only",
-            lambda k: abs(flux_residual(
-                field, AnnulusRegion(x0, 0.5 * radii[k], radii[k]),
-                rtol=1e-9)))
+            lambda k: abs(annulus_flux_residual(
+                field, x0, 0.5 * radii[k], radii[k], rtol=1e-9)))
     else:
         defects_c = [math.nan] * len(radii)
         rep.add(CheckResult.skipped(

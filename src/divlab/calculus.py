@@ -1,6 +1,6 @@
 """Differential and integral kernels: the bump test function and its
-one-radius families, mollification, divergence estimates, the annulus
-region and its flux residual, and the convexity-transport audit.
+one-radius families, mollification, divergence estimates, the flux
+residual of an annulus, and the convexity-transport audit.
 """
 
 from __future__ import annotations
@@ -137,57 +137,50 @@ def numeric_divergence(field: VectorField, x, h: float = DEFAULT_FD_STEP):
 
 
 # ---------------------------------------------------------------------------
-# the annulus region
-
-class AnnulusRegion:
-    """Disk with a concentric hole; used for punctured-ball diagnostics."""
-
-    def __init__(self, center, r_inner: float, r_outer: float):
-        if not 0 < r_inner < r_outer:
-            raise ValueError("need 0 < r_inner < r_outer")
-        self.center = np.asarray(center, dtype=float)
-        self.r_inner = float(r_inner)
-        self.r_outer = float(r_outer)
-
-    def volume_integral(self, f, rtol=1e-9, atol=1e-12) -> float:
-        n = 128
-        th = 2.0 * math.pi * np.arange(n) / n
-        ring = np.stack([np.cos(th), np.sin(th)], axis=1)
-
-        def radial(r):
-            # mean of f over each circle of radius r, times the
-            # circumference; one field call covers every circle
-            r = np.asarray(r, dtype=float)
-            pts = self.center + r[:, None, None] * ring
-            vals = np.asarray(f(pts.reshape(-1, 2))).reshape(r.size, n)
-            return vals.mean(axis=1) * 2.0 * math.pi * r
-
-        return _quad.adaptive_gauss_1d(radial, self.r_inner, self.r_outer,
-                                       rtol=rtol, atol=atol)
-
-    def boundary_integral(self, g, rtol=1e-9, atol=1e-12) -> float:
-        return (_quad.adaptive_circle(g, self.center, self.r_outer, +1.0,
-                                      rtol, atol)
-                + _quad.adaptive_circle(g, self.center, self.r_inner, -1.0,
-                                        rtol, atol))
-
-
-# ---------------------------------------------------------------------------
 # flux residual
 
-def flux_residual(field: VectorField, region, rtol: float) -> float:
-    """Divergence theorem residual int div(field) - int_boundary field . nu,
-    each term to rtol and an absolute 1e-12.  The field must declare
-    `analytic_div`.
+def annulus_flux_residual(field: VectorField, center, r_inner: float,
+                          r_outer: float, rtol: float) -> float:
+    """Divergence theorem residual on the annulus r_inner < |p - center| <
+    r_outer: the integral of div(field) minus the outward flux of field
+    through its two circles, each term to rtol and an absolute 1e-12.
+    The field must declare `analytic_div`.
+
+    The divergence is integrated in the radius, each circle's mean read
+    at 128 equal angles.  The outer circle (normal out, sign +1) and the
+    inner one (normal in, sign -1) are the two rows of one Gauss row
+    batch in the angle.
     """
     if field.analytic_div is None:
         raise ValueError("flux residual needs divergence information")
+    if not 0 < r_inner < r_outer:
+        raise ValueError("need 0 < r_inner < r_outer")
+    c = np.asarray(center, dtype=float)
+    n = 128
+    th = 2.0 * math.pi * np.arange(n) / n
+    ring = np.stack([np.cos(th), np.sin(th)], axis=1)
 
-    def flux(pts, normals):
-        return np.einsum("ij,ij->i", field.eval(pts), normals)
+    def radial(r):
+        # mean of div over each circle of radius r, times the circumference
+        pts = c + r[:, None, None] * ring
+        vals = field.analytic_div(pts.reshape(-1, 2)).reshape(r.size, n)
+        return vals.mean(axis=1) * 2.0 * math.pi * r
 
-    return (region.volume_integral(field.analytic_div, rtol=rtol, atol=1e-12)
-            - region.boundary_integral(flux, rtol=rtol, atol=1e-12))
+    radius = np.array([r_outer, r_inner])
+    sign = np.array([1.0, -1.0])
+
+    def flux(rows, th):
+        e = np.stack([np.cos(th), np.sin(th)], axis=2)
+        pts = c + radius[rows, None, None] * e
+        vals = np.einsum("ijk,ijk->ij", field.eval(pts.reshape(-1, 2))
+                         .reshape(e.shape), e)
+        return (sign * radius)[rows, None] * vals
+
+    div_mass = _quad.adaptive_gauss_1d(radial, r_inner, r_outer, rtol=rtol,
+                                       atol=1e-12)
+    circles, _ = _quad.adaptive_gauss_rows(flux, [0.0, 0.0],
+                                           [2.0 * math.pi] * 2, rtol, 1e-12)
+    return div_mass - float(circles.sum())
 
 
 # ---------------------------------------------------------------------------

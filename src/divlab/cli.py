@@ -525,7 +525,7 @@ def _h_trace(sc: Scenario):
         tables.append(("pairings", ["psi", "value", "c1_norm", "bound"], rows))
         return rep, tables, []
 
-    x0, S, _ = _interface_point(p, f)
+    x0, S, nu0 = _interface_point(p, f)
     radii = _parse_radii(p["radii"])
     sigmas = np.linspace(-0.5, 0.5, 33)
     nd, td = S.frame_defects(sigmas)
@@ -534,6 +534,12 @@ def _h_trace(sc: Scenario):
     methods = ["ball", "curvilinear", "flux"] if method == "all" else [method]
     if "curvilinear" in methods:
         _refused(lambda: check_curvilinear(S, p["rho"], radii))
+    # the lens average reads a rim point; the sphere flux also needs the
+    # outward normal there
+    if f.disk is not None and "flux" in methods:
+        _refused(lambda: f.disk.check_outward_rim(x0, nu0))
+    elif f.disk is not None and "ball" in methods:
+        _refused(lambda: f.disk.check_rim(x0, nu0))
     est_rows = []
     for m in methods:
         if m == "ball":
@@ -644,7 +650,9 @@ def _h_nalpha(sc: Scenario):
 def _h_blowup(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     f = _resolve_field(sc.field)
-    x0, S, _ = _interface_point(p, f)
+    x0, S, nu0 = _interface_point(p, f)
+    if f.disk is not None:
+        _refused(lambda: f.disk.check_outward_rim(x0, nu0))
     radii = (tuple(2.0 ** -k for k in range(2, 7)) if p["radii"] == "auto"
              else _parse_radii(p["radii"]))
     rep = blowup_trace_consistency(f, S, x0, radii,

@@ -313,11 +313,10 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
 
     # integrate only the field part; the constant epsilon contributes
     # epsilon * |A| exactly, so a vanishing field gives residual 0.0.  The
-    # nodes q are a vector (1D rule) or rows of (q1, q2) (2D rule)
-    def top_flux(q):
-        pts = np.empty((q.shape[0], n))
-        pts[:, :-1] = q.reshape(q.shape[0], -1)
-        pts[:, -1] = h0
+    # nodes are q1 (1D rule), or q1 and q2 of one size (nested rule)
+    def top_flux(*q):
+        pts = np.full((q[0].size, n), h0)
+        pts[:, :-1] = np.stack([qi.ravel() for qi in q], axis=1)
         return eta.eval(pts)[:, -1]
 
     if n == 2:
@@ -325,9 +324,12 @@ def flow_tubes(eta: VectorField, epsilon: float, A, h0: float,
         top_field = depth * _quad.adaptive_gauss_1d(
             top_flux, A[0][0], A[0][1], rtol=1e-11, atol=1e-13)
     else:
-        top_field = _quad.adaptive_gauss_2d(
-            top_flux, (A[0][0], A[0][1], A[1][0], A[1][1]),
-            rtol=1e-11, atol=1e-13)
+        (a1, b1), (a2, b2) = A
+        vals, _ = _quad.adaptive_gauss_nested(
+            lambda rows, x, y: top_flux(
+                np.repeat(x, y.shape[1]), y).reshape(y.shape),
+            [a1], [b1], lambda rows, x: a2, lambda rows, x: b2, 1e-11, 1e-13)
+        top_field = float(vals[0])
 
     top = top_field + epsilon * math.prod(hi - lo for lo, hi in A)
     corner = max(max(abs(lo), abs(hi)) for lo, hi in A)

@@ -404,30 +404,32 @@ def weak_trace_curvilinear(field: VectorField, S: OrientedInterface,
                            x0, rho: float, r_seq) -> TraceProbe:
     """One-sided averages over curvilinear rectangles: interface patches of
     half-width rho pushed inward along the frozen normal at x0 by up to r
-    (`check_curvilinear`), each integrated to PROBE_RTOL.
+    (`check_curvilinear`), each integrated to PROBE_RTOL.  The radii are
+    the rows of one nested row batch, depth t in [0, r] outside and arc
+    length sigma in [-rho, rho] inside.
     """
     x0, nu0 = S.frame(field, x0)
     check_curvilinear(S, rho, r_seq)
 
     sig0 = S.arclength(x0)
 
-    def integrand(st):
-        sig = sig0 + st[:, 0]
-        t = st[:, 1]
+    def integrand(rows, t, sigma):
+        sig = sig0 + sigma.ravel()
         y = S.parametrization(sig)
         nu_y = S.normal(y)
         tau = S.tangent(sig)
-        z = y - t[:, None] * nu0
+        z = y - np.repeat(t, sigma.shape[1])[:, None] * nu0
         jac = np.abs(tau[:, 0] * (-nu0[1]) - tau[:, 1] * (-nu0[0]))
-        return np.einsum("ij,ij->i", field.eval(z), nu_y) * jac
+        return (np.einsum("ij,ij->i", field.eval(z), nu_y)
+                * jac).reshape(sigma.shape)
 
     omega = _quad.ball_volume(field.dim - 1)
     radii = sorted((float(r) for r in r_seq), reverse=True)
-    estimates = []
-    for r in radii:
-        val = _quad.adaptive_gauss_2d(integrand, (-rho, rho, 0.0, r),
-                                      rtol=PROBE_RTOL, atol=1e-13)
-        estimates.append(val / (omega * rho ** (field.dim - 1) * r))
+    vals, _ = _quad.adaptive_gauss_nested(
+        integrand, np.zeros(len(radii)), radii, lambda rows, t: -rho,
+        lambda rows, t: rho, PROBE_RTOL, 1e-13)
+    estimates = [float(v) / (omega * rho ** (field.dim - 1) * r)
+                 for v, r in zip(vals, radii)]
     return _make_probe(radii, estimates, PROBE_RTOL)
 
 
@@ -462,7 +464,10 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
     ball costs the nodes of its final order.  The rows are ordered by ball,
     so the rows of a ball share a call of the level and its new nodes go
     to the field once; each psi reads its gradient at q - centers[psi]
-    from the origin bump once per node block.  Each psi's value adds its
+    from the origin bump once per node block.  `_refine` sizes a row by
+    the nodes its level evaluates, 16 n on the first level and the 8 n new
+    ones after it; a ball near k bumps is still counted k times, though
+    its nodes go to the field once.  Each psi's value adds its
     rows' values in ball order and its estimate their last deltas; a ball
     that misses its support is skipped.
     """
@@ -530,7 +535,8 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
         return circles
 
     vals, deltas = _quad._refine(
-        level, 1, lambda m: 16 * start[ball] * m, 0.0, row_atol, 10, "eddy",
+        level, 1, lambda m: 16 * start[ball] * max(1, m // 2), 0.0, row_atol,
+        10, "eddy",
         lambda i: (f"the eddy ball of radius {float(rho[i])} about "
                    f"{centers[ball[i]].tolist()} against "
                    f"{psi_family[owner[i]].label}"), owner.size)

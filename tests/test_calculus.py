@@ -1,4 +1,5 @@
-"""Grids, FD divergence, regions, mollification, convexity transport."""
+"""Grids, FD divergence, the annulus flux residual, mollification,
+convexity transport."""
 
 import dataclasses
 import math
@@ -8,10 +9,9 @@ import pytest
 
 from divlab import _quad
 from divlab.calculus import (
-    AnnulusRegion,
     GridSpec,
+    annulus_flux_residual,
     bump_test,
-    flux_residual,
     jensen_check,
     make_mollifier,
     mollify,
@@ -82,14 +82,20 @@ def test_fd_divergence_refuses_non_smooth_neighborhoods():
 
 
 # ---------------------------------------------------------------------------
-# regions
+# the annulus flux residual
 
-def test_annulus_region_volume():
-    reg = AnnulusRegion((0.0, 0.0), 0.5, 2.0)
-    area = reg.volume_integral(lambda p: np.ones(p.shape[0]))
-    assert area == pytest.approx(math.pi * (4.0 - 0.25), rel=1e-9)
-    with pytest.raises(ValueError):
-        AnnulusRegion((0.0, 0.0), 2.0, 0.5)
+# with its divergence read as zero, the capillary field's residual is
+# minus its flux, which the divergence theorem puts at (2/R) times the
+# annulus area: the divergence term is what balances it
+def test_annulus_divergence_term_counts(capillary):
+    blind = dataclasses.replace(
+        capillary, analytic_div=lambda p: np.zeros(p.shape[0]))
+    residual = annulus_flux_residual(blind, (0.1, -0.2), 0.2, 0.6,
+                                     rtol=1e-9)
+    assert residual == pytest.approx(-2.0 * math.pi * (0.36 - 0.04),
+                                     rel=1e-9)
+    with pytest.raises(ValueError, match="r_inner < r_outer"):
+        annulus_flux_residual(capillary, (0.0, 0.0), 2.0, 0.5, rtol=1e-9)
 
 
 # the test bump's value and gradient as two passes, one distance and one
@@ -154,21 +160,18 @@ def test_flux_residual_vanishes_on_an_annulus(stream_bump, capillary):
     # 0.5, holds the inner circle and is cut by the outer one; the
     # capillary field's divergence is nonzero inside the disk and balances
     # its flux through the two circles
-    cut = AnnulusRegion((0.0, 1.5), 0.3, 0.8)
-    assert abs(flux_residual(stream_bump, cut, rtol=1e-9)) < 1e-12
-    inside = AnnulusRegion((0.1, -0.2), 0.2, 0.6)
-    div_mass = inside.volume_integral(capillary.analytic_div)
-    assert abs(div_mass) > 0.1
-    assert abs(flux_residual(capillary, inside, rtol=1e-9)) < 1e-12
+    assert abs(annulus_flux_residual(stream_bump, (0.0, 1.5), 0.3, 0.8,
+                                     rtol=1e-9)) < 1e-12
+    assert abs(annulus_flux_residual(capillary, (0.1, -0.2), 0.2, 0.6,
+                                     rtol=1e-9)) < 1e-12
 
 
 def test_flux_residual_needs_declared_divergence(stream_bump):
     # a mollified field declares no divergence; the residual refuses it
     # instead of finite-differencing the convolution inside the quadrature
     smooth = mollify(stream_bump, make_mollifier(0.05, 2))
-    reg = AnnulusRegion((0.0, 1.5), 0.3, 0.8)
     with pytest.raises(ValueError, match="divergence information"):
-        flux_residual(smooth, reg, rtol=1e-9)
+        annulus_flux_residual(smooth, (0.0, 1.5), 0.3, 0.8, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------

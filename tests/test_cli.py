@@ -557,24 +557,26 @@ class TestExitCodes:
         assert "planar" in err and "verdict" not in out
 
     # the lens average's closed form holds only at a rim point with a
-    # radial normal; here it read -1.00002 (true average -0.5 off the rim)
+    # radial normal; here it read -1.00002 (true average -0.5 off the rim).
+    # Like every input check that refuses before any field call, the rim
+    # check is a usage error
     @pytest.mark.parametrize("x0,interface", [
         ("0.5,0", "line:origin=0.5,0:dir=0,1"),
         ("1,0", "line:origin=1,0:dir=1,1"),
     ], ids=["off-rim", "tilted-normal"])
     def test_lens_average_refuses_a_point_it_cannot_read(self, capsys, x0,
                                                          interface):
-        code, out, _ = run_main(
+        code, out, err = run_main(
             ["trace", "--field", "capillary:R=1", "--method", "ball",
              "--x0", x0, "--interface", interface, "--expect", "value",
              "--value", "-1"], capsys)
-        assert code == 1
-        assert "PASS" not in out and "rim point" in out
+        assert code == 2
+        assert "PASS" not in out and "rim point" in err
 
     # the sphere flux and the rim blow-up integrate on the -nu side, so an
-    # inward rim normal would send them outside the disk: both refuse it
-    # before the field is evaluated (it ended on the field's
-    # OutOfDomainError); the lens average reads either sign
+    # inward rim normal would send them outside the disk: both refuse it,
+    # as a usage error, before the field is evaluated (it ended on the
+    # field's OutOfDomainError); the lens average reads either sign
     @pytest.mark.parametrize("argv", [
         ["trace", "--method", "flux"],
         ["blowup", "--radii", "0.25,0.125"],
@@ -593,11 +595,11 @@ class TestExitCodes:
             return dataclasses.replace(field, eval=ev, eval_jacobian=None)
 
         monkeypatch.setattr(cli, "_resolve_field", spied_field)
-        code, out, _ = run_main(
+        code, out, err = run_main(
             argv + ["--field", "capillary:R=1", "--x0", "1,0", "--interface",
                     "circle:center=0,0:R=1:inward"], capsys)
-        assert code == 1
-        assert "is the inward normal of the disk" in out
+        assert code == 2
+        assert "is the inward normal of the disk" in err
         assert "PASS" not in out and "OutOfDomainError" not in out
         assert calls == []
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -151,11 +152,45 @@ def test_row_batch_failure_names_the_failing_row():
     assert str(batch.value) == str(alone.value)
 
 
-def test_adaptive_gauss_2d_separable():
-    val = _quad.adaptive_gauss_2d(
-        lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1]),
-        (0.0, 1.0, 0.0, math.pi / 2), rtol=1e-12)
-    assert abs(val - (math.e - 1.0)) < 1e-11
+# row 0 is the separable e^x cos y on [0, 1] x [0, pi/2]; row 1 is x y on
+# the triangle 0 < y < x < 1, whose inner bound moves with x
+def test_adaptive_gauss_nested_separable_and_triangle():
+    def f(rows, x, y):
+        return np.where((rows == 0)[:, None],
+                        np.exp(x)[:, None] * np.cos(y), x[:, None] * y)
+
+    vals, _ = _quad.adaptive_gauss_nested(
+        f, [0.0, 0.0], [1.0, 1.0], lambda rows, x: 0.0,
+        lambda rows, x: np.where((rows == 0)[:, None], math.pi / 2, x),
+        1e-12, 1e-12)
+    assert abs(vals[0] - (math.e - 1.0)) < 1e-11
+    assert abs(vals[1] - 0.125) < 1e-11
+
+
+def test_nested_zero_width_row_is_zero_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, estimates = _quad.adaptive_gauss_nested(
+            lambda rows, x, y: np.ones(y.shape), [0.3, 0.0], [0.3, 2.0],
+            lambda rows, x: 0.0, lambda rows, x: 1.0, 1e-10, 1e-12)
+    assert vals[0] == 0.0 and estimates[0] == 0.0
+    assert vals[1] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_per_row_atol_matches_separate_runs_bitwise():
+    k = np.array([3.0, 7.0, 11.0])
+    atol = np.array([1e-4, 1e-9, 1e-13])
+
+    def f(rows, s):
+        return np.sin(k[rows, None] * s) * np.exp(s)
+
+    vals, estimates = _quad.adaptive_gauss_rows(f, np.zeros(3), np.ones(3),
+                                                0.0, atol)
+    for i in range(3):
+        alone = _quad.adaptive_gauss_rows(
+            lambda rows, s: np.sin(k[i] * s) * np.exp(s), [0.0], [1.0],
+            0.0, float(atol[i]))
+        assert vals[i] == alone[0][0] and estimates[i] == alone[1][0]
 
 
 def test_midpoint_grid_sums_box_measure():
@@ -281,21 +316,16 @@ def test_ball_row_batch_failure_names_the_failing_row():
 # every adaptive rule fails through the one refinement loop, whose error
 # names the rule, its domain and the last delta between two levels
 @pytest.mark.parametrize("integrate,names", [
-    (lambda: _quad.adaptive_gauss_2d(
-        lambda p: np.sin(1e7 * p[:, 0] * p[:, 1]), (0.0, 1.0, 0.0, 0.5),
-        rtol=1e-14, atol=1e-16, max_doublings=3),
-     "2d quadrature failed to converge on (0.0, 1.0, 0.0, 0.5)"),
+    (lambda: _quad.adaptive_gauss_nested(
+        lambda rows, x, y: np.sin(1e7 * x[:, None] * y), [0.0], [1.0],
+        lambda rows, x: 0.0, lambda rows, x: 0.5, 1e-14, 1e-16),
+     "1d quadrature failed to converge on [0.0, 0.5]"),
     (lambda: _one_ball(
         lambda p: np.sin(1e7 * p[:, 0]), (0.25, -1.0), 0.5, 2,
         rtol=1e-14, atol=1e-16),
      "ball quadrature failed to converge on the ball of radius 0.5 "
      "about [0.25, -1.0]"),
-    (lambda: _quad.adaptive_circle(
-        lambda p, nu: np.sin(1e7 * p[:, 0]), (0.0, 2.0), 0.75,
-        rtol=1e-14, atol=1e-16),
-     "circle quadrature failed to converge on the circle of radius 0.75 "
-     "about [0.0, 2.0]"),
-], ids=["2d", "ball", "circle"])
+], ids=["nested", "ball"])
 def test_failure_names_rule_domain_and_last_delta(integrate, names):
     with pytest.raises(_quad.QuadratureError) as exc:
         integrate()
@@ -353,18 +383,6 @@ def test_the_node_cap_follows_each_open_row(monkeypatch):
                       10, "x", lambda i: f"row {i}", 2)
 
 
-def test_circle_rule_matches_the_disk_boundary_flux():
-    # outward flux of x through the unit circle about (1, 2) is 2*pi
-    def flux(p, nu):
-        return np.einsum("ij,ij->i", p - np.array([1.0, 2.0]), nu)
-
-    out = _quad.adaptive_circle(flux, (1.0, 2.0), 1.0, rtol=1e-12)
-    inward = _quad.adaptive_circle(flux, (1.0, 2.0), 1.0, sign=-1.0,
-                                   rtol=1e-12)
-    assert out == pytest.approx(2.0 * math.pi, rel=1e-12)
-    assert inward == -out
-
-
 # the refinement loop checks its tolerances before the first level; a
 # negative rtol used to run all 12 doublings and then report a misleading
 # failure to converge
@@ -385,8 +403,10 @@ def test_bad_tolerance_is_rejected_before_any_integrand_call(rule, rtol,
             _quad.adaptive_gauss_1d(lambda s: f(s[:, None]), 0.0, 1.0,
                                     rtol=rtol, atol=atol)
         elif rule == "2d":
-            _quad.adaptive_gauss_2d(f, (0.0, 1.0, 0.0, 1.0), rtol=rtol,
-                                    atol=atol)
+            _quad.adaptive_gauss_nested(
+                lambda rows, x, y: f(y.reshape(-1, 1)).reshape(y.shape),
+                [0.0], [1.0], lambda rows, x: 0.0, lambda rows, x: 1.0,
+                rtol, atol)
         else:
             _one_ball(f, (0.0, 0.0), 1.0, 2, rtol=rtol, atol=atol)
     assert calls == []

@@ -8,9 +8,11 @@ its type; a report's name, a probe's rows, the stream bump's values and
 the input converters each have one home; the eddy pairing takes its
 angles from its gate and always reports an estimate; a pairing reads one
 bump family and sets no accuracy floor of its own; one cap, kept by the
-refinement loop, sizes every quadrature's field call; no defaulted
-parameter is a knob that only its default ever sets; and the package
-imports exactly the third-party distributions it declares."""
+refinement loop, sizes every quadrature's field call; the 1D Gauss rows
+build every 2D integral, and the refinement loop runs three level
+functions; no defaulted parameter is a knob that only its default ever
+sets; and the package imports exactly the third-party distributions it
+declares."""
 
 import ast
 import json
@@ -470,6 +472,51 @@ def test_one_field_call_cap():
     assert not literals, "\n".join(literals)
 
 
+# the 1D Gauss rows are the one building block of every 1D and 2D
+# integral: `_quad._refine` runs three level functions (the Gauss rows,
+# the ball rows and the eddy rows), the tensor 2D rule, the circle
+# trapezoid and the annulus region with its residual are neither defined
+# nor read, and no module outside `_quad` nests the rows by hand by
+# handing a quadrature a function that itself calls `adaptive_gauss_rows`
+_ONE_OFF_RULES = {"adaptive_gauss_2d", "adaptive_circle", "AnnulusRegion",
+                  "flux_residual"}
+_QUADRATURES = {"adaptive_gauss_rows", "adaptive_gauss_1d",
+                "adaptive_gauss_nested", "adaptive_ball_rows", "_refine"}
+
+
+def _calls(node, name) -> bool:
+    return any(isinstance(call, ast.Call) and _name(call) == name
+               for call in ast.walk(node))
+
+
+def test_three_level_functions_and_no_hand_nested_rows():
+    refine, gone, nested = set(), [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        nesting = {fn.name for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and _calls(fn, "adaptive_gauss_rows")}
+        for node, where in _nodes(tree, ast.AST):
+            if {_name(node), getattr(node, "name", None)} & _ONE_OFF_RULES:
+                gone.append(f"{path.name}:{node.lineno}")
+            if not isinstance(node, ast.Call):
+                continue
+            if _name(node) == "_refine":
+                refine.add(f"{path.name}:{where}")
+            if path.name == "_quad.py" or _name(node) not in _QUADRATURES:
+                continue
+            for arg in node.args + [k.value for k in node.keywords]:
+                if (isinstance(arg, ast.Lambda)
+                        and _calls(arg, "adaptive_gauss_rows")) or (
+                        isinstance(arg, ast.Name) and arg.id in nesting):
+                    nested.append(f"{path.name}:{arg.lineno} in {where}")
+    assert refine == {"_quad.py:adaptive_gauss_rows",
+                      "_quad.py:adaptive_ball_rows",
+                      "trace.py:_eddy_pairings"}
+    assert not gone, "\n".join(gone)
+    assert not nested, "\n".join(nested)
+
+
 # a probe takes the plain values it reads: the blow-up takes the field,
 # the point and the radii, and builds each zoom itself; a gauge is a plain
 # callable; and a probe record declares no field that nothing reads
@@ -503,7 +550,6 @@ def test_probes_take_plain_inputs_and_keep_only_what_they_read():
 # value: it becomes a constant.  These few are set only by tests, which cap
 # the refinement and step budgets, pass a gauge or drive the CLI in-process
 _TEST_ONLY_KNOBS = {
-    ("_quad.py", "adaptive_gauss_2d", "max_doublings"),
     ("_ode.py", "rk45_event", "max_steps"),
     ("rigidity.py", "strip_identity_2d", "gauge"),
     ("cli.py", "main", "argv"),

@@ -591,6 +591,23 @@ class TestPairing:
         assert len(calls) == len(levels) > uncapped
         assert max(calls) <= 10_000
 
+    # rule 3 counts the nodes a level evaluates: after its first level a
+    # ball's row evaluates only the new odd half of its angles.  Under a
+    # cap of 10,000 the second and third levels are one call each, where a
+    # count of the full order cut each in two (7 calls, now 5)
+    def test_eddy_rows_are_sized_by_the_nodes_a_level_evaluates(
+            self, monkeypatch):
+        f = make_twisting_field(6)
+        calls = []
+        counted = dataclasses.replace(
+            f, eval=lambda pts: calls.append(len(pts)) or f.eval(pts))
+        psi = bump_test((0.5, 0.1), 0.6)
+        whole = _eddy_pairings(f.eddies, counted, [psi], [1e-10])
+        monkeypatch.setattr(_quad, "MAX_CALL_NODES", 10_000)
+        calls.clear()
+        assert _eddy_pairings(f.eddies, counted, [psi], [1e-10]) == whole
+        assert len(calls) == 5 and max(calls) <= 10_000
+
     def test_zero_field_pairs_to_zero(self):
         fam = [bump_test((0.0, 0.0), 0.5)]
         assert weak_trace_pairing(zero_field(2), fam, [1e-12]) == ([0.0],
