@@ -6,15 +6,17 @@
 tube consumes its accepted steps directly.  `rk45_event` integrates a
 single trajectory with bisection-refined event detection on top of it.
 A 0-d state is accepted: it takes the same steps as a one-component
-array, bit for bit, with numpy scalar arithmetic in place of array
-operations.
+array, bit for bit.  The state's type picks the arithmetic once per
+integration: the converter `float` wraps every rhs return of a 0-d
+state, so its steps run on Python floats (IEEE doubles like numpy's,
+without ufunc dispatch), and `np.asarray` wraps those of any other shape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,20 +35,27 @@ class StiffFailure(RuntimeError):
         self.t = t
 
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_A = [
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                -92097 / 339200, 187 / 2100, 1 / 40])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+# (stage, weight) pairs of the nonzero fifth- and fourth-order weights
+_B5 = ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784),
+       (5, 11 / 84))
+_B4 = ((0, 5179 / 57600), (2, 7571 / 16695), (3, 393 / 640),
+       (4, -92097 / 339200), (5, 187 / 2100), (6, 1 / 40))
 
 
-def _check_finite(t0: float, t1: float, y: np.ndarray) -> None:
+def _converter(y) -> Callable:
+    """`float` for a 0-d state, `np.asarray` for any other shape."""
+    return float if np.ndim(y) == 0 else np.asarray
+
+
+def _check_finite(t0: float, t1: float, y) -> None:
     # a NaN endpoint makes every step NaN, which no step-size test catches
     if not (math.isfinite(t0) and math.isfinite(t1)
             and np.all(np.isfinite(y))):
@@ -54,24 +63,37 @@ def _check_finite(t0: float, t1: float, y: np.ndarray) -> None:
                          "endpoints and a finite initial state")
 
 
-def _stages(f: Callable, t: float, y: np.ndarray, h: float,
-            k1: Optional[np.ndarray] = None) -> list[np.ndarray]:
-    ks = [k1 if k1 is not None else np.asarray(f(t, y))]
+def _stages(f: Callable, t: float, y, h: float, as_state: Callable,
+            k1=None) -> list:
+    ks = [k1 if k1 is not None else as_state(f(t, y))]
     for i, arow in enumerate(_A):
         acc = arow[0] * ks[0]
         for j in range(1, len(arow)):
             acc = acc + arow[j] * ks[j]
-        ks.append(np.asarray(f(t + _C[i + 1] * h, y + h * acc)))
+        ks.append(as_state(f(t + _C[i + 1] * h, y + h * acc)))
     return ks
 
 
-def dp_step(f: Callable, t: float, y: np.ndarray, h: float) -> np.ndarray:
+def _error_ratio(local, y, y5, rtol: float, atol: float) -> float:
+    """The worst |y5 - y4| / (atol + rtol * max(|y|, |y5|))."""
+    if isinstance(local, float):
+        scale = atol + rtol * max(abs(y), abs(y5))
+        if scale == 0.0:    # numpy's x / 0: nan for 0 and nan, else inf
+            return math.inf if abs(local) > 0.0 else math.nan
+        return abs(local) / scale
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+    return float(np.max(np.abs(local) / scale)) if local.size else 0.0
+
+
+def dp_step(f: Callable, t: float, y, h: float) -> float | np.ndarray:
     """One fixed fifth-order step; used by the event bisection."""
-    ks = _stages(f, t, y, h)
-    return y + h * sum(b * k for b, k in zip(_B5, ks) if b != 0.0)
+    as_state = _converter(y)
+    y = as_state(y)
+    ks = _stages(f, t, y, h, as_state)
+    return y + h * sum(b * ks[i] for i, b in _B5)
 
 
-def _dp_steps(f: Callable, t0: float, y: np.ndarray, t1: float,
+def _dp_steps(f: Callable, t0: float, y, t1: float,
               rtol: float, atol: float, max_steps: int):
     """The one Dormand-Prince step controller: yields (t, y, h, y_new,
     local_error, nrejected) for each accepted step from (t, y) to
@@ -82,6 +104,9 @@ def _dp_steps(f: Callable, t0: float, y: np.ndarray, t1: float,
     & Wanner, Solving ODEs I, II.4).  A step is accepted when its embedded
     error, the worst |y5 - y4| / (atol + rtol * max(|y|, |y5|)), is at
     most 1.
+    The converter chosen from the initial state (`float` for a 0-d state,
+    `np.asarray` otherwise) wraps it and every rhs return, so a 0-d state
+    yields Python floats and any other state arrays.
     Non-finite endpoints or initial state, and negative, non-finite or
     all-zero tolerances, raise ValueError before the first call of f."""
     _check_finite(t0, t1, y)
@@ -89,26 +114,27 @@ def _dp_steps(f: Callable, t0: float, y: np.ndarray, t1: float,
             or rtol == atol == 0.0:
         raise ValueError(f"tolerances must be finite and non-negative, not "
                          f"both zero; got rtol={rtol}, atol={atol}")
+    as_state = _converter(y)
+    y = as_state(y)
     t = float(t0)
     span = t1 - t0
     direction = 1.0 if span > 0 else -1.0
     h = span / 100.0
     nrejected = 0
-    k1 = np.asarray(f(t, y))
+    k1 = as_state(f(t, y))
     for _ in range(max_steps):
         remaining = t1 - t
         if direction * remaining <= 0.0:
             return
         if direction * h > direction * remaining:
             h = remaining
-        ks = _stages(f, t, y, h, k1=k1)
-        y5 = y + h * sum(b * k for b, k in zip(_B5, ks) if b != 0.0)
-        k7 = np.asarray(f(t + h, y5))
+        ks = _stages(f, t, y, h, as_state, k1=k1)
+        y5 = y + h * sum(b * ks[i] for i, b in _B5)
+        k7 = as_state(f(t + h, y5))
         ks.append(k7)
-        y4 = y + h * sum(b * k for b, k in zip(_B4, ks) if b != 0.0)
+        y4 = y + h * sum(b * ks[i] for i, b in _B4)
         local = y5 - y4
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(local) / scale)) if y5.size else 0.0
+        err = _error_ratio(local, y, y5, rtol, atol)
         if err <= 1.0:
             yield t, y, h, y5, local, nrejected
             t += h
@@ -127,7 +153,7 @@ def _dp_steps(f: Callable, t0: float, y: np.ndarray, t1: float,
 @dataclass
 class OdeResult:
     t: float
-    y: np.ndarray
+    y: float | np.ndarray
     naccepted: int
     nrejected: int
     status: str = "final"    # "event" when the event fired
@@ -146,6 +172,7 @@ def rk45_event(f: Callable, t0: float, y0, event: Callable,
     y = np.array(y0, dtype=float)
     # checked here too: the event is evaluated before the first step
     _check_finite(t0, t_max, y)
+    y = _converter(y)(y)
     g_prev = float(event(float(t0), y))
     if abs(g_prev) <= EVENT_TOL:
         return OdeResult(float(t0), y, 0, 0, status="event")

@@ -1074,14 +1074,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# built once per process: parsing leaves the parser as it was, and the
-# parameter tables it is built from do not change
+# built once per operation per process: parsing leaves the parser as it
+# was, and the parameter tables it is built from do not change.  Given an
+# operation (or "list") only its subparser is built; None builds them all.
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     parser = _Parser(prog=PROG, description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     demo = None
     for op, spec in _OPERATIONS.items():
+        if command not in (None, op):
+            continue
         if op.startswith("demo-"):
             if demo is None:
                 demo = sub.add_parser(
@@ -1099,8 +1102,9 @@ def build_parser() -> argparse.ArgumentParser:
         for p in spec.params:
             if p.flag:
                 p.add_to(sp)
-    sp = sub.add_parser("list", help="print the built-in recipe catalog")
-    sp.add_argument("--json", action="store_true")
+    if command in (None, "list"):
+        sp = sub.add_parser("list", help="print the built-in recipe catalog")
+        sp.add_argument("--json", action="store_true")
     return parser
 
 
@@ -1167,7 +1171,11 @@ def _print_catalog(as_json: bool, stream) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    op = "-".join(argv[:2] if argv[:1] == ["demo"] else argv[:1])
+    # help, a missing or an unknown operation get the full parser, whose
+    # messages name every operation
+    parser = build_parser(op if op in _OPERATIONS or op == "list" else None)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

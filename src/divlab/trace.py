@@ -499,8 +499,10 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
         order = start[keys] * m
         # new angles per ball: all of them on the first level
         fresh = order if m == 1 else order // 2
-        # one node block (balls, 16, angles, 2) per number of new angles
-        groups = [np.flatnonzero(fresh == k) for k in np.unique(fresh)]
+        # one node block (balls, 16, angles, 2) per number of new angles;
+        # distinct values come from a set, as np.unique imports numpy.ma
+        groups = [np.flatnonzero(fresh == k)
+                  for k in sorted(set(fresh.tolist()))]
         blocks = []
         for g in groups:
             j = np.arange(fresh[g[0]])
@@ -520,7 +522,7 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
             slot = np.full(keys.size, -1)
             slot[g] = np.arange(g.size)
             mine = np.flatnonzero(slot[key_of] >= 0)
-            for p in np.unique(owner[rows[mine]]):
+            for p in sorted(set(owner[rows[mine]].tolist())):
                 idx = mine[owner[rows[mine]] == p]
                 k = slot[key_of[idx]]
                 grads = origin.value_and_gradient(

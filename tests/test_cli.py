@@ -117,11 +117,13 @@ def run_main(argv, capsys):
 # exit codes
 
 class TestExitCodes:
-    # the parser is built once per process: a usage error on a later call
-    # still exits 2, and one parse's repeated flags do not reach the next
+    # the parser is built once per operation per process: a usage error on
+    # a later call still exits 2, and one parse's repeated flags do not
+    # reach the next
     def test_parser_is_built_once_per_process(self, capsys):
         build_parser.cache_clear()
-        code, _, _ = run_main(["list"], capsys)
+        code, _, _ = run_main(["flow-tube", "--seeds", "4", "--help"],
+                              capsys)
         assert code == 0
         code, _, err = run_main(["flow-tube", "--seeds", "0"], capsys)
         assert code == 2 and "--seeds" in err
@@ -132,6 +134,23 @@ class TestExitCodes:
         assert parser.parse_args(argv + ["--at", "2,2"]).at == ["1,1", "2,2"]
         assert parser.parse_args(argv).at == ["1,1"]
         assert parser.parse_args(["strip-identity"]).at is None
+
+    # a call builds only its operation's parser, but help and an unknown
+    # operation get the full one, which names every operation
+    def test_help_and_unknown_operation_name_every_operation(self, capsys):
+        commands = {"demo" if op.startswith("demo-") else op
+                    for op in cli._OPERATIONS} | {"list"}
+        topics = {op[len("demo-"):] for op in cli._OPERATIONS
+                  if op.startswith("demo-")}
+        code, out, _ = run_main(["--help"], capsys)
+        assert code == 0
+        listed = out[out.index("{") + 1:out.index("}")].split(",")
+        assert sorted(listed) == sorted(commands)
+        code, _, err = run_main(["bogus"], capsys)
+        assert code == 2 and "invalid choice: 'bogus'" in err
+        assert all(f"'{c}'" in err for c in commands)
+        code, _, err = run_main(["demo", "bogus"], capsys)
+        assert code == 2 and all(f"'{t}'" in err for t in topics)
 
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run_main([], capsys)

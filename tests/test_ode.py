@@ -67,7 +67,7 @@ def test_bad_tolerance_is_rejected_before_any_rhs_call(integrator, rtol,
 
 # the separable profile rho psi' = gamma psi^2 of `rigidity.separable_demo`
 # integrates a 0-d state: the same controller, step for step, as the
-# one-component array it replaced
+# one-component array it replaced, on Python floats in place of arrays
 @pytest.mark.parametrize("gamma,rho0,psi0,event,atol", [
     (1.0, 1.0, 1.0, "blow-up", 1e-8),
     (0.5, 2.0, 1.0, "blow-up", 1e-8),
@@ -91,7 +91,59 @@ def test_scalar_state_steps_like_a_one_component_array(gamma, rho0, psi0,
     vector, scalar = runs
     assert vector.status == scalar.status == "event"
     assert scalar.t == vector.t
-    assert float(scalar.y) == float(vector.y[0])
+    assert type(scalar.y) is float
+    assert scalar.y == float(vector.y[0])
     assert (scalar.naccepted, scalar.nrejected) == \
         (vector.naccepted, vector.nrejected)
     assert scalar.naccepted > 100
+
+
+def _separable(rho, y):
+    return 0.5 * y * y / rho
+
+
+# every accepted step of a 0-d state carries Python floats, bit for bit the
+# values a one-component array carries; that array state still yields arrays
+def test_scalar_state_yields_python_floats():
+    scalar, vector = (list(_ode._dp_steps(_separable, 1.0, y0, 5.0, 1e-10,
+                                          1e-8, 500))
+                      for y0 in (np.array(1.0), np.array([1.0])))
+    assert len(scalar) == len(vector) > 10
+    for (t, y, h, y5, local, nrej), (tv, yv, hv, y5v, localv, nrejv) in \
+            zip(scalar, vector):
+        assert {type(y), type(y5), type(local)} == {float}
+        assert {type(yv), type(y5v), type(localv)} == {np.ndarray}
+        assert (t, h, nrej) == (tv, hv, nrejv)
+        assert (y, y5, local) == (yv[0], y5v[0], localv[0])
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.1, 0.7, -0.25])
+def test_dp_step_on_a_scalar_matches_a_one_component_array(h):
+    scalar = _ode.dp_step(_separable, 1.0, np.array(1.5), h)
+    vector = _ode.dp_step(_separable, 1.0, np.array([1.5]), h)
+    assert type(scalar) is float and vector.shape == (1,)
+    assert scalar.hex() == float(vector[0]).hex()
+
+
+def _nan_past_half(t, y):
+    return -y if t < 0.5 else math.nan * y
+
+
+def _still(t, y):
+    return 0.0 * y
+
+
+# an rhs that turns NaN, and a zero state at atol 0 (every error ratio is
+# 0 / 0), are rejected step after step alike for both state shapes
+@pytest.mark.parametrize("rhs,psi0,atol", [
+    (_nan_past_half, 1.0, 1e-12), (_still, 0.0, 0.0),
+], ids=["nan-past-half", "zero-scale"])
+def test_scalar_and_array_states_fail_at_the_same_t(rhs, psi0, atol):
+    failures = []
+    for y0 in (np.array(psi0), np.array([psi0])):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(_ode.StiffFailure) as info:
+            _flow(rhs, 0.0, y0, 1.0, atol=atol)
+        failures.append((str(info.value), info.value.t))
+    assert failures[0] == failures[1]
+    assert "underflow" in failures[0][0]

@@ -11,8 +11,9 @@ bump family and sets no accuracy floor of its own; one cap, kept by the
 refinement loop, sizes every quadrature's field call; the 1D Gauss rows
 build every 2D integral, and the refinement loop runs three level
 functions; no defaulted parameter is a knob that only its default ever
-sets; and the package imports exactly the third-party distributions it
-declares."""
+sets; the package imports exactly the third-party distributions it
+declares; and no flagless `np.unique` loads `numpy.ma` on the eddy
+path."""
 
 import ast
 import json
@@ -633,3 +634,33 @@ def test_importing_the_cli_loads_no_scipy():
                          text=True, check=True, timeout=120, env=env)
     assert json.loads(out.stdout) == ["numpy.polynomial.legendre",
                                       "numpy.random"]
+
+
+# on numpy 2.4, np.unique called without return_index, return_inverse or
+# return_counts asks np.ma.is_masked, and np.ma loads lazily: the first such
+# call imports numpy.ma, 11-19 ms.  The package takes distinct values
+# through a sorted set instead
+_UNIQUE_FLAGS = {"return_index", "return_inverse", "return_counts"}
+
+
+def test_no_flagless_unique():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for call, _ in _nodes(tree, ast.Call):
+            if _name(call) == "unique" and not _UNIQUE_FLAGS & {
+                    k.arg for k in call.keywords}:
+                found.append(f"{path.name}:{call.lineno}")
+    assert not found, "flagless np.unique at " + ", ".join(found)
+
+
+def test_eddy_pairing_recipe_loads_no_numpy_ma():
+    # a fresh process: another test may have imported numpy.ma already
+    code = ("import sys; from divlab import cli; "
+            "code = cli.main(cli.RECIPES['twisting-pairing']['argv']); "
+            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, env=env)
+    assert out.stderr.split() == ["0", "False"]
