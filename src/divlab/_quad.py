@@ -1,17 +1,21 @@
 """Quadrature kernels: composite Gauss panels with Richardson doubling.
 
-All routines take vectorized integrands (arrays in, arrays out).  The
-adaptive rules are three row batches, each a level function run by
-`_refine`, the one refinement loop and the one place that raises
-`QuadratureError`: the 1D Gauss rows `adaptive_gauss_rows` (with its
+All routines take vectorized integrands (arrays in, arrays out).  Every
+adaptive integral of the package is a row of `_refine`, the one
+refinement loop and the one place that raises `QuadratureError`, in one
+of three row batches: the 1D Gauss rows `adaptive_gauss_rows` (with its
 one-row case `adaptive_gauss_1d` and its nested 2D form
 `adaptive_gauss_nested`, one inner row batch per outer level), the ball
 rows `adaptive_ball_rows`, and the eddy ball rows of
 `trace._eddy_pairings`.  Each row batch returns every row's value and its
-achieved error estimate.  `_refine` alone sizes the integrand's calls: a
-level's open rows reach their level function in calls of at most
-MAX_CALL_NODES nodes, a larger row alone, and no row holds more than
-MAX_LEVEL_NODES.
+achieved error estimate.  Two fixed rules are left: the mollifier's
+convolution rule (`calculus.make_mollifier`, from `ball_rules`), fixed
+so that finite differences of a mollified field difference its
+integrand, and the eddy rows' 16-node radial Gauss rule, which sits
+inside a `_refine` level whose angles double.  `_refine` alone sizes the
+integrand's calls: a level's open rows reach their level function in
+calls of at most MAX_CALL_NODES nodes, a larger row alone, and no row
+holds more than MAX_LEVEL_NODES.
 """
 
 from __future__ import annotations

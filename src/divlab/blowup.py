@@ -377,21 +377,23 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
                       _off_interface_div_mass(zooms[k], shifted, rtol)))
 
     # (b) half-space pairing vs trace * flat boundary term; the boundary
-    # term, psi integrated along the tangent line, is the same at every scale
+    # term, each psi integrated along the tangent line, is the same at every
+    # scale: one row batch over the bumps
     budget = PAIRING_SHARE * final_tol
-    bdry = []
-    for psi in psi_family:
-        t_c = float(np.asarray(psi.center) @ tdir)
-        bdry.append(_quad.adaptive_gauss_1d(
-            lambda t: psi.value(np.outer(t, tdir)),
-            t_c - psi.radius, t_c + psi.radius, rtol=0.0,
-            atol=BOUNDARY_SLICE * budget / max(1.0, abs(trace_value))))
+    centers, origin = bump_family(psi_family)
+    t_c = np.array([float(c @ tdir) for c in centers])
+    bdry, _ = _quad.adaptive_gauss_rows(
+        lambda rows, t: origin.value(
+            (t[:, :, None] * tdir - centers[rows, None, :]).reshape(-1, 2)
+        ).reshape(t.shape),
+        t_c - origin.radius, t_c + origin.radius, rtol=0.0,
+        atol=BOUNDARY_SLICE * budget / max(1.0, abs(trace_value)))
     defects_b, estimates = [], []
     for zk in zooms:
         worst = 0.0
         lhs_family, estimate = _halfspace_lhs(
             zk, psi_family, nu, (1.0 - BOUNDARY_SLICE) * budget)
-        for lhs, b in zip(lhs_family, bdry):
+        for lhs, b in zip(lhs_family, bdry.tolist()):
             worst = max(worst, abs(lhs - trace_value * b))
         defects_b.append(worst)
         estimates.append(estimate)

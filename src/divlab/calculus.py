@@ -146,25 +146,22 @@ def annulus_flux_residual(field: VectorField, center, r_inner: float,
     through its two circles, each term to rtol and an absolute 1e-12.
     The field must declare `analytic_div`.
 
-    The divergence is integrated in the radius, each circle's mean read
-    at 128 equal angles.  The outer circle (normal out, sign +1) and the
-    inner one (normal in, sign -1) are the two rows of one Gauss row
-    batch in the angle.
+    The divergence mass is one `_quad.adaptive_gauss_nested` row, the
+    radius outside and the angle inside, with the Jacobian r.  The outer
+    circle (normal out, sign +1) and the inner one (normal in, sign -1)
+    are the two rows of one Gauss row batch in the angle.
     """
     if field.analytic_div is None:
         raise ValueError("flux residual needs divergence information")
     if not 0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
     c = np.asarray(center, dtype=float)
-    n = 128
-    th = 2.0 * math.pi * np.arange(n) / n
-    ring = np.stack([np.cos(th), np.sin(th)], axis=1)
 
-    def radial(r):
-        # mean of div over each circle of radius r, times the circumference
-        pts = c + r[:, None, None] * ring
-        vals = field.analytic_div(pts.reshape(-1, 2)).reshape(r.size, n)
-        return vals.mean(axis=1) * 2.0 * math.pi * r
+    def div(rows, r, th):
+        e = np.stack([np.cos(th), np.sin(th)], axis=2)
+        pts = c + r[:, None, None] * e
+        return field.analytic_div(pts.reshape(-1, 2)).reshape(th.shape) \
+            * r[:, None]
 
     radius = np.array([r_outer, r_inner])
     sign = np.array([1.0, -1.0])
@@ -176,11 +173,12 @@ def annulus_flux_residual(field: VectorField, center, r_inner: float,
                          .reshape(e.shape), e)
         return (sign * radius)[rows, None] * vals
 
-    div_mass = _quad.adaptive_gauss_1d(radial, r_inner, r_outer, rtol=rtol,
-                                       atol=1e-12)
+    div_mass, _ = _quad.adaptive_gauss_nested(
+        div, [r_inner], [r_outer], lambda rows, r: 0.0,
+        lambda rows, r: 2.0 * math.pi, rtol, 1e-12)
     circles, _ = _quad.adaptive_gauss_rows(flux, [0.0, 0.0],
                                            [2.0 * math.pi] * 2, rtol, 1e-12)
-    return div_mass - float(circles.sum())
+    return float(div_mass[0] - circles.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ functions, and (optionally) one-sided sphere flux.
 
 Every probe at a point x0 of an interface S enters through
 `OrientedInterface.frame`, which refuses a non-planar field or point and
-a point off S, and returns the normal there.
+a point off S, and returns the normal there.  Every integral of a
+deterministic probe is a row of one `_quad` row batch held to PROBE_RTOL:
+the radii of a probe, the clipped eddy patches of each radius, or the
+bumps of a pairing go to one call, never one call each.
 
 Averages are reported per radius with no convergence claim; a probe flags
 oscillation whenever the radius sequence refuses to settle, which is the
@@ -226,11 +229,11 @@ def _intercept_weights(radii) -> np.ndarray:
     return np.linalg.pinv(np.stack([np.ones_like(r), r], axis=1))[0]
 
 
-def _make_probe(radii, estimates, quad_tol, notes="") -> TraceProbe:
+def _make_probe(radii, estimates, notes="") -> TraceProbe:
     extrapolated, osc, raw = _tail_fit(radii, estimates)
-    # both gates: above quadrature noise, and not explained by a smooth
-    # trend in the radius
-    oscillating = bool(osc > 5.0 * quad_tol and osc > 0.25 * raw)
+    # both gates: above the noise of quadratures held to PROBE_RTOL, and
+    # not explained by a smooth trend in the radius
+    oscillating = bool(osc > 5.0 * PROBE_RTOL and osc > 0.25 * raw)
     return TraceProbe(
         radii=tuple(float(r) for r in radii),
         estimates=tuple(float(v) for v in estimates),
@@ -275,48 +278,46 @@ class DensityProbe:
 # ---------------------------------------------------------------------------
 # ball averages
 
-def _twisting_ball_average(eddies: EddyStack, x0: np.ndarray, r: float,
-                           nu0: np.ndarray) -> float:
-    """Exact-per-ball decomposition of the solid average.
+def _twisting_ball_averages(eddies: EddyStack, x0: np.ndarray, radii,
+                            nu0: np.ndarray) -> list[float]:
+    """Solid average of the normal component over the ball about x0 of
+    each radius, by exact per-patch decomposition.
 
-    Rotational patches wholly inside or outside the window integrate to
-    zero against any fixed direction, so only sphere-clipped patches are
-    quadratured; their angular integral has the closed form
-    2 sin(beta) (nu x d-hat), leaving a 1D radial integral.
+    Rotational patches wholly inside or outside a ball integrate to zero
+    against any fixed direction, so only the clipped (radius, patch)
+    pairs, |dist - r| < rho with dist > 0, are integrated; their angular
+    integral has the closed form 2 sin(beta) (nu x d-hat), leaving a
+    radial integral over s in [|r - dist|, min(r + dist, rho)].  Each pair
+    is a row of one Gauss row batch on [0, 1] at PROBE_RTOL, in v with
+    s = s_lo + (s_hi - s_lo) sin^2(pi v / 2), which flattens the sqrt
+    kinks at both ends; a radius sums its rows in patch order.
     """
-    total = 0.0
-    gx, gw = _quad.leggauss(64)
+    r = np.asarray(radii, dtype=float)
     gaps = eddies.centers - x0
-    # a clipped ball has |dist - r| < r_b; the margin covers the rounding of
-    # the array test, so it keeps every ball the exact tests below keep
-    near = (np.abs(np.hypot(gaps[:, 0], gaps[:, 1]) - r)
-            <= eddies.radii + 1e-9 * (r + eddies.radii))
-    for d, radius in zip(gaps[near], eddies.radii[near]):
-        dist = math.hypot(d[0], d[1])
-        if dist >= r + radius or dist + radius <= r:
-            continue  # outside, or inside where odd symmetry kills it
-        if dist == 0.0:
-            continue
-        s_lo = max(abs(r - dist), 0.0)
-        s_hi = min(r + dist, radius)
-        if s_hi <= s_lo:
-            continue
-        # angular factor: integral over the in-window arc of xi . nu0
-        angfac = (nu0[0] * d[1] - nu0[1] * d[0]) / dist
-        if angfac == 0.0:
-            continue
+    dist = np.hypot(gaps[:, 0], gaps[:, 1])
+    k, ball = np.nonzero((np.abs(dist - r[:, None]) < eddies.radii)
+                         & (dist > 0.0))
+    d, rho, rk = dist[ball], eddies.radii[ball], r[k]
+    s_lo = np.abs(rk - d)
+    width = np.minimum(rk + d, rho) - s_lo
+    # angular factor: integral over the in-window arc of xi . nu0
+    angfac = (nu0[0] * gaps[ball, 1] - nu0[1] * gaps[ball, 0]) / d
 
-        # sin^2 substitution flattens the sqrt kinks at both endpoints;
-        # ds folds in dv/dx = 1/2 for the [-1,1] Gauss nodes
-        v = 0.5 * (gx + 1.0)
-        s = s_lo + (s_hi - s_lo) * np.sin(0.5 * math.pi * v) ** 2
-        ds = (s_hi - s_lo) * 0.5 * math.pi \
-            * np.sin(0.5 * math.pi * v) * np.cos(0.5 * math.pi * v)
-        cval = (r * r - s * s - dist * dist) / (2.0 * s * dist)
+    def radial(rows, v):
+        sin, cos = np.sin(0.5 * math.pi * v), np.cos(0.5 * math.pi * v)
+        s = s_lo[rows, None] + width[rows, None] * sin ** 2
+        ds = width[rows, None] * math.pi * sin * cos
+        dr = d[rows, None]
+        cval = (rk[rows, None] ** 2 - s * s - dr * dr) / (2.0 * s * dr)
         sinb = np.sqrt(np.clip(1.0 - cval * cval, 0.0, None))
-        vals = bump(s / radius) * s * 2.0 * sinb
-        total += eddies.calibration * angfac * float(np.sum(gw * vals * ds))
-    return total / (math.pi * r * r)
+        return bump(s / rho[rows, None]) * s * 2.0 * sinb * ds
+
+    vals, _ = _quad.adaptive_gauss_rows(radial, np.zeros(k.size),
+                                        np.ones(k.size), rtol=PROBE_RTOL,
+                                        atol=0.0)
+    totals = np.bincount(k, weights=eddies.calibration * angfac * vals,
+                         minlength=r.size)
+    return (totals / (math.pi * r * r)).tolist()
 
 
 def _disk_lens_averages(disk: Disk, x0: np.ndarray, radii,
@@ -348,14 +349,10 @@ def _disk_lens_averages(disk: Disk, x0: np.ndarray, radii,
 
     vals, _ = _quad.adaptive_gauss_rows(f, lo, hi, rtol=PROBE_RTOL,
                                         atol=1e-15)
-    num, den = [0.0] * len(radii), [0.0] * len(radii)
-    for (k, _, _, numerator), v in zip(pieces, vals):
-        if numerator:
-            num[k] += float(v)
-        else:
-            den[k] += float(v)
+    num = np.bincount(k_row[is_num], vals[is_num], len(radii))
+    den = np.bincount(k_row[~is_num], vals[~is_num], len(radii))
     # the lens is symmetric about the normal direction
-    return [sgn * n / d for n, d in zip(num, den)]
+    return (sgn * num / den).tolist()
 
 
 def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
@@ -363,7 +360,9 @@ def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
     """Solid averages of the normal component over shrinking balls, each
     quadrature to PROBE_RTOL.
 
-    A field on a disk is averaged, at a rim point (`Disk.check_rim`), over
+    An eddy stack is averaged patch by patch (`_twisting_ball_averages`),
+    every clipped patch at every radius a row of one Gauss row batch.  A
+    field on a disk is averaged, at a rim point (`Disk.check_rim`), over
     the lens of each ball inside the disk, so it averages to its one-sided
     trace rather than half of it.  Any other field integrates all its
     balls as the rows of one ball row batch.
@@ -371,10 +370,8 @@ def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
     x0, nu0 = S.frame(field, x0)
     radii = [float(r) for r in radii]
     if field.eddies is not None:
-        estimates = [_twisting_ball_average(field.eddies, x0, r, nu0)
-                     for r in radii]
-        return _make_probe(radii, estimates, 1e-10)
-    if field.disk is not None:
+        estimates = _twisting_ball_averages(field.eddies, x0, radii, nu0)
+    elif field.disk is not None:
         estimates = _disk_lens_averages(field.disk, x0, radii, nu0)
     else:
         totals, _ = _quad.adaptive_ball_rows(
@@ -384,7 +381,7 @@ def weak_trace_ball_average(field: VectorField, S: OrientedInterface,
             rtol=PROBE_RTOL, atol=1e-14)
         estimates = [t / (_quad.ball_volume(2) * r ** 2)
                      for t, r in zip(totals, radii)]
-    return _make_probe(radii, estimates, PROBE_RTOL)
+    return _make_probe(radii, estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +427,7 @@ def weak_trace_curvilinear(field: VectorField, S: OrientedInterface,
         lambda rows, t: rho, PROBE_RTOL, 1e-13)
     estimates = [float(v) / (omega * rho ** (field.dim - 1) * r)
                  for v, r in zip(vals, radii)]
-    return _make_probe(radii, estimates, PROBE_RTOL)
+    return _make_probe(radii, estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +460,13 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
     odd-indexed angles, T_2n = T_n / 2 + (2 pi / 2n) * (their sum), so a
     ball costs the nodes of its final order.  The rows are ordered by ball,
     so the rows of a ball share a call of the level and its new nodes go
-    to the field once; each psi reads its gradient at q - centers[psi]
-    from the origin bump once per node block.  `_refine` sizes a row by
-    the nodes its level evaluates, 16 n on the first level and the 8 n new
-    ones after it; a ball near k bumps is still counted k times, though
-    its nodes go to the field once.  Each psi's value adds its
-    rows' values in ball order and its estimate their last deltas; a ball
-    that misses its support is skipped.
+    to the field once; every row of a node block reads its psi's gradient
+    at q - centers[psi] from the origin bump in one call.  `_refine` sizes
+    a row by the nodes its level evaluates, 16 n on the first level and
+    the 8 n new ones after it; a ball near k bumps is still counted k
+    times, though its nodes go to the field once.  Each psi's value adds
+    its rows' values in ball order and its estimate their last deltas; a
+    ball that misses its support is skipped.
     """
     bumps, origin = bump_family(psi_family)
     centers, radii = eddies.centers, eddies.radii
@@ -522,13 +519,12 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
             slot = np.full(keys.size, -1)
             slot[g] = np.arange(g.size)
             mine = np.flatnonzero(slot[key_of] >= 0)
-            for p in sorted(set(owner[rows[mine]].tolist())):
-                idx = mine[owner[rows[mine]] == p]
-                k = slot[key_of[idx]]
-                grads = origin.value_and_gradient(
-                    q[k].reshape(-1, 2) - bumps[p])[1]
-                terms = np.einsum("ij,ij->i", v[k].reshape(-1, 2), grads)
-                sums[idx] = terms.reshape(q[k].shape[:3]).sum(axis=2)
+            k = slot[key_of[mine]]
+            qk = q[k]
+            grads = origin.value_and_gradient((
+                qk - bumps[owner[rows[mine]], None, None]).reshape(-1, 2))[1]
+            terms = np.einsum("ij,ij->i", v[k].reshape(-1, 2), grads)
+            sums[mine] = terms.reshape(qk.shape[:3]).sum(axis=2)
         circles = (rho[rows] ** 2 * (2.0 * math.pi / order[key_of]))[:, None] \
             * unit_w * sums
         if m > 1:
@@ -542,14 +538,8 @@ def _eddy_pairings(eddies: EddyStack, field: VectorField,
         lambda i: (f"the eddy ball of radius {float(rho[i])} about "
                    f"{centers[ball[i]].tolist()} against "
                    f"{psi_family[owner[i]].label}"), owner.size)
-    out, est = [], []
-    for p in range(len(bumps)):
-        total = 0.0
-        for term in vals[owner == p]:
-            total += float(term)
-        out.append(total)
-        est.append(float(np.sum(deltas[owner == p])))
-    return out, est
+    return (np.bincount(owner, vals, len(bumps)).tolist(),
+            [float(np.sum(deltas[owner == p])) for p in range(len(bumps))])
 
 
 def weak_trace_pairing(field: VectorField, psi_family: Sequence[BumpTest],
@@ -586,8 +576,8 @@ def weak_trace_pairing(field: VectorField, psi_family: Sequence[BumpTest],
 
 def weak_trace_sphere_flux(field: VectorField, S: OrientedInterface,
                            x0, radii) -> TraceProbe:
-    """One-sided flux through half spheres on the inward side, each
-    integrated to PROBE_RTOL.
+    """One-sided flux through half spheres on the inward side, every
+    radius a row of one Gauss row batch at PROBE_RTOL.
 
     Pairs the field against the inward chord ``x0 - y`` (length r, so the
     resulting integral scales like r^n) and divides by ``omega_{n-1} r^n``.
@@ -597,30 +587,32 @@ def weak_trace_sphere_flux(field: VectorField, S: OrientedInterface,
     """
     x0, nu0 = S.frame(field, x0)
     phi0 = math.atan2(-nu0[1], -nu0[0])
-
+    radii = [float(r) for r in radii]
+    r = np.asarray(radii)
     # for a field living on a disk with x0 on its rim, the arc inside the
     # domain is known in closed form; integrating only there keeps the
     # integrand smooth
     disk = field.disk
     if disk is not None:
         disk.check_outward_rim(x0, nu0)
+    half_width = np.array([
+        0.5 * math.pi if disk is None else
+        math.acos(min(1.0, s / (2.0 * disk.radius))) for s in radii])
 
-    estimates = []
-    for r in radii:
-        def integrand(th):
-            e = np.stack([np.cos(th), np.sin(th)], axis=1)
-            pts = x0 + float(r) * e
-            # dH^1 = r dtheta
-            return np.einsum("ij,ij->i", field.eval(pts), x0 - pts) * float(r)
+    def integrand(rows, th):
+        e = np.stack([np.cos(th), np.sin(th)], axis=2).reshape(-1, 2)
+        pts = x0 + np.repeat(r[rows], th.shape[1])[:, None] * e
+        # dH^1 = r dtheta
+        return np.einsum("ij,ij->i", field.eval(pts), x0 - pts).reshape(
+            th.shape) * r[rows, None]
 
-        half_width = (0.5 * math.pi if disk is None else
-                      math.acos(min(1.0, float(r) / (2.0 * disk.radius))))
-        val = _quad.adaptive_gauss_1d(
-            integrand, phi0 - half_width, phi0 + half_width,
-            rtol=PROBE_RTOL, atol=1e-13)
-        omega = _quad.ball_volume(field.dim - 1)
-        estimates.append(val / (omega * float(r) ** field.dim))
-    return _make_probe(radii, estimates, PROBE_RTOL,
+    vals, _ = _quad.adaptive_gauss_rows(
+        integrand, phi0 - half_width, phi0 + half_width, rtol=PROBE_RTOL,
+        atol=1e-13)
+    omega = _quad.ball_volume(field.dim - 1)
+    estimates = [float(v) / (omega * s ** field.dim)
+                 for v, s in zip(vals, radii)]
+    return _make_probe(radii, estimates,
                        notes="pairs the field with the inward chord; "
                              "normalized by omega_{n-1} r^n")
 

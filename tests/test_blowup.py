@@ -376,24 +376,26 @@ class TestTraceConsistency:
             self, capillary, monkeypatch):
         # the tangent-line integral of each bump does not depend on the
         # scale; it was integrated again at every scale (15 times here)
-        # the boundary term is the one 1D integral held to BOUNDARY_SLICE
-        # of the pairing's budget (trace value 1, default final_tol)
+        # the boundary term is the one row batch held to BOUNDARY_SLICE of
+        # the pairing's budget (trace value 1, default final_tol), one row
+        # per bump
         flat = []
-        gauss_1d = _quad.adaptive_gauss_1d
+        gauss_rows = _quad.adaptive_gauss_rows
         slice_atol = BOUNDARY_SLICE * PAIRING_SHARE * 1e-2
 
-        def counting_1d(f, a, b, **kwargs):
+        def counting_rows(f, a, b, *args, **kwargs):
             if kwargs.get("atol") == slice_atol:
-                flat.append((a, b))
-            return gauss_1d(f, a, b, **kwargs)
+                flat.append(list(zip(a.tolist(), b.tolist())))
+            return gauss_rows(f, a, b, *args, **kwargs)
 
-        monkeypatch.setattr(_quad, "adaptive_gauss_1d", counting_1d)
+        monkeypatch.setattr(_quad, "adaptive_gauss_rows", counting_rows)
         S = circle_interface((0.0, 0.0), 1.0, outward=True)
         rep = blowup_trace_consistency(capillary, S, (1.0, 0.0),
                                        (0.25, 0.125, 0.0625),
                                        trace_value=1.0, rtol=1e-6)
         assert len(rep.rows) == 3
-        assert len(flat) == 5 and len(set(flat)) == 5
+        assert len(flat) == 1
+        assert len(flat[0]) == 5 and len(set(flat[0])) == 5
 
     def test_rejects_a_final_tolerance_that_leaves_no_budget(
             self, capillary):

@@ -10,7 +10,9 @@ angles from its gate and always reports an estimate; a pairing reads one
 bump family and sets no accuracy floor of its own; one cap, kept by the
 refinement loop, sizes every quadrature's field call; the 1D Gauss rows
 build every 2D integral, and the refinement loop runs three level
-functions; no defaulted parameter is a knob that only its default ever
+functions; no quadrature runs in a loop, no module outside `_quad` but
+the eddy rows keeps a fixed Gauss rule, and the trace probes share one
+tolerance; no defaulted parameter is a knob that only its default ever
 sets; the package imports exactly the third-party distributions it
 declares; and no flagless `np.unique` loads `numpy.ma` on the eddy
 path."""
@@ -516,6 +518,56 @@ def test_three_level_functions_and_no_hand_nested_rows():
                       "trace.py:_eddy_pairings"}
     assert not gone, "\n".join(gone)
     assert not nested, "\n".join(nested)
+
+
+# every quadrature outside `_quad` is one row batch: no quadrature entry
+# runs once per pass of a loop or a comprehension (its rows go to one
+# call instead), only `_quad` and the eddy rows' fixed radial rule read
+# `leggauss` (no hand-rolled fixed rule), and a trace probe's oscillation
+# gate reads PROBE_RTOL, the tolerance of every probe quadrature, so
+# `_make_probe` takes none
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
+                   ast.GeneratorExp)
+
+
+def _looped_parts(node) -> list:
+    """The parts of a loop or a comprehension that run once per pass: all
+    but a `for` loop's iterable and a comprehension's first iterable."""
+    if isinstance(node, ast.For):
+        return [node.target, *node.body, *node.orelse]
+    if isinstance(node, ast.While):
+        return [node.test, *node.body, *node.orelse]
+    if isinstance(node, _COMPREHENSIONS):
+        first, *rest = node.generators
+        return [child for child in ast.iter_child_nodes(node)
+                if not isinstance(child, ast.comprehension)] + [
+            first.target, *first.ifs, *rest]
+    return []
+
+
+def test_no_quadrature_in_a_loop_and_no_fixed_rule_of_its_own():
+    looped, readers, probe_args = [], set(), None
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = {id(node) for loop in ast.walk(tree)
+                  for part in _looped_parts(loop) for node in ast.walk(part)}
+        for node, where in _nodes(tree, ast.AST):
+            if isinstance(node, (ast.Name, ast.Attribute)) \
+                    and _name(node) == "leggauss":
+                readers.add(path.name if path.name == "_quad.py"
+                            else f"{path.name}:{where}")
+            if path.name == "_quad.py":
+                continue
+            if isinstance(node, ast.Call) and _name(node) in _QUADRATURES \
+                    and id(node) in inside:
+                looped.append(f"{path.name}:{node.lineno} {_name(node)} "
+                              f"in {where}")
+            if isinstance(node, ast.FunctionDef) and node.name == \
+                    "_make_probe":
+                probe_args = [a.arg for a in node.args.args]
+    assert not looped, "\n".join(looped)
+    assert readers == {"_quad.py", "trace.py:_eddy_pairings"}
+    assert probe_args == ["radii", "estimates", "notes"]
 
 
 # a probe takes the plain values it reads: the blow-up takes the field,

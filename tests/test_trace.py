@@ -25,7 +25,7 @@ from divlab.trace import (
     circle_interface, density, line_interface, one_sided_ap_lim,
     weak_trace_ball_average, weak_trace_curvilinear, weak_trace_pairing,
     weak_trace_sphere_flux, _eddy_pairings, _intercept_weights,
-    _tail_fit, _twisting_ball_average,
+    _tail_fit, _twisting_ball_averages,
 )
 
 RADII = [2.0 ** -k for k in range(3, 9)]
@@ -353,8 +353,9 @@ class TestTwistingOscillation:
         ((0.2, 0.0), 1e3), ((0.40625, 0.0), 0.09375)])
     def test_array_prefilter_keeps_every_clipped_ball(self, twisting12, x0,
                                                       r):
-        # the average the array prefilter replaced: every ball of the stack
-        # through the exact tests, in ball order; bitwise the same
+        # the fixed 64-node rule the row batch replaced: every ball of the
+        # stack through the exact tests, in ball order; the adaptive rows
+        # agree with it to 1e-12
         eddies, x0 = twisting12.eddies, np.asarray(x0)
         nu0 = np.array([0.0, -1.0])
         gx, gw = leggauss(64)
@@ -378,7 +379,8 @@ class TestTwistingOscillation:
             total += eddies.calibration * angfac * float(
                 np.sum(gw * vals * ds))
         want = total / (math.pi * r * r)
-        assert _twisting_ball_average(eddies, x0, r, nu0) == want
+        [got] = _twisting_ball_averages(eddies, x0, [r], nu0)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_mirror_point_cancels_exactly(self, twisting12):
         # x = 1/2 is a mirror axis of the eddy lattice: clipped patches come
