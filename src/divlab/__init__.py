@@ -16,8 +16,8 @@ interface behavior, and `cli` wires everything into scenarios.
 from .calculus import (GridSpec, MollifierKernel, annulus_flux_residual,
                        bump_family, bump_test, jensen_check,
                        make_mollifier, mollify, numeric_divergence)
-from .fields import (AUTO, CylindricalPotential, Disk, OutOfDomainError,
-                     VectorField, constant_field,
+from .fields import (AUTO, CylindricalPotential, Disk, InputError,
+                     OutOfDomainError, VectorField, constant_field,
                      counterexample_potential, field_to_potential,
                      get_field, make_capillary_field,
                      make_counterexample_field, make_twisting_field,
@@ -28,7 +28,7 @@ from .blowup import (blowup_trace_consistency, finest_ratio_check,
                      quadratic_inequality_check, rescale)
 from .report import (CheckResult, FAIL, INFO, PASS, SKIPPED,
                      VerificationReport)
-from .rigidity import (CERTIFIED, VIOLATED, FlowInputError, FlowTube,
+from .rigidity import (CERTIFIED, VIOLATED, FlowTube,
                        MonotonicityViolation, RigidityCertificate,
                        certify_potential, flow_tubes,
                        default_certification_grid, gamma_bounds,

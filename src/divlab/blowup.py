@@ -18,7 +18,7 @@ from numpy.random import default_rng
 
 from . import _quad
 from .calculus import annulus_flux_residual, bump_family, bump_test
-from .fields import Disk, EddyStack, Exclusion, VectorField
+from .fields import Disk, EddyStack, Exclusion, InputError, VectorField
 from .report import INCONCLUSIVE, CheckResult, VerificationReport
 from .trace import OrientedInterface, DensityProbe, _eddy_pairings, \
     check_radii, deviation_densities, sampling_error, \
@@ -350,7 +350,7 @@ def blowup_trace_consistency(field: VectorField, S: OrientedInterface, x0,
     """
     radii = check_radii(radii)
     if not 0.0 < final_tol < math.inf:
-        raise ValueError(f"final_tol must be finite and positive; got "
+        raise InputError(f"final_tol must be finite and positive; got "
                          f"{final_tol}: it sets the pairing's budget")
     x0, nu = S.frame(field, x0)
     if field.disk is not None:

@@ -9,7 +9,8 @@ closed-form demos.  Every run prints its checks and a final verdict;
 Exit status: 0 when no check fails or is undecided and at least one
 passes (PASS), 1 when a check fails (FAIL) or none decides (INCONCLUSIVE:
 a gate within its error, a sampling error or an achieved quadrature or
-ODE bound, or only INFO and SKIPPED records), 2 on usage errors.
+ODE bound, or only INFO and SKIPPED records), 2 on usage errors, which
+include an input that a library entry check refuses (`fields.InputError`).
 Parameter precedence: command-line flags, then a `--config` JSON file,
 then built-in defaults.  Monte Carlo operations run with a fixed default
 seed, recorded in the report.
@@ -40,7 +41,7 @@ from .blowup import (PAIRING_SHARE, blowup_trace_consistency,
                      nalpha_density, quadratic_inequality_check)
 from .calculus import (GridSpec, bump_test, jensen_check,
                        make_mollifier, mollify, numeric_divergence)
-from .fields import (AUTO, MAX_DIMENSION, REGISTRY_EXAMPLES,
+from .fields import (AUTO, MAX_DIMENSION, REGISTRY_EXAMPLES, InputError,
                      counterexample_potential, constant_field,
                      field_to_potential, finite_float, gamma_bounds,
                      get_field, int_range, make_counterexample_field,
@@ -48,8 +49,8 @@ from .fields import (AUTO, MAX_DIMENSION, REGISTRY_EXAMPLES,
                      phi_quadratic, positive_float, potential_to_field,
                      stream_bump_field)
 from .report import INFO, PASS, CheckResult, VerificationReport
-from .rigidity import (CERTIFIED, VIOLATED, FlowInputError, certify_potential,
-                       check_strip, default_certification_grid, flow_tubes,
+from .rigidity import (CERTIFIED, VIOLATED, certify_potential, check_strip,
+                       default_certification_grid, flow_tubes,
                        separable_demo, strip_identity_2d)
 from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
                     check_curvilinear, check_radii, circle_interface, density,
@@ -57,7 +58,7 @@ from .trace import (AP_LIM_CONFIRMED, AP_LIM_INCONCLUSIVE, AP_LIM_REJECTED,
                     weak_trace_ball_average, weak_trace_curvilinear,
                     weak_trace_pairing, weak_trace_sphere_flux)
 
-__all__ = ["Scenario", "UsageError", "run", "main", "RECIPES"]
+__all__ = ["Scenario", "run", "main", "RECIPES"]
 
 DEFAULT_SEED = 20260819
 DEFAULT_RADII = tuple(2.0 ** -k for k in range(3, 9))
@@ -67,10 +68,6 @@ MAX_JENSEN_EVALUATIONS = 40_000_000
 # full probe, bounded like a count; recipes and benchmarks list at most 6
 MAX_LIST_LENGTH = 32
 PROG = "divlab"
-
-
-class UsageError(ValueError):
-    """Bad invocation: unknown field, malformed parameter, missing input."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +85,7 @@ class Scenario:
 
     def __post_init__(self):
         if self.operation not in _OPERATIONS:
-            raise UsageError(f"unknown operation {self.operation!r}")
+            raise InputError(f"unknown operation {self.operation!r}")
 
     def echo(self) -> str:
         payload = {
@@ -122,12 +119,12 @@ def run(scenario: Scenario) -> VerificationReport:
 
     Library exceptions become a FAILED `execution` check rather than a
     traceback, so a crashed computation still yields a report (exit 1);
-    usage errors propagate (exit 2).
+    an InputError, a usage error, propagates (exit 2).
     """
     handler = _OPERATIONS[scenario.operation].handler
     try:
         rep, tables, extras = handler(scenario)
-    except UsageError:
+    except InputError:
         raise
     except Exception as exc:  # noqa: BLE001 -- any compute failure is a FAIL
         rep = VerificationReport()
@@ -182,25 +179,16 @@ def _spelled_column(col: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 # parameter parsing helpers
 
-def _refused(call: Callable):
-    """call(), with its ValueError a usage error: for the library's input
-    checks, which refuse before any field call."""
-    try:
-        return call()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _floats(text: str, what: str, count: Optional[int] = None):
     try:
         vals = [finite_float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise UsageError(f"malformed {what}: {text!r}") from exc
+        raise InputError(f"malformed {what}: {text!r}") from exc
     if count is not None and len(vals) != count:
-        raise UsageError(f"{what} needs {count} comma-separated values, "
+        raise InputError(f"{what} needs {count} comma-separated values, "
                          f"got {text!r}")
     if len(vals) > MAX_LIST_LENGTH:
-        raise UsageError(f"{len(vals)} {what} given; at most "
+        raise InputError(f"{len(vals)} {what} given; at most "
                          f"{MAX_LIST_LENGTH}")
     return vals
 
@@ -210,11 +198,8 @@ def _parse_radii(spec: str) -> tuple:
         return DEFAULT_RADII
     vals = _floats(spec, "radii")
     if len(vals) < 2:
-        raise UsageError("need at least two probe radii")
-    try:
-        return tuple(check_radii(vals))
-    except ValueError as exc:
-        raise UsageError(f"bad radii {spec!r}: {exc}") from exc
+        raise InputError("need at least two probe radii")
+    return tuple(check_radii(vals))
 
 
 def _parse_box(spec: str) -> list:
@@ -223,15 +208,15 @@ def _parse_box(spec: str) -> list:
     for part in spec.split(";"):
         lo, hi = _floats(part, "box side", 2)
         if hi <= lo:
-            raise UsageError(f"empty box side {part!r}")
+            raise InputError(f"empty box side {part!r}")
         out.append((lo, hi))
     return out
 
 
 def _resolve_field(field_id: str):
     if not field_id:
-        raise UsageError("this operation needs --field")
-    return _refused(lambda: get_field(field_id))
+        raise InputError("this operation needs --field")
+    return get_field(field_id)
 
 
 def _point(text: str) -> list:
@@ -261,19 +246,15 @@ def _resolve_interface(spec, f):
         # planar fields here carry their structure in the upper half plane;
         # point the normal down so the sampled side (-nu) is the upper one
         return line_interface((0.0, 0.0), (1.0, 0.0), normal=(0.0, -1.0))
-    kind, params = _refused(
-        lambda: parse_spec(str(spec), _INTERFACES, "interface"))
-    try:
-        return _INTERFACES[kind][0](params)
-    except ValueError as exc:
-        raise UsageError(f"bad interface {spec!r}: {exc}") from exc
+    kind, params = parse_spec(str(spec), _INTERFACES, "interface")
+    return _INTERFACES[kind][0](params)
 
 
 def _interface_point(p, f):
     """x0, the interface of `p` and its normal at x0; a non-planar field
     and x0 off the interface are usage errors (`OrientedInterface.frame`)."""
     S = _resolve_interface(p["interface"], f)
-    x0, nu0 = _refused(lambda: S.frame(f, _floats(p["x0"], "x0", 2)))
+    x0, nu0 = S.frame(f, _floats(p["x0"], "x0", 2))
     return x0, S, nu0
 
 
@@ -292,14 +273,14 @@ def _certify_target(field_id: str):
     a VIOLATED certificate is produced) while the field constructor
     rejects them, so the field half is optional.
     """
-    kind, kw = _refused(lambda: parse_spec(field_id))
+    kind, kw = parse_spec(field_id)
     if kind != "counterexample":
-        raise UsageError(
+        raise InputError(
             f"field {field_id!r} carries no cylindrical potential to certify")
     pot = counterexample_potential(kw["n"], kw["gamma"])
     try:
         fld = make_counterexample_field(kw["n"], kw["gamma"])
-    except ValueError:
+    except InputError:
         fld = None
     return pot, fld
 
@@ -403,13 +384,10 @@ def _h_flow_tube(sc: Scenario):
     h0, seeds = p["h0"], p["seeds"]
     levels = [seeds, 2 * seeds] if p["refine"] else [seeds]
     # the seed box and the field audit are refused before any allocation
-    try:
-        tubes, paths = flow_tubes(f, eps, A, h0, levels,
-                                  plot_seeds=p["plot_seeds"],
-                                  gauge_constant=p["gauge_constant"],
-                                  residual_tol=tol["residual_tol"])
-    except FlowInputError as exc:
-        raise UsageError(str(exc)) from exc
+    tubes, paths = flow_tubes(f, eps, A, h0, levels,
+                              plot_seeds=p["plot_seeds"],
+                              gauge_constant=p["gauge_constant"],
+                              residual_tol=tol["residual_tol"])
     tube = tubes[0]
     rep = tube.to_report()
     rep.add(CheckResult.info("epsilon", eps))
@@ -442,12 +420,12 @@ def _h_flow_tube(sc: Scenario):
 def _h_strip(sc: Scenario):
     p = sc.params
     if len(p["at"]) > MAX_LIST_LENGTH:
-        raise UsageError(f"{len(p['at'])} strip locations given; at most "
+        raise InputError(f"{len(p['at'])} strip locations given; at most "
                          f"{MAX_LIST_LENGTH}")
     locations = [_floats(item, "strip location", 2) for item in p["at"]]
     f = _resolve_field(sc.field)
     for r, t in locations:
-        _refused(lambda: check_strip(f, r, t))
+        check_strip(f, r, t)
     rep = VerificationReport()
     rows = []
     for r, t in locations:
@@ -496,19 +474,16 @@ def _h_trace(sc: Scenario):
     tables = []
 
     if method == "pairing":
-        if f.dim != 2:
-            raise UsageError(f"the pairing probe is planar; {f.name!r} has "
-                             f"dimension {f.dim}")
         region = p["omega"]
         sides = np.array([(0.0, 1.0), (0.0, 1.0)] if region == "unit-square"
                          else _parse_box(region))
         if len(sides) != 2:
-            raise UsageError(f"pairing region {region!r} needs two sides")
+            raise InputError(f"pairing region {region!r} needs two sides")
         rng = default_rng(sc.seed)
         radius = p["bump_radius"]
         lo, hi = sides[:, 0] + radius, sides[:, 1] - radius
         if np.any(hi <= lo):
-            raise UsageError("bump radius too large for the region")
+            raise InputError("bump radius too large for the region")
         family = [bump_test(lo + (hi - lo) * rng.uniform(size=2), radius)
                   for _ in range(p["bumps"])]
         vals, estimates = weak_trace_pairing(
@@ -533,13 +508,13 @@ def _h_trace(sc: Scenario):
 
     methods = ["ball", "curvilinear", "flux"] if method == "all" else [method]
     if "curvilinear" in methods:
-        _refused(lambda: check_curvilinear(S, p["rho"], radii))
+        check_curvilinear(S, p["rho"], radii)
     # the lens average reads a rim point; the sphere flux also needs the
     # outward normal there
     if f.disk is not None and "flux" in methods:
-        _refused(lambda: f.disk.check_outward_rim(x0, nu0))
+        f.disk.check_outward_rim(x0, nu0)
     elif f.disk is not None and "ball" in methods:
-        _refused(lambda: f.disk.check_rim(x0, nu0))
+        f.disk.check_rim(x0, nu0)
     est_rows = []
     for m in methods:
         if m == "ball":
@@ -550,7 +525,7 @@ def _h_trace(sc: Scenario):
         elif m == "flux":
             probe = weak_trace_sphere_flux(f, S, x0, radii)
         else:
-            raise UsageError(f"unknown trace method {m!r}")
+            raise InputError(f"unknown trace method {m!r}")
         _probe_checks(rep, probe, m, p, tol)
         # deterministic quadratures carry no sampling error
         est_rows += [[m, r, e, math.nan]
@@ -567,7 +542,7 @@ def _h_density(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     f = _resolve_field(sc.field)
     if f.disk is None:
-        raise UsageError(
+        raise InputError(
             "density probes need a domain-restricted field; "
             f"{f.name!r} is defined everywhere")
     x0 = _floats(p["x0"], "x0", f.dim)
@@ -597,8 +572,6 @@ def _h_aplim(sc: Scenario):
     else:
         w = _floats(p["w"], "w", 2)
     alphas = _floats(p["alphas"], "alphas")
-    if not alphas or min(alphas) <= 0.0:
-        raise UsageError(f"deviation levels must be positive: {p['alphas']!r}")
     radii = _parse_radii(p["radii"])
     rep = one_sided_ap_lim(f, S, x0, w, alphas, radii,
                            eps_density=tol["eps_density"],
@@ -650,9 +623,7 @@ def _h_nalpha(sc: Scenario):
 def _h_blowup(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     f = _resolve_field(sc.field)
-    x0, S, nu0 = _interface_point(p, f)
-    if f.disk is not None:
-        _refused(lambda: f.disk.check_outward_rim(x0, nu0))
+    x0, S, _ = _interface_point(p, f)
     radii = (tuple(2.0 ** -k for k in range(2, 7)) if p["radii"] == "auto"
              else _parse_radii(p["radii"]))
     rep = blowup_trace_consistency(f, S, x0, radii,
@@ -673,7 +644,7 @@ def _h_blowup(sc: Scenario):
 
 def _h_demo_separable(sc: Scenario):
     p = sc.params
-    rep = _refused(lambda: separable_demo(p["gamma"], p["rho0"], p["psi0"]))
+    rep = separable_demo(p["gamma"], p["rho0"], p["psi0"])
     return rep, [], []
 
 
@@ -683,7 +654,7 @@ def _h_demo_jensen(sc: Scenario):
     kernel = make_mollifier(eps, dim)
     evaluations = p["grid_n"] ** dim * kernel.nodes.shape[0]
     if evaluations > MAX_JENSEN_EVALUATIONS:
-        raise UsageError(f"--grid-n {p['grid_n']} in dimension {dim} needs "
+        raise InputError(f"--grid-n {p['grid_n']} in dimension {dim} needs "
                          f"{evaluations} field evaluations, above "
                          f"{MAX_JENSEN_EVALUATIONS}")
     vec = np.zeros(dim)
@@ -723,7 +694,7 @@ def _h_demo_quadratic(sc: Scenario):
 def _h_demo_roundtrip(sc: Scenario):
     p, tol = sc.params, sc.tolerances
     n, gamma = p["n"], p["gamma"]
-    closed = _refused(lambda: make_counterexample_field(n, gamma))
+    closed = make_counterexample_field(n, gamma)
     pot = counterexample_potential(n, gamma)
     rebuilt = potential_to_field(pot)
 
@@ -814,7 +785,7 @@ class Param:
                 raise ValueError(f"expected one of {list(self.choices)}")
             return out
         except ValueError as exc:
-            raise UsageError(
+            raise InputError(
                 f"config value {self.name}={value!r}: {exc}") from exc
 
 
@@ -1071,7 +1042,7 @@ RECIPES = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(message)
 
 
 # built once per operation per process: parsing leaves the parser as it
@@ -1115,9 +1086,9 @@ def _read_config(path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}")
+        raise InputError(f"cannot read config {path!r}: {exc}")
     if not isinstance(config, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise InputError("config file must hold a JSON object")
     return config
 
 
@@ -1129,7 +1100,7 @@ def _scenario_from_args(args) -> Scenario:
     config = _read_config(args.config)
     unknown = set(config) - {p.name for p in table}
     if unknown:
-        raise UsageError(
+        raise InputError(
             f"config keys {sorted(unknown)} not understood by {op!r}")
     params, tols = {}, {}
     for p in table:
@@ -1178,7 +1149,7 @@ def main(argv=None) -> int:
     parser = build_parser(op if op in _OPERATIONS or op == "list" else None)
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
+    except InputError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # --help and argparse-internal exits
@@ -1191,7 +1162,7 @@ def main(argv=None) -> int:
     try:
         scenario = _scenario_from_args(args)
         rep = run(scenario)
-    except UsageError as exc:
+    except InputError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     _print_report(rep, sys.stdout)

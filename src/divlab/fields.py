@@ -21,6 +21,11 @@ class OutOfDomainError(ValueError):
     """Evaluation requested outside the field's domain of definition."""
 
 
+class InputError(ValueError):
+    """An input that a library entry check refuses before the computation
+    starts; the CLI reports it as a usage error (exit 2)."""
+
+
 def as_points(x, dim: int) -> np.ndarray:
     """Coerce a single point or a batch to shape (m, dim)."""
     a = np.asarray(x, dtype=float)
@@ -133,7 +138,7 @@ class Disk:
         off = abs(float(np.linalg.norm(a)) - self.radius)
         tilt = abs(float(a[0] * nu[1] - a[1] * nu[0])) / self.radius
         if not (off <= 1e-9 and tilt <= 1e-9):
-            raise ValueError(
+            raise InputError(
                 f"x0 {x0.tolist()} must be a rim point: on the disk boundary"
                 f" with a radial normal, each to 1e-9; it lies {off:.3e} off "
                 f"the boundary and its normal {tilt:.3e} off radial")
@@ -144,7 +149,7 @@ class Disk:
         the disk."""
         self.check_rim(x0, nu)
         if float((x0 - self.center) @ nu) < 0.0:
-            raise ValueError(
+            raise InputError(
                 f"the normal {nu.tolist()} at the rim point {x0.tolist()} is "
                 f"the inward normal of the disk; this probe integrates on "
                 f"the -nu side and needs the outward normal")
@@ -390,7 +395,7 @@ def make_twisting_field(max_level: int = 8) -> VectorField:
     level rint(-log2 y) with the nearest dyadic center.
     """
     if not 1 <= max_level <= MAX_TWISTING_LEVELS:
-        raise ValueError(
+        raise InputError(
             f"max_level must be between 1 and {MAX_TWISTING_LEVELS}")
     heights, radii = _level_geometry(max_level)
     _assert_disjoint(heights, radii)
@@ -441,7 +446,7 @@ def make_twisting_field(max_level: int = 8) -> VectorField:
 def make_capillary_field(R: float) -> VectorField:
     """Normalized gradient-graph field of a lower hemisphere: x / R on |x| < R."""
     if R <= 0:
-        raise ValueError("R must be positive")
+        raise InputError("R must be positive")
 
     disk = Disk((0.0, 0.0), R)
     name = f"capillary:R={_fmt_num(R)}"
@@ -480,7 +485,7 @@ _CYLINDRICAL_EXCLUSIONS = (
 def gamma_bounds(n: int) -> tuple[float, float]:
     """The two admissibility bounds on the amplitude gamma for dimension n."""
     if n < 4:
-        raise ValueError("construction requires n >= 4")
+        raise InputError("construction requires n >= 4")
     return (1.0 / RADIAL_BOUND_CONSTANT, 2.0 ** ((4.0 - 3.0 * n) / (n - 1.0)))
 
 
@@ -541,16 +546,16 @@ def _resolve_gamma(n: int, gamma, strict: bool = True) -> float:
     b_radial, b_vertical = gamma_bounds(n)
     if isinstance(gamma, str):
         if gamma != AUTO:
-            raise ValueError(f"gamma must be a number or '{AUTO}'")
+            raise InputError(f"gamma must be a number or '{AUTO}'")
         return min(b_radial, b_vertical)
     g = float(gamma)
     if not 0 < g < math.inf:
-        raise ValueError("gamma must be positive and finite")
+        raise InputError("gamma must be positive and finite")
     if strict and g > b_radial:
-        raise ValueError(
+        raise InputError(
             f"gamma={g} exceeds the radial-slope bound 1/C={b_radial:.12g}")
     if strict and g > b_vertical:
-        raise ValueError(
+        raise InputError(
             f"gamma={g} exceeds the vertical-growth bound "
             f"2^((4-3n)/(n-1))={b_vertical:.12g}")
     return g
@@ -813,11 +818,11 @@ def parse_spec(name: str, table: dict = _REGISTRY,
     table maps each kind to (builder, {key: (default, converter)}, bare
     words): keys come in any order, words (switches) in their listed one.
     Unknown kinds, unknown or repeated keys, stray parts, and values that
-    the kind's converter rejects raise ValueError.
+    the kind's converter rejects raise InputError.
     """
     kind, *parts = name.split(":")
     if kind not in table:
-        raise ValueError(f"unknown {what} {name!r}")
+        raise InputError(f"unknown {what} {name!r}")
     _, keys, words = table[kind]
     params = {key: default for key, (default, _) in keys.items()}
     params.update((word, False) for word in words)
@@ -830,14 +835,14 @@ def parse_spec(name: str, table: dict = _REGISTRY,
             nwords += 1
         elif not eq or key not in keys or key in given:
             grammar = ":".join([kind, *words, *(f"{k}=..." for k in keys)])
-            raise ValueError(f"bad part {part!r} in {what} {name!r}; "
+            raise InputError(f"bad part {part!r} in {what} {name!r}; "
                              f"expected {grammar}, each part at most once")
         else:
             given.add(key)
             try:
                 params[key] = keys[key][1](text)
             except ValueError as exc:
-                raise ValueError(f"bad value in {part!r} of {what} "
+                raise InputError(f"bad value in {part!r} of {what} "
                                  f"{name!r}: {exc}") from exc
     return kind, params
 

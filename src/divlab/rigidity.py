@@ -20,11 +20,12 @@ from numpy.random import default_rng
 
 from . import _ode, _quad
 from .calculus import GridSpec
-from .fields import CylindricalPotential, VectorField, gamma_bounds
+from .fields import (CylindricalPotential, InputError, VectorField,
+                     gamma_bounds)
 from .report import INCONCLUSIVE, CheckResult, VerificationReport
 
 __all__ = [
-    "MonotonicityViolation", "FlowInputError", "FlowTube",
+    "MonotonicityViolation", "FlowTube",
     "RigidityCertificate", "flow_tubes", "check_strip", "strip_identity_2d",
     "certify_potential", "default_certification_grid", "gamma_bounds",
     "separable_demo", "CERTIFIED", "VIOLATED", "INCONCLUSIVE",
@@ -55,11 +56,6 @@ STRIP_RTOL = 1e-10
 
 class MonotonicityViolation(RuntimeError):
     """The lifted field's vertical component was not positive."""
-
-
-class FlowInputError(ValueError):
-    """Flow inputs refused before anything is allocated: a seed box the
-    flow cannot take, or a field and lift the audit rejects."""
 
 
 def _trace_shear(vals: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -143,19 +139,19 @@ def _check_inputs(eta: VectorField, epsilon: float, A, h0: float,
     for what, value in (("lift epsilon", epsilon),
                         ("residual tolerance", residual_tol)):
         if not 0.0 < value < math.inf:
-            raise FlowInputError(f"{what} {value!r} is not finite and "
+            raise InputError(f"{what} {value!r} is not finite and "
                                  "positive")
     if not 1 <= len(A) <= 2:
-        raise FlowInputError(f"seed box of dimension {len(A)}: the flow "
+        raise InputError(f"seed box of dimension {len(A)}: the flow "
                              "tube takes boxes of dimension 1 or 2")
     if eta.dim != len(A) + 1 and not (eta.dim == 2 and len(A) == 2):
-        raise FlowInputError(f"seed box of dimension {len(A)} does not "
+        raise InputError(f"seed box of dimension {len(A)} does not "
                              f"match a field of dimension {eta.dim}")
     if eta.analytic_div is None:
-        raise FlowInputError(
+        raise InputError(
             "flow tube needs a certified divergence-free field")
     if eta.eval_jacobian is None:
-        raise FlowInputError(f"{eta.name} has no analytic Jacobian; "
+        raise InputError(f"{eta.name} has no analytic Jacobian; "
                              "flow transport needs one")
     rng = default_rng(20260819)
     los = np.array([lo for lo, _ in A] + [0.0])
@@ -165,14 +161,14 @@ def _check_inputs(eta: VectorField, epsilon: float, A, h0: float,
         pts = pts[:, [0, -1]]   # the planar section of the extruded box
     div = eta.analytic_div(pts)
     if np.max(np.abs(div)) > 1e-10:
-        raise FlowInputError("field's declared divergence is not zero")
+        raise InputError("field's declared divergence is not zero")
     below = pts.copy()
     below[:, -1] = -np.abs(below[:, -1]) - 1e-6
     if np.max(np.abs(eta.eval(below))) > 0.0:
-        raise FlowInputError("field does not vanish below height zero")
+        raise InputError("field does not vanish below height zero")
     neg_part = np.maximum(-eta.eval(pts)[:, -1], 0.0)
     if epsilon <= float(np.max(neg_part)):
-        raise FlowInputError(
+        raise InputError(
             f"epsilon {epsilon} does not dominate the sampled downdraft "
             f"{float(np.max(neg_part)):.3e}")
 
@@ -396,16 +392,20 @@ def check_strip(eta: VectorField, r: float, t: float) -> None:
     """Refuse, before any field call, a strip the identity cannot take: a
     field that is not planar, not certified divergence-free or lives on a
     disk (the strip would leave it), or a half-width r or height t that is
-    not finite and positive (a strip of no width or height reads 0 = 0)."""
+    not finite and positive (a strip of no width or height reads 0 = 0),
+    or an r whose width 2r is not a finite float."""
     if eta.dim != 2:
-        raise ValueError("strip identity is planar")
+        raise InputError("strip identity is planar")
     if eta.analytic_div is None:
-        raise ValueError("strip identity needs a certified divergence-free field")
+        raise InputError("strip identity needs a certified divergence-free field")
     if not (0.0 < r < math.inf and 0.0 < t < math.inf):
-        raise ValueError(f"strip location {r:g},{t:g} must be positive "
+        raise InputError(f"strip location {r:g},{t:g} must be positive "
                          f"and finite")
+    if not 2.0 * r < math.inf:
+        raise InputError(f"strip half-width {r:g} is too wide: its width "
+                         f"2r is not a finite float")
     if eta.disk is not None:
-        raise ValueError(f"strip identity needs a field on the whole plane; "
+        raise InputError(f"strip identity needs a field on the whole plane; "
                          f"{eta.name!r} lives on the open disk of radius "
                          f"{eta.disk.radius:g}")
 
@@ -579,17 +579,17 @@ def separable_demo(gamma: float, rho0: float,
     The profile explodes at finite radius rho* = rho0 exp(1/(gamma psi0));
     before that it must violate the slope cap |psi'| <= rho, which is the
     numerical content of the obstruction in three dimensions.  Parameters
-    whose blow-up radius is not a finite float raise ValueError up front.
+    whose blow-up radius is not a finite float raise InputError up front.
     """
     if min(gamma, rho0, psi0) <= 0:
-        raise ValueError("gamma, rho0, psi0 must be positive")
+        raise InputError("gamma, rho0, psi0 must be positive")
     try:
         rho_star = rho0 * math.exp(1.0 / (gamma * psi0))
     except (OverflowError, ZeroDivisionError):
         rho_star = math.inf
     # the integration runs out to twice the closed-form radius
     if not math.isfinite(2.0 * rho_star):
-        raise ValueError(
+        raise InputError(
             f"blow-up radius rho0*exp(1/(gamma*psi0)) is not a finite float "
             f"for gamma={gamma:g}, rho0={rho0:g}, psi0={psi0:g}")
     rep = VerificationReport()

@@ -32,7 +32,7 @@ from numpy.random import default_rng
 
 from . import _quad
 from .calculus import BumpTest, bump_family
-from .fields import Disk, EddyStack, VectorField, bump
+from .fields import Disk, EddyStack, InputError, VectorField, bump
 from .report import (FAIL, INCONCLUSIVE, PASS, CheckResult,
                      VerificationReport)
 
@@ -89,11 +89,11 @@ class OrientedInterface:
         point and a point farther than ON_INTERFACE_TOL from the curve."""
         x0 = np.asarray(x0, dtype=float)
         if field.dim != 2 or x0.shape != (2,):
-            raise ValueError(f"interface probes are planar; got a field of "
+            raise InputError(f"interface probes are planar; got a field of "
                              f"dimension {field.dim} at {x0.tolist()}")
         d = float(self.distance(x0))
         if not d <= ON_INTERFACE_TOL:
-            raise ValueError(f"point {x0.tolist()} is {d:.3e} "
+            raise InputError(f"point {x0.tolist()} is {d:.3e} "
                              f"from the interface")
         return x0, self.normal_at(x0)
 
@@ -103,7 +103,7 @@ def _unit(v, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     length = float(np.linalg.norm(v))
     if not 0.0 < length < math.inf:
-        raise ValueError(f"{what} must be finite and nonzero; "
+        raise InputError(f"{what} must be finite and nonzero; "
                          f"got {v.tolist()}")
     return v / length
 
@@ -117,7 +117,7 @@ def line_interface(origin=(0.0, 0.0), direction=(1.0, 0.0),
     else:
         nu = _unit(normal, "normal")
         if abs(nu @ d) > 1e-14:
-            raise ValueError("normal must be orthogonal to the direction")
+            raise InputError("normal must be orthogonal to the direction")
 
     def param(sig):
         sig = np.atleast_1d(np.asarray(sig, dtype=float))
@@ -147,7 +147,7 @@ def circle_interface(center=(0.0, 0.0), radius: float = 1.0,
     c = np.asarray(center, dtype=float)
     R = float(radius)
     if not 0.0 < R < math.inf:
-        raise ValueError(f"radius must be finite and positive; got {R}")
+        raise InputError(f"radius must be finite and positive; got {R}")
     sign = 1.0 if outward else -1.0
 
     def param(sig):
@@ -182,8 +182,9 @@ def circle_interface(center=(0.0, 0.0), radius: float = 1.0,
 def check_radii(radii) -> list[float]:
     """The radii as floats, if positive and strictly decreasing."""
     radii = [float(r) for r in radii]
-    if min(radii) <= 0 or any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be positive and strictly decreasing")
+    if not radii or not all(a > b for a, b in zip(radii, radii[1:] + [0.0])):
+        raise InputError(f"radii must be positive and strictly decreasing; "
+                         f"got {radii}")
     return radii
 
 
@@ -393,7 +394,7 @@ def check_curvilinear(S: OrientedInterface, rho: float, r_seq) -> None:
     of S."""
     kappa = S.curvature_bound
     if kappa * float(max(r_seq)) >= 0.9 or kappa * rho >= 0.5 * math.pi * 0.9:
-        raise ValueError("curvilinear rectangle does not embed: "
+        raise InputError("curvilinear rectangle does not embed: "
                          "radius or width exceeds the curvature scale")
 
 
@@ -551,10 +552,14 @@ def weak_trace_pairing(field: VectorField, psi_family: Sequence[BumpTest],
     error estimates, each a list over psi.  An eddy stack, divergence-free
     and zero outside its balls, goes to `_eddy_pairings`; any other field
     runs each bump as a row of `_quad.adaptive_ball_rows` on the bump's
-    own ball, so its first level samples the bump.
+    own ball, so its first level samples the bump.  A field that is not
+    planar or declares no divergence is refused.
     """
+    if field.dim != 2:
+        raise InputError(f"the pairing probe is planar; {field.name!r} has "
+                         f"dimension {field.dim}")
     if field.analytic_div is None:
-        raise ValueError("pairing needs divergence information")
+        raise InputError("pairing needs divergence information")
     if field.eddies is not None:
         return _eddy_pairings(field.eddies, field, psi_family, atol)
     centers, origin = bump_family(psi_family)
@@ -817,13 +822,15 @@ def one_sided_ap_lim(field: VectorField, S: OrientedInterface, x0, w,
     `_lattice_sizes` are drawn until every gated quantity lies its
     `sampling_error` from eps_density.  A gate still within that at the
     ceiling gives its check INCONCLUSIVE and the classification
-    INCONCLUSIVE, never a confident one.
+    INCONCLUSIVE, never a confident one.  Each alpha must be positive.
     """
     x0, nu0 = S.frame(field, x0)
+    alphas = [float(a) for a in alphas]
+    if not alphas or not all(a > 0.0 for a in alphas):
+        raise InputError(f"deviation levels must be positive; got {alphas}")
     w = np.asarray(w, dtype=float)
     rep = ApLimReport(environment={"seed": seed, "samples": samples})
 
-    alphas = [float(a) for a in alphas]
     probes = deviation_densities(
         field, x0, nu0, w, alphas, radii, samples, seed,
         resolved=lambda round_probes: all(

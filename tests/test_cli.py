@@ -14,9 +14,9 @@ import pytest
 from divlab import _ode, _quad, cli, rigidity, trace
 from divlab.blowup import PAIRING_SHARE, nalpha_density
 from divlab.cli import (
-    RECIPES, Scenario, UsageError, build_parser, main, _scenario_from_args,
+    RECIPES, Scenario, build_parser, main, _scenario_from_args,
 )
-from divlab.fields import make_capillary_field, stream_bump_field
+from divlab.fields import InputError, make_capillary_field, stream_bump_field
 from divlab.report import FAIL, INCONCLUSIVE, PASS
 from divlab.rigidity import flow_tubes
 from divlab.trace import _tail_fit, circle_interface
@@ -197,7 +197,7 @@ class TestExitCodes:
     ], ids=["nan-tolerance", "inf-parameter", "nan-height", "huge-fd-points",
             "zero-seeds", "negative-plot-seeds"])
     def test_non_finite_number_is_usage_error(self, argv, message):
-        with pytest.raises(UsageError, match=message):
+        with pytest.raises(InputError, match=message):
             build_parser().parse_args(argv)
 
     # a count outside its range is turned away before the run starts; at
@@ -281,7 +281,7 @@ class TestExitCodes:
         ["nalpha", "--alpha", "0"],
     ], ids=lambda argv: " ".join(argv))
     def test_every_positive_parameter_rejects_zero_or_less(self, argv):
-        with pytest.raises(UsageError, match="invalid positive_float value"):
+        with pytest.raises(InputError, match="invalid positive_float value"):
             build_parser().parse_args(argv)
 
     # a seed box the tube cannot take is refused before any seed grid is
@@ -336,8 +336,9 @@ class TestExitCodes:
     # a pairing region with one or three sides ("not enough" or "too many
     # values to unpack"), an amplitude past the radial-slope bound, a strip
     # location that is not positive, a strip for a field that lives on a
-    # disk (the strip leaves it), and a curvilinear rectangle wider than
-    # the curvature scale
+    # disk (the strip leaves it), a curvilinear rectangle wider than the
+    # curvature scale, and a strip whose width 2r overflows a float (a NaN
+    # node reached the field)
     @pytest.mark.parametrize("argv,message", [
         (["trace", "--field", "twisting:levels=3", "--method", "pairing",
           "--omega", "0,1", "--bumps", "1"],
@@ -356,9 +357,10 @@ class TestExitCodes:
         (["trace", "--field", "capillary:R=1", "--method", "curvilinear",
           "--x0", "1,0", "--rho", "5"],
          "curvilinear rectangle does not embed"),
+        (["strip-identity", "--at", "1e308,1"], "is too wide"),
     ], ids=["one-sided-region", "three-sided-region", "roundtrip-gamma",
             "zero-width-strip", "zero-height-strip", "negative-height-strip",
-            "disk-field-strip", "wide-curvilinear"])
+            "disk-field-strip", "wide-curvilinear", "overflowing-strip"])
     def test_unusable_input_is_refused_before_any_field_call(
             self, capsys, monkeypatch, argv, message):
         calls = []
@@ -726,6 +728,19 @@ class TestExitCodes:
         assert rep["verdict"] == "FAIL"
         assert [c["name"] for c in rep["checks"]] == ["execution"]
 
+    # only an InputError is the user's fault: a ValueError raised once the
+    # computation has started is a failed execution (exit 1), not a usage
+    # error (it read "divlab: error: boom", exit 2)
+    def test_value_error_during_a_computation_is_an_execution_fail(
+            self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(_ode, "rk45_event", broken)
+        code, out, err = run_main(["demo", "separable"], capsys)
+        assert code == 1 and err == ""
+        assert "FAIL     execution" in out and "ValueError: boom" in out
+
 
 # ---------------------------------------------------------------------------
 # operations and parameters past the usage checks
@@ -1013,7 +1028,7 @@ class TestCatalog:
             assert sc.echo() == GOLDEN_ECHOES[name], name
 
     def test_unknown_operation_rejected(self):
-        with pytest.raises(UsageError, match="unknown operation"):
+        with pytest.raises(InputError, match="unknown operation"):
             Scenario(name="x", field="", operation="nope", params={})
 
 

@@ -14,7 +14,7 @@ import pytest
 from divlab import rigidity
 from divlab.calculus import GridSpec
 from divlab.fields import (
-    AUTO, constant_field, counterexample_potential,
+    AUTO, InputError, constant_field, counterexample_potential,
     get_field, phi_quadratic, stream_bump_field, zero_field,
 )
 from divlab.rigidity import (
@@ -147,7 +147,7 @@ class TestFlowTube:
             def spy(*args, _name=name, **kwargs):
                 raise AssertionError(f"{_name} ran")
             monkeypatch.setattr(module, name, spy)
-        with pytest.raises(rigidity.FlowInputError,
+        with pytest.raises(InputError,
                            match="lift epsilon .* finite and positive"):
             flow_tubes(zero_field(2), epsilon, ((-1.0, 1.0), (-1.0, 1.0)),
                        1.95, [4])
@@ -474,6 +474,16 @@ class TestStripIdentity:
         with pytest.raises(ValueError, match=message):
             strip_identity_2d(dataclasses.replace(field, eval=spy), r, t)
         assert calls == []
+
+    # a half-width whose width 2r overflows a float sent a NaN node to the
+    # field ("non-finite point [nan, 1.0]"); it is refused as an input
+    @pytest.mark.parametrize("r", [1e308, 9e307])
+    def test_a_strip_too_wide_for_a_float_is_refused(self, r):
+        field = stream_bump_field()
+        spied = dataclasses.replace(
+            field, eval=lambda pts: pytest.fail("evaluated"))
+        with pytest.raises(InputError, match="is too wide"):
+            strip_identity_2d(spied, r, 1.0)
 
 
 # ---------------------------------------------------------------------------

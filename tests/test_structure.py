@@ -14,8 +14,8 @@ functions; no quadrature runs in a loop, no module outside `_quad` but
 the eddy rows keeps a fixed Gauss rule, and the trace probes share one
 tolerance; no defaulted parameter is a knob that only its default ever
 sets; the package imports exactly the third-party distributions it
-declares; and no flagless `np.unique` loads `numpy.ma` on the eddy
-path."""
+declares; no flagless `np.unique` loads `numpy.ma` on the eddy path;
+and one exception type, `fields.InputError`, refuses an input."""
 
 import ast
 import json
@@ -716,3 +716,43 @@ def test_eddy_pairing_recipe_loads_no_numpy_ma():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120, env=env)
     assert out.stderr.split() == ["0", "False"]
+
+
+# one type refuses an input: every library entry check raises
+# `fields.InputError`, the CLI raises it for its own parse errors, and
+# `cli.run` lets it through as the usage error (exit 2).  So no second
+# ValueError subclass is defined, no operation handler catches and re-wraps
+# a refusal, and each entry check (its own body, not a nested evaluator)
+# raises InputError alone
+_ENTRY_CHECKS = {
+    "fields.py": {"parse_spec", "_resolve_gamma", "gamma_bounds",
+                  "make_twisting_field", "make_capillary_field",
+                  "Disk.check_rim", "Disk.check_outward_rim"},
+    "trace.py": {"OrientedInterface.frame", "_unit", "line_interface",
+                 "circle_interface", "check_radii", "check_curvilinear",
+                 "weak_trace_pairing", "one_sided_ap_lim"},
+    "rigidity.py": {"_check_inputs", "check_strip", "separable_demo"},
+    "blowup.py": {"blowup_trace_consistency"},
+}
+
+
+def test_one_input_refusal_type():
+    subclasses, tries, raised = [], [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node, _ in _nodes(tree, ast.ClassDef):
+            if any(_name(base) == "ValueError" for base in node.bases):
+                subclasses.append(f"{path.name}:{node.name}")
+        for node, where in _nodes(tree, ast.Try):
+            if path.name == "cli.py" and where.startswith("_h_"):
+                tries.append(f"cli.py:{node.lineno} in {where}")
+        for node, where in _nodes(tree, ast.Raise):
+            if where in _ENTRY_CHECKS.get(path.name, ()):
+                raised.setdefault(f"{path.name}:{where}", set()).add(
+                    _name(node.exc))
+    assert subclasses == ["fields.py:OutOfDomainError",
+                          "fields.py:InputError"]
+    assert not tries, "\n".join(tries)
+    assert raised == {f"{name}:{check}": {"InputError"}
+                      for name, checks in _ENTRY_CHECKS.items()
+                      for check in checks}

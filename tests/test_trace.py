@@ -17,7 +17,7 @@ from divlab._quad import ball_rules, leggauss
 from divlab.blowup import BOUNDARY_SLICE, PAIRING_SHARE, rescale
 from divlab import trace
 from divlab.calculus import bump_test
-from divlab.fields import Disk, bump, constant_field, \
+from divlab.fields import Disk, InputError, bump, constant_field, \
     make_capillary_field, make_twisting_field, zero_field
 from divlab.report import CheckResult
 from divlab.trace import (
@@ -145,6 +145,16 @@ class TestInterfaces:
         f = constant_field((0.0, 1.0))
         with pytest.raises(ValueError, match="from the interface"):
             weak_trace_ball_average(f, S, (0.0, 0.5), RADII)
+
+    # a radius sequence must be non-empty, positive and strictly
+    # decreasing, and the refusal names it; a NaN radius passed every
+    # comparison, and an empty one failed inside min()
+    @pytest.mark.parametrize("radii", [[], [0.2, math.nan], [0.1, 0.1],
+                                       [0.1, 0.0]],
+                             ids=["empty", "nan", "repeated", "zero"])
+    def test_radii_are_refused_by_name(self, radii):
+        with pytest.raises(InputError, match=r"strictly decreasing; got \["):
+            trace.check_radii(radii)
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +703,14 @@ class TestPairing:
         with pytest.raises(ValueError, match="divergence"):
             weak_trace_pairing(f, [bump_test((0.0, 0.0), 0.5)], [1e-9])
 
+    # the pairing is planar: a 3D field is refused as an input, for every
+    # caller of the library, before its field is called
+    def test_pairing_refuses_a_non_planar_field(self):
+        f = zero_field(3)
+        f = dataclasses.replace(f, eval=lambda pts: pytest.fail("evaluated"))
+        with pytest.raises(InputError, match="the pairing probe is planar"):
+            weak_trace_pairing(f, [bump_test((0.5, 0.5), 0.25)], [1e-9])
+
 
 # ---------------------------------------------------------------------------
 # densities
@@ -799,6 +817,20 @@ class TestApLim:
         rep = one_sided_ap_lim(capillary, S, (1.0, 0.0), (-1.0, 0.0),
                                (0.5,), RADII[:4], samples=8000, seed=5)
         assert rep.classification == AP_LIM_REJECTED
+
+    # no deviation level, or one that is not positive, is refused before
+    # any field call; a level of 0 counted every point as deviating
+    @pytest.mark.parametrize("alphas", [(), (0.2, 0.0), (-0.1,), (math.nan,)],
+                             ids=["none", "zero", "negative", "nan"])
+    def test_deviation_levels_are_refused_before_any_field_call(
+            self, capillary, alphas):
+        spied, evals, seen = self._spied(capillary)
+        S = circle_interface((0.0, 0.0), 1.0, outward=True)
+        with pytest.raises(InputError,
+                           match="deviation levels must be positive"):
+            one_sided_ap_lim(spied, S, (1.0, 0.0), (1.0, 0.0), alphas,
+                             RADII, samples=100, seed=1)
+        assert evals == [] and seen == []
 
     def _spied(self, field):
         """The field, recording every point handed to its eval and to its
